@@ -2,13 +2,11 @@
 cardinality constraints and counting quantifiers, with weighted counting
 and count distributions, verified against a brute-force ground oracle."""
 
-from .engine import (CountResult, Solver, fomc, fomc_constrained,
-                     fomc_counting, fomc_scott, fomc_universal,
-                     witness_deficit_counts, profile_breakdown,
-                     universal_term)
+from .engine import (CountResult, Solver, fomc_universal, universal_term,
+                     witness_deficit_counts)
 from .errors import (Fo2mcError, InternalConsistencyError, OracleCapError,
                      ParseError, SemanticError, UnsupportedFeatureError)
-from .cells import CellStructure, build_cells, valid_one_type
+from .cells import CellStructure, build_cells
 from .grounding import GroundFormula, eval_qf, ground
 from .normalize import (NormalizedProblem, dump_normalized,
                         expand_counting_sugar, normalize)
@@ -23,12 +21,10 @@ __all__ = [
     "OracleReport", "ParseError", "Problem", "SemanticError", "Solver",
     "UnsupportedFeatureError", "build_cells", "count_distribution",
     "distribution_table", "dump_normalized", "eval_qf",
-    "expand_counting_sugar", "fomc", "fomc_constrained",
-    "fomc_counting", "fomc_scott", "fomc_universal", "ground",
-    "witness_deficit_counts", "normalize", "oracle_count", "profile_breakdown",
+    "expand_counting_sugar", "fomc_universal", "ground",
+    "witness_deficit_counts", "normalize", "oracle_count",
     "oracle_distribution", "oracle_stratified", "parse_formula",
-    "parse_problem", "universal_term", "valid_one_type", "wfomc_profile",
-    "wfomc_symmetric",
+    "parse_problem", "universal_term", "wfomc_profile", "wfomc_symmetric",
 ]
 
 __version__ = "0.1.0"

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import UnsupportedFeatureError
-from .grounding import _conj, _disj, _neg
+from .grounding import _conj, _disj, _neg, compile_lambda
 from .logic import (And, Atom, Eq, Formula, Iff, Implies, Not, Or, Signature,
                     one_type_slots, slot_bit, substitute, two_table_slots)
 
@@ -23,7 +23,7 @@ MAX_TABLE_BITS = 30
 
 
 def _compile(conjunct_exprs: Iterable[str], args: str):
-    return eval(f"lambda {args}: {_conj(list(conjunct_exprs))}")
+    return compile_lambda(args, _conj(list(conjunct_exprs)))
 
 
 def _formula_expr(f: Formula, resolve) -> str:
@@ -107,18 +107,6 @@ class CellStructure:
         for k in range(npred):
             out |= self.table_bit(v, 2 * k) << (npred - 1 - k)
         return out
-
-    def in_mask(self, v: int) -> int:
-        npred = self.b // 2
-        out = 0
-        for k in range(npred):
-            out |= self.table_bit(v, 2 * k + 1) << (npred - 1 - k)
-        return out
-
-
-def valid_one_type(cells: CellStructure, i: int) -> bool:
-    """A 1-type is usable iff the matrix holds on the diagonal under it."""
-    return i in set(cells.valid)
 
 
 def build_cells(signature: Signature, matrix: Iterable[Formula]) -> CellStructure:

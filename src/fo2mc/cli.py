@@ -1,19 +1,21 @@
 """Command line front end.
 
-Subcommands: count, wfomc, dist, oracle, normalize, cells, bench.
-Exit codes: 0 success, 1 parse/semantic error, 2 unsupported feature,
-3 internal consistency violation.  All diagnostics go to stderr; results
-go to stdout.  JSON output is byte-stable for fixed inputs and flags,
-except for the runtime_ms field.
+Subcommands: count, wfomc, dist, oracle, normalize, cells, bench; every
+counting subcommand answers through one ``Solver``.
+Exit codes: 0 success, 1 parse/semantic error, 2 unsupported feature
+(including formulas nested too deeply to parse), 3 internal consistency
+violation.  All diagnostics go to stderr; results go to stdout, with
+counts printed in full however many digits they have.  JSON output is
+byte-stable for fixed inputs and flags, except for the runtime_ms field.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 from .cells import n_ij_csv
@@ -52,23 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="emit the n_ij table as CSV")
         p.add_argument("--weight", help="profile weight expression over |P| counters")
         p.add_argument("--query", help="count query, e.g. '|H| = 2'")
-        p.add_argument("--threads", default=None,
-                       help="worker processes (default: auto / FO2MC_THREADS)")
         p.add_argument("--oracle-cap", type=int, default=DEFAULT_CAP,
                        help="maximum ground atoms the oracle accepts")
     return parser
-
-
-def _threads(args) -> int:
-    raw = args.threads
-    if raw is None:
-        raw = os.environ.get("FO2MC_THREADS", "auto")
-    if raw == "auto":
-        return 1
-    value = int(raw)
-    if value < 1:
-        raise SemanticError("--threads must be at least 1")
-    return value
 
 
 def _load_problem(args):
@@ -116,6 +104,22 @@ def _parse_query(text, signature) -> list[tuple[str, int]]:
     return query
 
 
+@contextmanager
+def _exact_digits():
+    """Lift the interpreter's int-to-str digit limit while a result is
+    formatted, so counts of any length print in full; the limit of the
+    calling process is restored afterwards."""
+    if not hasattr(sys, "get_int_max_str_digits"):  # Python < 3.10.7: no limit
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _emit_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(", ", ": "))
 
@@ -143,36 +147,36 @@ def _count_sizes(args):
 def _run_count(args, out, err) -> int:
     problem = _load_problem(args)
     sizes = _count_sizes(args)
-    solver = Solver(problem, threads=_threads(args))
+    solver = Solver(problem)
     _maybe_dumps(args, solver, out, err)
     if args.format == "csv":
         out.write("n,count\n")
+    tracked = args.track.split(",") if args.track else []
     for n in sizes:
         start = time.monotonic()
         value = solver.count(n)
         elapsed = int((time.monotonic() - start) * 1000)
-        payload = {"n": n, "count": str(value), "mode": "fomc",
-                   "runtime_ms": elapsed}
-        if args.profiles:
-            tracked = args.track.split(",") if args.track else []
-            result = solver.breakdown(n, tracked)
-            payload["profiles"] = _profiles_payload(result)
+        result = solver.breakdown(n, tracked) if args.profiles else None
+        with _exact_digits():
+            payload = {"n": n, "count": str(value), "mode": "fomc",
+                       "runtime_ms": elapsed}
+            if result is not None:
+                payload["profiles"] = _profiles_payload(result)
         if args.format == "json":
             out.write(_emit_json(payload) + "\n")
         elif args.format == "csv":
-            out.write(f"{n},{value}\n")
+            out.write(f"{n},{payload['count']}\n")
         else:
-            out.write(f"{value}\n")
-            if args.profiles:
-                for entry in payload["profiles"]:
-                    out.write(f"  {entry['cards']}: {entry['value']}\n")
+            out.write(f"{payload['count']}\n")
+            for entry in payload.get("profiles", ()):
+                out.write(f"  {entry['cards']}: {entry['value']}\n")
     return 0
 
 
 def _run_wfomc(args, out, err) -> int:
     problem = _load_problem(args)
     n = _need_n(args)
-    solver = Solver(problem, threads=_threads(args))
+    solver = Solver(problem)
     _maybe_dumps(args, solver, out, err)
     start = time.monotonic()
     if args.weight:
@@ -186,8 +190,9 @@ def _run_wfomc(args, out, err) -> int:
         raise SemanticError("wfomc needs weight declarations in the problem "
                             "file or a --weight expression")
     elapsed = int((time.monotonic() - start) * 1000)
-    payload = {"n": n, "count": decimal_str(value), "mode": "wfomc",
-               "runtime_ms": elapsed}
+    with _exact_digits():
+        payload = {"n": n, "count": decimal_str(value), "mode": "wfomc",
+                   "runtime_ms": elapsed}
     if args.format == "json":
         out.write(_emit_json(payload) + "\n")
     elif args.format == "csv":
@@ -200,7 +205,7 @@ def _run_wfomc(args, out, err) -> int:
 def _run_dist(args, out, err) -> int:
     problem = _load_problem(args)
     n = _need_n(args)
-    solver = Solver(problem, threads=_threads(args))
+    solver = Solver(problem)
     _maybe_dumps(args, solver, out, err)
     if not args.query:
         raise SemanticError("dist requires --query, e.g. --query '|H| = 2'")
@@ -211,13 +216,14 @@ def _run_dist(args, out, err) -> int:
     start = time.monotonic()
     numerator, partition, prob = count_distribution(solver, n, query, weight)
     elapsed = int((time.monotonic() - start) * 1000)
-    payload = {
-        "n": n, "mode": "dist", "runtime_ms": elapsed,
-        "count": f"{float(prob):.12g}",
-        "fraction": f"{prob.numerator}/{prob.denominator}",
-        "numerator": decimal_str(numerator),
-        "partition": decimal_str(partition),
-    }
+    with _exact_digits():
+        payload = {
+            "n": n, "mode": "dist", "runtime_ms": elapsed,
+            "count": f"{float(prob):.12g}",
+            "fraction": f"{prob.numerator}/{prob.denominator}",
+            "numerator": decimal_str(numerator),
+            "partition": decimal_str(partition),
+        }
     if args.format == "json":
         out.write(_emit_json(payload) + "\n")
     else:
@@ -247,9 +253,10 @@ def _run_oracle(args, out, err) -> int:
                                    cap=cap)
         prob = dist.get(tuple(c for _, c in query), Fraction(0))
         elapsed = int((time.monotonic() - start) * 1000)
-        payload = {"n": n, "mode": "dist", "runtime_ms": elapsed,
-                   "count": f"{float(prob):.12g}",
-                   "fraction": f"{prob.numerator}/{prob.denominator}"}
+        with _exact_digits():
+            payload = {"n": n, "mode": "dist", "runtime_ms": elapsed,
+                       "count": f"{float(prob):.12g}",
+                       "fraction": f"{prob.numerator}/{prob.denominator}"}
     else:
         weight_expr = (parse_weight_expr(args.weight, problem.signature)
                        if args.weight else problem.profile_weight)
@@ -258,12 +265,13 @@ def _run_oracle(args, out, err) -> int:
                               symmetric_weights=problem.symmetric_weights or None,
                               profile_weight=weight_expr, cap=cap)
         elapsed = int((time.monotonic() - start) * 1000)
-        if report.weighted_total is not None:
-            payload = {"n": n, "mode": "wfomc", "runtime_ms": elapsed,
-                       "count": decimal_str(report.weighted_total)}
-        else:
-            payload = {"n": n, "mode": "fomc", "runtime_ms": elapsed,
-                       "count": str(report.total)}
+        with _exact_digits():
+            if report.weighted_total is not None:
+                payload = {"n": n, "mode": "wfomc", "runtime_ms": elapsed,
+                           "count": decimal_str(report.weighted_total)}
+            else:
+                payload = {"n": n, "mode": "fomc", "runtime_ms": elapsed,
+                           "count": str(report.total)}
     if args.format == "json":
         out.write(_emit_json(payload) + "\n")
     else:
@@ -289,7 +297,7 @@ def _run_cells(args, out, err) -> int:
 def _run_bench(args, out, err) -> int:
     problem = _load_problem(args)
     sizes = _parse_range(args)
-    solver = Solver(problem, threads=_threads(args))
+    solver = Solver(problem)
     out.write("n,lifted_ms,oracle_ms\n")
     for n in sizes:
         start = time.monotonic()
@@ -331,6 +339,9 @@ def run(argv=None, out=None, err=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _RUNNERS[args.command](args, out, err)
+    except RecursionError:
+        err.write("unsupported: formula nested too deeply\n")
+        return 2
     except (ParseError, SemanticError) as exc:
         err.write(f"error: {exc}\n")
         return 1
@@ -340,7 +351,7 @@ def run(argv=None, out=None, err=None) -> int:
     except InternalConsistencyError as exc:
         err.write(f"internal consistency violation: {exc}\n")
         return 3
-    except FileNotFoundError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable problem file
         err.write(f"error: {exc}\n")
         return 1
 

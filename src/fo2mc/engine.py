@@ -21,6 +21,10 @@ and a per-element fold of the 1/m! divisor, provided every block is
 determines |A| on every feasible profile and makes the maximization
 directive provably vacuous.  Unpinned blocks fall back to the literal
 profile filter and emit a soundness warning.
+
+``Solver`` is the one entry point: it builds the cell tables once per
+problem, and its ``count``, ``weighted_total`` and ``breakdown`` read the
+same profile rows, filtered once by the cardinality constraint.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement, groupby
 from typing import Iterator, Mapping, Sequence
 
 from .cells import CellStructure, build_cells
@@ -230,8 +235,7 @@ class ProfileEvaluator:
 
     def __init__(self, norm: NormalizedProblem, cells: CellStructure, n: int,
                  tracked: Sequence[str] = (), fold: WeightFold = IDENTITY_FOLD,
-                 literal_blocks: bool = False, plain_signs: bool = False,
-                 threads: int = 1):
+                 literal_blocks: bool = False, plain_signs: bool = False):
         if n < 1:
             raise SemanticError("domain size must be at least 1")
         self.norm = norm
@@ -239,7 +243,6 @@ class ProfileEvaluator:
         self.n = n
         self.fold = fold
         self.literal_blocks = literal_blocks
-        self.threads = max(1, threads)
         self.tracked = tuple(dict.fromkeys(tracked))
         for pred in self.tracked:
             if pred not in norm.signature:
@@ -422,30 +425,13 @@ class ProfileEvaluator:
             table[full] = table.get(full, 0) + val
         return table
 
-    def _chunk_table(self, combos) -> _Poly:
-        from itertools import groupby
+    def _enumerate_table(self) -> _Poly:
         table: _Poly = {}
-        for combo in combos:
+        for combo in combinations_with_replacement(range(len(self.types)), self.n):
             occupied = [(pos, len(tuple(group))) for pos, group in groupby(combo)]
             for key, val in self._k_table(occupied).items():
                 table[key] = table.get(key, 0) + val
         return table
-
-    def _enumerate_table(self) -> _Poly:
-        from itertools import combinations_with_replacement
-        combos = combinations_with_replacement(range(len(self.types)), self.n)
-        if self.threads > 1:
-            combos = list(combos)
-            if len(combos) >= 4 * self.threads:
-                from concurrent.futures import ProcessPoolExecutor
-                chunks = [combos[i::self.threads] for i in range(self.threads)]
-                table: _Poly = {}
-                with ProcessPoolExecutor(max_workers=self.threads) as pool:
-                    for part in pool.map(self._chunk_table, chunks):
-                        for key, val in part.items():
-                            table[key] = table.get(key, 0) + val
-                return table
-        return self._chunk_table(combos)
 
     # -- collapsed power ----------------------------------------------------------
 
@@ -535,9 +521,6 @@ class ProfileEvaluator:
             raw = {k: v * scale for k, v in raw.items()}
         return raw
 
-    def cards_of_key(self, key: tuple[int, ...]) -> dict[str, int]:
-        return dict(zip(self.key_names, key))
-
 
 # ---------------------------------------------------------------------------
 # solver front end
@@ -565,24 +548,21 @@ class Solver:
     count/weighted-count queries per domain size.  Pure and reusable
     across domain sizes, so benchmarks amortize the table sweep."""
 
-    def __init__(self, problem: Problem | NormalizedProblem, threads: int = 1):
+    def __init__(self, problem: Problem | NormalizedProblem):
         self.norm = normalize(problem) if isinstance(problem, Problem) else problem
         self.cells = build_cells(self.norm.signature, self.norm.matrix)
         self.pinned = all(block_pinned(self.cells, b) for b in self.norm.blocks)
-        self.threads = threads
 
     # -- profile tables -------------------------------------------------------
 
     def profile_table(self, n: int, tracked: Sequence[str] = (),
-                      fold: WeightFold = IDENTITY_FOLD,
-                      plain_signs: bool = False) -> tuple[tuple[str, ...], _Poly]:
+                      fold: WeightFold = IDENTITY_FOLD) -> tuple[tuple[str, ...], _Poly]:
         """Profile table keyed by the tracked predicate cardinalities,
         with all counting-block machinery (ties, maximization, divisor)
         already applied.  Returns (key names, table)."""
         if self.norm.blocks and not self.pinned:
             return self._literal_table(n, tracked, fold)
-        ev = ProfileEvaluator(self.norm, self.cells, n, tracked, fold,
-                              plain_signs=plain_signs, threads=self.threads)
+        ev = ProfileEvaluator(self.norm, self.cells, n, tracked, fold)
         return ev.key_names, ev.table()
 
     def _literal_table(self, n, tracked, fold) -> tuple[tuple[str, ...], _Poly]:
@@ -596,8 +576,7 @@ class Solver:
         for b in norm.blocks:
             full.extend([b.a_pred, b.guard, *b.f_preds])
         full.extend(norm.sign_preds)
-        ev = ProfileEvaluator(norm, self.cells, n, full, fold,
-                              literal_blocks=True, threads=self.threads)
+        ev = ProfileEvaluator(norm, self.cells, n, full, fold, literal_blocks=True)
         table = ev.table()
         names = ev.key_names
         idx = {p: i for i, p in enumerate(names)}
@@ -642,18 +621,28 @@ class Solver:
 
     # -- counting entry points ---------------------------------------------------
 
+    def _allowed_rows(self, n: int, tracked: Sequence[str] = (),
+                      fold: WeightFold = IDENTITY_FOLD,
+                      constraint: CardConstraint | None = None
+                      ) -> Iterator[tuple[dict[str, int], object]]:
+        """Rows (cards, value) of the profile table over the tracked
+        predicates and the constraint's own, for the profiles the
+        constraint allows (the problem's constraint by default)."""
+        if constraint is None:
+            constraint = self.norm.constraint
+        track = tuple(dict.fromkeys(
+            tuple(tracked) + tuple(sorted(constraint_predicates(constraint)))))
+        names, table = self.profile_table(n, track, fold)
+        for key, val in table.items():
+            cards = dict(zip(names, key))
+            if constraint == CARD_TRUE or constraint.holds(cards):
+                yield cards, val
+
     def count(self, n: int, constraint: CardConstraint | None = None) -> int:
         """Exact model count on domain size n, honoring the problem's
         cardinality constraint (or an explicit override)."""
-        if constraint is None:
-            constraint = self.norm.constraint
-        tracked = tuple(sorted(constraint_predicates(constraint)))
-        names, table = self.profile_table(n, tracked)
-        total = 0
-        for key, val in table.items():
-            if constraint == CARD_TRUE or constraint.holds(dict(zip(names, key))):
-                total += val
-        return _as_count(total)
+        return _as_count(sum(val for _, val in
+                             self._allowed_rows(n, constraint=constraint)))
 
     def weighted_total(self, n: int, tracked: Sequence[str],
                        fold: WeightFold = IDENTITY_FOLD, weight_fn=None,
@@ -661,16 +650,8 @@ class Solver:
         """Sum of weight(profile) * F(profile) over profiles satisfying
         the constraint; the symmetric part enters via ``fold`` and the
         profile-dependent part via ``weight_fn(cards) -> Fraction``."""
-        if constraint is None:
-            constraint = self.norm.constraint
-        track = tuple(dict.fromkeys(
-            tuple(tracked) + tuple(sorted(constraint_predicates(constraint)))))
-        names, table = self.profile_table(n, track, fold)
         total = Fraction(0)
-        for key, val in table.items():
-            cards = dict(zip(names, key))
-            if constraint != CARD_TRUE and not constraint.holds(cards):
-                continue
+        for cards, val in self._allowed_rows(n, tracked, fold, constraint):
             w = weight_fn(cards) if weight_fn is not None else 1
             total += Fraction(val) * w
         return total
@@ -679,24 +660,14 @@ class Solver:
                   fold: WeightFold = IDENTITY_FOLD,
                   constraint: CardConstraint | None = None) -> CountResult:
         """Per-profile signed terms for the tracked predicates."""
-        if constraint is None:
-            constraint = self.norm.constraint
-        track = tuple(dict.fromkeys(
-            tuple(tracked) + tuple(sorted(constraint_predicates(constraint)))))
-        names, table = self.profile_table(n, track, fold)
-        keep = [p for p in names if p in set(tracked)]
-        positions = [names.index(p) for p in keep]
-        projected: _Poly = {}
+        wanted = set(tracked)
+        projected: dict[tuple, object] = {}
         total = 0
-        for key, val in sorted(table.items()):
-            cards = dict(zip(names, key))
-            if constraint != CARD_TRUE and not constraint.holds(cards):
-                continue
-            short = tuple(key[i] for i in positions)
+        for cards, val in self._allowed_rows(n, tracked, fold, constraint):
+            short = tuple((p, c) for p, c in cards.items() if p in wanted)
             projected[short] = projected.get(short, 0) + val
             total += val
-        profiles = [(dict(zip(keep, key)), val)
-                    for key, val in sorted(projected.items())]
+        profiles = [(dict(key), val) for key, val in sorted(projected.items())]
         return CountResult(total=total, profiles=profiles)
 
 
@@ -764,40 +735,3 @@ def witness_deficit_counts(problem: Problem | NormalizedProblem, n: int, m: int
         p[key[0]] += val
     e_m = sum((-1) ** (j - m) * math.comb(j, m) * p[j] for j in range(m, n + 1))
     return p[m], e_m
-
-
-def fomc(problem: Problem | NormalizedProblem, n: int, threads: int = 1) -> int:
-    """First-order model count of a problem on domain size n."""
-    return Solver(problem, threads=threads).count(n)
-
-
-def fomc_scott(problem: Problem | NormalizedProblem, n: int) -> int:
-    """Sign-corrected count for problems in Scott normal form (no
-    counting blocks, no cardinality constraint)."""
-    solver = Solver(problem)
-    if solver.norm.blocks:
-        raise SemanticError("fomc_scott does not handle counting blocks; "
-                            "use fomc_counting")
-    return solver.count(n, constraint=CARD_TRUE)
-
-
-def fomc_constrained(problem: Problem | NormalizedProblem, n: int,
-                     constraint: CardConstraint | None = None) -> int:
-    """Count restricted to the profiles satisfying a cardinality
-    constraint (defaults to the problem's own)."""
-    return Solver(problem).count(n, constraint=constraint)
-
-
-def fomc_counting(problem: Problem | NormalizedProblem, n: int) -> int:
-    """Count for problems with counting-quantifier blocks: cardinality
-    ties, maximization directives and the m! divisors are all applied."""
-    solver = Solver(problem)
-    if not solver.norm.blocks:
-        raise SemanticError("problem has no counting blocks; use fomc")
-    return solver.count(n)
-
-
-def profile_breakdown(problem: Problem | NormalizedProblem, n: int,
-                      tracked: Sequence[str]) -> CountResult:
-    """Per-profile signed terms keyed by the tracked cardinalities."""
-    return Solver(problem).breakdown(n, tracked)

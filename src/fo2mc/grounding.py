@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
-from .errors import SemanticError
+from .errors import SemanticError, UnsupportedFeatureError
 from .logic import (And, Atom, Counting, Eq, Exists, Forall, Formula, Iff,
                     Implies, Not, Or, Signature)
 
@@ -72,6 +72,16 @@ def _count(parts: list[str], cmp: str, m: int) -> str:
     return f"(({total}) {op} {m})"
 
 
+def compile_lambda(args: str, body: str) -> Callable:
+    """Compile a generated expression into a function.  Python's compiler
+    rejects nesting beyond its parenthesis limit, which deeply nested
+    formulas reach; that is a refusal, not a crash."""
+    try:
+        return eval(f"lambda {args}: {body}")
+    except SyntaxError:
+        raise UnsupportedFeatureError("formula nested too deeply") from None
+
+
 @dataclass
 class GroundFormula:
     """A propositional formula over the ground atoms of a signature.
@@ -86,7 +96,7 @@ class GroundFormula:
 
     def __post_init__(self):
         self.index = {atom: i for i, atom in enumerate(self.atoms)}
-        self._fn: Callable[[int], object] = eval(f"lambda a: {self.source}")
+        self._fn: Callable[[int], object] = compile_lambda("a", self.source)
 
     def evaluate(self, assignment) -> bool:
         """Evaluate under a truth assignment: either an int bitmask or a

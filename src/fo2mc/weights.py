@@ -14,7 +14,7 @@ from typing import Mapping, Sequence
 
 from .engine import Solver, symmetric_fold
 from .errors import SemanticError
-from .logic import (CARD_TRUE, CardCompare, LinearExpr, WeightExpr,
+from .logic import (CardCompare, LinearExpr, WeightExpr,
                     card_conjoin, weight_predicates, weight_value)
 from .normalize import NormalizedProblem
 from .parser import Problem
@@ -118,28 +118,19 @@ def distribution_table(problem: Problem | NormalizedProblem | Solver, n: int,
     vectors; the probabilities sum to exactly one."""
     solver = _solver(problem)
     weight, fold = _weight_setup(solver, weight, symmetric)
-    constraint = solver.norm.constraint
-    from .logic import constraint_predicates
-    tracked = list(dict.fromkeys(query_preds))
-    extra = set(constraint_predicates(constraint))
+    tracked = tuple(query_preds)
     if weight is not None:
-        extra |= weight_predicates(weight)
-    tracked += sorted(extra - set(tracked))
-    names, table = solver.profile_table(n, tuple(tracked), fold=fold)
-    pos = [names.index(p) for p in query_preds]
+        tracked += tuple(sorted(weight_predicates(weight)))
     out: dict[tuple[int, ...], Fraction] = {}
     z = Fraction(0)
-    for key, val in table.items():
-        cards = dict(zip(names, key))
-        if constraint != CARD_TRUE and not constraint.holds(cards):
-            continue
+    for cards, val in solver._allowed_rows(n, tracked, fold):
         if val == 0:
             continue
         w = weight_value(weight, cards) if weight is not None else Fraction(1)
         contrib = Fraction(val) * w
         z += contrib
         # feasible strata stay in the table even at probability zero
-        sub = tuple(key[i] for i in pos)
+        sub = tuple(cards[p] for p in query_preds)
         out[sub] = out.get(sub, Fraction(0)) + contrib
     if z == 0:
         raise SemanticError("partition function is zero; the distribution "

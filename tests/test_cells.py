@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fo2mc.cells import build_cells, n_ij_csv, valid_one_type
+from fo2mc.cells import build_cells, n_ij_csv
 from fo2mc.errors import UnsupportedFeatureError
 from fo2mc.logic import Atom, Eq, Not, Signature, TRUE
 from fo2mc.normalize import normalize
@@ -39,8 +39,7 @@ def test_slot_conventions():
 
 def test_valid_one_types_running():
     cells = running_cells()
-    for i in range(4):
-        assert valid_one_type(cells, i)
+    assert cells.valid == [0, 1, 2, 3]
 
 
 def test_contradictory_matrix_no_valid_types():
@@ -56,8 +55,7 @@ def test_reflexive_requirement_prunes():
     sig.declare("R", 2)
     cells = build_cells(sig, [Atom("R", ("x", "x"))])
     # 1-type 0 has the reflexive slot false
-    assert not valid_one_type(cells, 0)
-    assert valid_one_type(cells, 1)
+    assert cells.valid == [1]
 
 
 def test_tautology_table():

@@ -1,9 +1,14 @@
 import io
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
+import fo2mc.corpus
 from fo2mc.cli import run
+from fo2mc.engine import Solver
+from fo2mc.parser import parse_problem
 
 from conftest import ZERO_OR_TWO_EXAMPLE, RUNNING_EXAMPLE
 
@@ -154,6 +159,47 @@ def test_conflicting_input(running_file):
     assert code == 1
 
 
+def test_unreadable_problem_file(tmp_path):
+    binary = tmp_path / "binary.fo2"
+    binary.write_bytes(b"\xff\xfe\x00")
+    for path in (tmp_path, binary):
+        code, _, err = invoke("count", "-n", "2", str(path))
+        assert code == 1 and err.startswith("error: ")
+
+
 def test_missing_n(running_file):
     code, _, err = invoke("count", running_file)
     assert code == 1 and "domain-size" in err
+
+
+def test_counts_beyond_the_digit_limit_print_in_full():
+    """two_exists at n = 100 has over 4,300 digits, the interpreter's
+    default int-to-str limit; the command line prints it exactly and
+    leaves the caller's limit as it was."""
+    path = Path(fo2mc.corpus.__file__).parent / "problems" / "two_exists.fo2"
+    limit = sys.get_int_max_str_digits()
+    want = Solver(parse_problem(path.read_text())).count(100)
+    assert want > 10 ** 4300
+    code, out, err = invoke("count", "-n", "100", str(path))
+    assert (code, err) == (0, "")
+    assert sys.get_int_max_str_digits() == limit
+    sys.set_int_max_str_digits(0)
+    try:
+        assert out.strip() == str(want)
+        code, out, _ = invoke("count", "-n", "100", str(path), "--profiles",
+                              "--format", "json")
+        payload = json.loads(out)
+        assert payload["count"] == payload["profiles"][0]["value"] == str(want)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("depth", [250, 3000])
+def test_deep_nesting_is_refused(depth):
+    """250 negations pass the parser but exceed the compiler's nesting
+    limit for the cell tables; 3,000 exceed the recursion limit."""
+    text = "predicate A/1\nforall x " + "!" * depth + "A(x)"
+    for command in ("count", "oracle"):
+        code, out, err = invoke(command, "-n", "2", "-e", text)
+        assert (code, out) == (2, "")
+        assert err == "unsupported: formula nested too deeply\n"

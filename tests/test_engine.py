@@ -8,7 +8,7 @@ from fo2mc.engine import (ProfileEvaluator, Solver, UnsoundCountingPatternWarnin
                           compositions, fomc_universal,
                           witness_deficit_counts, universal_term)
 from fo2mc.errors import SemanticError
-from fo2mc.logic import CardCompare, LinearExpr, card_conjoin
+from fo2mc.logic import CARD_TRUE, CardCompare, LinearExpr, card_conjoin
 from fo2mc.normalize import normalize
 from fo2mc.oracle import oracle_count, oracle_stratified
 from fo2mc.parser import parse_problem
@@ -97,7 +97,7 @@ def test_witness_deficit_base_case():
 
 
 def test_witness_deficit_total():
-    """sum_{m>=1} e_m = p_0 - fomc_scott, every e_m >= 0."""
+    """sum_{m>=1} e_m = p_0 - Solver.count, every e_m >= 0."""
     for text in ("forall x exists y R(x,y)",
                  "forall x forall y (R(x,y) -> R(y,x)) & forall x exists y R(x,y)"):
         p = parse_problem(text)
@@ -260,11 +260,6 @@ def test_running_example_not_collapsible():
     assert not cells.cross_independent
 
 
-def test_threads_deterministic():
-    p = parse_problem(RUNNING_EXAMPLE)
-    assert Solver(p, threads=2).count(6) == Solver(p, threads=1).count(6)
-
-
 def test_scaling_n50_fast():
     import time
     start = time.monotonic()
@@ -285,18 +280,15 @@ def test_internal_consistency_guards():
     assert _as_count(Fraction(4, 2)) == 2
 
 
-def test_spec_operation_wrappers():
-    from fo2mc.engine import fomc_constrained, fomc_counting, fomc_scott, \
-        profile_breakdown
-    exists = parse_problem("forall x exists y R(x,y)")
-    assert fomc_scott(exists, 2) == 9
-    with pytest.raises(SemanticError):
-        fomc_scott(parse_problem("forall x exists{=1} y R(x,y)"), 2)
-    counting = parse_problem("forall x exists{=1} y R(x,y)")
-    assert fomc_counting(counting, 3) == 27
-    with pytest.raises(SemanticError):
-        fomc_counting(exists, 2)
-    constrained = parse_problem(RUNNING_EXAMPLE + "constraint |A| = 2\n")
-    assert fomc_constrained(constrained, 2) == 16
-    result = profile_breakdown(parse_problem(RUNNING_EXAMPLE), 2, ("A",))
-    assert result.total == 48
+def test_spec_operations_through_solver():
+    """Scott-form, counting-block, constrained and per-profile counts all
+    come from one Solver."""
+    exists = Solver(parse_problem("forall x exists y R(x,y)"))
+    assert not exists.norm.blocks and exists.count(2) == 9
+    counting = Solver(parse_problem("forall x exists{=1} y R(x,y)"))
+    assert counting.norm.blocks and counting.count(3) == 27
+    constrained = Solver(parse_problem(RUNNING_EXAMPLE + "constraint |A| = 2\n"))
+    assert constrained.count(2) == 16
+    assert constrained.count(2, constraint=CARD_TRUE) == 48
+    assert constrained.breakdown(2, ("A",)).profiles == [({"A": 2}, 16)]
+    assert running_solver().breakdown(2, ("A",)).total == 48
