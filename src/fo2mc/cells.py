@@ -14,39 +14,50 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .errors import UnsupportedFeatureError
-from .grounding import _conj, _disj, _neg, compile_lambda
+from .grounding import compile_lambda
 from .logic import (And, Atom, Eq, Formula, Iff, Implies, Not, Or, Signature,
-                    one_type_slots, slot_bit, substitute, two_table_slots)
+                    one_type_slots, slot_bit, substitute,
+                    two_table_slots)
 
 #: table sweep guard: 2u + b beyond this would not fit in memory/time
 MAX_TABLE_BITS = 30
 
 
-def _compile(conjunct_exprs: Iterable[str], args: str):
-    return compile_lambda(args, _conj(list(conjunct_exprs)))
-
-
-def _formula_expr(f: Formula, resolve) -> str:
-    """Translate a quantifier-free formula into a Python expression;
-    ``resolve`` maps an Atom or Eq node to an expression string."""
+def _mask_expr(f: Formula, resolve) -> str:
+    """Translate a quantifier-free formula into a Python expression over
+    bit masks, one bit per interpretation, where ``F`` is the full mask;
+    ``resolve`` maps an Atom or Eq node to a mask expression."""
     if isinstance(f, (Atom, Eq)):
         return resolve(f)
     if isinstance(f, Not):
-        return _neg(_formula_expr(f.sub, resolve))
-    if isinstance(f, And):
-        return _conj([_formula_expr(f.left, resolve), _formula_expr(f.right, resolve)])
-    if isinstance(f, Or):
-        return _disj([_formula_expr(f.left, resolve), _formula_expr(f.right, resolve)])
-    if isinstance(f, Implies):
-        return _disj([_neg(_formula_expr(f.left, resolve)),
-                      _formula_expr(f.right, resolve)])
-    if isinstance(f, Iff):
-        a = _formula_expr(f.left, resolve)
-        b = _formula_expr(f.right, resolve)
-        if a in ("0", "1") and b in ("0", "1"):
-            return "1" if a == b else "0"
-        return f"(({a})==({b}))"
+        return f"(F^{_mask_expr(f.sub, resolve)})"
+    if isinstance(f, (And, Or, Implies, Iff)):
+        a = _mask_expr(f.left, resolve)
+        b = _mask_expr(f.right, resolve)
+        if isinstance(f, And):
+            return f"({a}&{b})"
+        if isinstance(f, Or):
+            return f"({a}|{b})"
+        if isinstance(f, Implies):
+            return f"((F^{a})|{b})"
+        return f"(F^{a}^{b})"
     raise UnsupportedFeatureError(f"matrix is not quantifier-free: {f}")
+
+
+def _slot_masks(width: int) -> list[int]:
+    """Per slot, the mask over all 2^width indices whose slot bit is set
+    (slot 0 is the most significant bit of an index)."""
+    everything = (1 << (1 << width)) - 1
+    masks = []
+    for slot in range(width):
+        run = 1 << (width - 1 - slot)  # indices alternate in runs this long
+        block = ((1 << run) - 1) << run
+        masks.append(block * (everything // ((1 << 2 * run) - 1)))
+    return masks
+
+
+def _bit_positions(mask: int) -> tuple[int, ...]:
+    return tuple(k for k, c in enumerate(bin(mask)[:1:-1]) if c == "1")
 
 
 @dataclass
@@ -110,7 +121,11 @@ class CellStructure:
 
 
 def build_cells(signature: Signature, matrix: Iterable[Formula]) -> CellStructure:
-    """Materialize the lifted-interpretation tables of a matrix."""
+    """Materialize the lifted-interpretation tables of a matrix.
+
+    The matrix is evaluated on bit masks: once over all 2^u 1-types for
+    the diagonal, then per pair of valid types over all 2^b 2-tables at
+    once, with bit v of a mask standing for 2-table v."""
     matrix = list(matrix)
     u_slots = one_type_slots(signature)
     b_slots = two_table_slots(signature)
@@ -123,71 +138,77 @@ def build_cells(signature: Signature, matrix: Iterable[Formula]) -> CellStructur
     u_index = {slot: s for s, slot in enumerate(u_slots)}
     b_index = {slot: s for s, slot in enumerate(b_slots)}
 
+    def unary_slot(pred: str) -> int:
+        return u_index[(pred, "unary" if signature.arity(pred) == 1 else "reflexive")]
+
     def diag_resolve(f):
-        if isinstance(f, Eq):
-            return "1"
-        pred = f.pred
-        slot = u_index[(pred, "unary" if signature.arity(pred) == 1 else "reflexive")]
-        return f"(i>>{u - 1 - slot}&1)"
+        return "F" if isinstance(f, Eq) else f"U[{unary_slot(f.pred)}]"
 
     def cross_resolve(f):
         if isinstance(f, Eq):
-            return "1" if f.left == f.right else "0"
-        pred, args = f.pred, f.args
-        if signature.arity(pred) == 1:
-            side = "i" if args[0] == "x" else "j"
-            slot = u_index[(pred, "unary")]
-            return f"({side}>>{u - 1 - slot}&1)"
-        if args[0] == args[1]:
-            side = "i" if args[0] == "x" else "j"
-            slot = u_index[(pred, "reflexive")]
-            return f"({side}>>{u - 1 - slot}&1)"
-        slot = b_index[(pred, "xy" if args == ("x", "y") else "yx")]
-        return f"(v>>{b - 1 - slot}&1)"
+            return "F" if f.left == f.right else "0"
+        side = "X" if f.args[0] == "x" else "Y"
+        if signature.arity(f.pred) == 1 or f.args[0] == f.args[1]:
+            return f"{side}[{unary_slot(f.pred)}]"
+        direction = "xy" if f.args == ("x", "y") else "yx"
+        return f"V[{b_index[(f.pred, direction)]}]"
 
-    diag_fn = _compile(
-        (_formula_expr(substitute(c, {"y": "x"}), diag_resolve) for c in matrix), "i")
-    cross_fn = _compile(
-        (_formula_expr(c, cross_resolve) for c in matrix), "i, j, v")
-
-    valid = [i for i in range(1 << u) if diag_fn(i)]
+    diag = compile_lambda(
+        "U=U, F=F", "&".join(_mask_expr(substitute(c, {"y": "x"}), diag_resolve)
+                             for c in matrix) or "F",
+        {"U": _slot_masks(u), "F": (1 << (1 << u)) - 1})()
+    valid = list(_bit_positions(diag))
     cells = CellStructure(signature, u_slots, b_slots, valid, {}, {}, False)
 
-    # One sweep fills the pair tables and settles cross-independence:
-    # whether the x->y direction of the matrix depends only on the 1-type
-    # of x and the x->y bits (never on y's type or the reverse bits).
-    # When it does, n_ijv factorizes per directed edge.
+    # Per direction, one function of the two types' slot masks (X for the
+    # x side, Y for the y side) gives the mask of 2-tables on which the
+    # matrix holds; the reverse direction reads 2-table v swapped, so its
+    # (x,y) and (y,x) slot masks trade places.
+    full = (1 << (1 << b)) - 1
+    v_masks = _slot_masks(b)
+    cross = "&".join(_mask_expr(c, cross_resolve) for c in matrix) or "F"
+    forward = compile_lambda("X, Y, V=V, F=F", cross, {"V": v_masks, "F": full})
+    reverse = compile_lambda("X, Y, V=V, F=F", cross,
+                             {"V": [v_masks[s ^ 1] for s in range(b)], "F": full})
+    sides = {t: tuple(full if slot_bit(t, s, u) else 0 for s in range(u))
+             for t in valid}
+
+    # Cross-independence: whether the x->y direction of the matrix depends
+    # only on the 1-type of x and the x->y bits (never on y's type or the
+    # reverse bits).  When it does, n_ijv factorizes per directed edge.
+    # Each type's own diagonal masks are the reference for both sides.
+    own_fwd = {t: forward(sides[t], sides[t]) for t in valid}
+    own_rev = {t: reverse(sides[t], sides[t]) for t in valid}
+    independent = True
     pair_vs: dict[tuple[int, int], tuple[int, ...]] = {}
     n_ij: dict[tuple[int, int], int] = {}
-    all_v = range(1 << b)
-    swaps = [cells.swap(v) for v in all_v]
-    out_masks = [cells.out_mask(v) for v in all_v]
-    independent = True
-    seen: dict[int, dict[int, int]] = {i: {} for i in valid}
+    tables_of: dict[int, tuple[int, ...]] = {}
     for a_pos, i in enumerate(valid):
-        seen_i = seen[i]
         for j in valid[a_pos:]:
-            seen_j = seen[j]
-            vs = []
-            for v in all_v:
-                sv = swaps[v]
-                m_ij = 1 if cross_fn(i, j, v) else 0
-                m_ji = 1 if cross_fn(j, i, sv) else 0
-                if m_ij and m_ji:
-                    vs.append(v)
-                if independent:
-                    if seen_i.setdefault(out_masks[v], m_ij) != m_ij:
-                        independent = False
-                    elif seen_j.setdefault(out_masks[sv], m_ji) != m_ji:
-                        independent = False
-            pair_vs[(i, j)] = tuple(vs)
-            n_ij[(i, j)] = len(vs)
+            m_ij, m_ji = forward(sides[i], sides[j]), reverse(sides[j], sides[i])
+            independent = independent and m_ij == own_fwd[i] and m_ji == own_rev[j]
+            both = m_ij & m_ji
+            vs = tables_of.get(both)
+            if vs is None:
+                vs = tables_of[both] = _bit_positions(both)
+            key = (i, j)
+            pair_vs[key] = vs
+            n_ij[key] = len(vs)
+    # ... and no mask may change when a (y,x) bit flips
+    for s in range(1, b, 2):
+        run = 1 << (b - 1 - s)
+        unset = full ^ v_masks[s]
+        if any(((m >> run) ^ m) & unset for m in own_fwd.values()):
+            independent = False
     cells.pair_vs = pair_vs
     cells.n_ij = n_ij
     cells.cross_independent = independent
     if independent:
+        # 2-tables without (y,x) bits, ascending, stand for their out-masks
+        heads = [v for v in range(1 << b)
+                 if all(not slot_bit(v, s, b) for s in range(1, b, 2))]
         cells.out_options = {
-            i: tuple(sorted(w for w, m in seen[i].items() if m))
+            i: tuple(cells.out_mask(v) for v in heads if own_fwd[i] >> v & 1)
             for i in valid}
     return cells
 

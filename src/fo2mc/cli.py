@@ -19,7 +19,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from .cells import n_ij_csv
-from .engine import Solver
+from .engine import Solver, _as_count
 from .errors import (InternalConsistencyError, ParseError, SemanticError,
                      UnsupportedFeatureError)
 from .logic import CardAnd, CardCompare, decimal_str
@@ -154,9 +154,12 @@ def _run_count(args, out, err) -> int:
     tracked = args.track.split(",") if args.track else []
     for n in sizes:
         start = time.monotonic()
-        value = solver.count(n)
+        if args.profiles:
+            result = solver.breakdown(n, tracked)
+            value = _as_count(result.total)
+        else:
+            result, value = None, solver.count(n)
         elapsed = int((time.monotonic() - start) * 1000)
-        result = solver.breakdown(n, tracked) if args.profiles else None
         with _exact_digits():
             payload = {"n": n, "count": str(value), "mode": "fomc",
                        "runtime_ms": elapsed}

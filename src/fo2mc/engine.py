@@ -16,11 +16,11 @@ Two evaluation strategies compute the same profile sums:
 
 Counting blocks are handled by hidden difference counters |f| - |A|
 (zero exactly on the profiles satisfying the induced cardinality ties)
-and a per-element fold of the 1/m! divisor, provided every block is
-"pinned": the matrix forces guard edges to start inside A, which
-determines |A| on every feasible profile and makes the maximization
-directive provably vacuous.  Unpinned blocks fall back to the literal
-profile filter and emit a soundness warning.
+and a per-element fold of the 1/m! divisor.  A block is exact as encoded
+when it is "pinned": the matrix forces guard edges to start inside A,
+which forces A to be the whole exactly-m set.  ``Solver`` re-encodes
+every other block with an inclusion-exclusion sign predicate (see
+``normalize``), so every count goes through the same evaluation.
 
 ``Solver`` is the one entry point: it builds the cell tables once per
 problem, and its ``count``, ``weighted_total`` and ``breakdown`` read the
@@ -30,7 +30,6 @@ same profile rows, filtered once by the cardinality constraint.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby
@@ -42,12 +41,6 @@ from .logic import (CARD_TRUE, CardConstraint, constraint_predicates,
                     slot_bit)
 from .normalize import CountingBlock, NormalizedProblem, normalize
 from .parser import Problem
-
-
-class UnsoundCountingPatternWarning(UserWarning):
-    """The maximization filter for this quantifier pattern operates on
-    cardinality profiles only and is not guaranteed faithful; verify
-    against the oracle subcommand on small domains."""
 
 
 # ---------------------------------------------------------------------------
@@ -198,8 +191,7 @@ def symmetric_fold(cells: CellStructure,
 
 def block_pinned(cells: CellStructure, block: CountingBlock) -> bool:
     """True when the matrix forces every guard edge to start in A, which
-    pins |A| = |guard|/m on every feasible profile and makes the
-    maximization directive vacuous."""
+    pins A to the set of elements with exactly m guard successors."""
     a_slot = cells.u_slot_index(block.a_pred, "unary")
     g_refl = cells.u_slot_index(block.guard, "reflexive")
     g_xy = cells.b_slot_index(block.guard, "xy")
@@ -230,19 +222,18 @@ class ProfileEvaluator:
     Keys are cardinality snapshots of the tracked predicates (unary
     first, then binary, each group in the given order); values carry the
     multinomial coefficient, the inclusion-exclusion sign, any folded
-    weights, and (unless ``literal_blocks``) the block divisors, with the
-    block cardinality ties already enforced."""
+    weights and the block divisors, with the block cardinality ties
+    already enforced."""
 
     def __init__(self, norm: NormalizedProblem, cells: CellStructure, n: int,
                  tracked: Sequence[str] = (), fold: WeightFold = IDENTITY_FOLD,
-                 literal_blocks: bool = False, plain_signs: bool = False):
+                 plain_signs: bool = False):
         if n < 1:
             raise SemanticError("domain size must be at least 1")
         self.norm = norm
         self.cells = cells
         self.n = n
         self.fold = fold
-        self.literal_blocks = literal_blocks
         self.tracked = tuple(dict.fromkeys(tracked))
         for pred in self.tracked:
             if pred not in norm.signature:
@@ -266,16 +257,15 @@ class ProfileEvaluator:
         # and the sum pins each |f_j| individually).
         self.diffs = []
         self.divisor_scale = 1
-        if norm.blocks and not literal_blocks:
-            for block in norm.blocks:
-                a_slot = cells.u_slot_index(block.a_pred, "unary")
-                self.diffs.append((
-                    block.m, a_slot,
-                    tuple(cells.u_slot_index(f, "reflexive") for f in block.f_preds),
-                    tuple(cells.b_slot_index(f, "xy") for f in block.f_preds),
-                    tuple(cells.b_slot_index(f, "yx") for f in block.f_preds),
-                    tuple(block.f_preds)))
-                self.divisor_scale *= block.divisor_base
+        for block in norm.blocks:
+            a_slot = cells.u_slot_index(block.a_pred, "unary")
+            self.diffs.append((
+                block.m, a_slot,
+                tuple(cells.u_slot_index(f, "reflexive") for f in block.f_preds),
+                tuple(cells.b_slot_index(f, "xy") for f in block.f_preds),
+                tuple(cells.b_slot_index(f, "yx") for f in block.f_preds),
+                tuple(block.f_preds)))
+            self.divisor_scale *= block.divisor_base
         # blocks with multiplicity above the domain size force A empty
         dead_a_slots = [cells.u_slot_index(b.a_pred, "unary")
                         for b in norm.blocks if b.m > n]
@@ -339,7 +329,10 @@ class ProfileEvaluator:
     def _pair_power(self, pa: int, pb: int, e: int) -> _Poly:
         """base(a,b)^e under census-independent bounds, cached across the
         whole enumeration (census-specific targets are tighter and get
-        applied by the caller's multiply)."""
+        applied by the caller's multiply).  The base itself is within
+        every bound: one pair adds at most 2 to any counter."""
+        if e == 1:
+            return self._pair_base(self.types[pa], self.types[pb])
         key = (pa, pb, e)
         try:
             return self._pow_cache[key]
@@ -436,7 +429,7 @@ class ProfileEvaluator:
     # -- collapsed power ----------------------------------------------------------
 
     def collapsed_applicable(self) -> bool:
-        return self.cells.cross_independent and not self.literal_blocks
+        return self.cells.cross_independent
 
     def _collapsed_table(self) -> _Poly:
         cells, n = self.cells, self.n
@@ -549,75 +542,35 @@ class Solver:
     across domain sizes, so benchmarks amortize the table sweep."""
 
     def __init__(self, problem: Problem | NormalizedProblem):
-        self.norm = normalize(problem) if isinstance(problem, Problem) else problem
-        self.cells = build_cells(self.norm.signature, self.norm.matrix)
-        self.pinned = all(block_pinned(self.cells, b) for b in self.norm.blocks)
+        norm = normalize(problem) if isinstance(problem, Problem) else problem
+        cells = build_cells(norm.signature, norm.matrix)
+        # a block the matrix does not pin is exact only with its sign
+        # predicate: re-encode and rebuild (freeing the first tables)
+        unpinned = {b.index for b in norm.blocks
+                    if b.sign is None and not block_pinned(cells, b)}
+        if unpinned:
+            del cells
+            signed = unpinned | {b.index for b in norm.blocks if b.sign}
+            norm = normalize(norm.source, signed)
+            cells = build_cells(norm.signature, norm.matrix)
+        self.norm = norm
+        self.cells = cells
+
+    @property
+    def pinned(self) -> bool:
+        """True when the matrix pins every counting block, so none needed
+        a sign predicate."""
+        return all(b.sign is None for b in self.norm.blocks)
 
     # -- profile tables -------------------------------------------------------
 
     def profile_table(self, n: int, tracked: Sequence[str] = (),
                       fold: WeightFold = IDENTITY_FOLD) -> tuple[tuple[str, ...], _Poly]:
         """Profile table keyed by the tracked predicate cardinalities,
-        with all counting-block machinery (ties, maximization, divisor)
-        already applied.  Returns (key names, table)."""
-        if self.norm.blocks and not self.pinned:
-            return self._literal_table(n, tracked, fold)
+        with all counting-block machinery (ties, divisor) already
+        applied.  Returns (key names, table)."""
         ev = ProfileEvaluator(self.norm, self.cells, n, tracked, fold)
         return ev.key_names, ev.table()
-
-    def _literal_table(self, n, tracked, fold) -> tuple[tuple[str, ...], _Poly]:
-        warnings.warn(
-            "this counting-quantifier pattern is not pinned by the matrix; "
-            "the profile-level maximization filter may be unfaithful here, "
-            "cross-check with the oracle subcommand",
-            UnsoundCountingPatternWarning, stacklevel=3)
-        norm = self.norm
-        full = list(tracked)
-        for b in norm.blocks:
-            full.extend([b.a_pred, b.guard, *b.f_preds])
-        full.extend(norm.sign_preds)
-        ev = ProfileEvaluator(norm, self.cells, n, full, fold, literal_blocks=True)
-        table = ev.table()
-        names = ev.key_names
-        idx = {p: i for i, p in enumerate(names)}
-        # induced ties |f| = |A|
-        table = {key: val for key, val in table.items()
-                 if all(key[idx[f]] == key[idx[b.a_pred]]
-                        for b in norm.blocks for f in b.f_preds)}
-        # per-block maximization, blocks filtered independently: group by
-        # every tracked counter except the block's own A and f counters,
-        # keep the profiles whose k(A) is maximal among nonzero ones
-        keep = set(table)
-        for b in norm.blocks:
-            drop = {idx[b.a_pred], *(idx[f] for f in b.f_preds)}
-            best: dict[tuple, int] = {}
-            for key, val in table.items():
-                if val == 0:
-                    continue
-                group = tuple(c for i, c in enumerate(key) if i not in drop)
-                a_card = key[idx[b.a_pred]]
-                if a_card > best.get(group, -1):
-                    best[group] = a_card
-            for key in list(keep):
-                group = tuple(c for i, c in enumerate(key) if i not in drop)
-                if table[key] != 0 and key[idx[b.a_pred]] != best.get(group, -1):
-                    keep.discard(key)
-        # divisor, then project onto the caller's tracked predicates
-        requested = tuple(dict.fromkeys(tracked))
-        req_unary = [p for p in requested if norm.signature.arity(p) == 1]
-        req_binary = [p for p in requested if norm.signature.arity(p) == 2]
-        req_names = tuple(req_unary + req_binary)
-        positions = [idx[p] for p in req_names]
-        out: _Poly = {}
-        for key in keep:
-            val = table[key]
-            if val == 0:
-                continue
-            for b in norm.blocks:
-                val = val / Fraction(b.divisor_base ** key[idx[b.a_pred]])
-            short = tuple(key[i] for i in positions)
-            out[short] = out.get(short, 0) + val
-        return req_names, out
 
     # -- counting entry points ---------------------------------------------------
 

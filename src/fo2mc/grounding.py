@@ -72,12 +72,13 @@ def _count(parts: list[str], cmp: str, m: int) -> str:
     return f"(({total}) {op} {m})"
 
 
-def compile_lambda(args: str, body: str) -> Callable:
-    """Compile a generated expression into a function.  Python's compiler
-    rejects nesting beyond its parenthesis limit, which deeply nested
-    formulas reach; that is a refusal, not a crash."""
+def compile_lambda(args: str, body: str, env: dict | None = None) -> Callable:
+    """Compile a generated expression into a function; ``env`` holds the
+    names its default arguments read.  Python's compiler rejects nesting
+    beyond its parenthesis limit, which deeply nested formulas reach; that
+    is a refusal, not a crash."""
     try:
-        return eval(f"lambda {args}: {body}")
+        return eval(f"lambda {args}: {body}", env or {})
     except SyntaxError:
         raise UnsupportedFeatureError("formula nested too deeply") from None
 

@@ -3,18 +3,24 @@
 The pipeline: single-variable counting quantifiers become cardinality
 constraints on fresh unary predicates; remaining at-most/at-least
 counting quantifiers are expanded into exact ones; each two-variable
-``exactly-m`` occurrence is encoded with a fresh unary predicate, m fresh
-binary successor predicates, their axioms and a per-block maximization
-directive; the result is brought to Scott normal form (one universal
-matrix plus forall-exists conjuncts), and finally each exists-conjunct is
-folded into the matrix through a fresh sign predicate that drives the
-inclusion-exclusion sign.
+``exactly-m`` occurrence is encoded with a fresh unary predicate A, m
+fresh binary successor predicates and their axioms; the result is brought
+to Scott normal form (one universal matrix plus forall-exists conjuncts),
+and finally each exists-conjunct is folded into the matrix through a
+fresh sign predicate that drives the inclusion-exclusion sign.
+
+The block axioms only make A a subset of the exactly-m set E.  Where the
+matrix does not pin A = E (by forcing every guard edge to start in A),
+``signed`` gives the block a sign predicate S with S(x) -> A(x) and the
+occurrence A(w) & !S(w): summing (-1)^|S| over S within A and A within E
+leaves exactly the term A = E, so the count is exact in every position.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Collection
 
 from .errors import SemanticError, UnsupportedFeatureError
 from .logic import (And, Atom, CARD_TRUE, CardAnd, CardCompare,
@@ -67,13 +73,15 @@ class NameAllocator:
 
 @dataclass(frozen=True)
 class CountingBlock:
-    """The encoding of one ``exactly-m successors`` occurrence."""
+    """The encoding of one ``exactly-m successors`` occurrence; ``sign``
+    is the block's inclusion-exclusion sign predicate, if it has one."""
 
     index: int
     guard: str
     m: int
     a_pred: str
     f_preds: tuple[str, ...]
+    sign: str | None = None
 
     @property
     def divisor_base(self) -> int:
@@ -86,14 +94,12 @@ class NormalizedProblem:
     matrix: tuple[Formula, ...]
     sign_preds: tuple[str, ...]
     blocks: tuple[CountingBlock, ...]
+    #: the problem this was normalized from, for re-encoding with signs
+    source: Problem
     #: user constraint plus |A| = m constraints from single-variable counting
     constraint: CardConstraint = CARD_TRUE
     symmetric_weights: dict = field(default_factory=dict)
     profile_weight: object = None
-
-    @property
-    def maximize(self) -> tuple[tuple[str, ...], ...]:
-        return tuple((b.a_pred, *b.f_preds) for b in self.blocks)
 
     def tie_constraint(self) -> CardConstraint:
         """The induced |f_ij| = |A_i| ties of all counting blocks."""
@@ -191,11 +197,14 @@ def expand_counting_sugar(formula: Formula) -> Formula:
 # Step 3: encode two-variable exact-counting occurrences
 
 
-def encode_counting(sentence: Formula, alloc: NameAllocator
+def encode_counting(sentence: Formula, alloc: NameAllocator,
+                    signed: Collection[int] = ()
                     ) -> tuple[Formula, tuple[CountingBlock, ...]]:
     """Replace every ``exists{=m} v body(w,v)`` occurrence with A_i(w) and
-    conjoin the block axioms.  The axioms use the canonical orientation
-    (w renamed to x, v to y)."""
+    conjoin the block axioms; a block whose index is in ``signed`` gets a
+    sign predicate S_i, the axiom S_i(x) -> A_i(x) and the occurrence
+    A_i(w) & !S_i(w).  The axioms use the canonical orientation (w
+    renamed to x, v to y)."""
     blocks: list[CountingBlock] = []
     axioms: list[Formula] = []
 
@@ -233,7 +242,8 @@ def encode_counting(sentence: Formula, alloc: NameAllocator
                     Atom(guard, ("x", "y")), substitute(body, canon)))))
             a = alloc.fresh_a()
             fs = alloc.fresh_fs(index, f.count)
-            blocks.append(CountingBlock(index, guard, f.count, a, fs))
+            sign = alloc.fresh_sign() if index in signed else None
+            blocks.append(CountingBlock(index, guard, f.count, a, fs, sign))
             f_atoms = [Atom(name, ("x", "y")) for name in fs]
             axioms.append(Forall("x", Forall("y", Implies(
                 Atom(a, ("x",)),
@@ -245,7 +255,11 @@ def encode_counting(sentence: Formula, alloc: NameAllocator
             for fa in f_atoms:
                 axioms.append(Forall("x", Exists("y", Implies(
                     Atom(a, ("x",)), fa))))
-            return Atom(a, (w,))
+            if sign is None:
+                return Atom(a, (w,))
+            axioms.append(Forall("x", Implies(Atom(sign, ("x",)),
+                                              Atom(a, ("x",)))))
+            return And(Atom(a, (w,)), Not(Atom(sign, (w,))))
         raise TypeError(f"not a formula: {f!r}")
 
     replaced = walk(sentence, False)
@@ -437,16 +451,20 @@ def eliminate_existentials(matrix: list[Formula], psis: list[Formula],
 # Full pipeline
 
 
-def normalize(problem: Problem) -> NormalizedProblem:
+def normalize(problem: Problem, signed: Collection[int] = ()
+              ) -> NormalizedProblem:
+    """Normalize a problem; the counting blocks whose indices are in
+    ``signed`` get an inclusion-exclusion sign predicate."""
     signature = problem.signature.copy()
     alloc = NameAllocator(signature)
     sentence, single_constraints, definitions = extract_single_var_counting(
         problem.sentence, alloc)
     sentence = conjoin([sentence, *definitions])
     sentence = expand_counting_sugar(sentence)
-    sentence, blocks = encode_counting(sentence, alloc)
+    sentence, blocks = encode_counting(sentence, alloc, signed)
     matrix, psis = to_scott(sentence, alloc)
     matrix, signs = eliminate_existentials(matrix, psis, alloc)
+    signs = tuple(b.sign for b in blocks if b.sign) + signs
     for conjunct in matrix:
         if not is_quantifier_free(conjunct):
             raise UnsupportedFeatureError(f"matrix conjunct not reduced: {conjunct}")
@@ -458,6 +476,7 @@ def normalize(problem: Problem) -> NormalizedProblem:
         matrix=tuple(matrix),
         sign_preds=signs,
         blocks=blocks,
+        source=problem,
         constraint=constraint,
         symmetric_weights=dict(problem.symmetric_weights),
         profile_weight=problem.profile_weight,
@@ -466,7 +485,7 @@ def normalize(problem: Problem) -> NormalizedProblem:
 
 def dump_normalized(norm: NormalizedProblem) -> str:
     """Render the normalized problem in the input grammar (synthetic
-    predicates included); maximization directives become comments."""
+    predicates included); the sign predicates become a comment."""
     lines = []
     for name in norm.signature.predicates():
         mark = "  # synthetic" if name in norm.signature.synthetic else ""
@@ -478,8 +497,6 @@ def dump_normalized(norm: NormalizedProblem) -> str:
         parts = merged.parts if isinstance(merged, CardAnd) else (merged,)
         for part in parts:
             lines.append(f"constraint {part}")
-    for group in norm.maximize:
-        lines.append(f"# maximize {' '.join(group)}")
     if norm.sign_preds:
         lines.append(f"# signs {' '.join(norm.sign_preds)}")
     return "\n".join(lines) + "\n"

@@ -14,8 +14,7 @@ from typing import Mapping, Sequence
 
 from .engine import Solver, symmetric_fold
 from .errors import SemanticError
-from .logic import (CardCompare, LinearExpr, WeightExpr,
-                    card_conjoin, weight_predicates, weight_value)
+from .logic import WeightExpr, weight_predicates, weight_value
 from .normalize import NormalizedProblem
 from .parser import Problem
 
@@ -79,6 +78,19 @@ def _weight_setup(solver: Solver, weight, symmetric):
     return weight, fold
 
 
+def _query_rows(solver: Solver, n: int, query_preds: Sequence[str], weight, fold):
+    """(query cardinality vector, weighted value) of every nonzero
+    profile row the problem's constraint allows."""
+    tracked = tuple(query_preds)
+    if weight is not None:
+        tracked += tuple(sorted(weight_predicates(weight)))
+    for cards, val in solver._allowed_rows(n, tracked, fold):
+        if val == 0:
+            continue
+        w = weight_value(weight, cards) if weight is not None else Fraction(1)
+        yield tuple(cards[p] for p in query_preds), Fraction(val) * w
+
+
 def count_distribution(problem: Problem | NormalizedProblem | Solver, n: int,
                        query: Sequence[tuple[str, int]],
                        weight: WeightExpr | None = None,
@@ -90,22 +102,15 @@ def count_distribution(problem: Problem | NormalizedProblem | Solver, n: int,
     Returns (numerator, partition function, probability)."""
     solver = _solver(problem)
     weight, fold = _weight_setup(solver, weight, symmetric)
-    weight_fn = (lambda cards: weight_value(weight, cards)) if weight else None
-    z = Fraction(solver.weighted_total(n, tuple(
-        sorted(weight_predicates(weight))) if weight else (),
-        fold=fold, weight_fn=weight_fn))
+    wanted = tuple(int(c) for _, c in query)
+    numerator = z = Fraction(0)
+    for sub, contrib in _query_rows(solver, n, [p for p, _ in query], weight, fold):
+        z += contrib
+        if sub == wanted:
+            numerator += contrib
     if z == 0:
         raise SemanticError("partition function is zero; the distribution "
                             "is undefined")
-    target = card_conjoin(
-        [CardCompare("=", LinearExpr.card(p), LinearExpr.of(int(c)))
-         for p, c in query])
-    tracked = tuple(sorted({p for p, _ in query}
-                           | (weight_predicates(weight) if weight else set())))
-    constraint = card_conjoin([solver.norm.constraint, target])
-    numerator = solver.weighted_total(n, tracked, fold=fold,
-                                      weight_fn=weight_fn,
-                                      constraint=constraint)
     return numerator, z, numerator / z
 
 
@@ -118,19 +123,11 @@ def distribution_table(problem: Problem | NormalizedProblem | Solver, n: int,
     vectors; the probabilities sum to exactly one."""
     solver = _solver(problem)
     weight, fold = _weight_setup(solver, weight, symmetric)
-    tracked = tuple(query_preds)
-    if weight is not None:
-        tracked += tuple(sorted(weight_predicates(weight)))
     out: dict[tuple[int, ...], Fraction] = {}
     z = Fraction(0)
-    for cards, val in solver._allowed_rows(n, tracked, fold):
-        if val == 0:
-            continue
-        w = weight_value(weight, cards) if weight is not None else Fraction(1)
-        contrib = Fraction(val) * w
+    for sub, contrib in _query_rows(solver, n, query_preds, weight, fold):
         z += contrib
         # feasible strata stay in the table even at probability zero
-        sub = tuple(cards[p] for p in query_preds)
         out[sub] = out.get(sub, Fraction(0)) + contrib
     if z == 0:
         raise SemanticError("partition function is zero; the distribution "

@@ -2,8 +2,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fo2mc.cells import build_cells, n_ij_csv
+from fo2mc.corpus import load_corpus
+from fo2mc.engine import Solver
 from fo2mc.errors import UnsupportedFeatureError
-from fo2mc.logic import Atom, Eq, Not, Signature, TRUE
+from fo2mc.grounding import eval_qf
+from fo2mc.logic import (Atom, Eq, Not, Signature, TRUE, atoms_of, conjoin,
+                         one_type_slots, slot_bit, substitute, two_table_slots)
 from fo2mc.normalize import normalize
 from fo2mc.parser import parse_problem
 
@@ -117,3 +121,102 @@ def test_rename_consistency():
     c1 = build_cells(normalize(base).signature, normalize(base).matrix)
     c2 = build_cells(normalize(renamed).signature, normalize(renamed).matrix)
     assert sorted(c1.n_ij.values()) == sorted(c2.n_ij.values())
+
+
+# -- the mask sweep against a brute-force reference ----------------------------
+
+
+def reference_cells(signature, matrix):
+    """The tables by brute force: ``eval_qf`` on every 1-type and on every
+    (x type, y type, 2-table) triple, independent of the mask sweep.
+    Evaluations are memoized on the values of the atoms the matrix reads,
+    so one evaluation serves every triple that agrees on them."""
+    formula = conjoin(matrix)
+    read = set(atoms_of(formula))
+    u_slots, b_slots = one_type_slots(signature), two_table_slots(signature)
+    u, b = len(u_slots), len(b_slots)
+
+    def one_type_atoms(var):
+        return [Atom(p, (var,) if kind == "unary" else (var, var))
+                for p, kind in u_slots]
+
+    diag = substitute(formula, {"y": "x"})
+    valid = [i for i in range(1 << u)
+             if eval_qf(diag, dict(zip(one_type_atoms("x"),
+                                       (slot_bit(i, s, u) for s in range(u)))))]
+
+    def read_values(atoms, index, width):
+        return tuple((a, slot_bit(index, s, width))
+                     for s, a in enumerate(atoms) if a in read)
+
+    x_atoms, y_atoms = one_type_atoms("x"), one_type_atoms("y")
+    pair_atoms = [Atom(p, ("x", "y") if d == "xy" else ("y", "x")) for p, d in b_slots]
+    on_pair = [read_values(pair_atoms, v, b) for v in range(1 << b)]
+    memo = {}
+
+    def row(i, j):
+        """holds(i on x, j on y, v on the pair) for every v."""
+        prefix = read_values(x_atoms, i, u) + read_values(y_atoms, j, u)
+        if prefix not in memo:
+            memo[prefix] = tuple(eval_qf(formula, dict(prefix + pair)) for pair in on_pair)
+        return memo[prefix]
+
+    rows = {(i, j): row(i, j) for i in valid for j in valid}
+    swap = [sum(slot_bit(v, s ^ 1, b) << (b - 1 - s) for s in range(b)) for v in range(1 << b)]
+    pair_vs = {}
+    for a_pos, i in enumerate(valid):
+        for j in valid[a_pos:]:
+            pair_vs[(i, j)] = tuple(v for v in range(1 << b)
+                                    if rows[(i, j)][v] and rows[(j, i)][swap[v]])
+
+    npred = b // 2
+    out_mask = [sum(slot_bit(v, 2 * k, b) << (npred - 1 - k) for k in range(npred))
+                for v in range(1 << b)]
+    seen = {i: {} for i in valid}
+    independent = all(seen[i].setdefault(out_mask[v], r[v]) == r[v]
+                      for i in valid for r in {rows[(i, j)] for j in valid}
+                      for v in range(1 << b))
+    out_options = {}
+    if independent:
+        out_options = {i: tuple(sorted(w for w, m in seen[i].items() if m)) for i in valid}
+    return valid, pair_vs, independent, out_options
+
+
+def assert_matches_reference(signature, matrix):
+    cells = build_cells(signature, matrix)
+    valid, pair_vs, independent, out_options = reference_cells(signature, matrix)
+    assert cells.valid == valid
+    assert list(cells.pair_vs.items()) == list(pair_vs.items())
+    assert cells.n_ij == {key: len(vs) for key, vs in pair_vs.items()}
+    assert list(cells.n_ij) == list(pair_vs)
+    assert cells.cross_independent == independent
+    assert cells.out_options == out_options
+
+
+@pytest.mark.parametrize("entry", load_corpus(), ids=lambda e: e.name)
+def test_mask_sweep_matches_reference_on_corpus(entry):
+    norm = Solver(entry.problem()).norm
+    assert_matches_reference(norm.signature, norm.matrix)
+
+
+def test_mask_sweep_matches_reference_with_block_signs():
+    norm = Solver(parse_problem("predicate B/1\npredicate R/2\n"
+                                "forall x (B(x) -> exists{=2} y R(x,y))")).norm
+    assert norm.blocks[0].sign
+    assert_matches_reference(norm.signature, norm.matrix)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_mask_sweep_matches_reference_random_matrices(seed):
+    import random
+    rng = random.Random(seed)
+    sig = Signature()
+    sig.declare("A", 1)
+    sig.declare("R", 2)
+    sig.declare("S", 2)
+    atoms = [Atom("A", ("x",)), Atom("A", ("y",)), Atom("R", ("x", "x")),
+             Atom("R", ("x", "y")), Atom("R", ("y", "x")), Atom("S", ("y", "y")),
+             Atom("S", ("x", "y")), Eq("x", "y")]
+    matrix = [random_qf(rng, atoms, 3) for _ in range(rng.randrange(1, 3))]
+    assert_matches_reference(sig, matrix)

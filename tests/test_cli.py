@@ -102,7 +102,7 @@ def test_normalize_dump():
     code, out, _ = invoke("normalize", "-e", ZERO_OR_TWO_EXAMPLE)
     assert code == 0
     assert "constraint |__f1_1| = |__A1|" in out
-    assert "# maximize __A1 __f1_1 __f1_2" in out
+    assert "# signs __P1 __P2" in out
 
 
 def test_cells_dump(running_file):

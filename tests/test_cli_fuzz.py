@@ -5,7 +5,6 @@ import contextlib
 import io
 from pathlib import Path
 
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import fo2mc.corpus
@@ -75,8 +74,6 @@ def run_cli(argv):
     return code, err.getvalue()
 
 
-# the unpinned counting problem warns on every count; that is expected here
-@pytest.mark.filterwarnings("ignore::fo2mc.engine.UnsoundCountingPatternWarning")
 @settings(max_examples=150, deadline=None)
 @given(argvs())
 @example(["count", "-n", "100", str(PROBLEM_DIR / "two_exists.fo2")])

@@ -4,8 +4,7 @@ import pytest
 from fractions import Fraction
 
 from fo2mc.cells import build_cells
-from fo2mc.engine import (ProfileEvaluator, Solver, UnsoundCountingPatternWarning,
-                          compositions, fomc_universal,
+from fo2mc.engine import (ProfileEvaluator, Solver, compositions, fomc_universal,
                           witness_deficit_counts, universal_term)
 from fo2mc.errors import SemanticError
 from fo2mc.logic import CARD_TRUE, CardCompare, LinearExpr, card_conjoin
@@ -172,15 +171,16 @@ def test_blocks_are_pinned_on_supported_shapes():
         assert s.pinned
 
 
-def test_unpinned_pattern_warns_and_may_disagree():
-    """Negative or escapable counting contexts are outside the sound
-    fragment: the engine still answers, but warns."""
+def test_unpinned_pattern_matches_oracle():
+    """An escapable counting context is not pinned by the matrix; its
+    block gets a sign predicate and the count is exact."""
     p = parse_problem("predicate B/1\npredicate R/2\n"
                       "forall x (B(x) | exists{=1} y R(x,y))")
     s = Solver(p)
     assert not s.pinned
-    with pytest.warns(UnsoundCountingPatternWarning):
-        s.count(2)
+    assert s.norm.blocks[0].sign == s.norm.sign_preds[0]
+    for n in (1, 2, 3):
+        assert s.count(n) == oracle_count(p.signature, p.sentence, n).total
 
 
 # -- profile machinery ----------------------------------------------------------------

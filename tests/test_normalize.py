@@ -69,7 +69,7 @@ def test_zero_or_two_example_encoding():
     assert block.f_preds == ("__f1_1", "__f1_2")
     assert block.divisor_base == 2
     assert norm.sign_preds == ("__P1", "__P2")
-    assert norm.maximize == (("__A1", "__f1_1", "__f1_2"),)
+    assert block.sign is None
     texts = [str(c) for c in norm.matrix]
     assert "!R(x, y) | __A1(x)" in texts
     assert "__A1(x) -> (R(x, y) <-> __f1_1(x, y) | __f1_2(x, y))" in texts
@@ -200,7 +200,7 @@ def test_idempotence_on_matrix():
     assert again.matrix == norm.matrix
 
 
-def test_dump_includes_ties_and_maximize():
+def test_dump_includes_ties():
     dumped = dump_normalized(normalize(parse_problem(ZERO_OR_TWO_EXAMPLE)))
     assert "constraint |__f1_1| = |__A1|" in dumped
-    assert "# maximize __A1 __f1_1 __f1_2" in dumped
+    assert "# signs __P1 __P2" in dumped
