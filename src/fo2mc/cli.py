@@ -26,7 +26,7 @@ from .logic import CardAnd, CardCompare, decimal_str
 from .normalize import dump_normalized
 from .oracle import DEFAULT_CAP, oracle_count, oracle_distribution
 from .parser import (parse_cardinality, parse_problem, parse_weight_expr)
-from .weights import count_distribution, wfomc_profile, wfomc_symmetric
+from .weights import count_distribution, wfomc_profile
 
 SUBCOMMANDS = ("count", "wfomc", "dist", "oracle", "normalize", "cells", "bench")
 
@@ -181,17 +181,14 @@ def _run_wfomc(args, out, err) -> int:
     n = _need_n(args)
     solver = Solver(problem)
     _maybe_dumps(args, solver, out, err)
-    start = time.monotonic()
-    if args.weight:
-        expr = parse_weight_expr(args.weight, solver.norm.signature)
-        value = wfomc_profile(solver, n, expr)
-    elif problem.symmetric_weights:
-        value = wfomc_symmetric(solver, n)
-    elif problem.profile_weight is not None:
-        value = wfomc_profile(solver, n)
-    else:
+    weight = (parse_weight_expr(args.weight, solver.norm.signature)
+              if args.weight else None)
+    if (weight is None and not problem.symmetric_weights
+            and problem.profile_weight is None):
         raise SemanticError("wfomc needs weight declarations in the problem "
                             "file or a --weight expression")
+    start = time.monotonic()
+    value = wfomc_profile(solver, n, weight)
     elapsed = int((time.monotonic() - start) * 1000)
     with _exact_digits():
         payload = {"n": n, "count": decimal_str(value), "mode": "wfomc",

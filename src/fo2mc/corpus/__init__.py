@@ -17,7 +17,7 @@ from ..engine import Solver
 from ..logic import decimal_str
 from ..oracle import DEFAULT_CAP, oracle_count, oracle_distribution
 from ..parser import Problem, parse_problem
-from ..weights import distribution_table, wfomc_profile, wfomc_symmetric
+from ..weights import distribution_table, wfomc_profile
 
 
 @dataclass
@@ -76,12 +76,10 @@ def load_corpus() -> list[CorpusEntry]:
     return entries
 
 
-def _engine_value(entry: CorpusEntry, solver: Solver, problem: Problem, n: int):
+def _engine_value(entry: CorpusEntry, solver: Solver, n: int):
     if entry.mode == "fomc":
         return str(solver.count(n))
     if entry.mode == "wfomc":
-        if problem.symmetric_weights:
-            return decimal_str(wfomc_symmetric(solver, n))
         return decimal_str(wfomc_profile(solver, n))
     dist = distribution_table(solver, n, (entry.query_pred,))
     out = {str(k): f"{v.numerator}/{v.denominator}" if v.denominator != 1
@@ -125,7 +123,7 @@ def verify_entry(entry: CorpusEntry, max_n: int | None = None,
         want = golden.get("count", golden.get("distribution"))
         repro = f"fo2mc {entry.mode if entry.mode != 'fomc' else 'count'} " \
                 f"-n {n} problems/{entry.name}.fo2"
-        got = _engine_value(entry, solver, problem, n)
+        got = _engine_value(entry, solver, n)
         report.checks += 1
         if got != want:
             report.failures.append(

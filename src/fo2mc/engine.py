@@ -14,13 +14,30 @@ Two evaluation strategies compute the same profile sums:
   This is what makes large domains tractable for counting blocks, whose
   1-type space is far too large to enumerate censuses over.
 
-Counting blocks are handled by hidden difference counters |f| - |A|
-(zero exactly on the profiles satisfying the induced cardinality ties)
-and a per-element fold of the 1/m! divisor.  A block is exact as encoded
-when it is "pinned": the matrix forces guard edges to start inside A,
-which forces A to be the whole exactly-m set.  ``Solver`` re-encodes
-every other block with an inclusion-exclusion sign predicate (see
-``normalize``), so every count goes through the same evaluation.
+Both paths share one counter layout, a map from each predicate to the
+counters its true atoms raise: one per tracked predicate (unary ones
+first) and one hidden tie counter per counting block, sum_j |f_j| - m|A|,
+raised by each f_j atom and lowered by m for each A-element.  A 1-type,
+a 2-table and an out-edge mask are each keyed by the sum over their true
+atoms, so the counter polynomials are generating functions in the sense
+of Kuzelka, "Weighted First-Order Model Counting in the Two-Variable
+Fragment With Counting Quantifiers" (JAIR 2021).  Enumeration starts a
+census at the sum of its type keys and lets the pairs raise the tie
+counters back up to zero; the collapsed power bounds every partial
+product by what the remaining elements can still undo.  Both then drop
+the rows with a nonzero tie counter, which enforces the cardinality
+ties, and key the rest by the tracked counters.  The 1/m! divisor of
+each block is folded in per element.
+
+Enumeration runs when the matrix does not factorize, or when tracked
+unary cards are the only counters and there are at most 20,000
+censuses; otherwise the collapsed power does.
+
+A block is exact as encoded when it is "pinned": the matrix forces guard
+edges to start inside A, which forces A to be the whole exactly-m set.
+``Solver`` re-encodes every other block with an inclusion-exclusion sign
+predicate (see ``normalize``), so every count goes through the same
+evaluation.
 
 ``Solver`` is the one entry point: it builds the cell tables once per
 problem, and its ``count``, ``weighted_total`` and ``breakdown`` read the
@@ -49,43 +66,23 @@ from .parser import Problem
 _Poly = dict  # tuple[int, ...] -> int | Fraction
 
 
-def _within(key, bounds) -> bool:
-    for value, (lo, hi) in zip(key, bounds):
-        if value < lo or value > hi:
-            return False
-    return True
-
-
-def _poly_mul(p: _Poly, q: _Poly, bounds=None) -> _Poly:
+def _poly_mul(p: _Poly, q: _Poly, bounds) -> _Poly:
+    """p * q restricted to the keys whose every counter lies within its
+    (lo, hi) bound."""
     out: _Poly = {}
     get = out.get
-    if bounds is None:
-        for ka, va in p.items():
-            for kb, vb in q.items():
-                key = tuple(map(int.__add__, ka, kb))
-                out[key] = get(key, 0) + va * vb
-        return out
     for ka, va in p.items():
         for kb, vb in q.items():
             key = tuple(map(int.__add__, ka, kb))
-            if _within(key, bounds):
+            for value, (lo, hi) in zip(key, bounds):
+                if value < lo or value > hi:
+                    break
+            else:
                 out[key] = get(key, 0) + va * vb
     return out
 
 
-def _poly_pow(base: _Poly, e: int, dims: int, bounds=None) -> _Poly:
-    result: _Poly = {(0,) * dims: 1}
-    acc = base
-    while e:
-        if e & 1:
-            result = _poly_mul(result, acc, bounds)
-        e >>= 1
-        if e:
-            acc = _poly_mul(acc, acc, bounds)
-    return result
-
-
-def _poly_pow_leveled(base: _Poly, e: int, dims: int, window) -> _Poly:
+def _poly_pow(base: _Poly, e: int, dims: int, window) -> _Poly:
     """base^e with level-aware pruning: ``window(h)`` bounds any product
     of h base factors that can still extend to a useful full product."""
     result: _Poly = {(0,) * dims: 1}
@@ -226,46 +223,45 @@ class ProfileEvaluator:
     already enforced."""
 
     def __init__(self, norm: NormalizedProblem, cells: CellStructure, n: int,
-                 tracked: Sequence[str] = (), fold: WeightFold = IDENTITY_FOLD,
-                 plain_signs: bool = False):
+                 tracked: Sequence[str] = (), fold: WeightFold = IDENTITY_FOLD):
         if n < 1:
             raise SemanticError("domain size must be at least 1")
         self.norm = norm
         self.cells = cells
         self.n = n
         self.fold = fold
-        self.tracked = tuple(dict.fromkeys(tracked))
-        for pred in self.tracked:
+        tracked = tuple(dict.fromkeys(tracked))
+        for pred in tracked:
             if pred not in norm.signature:
                 raise SemanticError(f"cannot track undeclared predicate {pred}")
+        arity = norm.signature.arity
+        self.sign_slots = [cells.u_slot_index(p, "unary") for p in norm.sign_preds]
 
-        sig = norm.signature
-        self.sign_slots = [] if plain_signs else [
-            cells.u_slot_index(p, "unary") for p in norm.sign_preds]
-        self.unary_tracked = [(p, cells.u_slot_index(p, "unary"))
-                              for p in self.tracked if sig.arity(p) == 1]
-        self.binary_tracked = [
-            (p, cells.u_slot_index(p, "reflexive"),
-             cells.b_slot_index(p, "xy"), cells.b_slot_index(p, "yx"))
-            for p in self.tracked if sig.arity(p) == 2]
-        self.key_names = tuple([p for p, _ in self.unary_tracked]
-                               + [p for p, *_ in self.binary_tracked])
-        # Hidden tie dimensions, one per block: sum_j |f_j| - m * |A| hits
-        # zero exactly on the tied profiles, because the block's sign
-        # predicates already cancel every profile where some A-element
-        # lacks an f_j successor (so |f_j| >= |A| holds wherever F != 0,
-        # and the sum pins each |f_j| individually).
-        self.diffs = []
+        # The counter layout: which counters each true atom of a predicate
+        # raises, and by how much.  Tracked predicates come first (unary
+        # ones, then binary); then one hidden tie counter per block,
+        # sum_j |f_j| - m * |A|, which is zero exactly on the tied profiles
+        # because the block's sign predicates already cancel every profile
+        # where some A-element lacks an f_j successor (so |f_j| >= |A|
+        # wherever F != 0, and the sum pins each |f_j| individually).
+        self.key_names = tuple(sorted(tracked, key=arity))
+        self.n_unary = sum(arity(p) == 1 for p in tracked)
+        self.dims = len(self.key_names) + len(norm.blocks)
+        self._raises: dict[str, list[tuple[int, int]]] = {}
+        for d, pred in enumerate(self.key_names):
+            self._raises.setdefault(pred, []).append((d, 1))
         self.divisor_scale = 1
-        for block in norm.blocks:
-            a_slot = cells.u_slot_index(block.a_pred, "unary")
-            self.diffs.append((
-                block.m, a_slot,
-                tuple(cells.u_slot_index(f, "reflexive") for f in block.f_preds),
-                tuple(cells.b_slot_index(f, "xy") for f in block.f_preds),
-                tuple(cells.b_slot_index(f, "yx") for f in block.f_preds),
-                tuple(block.f_preds)))
+        for d, block in enumerate(norm.blocks, len(self.key_names)):
+            for f in block.f_preds:
+                self._raises.setdefault(f, []).append((d, 1))
+            self._raises.setdefault(block.a_pred, []).append((d, -block.m))
             self.divisor_scale *= block.divisor_base
+        # bounds on what the pairs of a census, or the out-edges of one
+        # element, add to the counters: a binary card never exceeds n*n,
+        # and a tie counter never starts below -n*m
+        self._steps = ([(0, n * n)] * len(self.key_names)
+                       + [(0, n * b.m) for b in norm.blocks])
+
         # blocks with multiplicity above the domain size force A empty
         dead_a_slots = [cells.u_slot_index(b.a_pred, "unary")
                         for b in norm.blocks if b.m > n]
@@ -276,13 +272,39 @@ class ProfileEvaluator:
         self._pow_cache: dict[tuple[int, int, int], _Poly] = {}
         # per-type data, aligned with self.types
         self._weights = [self._cell_weight(t) for t in self.types]
-        self._unary_bits = [tuple(cells.type_bit(t, slot)
-                                  for _, slot in self.unary_tracked)
-                            for t in self.types]
-        self._bdiag = [self._type_binary_diag(t) for t in self.types]
-        self._ddiag = [self._type_diff_diag(t) for t in self.types]
+        self._type_keys = [self._key(cells.u_slots, t) for t in self.types]
 
     # -- per-type data --------------------------------------------------------
+
+    def _key(self, slots: Sequence[tuple[str, str]], index: int) -> tuple[int, ...]:
+        """Counters raised by the true atoms of ``index``, an assignment to
+        ``slots``: a 1-type, a 2-table or an out-edge mask."""
+        key = [0] * self.dims
+        for s, (pred, _) in enumerate(slots):
+            if slot_bit(index, s, len(slots)):
+                for d, c in self._raises.get(pred, ()):
+                    key[d] += c
+        return tuple(key)
+
+    def _window(self, h: int) -> list[tuple[int, int]]:
+        """Bounds on the counters of h elements (their 1-types and owned
+        edges) that n - h more elements can still complete: a tracked
+        unary card grows by at most 1 per element, and a tie counter must
+        be able to return to zero, each element lowering it by at most m."""
+        n, tracked = self.n, len(self.key_names)
+        return ([(0, h)] * self.n_unary + [(0, n * n)] * (tracked - self.n_unary)
+                + [(-h * b.m, (n - h) * b.m) for b in self.norm.blocks])
+
+    def _project(self, poly: _Poly) -> _Poly:
+        """The rows whose tie counters are all zero, keyed by the tracked
+        counters."""
+        tracked = len(self.key_names)
+        table: _Poly = {}
+        for key, val in poly.items():
+            if not any(key[tracked:]):
+                short = key[:tracked]
+                table[short] = table.get(short, 0) + val
+        return table
 
     def _type_sign(self, t: int) -> int:
         s = sum(self.cells.type_bit(t, slot) for slot in self.sign_slots)
@@ -299,15 +321,6 @@ class ProfileEvaluator:
                     w = w * block.divisor_base
         return w
 
-    def _type_binary_diag(self, t: int) -> tuple[int, ...]:
-        return tuple(self.cells.type_bit(t, refl)
-                     for _, refl, _, _ in self.binary_tracked)
-
-    def _type_diff_diag(self, t: int) -> tuple[int, ...]:
-        return tuple(sum(self.cells.type_bit(t, s) for s in frefl)
-                     - m * self.cells.type_bit(t, a_slot)
-                     for m, a_slot, frefl, _, _, _ in self.diffs)
-
     def _pair_base(self, a: int, b: int) -> _Poly:
         """Counter polynomial of one unordered 1-type pair: a monomial per
         satisfying 2-table, graded by its counter contributions."""
@@ -317,20 +330,15 @@ class ProfileEvaluator:
             pass
         base: _Poly = {}
         for v in self.cells.pair_vs[(a, b)]:
-            key = tuple(self.cells.table_bit(v, xy) + self.cells.table_bit(v, yx)
-                        for _, _, xy, yx in self.binary_tracked)
-            key += tuple(sum(self.cells.table_bit(v, s) for s in xys)
-                         + sum(self.cells.table_bit(v, s) for s in yxs)
-                         for _, _, _, xys, yxs, _ in self.diffs)
+            key = self._key(self.cells.b_slots, v)
             base[key] = base.get(key, 0) + self.fold.of_table(v)
         self._base_cache[(a, b)] = base
         return base
 
     def _pair_power(self, pa: int, pb: int, e: int) -> _Poly:
-        """base(a,b)^e under census-independent bounds, cached across the
-        whole enumeration (census-specific targets are tighter and get
-        applied by the caller's multiply).  The base itself is within
-        every bound: one pair adds at most 2 to any counter."""
+        """base(a,b)^e under the census-independent step bounds, cached
+        across the whole enumeration (the census bounds are tighter and
+        get applied by the caller's multiply)."""
         if e == 1:
             return self._pair_base(self.types[pa], self.types[pb])
         key = (pa, pb, e)
@@ -338,11 +346,8 @@ class ProfileEvaluator:
             return self._pow_cache[key]
         except KeyError:
             pass
-        nb = len(self.binary_tracked)
-        bounds = ([(0, self.n * self.n)] * nb
-                  + [(0, self.n * m) for m, *_ in self.diffs])
         base = self._pair_base(self.types[pa], self.types[pb])
-        out = _poly_pow(base, e, nb + len(self.diffs), bounds)
+        out = _poly_pow(base, e, self.dims, lambda _: self._steps)
         self._pow_cache[key] = out
         return out
 
@@ -358,15 +363,13 @@ class ProfileEvaluator:
         self._wnij_cache[(a, b)] = value
         return value
 
-    @property
-    def _dims(self) -> int:
-        return len(self.binary_tracked) + len(self.diffs)
-
     # -- k-vector enumeration ---------------------------------------------------
 
-    def _k_table(self, occupied: Sequence[tuple[int, int]]) -> _Poly:
+    def _k_table(self, occupied: Sequence[tuple[int, int]], bounds) -> _Poly:
         """One census contribution; ``occupied`` pairs a position into
-        self.types with a positive element count."""
+        self.types with a positive element count.  The counters start at
+        the sum of the type keys; the pairs only raise them, so a tie
+        counter can only climb back up to zero."""
         coef = math.factorial(self.n)
         weight = 1
         for pos, count in occupied:
@@ -375,12 +378,11 @@ class ProfileEvaluator:
         coef = coef * weight
         if coef == 0:
             return {}
-        nu = len(self.unary_tracked)
-        nb = len(self.binary_tracked)
-        nd = len(self.diffs)
-        unary = tuple(sum(c * self._unary_bits[pos][d] for pos, c in occupied)
-                      for d in range(nu))
-        if nb == 0 and nd == 0:
+        start = tuple(sum(c * self._type_keys[pos][d] for pos, c in occupied)
+                      for d in range(self.dims))
+        if any(s > 0 for s in start[len(self.key_names):]):
+            return {}
+        if self.dims == self.n_unary:
             value = coef
             for ia, (pa, ca) in enumerate(occupied):
                 for pb, cb in occupied[ia:]:
@@ -391,17 +393,8 @@ class ProfileEvaluator:
                     if w == 0:
                         return {}
                     value = value * w ** e
-            return {unary: value}
-        diag = [sum(c * self._bdiag[pos][d] for pos, c in occupied)
-                for d in range(nb)]
-        # difference dimensions must land exactly on m*k(A) minus the
-        # diagonal contribution; positive offsets can never be repaired
-        targets = [-sum(c * self._ddiag[pos][d] for pos, c in occupied)
-                   for d in range(nd)]
-        if any(t < 0 for t in targets):
-            return {}
-        bounds = [(0, self.n * self.n)] * nb + [(0, t) for t in targets]
-        poly: _Poly = {(0,) * (nb + nd): coef}
+            return {start: value}
+        poly: _Poly = {start: coef}
         for ia, (pa, ca) in enumerate(occupied):
             for pb, cb in occupied[ia:]:
                 e = pair_exponent(ca, cb, pa == pb)
@@ -410,104 +403,53 @@ class ProfileEvaluator:
                 poly = _poly_mul(poly, self._pair_power(pa, pb, e), bounds)
                 if not poly:
                     return {}
-        table: _Poly = {}
-        for key, val in poly.items():
-            if any(key[nb + d] != targets[d] for d in range(nd)):
-                continue
-            full = unary + tuple(dg + kk for dg, kk in zip(diag, key[:nb]))
-            table[full] = table.get(full, 0) + val
-        return table
+        return poly
 
     def _enumerate_table(self) -> _Poly:
         table: _Poly = {}
+        bounds = self._window(self.n)
         for combo in combinations_with_replacement(range(len(self.types)), self.n):
             occupied = [(pos, len(tuple(group))) for pos, group in groupby(combo)]
-            for key, val in self._k_table(occupied).items():
+            for key, val in self._k_table(occupied, bounds).items():
                 table[key] = table.get(key, 0) + val
-        return table
+        return self._project(table)
 
     # -- collapsed power ----------------------------------------------------------
 
-    def collapsed_applicable(self) -> bool:
-        return self.cells.cross_independent
-
     def _collapsed_table(self) -> _Poly:
+        """The n-th power of the per-element polynomial: each element's
+        type key times the (n-1)-th power of its out-edge polynomial."""
         cells, n = self.cells, self.n
-        nu = len(self.unary_tracked)
-        nb = len(self.binary_tracked)
-        nd = len(self.diffs)
-        dims = nu + nb + nd
-        npred = cells.b // 2
-        pred_pos = {p: k for k, p in enumerate(cells.signature.binary_predicates())}
-
-        block_ms = [m for m, *_ in self.diffs]
-
-        def edge_key(w: int) -> tuple[int, ...]:
-            key = [0] * dims
-            for d, (p, _, _, _) in enumerate(self.binary_tracked):
-                key[nu + d] = slot_bit(w, pred_pos[p], npred)
-            for d, (_, _, _, _, _, f_preds) in enumerate(self.diffs):
-                key[nu + nb + d] = sum(slot_bit(w, pred_pos[f], npred)
-                                       for f in f_preds)
-            return tuple(key)
-
-        def window(h: int):
-            # h element factors, n - h still to come: tracked unary cards
-            # grow by at most 1 per element, diff counters must be able to
-            # return to zero (each remaining element lowers one by at most
-            # m, raises it without that bound)
-            remaining = n - h
-            bounds = [(0, min(h, n))] * nu
-            bounds += [(0, n * n)] * nb
-            bounds += [(-h * m, remaining * m) for m in block_ms]
-            return bounds
-
-        g_bounds = ([(0, 0)] * nu + [(0, 2 * n)] * nb
-                    + [(0, n * m) for m in block_ms])
+        out_slots = [(p, "xy") for p in cells.signature.binary_predicates()]
+        level1 = self._window(1)
         edge_pow_cache: dict[tuple, _Poly] = {}
         per_element: _Poly = {}
-        for t in self.types:
+        for t, a_t, t_key in zip(self.types, self._weights, self._type_keys):
             g: _Poly = {}
             for w in cells.out_options[t]:
-                key = edge_key(w)
+                key = self._key(out_slots, w)
                 g[key] = g.get(key, 0) + self.fold.of_out(w)
             gsig = tuple(sorted(g.items()))
             if gsig not in edge_pow_cache:
-                edge_pow_cache[gsig] = _poly_pow(g, n - 1, dims, g_bounds)
-            powered = edge_pow_cache[gsig]
-            shift = [0] * dims
-            for d, (_, slot) in enumerate(self.unary_tracked):
-                shift[d] = cells.type_bit(t, slot)
-            for d, val in enumerate(self._type_binary_diag(t)):
-                shift[nu + d] = val
-            for d, val in enumerate(self._type_diff_diag(t)):
-                shift[nu + nb + d] = val
-            a_t = self._cell_weight(t)
-            level1 = window(1)
-            for key, val in powered.items():
-                full = tuple(s + kk for s, kk in zip(shift, key))
-                if not _within(full, level1):
-                    continue
-                per_element[full] = per_element.get(full, 0) + a_t * val
-        powered = _poly_pow_leveled(per_element, n, dims, window)
-        table: _Poly = {}
-        for key, val in powered.items():
-            if any(key[nu + nb + d] for d in range(nd)):
-                continue
-            short = key[:nu + nb]
-            table[short] = table.get(short, 0) + val
-        return table
+                edge_pow_cache[gsig] = _poly_pow(g, n - 1, self.dims,
+                                                 lambda _: self._steps)
+            for key, val in _poly_mul({t_key: a_t}, edge_pow_cache[gsig],
+                                      level1).items():
+                per_element[key] = per_element.get(key, 0) + val
+        return self._project(_poly_pow(per_element, n, self.dims, self._window))
 
     # -- public ---------------------------------------------------------------
 
     def table(self) -> _Poly:
+        """The collapsed power runs whenever the matrix allows it, except
+        when tracked unary cards are the only counters and the censuses
+        are few: then enumeration's integer powers are cheaper than a
+        power of a polynomial in the unary counters."""
         if not self.types:
             return {}
-        use_collapsed = (self.collapsed_applicable()
-                         and len(self.types) > 1
-                         and (self._dims > 0 or
-                              math.comb(self.n + len(self.types) - 1,
-                                        len(self.types) - 1) > 20000))
+        use_collapsed = self.cells.cross_independent and not (
+            0 < self.n_unary == self.dims
+            and math.comb(self.n + len(self.types) - 1, len(self.types) - 1) <= 20000)
         raw = self._collapsed_table() if use_collapsed else self._enumerate_table()
         if self.divisor_scale != 1:
             scale = Fraction(1, self.divisor_scale ** self.n)
@@ -681,8 +623,12 @@ def witness_deficit_counts(problem: Problem | NormalizedProblem, n: int, m: int
     if m > n:
         raise SemanticError(f"m = {m} exceeds the domain size {n}")
     p_pred = norm.sign_preds[0]
-    ev = ProfileEvaluator(norm, solver.cells, n, (p_pred,), plain_signs=True)
-    table = ev.table()
+    # weight -1 on the marked types cancels their sign, so the marked set
+    # is counted like an ordinary predicate
+    slot = solver.cells.u_slot_index(p_pred, "unary")
+    unsigned = WeightFold(type_weight={t: -1 if solver.cells.type_bit(t, slot) else 1
+                                       for t in solver.cells.valid})
+    _, table = solver.profile_table(n, (p_pred,), unsigned)
     p = [0] * (n + 1)
     for key, val in table.items():
         p[key[0]] += val

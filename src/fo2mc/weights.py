@@ -51,15 +51,16 @@ def wfomc_symmetric(problem: Problem | NormalizedProblem | Solver, n: int,
 def wfomc_profile(problem: Problem | NormalizedProblem | Solver, n: int,
                   weight: WeightExpr | None = None) -> Fraction:
     """Sum of weight(profile) * F(profile) over the profiles allowed by
-    the problem's cardinality constraint."""
+    the problem's cardinality constraint, where ``weight`` defaults to the
+    problem's profile weight and the problem's symmetric weights, if it
+    declares any, are folded into F: the weighting is their product."""
     solver = _solver(problem)
+    weight, fold = _weight_setup(solver, weight, None)
     if weight is None:
-        weight = solver.norm.profile_weight
-    if weight is None:
-        return Fraction(solver.weighted_total(n, ()))
+        return Fraction(solver.weighted_total(n, (), fold))
     tracked = tuple(sorted(weight_predicates(weight)))
     return solver.weighted_total(
-        n, tracked, weight_fn=lambda cards: weight_value(weight, cards))
+        n, tracked, fold, weight_fn=lambda cards: weight_value(weight, cards))
 
 
 def _weight_setup(solver: Solver, weight, symmetric):

@@ -98,6 +98,22 @@ def test_wfomc_subcommand(tmp_path):
     assert code == 0 and out.strip() == "270"
 
 
+MIXED_WEIGHTS = ("predicate A/1\npredicate R/2\nforall x exists y R(x,y)\n"
+                 "weight A 2 1\nweight R 3 1\n")
+
+
+@pytest.mark.parametrize("text,flags", [
+    (MIXED_WEIGHTS + "profileweight |A| + 1\n", ()),
+    (MIXED_WEIGHTS, ("--weight", "|A| + 1")),
+])
+def test_wfomc_multiplies_symmetric_and_profile_weights(text, flags):
+    """A file's weight lines and a profile weight, declared or passed,
+    weight every model by their product, as the oracle does."""
+    code, out, _ = invoke("wfomc", "-n", "2", "-e", text, *flags)
+    _, brute, _ = invoke("oracle", "-n", "2", "-e", text, *flags)
+    assert code == 0 and out == brute == "4725\n"
+
+
 def test_normalize_dump():
     code, out, _ = invoke("normalize", "-e", ZERO_OR_TWO_EXAMPLE)
     assert code == 0

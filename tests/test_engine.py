@@ -4,8 +4,9 @@ import pytest
 from fractions import Fraction
 
 from fo2mc.cells import build_cells
-from fo2mc.engine import (ProfileEvaluator, Solver, compositions, fomc_universal,
-                          witness_deficit_counts, universal_term)
+from fo2mc.engine import (IDENTITY_FOLD, ProfileEvaluator, Solver, compositions,
+                          fomc_universal, symmetric_fold, universal_term,
+                          witness_deficit_counts)
 from fo2mc.errors import SemanticError
 from fo2mc.logic import CARD_TRUE, CardCompare, LinearExpr, card_conjoin
 from fo2mc.normalize import normalize
@@ -224,11 +225,14 @@ def test_stratified_census_identity():
 # -- evaluation strategies agree --------------------------------------------------------
 
 
-def collapse_both_ways(text, n, tracked=()):
+def collapse_both_ways(text, n, tracked=(), fold=None):
+    """Both evaluation paths' tables, with ``fold``, a map of symmetric
+    weights, folded into the cells."""
     norm = normalize(parse_problem(text))
     cells = build_cells(norm.signature, norm.matrix)
-    ev = ProfileEvaluator(norm, cells, n, tracked)
-    if not ev.collapsed_applicable():
+    ev = ProfileEvaluator(norm, cells, n, tracked,
+                          symmetric_fold(cells, fold) if fold else IDENTITY_FOLD)
+    if not cells.cross_independent:
         return None
     enum = ev._enumerate_table()
     collapsed = ev._collapsed_table()
@@ -243,15 +247,52 @@ def collapse_both_ways(text, n, tracked=()):
     (ZERO_OR_TWO_EXAMPLE, ()),
     ("forall x exists{=2} y R(x,y)", ("R",)),
     ("forall x (A(x) -> exists y R(x,y))", ("A",)),
+    ("predicate A/1\npredicate R/2\nforall x exists{=1} y R(x,y)", ("R", "A")),
+    ("forall x exists{=1} y R(x,y) & forall x exists{=1} y S(x,y)", ("S",)),
+    ("forall x (A(x) -> exists y R(x,y))\nweight A 2 1\nweight R 0.25 3", ("R",)),
 ])
 def test_enum_equals_collapsed(text, tracked):
+    weights = parse_problem(text).symmetric_weights
     for n in (1, 2, 3, 4, 5):
-        pair = collapse_both_ways(text, n, tracked)
+        pair = collapse_both_ways(text, n, tracked, weights)
         assert pair is not None, "expected a collapsible matrix"
         enum, collapsed = pair
         enum = {k: v for k, v in enum.items() if v}
         collapsed = {k: v for k, v in collapsed.items() if v}
         assert enum == collapsed
+
+
+def test_path_choice(monkeypatch):
+    """A cross-independent matrix takes the collapsed power, unless tracked
+    unary cards are its only counters and there are at most 20,000
+    censuses; then it enumerates them."""
+    paths = []
+    for name in ("_enumerate_table", "_collapsed_table"):
+        def spy(self, run=getattr(ProfileEvaluator, name), name=name):
+            paths.append(name)
+            return run(self)
+        monkeypatch.setattr(ProfileEvaluator, name, spy)
+
+    def path_of(text, n, tracked=()):
+        paths.clear()
+        result = Solver(parse_problem(text)).breakdown(n, tracked)
+        assert len(set(paths)) == 1
+        return paths[0], result
+
+    for text in ("forall x exists y R(x,y)", "forall x (A(x) -> !B(x))",
+                 "forall x (A(x) -> exists y R(x,y))", ZERO_OR_TWO_EXAMPLE):
+        assert path_of(text, 2)[0] == "_collapsed_table"
+    coins = "predicate H/1\nforall x (H(x) | !H(x))"
+    path, result = path_of(coins, 4, ("H",))
+    assert path == "_enumerate_table"
+    assert [value for _, value in result.profiles] == [1, 4, 6, 4, 1]
+    # five valid types at n = 30: C(34, 4) = 46,376 censuses
+    five_types = ("predicate A/1\npredicate B/1\npredicate C/1\n"
+                  "forall x (A(x) -> (B(x) & C(x)))")
+    path, result = path_of(five_types, 30, ("A",))
+    assert path == "_collapsed_table"
+    assert result.profiles == [({"A": k}, math.comb(30, k) * 4 ** (30 - k))
+                               for k in range(31)]
 
 
 def test_running_example_not_collapsible():
