@@ -6,6 +6,11 @@ two-variable slots.  ``n_ijv`` is 1 exactly when the matrix holds on both
 elements and on the ordered pair in both directions under those
 assignments, with ``x = y`` fixed to false across the pair.  All tables
 are independent of the domain size.
+
+Two valid 1-types are interchangeable when they have the same 2-tables,
+read with the type on the x side, against every valid type (and, when
+the matrix factorizes per directed edge, the same out-edge options);
+``CellStructure.classes`` partitions the valid types by that relation.
 """
 
 from __future__ import annotations
@@ -60,6 +65,24 @@ def _bit_positions(mask: int) -> tuple[int, ...]:
     return tuple(k for k, c in enumerate(bin(mask)[:1:-1]) if c == "1")
 
 
+def _mask_swapper(v_masks: list[int], full: int):
+    """The permutation of a mask over all 2-tables that moves bit v to bit
+    swap(v): per predicate, indices with the (x,y) bit set and the (y,x)
+    bit clear move down by the (y,x) run length, and the reverse up."""
+    b = len(v_masks)
+    moves = []
+    for s in range(0, b, 2):
+        down = v_masks[s] & ~v_masks[s + 1]
+        up = v_masks[s + 1] & ~v_masks[s]
+        moves.append((full ^ down ^ up, down, up, 1 << (b - 2 - s)))
+
+    def swapped(mask: int) -> int:
+        for keep, down, up, run in moves:
+            mask = (mask & keep) | (mask & down) >> run | (mask & up) << run
+        return mask
+    return swapped
+
+
 @dataclass
 class CellStructure:
     """The n_ij / n_ijv tables of a matrix, plus everything the engine
@@ -73,6 +96,9 @@ class CellStructure:
     n_ij: dict[tuple[int, int], int]
     cross_independent: bool
     out_options: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    #: the valid types grouped into classes of interchangeable types,
+    #: ordered by their smallest member, members ascending
+    classes: list[tuple[int, ...]] = field(default_factory=list)
 
     @property
     def u(self) -> int:
@@ -182,15 +208,29 @@ def build_cells(signature: Signature, matrix: Iterable[Formula]) -> CellStructur
     independent = True
     pair_vs: dict[tuple[int, int], tuple[int, ...]] = {}
     n_ij: dict[tuple[int, int], int] = {}
-    tables_of: dict[int, tuple[int, ...]] = {}
+    # Per type, the id of its oriented 2-table mask against each partner:
+    # the pair's mask for the type on the x side, its swap otherwise.
+    # Ids number the distinct masks; each gets swapped once.
+    swapped = _mask_swapper(v_masks, full)
+    mask_id: dict[int, int] = {}
+
+    def ident(mask: int) -> int:
+        return mask_id.setdefault(mask, len(mask_id))
+
+    # per distinct mask: its 2-tables, its id and its swap's id
+    tables_of: dict[int, tuple[tuple[int, ...], int, int]] = {}
+    rows = {t: [0] * len(valid) for t in valid}
     for a_pos, i in enumerate(valid):
-        for j in valid[a_pos:]:
+        row_i = rows[i]
+        for b_pos, j in enumerate(valid[a_pos:], a_pos):
             m_ij, m_ji = forward(sides[i], sides[j]), reverse(sides[j], sides[i])
             independent = independent and m_ij == own_fwd[i] and m_ji == own_rev[j]
             both = m_ij & m_ji
-            vs = tables_of.get(both)
-            if vs is None:
-                vs = tables_of[both] = _bit_positions(both)
+            entry = tables_of.get(both)
+            if entry is None:
+                entry = tables_of[both] = (_bit_positions(both), ident(both),
+                                           ident(swapped(both)))
+            vs, row_i[b_pos], rows[j][a_pos] = entry
             key = (i, j)
             pair_vs[key] = vs
             n_ij[key] = len(vs)
@@ -210,6 +250,10 @@ def build_cells(signature: Signature, matrix: Iterable[Formula]) -> CellStructur
         cells.out_options = {
             i: tuple(cells.out_mask(v) for v in heads if own_fwd[i] >> v & 1)
             for i in valid}
+    classes: dict[tuple, list[int]] = {}
+    for t in valid:
+        classes.setdefault((tuple(rows[t]), cells.out_options.get(t)), []).append(t)
+    cells.classes = [tuple(members) for members in classes.values()]
     return cells
 
 

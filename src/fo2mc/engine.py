@@ -29,9 +29,18 @@ the rows with a nonzero tie counter, which enforces the cardinality
 ties, and key the rest by the tracked counters.  The 1/m! divisor of
 each block is folded in per element.
 
+Both paths read the valid types merged into classes: ``build_cells``
+groups the types that allow the same 2-tables against every partner,
+and the evaluator splits each group by type key, keeps one
+representative per class and gives it the sum of its members' weights
+(signs, folded weights and block divisors included), dropping classes
+whose sum is zero.  Every census term then depends only on the class
+counts, and summing a class's splits among its members is the
+multinomial expansion of that summed weight, so the count is unchanged.
+
 Enumeration runs when the matrix does not factorize, or when tracked
 unary cards are the only counters and there are at most 20,000
-censuses; otherwise the collapsed power does.
+censuses over the classes; otherwise the collapsed power does.
 
 A block is exact as encoded when it is "pinned": the matrix forces guard
 edges to start inside A, which forces A to be the whole exactly-m set.
@@ -262,17 +271,28 @@ class ProfileEvaluator:
         self._steps = ([(0, n * n)] * len(self.key_names)
                        + [(0, n * b.m) for b in norm.blocks])
 
-        # blocks with multiplicity above the domain size force A empty
+        # One representative per class of interchangeable types with equal
+        # keys, weighted by the sum of its members' weights (the multinomial
+        # theorem makes that exact); classes whose signs cancel drop out.
+        # Blocks with multiplicity above the domain size force A empty.
         dead_a_slots = [cells.u_slot_index(b.a_pred, "unary")
                         for b in norm.blocks if b.m > n]
-        self.types = [t for t in cells.valid
-                      if all(cells.type_bit(t, s) == 0 for s in dead_a_slots)]
+        merged: dict[tuple, list] = {}
+        for c, members in enumerate(cells.classes):
+            for t in members:
+                if any(cells.type_bit(t, s) for s in dead_a_slots):
+                    continue
+                key = self._key(cells.u_slots, t)
+                merged.setdefault((c, key), [t, key, 0])[2] += self._cell_weight(t)
+        # per-class data in ascending representative order, as pair_vs keys
+        # have i <= j
+        live = sorted(entry for entry in merged.values() if entry[2])
+        self.types = [t for t, _, _ in live]
+        self._type_keys = [key for _, key, _ in live]
+        self._weights = [w for _, _, w in live]
         self._base_cache: dict[tuple[int, int], _Poly] = {}
         self._wnij_cache: dict[tuple[int, int], object] = {}
         self._pow_cache: dict[tuple[int, int, int], _Poly] = {}
-        # per-type data, aligned with self.types
-        self._weights = [self._cell_weight(t) for t in self.types]
-        self._type_keys = [self._key(cells.u_slots, t) for t in self.types]
 
     # -- per-type data --------------------------------------------------------
 

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from fo2mc.cells import build_cells, n_ij_csv
 from fo2mc.corpus import load_corpus
-from fo2mc.engine import Solver
+from fo2mc.engine import ProfileEvaluator, Solver
 from fo2mc.errors import UnsupportedFeatureError
 from fo2mc.grounding import eval_qf
 from fo2mc.logic import (Atom, Eq, Not, Signature, TRUE, atoms_of, conjoin,
@@ -179,18 +179,32 @@ def reference_cells(signature, matrix):
     out_options = {}
     if independent:
         out_options = {i: tuple(sorted(w for w, m in seen[i].items() if m)) for i in valid}
-    return valid, pair_vs, independent, out_options
+
+    # types are interchangeable when their oriented 2-table sets (the type
+    # on the x side) agree against every partner, and so do their
+    # out-options
+    def oriented(t, p):
+        return frozenset(v for v in range(1 << b)
+                         if rows[(t, p)][v] and rows[(p, t)][swap[v]])
+
+    classes = {}
+    for t in valid:
+        row = tuple(oriented(t, p) for p in valid)
+        classes.setdefault((row, out_options.get(t)), []).append(t)
+    classes = [tuple(members) for members in classes.values()]
+    return valid, pair_vs, independent, out_options, classes
 
 
 def assert_matches_reference(signature, matrix):
     cells = build_cells(signature, matrix)
-    valid, pair_vs, independent, out_options = reference_cells(signature, matrix)
+    valid, pair_vs, independent, out_options, classes = reference_cells(signature, matrix)
     assert cells.valid == valid
     assert list(cells.pair_vs.items()) == list(pair_vs.items())
     assert cells.n_ij == {key: len(vs) for key, vs in pair_vs.items()}
     assert list(cells.n_ij) == list(pair_vs)
     assert cells.cross_independent == independent
     assert cells.out_options == out_options
+    assert cells.classes == classes
 
 
 @pytest.mark.parametrize("entry", load_corpus(), ids=lambda e: e.name)
@@ -220,3 +234,29 @@ def test_mask_sweep_matches_reference_random_matrices(seed):
              Atom("S", ("x", "y")), Eq("x", "y")]
     matrix = [random_qf(rng, atoms, 3) for _ in range(rng.randrange(1, 3))]
     assert_matches_reference(sig, matrix)
+
+
+# -- classes of interchangeable types ------------------------------------------
+
+
+CORPUS = {entry.name: entry for entry in load_corpus()}
+
+
+@pytest.mark.parametrize("text,types,classes", [
+    (RUNNING_EXAMPLE, 4, 2),
+    (CORPUS["count_disj"].text, 11, 5),
+    (CORPUS["two_blocks"].text, 33, 10),
+    ("exists x exists{=2} y R(x,y)", 36, 14),
+], ids=("running", "count_disj", "two_blocks", "exists_exists2"))
+def test_class_counts(text, types, classes):
+    cells = Solver(parse_problem(text)).cells
+    assert (len(cells.valid), len(cells.classes)) == (types, classes)
+
+
+def test_tracked_reflexive_bit_splits_classes():
+    """Tracking R keys the running example's types by their reflexive R
+    bit, which separates the members of both classes again."""
+    solver = Solver(parse_problem(RUNNING_EXAMPLE))
+    assert solver.cells.classes == [(0, 1), (2, 3)]
+    assert len(ProfileEvaluator(solver.norm, solver.cells, 3).types) == 2
+    assert len(ProfileEvaluator(solver.norm, solver.cells, 3, ("R",)).types) == 4

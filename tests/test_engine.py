@@ -13,7 +13,7 @@ from fo2mc.normalize import normalize
 from fo2mc.oracle import oracle_count, oracle_stratified
 from fo2mc.parser import parse_problem
 
-from conftest import ZERO_OR_TWO_EXAMPLE, RUNNING_EXAMPLE
+from conftest import ZERO_OR_TWO_EXAMPLE, RUNNING_EXAMPLE, random_problem
 
 
 def running_solver():
@@ -61,8 +61,21 @@ def test_forall_exists_closed_form():
 
 
 def test_no_existentials_equals_universal():
+    """The merged evaluation equals the plain census sum over every valid
+    type, on the running example and on the universal-only random
+    problems (no sign predicates, no counting blocks)."""
     solver = running_solver()
     assert solver.count(3) == fomc_universal(solver.cells, 3)
+    universal = 0
+    for seed in range(200):
+        solver = Solver(random_problem(seed))
+        if solver.norm.sign_preds or solver.norm.blocks:
+            continue
+        universal += 1
+        for n in range(1, 6):
+            assert solver.count(n, constraint=CARD_TRUE) == \
+                fomc_universal(solver.cells, n), (seed, n)
+    assert universal > 0
 
 
 def test_negative_count_impossible_on_corpus():
@@ -265,7 +278,7 @@ def test_enum_equals_collapsed(text, tracked):
 def test_path_choice(monkeypatch):
     """A cross-independent matrix takes the collapsed power, unless tracked
     unary cards are its only counters and there are at most 20,000
-    censuses; then it enumerates them."""
+    censuses over the merged classes; then it enumerates them."""
     paths = []
     for name in ("_enumerate_table", "_collapsed_table"):
         def spy(self, run=getattr(ProfileEvaluator, name), name=name):
@@ -286,13 +299,23 @@ def test_path_choice(monkeypatch):
     path, result = path_of(coins, 4, ("H",))
     assert path == "_enumerate_table"
     assert [value for _, value in result.profiles] == [1, 4, 6, 4, 1]
-    # five valid types at n = 30: C(34, 4) = 46,376 censuses
+    # five interchangeable valid types; tracking A splits them into two
+    # classes, 21 censuses at n = 20
     five_types = ("predicate A/1\npredicate B/1\npredicate C/1\n"
                   "forall x (A(x) -> (B(x) & C(x)))")
-    path, result = path_of(five_types, 30, ("A",))
+    path, result = path_of(five_types, 20, ("A",))
+    assert path == "_enumerate_table"
+    assert result.profiles == [({"A": k}, math.comb(20, k) * 4 ** (20 - k))
+                               for k in range(21)]
+    # tracking A, B and C keeps five classes: C(34, 4) = 46,376 censuses
+    # at n = 30
+    n = 30
+    path, result = path_of(five_types, n, ("A", "B", "C"))
     assert path == "_collapsed_table"
-    assert result.profiles == [({"A": k}, math.comb(30, k) * 4 ** (30 - k))
-                               for k in range(31)]
+    assert result.profiles == [
+        ({"A": k, "B": k + b, "C": k + c},
+         math.comb(n, k) * math.comb(n - k, b) * math.comb(n - k, c))
+        for k in range(n + 1) for b in range(n - k + 1) for c in range(n - k + 1)]
 
 
 def test_running_example_not_collapsible():

@@ -56,8 +56,10 @@ def test_negated_block():
 
 
 def test_existential_block():
-    s = Solver(parse_problem("exists x exists{=2} y R(x,y)"))
-    assert [s.count(n) for n in (1, 2, 3)] == [0, 7, 387]
+    p = parse_problem("exists x exists{=2} y R(x,y)")
+    s = Solver(p)
+    assert [s.count(n) for n in (1, 2, 3, 4)] == [0, 7, 387, 55536]
+    assert oracle_count(p.signature, p.sentence, 4).total == 55536
 
 
 def test_solver_of_normalized_problem_signs_too():
@@ -97,7 +99,7 @@ def unpinned_problem(shape: str, m: int, seed: int) -> str:
 def test_unpinned_shapes_match_oracle(shape, m, seed):
     p = parse_problem(unpinned_problem(shape, m, seed))
     solver = Solver(p)
-    for n in (1, 2):
+    for n in (1, 2, 3):
         if p.symmetric_weights:
             want = oracle_count(p.signature, p.sentence, n,
                                 symmetric_weights=p.symmetric_weights).weighted_total
