@@ -7,9 +7,14 @@ elements and on the ordered pair in both directions under those
 assignments, with ``x = y`` fixed to false across the pair.  All tables
 are independent of the domain size.
 
+A matrix is *directed* when every valid pair of types (i, j) allows
+exactly the 2-tables O_ij x O_ji: the x->y bits and the y->x bits are
+chosen independently, from the out-edge options O_ij of i toward j and
+O_ji of j toward i.  It is *cross-independent* when moreover O_ij does
+not depend on j.
+
 Two valid 1-types are interchangeable when they have the same 2-tables,
-read with the type on the x side, against every valid type (and, when
-the matrix factorizes per directed edge, the same out-edge options);
+read with the type on the x side, against every valid type;
 ``CellStructure.classes`` partitions the valid types by that relation.
 """
 
@@ -95,7 +100,10 @@ class CellStructure:
     pair_vs: dict[tuple[int, int], tuple[int, ...]]
     n_ij: dict[tuple[int, int], int]
     cross_independent: bool
-    out_options: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    directed: bool = False
+    #: on a directed matrix, O_ij for every ordered pair of valid types:
+    #: the out-masks (see ``out_mask``) that i may send to j, ascending
+    out_options: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
     #: the valid types grouped into classes of interchangeable types,
     #: ordered by their smallest member, members ascending
     classes: list[tuple[int, ...]] = field(default_factory=list)
@@ -217,8 +225,11 @@ def build_cells(signature: Signature, matrix: Iterable[Formula]) -> CellStructur
     def ident(mask: int) -> int:
         return mask_id.setdefault(mask, len(mask_id))
 
-    # per distinct mask: its 2-tables, its id and its swap's id
+    # per distinct mask: its 2-tables, its id and its swap's id; per id,
+    # the out-masks its x side may send
     tables_of: dict[int, tuple[tuple[int, ...], int, int]] = {}
+    options: dict[int, tuple[int, ...]] = {}
+    directed = True
     rows = {t: [0] * len(valid) for t in valid}
     for a_pos, i in enumerate(valid):
         row_i = rows[i]
@@ -230,6 +241,10 @@ def build_cells(signature: Signature, matrix: Iterable[Formula]) -> CellStructur
             if entry is None:
                 entry = tables_of[both] = (_bit_positions(both), ident(both),
                                            ident(swapped(both)))
+                sends = tuple(sorted({cells.out_mask(v) for v in entry[0]}))
+                gets = tuple(sorted({cells.out_mask(cells.swap(v)) for v in entry[0]}))
+                options[entry[1]], options[entry[2]] = sends, gets
+                directed = directed and len(entry[0]) == len(sends) * len(gets)
             vs, row_i[b_pos], rows[j][a_pos] = entry
             key = (i, j)
             pair_vs[key] = vs
@@ -243,16 +258,13 @@ def build_cells(signature: Signature, matrix: Iterable[Formula]) -> CellStructur
     cells.pair_vs = pair_vs
     cells.n_ij = n_ij
     cells.cross_independent = independent
-    if independent:
-        # 2-tables without (y,x) bits, ascending, stand for their out-masks
-        heads = [v for v in range(1 << b)
-                 if all(not slot_bit(v, s, b) for s in range(1, b, 2))]
-        cells.out_options = {
-            i: tuple(cells.out_mask(v) for v in heads if own_fwd[i] >> v & 1)
-            for i in valid}
+    cells.directed = directed
+    if directed:
+        cells.out_options = {(i, j): options[rows[i][pos]]
+                             for i in valid for pos, j in enumerate(valid)}
     classes: dict[tuple, list[int]] = {}
     for t in valid:
-        classes.setdefault((tuple(rows[t]), cells.out_options.get(t)), []).append(t)
+        classes.setdefault(tuple(rows[t]), []).append(t)
     cells.classes = [tuple(members) for members in classes.values()]
     return cells
 

@@ -132,7 +132,7 @@ def _profiles_payload(result):
 def _maybe_dumps(args, solver, out, err):
     if args.dump_normalized:
         target = out if args.format == "text" else err
-        target.write(dump_normalized(solver.norm))
+        target.write(dump_normalized(solver.successor_encoding()))
     if args.dump_cells:
         target = out if args.format == "text" else err
         target.write(n_ij_csv(solver.cells))
@@ -283,7 +283,7 @@ def _run_oracle(args, out, err) -> int:
 def _run_normalize(args, out, err) -> int:
     problem = _load_problem(args)
     solver = Solver(problem)
-    out.write(dump_normalized(solver.norm))
+    out.write(dump_normalized(solver.successor_encoding()))
     return 0
 
 

@@ -5,52 +5,53 @@ Two evaluation strategies compute the same profile sums:
 * k-vector enumeration: iterate the censuses of domain elements over the
   valid 1-types; each census contributes its multinomial coefficient,
   the inclusion-exclusion sign and a product of per-pair factors (plain
-  powers of n_ij, or sparse counter polynomials when cardinalities are
-  tracked).
+  powers of n_ij, or sparse counter polynomials).
 
 * collapsed power: when every cross condition of the matrix depends only
   on the source 1-type and the outgoing edge bits, the sum over censuses
   factorizes into the n-th power of a single per-element polynomial.
-  This is what makes large domains tractable for counting blocks, whose
-  1-type space is far too large to enumerate censuses over.
 
 Both paths share one counter layout, a map from each predicate to the
 counters its true atoms raise: one per tracked predicate (unary ones
-first) and one hidden tie counter per counting block, sum_j |f_j| - m|A|,
-raised by each f_j atom and lowered by m for each A-element.  A 1-type,
-a 2-table and an out-edge mask are each keyed by the sum over their true
-atoms, so the counter polynomials are generating functions in the sense
-of Kuzelka, "Weighted First-Order Model Counting in the Two-Variable
-Fragment With Counting Quantifiers" (JAIR 2021).  Enumeration starts a
-census at the sum of its type keys and lets the pairs raise the tie
-counters back up to zero; the collapsed power bounds every partial
-product by what the remaining elements can still undo.  Both then drop
-the rows with a nonzero tie counter, which enforces the cardinality
-ties, and key the rest by the tracked counters.  The 1/m! divisor of
-each block is folded in per element.
+first), then one per counting block.  A 1-type, a 2-table and an
+out-edge mask are each keyed by the sum over their true atoms, so the
+counter polynomials are generating functions in the sense of Kuzelka,
+"Weighted First-Order Model Counting in the Two-Variable Fragment With
+Counting Quantifiers" (JAIR 2021).  Counters are clamped where their
+value stops mattering.
+
+On a directed matrix (see ``cells``) each element picks its out-edges
+independently of the others, given the census, so a block
+``A(x) <-> exists{=m} y G(x,y)`` constrains each element alone.  Its
+counter is the element's guard degree z.  An element of class i
+contributes its type key times prod_j g_ij^(k_j - [i = j]), g_ij being
+the polynomial of the out-edges i may send to j (van Bremen and
+Kuzelka's cell-graph pair factors, split by direction); an A-element
+keeps the rows with z = m, any other element the rest, and z is dropped
+before the census product.  The collapsed power is the case where g_ij
+does not depend on j.  On any other matrix ``Solver`` falls back to the
+successor encoding (see ``normalize``), which always enumerates: the
+block counter is the tie counter sum_j |f_j| - m|A|, which a census
+starts at the sum of its type keys and its pairs raise back to zero,
+and each block's 1/m! divisor is folded in per element.
 
 Both paths read the valid types merged into classes: ``build_cells``
 groups the types that allow the same 2-tables against every partner,
-and the evaluator splits each group by type key, keeps one
-representative per class and gives it the sum of its members' weights
-(signs, folded weights and block divisors included), dropping classes
-whose sum is zero.  Every census term then depends only on the class
-counts, and summing a class's splits among its members is the
+and the evaluator splits each group by type key and block membership,
+keeps one representative per class and gives it the sum of its members'
+weights (signs, folded weights and block divisors included), dropping
+classes whose sum is zero.  Every census term then depends only on the
+class counts, and summing a class's splits among its members is the
 multinomial expansion of that summed weight, so the count is unchanged.
 
 Enumeration runs when the matrix does not factorize, or when tracked
 unary cards are the only counters and there are at most 20,000
 censuses over the classes; otherwise the collapsed power does.
 
-A block is exact as encoded when it is "pinned": the matrix forces guard
-edges to start inside A, which forces A to be the whole exactly-m set.
-``Solver`` re-encodes every other block with an inclusion-exclusion sign
-predicate (see ``normalize``), so every count goes through the same
-evaluation.
-
 ``Solver`` is the one entry point: it builds the cell tables once per
-problem, and its ``count``, ``weighted_total`` and ``breakdown`` read the
-same profile rows, filtered once by the cardinality constraint.
+problem (twice for the fallback), and its ``count``, ``weighted_total``
+and ``breakdown`` read the same profile rows, filtered once by the
+cardinality constraint.
 """
 
 from __future__ import annotations
@@ -75,37 +76,27 @@ from .parser import Problem
 _Poly = dict  # tuple[int, ...] -> int | Fraction
 
 
-def _poly_mul(p: _Poly, q: _Poly, bounds) -> _Poly:
-    """p * q restricted to the keys whose every counter lies within its
-    (lo, hi) bound."""
+def _poly_mul(p: _Poly, q: _Poly, caps) -> _Poly:
+    """p * q with every counter clamped at its cap: a counter that passes
+    its cap keeps only the fact that it did."""
     out: _Poly = {}
     get = out.get
     for ka, va in p.items():
         for kb, vb in q.items():
-            key = tuple(map(int.__add__, ka, kb))
-            for value, (lo, hi) in zip(key, bounds):
-                if value < lo or value > hi:
-                    break
-            else:
-                out[key] = get(key, 0) + va * vb
+            key = tuple(map(min, map(int.__add__, ka, kb), caps))
+            out[key] = get(key, 0) + va * vb
     return out
 
 
-def _poly_pow(base: _Poly, e: int, dims: int, window) -> _Poly:
-    """base^e with level-aware pruning: ``window(h)`` bounds any product
-    of h base factors that can still extend to a useful full product."""
-    result: _Poly = {(0,) * dims: 1}
-    height = 0
-    acc = base
-    acc_h = 1
+def _poly_pow(base: _Poly, e: int, caps) -> _Poly:
+    """base^e by repeated squaring, clamped like ``_poly_mul``."""
+    result: _Poly = {(0,) * len(caps): 1}
     while e:
         if e & 1:
-            height += acc_h
-            result = _poly_mul(result, acc, window(height))
+            result = _poly_mul(result, base, caps)
         e >>= 1
         if e:
-            acc_h *= 2
-            acc = _poly_mul(acc, acc, window(acc_h))
+            base = _poly_mul(base, base, caps)
     return result
 
 
@@ -202,20 +193,11 @@ def block_pinned(cells: CellStructure, block: CountingBlock) -> bool:
     g_refl = cells.u_slot_index(block.guard, "reflexive")
     g_xy = cells.b_slot_index(block.guard, "xy")
     g_yx = cells.b_slot_index(block.guard, "yx")
-    for i in cells.valid:
-        if cells.type_bit(i, a_slot) == 0 and cells.type_bit(i, g_refl):
-            return False
-    for (i, j), vs in cells.pair_vs.items():
-        i_no_a = cells.type_bit(i, a_slot) == 0
-        j_no_a = cells.type_bit(j, a_slot) == 0
-        if not (i_no_a or j_no_a):
-            continue
-        for v in vs:
-            if i_no_a and cells.table_bit(v, g_xy):
-                return False
-            if j_no_a and cells.table_bit(v, g_yx):
-                return False
-    return True
+    outside = {i for i in cells.valid if not cells.type_bit(i, a_slot)}
+    return not any(cells.type_bit(i, g_refl) for i in outside) and not any(
+        i in outside and cells.table_bit(v, g_xy)
+        or j in outside and cells.table_bit(v, g_yx)
+        for (i, j), vs in cells.pair_vs.items() for v in vs)
 
 
 # ---------------------------------------------------------------------------
@@ -228,8 +210,8 @@ class ProfileEvaluator:
     Keys are cardinality snapshots of the tracked predicates (unary
     first, then binary, each group in the given order); values carry the
     multinomial coefficient, the inclusion-exclusion sign, any folded
-    weights and the block divisors, with the block cardinality ties
-    already enforced."""
+    weights and the block divisors, with every counting block already
+    enforced."""
 
     def __init__(self, norm: NormalizedProblem, cells: CellStructure, n: int,
                  tracked: Sequence[str] = (), fold: WeightFold = IDENTITY_FOLD):
@@ -244,53 +226,68 @@ class ProfileEvaluator:
             if pred not in norm.signature:
                 raise SemanticError(f"cannot track undeclared predicate {pred}")
         arity = norm.signature.arity
-        self.sign_slots = [cells.u_slot_index(p, "unary") for p in norm.sign_preds]
 
         # The counter layout: which counters each true atom of a predicate
         # raises, and by how much.  Tracked predicates come first (unary
-        # ones, then binary); then one hidden tie counter per block,
-        # sum_j |f_j| - m * |A|, which is zero exactly on the tied profiles
-        # because the block's sign predicates already cancel every profile
-        # where some A-element lacks an f_j successor (so |f_j| >= |A|
-        # wherever F != 0, and the sum pins each |f_j| individually).
+        # ones, then binary); then one counter per block: its guard degree,
+        # extracted per element, or in the successor encoding the tie
+        # counter sum_j |f_j| - m * |A|, which is zero exactly on the tied
+        # profiles because the block's sign predicates already cancel every
+        # profile where some A-element lacks an f_j successor (so |f_j| >=
+        # |A| wherever F != 0, and the sum pins each |f_j| individually).
+        # ``dims`` counts the counters a census product carries.
         self.key_names = tuple(sorted(tracked, key=arity))
         self.n_unary = sum(arity(p) == 1 for p in tracked)
-        self.dims = len(self.key_names) + len(norm.blocks)
+        self._ties = norm.successors
+        self._per_element = bool(norm.blocks) and not self._ties
+        self._width = len(self.key_names) + len(norm.blocks)
+        self.dims = len(self.key_names) + len(norm.blocks) * self._ties
         self._raises: dict[str, list[tuple[int, int]]] = {}
         for d, pred in enumerate(self.key_names):
             self._raises.setdefault(pred, []).append((d, 1))
-        self.divisor_scale = 1
         for d, block in enumerate(norm.blocks, len(self.key_names)):
-            for f in block.f_preds:
+            for f in block.f_preds or (block.guard,):
                 self._raises.setdefault(f, []).append((d, 1))
-            self._raises.setdefault(block.a_pred, []).append((d, -block.m))
-            self.divisor_scale *= block.divisor_base
-        # bounds on what the pairs of a census, or the out-edges of one
-        # element, add to the counters: a binary card never exceeds n*n,
-        # and a tie counter never starts below -n*m
-        self._steps = ([(0, n * n)] * len(self.key_names)
-                       + [(0, n * b.m) for b in norm.blocks])
+            if self._ties:
+                self._raises.setdefault(block.a_pred, []).append((d, -block.m))
+        self.divisor_scale = math.prod(b.divisor_base for b in norm.blocks
+                                       if self._ties)
+        # caps: a card never exceeds n*n and a guard degree matters up to
+        # m + 1; a tie counter starts a census at -n*m or above and only
+        # climbs, so a factor past n*m + 1, or a census past 1, cannot
+        # bring it back to zero
+        self._caps = [n * n] * len(self.key_names) + [
+            n * b.m + 1 if self._ties else b.m + 1 for b in norm.blocks]
+        self._census_caps = self._caps[:len(self.key_names)] + [1] * (
+            self.dims - len(self.key_names))
 
         # One representative per class of interchangeable types with equal
-        # keys, weighted by the sum of its members' weights (the multinomial
-        # theorem makes that exact); classes whose signs cancel drop out.
-        # Blocks with multiplicity above the domain size force A empty.
-        dead_a_slots = [cells.u_slot_index(b.a_pred, "unary")
-                        for b in norm.blocks if b.m > n]
+        # keys and block membership, weighted by the sum of its members'
+        # weights (the multinomial theorem makes that exact); classes whose
+        # signs cancel drop out.  A tie-counted block scales each element
+        # outside its A by m!, so every element carries the same total
+        # scale and the fold stays integral.
+        sign_slots = [cells.u_slot_index(p, "unary") for p in norm.sign_preds]
+        a_slots = [cells.u_slot_index(b.a_pred, "unary") for b in norm.blocks]
         merged: dict[tuple, list] = {}
         for c, members in enumerate(cells.classes):
             for t in members:
-                if any(cells.type_bit(t, s) for s in dead_a_slots):
-                    continue
                 key = self._key(cells.u_slots, t)
-                merged.setdefault((c, key), [t, key, 0])[2] += self._cell_weight(t)
+                in_a = tuple(bool(cells.type_bit(t, s)) for s in a_slots)
+                w = fold.of_type(t) * (-1) ** sum(cells.type_bit(t, s)
+                                                  for s in sign_slots)
+                for block, hit in zip(norm.blocks, in_a):
+                    if self._ties and not hit:
+                        w = w * block.divisor_base
+                merged.setdefault((c, key, in_a), [t, key, in_a, 0])[3] += w
         # per-class data in ascending representative order, as pair_vs keys
         # have i <= j
-        live = sorted(entry for entry in merged.values() if entry[2])
-        self.types = [t for t, _, _ in live]
-        self._type_keys = [key for _, key, _ in live]
-        self._weights = [w for _, _, w in live]
-        self._base_cache: dict[tuple[int, int], _Poly] = {}
+        live = sorted(entry for entry in merged.values() if entry[3])
+        self.types = [t for t, _, _, _ in live]
+        self._type_keys = [key for _, key, _, _ in live]
+        self._in_a = [in_a for _, _, in_a, _ in live]
+        self._weights = [w for _, _, _, w in live]
+        self._out_slots = [(p, "xy") for p in cells.signature.binary_predicates()]
         self._wnij_cache: dict[tuple[int, int], object] = {}
         self._pow_cache: dict[tuple[int, int, int], _Poly] = {}
 
@@ -299,97 +296,73 @@ class ProfileEvaluator:
     def _key(self, slots: Sequence[tuple[str, str]], index: int) -> tuple[int, ...]:
         """Counters raised by the true atoms of ``index``, an assignment to
         ``slots``: a 1-type, a 2-table or an out-edge mask."""
-        key = [0] * self.dims
+        key = [0] * self._width
         for s, (pred, _) in enumerate(slots):
             if slot_bit(index, s, len(slots)):
                 for d, c in self._raises.get(pred, ()):
                     key[d] += c
         return tuple(key)
 
-    def _window(self, h: int) -> list[tuple[int, int]]:
-        """Bounds on the counters of h elements (their 1-types and owned
-        edges) that n - h more elements can still complete: a tracked
-        unary card grows by at most 1 per element, and a tie counter must
-        be able to return to zero, each element lowering it by at most m."""
-        n, tracked = self.n, len(self.key_names)
-        return ([(0, h)] * self.n_unary + [(0, n * n)] * (tracked - self.n_unary)
-                + [(-h * b.m, (n - h) * b.m) for b in self.norm.blocks])
-
-    def _project(self, poly: _Poly) -> _Poly:
-        """The rows whose tie counters are all zero, keyed by the tracked
-        counters."""
+    def _project(self, poly: _Poly, targets: Sequence[tuple[int, bool]]) -> _Poly:
+        """The rows whose block counters meet their targets, keyed by the
+        tracked counters: a target (value, hit) asks its counter to equal
+        value exactly when hit is true."""
         tracked = len(self.key_names)
         table: _Poly = {}
         for key, val in poly.items():
-            if not any(key[tracked:]):
+            if all((k == v) == hit for k, (v, hit) in zip(key[tracked:], targets)):
                 short = key[:tracked]
                 table[short] = table.get(short, 0) + val
         return table
 
-    def _type_sign(self, t: int) -> int:
-        s = sum(self.cells.type_bit(t, slot) for slot in self.sign_slots)
-        return -1 if s % 2 else 1
+    def _element_row(self, pos: int, edges: _Poly) -> _Poly:
+        """One element of class ``pos`` given the polynomial of its
+        out-edges: its type key times ``edges``, keeping the rows where
+        each block's guard degree is m exactly when the element is in the
+        block's A, keyed by the tracked counters."""
+        row = _poly_mul({self._type_keys[pos]: 1}, edges, self._caps)
+        return self._project(row, [(b.m, hit) for b, hit
+                                   in zip(self.norm.blocks, self._in_a[pos])])
 
-    def _cell_weight(self, t: int):
-        w = self.fold.of_type(t) * self._type_sign(t)
-        if self.divisor_scale != 1:
-            # scale by m! per element outside A_i so every element carries
-            # the same total scale and the fold stays integral
-            for block in self.norm.blocks:
-                a_slot = self.cells.u_slot_index(block.a_pred, "unary")
-                if not self.cells.type_bit(t, a_slot):
-                    w = w * block.divisor_base
-        return w
+    def _out_poly(self, a: int, b: int) -> _Poly:
+        """Counter polynomial of the out-edges type a may send to type b."""
+        g: _Poly = {}
+        for w in self.cells.out_options[(a, b)]:
+            key = self._key(self._out_slots, w)
+            g[key] = g.get(key, 0) + self.fold.of_out(w)
+        return g
 
-    def _pair_base(self, a: int, b: int) -> _Poly:
-        """Counter polynomial of one unordered 1-type pair: a monomial per
-        satisfying 2-table, graded by its counter contributions."""
-        try:
-            return self._base_cache[(a, b)]
-        except KeyError:
-            pass
-        base: _Poly = {}
-        for v in self.cells.pair_vs[(a, b)]:
-            key = self._key(self.cells.b_slots, v)
-            base[key] = base.get(key, 0) + self.fold.of_table(v)
-        self._base_cache[(a, b)] = base
-        return base
-
-    def _pair_power(self, pa: int, pb: int, e: int) -> _Poly:
-        """base(a,b)^e under the census-independent step bounds, cached
-        across the whole enumeration (the census bounds are tighter and
-        get applied by the caller's multiply)."""
-        if e == 1:
-            return self._pair_base(self.types[pa], self.types[pb])
+    def _power(self, pa: int, pb: int, e: int) -> _Poly:
+        """The e-th power of a factor between classes pa and pb, cached
+        across the whole enumeration: with blocks counted per element,
+        pa's out-edge polynomial toward pb; otherwise the counter
+        polynomial of one unordered pair, a monomial per satisfying
+        2-table."""
         key = (pa, pb, e)
-        try:
-            return self._pow_cache[key]
-        except KeyError:
-            pass
-        base = self._pair_base(self.types[pa], self.types[pb])
-        out = _poly_pow(base, e, self.dims, lambda _: self._steps)
-        self._pow_cache[key] = out
-        return out
+        if key not in self._pow_cache:
+            a, b = self.types[pa], self.types[pb]
+            if self._per_element:
+                base = self._out_poly(a, b)
+            else:
+                base = {}
+                for v in self.cells.pair_vs[(a, b)]:
+                    k = self._key(self.cells.b_slots, v)
+                    base[k] = base.get(k, 0) + self.fold.of_table(v)
+            self._pow_cache[key] = _poly_pow(base, e, self._caps)
+        return self._pow_cache[key]
 
     def _weighted_nij(self, a: int, b: int):
-        try:
-            return self._wnij_cache[(a, b)]
-        except KeyError:
-            pass
-        if self.fold.table_weight is None:
-            value = self.cells.n_ij[(a, b)]
-        else:
-            value = sum(self.fold.of_table(v) for v in self.cells.pair_vs[(a, b)])
-        self._wnij_cache[(a, b)] = value
-        return value
+        if (a, b) not in self._wnij_cache:
+            self._wnij_cache[(a, b)] = (
+                self.cells.n_ij[(a, b)] if self.fold.table_weight is None
+                else sum(self.fold.of_table(v) for v in self.cells.pair_vs[(a, b)]))
+        return self._wnij_cache[(a, b)]
 
     # -- k-vector enumeration ---------------------------------------------------
 
-    def _k_table(self, occupied: Sequence[tuple[int, int]], bounds) -> _Poly:
+    def _k_table(self, occupied: Sequence[tuple[int, int]]) -> _Poly:
         """One census contribution; ``occupied`` pairs a position into
-        self.types with a positive element count.  The counters start at
-        the sum of the type keys; the pairs only raise them, so a tie
-        counter can only climb back up to zero."""
+        self.types with a positive element count."""
         coef = math.factorial(self.n)
         weight = 1
         for pos, count in occupied:
@@ -398,6 +371,23 @@ class ProfileEvaluator:
         coef = coef * weight
         if coef == 0:
             return {}
+        caps = self._census_caps
+        if self._per_element:
+            # per element: its out-edges toward every other element
+            poly: _Poly = {(0,) * self.dims: coef}
+            for pa, ca in occupied:
+                edges: _Poly = {(0,) * self._width: 1}
+                for pb, cb in occupied:
+                    e = cb - (pa == pb)
+                    if e:
+                        edges = _poly_mul(edges, self._power(pa, pb, e), self._caps)
+                row = self._element_row(pa, edges)
+                if not row:
+                    return {}
+                poly = _poly_mul(poly, _poly_pow(row, ca, caps), caps)
+            return poly
+        # per pair: the counters start at the sum of the type keys; the
+        # pairs only raise them, so a tie counter can only climb up to zero
         start = tuple(sum(c * self._type_keys[pos][d] for pos, c in occupied)
                       for d in range(self.dims))
         if any(s > 0 for s in start[len(self.key_names):]):
@@ -414,61 +404,54 @@ class ProfileEvaluator:
                         return {}
                     value = value * w ** e
             return {start: value}
-        poly: _Poly = {start: coef}
+        poly = {start: coef}
         for ia, (pa, ca) in enumerate(occupied):
             for pb, cb in occupied[ia:]:
                 e = pair_exponent(ca, cb, pa == pb)
                 if not e:
                     continue
-                poly = _poly_mul(poly, self._pair_power(pa, pb, e), bounds)
+                poly = _poly_mul(poly, self._power(pa, pb, e), caps)
                 if not poly:
                     return {}
         return poly
 
     def _enumerate_table(self) -> _Poly:
         table: _Poly = {}
-        bounds = self._window(self.n)
         for combo in combinations_with_replacement(range(len(self.types)), self.n):
             occupied = [(pos, len(tuple(group))) for pos, group in groupby(combo)]
-            for key, val in self._k_table(occupied, bounds).items():
+            for key, val in self._k_table(occupied).items():
                 table[key] = table.get(key, 0) + val
-        return self._project(table)
+        return self._project(table, [(0, True)] * (self.dims - len(self.key_names)))
 
     # -- collapsed power ----------------------------------------------------------
 
     def _collapsed_table(self) -> _Poly:
-        """The n-th power of the per-element polynomial: each element's
-        type key times the (n-1)-th power of its out-edge polynomial."""
-        cells, n = self.cells, self.n
-        out_slots = [(p, "xy") for p in cells.signature.binary_predicates()]
-        level1 = self._window(1)
+        """The n-th power of the per-element polynomial: the weighted sum
+        over the classes of one element's row with the (n-1)-th power of
+        its out-edge polynomial."""
         edge_pow_cache: dict[tuple, _Poly] = {}
         per_element: _Poly = {}
-        for t, a_t, t_key in zip(self.types, self._weights, self._type_keys):
-            g: _Poly = {}
-            for w in cells.out_options[t]:
-                key = self._key(out_slots, w)
-                g[key] = g.get(key, 0) + self.fold.of_out(w)
+        for pos, t in enumerate(self.types):
+            g = self._out_poly(t, t)
             gsig = tuple(sorted(g.items()))
             if gsig not in edge_pow_cache:
-                edge_pow_cache[gsig] = _poly_pow(g, n - 1, self.dims,
-                                                 lambda _: self._steps)
-            for key, val in _poly_mul({t_key: a_t}, edge_pow_cache[gsig],
-                                      level1).items():
-                per_element[key] = per_element.get(key, 0) + val
-        return self._project(_poly_pow(per_element, n, self.dims, self._window))
+                edge_pow_cache[gsig] = _poly_pow(g, self.n - 1, self._caps)
+            for key, val in self._element_row(pos, edge_pow_cache[gsig]).items():
+                per_element[key] = per_element.get(key, 0) + val * self._weights[pos]
+        return _poly_pow(per_element, self.n, self._census_caps)
 
     # -- public ---------------------------------------------------------------
 
     def table(self) -> _Poly:
-        """The collapsed power runs whenever the matrix allows it, except
-        when tracked unary cards are the only counters and the censuses
-        are few: then enumeration's integer powers are cheaper than a
-        power of a polynomial in the unary counters."""
+        """The collapsed power runs whenever the matrix allows it and no
+        block carries a tie counter, except when tracked unary cards are
+        the only counters and the censuses are few: then enumeration's
+        integer powers are cheaper than a power of a polynomial in the
+        unary counters."""
         if not self.types:
             return {}
-        use_collapsed = self.cells.cross_independent and not (
-            0 < self.n_unary == self.dims
+        use_collapsed = self.cells.cross_independent and not self._ties and not (
+            0 < self.n_unary == self._width
             and math.comb(self.n + len(self.types) - 1, len(self.types) - 1) <= 20000)
         raw = self._collapsed_table() if use_collapsed else self._enumerate_table()
         if self.divisor_scale != 1:
@@ -504,33 +487,47 @@ class Solver:
     across domain sizes, so benchmarks amortize the table sweep."""
 
     def __init__(self, problem: Problem | NormalizedProblem):
-        norm = normalize(problem) if isinstance(problem, Problem) else problem
+        if isinstance(problem, NormalizedProblem) and not problem.successors:
+            norm = problem
+        else:
+            norm = normalize(getattr(problem, "source", problem), successors=False)
         cells = build_cells(norm.signature, norm.matrix)
-        # a block the matrix does not pin is exact only with its sign
-        # predicate: re-encode and rebuild (freeing the first tables)
-        unpinned = {b.index for b in norm.blocks
-                    if b.sign is None and not block_pinned(cells, b)}
-        if unpinned:
+        if norm.blocks and not cells.directed:
+            # successors cannot be counted per element: fall back to the
+            # successor encoding, with a sign predicate on each block the
+            # matrix does not pin, and rebuild (freeing the first tables)
+            unpinned = {b.index for b in norm.blocks if not block_pinned(cells, b)}
             del cells
-            signed = unpinned | {b.index for b in norm.blocks if b.sign}
-            norm = normalize(norm.source, signed)
+            norm = normalize(norm.source, unpinned)
             cells = build_cells(norm.signature, norm.matrix)
         self.norm = norm
         self.cells = cells
 
+    def _unpinned(self) -> set[int]:
+        if self.norm.successors:
+            return {b.index for b in self.norm.blocks if b.sign}
+        return {b.index for b in self.norm.blocks if not block_pinned(self.cells, b)}
+
     @property
     def pinned(self) -> bool:
-        """True when the matrix pins every counting block, so none needed
-        a sign predicate."""
-        return all(b.sign is None for b in self.norm.blocks)
+        """True when the matrix pins every counting block, so the successor
+        encoding needs no sign predicate."""
+        return not self._unpinned()
+
+    def successor_encoding(self) -> NormalizedProblem:
+        """The problem in the source paper's successor encoding, with a
+        sign predicate on each block the matrix does not pin."""
+        if not self.norm.blocks or self.norm.successors:
+            return self.norm
+        return normalize(self.norm.source, self._unpinned())
 
     # -- profile tables -------------------------------------------------------
 
     def profile_table(self, n: int, tracked: Sequence[str] = (),
                       fold: WeightFold = IDENTITY_FOLD) -> tuple[tuple[str, ...], _Poly]:
         """Profile table keyed by the tracked predicate cardinalities,
-        with all counting-block machinery (ties, divisor) already
-        applied.  Returns (key names, table)."""
+        with every counting block already enforced.  Returns (key names,
+        table)."""
         ev = ProfileEvaluator(self.norm, self.cells, n, tracked, fold)
         return ev.key_names, ev.table()
 

@@ -3,17 +3,23 @@
 The pipeline: single-variable counting quantifiers become cardinality
 constraints on fresh unary predicates; remaining at-most/at-least
 counting quantifiers are expanded into exact ones; each two-variable
-``exactly-m`` occurrence is encoded with a fresh unary predicate A, m
-fresh binary successor predicates and their axioms; the result is brought
-to Scott normal form (one universal matrix plus forall-exists conjuncts),
+``exactly-m`` occurrence becomes a block: a fresh unary predicate A
+standing for the occurrence, its guard and m; the result is brought to
+Scott normal form (one universal matrix plus forall-exists conjuncts),
 and finally each exists-conjunct is folded into the matrix through a
 fresh sign predicate that drives the inclusion-exclusion sign.
 
-The block axioms only make A a subset of the exactly-m set E.  Where the
-matrix does not pin A = E (by forcing every guard edge to start in A),
-``signed`` gives the block a sign predicate S with S(x) -> A(x) and the
-occurrence A(w) & !S(w): summing (-1)^|S| over S within A and A within E
-leaves exactly the term A = E, so the count is exact in every position.
+With ``successors=False`` a block gets no axioms: A means "exactly m
+guard successors", which the engine enforces per element on matrices
+whose 2-tables factor per direction.  Otherwise (the default, and the
+engine's fallback for every other matrix) the block uses the source
+paper's successor encoding: m fresh binary predicates f_j with axioms
+that make A a subset of the exactly-m set E, a 1/m! divisor per
+A-element and ties |f_j| = |A|.  Where the matrix does not pin A = E (by
+forcing every guard edge to start in A), ``signed`` gives the block a
+sign predicate S with S(x) -> A(x) and the occurrence A(w) & !S(w):
+summing (-1)^|S| over S within A and A within E leaves exactly the term
+A = E, so the count is exact in every position.
 """
 
 from __future__ import annotations
@@ -73,8 +79,11 @@ class NameAllocator:
 
 @dataclass(frozen=True)
 class CountingBlock:
-    """The encoding of one ``exactly-m successors`` occurrence; ``sign``
-    is the block's inclusion-exclusion sign predicate, if it has one."""
+    """One ``exactly-m successors`` occurrence: A(x) holds exactly when
+    x has m guard successors.  ``f_preds`` are its successor predicates
+    in the successor encoding (empty when the engine counts successors
+    per element), and ``sign`` its inclusion-exclusion sign predicate,
+    if it has one."""
 
     index: int
     guard: str
@@ -100,6 +109,11 @@ class NormalizedProblem:
     constraint: CardConstraint = CARD_TRUE
     symmetric_weights: dict = field(default_factory=dict)
     profile_weight: object = None
+
+    @property
+    def successors(self) -> bool:
+        """True when the counting blocks use the successor encoding."""
+        return any(b.f_preds for b in self.blocks)
 
     def tie_constraint(self) -> CardConstraint:
         """The induced |f_ij| = |A_i| ties of all counting blocks."""
@@ -198,13 +212,13 @@ def expand_counting_sugar(formula: Formula) -> Formula:
 
 
 def encode_counting(sentence: Formula, alloc: NameAllocator,
-                    signed: Collection[int] = ()
+                    signed: Collection[int] = (), successors: bool = True
                     ) -> tuple[Formula, tuple[CountingBlock, ...]]:
-    """Replace every ``exists{=m} v body(w,v)`` occurrence with A_i(w) and
-    conjoin the block axioms; a block whose index is in ``signed`` gets a
-    sign predicate S_i, the axiom S_i(x) -> A_i(x) and the occurrence
-    A_i(w) & !S_i(w).  The axioms use the canonical orientation (w
-    renamed to x, v to y)."""
+    """Replace every ``exists{=m} v body(w,v)`` occurrence with A_i(w) and,
+    with ``successors``, conjoin the successor-encoding axioms; a block
+    whose index is in ``signed`` gets a sign predicate S_i, the axiom
+    S_i(x) -> A_i(x) and the occurrence A_i(w) & !S_i(w).  The axioms use
+    the canonical orientation (w renamed to x, v to y)."""
     blocks: list[CountingBlock] = []
     axioms: list[Formula] = []
 
@@ -241,6 +255,9 @@ def encode_counting(sentence: Formula, alloc: NameAllocator,
                 axioms.append(Forall("x", Forall("y", Iff(
                     Atom(guard, ("x", "y")), substitute(body, canon)))))
             a = alloc.fresh_a()
+            if not successors:
+                blocks.append(CountingBlock(index, guard, f.count, a, ()))
+                return Atom(a, (w,))
             fs = alloc.fresh_fs(index, f.count)
             sign = alloc.fresh_sign() if index in signed else None
             blocks.append(CountingBlock(index, guard, f.count, a, fs, sign))
@@ -451,17 +468,19 @@ def eliminate_existentials(matrix: list[Formula], psis: list[Formula],
 # Full pipeline
 
 
-def normalize(problem: Problem, signed: Collection[int] = ()
-              ) -> NormalizedProblem:
-    """Normalize a problem; the counting blocks whose indices are in
-    ``signed`` get an inclusion-exclusion sign predicate."""
+def normalize(problem: Problem, signed: Collection[int] = (),
+              successors: bool = True) -> NormalizedProblem:
+    """Normalize a problem: counting blocks in the successor encoding, or
+    bare (A, guard, m) blocks when ``successors`` is false; the successor
+    encoded blocks whose indices are in ``signed`` get an
+    inclusion-exclusion sign predicate."""
     signature = problem.signature.copy()
     alloc = NameAllocator(signature)
     sentence, single_constraints, definitions = extract_single_var_counting(
         problem.sentence, alloc)
     sentence = conjoin([sentence, *definitions])
     sentence = expand_counting_sugar(sentence)
-    sentence, blocks = encode_counting(sentence, alloc, signed)
+    sentence, blocks = encode_counting(sentence, alloc, signed, successors)
     matrix, psis = to_scott(sentence, alloc)
     matrix, signs = eliminate_existentials(matrix, psis, alloc)
     signs = tuple(b.sign for b in blocks if b.sign) + signs

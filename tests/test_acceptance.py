@@ -158,7 +158,8 @@ def test_criterion_8_scaling():
 def test_criterion_9_integrality_and_sign():
     """Across 200 seeded random small-signature problems, every count is
     a non-negative integer and every counting-quantifier division is
-    exact (Solver.count raises otherwise)."""
+    exact (Solver.count raises otherwise), within 10 s."""
+    start = time.monotonic()
     failures = []
     for seed in range(200):
         problem = random_problem(seed)
@@ -172,5 +173,7 @@ def test_criterion_9_integrality_and_sign():
             if not isinstance(value, int) or value < 0:
                 failures.append((seed, n, value))
     assert not failures, failures[:5]
+    elapsed = time.monotonic() - start
+    assert elapsed < 10, f"200 seeds took {elapsed:.1f} s"
     report(9, "200 seeded random problems at n <= 4: all counts are "
-              "non-negative integers, all divisions exact")
+              f"non-negative integers, all divisions exact ({elapsed:.1f} s)")

@@ -176,33 +176,41 @@ def reference_cells(signature, matrix):
     independent = all(seen[i].setdefault(out_mask[v], r[v]) == r[v]
                       for i in valid for r in {rows[(i, j)] for j in valid}
                       for v in range(1 << b))
-    out_options = {}
-    if independent:
-        out_options = {i: tuple(sorted(w for w, m in seen[i].items() if m)) for i in valid}
 
-    # types are interchangeable when their oriented 2-table sets (the type
-    # on the x side) agree against every partner, and so do their
-    # out-options
+    # the 2-tables of a pair with the type t on the x side, and the
+    # out-masks t sends to p in them; the matrix is directed when every
+    # pair allows each combination of what its two sides send
     def oriented(t, p):
         return frozenset(v for v in range(1 << b)
                          if rows[(t, p)][v] and rows[(p, t)][swap[v]])
 
+    sends = {(t, p): tuple(sorted({out_mask[v] for v in oriented(t, p)}))
+             for t in valid for p in valid}
+    directed = all(oriented(t, p) == {v for v in range(1 << b)
+                                      if out_mask[v] in sends[(t, p)]
+                                      and out_mask[swap[v]] in sends[(p, t)]}
+                   for t in valid for p in valid)
+    out_options = sends if directed else {}
+
+    # types are interchangeable when their oriented 2-table sets agree
+    # against every partner
     classes = {}
     for t in valid:
-        row = tuple(oriented(t, p) for p in valid)
-        classes.setdefault((row, out_options.get(t)), []).append(t)
+        classes.setdefault(tuple(oriented(t, p) for p in valid), []).append(t)
     classes = [tuple(members) for members in classes.values()]
-    return valid, pair_vs, independent, out_options, classes
+    return valid, pair_vs, independent, directed, out_options, classes
 
 
 def assert_matches_reference(signature, matrix):
     cells = build_cells(signature, matrix)
-    valid, pair_vs, independent, out_options, classes = reference_cells(signature, matrix)
+    valid, pair_vs, independent, directed, out_options, classes = \
+        reference_cells(signature, matrix)
     assert cells.valid == valid
     assert list(cells.pair_vs.items()) == list(pair_vs.items())
     assert cells.n_ij == {key: len(vs) for key, vs in pair_vs.items()}
     assert list(cells.n_ij) == list(pair_vs)
     assert cells.cross_independent == independent
+    assert cells.directed == directed
     assert cells.out_options == out_options
     assert cells.classes == classes
 
@@ -215,7 +223,8 @@ def test_mask_sweep_matches_reference_on_corpus(entry):
 
 def test_mask_sweep_matches_reference_with_block_signs():
     norm = Solver(parse_problem("predicate B/1\npredicate R/2\n"
-                                "forall x (B(x) -> exists{=2} y R(x,y))")).norm
+                                "forall x (B(x) -> exists{=2} y R(x,y))")
+                  ).successor_encoding()
     assert norm.blocks[0].sign
     assert_matches_reference(norm.signature, norm.matrix)
 
@@ -244,9 +253,9 @@ CORPUS = {entry.name: entry for entry in load_corpus()}
 
 @pytest.mark.parametrize("text,types,classes", [
     (RUNNING_EXAMPLE, 4, 2),
-    (CORPUS["count_disj"].text, 11, 5),
-    (CORPUS["two_blocks"].text, 33, 10),
-    ("exists x exists{=2} y R(x,y)", 36, 14),
+    (CORPUS["count_disj"].text, 3, 2),
+    (CORPUS["two_blocks"].text, 6, 2),
+    ("exists x exists{=2} y R(x,y)", 6, 3),
 ], ids=("running", "count_disj", "two_blocks", "exists_exists2"))
 def test_class_counts(text, types, classes):
     cells = Solver(parse_problem(text)).cells

@@ -160,6 +160,15 @@ def test_exit_code_unsupported():
     assert code == 2 and "unsupported" in err
 
 
+def test_exit_code_unsupported_successor_encoding():
+    """Exactly 7 successors along a guard that couples both directions
+    falls back to the successor encoding, which needs too many table
+    bits: a refusal, not a count."""
+    code, out, err = invoke("count", "-n", "8", "-e",
+                            "forall x exists{=7} y (R(x,y) & R(y,x))")
+    assert code == 2 and out == "" and "table bits" in err
+
+
 def test_exit_code_oracle_cap():
     code, _, err = invoke("oracle", "-n", "6", "-e", "forall x exists y R(x,y)")
     assert code == 2 and "cap" in err

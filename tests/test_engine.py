@@ -1,9 +1,9 @@
 import math
 
 import pytest
-from fractions import Fraction
 
 from fo2mc.cells import build_cells
+from fo2mc.corpus import load_corpus
 from fo2mc.engine import (IDENTITY_FOLD, ProfileEvaluator, Solver, compositions,
                           fomc_universal, symmetric_fold, universal_term,
                           witness_deficit_counts)
@@ -186,13 +186,17 @@ def test_blocks_are_pinned_on_supported_shapes():
 
 
 def test_unpinned_pattern_matches_oracle():
-    """An escapable counting context is not pinned by the matrix; its
-    block gets a sign predicate and the count is exact."""
+    """An escapable counting context is not pinned by the matrix.  Its
+    matrix is directed, so the block is counted per element, with no
+    successor predicates and no sign, and the count is exact; its
+    successor encoding would need a sign predicate."""
     p = parse_problem("predicate B/1\npredicate R/2\n"
                       "forall x (B(x) | exists{=1} y R(x,y))")
     s = Solver(p)
     assert not s.pinned
-    assert s.norm.blocks[0].sign == s.norm.sign_preds[0]
+    assert s.cells.directed and not s.norm.successors and not s.norm.sign_preds
+    encoded = s.successor_encoding()
+    assert encoded.blocks[0].sign == encoded.sign_preds[0]
     for n in (1, 2, 3):
         assert s.count(n) == oracle_count(p.signature, p.sentence, n).total
 
@@ -241,17 +245,13 @@ def test_stratified_census_identity():
 def collapse_both_ways(text, n, tracked=(), fold=None):
     """Both evaluation paths' tables, with ``fold``, a map of symmetric
     weights, folded into the cells."""
-    norm = normalize(parse_problem(text))
-    cells = build_cells(norm.signature, norm.matrix)
-    ev = ProfileEvaluator(norm, cells, n, tracked,
+    solver = Solver(parse_problem(text))
+    cells = solver.cells
+    ev = ProfileEvaluator(solver.norm, cells, n, tracked,
                           symmetric_fold(cells, fold) if fold else IDENTITY_FOLD)
     if not cells.cross_independent:
         return None
-    enum = ev._enumerate_table()
-    collapsed = ev._collapsed_table()
-    scale = Fraction(1, ev.divisor_scale ** n)
-    return ({k: v * scale for k, v in enum.items()},
-            {k: v * scale for k, v in collapsed.items()})
+    return ev._enumerate_table(), ev._collapsed_table()
 
 
 @pytest.mark.parametrize("text,tracked", [
@@ -295,6 +295,19 @@ def test_path_choice(monkeypatch):
     for text in ("forall x exists y R(x,y)", "forall x (A(x) -> !B(x))",
                  "forall x (A(x) -> exists y R(x,y))", ZERO_OR_TWO_EXAMPLE):
         assert path_of(text, 2)[0] == "_collapsed_table"
+    # the counting blocks collapse with only the tracked counters: no tie
+    # counter reaches the n-th power
+    evaluators = []
+    table = ProfileEvaluator.table
+    monkeypatch.setattr(ProfileEvaluator, "table",
+                        lambda self: evaluators.append(self) or table(self))
+    corpus = {entry.name: entry for entry in load_corpus()}
+    for name in ("count_eq1", "count_eq2", "count_disj", "count_le1",
+                 "count_le_sugar", "mixed_exists_eq1", "weighted_eq1", "two_exists"):
+        for tracked in ((), ("R",)):
+            evaluators.clear()
+            assert path_of(corpus[name].text, 3, tracked)[0] == "_collapsed_table"
+            assert [ev.dims for ev in evaluators] == [len(tracked)]
     coins = "predicate H/1\nforall x (H(x) | !H(x))"
     path, result = path_of(coins, 4, ("H",))
     assert path == "_enumerate_table"

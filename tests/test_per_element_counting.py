@@ -1,0 +1,135 @@
+"""Counting blocks on directed matrices are counted per element, with no
+successor predicates, tie counter or divisor; blocks on any other matrix
+fall back to the successor encoding."""
+
+import math
+import time
+
+import pytest
+
+import fo2mc.engine
+from fo2mc.cells import build_cells
+from fo2mc.corpus import load_corpus
+from fo2mc.engine import Solver, block_pinned
+from fo2mc.normalize import normalize
+from fo2mc.oracle import oracle_count
+from fo2mc.parser import parse_problem
+
+from conftest import random_problem
+
+CORPUS = {entry.name: entry for entry in load_corpus()}
+
+#: blocks whose guard couples the two directions of a pair
+NOT_DIRECTED = ("forall x exists{=1} y (R(x,y) & R(y,x))",
+                "forall x exists{=1} y R(y,x)",
+                "forall x !exists{=1} y (R(x,y) & R(y,x))")
+
+
+def timed_count(solver, n):
+    start = time.monotonic()
+    value = solver.count(n)
+    return value, time.monotonic() - start
+
+
+# -- closed forms ---------------------------------------------------------------
+
+
+def test_count_guard_closed_form():
+    solver = Solver(CORPUS["count_guard"].problem())
+    assert solver.cells.directed and not solver.cells.cross_independent
+
+    def closed(n):
+        return sum(math.comb(n, a) * (a * 2 ** (n - a)) ** n for a in range(n + 1))
+    assert [solver.count(n) for n in range(1, 6)] == [closed(n) for n in range(1, 6)]
+    value, seconds = timed_count(solver, 40)
+    assert value == closed(40) and seconds < 1
+
+
+def test_two_blocks_closed_form_at_40():
+    value, seconds = timed_count(Solver(CORPUS["two_blocks"].problem()), 40)
+    assert value == (40 * (1 + math.comb(40, 2))) ** 40 and seconds < 1
+
+
+@pytest.mark.parametrize("m,sizes", [(2, range(1, 8)), (3, range(1, 7)),
+                                     (12, (1, 11, 12, 13, 14))])
+def test_exactly_m_successors(m, sizes):
+    """Each element picks m of n successors: C(n, m)^n models.  At m = 12
+    the successor encoding would need 78 table bits."""
+    solver = Solver(parse_problem(f"forall x exists{{={m}}} y R(x,y)"))
+    assert not solver.norm.successors
+    assert [solver.count(n) for n in sizes] == [math.comb(n, m) ** n for n in sizes]
+
+
+def test_random_seed_127_is_fast():
+    """Seed 127's block sits on a directed matrix that does not factor per
+    element, so it enumerates censuses without a tie counter."""
+    value, seconds = timed_count(Solver(random_problem(127)), 4)
+    assert value >= 0 and seconds < 0.5
+
+
+# -- the fallback -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("text", NOT_DIRECTED)
+def test_not_directed_blocks_use_successor_encoding(text):
+    p = parse_problem(text)
+    solver = Solver(p)
+    assert not solver.cells.directed
+    assert solver.norm.successors
+    assert solver.norm.blocks[0].f_preds
+    for n in (1, 2, 3):
+        assert solver.count(n) == oracle_count(p.signature, p.sentence, n).total
+
+
+def test_unpinned_fallback_is_signed():
+    solver = Solver(parse_problem(NOT_DIRECTED[2]))
+    assert not solver.pinned and solver.norm.blocks[0].sign
+
+
+@pytest.mark.parametrize("text,builds", [
+    ("forall x forall y R(x,y)", 1),
+    ("forall x exists{=2} y R(x,y)", 1),
+    (NOT_DIRECTED[0], 2),
+    (NOT_DIRECTED[2], 2),
+])
+def test_cells_built_at_most_twice(monkeypatch, text, builds):
+    """Directedness and pinnedness come from the one build without block
+    axioms; only the fallback builds the successor encoding."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return build_cells(*args)
+    monkeypatch.setattr(fo2mc.engine, "build_cells", counted)
+    Solver(parse_problem(text)).count(3)
+    assert len(calls) == builds
+
+
+def decision_problems():
+    yield from (entry.problem() for entry in load_corpus())
+    yield from (random_problem(seed) for seed in range(200))
+    for shape in ("forall x (A(x) | exists{=1} y R(x,y))",
+                  "forall x !(exists{=1} y R(x,y))",
+                  "forall x (A(x) <-> exists{=1} y R(x,y))",
+                  "forall x (A(x) -> exists{=1} y R(x,y))", *NOT_DIRECTED):
+        for m in (1, 2):
+            yield parse_problem("predicate A/1\npredicate R/2\n"
+                                + shape.replace("{=1}", f"{{={m}}}"))
+
+
+def test_block_free_build_decides_like_the_successor_encoding():
+    """The block axioms change neither directedness nor pinnedness, so the
+    build without them decides the path and the signs of the fallback."""
+    checked = 0
+    for problem in decision_problems():
+        bare = normalize(problem, successors=False)
+        if not bare.blocks:
+            continue
+        encoded = normalize(problem)
+        cells = build_cells(bare.signature, bare.matrix)
+        full = build_cells(encoded.signature, encoded.matrix)
+        assert cells.directed == full.directed
+        assert [block_pinned(cells, b) for b in bare.blocks] == \
+            [block_pinned(full, b) for b in encoded.blocks]
+        checked += 1
+    assert checked > 100
