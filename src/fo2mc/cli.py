@@ -148,10 +148,13 @@ def _run_count(args, out, err) -> int:
     problem = _load_problem(args)
     sizes = _count_sizes(args)
     solver = Solver(problem)
+    tracked = args.track.split(",") if args.track else []
+    for pred in tracked:
+        if pred not in solver.norm.signature:
+            raise SemanticError(f"cannot track undeclared predicate {pred}")
     _maybe_dumps(args, solver, out, err)
     if args.format == "csv":
         out.write("n,count\n")
-    tracked = args.track.split(",") if args.track else []
     for n in sizes:
         start = time.monotonic()
         if args.profiles:

@@ -3,55 +3,45 @@
 Two evaluation strategies compute the same profile sums:
 
 * k-vector enumeration: iterate the censuses of domain elements over the
-  valid 1-types; each census contributes its multinomial coefficient,
-  the inclusion-exclusion sign and a product of per-pair factors (plain
-  powers of n_ij, or sparse counter polynomials).
+  valid 1-types; each census contributes its multinomial coefficient
+  and a product of per-class weights and per-pair factors.
 
 * collapsed power: when every cross condition of the matrix depends only
   on the source 1-type and the outgoing edge bits, the sum over censuses
   factorizes into the n-th power of a single per-element polynomial.
 
-Both paths share one counter layout, a map from each predicate to the
-counters its true atoms raise: one per tracked predicate (unary ones
-first), then one per counting block.  A 1-type, a 2-table and an
-out-edge mask are each keyed by the sum over their true atoms, so the
-counter polynomials are generating functions in the sense of Kuzelka,
-"Weighted First-Order Model Counting in the Two-Variable Fragment With
-Counting Quantifiers" (JAIR 2021).  Counters are clamped where their
-value stops mattering.
+Both share one counter layout: a counter per tracked predicate (unary
+ones first), then one per counting block, raised by the true atoms of
+each 1-type, 2-table and out-edge mask, so every factor is a generating
+function in the counters (Kuzelka, JAIR 2021).  A census fixes the
+tracked unary cards, so enumeration keeps them as census keys; every
+other counter is a digit range of one Python integer (Kronecker
+substitution, ``_Layout``), with the digit width B proved in
+``_digit_bits``.  A tracked card bounded by a top-level conjunct
+|P| = c, |P| <= c or |P| < c of the constraint, and a tie counter past
+its target, lose their digits above the cap after every product.
+Weights are scaled to integers, and the scale is divided out of each
+decoded row once.
 
 On a directed matrix (see ``cells``) each element picks its out-edges
 independently of the others, given the census, so a block
-``A(x) <-> exists{=m} y G(x,y)`` constrains each element alone.  Its
-counter is the element's guard degree z.  An element of class i
-contributes its type key times prod_j g_ij^(k_j - [i = j]), g_ij being
-the polynomial of the out-edges i may send to j (van Bremen and
-Kuzelka's cell-graph pair factors, split by direction); an A-element
-keeps the rows with z = m, any other element the rest, and z is dropped
-before the census product.  The collapsed power is the case where g_ij
-does not depend on j.  On any other matrix ``Solver`` falls back to the
-successor encoding (see ``normalize``), which always enumerates: the
-block counter is the tie counter sum_j |f_j| - m|A|, which a census
-starts at the sum of its type keys and its pairs raise back to zero,
-and each block's 1/m! divisor is folded in per element.
+``A(x) <-> exists{=m} y G(x,y)`` constrains each element alone through
+its guard degree z.  An element of class i contributes its class weight
+times prod_j g_ij^(k_j - [i = j]), g_ij being the polynomial of the
+out-edges i may send to j (van Bremen and Kuzelka's cell-graph pair
+factors, split by direction); an A-element keeps digit m of z, any
+other element its row at z = 1 minus that digit.  The collapsed power is
+the case where g_ij does not depend on j.  On any other matrix
+``Solver`` falls back to the successor encoding (see ``normalize``),
+which always enumerates, with the tie counter sum_j |f_j| + m |not A|
+(target m * n) and a 1/m! divisor per block.
 
-Both paths read the valid types merged into classes: ``build_cells``
-groups the types that allow the same 2-tables against every partner,
-and the evaluator splits each group by type key and block membership,
-keeps one representative per class and gives it the sum of its members'
-weights (signs, folded weights and block divisors included), dropping
-classes whose sum is zero.  Every census term then depends only on the
-class counts, and summing a class's splits among its members is the
-multinomial expansion of that summed weight, so the count is unchanged.
-
-Enumeration runs when the matrix does not factorize, or when tracked
-unary cards are the only counters and there are at most 20,000
-censuses over the classes; otherwise the collapsed power does.
-
-``Solver`` is the one entry point: it builds the cell tables once per
-problem (twice for the fallback), and its ``count``, ``weighted_total``
-and ``breakdown`` read the same profile rows, filtered once by the
-cardinality constraint.
+Both read the valid types merged into classes (see ``cells`` and
+``ProfileEvaluator``).  Enumeration runs when the matrix does not
+factorize, or when tracked unary cards are the only counters and there
+are at most 20,000 censuses over the classes.  ``Solver`` is the one
+entry point; its ``count``, ``weighted_total`` and ``breakdown`` read
+the same profile rows, filtered once by the cardinality constraint.
 """
 
 from __future__ import annotations
@@ -64,40 +54,131 @@ from typing import Iterator, Mapping, Sequence
 
 from .cells import CellStructure, build_cells
 from .errors import InternalConsistencyError, SemanticError
-from .logic import (CARD_TRUE, CardConstraint, constraint_predicates,
-                    slot_bit)
+from .logic import (CARD_TRUE, CardAnd, CardCompare, CardConstraint,
+                    constraint_predicates, slot_bit)
 from .normalize import CountingBlock, NormalizedProblem, normalize
 from .parser import Problem
 
 
+#: symmetric (true, false) literal weights per predicate, (1, 1) if absent
+Weights = Mapping[str, tuple[Fraction, Fraction]]
+
+
 # ---------------------------------------------------------------------------
-# sparse polynomials over counter vectors
-
-_Poly = dict  # tuple[int, ...] -> int | Fraction
+# packed counter polynomials
 
 
-def _poly_mul(p: _Poly, q: _Poly, caps) -> _Poly:
-    """p * q with every counter clamped at its cap: a counter that passes
-    its cap keeps only the fact that it did."""
-    out: _Poly = {}
-    get = out.get
-    for ka, va in p.items():
-        for kb, vb in q.items():
-            key = tuple(map(min, map(int.__add__, ka, kb), caps))
-            out[key] = get(key, 0) + va * vb
+def _repeat(block: int, run: int, count: int) -> int:
+    """``count`` copies of ``block``, one every ``run`` bits, by doubling."""
+    out = done = 0
+    for bit in bin(count)[2:]:
+        out |= out << run * done
+        done *= 2
+        if bit == "1":
+            out |= block << run * done
+            done += 1
     return out
 
 
-def _poly_pow(base: _Poly, e: int, caps) -> _Poly:
-    """base^e by repeated squaring, clamped like ``_poly_mul``."""
-    result: _Poly = {(0,) * len(caps): 1}
-    while e:
-        if e & 1:
-            result = _poly_mul(result, base, caps)
-        e >>= 1
-        if e:
-            base = _poly_mul(base, base, caps)
-    return result
+def _norm(poly: Sequence[tuple[object, int]]) -> int:
+    """|p|, the sum of the absolute values of the coefficients."""
+    return sum(abs(w) for _, w in poly)
+
+
+def _digit_bits(bound: int) -> int:
+    """Digit width for coefficients of magnitude at most ``bound``: its
+    bit length plus a sign bit, in whole bytes.  The bounds passed in
+    hold because |p q| <= |p| |q|, truncating or extracting digits never
+    raises |p|, and a nonzero integer polynomial has |p| >= 1: a census
+    term is its multinomial times n class weights w_c times one factor
+    per pair of elements (a 2-table polynomial, or two out-edge ones), so
+    every partial product of a term, and every sum of terms, is at most
+    (sum_c |w_c|)^n * G^pairs by the multinomial theorem, for G >= 1
+    bounding every factor, and one element's row at most
+    max_c |w_c| * G^(n-1)."""
+    return (bound.bit_length() + 8) // 8 * 8
+
+
+def _integral(polys: Mapping[object, list]) -> tuple[dict, int]:
+    """Scale lists of (counts, rational weight) to integer weights by
+    their common denominator; returns the scaled lists and the scale."""
+    den = math.lcm(*(Fraction(w).denominator for poly in polys.values()
+                     for _, w in poly))
+    return {k: [(c, int(w * den)) for c, w in poly]
+            for k, poly in polys.items()}, den
+
+
+class _Layout:
+    """Counter polynomials packed into one integer (Harvey, J. Symbolic
+    Computation 2009): the monomial where counter d has value k_d is
+    2^(bits * sum_d k_d * stride_d), a ring map, and coefficients are
+    balanced digits in [-2^(bits-1), 2^(bits-1)), which decode exactly
+    whatever the signs of the intermediate terms.  A counter bounded by
+    (cap, top), the largest value a row keeps and the largest any product
+    reaches, with cap < top is 2 cap + 1 digits wide, room for a product
+    of two truncated factors, and ``mul`` drops its digits above cap
+    (reduction modulo X^(cap+1), a ring map) through a mask on the digits
+    raised by 2^(bits-1), which are all non-negative."""
+
+    def __init__(self, counters: Sequence[int], bounds: Sequence[tuple[int, int]],
+                 bits: int):
+        self.counters = tuple(counters)  # indices into the evaluator's counters
+        self.bits = bits
+        self.caps = [min(cap, top) for cap, top in bounds]
+        self.widths = [top + 1 if cap >= top else 2 * cap + 1 for cap, top in bounds]
+        self.strides = [math.prod(self.widths[:d]) for d in range(len(bounds))]
+        self.size = math.prod(self.widths)
+        self.offset = _repeat(1 << bits - 1, bits, self.size)
+        self._keep = None
+        if any(cap < top for cap, top in bounds):
+            keep = (1 << bits) - 1
+            for cap, s in zip(self.caps, self.strides):
+                keep = _repeat(keep, bits * s, cap + 1)
+            self._keep = (keep, keep & self.offset)
+
+    def mul(self, a: int, b: int) -> int:
+        if self._keep is None:
+            return a * b
+        keep, kept_offset = self._keep
+        return ((a * b + self.offset) & keep) - kept_offset
+
+    def pow(self, a: int, e: int) -> int:
+        if self._keep is None or e < 2:
+            return a ** e
+        half = self.pow(a, e // 2)
+        return self.mul(self.mul(half, half), a if e & 1 else 1)
+
+    def pack(self, poly) -> int:
+        """Pack (counts, coefficient) pairs, counts indexed like the
+        evaluator's counters, dropping the terms above the caps."""
+        total = 0
+        for counts, coef in poly:
+            key = [counts[d] for d in self.counters]
+            if all(map(int.__le__, key, self.caps)):
+                total += coef << self.bits * sum(map(int.__mul__, key, self.strides))
+        return total
+
+    def decode(self, x: int) -> Iterator[tuple[dict[int, int], int]]:
+        """The nonzero (counts, coefficient) pairs of x up to the caps,
+        counts keyed by the evaluator's counters."""
+        width, half = self.bits // 8, 1 << self.bits - 1
+        raw = (x + self.offset).to_bytes(width * self.size, "little")
+        for pos in range(self.size):
+            coef = int.from_bytes(raw[pos * width:(pos + 1) * width], "little") - half
+            key = [pos // s % w for s, w in zip(self.strides, self.widths)]
+            if coef and all(map(int.__le__, key, self.caps)):
+                yield dict(zip(self.counters, key)), coef
+
+    def pick(self, x: int, k: int, hit: bool) -> int:
+        """x at top counter value k if hit, else at top counter 1 minus
+        that, packed without the (untruncated) top counter.  As 2^run is 1
+        modulo 2^run - 1, x there is the sum over the top counter, whose
+        balanced digits keep it between -offset and 2^run - 1 - offset."""
+        run = self.bits * self.strides[-1]
+        ones = (1 << run) - 1
+        offset = self.offset & ones
+        digit = ((x + self.offset) >> run * k & ones) - offset if k <= self.caps[-1] else 0
+        return digit if hit else (x + offset) % ones - offset - digit
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -119,67 +200,6 @@ def pair_exponent(ka: int, kb: int, same: bool) -> int:
     """k(i,j): unordered element pairs across (or within) two census
     classes."""
     return ka * (ka - 1) // 2 if same else ka * kb
-
-
-# ---------------------------------------------------------------------------
-# weight folds (symmetric weights enter through the cell values)
-
-
-@dataclass
-class WeightFold:
-    """Per-1-type, per-2-table and per-directed-edge multiplicative
-    weights; ``None`` components mean weight 1 and keep arithmetic
-    integral."""
-
-    type_weight: Mapping[int, Fraction] | None = None
-    table_weight: Mapping[int, Fraction] | None = None
-    out_weight: Mapping[int, Fraction] | None = None
-
-    def of_type(self, t: int):
-        return 1 if self.type_weight is None else self.type_weight[t]
-
-    def of_table(self, v: int):
-        return 1 if self.table_weight is None else self.table_weight[v]
-
-    def of_out(self, w: int):
-        return 1 if self.out_weight is None else self.out_weight[w]
-
-
-IDENTITY_FOLD = WeightFold()
-
-
-def symmetric_fold(cells: CellStructure,
-                   weights: Mapping[str, tuple[Fraction, Fraction]]) -> WeightFold:
-    """Fold per-literal symmetric weights into the cells: each 1-type
-    carries the weights of the atoms it fixes per element, each 2-table
-    the weights of the two directed atoms per pair, and each directed
-    edge the weights of its own atoms only (so nothing is counted twice).
-    Predicates without a declared weight stay at (1, 1)."""
-    def w(pred, bit):
-        w1, w0 = weights.get(pred, (Fraction(1), Fraction(1)))
-        return Fraction(w1) if bit else Fraction(w0)
-
-    type_weight = {}
-    for t in range(1 << cells.u):
-        value = Fraction(1)
-        for slot, (pred, _) in enumerate(cells.u_slots):
-            value *= w(pred, slot_bit(t, slot, cells.u))
-        type_weight[t] = value
-    table_weight = {}
-    for v in range(1 << cells.b):
-        value = Fraction(1)
-        for slot, (pred, _) in enumerate(cells.b_slots):
-            value *= w(pred, slot_bit(v, slot, cells.b))
-        table_weight[v] = value
-    npred = cells.b // 2
-    out_weight = {}
-    binary_preds = cells.signature.binary_predicates()
-    for wmask in range(1 << npred):
-        value = Fraction(1)
-        for k, pred in enumerate(binary_preds):
-            value *= w(pred, slot_bit(wmask, k, npred))
-        out_weight[wmask] = value
-    return WeightFold(type_weight, table_weight, out_weight)
 
 
 # ---------------------------------------------------------------------------
@@ -209,240 +229,209 @@ class ProfileEvaluator:
 
     Keys are cardinality snapshots of the tracked predicates (unary
     first, then binary, each group in the given order); values carry the
-    multinomial coefficient, the inclusion-exclusion sign, any folded
+    multinomial coefficient, the inclusion-exclusion sign, any symmetric
     weights and the block divisors, with every counting block already
-    enforced."""
+    enforced.  Rows of value zero, or above ``caps``, are left out."""
 
     def __init__(self, norm: NormalizedProblem, cells: CellStructure, n: int,
-                 tracked: Sequence[str] = (), fold: WeightFold = IDENTITY_FOLD):
+                 tracked: Sequence[str] = (), fold: Weights | None = None,
+                 caps: Mapping[str, int] | None = None):
         if n < 1:
             raise SemanticError("domain size must be at least 1")
-        self.norm = norm
-        self.cells = cells
-        self.n = n
-        self.fold = fold
+        self.norm, self.cells, self.n, self.fold = norm, cells, n, fold or {}
         tracked = tuple(dict.fromkeys(tracked))
         for pred in tracked:
             if pred not in norm.signature:
                 raise SemanticError(f"cannot track undeclared predicate {pred}")
         arity = norm.signature.arity
 
-        # The counter layout: which counters each true atom of a predicate
-        # raises, and by how much.  Tracked predicates come first (unary
-        # ones, then binary); then one counter per block: its guard degree,
-        # extracted per element, or in the successor encoding the tie
-        # counter sum_j |f_j| - m * |A|, which is zero exactly on the tied
+        # The counters each true atom of a predicate raises: tracked
+        # predicates first (unary ones, then binary), then one per block,
+        # its guard degree, or in the successor encoding the tie counter
+        # sum_j |f_j| + m * |not A|, which is m * n exactly on the tied
         # profiles because the block's sign predicates already cancel every
         # profile where some A-element lacks an f_j successor (so |f_j| >=
         # |A| wherever F != 0, and the sum pins each |f_j| individually).
-        # ``dims`` counts the counters a census product carries.
         self.key_names = tuple(sorted(tracked, key=arity))
         self.n_unary = sum(arity(p) == 1 for p in tracked)
         self._ties = norm.successors
         self._per_element = bool(norm.blocks) and not self._ties
-        self._width = len(self.key_names) + len(norm.blocks)
-        self.dims = len(self.key_names) + len(norm.blocks) * self._ties
-        self._raises: dict[str, list[tuple[int, int]]] = {}
-        for d, pred in enumerate(self.key_names):
-            self._raises.setdefault(pred, []).append((d, 1))
-        for d, block in enumerate(norm.blocks, len(self.key_names)):
-            for f in block.f_preds or (block.guard,):
-                self._raises.setdefault(f, []).append((d, 1))
-            if self._ties:
-                self._raises.setdefault(block.a_pred, []).append((d, -block.m))
-        self.divisor_scale = math.prod(b.divisor_base for b in norm.blocks
-                                       if self._ties)
-        # caps: a card never exceeds n*n and a guard degree matters up to
-        # m + 1; a tie counter starts a census at -n*m or above and only
-        # climbs, so a factor past n*m + 1, or a census past 1, cannot
-        # bring it back to zero
-        self._caps = [n * n] * len(self.key_names) + [
-            n * b.m + 1 if self._ties else b.m + 1 for b in norm.blocks]
-        self._census_caps = self._caps[:len(self.key_names)] + [1] * (
-            self.dims - len(self.key_names))
+        n_keys = len(self.key_names)
+        self._width = n_keys + len(norm.blocks)
+        self._raises: dict[str, list[int]] = {}
+        for d, preds in enumerate([(p,) for p in self.key_names]
+                                  + [b.f_preds or (b.guard,) for b in norm.blocks]):
+            for pred in preds:
+                self._raises.setdefault(pred, []).append(d)
+        # (cap, top) per counter: a card reaches n or n * n, a guard degree
+        # n; a tie counter only climbs, so nothing past its target matters
+        caps = caps or {}
+        self._bounds = [(max(0, min(caps.get(p, n ** arity(p)), n ** arity(p))),
+                         n ** arity(p)) for p in self.key_names]
+        self._bounds += [(b.m * n, b.m * n * (n + 1)) if self._ties else (n, n)
+                         for b in norm.blocks]
 
-        # One representative per class of interchangeable types with equal
-        # keys and block membership, weighted by the sum of its members'
-        # weights (the multinomial theorem makes that exact); classes whose
-        # signs cancel drop out.  A tie-counted block scales each element
-        # outside its A by m!, so every element carries the same total
-        # scale and the fold stays integral.
+        # ``build_cells`` groups interchangeable types; each group splits by
+        # tracked unary key and block membership into classes.  A class's
+        # representative carries the sum of its members' weights (signs
+        # included) times their counters, exact by the multinomial theorem;
+        # an A-element of a tie-counted block weighs 1/m!.  Classes whose
+        # sum is zero drop out.
         sign_slots = [cells.u_slot_index(p, "unary") for p in norm.sign_preds]
         a_slots = [cells.u_slot_index(b.a_pred, "unary") for b in norm.blocks]
-        merged: dict[tuple, list] = {}
+        merged: dict[tuple, tuple[int, dict]] = {}
         for c, members in enumerate(cells.classes):
             for t in members:
-                key = self._key(cells.u_slots, t)
+                counts, w = self._term(cells.u_slots, t)
                 in_a = tuple(bool(cells.type_bit(t, s)) for s in a_slots)
-                w = fold.of_type(t) * (-1) ** sum(cells.type_bit(t, s)
-                                                  for s in sign_slots)
-                for block, hit in zip(norm.blocks, in_a):
-                    if self._ties and not hit:
-                        w = w * block.divisor_base
-                merged.setdefault((c, key, in_a), [t, key, in_a, 0])[3] += w
-        # per-class data in ascending representative order, as pair_vs keys
-        # have i <= j
-        live = sorted(entry for entry in merged.values() if entry[3])
+                w *= (-1) ** sum(cells.type_bit(t, s) for s in sign_slots)
+                for d, (block, hit) in enumerate(zip(norm.blocks, in_a), n_keys):
+                    if self._ties:
+                        w = Fraction(w, block.divisor_base) if hit else w
+                        counts[d] += 0 if hit else block.m
+                _, weights = merged.setdefault(
+                    (c, tuple(counts[:self.n_unary]), in_a), (t, {}))
+                weights[tuple(counts)] = weights.get(tuple(counts), 0) + w
+        # in ascending representative order, as pair_vs keys have i <= j
+        live = sorted((t, key[1], key[2], [(k, w) for k, w in ws.items() if w])
+                      for key, (t, ws) in merged.items() if any(ws.values()))
         self.types = [t for t, _, _, _ in live]
-        self._type_keys = [key for _, key, _, _ in live]
+        self._unary_keys = [ukey for _, ukey, _, _ in live]
         self._in_a = [in_a for _, _, in_a, _ in live]
-        self._weights = [w for _, _, _, w in live]
-        self._out_slots = [(p, "xy") for p in cells.signature.binary_predicates()]
-        self._wnij_cache: dict[tuple[int, int], object] = {}
-        self._pow_cache: dict[tuple[int, int, int], _Poly] = {}
+        weights, self._type_scale = _integral(dict(enumerate(w for *_, w in live)))
+        self._weights = list(weights.values())
 
-    # -- per-type data --------------------------------------------------------
-
-    def _key(self, slots: Sequence[tuple[str, str]], index: int) -> tuple[int, ...]:
-        """Counters raised by the true atoms of ``index``, an assignment to
-        ``slots``: a 1-type, a 2-table or an out-edge mask."""
-        key = [0] * self._width
+    def _term(self, slots: Sequence[tuple[str, str]], index: int):
+        """The counter values raised by the true atoms of ``index``, an
+        assignment to ``slots`` (a 1-type, a 2-table or an out-edge mask),
+        and the product of its atoms' symmetric weights."""
+        counts, weight = [0] * self._width, 1
         for s, (pred, _) in enumerate(slots):
-            if slot_bit(index, s, len(slots)):
-                for d, c in self._raises.get(pred, ()):
-                    key[d] += c
-        return tuple(key)
+            bit = slot_bit(index, s, len(slots))
+            if pred in self.fold:
+                weight *= self.fold[pred][0 if bit else 1]
+            if bit:
+                for d in self._raises.get(pred, ()):
+                    counts[d] += 1
+        return counts, weight
 
-    def _project(self, poly: _Poly, targets: Sequence[tuple[int, bool]]) -> _Poly:
-        """The rows whose block counters meet their targets, keyed by the
-        tracked counters: a target (value, hit) asks its counter to equal
-        value exactly when hit is true."""
-        tracked = len(self.key_names)
-        table: _Poly = {}
-        for key, val in poly.items():
-            if all((k == v) == hit for k, (v, hit) in zip(key[tracked:], targets)):
-                short = key[:tracked]
-                table[short] = table.get(short, 0) + val
-        return table
+    def _layouts(self, per_element: bool, pairs, first: int):
+        """The given class pairs' factors: the out-edges pa may send to pb
+        (per element) or the 2-tables of a pair across pa <= pb, packed;
+        their weights' scale in a census term; the census product's layout
+        over the counters from ``first`` on; and a per-element row's
+        layouts, with one guard degree fewer at each step."""
+        n, cells = self.n, self.cells
+        slots, options = cells.b_slots, cells.pair_vs
+        if per_element:
+            slots = [(p, "xy") for p in cells.signature.binary_predicates()]
+            options = cells.out_options
+        polys, den = _integral({(pa, pb): [
+            self._term(slots, v) for v in options[self.types[pa], self.types[pb]]]
+            for pa, pb in pairs})
+        g = max(1, max(map(_norm, polys.values()), default=0))
+        n_pairs = n * (n - 1) // (1 if per_element else 2)
+        end = len(self.key_names) if per_element else self._width
+        layout = _Layout(range(first, end), self._bounds[first:end],
+                         _digit_bits(sum(map(_norm, self._weights)) ** n * g ** n_pairs))
+        rows = []
+        if per_element:
+            # an element raises a unary card at most once, anything else n times
+            tops = [(1, 1) if d < self.n_unary else (min(top, n),) * 2
+                    for d, (_, top) in enumerate(self._bounds[first:], first)]
+            bits = _digit_bits(max(map(_norm, self._weights)) * g ** (n - 1))
+            rows = [_Layout(range(first, self._width - k), tops[:len(tops) - k], bits)
+                    for k in range(len(self.norm.blocks) + 1)]
+        packing = rows[0] if rows else layout
+        return ({k: packing.pack(p) for k, p in polys.items()}, den ** n_pairs,
+                layout, rows, [packing.pack(w) for w in self._weights])
 
-    def _element_row(self, pos: int, edges: _Poly) -> _Poly:
-        """One element of class ``pos`` given the polynomial of its
-        out-edges: its type key times ``edges``, keeping the rows where
-        each block's guard degree is m exactly when the element is in the
-        block's A, keyed by the tracked counters."""
-        row = _poly_mul({self._type_keys[pos]: 1}, edges, self._caps)
-        return self._project(row, [(b.m, hit) for b, hit
-                                   in zip(self.norm.blocks, self._in_a[pos])])
+    def _element(self, row: int, pos: int, rows: list[_Layout],
+                 layout: _Layout) -> int:
+        """One element of class ``pos`` given its packed row: per block,
+        guard degree m if the element is in A, any other degree if not;
+        repacked into the census product's ``layout``."""
+        blocks = zip(reversed(self.norm.blocks), reversed(self._in_a[pos]))
+        for level, (block, hit) in enumerate(blocks):
+            row = rows[level].pick(row, block.m, hit)
+        return layout.pack(rows[-1].decode(row)) if layout.counters else row
 
-    def _out_poly(self, a: int, b: int) -> _Poly:
-        """Counter polynomial of the out-edges type a may send to type b."""
-        g: _Poly = {}
-        for w in self.cells.out_options[(a, b)]:
-            key = self._key(self._out_slots, w)
-            g[key] = g.get(key, 0) + self.fold.of_out(w)
-        return g
-
-    def _power(self, pa: int, pb: int, e: int) -> _Poly:
-        """The e-th power of a factor between classes pa and pb, cached
-        across the whole enumeration: with blocks counted per element,
-        pa's out-edge polynomial toward pb; otherwise the counter
-        polynomial of one unordered pair, a monomial per satisfying
-        2-table."""
-        key = (pa, pb, e)
-        if key not in self._pow_cache:
-            a, b = self.types[pa], self.types[pb]
-            if self._per_element:
-                base = self._out_poly(a, b)
-            else:
-                base = {}
-                for v in self.cells.pair_vs[(a, b)]:
-                    k = self._key(self.cells.b_slots, v)
-                    base[k] = base.get(k, 0) + self.fold.of_table(v)
-            self._pow_cache[key] = _poly_pow(base, e, self._caps)
-        return self._pow_cache[key]
-
-    def _weighted_nij(self, a: int, b: int):
-        if (a, b) not in self._wnij_cache:
-            self._wnij_cache[(a, b)] = (
-                self.cells.n_ij[(a, b)] if self.fold.table_weight is None
-                else sum(self.fold.of_table(v) for v in self.cells.pair_vs[(a, b)]))
-        return self._wnij_cache[(a, b)]
+    def _finish(self, rows, scale: int) -> dict:
+        """Divide (key, value) rows by their scale times the class weights';
+        with integer symmetric weights every row must divide."""
+        integral = all(Fraction(w).denominator == 1
+                       for pair in self.fold.values() for w in pair)
+        scale *= self._type_scale ** self.n
+        out = {}
+        for key, value in rows:
+            quotient, rest = divmod(value, scale)
+            if rest and integral:
+                raise InternalConsistencyError(
+                    f"counting-quantifier division left a non-integer row {key}")
+            out[key] = Fraction(value, scale) if rest else quotient
+        return out
 
     # -- k-vector enumeration ---------------------------------------------------
 
-    def _k_table(self, occupied: Sequence[tuple[int, int]]) -> _Poly:
-        """One census contribution; ``occupied`` pairs a position into
-        self.types with a positive element count."""
-        coef = math.factorial(self.n)
-        weight = 1
-        for pos, count in occupied:
-            coef //= math.factorial(count)
-            weight = weight * self._weights[pos] ** count
-        coef = coef * weight
-        if coef == 0:
-            return {}
-        caps = self._census_caps
-        if self._per_element:
-            # per element: its out-edges toward every other element
-            poly: _Poly = {(0,) * self.dims: coef}
-            for pa, ca in occupied:
-                edges: _Poly = {(0,) * self._width: 1}
-                for pb, cb in occupied:
-                    e = cb - (pa == pb)
-                    if e:
-                        edges = _poly_mul(edges, self._power(pa, pb, e), self._caps)
-                row = self._element_row(pa, edges)
-                if not row:
-                    return {}
-                poly = _poly_mul(poly, _poly_pow(row, ca, caps), caps)
-            return poly
-        # per pair: the counters start at the sum of the type keys; the
-        # pairs only raise them, so a tie counter can only climb up to zero
-        start = tuple(sum(c * self._type_keys[pos][d] for pos, c in occupied)
-                      for d in range(self.dims))
-        if any(s > 0 for s in start[len(self.key_names):]):
-            return {}
-        if self.dims == self.n_unary:
-            value = coef
-            for ia, (pa, ca) in enumerate(occupied):
-                for pb, cb in occupied[ia:]:
-                    e = pair_exponent(ca, cb, pa == pb)
-                    if not e:
-                        continue
-                    w = self._weighted_nij(self.types[pa], self.types[pb])
-                    if w == 0:
-                        return {}
-                    value = value * w ** e
-            return {start: value}
-        poly = {start: coef}
-        for ia, (pa, ca) in enumerate(occupied):
-            for pb, cb in occupied[ia:]:
-                e = pair_exponent(ca, cb, pa == pb)
-                if not e:
-                    continue
-                poly = _poly_mul(poly, self._power(pa, pb, e), caps)
-                if not poly:
-                    return {}
-        return poly
-
-    def _enumerate_table(self) -> _Poly:
-        table: _Poly = {}
-        for combo in combinations_with_replacement(range(len(self.types)), self.n):
+    def _enumerate_table(self) -> dict:
+        n, n_unary, n_keys = self.n, self.n_unary, len(self.key_names)
+        classes = range(len(self.types))
+        factors, scale, layout, rows, weights = self._layouts(
+            self._per_element, [(a, b) for a in classes for b in classes
+                                if self._per_element or a <= b], n_unary)
+        factorial = [math.factorial(k) for k in range(n + 1)]
+        unary_caps = [cap for cap, _ in self._bounds[:n_unary]]
+        packed: dict[tuple[int, ...], int] = {}
+        for combo in combinations_with_replacement(classes, n):
             occupied = [(pos, len(tuple(group))) for pos, group in groupby(combo)]
-            for key, val in self._k_table(occupied).items():
-                table[key] = table.get(key, 0) + val
-        return self._project(table, [(0, True)] * (self.dims - len(self.key_names)))
+            key = tuple(sum(c * self._unary_keys[pos][d] for pos, c in occupied)
+                        for d in range(n_unary))
+            if any(map(int.__gt__, key, unary_caps)):
+                continue
+            value = factorial[n]
+            for _, count in occupied:
+                value //= factorial[count]
+            for pos, count in occupied:
+                row = weights[pos]
+                if rows:
+                    # per element: its out-edges toward every other element
+                    for pb, cb in occupied:
+                        row *= factors[pos, pb] ** (cb - (pos == pb))
+                    row = self._element(row, pos, rows, layout)
+                value = layout.mul(value, layout.pow(row, count))
+            if not rows:
+                for ia, (pa, ca) in enumerate(occupied):
+                    for pb, cb in occupied[ia:]:
+                        e = pair_exponent(ca, cb, pa == pb)
+                        value = layout.mul(value, layout.pow(factors[pa, pb], e))
+            if value:
+                packed[key] = packed.get(key, 0) + value
+        # keep the rows whose tie counters reach their targets
+        targets = [(d, b.m * n) for d, b in enumerate(self.norm.blocks, n_keys)
+                   if self._ties]
+        return self._finish(
+            ((key + tuple(counts[d] for d in range(n_unary, n_keys)), coef)
+             for key, value in packed.items() for counts, coef in layout.decode(value)
+             if all(counts[d] == t for d, t in targets)), scale)
 
     # -- collapsed power ----------------------------------------------------------
 
-    def _collapsed_table(self) -> _Poly:
-        """The n-th power of the per-element polynomial: the weighted sum
-        over the classes of one element's row with the (n-1)-th power of
-        its out-edge polynomial."""
-        edge_pow_cache: dict[tuple, _Poly] = {}
-        per_element: _Poly = {}
-        for pos, t in enumerate(self.types):
-            g = self._out_poly(t, t)
-            gsig = tuple(sorted(g.items()))
-            if gsig not in edge_pow_cache:
-                edge_pow_cache[gsig] = _poly_pow(g, self.n - 1, self._caps)
-            for key, val in self._element_row(pos, edge_pow_cache[gsig]).items():
-                per_element[key] = per_element.get(key, 0) + val * self._weights[pos]
-        return _poly_pow(per_element, self.n, self._census_caps)
+    def _collapsed_table(self) -> dict:
+        """The n-th power of the per-element polynomial: the sum over the
+        classes of one element's row, its class weight times the (n-1)-th
+        power of its out-edge polynomial."""
+        edges, scale, layout, rows, weights = self._layouts(
+            True, [(pos, pos) for pos in range(len(self.types))], 0)
+        powers = {g: g ** (self.n - 1) for g in set(edges.values())}
+        per_element = sum(self._element(w * powers[edges[pos, pos]], pos, rows, layout)
+                          for pos, w in enumerate(weights))
+        return self._finish(((tuple(counts[d] for d in layout.counters), coef)
+                             for counts, coef in layout.decode(layout.pow(per_element, self.n))),
+                            scale)
 
     # -- public ---------------------------------------------------------------
 
-    def table(self) -> _Poly:
+    def table(self) -> dict:
         """The collapsed power runs whenever the matrix allows it and no
         block carries a tie counter, except when tracked unary cards are
         the only counters and the censuses are few: then enumeration's
@@ -453,11 +442,7 @@ class ProfileEvaluator:
         use_collapsed = self.cells.cross_independent and not self._ties and not (
             0 < self.n_unary == self._width
             and math.comb(self.n + len(self.types) - 1, len(self.types) - 1) <= 20000)
-        raw = self._collapsed_table() if use_collapsed else self._enumerate_table()
-        if self.divisor_scale != 1:
-            scale = Fraction(1, self.divisor_scale ** self.n)
-            raw = {k: v * scale for k, v in raw.items()}
-        return raw
+        return self._collapsed_table() if use_collapsed else self._enumerate_table()
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +453,20 @@ class ProfileEvaluator:
 class CountResult:
     total: object  # int for pure counting, Fraction for weighted sums
     profiles: list[tuple[dict, object]] | None = None
+
+
+def _card_caps(constraint: CardConstraint) -> dict[str, int]:
+    """Each card's largest value that the constraint's top-level conjuncts
+    |P| = c, |P| <= c and |P| < c allow."""
+    caps: dict[str, int] = {}
+    for part in constraint.parts if isinstance(constraint, CardAnd) else (constraint,):
+        if (isinstance(part, CardCompare) and part.op in ("=", "<=", "<")
+                and len(part.left.coeffs) == 1 and not part.right.coeffs):
+            (pred, coefficient), = part.left.coeffs
+            cap = part.right.const - part.left.const - (part.op == "<")
+            if coefficient == 1:
+                caps[pred] = min(caps.get(pred, cap), cap)
+    return caps
 
 
 def _as_count(total) -> int:
@@ -524,17 +523,19 @@ class Solver:
     # -- profile tables -------------------------------------------------------
 
     def profile_table(self, n: int, tracked: Sequence[str] = (),
-                      fold: WeightFold = IDENTITY_FOLD) -> tuple[tuple[str, ...], _Poly]:
+                      fold: Weights | None = None,
+                      caps: Mapping[str, int] | None = None
+                      ) -> tuple[tuple[str, ...], dict]:
         """Profile table keyed by the tracked predicate cardinalities,
-        with every counting block already enforced.  Returns (key names,
-        table)."""
-        ev = ProfileEvaluator(self.norm, self.cells, n, tracked, fold)
+        with every counting block already enforced and the rows above
+        ``caps`` dropped.  Returns (key names, table)."""
+        ev = ProfileEvaluator(self.norm, self.cells, n, tracked, fold, caps)
         return ev.key_names, ev.table()
 
     # -- counting entry points ---------------------------------------------------
 
     def _allowed_rows(self, n: int, tracked: Sequence[str] = (),
-                      fold: WeightFold = IDENTITY_FOLD,
+                      fold: Weights | None = None,
                       constraint: CardConstraint | None = None
                       ) -> Iterator[tuple[dict[str, int], object]]:
         """Rows (cards, value) of the profile table over the tracked
@@ -544,7 +545,7 @@ class Solver:
             constraint = self.norm.constraint
         track = tuple(dict.fromkeys(
             tuple(tracked) + tuple(sorted(constraint_predicates(constraint)))))
-        names, table = self.profile_table(n, track, fold)
+        names, table = self.profile_table(n, track, fold, _card_caps(constraint))
         for key, val in table.items():
             cards = dict(zip(names, key))
             if constraint == CARD_TRUE or constraint.holds(cards):
@@ -557,7 +558,7 @@ class Solver:
                              self._allowed_rows(n, constraint=constraint)))
 
     def weighted_total(self, n: int, tracked: Sequence[str],
-                       fold: WeightFold = IDENTITY_FOLD, weight_fn=None,
+                       fold: Weights | None = None, weight_fn=None,
                        constraint: CardConstraint | None = None):
         """Sum of weight(profile) * F(profile) over profiles satisfying
         the constraint; the symmetric part enters via ``fold`` and the
@@ -569,7 +570,7 @@ class Solver:
         return total
 
     def breakdown(self, n: int, tracked: Sequence[str],
-                  fold: WeightFold = IDENTITY_FOLD,
+                  fold: Weights | None = None,
                   constraint: CardConstraint | None = None) -> CountResult:
         """Per-profile signed terms for the tracked predicates."""
         wanted = set(tracked)
@@ -642,10 +643,7 @@ def witness_deficit_counts(problem: Problem | NormalizedProblem, n: int, m: int
     p_pred = norm.sign_preds[0]
     # weight -1 on the marked types cancels their sign, so the marked set
     # is counted like an ordinary predicate
-    slot = solver.cells.u_slot_index(p_pred, "unary")
-    unsigned = WeightFold(type_weight={t: -1 if solver.cells.type_bit(t, slot) else 1
-                                       for t in solver.cells.valid})
-    _, table = solver.profile_table(n, (p_pred,), unsigned)
+    _, table = solver.profile_table(n, (p_pred,), {p_pred: (-1, 1)})
     p = [0] * (n + 1)
     for key, val in table.items():
         p[key[0]] += val

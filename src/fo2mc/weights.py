@@ -1,7 +1,7 @@
 """Weighted counting on top of the profile machinery.
 
 Symmetric weights multiply a per-literal factor over every ground atom
-and are folded directly into the cell values, so they need no extra
+and enter the engine's factors as coefficients, so they need no extra
 counters.  Profile weights are arithmetic expressions over predicate
 cardinalities, evaluated per profile; they subsume the symmetric family
 and are what count distributions are built from.
@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .engine import Solver, symmetric_fold
+from .engine import Solver
 from .errors import SemanticError
 from .logic import WeightExpr, weight_predicates, weight_value
 from .normalize import NormalizedProblem
@@ -44,8 +44,7 @@ def wfomc_symmetric(problem: Problem | NormalizedProblem | Solver, n: int,
     if weights is None:
         weights = solver.norm.symmetric_weights
     _check_symmetric(solver, weights)
-    fold = symmetric_fold(solver.cells, weights)
-    return Fraction(solver.weighted_total(n, (), fold=fold))
+    return Fraction(solver.weighted_total(n, (), fold=weights))
 
 
 def wfomc_profile(problem: Problem | NormalizedProblem | Solver, n: int,
@@ -66,17 +65,14 @@ def wfomc_profile(problem: Problem | NormalizedProblem | Solver, n: int,
 def _weight_setup(solver: Solver, weight, symmetric):
     """Resolve the weighting of a distribution query: the problem's own
     declarations fill in whatever the caller left unset.  Symmetric
-    weights enter through the cell fold, profile weights per profile."""
-    from .engine import IDENTITY_FOLD
+    weights enter the engine's factors, profile weights per profile."""
     if weight is None:
         weight = solver.norm.profile_weight
     if symmetric is None and solver.norm.symmetric_weights:
         symmetric = solver.norm.symmetric_weights
-    fold = IDENTITY_FOLD
     if symmetric:
         _check_symmetric(solver, symmetric)
-        fold = symmetric_fold(solver.cells, symmetric)
-    return weight, fold
+    return weight, symmetric or None
 
 
 def _query_rows(solver: Solver, n: int, query_preds: Sequence[str], weight, fold):

@@ -262,10 +262,10 @@ def test_class_counts(text, types, classes):
     assert (len(cells.valid), len(cells.classes)) == (types, classes)
 
 
-def test_tracked_reflexive_bit_splits_classes():
-    """Tracking R keys the running example's types by their reflexive R
-    bit, which separates the members of both classes again."""
+def test_tracked_reflexive_bit_stays_in_class_weight():
+    """Tracking R moves the running example's reflexive R bit into the
+    packed class weight, so its two classes stay merged."""
     solver = Solver(parse_problem(RUNNING_EXAMPLE))
     assert solver.cells.classes == [(0, 1), (2, 3)]
     assert len(ProfileEvaluator(solver.norm, solver.cells, 3).types) == 2
-    assert len(ProfileEvaluator(solver.norm, solver.cells, 3, ("R",)).types) == 4
+    assert len(ProfileEvaluator(solver.norm, solver.cells, 3, ("R",)).types) == 2

@@ -153,6 +153,16 @@ def test_exit_code_semantic_error():
     assert code == 1
 
 
+@pytest.mark.parametrize("flags", [(), ("--profiles",)], ids=("count", "profiles"))
+def test_track_undeclared_predicate(flags):
+    """--track names are checked against the signature before counting,
+    with or without --profiles."""
+    code, out, err = invoke("count", "-n", "2", "-e", RUNNING_EXAMPLE,
+                            "--track", "Q", *flags)
+    assert code == 1 and out == ""
+    assert "cannot track undeclared predicate Q" in err
+
+
 def test_exit_code_unsupported():
     code, _, err = invoke("count", "-n", "2", "-e",
                           "predicate A/1\npredicate B/1\n"

@@ -4,8 +4,8 @@ import pytest
 
 from fo2mc.cells import build_cells
 from fo2mc.corpus import load_corpus
-from fo2mc.engine import (IDENTITY_FOLD, ProfileEvaluator, Solver, compositions,
-                          fomc_universal, symmetric_fold, universal_term,
+from fo2mc.engine import (ProfileEvaluator, Solver, compositions,
+                          fomc_universal, universal_term,
                           witness_deficit_counts)
 from fo2mc.errors import SemanticError
 from fo2mc.logic import CARD_TRUE, CardCompare, LinearExpr, card_conjoin
@@ -244,11 +244,10 @@ def test_stratified_census_identity():
 
 def collapse_both_ways(text, n, tracked=(), fold=None):
     """Both evaluation paths' tables, with ``fold``, a map of symmetric
-    weights, folded into the cells."""
+    weights."""
     solver = Solver(parse_problem(text))
     cells = solver.cells
-    ev = ProfileEvaluator(solver.norm, cells, n, tracked,
-                          symmetric_fold(cells, fold) if fold else IDENTITY_FOLD)
+    ev = ProfileEvaluator(solver.norm, cells, n, tracked, fold)
     if not cells.cross_independent:
         return None
     return ev._enumerate_table(), ev._collapsed_table()
@@ -307,7 +306,7 @@ def test_path_choice(monkeypatch):
         for tracked in ((), ("R",)):
             evaluators.clear()
             assert path_of(corpus[name].text, 3, tracked)[0] == "_collapsed_table"
-            assert [ev.dims for ev in evaluators] == [len(tracked)]
+            assert [ev.norm.successors for ev in evaluators] == [False]
     coins = "predicate H/1\nforall x (H(x) | !H(x))"
     path, result = path_of(coins, 4, ("H",))
     assert path == "_enumerate_table"
