@@ -29,12 +29,12 @@ independently of the others, given the census, so a block
 its guard degree z.  An element of class i contributes its class weight
 times prod_j g_ij^(k_j - [i = j]), g_ij being the polynomial of the
 out-edges i may send to j (van Bremen and Kuzelka's cell-graph pair
-factors, split by direction); an A-element keeps digit m of z, any
-other element its row at z = 1 minus that digit.  The collapsed power is
-the case where g_ij does not depend on j.  On any other matrix
-``Solver`` falls back to the successor encoding (see ``normalize``),
-which always enumerates, with the tie counter sum_j |f_j| + m |not A|
-(target m * n) and a 1/m! divisor per block.
+factors, split by direction): digit m of that row modulo z^(m+1) if it
+is in A, else its row at z = 1 minus that digit, two ring maps.  The
+collapsed power is the case where g_ij does not depend on j.  On any
+other matrix ``Solver`` falls back to the successor encoding (see
+``normalize``), which always enumerates, with the tie counter
+sum_j |f_j| + m |not A| (target m * n) and a 1/m! divisor per block.
 
 Both read the valid types merged into classes (see ``cells`` and
 ``ProfileEvaluator``).  Enumeration runs when the matrix does not
@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, groupby
+from itertools import combinations_with_replacement, groupby, product
 from typing import Iterator, Mapping, Sequence
 
 from .cells import CellStructure, build_cells
@@ -126,8 +126,8 @@ class _Layout:
         self.bits = bits
         self.caps = [min(cap, top) for cap, top in bounds]
         self.widths = [top + 1 if cap >= top else 2 * cap + 1 for cap, top in bounds]
-        self.strides = [math.prod(self.widths[:d]) for d in range(len(bounds))]
-        self.size = math.prod(self.widths)
+        self.strides = [math.prod(self.widths[:d]) for d in range(len(bounds) + 1)]
+        self.size = self.strides[-1]
         self.offset = _repeat(1 << bits - 1, bits, self.size)
         self._keep = None
         if any(cap < top for cap, top in bounds):
@@ -169,16 +169,15 @@ class _Layout:
             if coef and all(map(int.__le__, key, self.caps)):
                 yield dict(zip(self.counters, key)), coef
 
-    def pick(self, x: int, k: int, hit: bool) -> int:
-        """x at top counter value k if hit, else at top counter 1 minus
-        that, packed without the (untruncated) top counter.  As 2^run is 1
-        modulo 2^run - 1, x there is the sum over the top counter, whose
-        balanced digits keep it between -offset and 2^run - 1 - offset."""
-        run = self.bits * self.strides[-1]
-        ones = (1 << run) - 1
-        offset = self.offset & ones
-        digit = ((x + self.offset) >> run * k & ones) - offset if k <= self.caps[-1] else 0
-        return digit if hit else (x + offset) % ones - offset - digit
+    def at(self, x: int, top: Sequence[int]) -> int:
+        """x at the values ``top`` of its last counters, packed without
+        them: a run of the lower counters' digits (zero past a cap)."""
+        lower = len(self.counters) - len(top)
+        if any(map(int.__gt__, top, self.caps[lower:])):
+            return 0
+        ones = (1 << self.bits * self.strides[lower]) - 1
+        shift = self.bits * sum(map(int.__mul__, top, self.strides[lower:]))
+        return ((x + self.offset) >> shift & ones) - (self.offset & ones)
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -264,11 +263,12 @@ class ProfileEvaluator:
             for pred in preds:
                 self._raises.setdefault(pred, []).append(d)
         # (cap, top) per counter: a card reaches n or n * n, a guard degree
-        # n; a tie counter only climbs, so nothing past its target matters
+        # n but only digit m is read; a tie counter only climbs, so nothing
+        # past its target matters
         caps = caps or {}
         self._bounds = [(max(0, min(caps.get(p, n ** arity(p)), n ** arity(p))),
                          n ** arity(p)) for p in self.key_names]
-        self._bounds += [(b.m * n, b.m * n * (n + 1)) if self._ties else (n, n)
+        self._bounds += [(b.m * n, b.m * n * (n + 1)) if self._ties else (b.m, n)
                          for b in norm.blocks]
 
         # ``build_cells`` groups interchangeable types; each group splits by
@@ -316,11 +316,11 @@ class ProfileEvaluator:
         return counts, weight
 
     def _layouts(self, per_element: bool, pairs, first: int):
-        """The given class pairs' factors: the out-edges pa may send to pb
-        (per element) or the 2-tables of a pair across pa <= pb, packed;
-        their weights' scale in a census term; the census product's layout
-        over the counters from ``first`` on; and a per-element row's
-        layouts, with one guard degree fewer at each step."""
+        """The census product's layout over the counters from ``first`` on,
+        the class pairs' factor weight scale in a census term, and per flags
+        ``kept`` of the guard degrees a row keeps (only () off the per-element
+        path) the layout with the factors (pa's out-edges toward pb, or the
+        2-tables across pa <= pb) and class weights packed in it."""
         n, cells = self.n, self.cells
         slots, options = cells.b_slots, cells.pair_vs
         if per_element:
@@ -334,27 +334,36 @@ class ProfileEvaluator:
         end = len(self.key_names) if per_element else self._width
         layout = _Layout(range(first, end), self._bounds[first:end],
                          _digit_bits(sum(map(_norm, self._weights)) ** n * g ** n_pairs))
-        rows = []
+        spaces = {(): layout}
         if per_element:
             # an element raises a unary card at most once, anything else n times
             tops = [(1, 1) if d < self.n_unary else (min(top, n),) * 2
-                    for d, (_, top) in enumerate(self._bounds[first:], first)]
+                    for d, (_, top) in enumerate(self._bounds[first:end], first)]
             bits = _digit_bits(max(map(_norm, self._weights)) * g ** (n - 1))
-            rows = [_Layout(range(first, self._width - k), tops[:len(tops) - k], bits)
-                    for k in range(len(self.norm.blocks) + 1)]
-        packing = rows[0] if rows else layout
-        return ({k: packing.pack(p) for k, p in polys.items()}, den ** n_pairs,
-                layout, rows, [packing.pack(w) for w in self._weights])
+            spaces = {kept: _Layout(
+                [*range(first, end)] + [d for d, k in enumerate(kept, end) if k],
+                tops + [self._bounds[d] for d, k in enumerate(kept, end) if k], bits)
+                for kept in product((False, True), repeat=len(self.norm.blocks))}
+        return layout, den ** n_pairs, {
+            kept: (space, {k: space.pack(p) for k, p in polys.items()},
+                   [space.pack(w) for w in self._weights])
+            for kept, space in spaces.items()}
 
-    def _element(self, row: int, pos: int, rows: list[_Layout],
-                 layout: _Layout) -> int:
-        """One element of class ``pos`` given its packed row: per block,
-        guard degree m if the element is in A, any other degree if not;
-        repacked into the census product's ``layout``."""
-        blocks = zip(reversed(self.norm.blocks), reversed(self._in_a[pos]))
-        for level, (block, hit) in enumerate(blocks):
-            row = rows[level].pick(row, block.m, hit)
-        return layout.pack(rows[-1].decode(row)) if layout.counters else row
+    def _element(self, pos: int, exponents, spaces: dict, layout: _Layout) -> int:
+        """One element of class ``pos``: its class weight times its factor
+        toward class pb to the e, for (pb, e) in ``exponents``; per block,
+        digit m of the guard degree if it is in A, else the row at guard
+        degree 1 minus that digit; repacked into the census ``layout``."""
+        in_a, value = self._in_a[pos], 0
+        for kept in product(*[(True,) if hit else (False, True) for hit in in_a]):
+            space, factors, weights = spaces[kept]
+            row = weights[pos]
+            for pb, e in exponents:
+                row = space.mul(row, space.pow(factors[pos, pb], e))
+            value += (-1) ** (sum(kept) - sum(in_a)) * space.at(
+                row, [b.m for b, k in zip(self.norm.blocks, kept) if k])
+        base = spaces[(False,) * len(in_a)][0]
+        return layout.pack(base.decode(value)) if layout.counters else value
 
     def _finish(self, rows, scale: int) -> dict:
         """Divide (key, value) rows by their scale times the class weights';
@@ -376,9 +385,10 @@ class ProfileEvaluator:
     def _enumerate_table(self) -> dict:
         n, n_unary, n_keys = self.n, self.n_unary, len(self.key_names)
         classes = range(len(self.types))
-        factors, scale, layout, rows, weights = self._layouts(
+        layout, scale, spaces = self._layouts(
             self._per_element, [(a, b) for a in classes for b in classes
                                 if self._per_element or a <= b], n_unary)
+        _, factors, weights = spaces.get((), (None, None, None))
         factorial = [math.factorial(k) for k in range(n + 1)]
         unary_caps = [cap for cap, _ in self._bounds[:n_unary]]
         packed: dict[tuple[int, ...], int] = {}
@@ -392,14 +402,11 @@ class ProfileEvaluator:
             for _, count in occupied:
                 value //= factorial[count]
             for pos, count in occupied:
-                row = weights[pos]
-                if rows:
-                    # per element: its out-edges toward every other element
-                    for pb, cb in occupied:
-                        row *= factors[pos, pb] ** (cb - (pos == pb))
-                    row = self._element(row, pos, rows, layout)
-                value = layout.mul(value, layout.pow(row, count))
-            if not rows:
+                # per element: its out-edges toward every other element
+                element = self._element(pos, [(pb, cb - (pos == pb)) for pb, cb in occupied],
+                                        spaces, layout) if self._per_element else weights[pos]
+                value = layout.mul(value, layout.pow(element, count))
+            if not self._per_element:
                 for ia, (pa, ca) in enumerate(occupied):
                     for pb, cb in occupied[ia:]:
                         e = pair_exponent(ca, cb, pa == pb)
@@ -420,11 +427,10 @@ class ProfileEvaluator:
         """The n-th power of the per-element polynomial: the sum over the
         classes of one element's row, its class weight times the (n-1)-th
         power of its out-edge polynomial."""
-        edges, scale, layout, rows, weights = self._layouts(
+        layout, scale, spaces = self._layouts(
             True, [(pos, pos) for pos in range(len(self.types))], 0)
-        powers = {g: g ** (self.n - 1) for g in set(edges.values())}
-        per_element = sum(self._element(w * powers[edges[pos, pos]], pos, rows, layout)
-                          for pos, w in enumerate(weights))
+        per_element = sum(self._element(pos, [(pos, self.n - 1)], spaces, layout)
+                          for pos in range(len(self.types)))
         return self._finish(((tuple(counts[d] for d in layout.counters), coef)
                              for counts, coef in layout.decode(layout.pow(per_element, self.n))),
                             scale)
@@ -563,11 +569,9 @@ class Solver:
         """Sum of weight(profile) * F(profile) over profiles satisfying
         the constraint; the symmetric part enters via ``fold`` and the
         profile-dependent part via ``weight_fn(cards) -> Fraction``."""
-        total = Fraction(0)
-        for cards, val in self._allowed_rows(n, tracked, fold, constraint):
-            w = weight_fn(cards) if weight_fn is not None else 1
-            total += Fraction(val) * w
-        return total
+        return sum((Fraction(val) * (weight_fn(cards) if weight_fn is not None else 1)
+                    for cards, val in self._allowed_rows(n, tracked, fold, constraint)),
+                   Fraction(0))
 
     def breakdown(self, n: int, tracked: Sequence[str],
                   fold: Weights | None = None,
@@ -575,13 +579,11 @@ class Solver:
         """Per-profile signed terms for the tracked predicates."""
         wanted = set(tracked)
         projected: dict[tuple, object] = {}
-        total = 0
         for cards, val in self._allowed_rows(n, tracked, fold, constraint):
             short = tuple((p, c) for p, c in cards.items() if p in wanted)
             projected[short] = projected.get(short, 0) + val
-            total += val
         profiles = [(dict(key), val) for key, val in sorted(projected.items())]
-        return CountResult(total=total, profiles=profiles)
+        return CountResult(total=sum(projected.values()), profiles=profiles)
 
 
 # ---------------------------------------------------------------------------
@@ -644,8 +646,6 @@ def witness_deficit_counts(problem: Problem | NormalizedProblem, n: int, m: int
     # weight -1 on the marked types cancels their sign, so the marked set
     # is counted like an ordinary predicate
     _, table = solver.profile_table(n, (p_pred,), {p_pred: (-1, 1)})
-    p = [0] * (n + 1)
-    for key, val in table.items():
-        p[key[0]] += val
+    p = [table.get((j,), 0) for j in range(n + 1)]
     e_m = sum((-1) ** (j - m) * math.comb(j, m) * p[j] for j in range(m, n + 1))
     return p[m], e_m

@@ -295,18 +295,22 @@ def test_path_choice(monkeypatch):
                  "forall x (A(x) -> exists y R(x,y))", ZERO_OR_TWO_EXAMPLE):
         assert path_of(text, 2)[0] == "_collapsed_table"
     # the counting blocks collapse with only the tracked counters: no tie
-    # counter reaches the n-th power
-    evaluators = []
-    table = ProfileEvaluator.table
-    monkeypatch.setattr(ProfileEvaluator, "table",
-                        lambda self: evaluators.append(self) or table(self))
+    # counter or guard degree reaches the n-th power
+    census_counters = []
+    layouts = ProfileEvaluator._layouts
+
+    def layouts_spy(self, *args):
+        out = layouts(self, *args)
+        census_counters.append(out[0].counters)
+        return out
+    monkeypatch.setattr(ProfileEvaluator, "_layouts", layouts_spy)
     corpus = {entry.name: entry for entry in load_corpus()}
     for name in ("count_eq1", "count_eq2", "count_disj", "count_le1",
                  "count_le_sugar", "mixed_exists_eq1", "weighted_eq1", "two_exists"):
         for tracked in ((), ("R",)):
-            evaluators.clear()
+            census_counters.clear()
             assert path_of(corpus[name].text, 3, tracked)[0] == "_collapsed_table"
-            assert [ev.norm.successors for ev in evaluators] == [False]
+            assert census_counters == [tuple(range(len(tracked)))]
     coins = "predicate H/1\nforall x (H(x) | !H(x))"
     path, result = path_of(coins, 4, ("H",))
     assert path == "_enumerate_table"

@@ -59,6 +59,15 @@ def test_count_disj_card_at_40():
     assert seconds < 0.05
 
 
+def test_two_blocks_at_100():
+    """One R successor and none or two S successors per element: each
+    row keeps its guard degrees only up to m, not at all n + 1 values."""
+    n = 100
+    value, seconds = timed_count("two_blocks", n)
+    assert value == (n * (1 + math.comb(n, 2))) ** n
+    assert seconds < 0.05
+
+
 # -- truncation and signs against the oracle -------------------------------------
 
 
@@ -79,7 +88,11 @@ def assert_oracle(text, sizes):
     RUNNING_EXAMPLE + "constraint |R| <= 2\nweight A -3 2\nweight R 0.5 -1\n",
     RUNNING_EXAMPLE + "constraint |A| < 2 and |R| = 3\nweight A 0.25 1\nweight R 2 -1.5\n",
     "predicate R/2\nforall x exists{=1} y R(x,y)\nconstraint |R| <= 2\nweight R -2 3\n",
-], ids=("running_neg_frac", "running_two_caps", "count_eq1_signed"))
+    # at n = 1 a non-B element's row sums to 127, the largest coefficient
+    # its 8-bit digits hold
+    "predicate B/1\npredicate R/2\nforall x (B(x) <-> exists{=1} y R(x,y))\n"
+    "weight B 1 1\nweight R 63 64\n",
+], ids=("running_neg_frac", "running_two_caps", "count_eq1_signed", "digit_bound"))
 def test_weighted_truncated_cards_match_oracle(text):
     assert_oracle(text, (1, 2, 3))
 
@@ -104,6 +117,22 @@ def test_two_truncated_counters_match_oracle(text):
     """In the second case R is free, so a product of two truncated |R|
     factors reaches twice the cap, just below the |S| digits."""
     assert_oracle(text, (1, 2))
+
+
+@pytest.mark.parametrize("text,sizes", [
+    ("predicate A/1\npredicate B/1\npredicate R/2\n"
+     "forall x (A(x) <-> exists{=1} y R(x,y)) & forall x (B(x) <-> exists{=2} y R(x,y))\n",
+     (1, 2, 3)),
+    ("predicate A/1\npredicate B/1\npredicate R/2\npredicate S/2\n"
+     "forall x (A(x) <-> exists{=2} y R(x,y)) & forall x (B(x) <-> exists{=1} y S(x,y))\n"
+     "constraint |S| <= 3\nweight A -2 1\nweight B 1 1\nweight R 0.5 -1\nweight S 3 -1\n",
+     (1, 2)),
+], ids=("shared_guard", "weighted_capped"))
+def test_truncated_guard_degrees_match_oracle(text, sizes):
+    """Two blocks counted per element, each guard degree truncated above
+    its m: an element outside A and B combines four rows."""
+    assert not Solver(parse_problem(text)).norm.successors
+    assert_oracle(text, sizes)
 
 
 @pytest.mark.parametrize("text,no_witness", [
