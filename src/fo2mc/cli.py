@@ -7,11 +7,21 @@ Exit codes: 0 success, 1 parse/semantic error, 2 unsupported feature
 violation.  All diagnostics go to stderr; results go to stdout, with
 counts printed in full however many digits they have.  JSON output is
 byte-stable for fixed inputs and flags, except for the runtime_ms field.
+A usage error (a bad flag or choice, a missing or unknown subcommand) is
+a parse error like any other: ``error: ...`` on stderr and exit 1.
+
+The argument parser is built once per process.  Building it makes 92
+``add_argument`` calls, each of which creates a help formatter that
+probes the terminal size: about 2.5 ms (Python 3.11, 2-core VM), against
+under 0.1 ms to parse one argv with a parser already built.
+``parse_args`` keeps no state between calls, so every in-process caller
+of ``run`` can share it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -31,8 +41,19 @@ from .weights import count_distribution, wfomc_profile
 SUBCOMMANDS = ("count", "wfomc", "dist", "oracle", "normalize", "cells", "bench")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors instead of printing usage and exiting with 2,
+    so ``run`` reports them on its own error stream with exit 1.  The
+    subcommand parsers are of this class too (``parser_class``)."""
+
+    def error(self, message):
+        raise SemanticError(message)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The process's one parser, shared by every caller: do not modify it."""
+    parser = _Parser(
         prog="fo2mc",
         description="Exact lifted model counting for two-variable logic with "
                     "equality, cardinality constraints and counting quantifiers.")
@@ -338,9 +359,8 @@ _RUNNERS = {
 def run(argv=None, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _RUNNERS[args.command](args, out, err)
     except RecursionError:
         err.write("unsupported: formula nested too deeply\n")

@@ -1,12 +1,17 @@
+import argparse
 import io
 import json
+import os
+import shlex
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import fo2mc
 import fo2mc.corpus
-from fo2mc.cli import run
+from fo2mc.cli import build_parser, run
 from fo2mc.engine import Solver
 from fo2mc.parser import parse_problem
 
@@ -238,3 +243,100 @@ def test_deep_nesting_is_refused(depth):
         code, out, err = invoke(command, "-n", "2", "-e", text)
         assert (code, out) == (2, "")
         assert err == "unsupported: formula nested too deeply\n"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["count", "--bogus"], "unrecognized arguments: --bogus"),
+    (["count", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+    (["count", "-n", "abc"], "invalid int value: 'abc'"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
+    ([], "the following arguments are required: command"),
+], ids=("flag", "choice", "int", "subcommand", "no-subcommand"))
+def test_usage_error_exits_1_on_err(argv, message, capsys):
+    """Usage errors are parse errors: exit 1 with ``error: ...`` on the
+    caller's error stream, no usage text on sys.stderr, no SystemExit."""
+    code, out, err = invoke(*argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and message in err
+    assert capsys.readouterr() == ("", "")
+
+
+def test_usage_error_exit_code_of_the_process():
+    src = str(Path(fo2mc.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "fo2mc.cli", "count", "--bogus"],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 1
+    assert proc.stderr == "error: unrecognized arguments: --bogus\n"
+
+
+def test_parser_is_built_once(monkeypatch):
+    invoke("count", "-n", "2", "-e", RUNNING_EXAMPLE)
+    calls = []
+    add_argument = argparse.ArgumentParser.add_argument
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
+    coins = "predicate H/1\nforall x (H(x) | !H(x))\nweight H 1 2"
+    argvs = ([["count", "-n", str(n), "-e", RUNNING_EXAMPLE] for n in range(1, 8)]
+             + [["wfomc", "-n", str(n), "-e", coins] for n in range(1, 8)]
+             + [["dist", "-n", str(n), "-e", coins, "--query", "|H| = 1"]
+                for n in range(1, 7)])
+    assert len(argvs) == 20
+    for argv in argvs:
+        assert invoke(*argv)[0] == 0
+    assert calls == []
+
+
+def test_parser_keeps_no_state_between_calls(running_file):
+    code, out, _ = invoke("count", "-n", "2", running_file, "--profiles",
+                          "--track", "A", "--format", "json")
+    assert code == 0 and "profiles" in json.loads(out)
+    assert invoke("count", "--bogus")[0] == 1
+    assert invoke("count", "-n", "2", running_file) == (0, "48\n", "")
+
+
+#: every ``fo2mc ...`` line of the README's Command line section, and the
+#: command, file, inline text and domain size it parses to
+README_ARGVS = {
+    "fo2mc count -n 30 running.fo2 --format json":
+        ("count", "running.fo2", None, 30),
+    'fo2mc count -n 3 -e "forall x exists{=2} y R(x,y)"':
+        ("count", None, "forall x exists{=2} y R(x,y)", 3),
+    "fo2mc wfomc -n 4 weighted.fo2": ("wfomc", "weighted.fo2", None, 4),
+    'fo2mc dist -n 4 coins.fo2 --weight "1+(-1)^|H|" --query "|H| = 2"':
+        ("dist", "coins.fo2", None, 4),
+    "fo2mc oracle -n 3 running.fo2": ("oracle", "running.fo2", None, 3),
+    'fo2mc normalize -e "forall x (forall y !R(x,y) | exists{=2} y R(x,y))"':
+        ("normalize", None, "forall x (forall y !R(x,y) | exists{=2} y R(x,y))",
+         None),
+    "fo2mc cells running.fo2": ("cells", "running.fo2", None, None),
+    "fo2mc bench running.fo2 --n-range 2..50": ("bench", "running.fo2", None, None),
+}
+
+#: the file before -n, and the long spellings of -n
+OTHER_ARGVS = {
+    "fo2mc count running.fo2 -n 30": ("count", "running.fo2", None, 30),
+    "fo2mc count --n 30 running.fo2": ("count", "running.fo2", None, 30),
+    "fo2mc count --domain-size 30 running.fo2": ("count", "running.fo2", None, 30),
+}
+
+
+def test_readme_argvs_are_listed():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.join(shlex.split(line, comments=True))
+             for line in block.splitlines()]
+    assert lines == [shlex.join(shlex.split(line)) for line in README_ARGVS]
+
+
+@pytest.mark.parametrize("line,want", [*README_ARGVS.items(), *OTHER_ARGVS.items()])
+def test_documented_argv_shapes_parse(line, want):
+    args = build_parser().parse_args(shlex.split(line)[1:])
+    assert (args.command, args.file, args.inline, args.domain_size) == want
+    if "--n-range" in line:
+        assert args.n_range == "2..50"

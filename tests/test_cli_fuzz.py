@@ -63,14 +63,12 @@ def argvs(draw):
 
 
 def run_cli(argv):
-    """Exit code and everything written to stderr, argparse's usage
-    errors included."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stderr(err):
-        try:
-            code = run(argv, out=out, err=err)
-        except SystemExit as exc:
-            code = exc.code
+    """Exit code and everything written to ``err``.  Usage errors are
+    reported there like any other, so nothing reaches sys.stderr."""
+    out, err, stray = io.StringIO(), io.StringIO(), io.StringIO()
+    with contextlib.redirect_stderr(stray):
+        code = run(argv, out=out, err=err)
+    assert stray.getvalue() == ""
     return code, err.getvalue()
 
 
