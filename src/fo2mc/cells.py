@@ -10,8 +10,10 @@ are independent of the domain size.
 A matrix is *directed* when every valid pair of types (i, j) allows
 exactly the 2-tables O_ij x O_ji: the x->y bits and the y->x bits are
 chosen independently, from the out-edge options O_ij of i toward j and
-O_ji of j toward i.  It is *cross-independent* when moreover O_ij does
-not depend on j.
+O_ji of j toward i.  It is *cross-independent* when moreover every pair
+allows O_ii x O_jj, so what a type sends does not depend on its
+partner.  Both properties read the options, not the matrix's syntax, so
+neither depends on which way round a conjunct is written.
 
 Two valid 1-types are interchangeable when they have the same 2-tables,
 read with the type on the x side, against every valid type;
@@ -207,13 +209,6 @@ def build_cells(signature: Signature, matrix: Iterable[Formula]) -> CellStructur
     sides = {t: tuple(full if slot_bit(t, s, u) else 0 for s in range(u))
              for t in valid}
 
-    # Cross-independence: whether the x->y direction of the matrix depends
-    # only on the 1-type of x and the x->y bits (never on y's type or the
-    # reverse bits).  When it does, n_ijv factorizes per directed edge.
-    # Each type's own diagonal masks are the reference for both sides.
-    own_fwd = {t: forward(sides[t], sides[t]) for t in valid}
-    own_rev = {t: reverse(sides[t], sides[t]) for t in valid}
-    independent = True
     pair_vs: dict[tuple[int, int], tuple[int, ...]] = {}
     n_ij: dict[tuple[int, int], int] = {}
     # Per type, the id of its oriented 2-table mask against each partner:
@@ -235,7 +230,6 @@ def build_cells(signature: Signature, matrix: Iterable[Formula]) -> CellStructur
         row_i = rows[i]
         for b_pos, j in enumerate(valid[a_pos:], a_pos):
             m_ij, m_ji = forward(sides[i], sides[j]), reverse(sides[j], sides[i])
-            independent = independent and m_ij == own_fwd[i] and m_ji == own_rev[j]
             both = m_ij & m_ji
             entry = tables_of.get(both)
             if entry is None:
@@ -249,19 +243,18 @@ def build_cells(signature: Signature, matrix: Iterable[Formula]) -> CellStructur
             key = (i, j)
             pair_vs[key] = vs
             n_ij[key] = len(vs)
-    # ... and no mask may change when a (y,x) bit flips
-    for s in range(1, b, 2):
-        run = 1 << (b - 1 - s)
-        unset = full ^ v_masks[s]
-        if any(((m >> run) ^ m) & unset for m in own_fwd.values()):
-            independent = False
     cells.pair_vs = pair_vs
     cells.n_ij = n_ij
-    cells.cross_independent = independent
     cells.directed = directed
     if directed:
-        cells.out_options = {(i, j): options[rows[i][pos]]
-                             for i in valid for pos, j in enumerate(valid)}
+        out = cells.out_options = {(i, j): options[rows[i][pos]]
+                                   for i in valid for pos, j in enumerate(valid)}
+        # every pair allows O_ii x O_jj: what a type sends does not depend
+        # on its partner, and a pair that allows nothing has a side that
+        # cannot meet its own type
+        cells.cross_independent = all(
+            (out[i, j], out[j, i]) == (out[i, i], out[j, j]) if vs
+            else not (out[i, i] and out[j, j]) for (i, j), vs in pair_vs.items())
     classes: dict[tuple, list[int]] = {}
     for t in valid:
         classes.setdefault(tuple(rows[t]), []).append(t)

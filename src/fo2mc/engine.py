@@ -6,9 +6,10 @@ Two evaluation strategies compute the same profile sums:
   valid 1-types; each census contributes its multinomial coefficient
   and a product of per-class weights and per-pair factors.
 
-* collapsed power: when every cross condition of the matrix depends only
-  on the source 1-type and the outgoing edge bits, the sum over censuses
-  factorizes into the n-th power of a single per-element polynomial.
+* collapsed power: when the matrix is cross-independent (see ``cells``),
+  the out-edges an element may send do not depend on its partner's type,
+  and the sum over censuses factorizes into the n-th power of a single
+  per-element polynomial.
 
 Both share one counter layout: a counter per tracked predicate (unary
 ones first), then one per counting block, raised by the true atoms of

@@ -398,16 +398,14 @@ class _Parser:
         self.fail("expected a number, |predicate| or parenthesized expression", tok)
 
 
-def parse_problem(text: str, strict: bool | None = None,
-                  allow_synthetic: bool = False) -> Problem:
-    """Parse a complete problem.  With ``strict=None`` declarations are
-    required exactly when at least one ``predicate`` line is present;
-    otherwise predicates are declared implicitly from their first use.
-    ``allow_synthetic`` admits reserved ``__`` names so that dumps of
-    normalized problems can be parsed back."""
+def parse_problem(text: str, allow_synthetic: bool = False) -> Problem:
+    """Parse a complete problem.  Declarations are required exactly when
+    the problem opens with a ``predicate`` line; otherwise predicates are
+    declared implicitly from their first use.  ``allow_synthetic`` admits
+    reserved ``__`` names so that dumps of normalized problems can be
+    parsed back."""
     tokens = tokenize(text)
-    if strict is None:
-        strict = bool(tokens) and tokens[0].text == "predicate"
+    strict = bool(tokens) and tokens[0].text == "predicate"
     parser = _Parser(tokens, Signature(), strict, allow_synthetic)
     parser.parse_decls()
     sentence = parser.parse_formula()
@@ -442,11 +440,9 @@ def parse_problem(text: str, strict: bool | None = None,
     return problem
 
 
-def parse_formula(text: str, signature: Signature | None = None,
-                  strict: bool = False) -> Formula:
-    """Parse a bare formula (used by tests and inline CLI input)."""
-    parser = _Parser(tokenize(text), signature if signature is not None else Signature(),
-                     strict)
+def parse_formula(text: str) -> Formula:
+    """Parse a bare formula, declaring predicates from their first use."""
+    parser = _Parser(tokenize(text), Signature(), strict=False)
     out = parser.parse_formula()
     tok = parser.peek()
     if tok.kind != "eof":
@@ -476,13 +472,11 @@ def parse_weight_expr(text: str, signature: Signature) -> WeightExpr:
     return out
 
 
-def format_problem(problem: Problem, include_synthetic: bool = True) -> str:
+def format_problem(problem: Problem) -> str:
     """Render a problem back into the input format (the inverse of
     ``parse_problem`` up to whitespace)."""
     lines = []
     for name in problem.signature.predicates():
-        if not include_synthetic and name in problem.signature.synthetic:
-            continue
         lines.append(f"predicate {name}/{problem.signature.arity(name)}")
     lines.append(str(problem.sentence))
     if problem.constraint != CARD_TRUE:

@@ -54,7 +54,7 @@ def wfomc_profile(problem: Problem | NormalizedProblem | Solver, n: int,
     problem's profile weight and the problem's symmetric weights, if it
     declares any, are folded into F: the weighting is their product."""
     solver = _solver(problem)
-    weight, fold = _weight_setup(solver, weight, None)
+    weight, fold = _weight_setup(solver, weight)
     if weight is None:
         return Fraction(solver.weighted_total(n, (), fold))
     tracked = tuple(sorted(weight_predicates(weight)))
@@ -62,14 +62,14 @@ def wfomc_profile(problem: Problem | NormalizedProblem | Solver, n: int,
         n, tracked, fold, weight_fn=lambda cards: weight_value(weight, cards))
 
 
-def _weight_setup(solver: Solver, weight, symmetric):
-    """Resolve the weighting of a distribution query: the problem's own
-    declarations fill in whatever the caller left unset.  Symmetric
-    weights enter the engine's factors, profile weights per profile."""
+def _weight_setup(solver: Solver, weight):
+    """Resolve the weighting of a query: the problem's profile weight
+    unless the caller gives one, and the problem's symmetric weights.
+    Symmetric weights enter the engine's factors, profile weights per
+    profile."""
     if weight is None:
         weight = solver.norm.profile_weight
-    if symmetric is None and solver.norm.symmetric_weights:
-        symmetric = solver.norm.symmetric_weights
+    symmetric = solver.norm.symmetric_weights
     if symmetric:
         _check_symmetric(solver, symmetric)
     return weight, symmetric or None
@@ -90,15 +90,14 @@ def _query_rows(solver: Solver, n: int, query_preds: Sequence[str], weight, fold
 
 def count_distribution(problem: Problem | NormalizedProblem | Solver, n: int,
                        query: Sequence[tuple[str, int]],
-                       weight: WeightExpr | None = None,
-                       symmetric: Mapping[str, tuple[Fraction, Fraction]] | None = None
+                       weight: WeightExpr | None = None
                        ) -> tuple[Fraction, Fraction, Fraction]:
     """Probability that each query predicate has exactly the requested
     number of true groundings, under the weighted distribution (profile
     weights, symmetric weights, or their product).
     Returns (numerator, partition function, probability)."""
     solver = _solver(problem)
-    weight, fold = _weight_setup(solver, weight, symmetric)
+    weight, fold = _weight_setup(solver, weight)
     wanted = tuple(int(c) for _, c in query)
     numerator = z = Fraction(0)
     for sub, contrib in _query_rows(solver, n, [p for p, _ in query], weight, fold):
@@ -113,13 +112,12 @@ def count_distribution(problem: Problem | NormalizedProblem | Solver, n: int,
 
 def distribution_table(problem: Problem | NormalizedProblem | Solver, n: int,
                        query_preds: Sequence[str],
-                       weight: WeightExpr | None = None,
-                       symmetric: Mapping[str, tuple[Fraction, Fraction]] | None = None
+                       weight: WeightExpr | None = None
                        ) -> dict[tuple[int, ...], Fraction]:
     """The full count distribution over the query predicates' cardinality
     vectors; the probabilities sum to exactly one."""
     solver = _solver(problem)
-    weight, fold = _weight_setup(solver, weight, symmetric)
+    weight, fold = _weight_setup(solver, weight)
     out: dict[tuple[int, ...], Fraction] = {}
     z = Fraction(0)
     for sub, contrib in _query_rows(solver, n, query_preds, weight, fold):

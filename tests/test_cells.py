@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -172,10 +174,6 @@ def reference_cells(signature, matrix):
     npred = b // 2
     out_mask = [sum(slot_bit(v, 2 * k, b) << (npred - 1 - k) for k in range(npred))
                 for v in range(1 << b)]
-    seen = {i: {} for i in valid}
-    independent = all(seen[i].setdefault(out_mask[v], r[v]) == r[v]
-                      for i in valid for r in {rows[(i, j)] for j in valid}
-                      for v in range(1 << b))
 
     # the 2-tables of a pair with the type t on the x side, and the
     # out-masks t sends to p in them; the matrix is directed when every
@@ -191,6 +189,13 @@ def reference_cells(signature, matrix):
                                       and out_mask[swap[v]] in sends[(p, t)]}
                    for t in valid for p in valid)
     out_options = sends if directed else {}
+    # cross-independent: directed, and every pair allows what each side
+    # sends to its own type
+    independent = directed and all(
+        oriented(t, p) == {v for v in range(1 << b)
+                           if out_mask[v] in sends[(t, t)]
+                           and out_mask[swap[v]] in sends[(p, p)]}
+        for t in valid for p in valid)
 
     # types are interchangeable when their oriented 2-table sets agree
     # against every partner
@@ -269,3 +274,20 @@ def test_tracked_reflexive_bit_stays_in_class_weight():
     assert solver.cells.classes == [(0, 1), (2, 3)]
     assert len(ProfileEvaluator(solver.norm, solver.cells, 3).types) == 2
     assert len(ProfileEvaluator(solver.norm, solver.cells, 3, ("R",)).types) == 2
+
+
+# -- cross-independence --------------------------------------------------------
+
+
+@pytest.mark.parametrize("conjunct", ["R(x,y) -> A(x)", "R(y,x) -> A(y)"])
+def test_cross_independence_does_not_depend_on_orientation(conjunct):
+    """The two spellings of one conjunct allow O_ii x O_jj on every pair,
+    so both take the collapsed power and count the same closed forms:
+    an element sends any R-edges when it is in A and none otherwise."""
+    plain = Solver(parse_problem(f"forall x forall y ({conjunct})"))
+    counting = Solver(parse_problem(f"forall x forall y ({conjunct})"
+                                    " & forall x exists{=2} y R(x,y)"))
+    assert plain.cells.cross_independent and counting.cells.cross_independent
+    sizes = range(1, 12)
+    assert [plain.count(n) for n in sizes] == [(1 + 2 ** n) ** n for n in sizes]
+    assert [counting.count(n) for n in sizes] == [math.comb(n, 2) ** n for n in sizes]

@@ -11,6 +11,7 @@ import pytest
 
 import fo2mc
 import fo2mc.corpus
+from fo2mc import cli
 from fo2mc.cli import build_parser, run
 from fo2mc.engine import Solver
 from fo2mc.parser import parse_problem
@@ -251,7 +252,12 @@ def test_deep_nesting_is_refused(depth):
     (["count", "-n", "abc"], "invalid int value: 'abc'"),
     (["frobnicate"], "argument command: invalid choice: 'frobnicate'"),
     ([], "the following arguments are required: command"),
-], ids=("flag", "choice", "int", "subcommand", "no-subcommand"))
+    (["count", "-n", "3", "--n-range", "1..4", "-e", RUNNING_EXAMPLE],
+     "argument --n-range: not allowed with argument -n/--n/--domain-size"),
+    (["count", "-n", "2", "-e", RUNNING_EXAMPLE, "--track", "A", "--profiles",
+      "--format", "csv"], "--profiles cannot be printed as csv"),
+], ids=("flag", "choice", "int", "subcommand", "no-subcommand", "n-and-n-range",
+        "profiles-as-csv"))
 def test_usage_error_exits_1_on_err(argv, message, capsys):
     """Usage errors are parse errors: exit 1 with ``error: ...`` on the
     caller's error stream, no usage text on sys.stderr, no SystemExit."""
@@ -337,6 +343,89 @@ def test_readme_argvs_are_listed():
 @pytest.mark.parametrize("line,want", [*README_ARGVS.items(), *OTHER_ARGVS.items()])
 def test_documented_argv_shapes_parse(line, want):
     args = build_parser().parse_args(shlex.split(line)[1:])
-    assert (args.command, args.file, args.inline, args.domain_size) == want
+    # normalize, cells and bench take no domain size
+    assert (args.command, args.file, args.inline, vars(args).get("domain_size")) == want
     if "--n-range" in line:
         assert args.n_range == "2..50"
+
+
+# -- one flag set per subcommand -----------------------------------------------
+
+
+#: every flag each subcommand once took besides the problem source, with
+#: a value for it
+OLD_FLAGS = {"-n": ["2"], "--n-range": ["1..2"], "--format": ["json"],
+             "--track": ["A"], "--profiles": [], "--dump-normalized": [],
+             "--dump-cells": [], "--weight": ["1+|A|"], "--query": ["|A| = 1"],
+             "--oracle-cap": ["20"]}
+
+#: the flags each subcommand takes besides the problem source
+TAKES = {
+    "count": ("-n", "--n-range", "--format", "--track", "--profiles"),
+    "wfomc": ("-n", "--format", "--weight"),
+    "dist": ("-n", "--format", "--weight", "--query"),
+    "oracle": ("-n", "--format", "--weight", "--query", "--oracle-cap"),
+    "normalize": (),
+    "cells": (),
+    "bench": ("--n-range", "--oracle-cap"),
+}
+
+REFUSED = [(command, flag) for command, flags in TAKES.items()
+           for flag in OLD_FLAGS if flag not in flags]
+
+
+def test_flag_slots():
+    """Each subcommand's settable slots: the problem source and its flags."""
+    slots = [set(vars(build_parser().parse_args([command]))) - {"command"}
+             for command in TAKES]
+    assert sum(map(len, slots)) == 33
+    assert len(REFUSED) == 51
+
+
+@pytest.mark.parametrize("command,flag", REFUSED)
+def test_flag_the_command_does_not_read_is_refused(command, flag, capsys):
+    code, out, err = invoke(command, "-e", RUNNING_EXAMPLE, flag, *OLD_FLAGS[flag])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and f"unrecognized arguments: {flag}" in err
+    assert capsys.readouterr() == ("", "")
+
+
+#: argvs that together take every branch of each runner that reads a flag
+RUNNER_ARGVS = {
+    "count": [["-n", "2", "--track", "A", "--profiles"],
+              ["--n-range", "1..2", "--format", "csv"]],
+    "wfomc": [["-n", "2", "--weight", "1+|A|", "--format", "json"]],
+    "dist": [["-n", "2", "--weight", "1+|A|", "--query", "|A| = 1"]],
+    "oracle": [["-n", "2", "--weight", "1+|A|", "--query", "|A| = 1",
+                "--oracle-cap", "20", "--format", "json"]],
+    "normalize": [[]],
+    "cells": [[]],
+    "bench": [["--n-range", "1..2", "--oracle-cap", "20"]],
+}
+
+
+class RecordingArgs(argparse.Namespace):
+    """Parsed arguments that record which of them are read."""
+
+    def __init__(self, args):
+        super().__init__(**vars(args))
+        self._read = set()
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_read").add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("command", TAKES)
+def test_each_command_takes_exactly_the_flags_its_runner_reads(command):
+    parser = build_parser()
+    for flag in TAKES[command]:
+        parser.parse_args([command, flag, *OLD_FLAGS[flag]])
+    declared = set(vars(parser.parse_args([command]))) - {"command"}
+    read = set()
+    for flags in RUNNER_ARGVS[command]:
+        args = RecordingArgs(parser.parse_args([command, "-e", RUNNING_EXAMPLE, *flags]))
+        assert cli._RUNNERS[command](args, io.StringIO(), io.StringIO()) == 0
+        read |= args._read
+    assert read == declared
