@@ -85,15 +85,15 @@ class _Parser(argparse.ArgumentParser):
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The process's one parser, shared by every caller: do not modify it.
-    Each subcommand takes only the flags ``COMMANDS`` lists for it, so
-    any other flag is an unrecognized argument."""
+    Each subcommand takes only the flags ``COMMANDS`` lists for it, spelled
+    in full, so any other flag or abbreviation is an unrecognized argument."""
     parser = _Parser(
-        prog="fo2mc",
+        prog="fo2mc", allow_abbrev=False,
         description="Exact lifted model counting for two-variable logic with "
                     "equality, cardinality constraints and counting quantifiers.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (flags, formats) in COMMANDS.items():
-        p = sub.add_parser(name)
+        p = sub.add_parser(name, allow_abbrev=False)
         p.add_argument("file", nargs="?", help="problem file (.fo2 by convention)")
         p.add_argument("-e", "--inline", help="inline problem text instead of a file")
         if formats:

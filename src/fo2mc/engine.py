@@ -441,9 +441,9 @@ class ProfileEvaluator:
     def table(self) -> dict:
         """The collapsed power runs whenever the matrix allows it and no
         block carries a tie counter, except when tracked unary cards are
-        the only counters and the censuses are few: then enumeration's
-        integer powers are cheaper than a power of a polynomial in the
-        unary counters."""
+        the only counters and the censuses are few: then enumeration
+        multiplies integer powers.  The rule counts censuses only, so it
+        can pick the slower path in either direction."""
         if not self.types:
             return {}
         use_collapsed = self.cells.cross_independent and not self._ties and not (

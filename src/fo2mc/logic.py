@@ -148,6 +148,35 @@ def free_vars(formula: Formula) -> frozenset[str]:
     raise TypeError(f"not a formula: {formula!r}")
 
 
+def subformulas(formula: Formula) -> tuple[Formula, ...]:
+    """The immediate subformulas of a node, left to right.  With
+    ``rebuild`` this is the only code that knows each node's children."""
+    if isinstance(formula, (Atom, Eq)):
+        return ()
+    if isinstance(formula, Not):
+        return (formula.sub,)
+    if isinstance(formula, (And, Or, Implies, Iff)):
+        return (formula.left, formula.right)
+    if isinstance(formula, (Forall, Exists, Counting)):
+        return (formula.body,)
+    raise TypeError(f"not a formula: {formula!r}")
+
+
+def rebuild(formula: Formula, subs) -> Formula:
+    """The node ``formula`` with its immediate subformulas replaced by
+    ``subs``; a quantifier keeps its variable (and a counting quantifier
+    its comparison and count), a leaf is returned as it is."""
+    if isinstance(formula, (Atom, Eq)):
+        return formula
+    if isinstance(formula, (Not, And, Or, Implies, Iff)):
+        return type(formula)(*subs)
+    if isinstance(formula, (Forall, Exists)):
+        return type(formula)(formula.var, *subs)
+    if isinstance(formula, Counting):
+        return Counting(formula.cmp, formula.count, formula.var, *subs)
+    raise TypeError(f"not a formula: {formula!r}")
+
+
 def substitute(formula: Formula, mapping: Mapping[str, str]) -> Formula:
     """Simultaneously rename free variables.  Quantified variables are
     never renamed; the parser guarantees no rebinding, so capture cannot
@@ -157,19 +186,9 @@ def substitute(formula: Formula, mapping: Mapping[str, str]) -> Formula:
     if isinstance(formula, Eq):
         return Eq(mapping.get(formula.left, formula.left),
                   mapping.get(formula.right, formula.right))
-    if isinstance(formula, Not):
-        return Not(substitute(formula.sub, mapping))
-    if isinstance(formula, (And, Or, Implies, Iff)):
-        return type(formula)(substitute(formula.left, mapping),
-                             substitute(formula.right, mapping))
-    if isinstance(formula, (Forall, Exists)):
-        inner = {k: v for k, v in mapping.items() if k != formula.var}
-        return type(formula)(formula.var, substitute(formula.body, inner))
-    if isinstance(formula, Counting):
-        inner = {k: v for k, v in mapping.items() if k != formula.var}
-        return Counting(formula.cmp, formula.count, formula.var,
-                        substitute(formula.body, inner))
-    raise TypeError(f"not a formula: {formula!r}")
+    if isinstance(formula, (Forall, Exists, Counting)):
+        mapping = {k: v for k, v in mapping.items() if k != formula.var}
+    return rebuild(formula, [substitute(s, mapping) for s in subformulas(formula)])
 
 
 def is_quantifier_free(formula: Formula) -> bool:
@@ -185,15 +204,9 @@ def is_quantifier_free(formula: Formula) -> bool:
 def atoms_of(formula: Formula) -> Iterator[Atom]:
     if isinstance(formula, Atom):
         yield formula
-    elif isinstance(formula, Eq):
-        return
-    elif isinstance(formula, Not):
-        yield from atoms_of(formula.sub)
-    elif isinstance(formula, (And, Or, Implies, Iff)):
-        yield from atoms_of(formula.left)
-        yield from atoms_of(formula.right)
-    elif isinstance(formula, (Forall, Exists, Counting)):
-        yield from atoms_of(formula.body)
+    else:
+        for sub in subformulas(formula):
+            yield from atoms_of(sub)
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +493,7 @@ def weight_predicates(expr: WeightExpr) -> frozenset[str]:
 
 
 # ---------------------------------------------------------------------------
-# Pretty printing (inverse of the parser, used by --dump-normalized)
+# Pretty printing (inverse of the parser, used by ``fo2mc normalize``)
 
 _PREC = {Iff: 1, Implies: 2, Or: 3, And: 4, Not: 5}
 

@@ -20,6 +20,10 @@ forcing every guard edge to start in A), ``signed`` gives the block a
 sign predicate S with S(x) -> A(x) and the occurrence A(w) & !S(w):
 summing (-1)^|S| over S within A and A within E leaves exactly the term
 A = E, so the count is exact in every position.
+
+Each rewriting walker spells out only the nodes it changes and reaches
+every other node through ``logic.subformulas`` and ``logic.rebuild``.
+Fresh synthetic predicates come from ``NameAllocator.fresh``.
 """
 
 from __future__ import annotations
@@ -33,46 +37,24 @@ from .logic import (And, Atom, CARD_TRUE, CardAnd, CardCompare,
                     CardConstraint, Counting, Eq, Exists, Forall, Formula,
                     Iff, Implies, LinearExpr, Not, Or, Signature, card_conjoin,
                     conjoin, disjoin, free_vars, is_quantifier_free,
-                    other_variable, substitute)
+                    other_variable, rebuild, subformulas, substitute)
 from .parser import Problem
 
 
 class NameAllocator:
-    """Deterministic fresh names: __P{l} for sign predicates, __A{i} and
-    __f{i}_{j} for counting blocks, __R{i} for definitional guards and
-    __D{t} for Scott-reduction definitional predicates."""
+    """Deterministic fresh names ``__{kind}{k}``, numbered from 1 per kind:
+    __P{l} for sign predicates, __A{i} and __f{i}_{j} (kind ``f{i}_``) for
+    counting blocks, __R{i} for definitional guards and __D{t} for
+    Scott-reduction definitional predicates."""
 
     def __init__(self, signature: Signature):
         self.signature = signature
-        self.counters = {"P": 0, "A": 0, "f": 0, "R": 0, "D": 0}
+        self.counters: dict[str, int] = {}
 
-    def _next(self, kind: str) -> int:
-        self.counters[kind] += 1
-        return self.counters[kind]
-
-    def fresh_sign(self) -> str:
-        name = f"__P{self._next('P')}"
-        self.signature.declare(name, 1, synthetic=True)
-        return name
-
-    def fresh_a(self) -> str:
-        name = f"__A{self._next('A')}"
-        self.signature.declare(name, 1, synthetic=True)
-        return name
-
-    def fresh_fs(self, block_index: int, m: int) -> tuple[str, ...]:
-        names = tuple(f"__f{block_index}_{j}" for j in range(1, m + 1))
-        for name in names:
-            self.signature.declare(name, 2, synthetic=True)
-        return names
-
-    def fresh_guard(self) -> str:
-        name = f"__R{self._next('R')}"
-        self.signature.declare(name, 2, synthetic=True)
-        return name
-
-    def fresh_def(self, arity: int) -> str:
-        name = f"__D{self._next('D')}"
+    def fresh(self, kind: str, arity: int) -> str:
+        """Declare and return the next synthetic predicate of ``kind``."""
+        k = self.counters[kind] = self.counters.get(kind, 0) + 1
+        name = f"__{kind}{k}"
         self.signature.declare(name, arity, synthetic=True)
         return name
 
@@ -163,7 +145,7 @@ def extract_single_var_counting(sentence: Formula, alloc: NameAllocator
     for part in _distribute(sentence):
         if (isinstance(part, Counting)
                 and free_vars(part.body) <= {part.var}):
-            a = alloc.fresh_a()
+            a = alloc.fresh("A", 1)
             v = part.var
             definitions.append(Forall(v, Iff(Atom(a, (v,)), part.body)))
             constraints.append(CardCompare(part.cmp, LinearExpr.card(a),
@@ -181,29 +163,22 @@ def expand_counting_sugar(formula: Formula) -> Formula:
     """Rewrite so that only ``exists{=m}`` with m >= 1 remains: at-most
     becomes a disjunction of exact counts, at-least the negation of an
     at-most, and ``exists{=0}`` a universal negation."""
-    if isinstance(formula, (Atom, Eq)):
-        return formula
-    if isinstance(formula, Not):
-        return Not(expand_counting_sugar(formula.sub))
-    if isinstance(formula, (And, Or, Implies, Iff)):
-        return type(formula)(expand_counting_sugar(formula.left),
-                             expand_counting_sugar(formula.right))
-    if isinstance(formula, (Forall, Exists)):
-        return type(formula)(formula.var, expand_counting_sugar(formula.body))
-    if isinstance(formula, Counting):
-        body = expand_counting_sugar(formula.body)
-        v, m = formula.var, formula.count
-        if formula.cmp == "=":
-            if m == 0:
-                return Forall(v, Not(body))
-            return Counting("=", m, v, body)
-        if formula.cmp == "<=":
-            return disjoin(expand_counting_sugar(Counting("=", k, v, body))
-                           for k in range(m + 1))
-        if formula.cmp == ">=":
-            if m == 0:
-                return Eq(v, v)  # trivially true
-            return Not(expand_counting_sugar(Counting("<=", m - 1, v, body)))
+    subs = [expand_counting_sugar(s) for s in subformulas(formula)]
+    if not isinstance(formula, Counting):
+        return rebuild(formula, subs)
+    (body,) = subs
+    v, m = formula.var, formula.count
+    if formula.cmp == "=":
+        if m == 0:
+            return Forall(v, Not(body))
+        return Counting("=", m, v, body)
+    if formula.cmp == "<=":
+        return disjoin(expand_counting_sugar(Counting("=", k, v, body))
+                       for k in range(m + 1))
+    if formula.cmp == ">=":
+        if m == 0:
+            return Eq(v, v)  # trivially true
+        return Not(expand_counting_sugar(Counting("<=", m - 1, v, body)))
     raise TypeError(f"not a formula: {formula!r}")
 
 
@@ -223,61 +198,52 @@ def encode_counting(sentence: Formula, alloc: NameAllocator,
     axioms: list[Formula] = []
 
     def walk(f: Formula, inside_counting: bool) -> Formula:
-        if isinstance(f, (Atom, Eq)):
-            return f
-        if isinstance(f, Not):
-            return Not(walk(f.sub, inside_counting))
-        if isinstance(f, (And, Or, Implies, Iff)):
-            return type(f)(walk(f.left, inside_counting),
-                           walk(f.right, inside_counting))
-        if isinstance(f, (Forall, Exists)):
-            return type(f)(f.var, walk(f.body, inside_counting))
-        if isinstance(f, Counting):
-            if inside_counting:
-                raise UnsupportedFeatureError(
-                    "nested counting quantifiers are not supported")
-            body = walk(f.body, True)
-            v = f.var
-            w = other_variable(v)
-            if free_vars(body) <= {v}:
-                raise UnsupportedFeatureError(
-                    "a counting quantifier over a single-variable formula is "
-                    "only supported as a top-level conjunct")
-            if f.count < 1:
-                raise SemanticError("exact count must be positive here "
-                                    "(sugar expansion removes zero counts)")
-            index = len(blocks) + 1
-            canon = {w: "x", v: "y"}
-            if isinstance(body, Atom) and body.args == (w, v):
-                guard = body.pred
-            else:
-                guard = alloc.fresh_guard()
-                axioms.append(Forall("x", Forall("y", Iff(
-                    Atom(guard, ("x", "y")), substitute(body, canon)))))
-            a = alloc.fresh_a()
-            if not successors:
-                blocks.append(CountingBlock(index, guard, f.count, a, ()))
-                return Atom(a, (w,))
-            fs = alloc.fresh_fs(index, f.count)
-            sign = alloc.fresh_sign() if index in signed else None
-            blocks.append(CountingBlock(index, guard, f.count, a, fs, sign))
-            f_atoms = [Atom(name, ("x", "y")) for name in fs]
-            axioms.append(Forall("x", Forall("y", Implies(
-                Atom(a, ("x",)),
-                Iff(Atom(guard, ("x", "y")), disjoin(f_atoms))))))
-            for p in range(len(fs)):
-                for q in range(p + 1, len(fs)):
-                    axioms.append(Forall("x", Forall("y", Implies(
-                        f_atoms[p], Not(f_atoms[q])))))
-            for fa in f_atoms:
-                axioms.append(Forall("x", Exists("y", Implies(
-                    Atom(a, ("x",)), fa))))
-            if sign is None:
-                return Atom(a, (w,))
-            axioms.append(Forall("x", Implies(Atom(sign, ("x",)),
-                                              Atom(a, ("x",)))))
-            return And(Atom(a, (w,)), Not(Atom(sign, (w,))))
-        raise TypeError(f"not a formula: {f!r}")
+        if not isinstance(f, Counting):
+            return rebuild(f, [walk(s, inside_counting) for s in subformulas(f)])
+        if inside_counting:
+            raise UnsupportedFeatureError(
+                "nested counting quantifiers are not supported")
+        body = walk(f.body, True)
+        v = f.var
+        w = other_variable(v)
+        if free_vars(body) <= {v}:
+            raise UnsupportedFeatureError(
+                "a counting quantifier over a single-variable formula is "
+                "only supported as a top-level conjunct")
+        if f.count < 1:
+            raise SemanticError("exact count must be positive here "
+                                "(sugar expansion removes zero counts)")
+        index = len(blocks) + 1
+        canon = {w: "x", v: "y"}
+        if isinstance(body, Atom) and body.args == (w, v):
+            guard = body.pred
+        else:
+            guard = alloc.fresh("R", 2)
+            axioms.append(Forall("x", Forall("y", Iff(
+                Atom(guard, ("x", "y")), substitute(body, canon)))))
+        a = alloc.fresh("A", 1)
+        if not successors:
+            blocks.append(CountingBlock(index, guard, f.count, a, ()))
+            return Atom(a, (w,))
+        fs = tuple(alloc.fresh(f"f{index}_", 2) for _ in range(f.count))
+        sign = alloc.fresh("P", 1) if index in signed else None
+        blocks.append(CountingBlock(index, guard, f.count, a, fs, sign))
+        f_atoms = [Atom(name, ("x", "y")) for name in fs]
+        axioms.append(Forall("x", Forall("y", Implies(
+            Atom(a, ("x",)),
+            Iff(Atom(guard, ("x", "y")), disjoin(f_atoms))))))
+        for p in range(len(fs)):
+            for q in range(p + 1, len(fs)):
+                axioms.append(Forall("x", Forall("y", Implies(
+                    f_atoms[p], Not(f_atoms[q])))))
+        for fa in f_atoms:
+            axioms.append(Forall("x", Exists("y", Implies(
+                Atom(a, ("x",)), fa))))
+        if sign is None:
+            return Atom(a, (w,))
+        axioms.append(Forall("x", Implies(Atom(sign, ("x",)),
+                                          Atom(a, ("x",)))))
+        return And(Atom(a, (w,)), Not(Atom(sign, (w,))))
 
     replaced = walk(sentence, False)
     return conjoin([replaced, *axioms]), tuple(blocks)
@@ -285,10 +251,6 @@ def encode_counting(sentence: Formula, alloc: NameAllocator,
 
 # ---------------------------------------------------------------------------
 # Step 4: Scott normal form
-
-
-def _contains_quantifier(f: Formula) -> bool:
-    return not is_quantifier_free(f)
 
 
 def _pull(f: Formula) -> Formula:
@@ -344,38 +306,26 @@ def _innermost_quantified(f: Formula, in_scope: tuple[str, ...]
                           ) -> tuple[Formula, tuple[str, ...]] | None:
     """Find a quantified subformula whose body is quantifier-free,
     together with the variables bound around its position."""
-    if isinstance(f, (Atom, Eq)):
-        return None
-    if isinstance(f, Not):
-        return _innermost_quantified(f.sub, in_scope)
-    if isinstance(f, (And, Or, Implies, Iff)):
-        return (_innermost_quantified(f.left, in_scope)
-                or _innermost_quantified(f.right, in_scope))
     if isinstance(f, (Forall, Exists)):
         deeper = _innermost_quantified(f.body, in_scope + (f.var,))
-        if deeper is not None:
-            return deeper
-        if is_quantifier_free(f.body):
+        if deeper is None and is_quantifier_free(f.body):
             return f, in_scope
-        return None
-    raise TypeError(f"not a formula: {f!r}")
+        return deeper
+    for sub in subformulas(f):
+        found = _innermost_quantified(sub, in_scope)
+        if found is not None:
+            return found
+    return None
 
 
 def _replace_once(f: Formula, target: Formula, replacement: Formula) -> Formula:
+    """Replace the node object ``target`` (every occurrence of that one
+    object) by ``replacement``: a definitional predicate stands for one
+    subformula wherever it occurs."""
     if f is target:
         return replacement
-    if isinstance(f, (Atom, Eq)):
-        return f
-    if isinstance(f, Not):
-        return Not(_replace_once(f.sub, target, replacement))
-    if isinstance(f, (And, Or, Implies, Iff)):
-        left = _replace_once(f.left, target, replacement)
-        if left is not f.left:
-            return type(f)(left, f.right)
-        return type(f)(f.left, _replace_once(f.right, target, replacement))
-    if isinstance(f, (Forall, Exists)):
-        return type(f)(f.var, _replace_once(f.body, target, replacement))
-    raise TypeError(f"not a formula: {f!r}")
+    return rebuild(f, [_replace_once(s, target, replacement)
+                       for s in subformulas(f)])
 
 
 def to_scott(sentence: Formula, alloc: NameAllocator
@@ -396,7 +346,7 @@ def to_scott(sentence: Formula, alloc: NameAllocator
         if is_quantifier_free(core):
             matrix.append(core)
             continue
-        if isinstance(core, Iff) and _contains_quantifier(core):
+        if isinstance(core, Iff) and not is_quantifier_free(core):
             rebuilt_a: Formula = Implies(core.left, core.right)
             rebuilt_b: Formula = Implies(core.right, core.left)
             for var in reversed(prefix):
@@ -425,7 +375,7 @@ def to_scott(sentence: Formula, alloc: NameAllocator
             # closed subformula: the definitional predicate is constant
             # (its definition does not mention its argument)
             carrier = scope[0] if scope else w
-        d = alloc.fresh_def(1)
+        d = alloc.fresh("D", 1)
         d_atom = Atom(d, (carrier,))
         replaced = _replace_once(core, sub, d_atom)
         for var in reversed(prefix):
@@ -458,7 +408,7 @@ def eliminate_existentials(matrix: list[Formula], psis: list[Formula],
     out = list(matrix)
     signs = []
     for psi in psis:
-        p = alloc.fresh_sign()
+        p = alloc.fresh("P", 1)
         signs.append(p)
         out.append(Implies(Atom(p, ("x",)), Not(psi)))
     return out, tuple(signs)

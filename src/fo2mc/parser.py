@@ -13,6 +13,10 @@ A quantifier binds the next unary formula (atom, negation, quantified
 formula or parenthesized group), so ``forall x A(x) & B(x)`` conjoins
 ``forall x A(x)`` with an open ``B(x)``; parenthesize for wider scope.
 ``#`` starts a comment.  Variables are the fixed lexemes ``x`` and ``y``.
+
+``tokenize`` makes one regular-expression pass; a token is the tuple
+(kind, text, offset).  Line and column are computed from the offset only
+when a ``ParseError`` is raised.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ from .logic import (And, Atom, CardAnd, CardCompare, CardConstraint, CardNot,
                     CardOr, Counting, Eq, Exists, Forall, Formula, Iff,
                     Implies, LinearExpr, Not, Or, Signature, WeightExpr,
                     WAdd, WCard, WMul, WNeg, WNum, WPow, WSub, CARD_TRUE,
-                    SYNTHETIC_PREFIX, VARIABLES, card_conjoin, free_vars)
+                    SYNTHETIC_PREFIX, VARIABLES, card_conjoin, decimal_str,
+                    free_vars)
 
 KEYWORDS = {"predicate", "forall", "exists", "constraint", "weight",
             "profileweight", "and", "or", "not"}
@@ -37,37 +42,29 @@ _TOKEN_RE = re.compile(r"""
   | (?P<int>\d+)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<op><->|->|!=|<=|>=|[()\{\},/=<>+\-*^|&!.])
+  | (?P<bad>.)
 """, re.VERBOSE)
 
+#: a token: (kind, text, offset); kind is num | int | name | op | eof
+Token = tuple[str, str, int]
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # num | int | name | op | eof
-    text: str
-    line: int
-    column: int
+
+def _position(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based (line, column) of ``offset`` in ``text``."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
 def tokenize(text: str) -> list[Token]:
     tokens = []
-    line, col = 1, 1
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.start() != pos:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        lexeme = m.group()
-        if kind != "ws":
-            tokens.append(Token(kind, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+        if kind == "ws":
+            continue
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}",
+                             *_position(text, m.start()))
+        tokens.append((kind, m.group(), m.start()))
+    tokens.append(("eof", "", len(text)))
     return tokens
 
 
@@ -84,9 +81,10 @@ class Problem:
 
 
 class _Parser:
-    def __init__(self, tokens: list[Token], signature: Signature, strict: bool,
+    def __init__(self, text: str, signature: Signature, strict: bool,
                  allow_synthetic: bool = False):
-        self.tokens = tokens
+        self.text = text
+        self.tokens = tokenize(text)
         self.pos = 0
         self.signature = signature
         self.strict = strict
@@ -98,23 +96,28 @@ class _Parser:
         return self.tokens[self.pos]
 
     def at(self, text: str) -> bool:
-        return self.peek().text == text and self.peek().kind in ("op", "name")
+        return self.tokens[self.pos][1] == text
 
     def next(self) -> Token:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok[0] != "eof":
             self.pos += 1
         return tok
 
     def expect(self, text: str) -> Token:
         tok = self.peek()
-        if tok.text != text:
-            self.fail(f"expected {text!r}, found {tok.text or 'end of input'!r}", tok)
+        if tok[1] != text:
+            self.fail(f"expected {text!r}, found {tok[1] or 'end of input'!r}", tok)
         return self.next()
+
+    def expect_end(self) -> None:
+        tok = self.peek()
+        if tok[0] != "eof":
+            self.fail(f"unexpected trailing input {tok[1]!r}", tok)
 
     def fail(self, message: str, tok: Token | None = None):
         tok = tok or self.peek()
-        raise ParseError(message, tok.line, tok.column)
+        raise ParseError(message, *_position(self.text, tok[2]))
 
     # -- declarations -------------------------------------------------------
 
@@ -124,19 +127,19 @@ class _Parser:
             name = self.parse_pred_name(declare=False)
             self.expect("/")
             tok = self.next()
-            if tok.kind != "int" or tok.text not in ("1", "2"):
+            if tok[0] != "int" or tok[1] not in ("1", "2"):
                 self.fail("arity must be 1 or 2", tok)
             try:
-                self.signature.declare(name, int(tok.text),
+                self.signature.declare(name, int(tok[1]),
                                        synthetic=name.startswith(SYNTHETIC_PREFIX))
             except SemanticError as err:
                 self.fail(str(err), tok)
 
     def parse_pred_name(self, declare: bool) -> str:
         tok = self.peek()
-        if tok.kind != "name" or tok.text in KEYWORDS:
+        if tok[0] != "name" or tok[1] in KEYWORDS:
             self.fail("expected a predicate name", tok)
-        name = tok.text
+        name = tok[1]
         if name in VARIABLES:
             self.fail(f"{name!r} is a reserved variable name", tok)
         if name.startswith(SYNTHETIC_PREFIX) and not self.allow_synthetic:
@@ -189,7 +192,6 @@ class _Parser:
         return out
 
     def parse_unary(self, bound) -> Formula:
-        tok = self.peek()
         if self.at("!"):
             self.next()
             return Not(self.parse_unary(bound))
@@ -201,21 +203,21 @@ class _Parser:
         head = self.next()
         cmp = None
         count = 0
-        if head.text == "exists" and self.at("{"):
+        if head[1] == "exists" and self.at("{"):
             self.next()
             op_tok = self.next()
-            if op_tok.text not in ("=", "<=", ">="):
+            if op_tok[1] not in ("=", "<=", ">="):
                 self.fail("expected =, <= or >= in counting quantifier", op_tok)
-            cmp = op_tok.text
+            cmp = op_tok[1]
             num = self.next()
-            if num.kind != "int":
+            if num[0] != "int":
                 self.fail("expected a non-negative integer multiplicity", num)
-            count = int(num.text)
+            count = int(num[1])
             self.expect("}")
         var_tok = self.next()
-        if var_tok.text not in VARIABLES:
+        if var_tok[1] not in VARIABLES:
             self.fail("quantified variable must be x or y", var_tok)
-        var = var_tok.text
+        var = var_tok[1]
         if var in bound:
             self.fail(f"variable {var} is already bound; "
                       "rebinding is not supported", var_tok)
@@ -224,7 +226,7 @@ class _Parser:
         # tight scope: the quantifier binds the next unary formula, so
         # chains like "forall x exists y R(x,y) & forall x ..." conjoin
         body = self.parse_unary(bound | {var})
-        if head.text == "forall":
+        if head[1] == "forall":
             return Forall(var, body)
         if cmp is None:
             return Exists(var, body)
@@ -237,20 +239,20 @@ class _Parser:
             inner = self.parse_formula(bound)
             self.expect(")")
             return inner
-        if tok.kind != "name":
-            self.fail(f"expected a formula, found {tok.text or 'end of input'!r}", tok)
-        if tok.text in VARIABLES:
-            left = self.next().text
+        if tok[0] != "name":
+            self.fail(f"expected a formula, found {tok[1] or 'end of input'!r}", tok)
+        if tok[1] in VARIABLES:
+            left = self.next()[1]
             op = self.next()
-            if op.text not in ("=", "!="):
+            if op[1] not in ("=", "!="):
                 self.fail("expected = or != after a variable", op)
             right = self.next()
-            if right.text not in VARIABLES:
+            if right[1] not in VARIABLES:
                 self.fail("equality arguments must be variables", right)
-            eq = Eq(left, right.text)
-            return eq if op.text == "=" else Not(eq)
-        if tok.text in KEYWORDS:
-            self.fail(f"expected a formula, found keyword {tok.text!r}", tok)
+            eq = Eq(left, right[1])
+            return eq if op[1] == "=" else Not(eq)
+        if tok[1] in KEYWORDS:
+            self.fail(f"expected a formula, found keyword {tok[1]!r}", tok)
         name = self.parse_pred_name(declare=True)
         self.expect("(")
         args = [self.parse_term()]
@@ -262,9 +264,9 @@ class _Parser:
 
     def parse_term(self) -> str:
         tok = self.next()
-        if tok.text not in VARIABLES:
+        if tok[1] not in VARIABLES:
             self.fail("terms must be the variables x or y", tok)
-        return tok.text
+        return tok[1]
 
     # -- cardinality constraints ---------------------------------------------
 
@@ -294,10 +296,10 @@ class _Parser:
             return inner
         left = self.parse_linexpr()
         op_tok = self.next()
-        if op_tok.text not in ("=", "<=", ">=", "<", ">"):
+        if op_tok[1] not in ("=", "<=", ">=", "<", ">"):
             self.fail("expected a comparison operator", op_tok)
         right = self.parse_linexpr()
-        return CardCompare(op_tok.text, left, right)
+        return CardCompare(op_tok[1], left, right)
 
     def parse_linexpr(self) -> LinearExpr:
         coeffs: dict[str, int] = {}
@@ -321,9 +323,9 @@ class _Parser:
 
     def parse_linterm(self, sign, const, coeffs):
         tok = self.peek()
-        if tok.kind == "int":
+        if tok[0] == "int":
             self.next()
-            value = int(tok.text)
+            value = int(tok[1])
             if self.at("*"):
                 self.next()
                 pred = self.parse_card_atom()
@@ -354,14 +356,14 @@ class _Parser:
             self.next()
             sign = -1
         tok = self.next()
-        if tok.kind not in ("int", "num"):
+        if tok[0] not in ("int", "num"):
             self.fail("expected a number", tok)
-        return sign * Fraction(tok.text)
+        return sign * Fraction(tok[1])
 
     def parse_wexpr(self) -> WeightExpr:
         out = self.parse_wterm()
         while self.at("+") or self.at("-"):
-            op = self.next().text
+            op = self.next()[1]
             rhs = self.parse_wterm()
             out = WAdd(out, rhs) if op == "+" else WSub(out, rhs)
         return out
@@ -392,9 +394,9 @@ class _Parser:
             return inner
         if self.at("|"):
             return WCard(self.parse_card_atom())
-        if tok.kind in ("int", "num"):
+        if tok[0] in ("int", "num"):
             self.next()
-            return WNum(Fraction(tok.text))
+            return WNum(Fraction(tok[1]))
         self.fail("expected a number, |predicate| or parenthesized expression", tok)
 
 
@@ -404,9 +406,8 @@ def parse_problem(text: str, allow_synthetic: bool = False) -> Problem:
     declared implicitly from their first use.  ``allow_synthetic`` admits
     reserved ``__`` names so that dumps of normalized problems can be
     parsed back."""
-    tokens = tokenize(text)
-    strict = bool(tokens) and tokens[0].text == "predicate"
-    parser = _Parser(tokens, Signature(), strict, allow_synthetic)
+    parser = _Parser(text, Signature(), False, allow_synthetic)
+    parser.strict = parser.at("predicate")
     parser.parse_decls()
     sentence = parser.parse_formula()
     fv = free_vars(sentence)
@@ -420,7 +421,7 @@ def parse_problem(text: str, allow_synthetic: bool = False) -> Problem:
                       card_conjoin(constraints) if constraints else CARD_TRUE)
     while parser.at("weight") or parser.at("profileweight"):
         head = parser.next()
-        if head.text == "weight":
+        if head[1] == "weight":
             tok = parser.peek()
             name = parser.parse_pred_name(declare=False)
             if name not in parser.signature:
@@ -434,41 +435,33 @@ def parse_problem(text: str, allow_synthetic: bool = False) -> Problem:
             if problem.profile_weight is not None:
                 parser.fail("duplicate profileweight declaration", head)
             problem.profile_weight = parser.parse_wexpr()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        parser.fail(f"unexpected trailing input {tok.text!r}", tok)
+    parser.expect_end()
     return problem
 
 
 def parse_formula(text: str) -> Formula:
     """Parse a bare formula, declaring predicates from their first use."""
-    parser = _Parser(tokenize(text), Signature(), strict=False)
+    parser = _Parser(text, Signature(), strict=False)
     out = parser.parse_formula()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        parser.fail(f"unexpected trailing input {tok.text!r}", tok)
+    parser.expect_end()
     return out
 
 
 def parse_cardinality(text: str, signature: Signature) -> CardConstraint:
     """Parse a bare cardinality expression against an existing signature
     (used for --query style command line arguments)."""
-    parser = _Parser(tokenize(text), signature, strict=True, allow_synthetic=False)
+    parser = _Parser(text, signature, strict=True, allow_synthetic=False)
     out = parser.parse_cardexpr()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        parser.fail(f"unexpected trailing input {tok.text!r}", tok)
+    parser.expect_end()
     return out
 
 
 def parse_weight_expr(text: str, signature: Signature) -> WeightExpr:
     """Parse a bare profile-weight expression against an existing
     signature (used for --weight command line arguments)."""
-    parser = _Parser(tokenize(text), signature, strict=True, allow_synthetic=False)
+    parser = _Parser(text, signature, strict=True, allow_synthetic=False)
     out = parser.parse_wexpr()
-    tok = parser.peek()
-    if tok.kind != "eof":
-        parser.fail(f"unexpected trailing input {tok.text!r}", tok)
+    parser.expect_end()
     return out
 
 
@@ -486,7 +479,6 @@ def format_problem(problem: Problem) -> str:
         else:
             lines.append(f"constraint {problem.constraint}")
     for name, (w1, w0) in sorted(problem.symmetric_weights.items()):
-        from .logic import decimal_str
         lines.append(f"weight {name} {decimal_str(w1)} {decimal_str(w0)}")
     if problem.profile_weight is not None:
         lines.append(f"profileweight {problem.profile_weight}")

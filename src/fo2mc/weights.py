@@ -75,17 +75,25 @@ def _weight_setup(solver: Solver, weight):
     return weight, symmetric or None
 
 
-def _query_rows(solver: Solver, n: int, query_preds: Sequence[str], weight, fold):
-    """(query cardinality vector, weighted value) of every nonzero
-    profile row the problem's constraint allows."""
+def _strata(solver: Solver, n: int, query_preds: Sequence[str], weight
+            ) -> tuple[dict[tuple[int, ...], Fraction], Fraction]:
+    """The weighted mass of each query cardinality vector the problem's
+    constraint allows, and the partition function, which must be nonzero.
+    Feasible strata stay in the table even at mass zero."""
+    weight, fold = _weight_setup(solver, weight)
     tracked = tuple(query_preds)
     if weight is not None:
         tracked += tuple(sorted(weight_predicates(weight)))
+    mass: dict[tuple[int, ...], Fraction] = {}
     for cards, val in solver._allowed_rows(n, tracked, fold):
-        if val == 0:
-            continue
         w = weight_value(weight, cards) if weight is not None else Fraction(1)
-        yield tuple(cards[p] for p in query_preds), Fraction(val) * w
+        sub = tuple(cards[p] for p in query_preds)
+        mass[sub] = mass.get(sub, Fraction(0)) + Fraction(val) * w
+    z = sum(mass.values(), Fraction(0))
+    if z == 0:
+        raise SemanticError("partition function is zero; the distribution "
+                            "is undefined")
+    return mass, z
 
 
 def count_distribution(problem: Problem | NormalizedProblem | Solver, n: int,
@@ -96,17 +104,8 @@ def count_distribution(problem: Problem | NormalizedProblem | Solver, n: int,
     number of true groundings, under the weighted distribution (profile
     weights, symmetric weights, or their product).
     Returns (numerator, partition function, probability)."""
-    solver = _solver(problem)
-    weight, fold = _weight_setup(solver, weight)
-    wanted = tuple(int(c) for _, c in query)
-    numerator = z = Fraction(0)
-    for sub, contrib in _query_rows(solver, n, [p for p, _ in query], weight, fold):
-        z += contrib
-        if sub == wanted:
-            numerator += contrib
-    if z == 0:
-        raise SemanticError("partition function is zero; the distribution "
-                            "is undefined")
+    mass, z = _strata(_solver(problem), n, [p for p, _ in query], weight)
+    numerator = mass.get(tuple(int(c) for _, c in query), Fraction(0))
     return numerator, z, numerator / z
 
 
@@ -116,15 +115,5 @@ def distribution_table(problem: Problem | NormalizedProblem | Solver, n: int,
                        ) -> dict[tuple[int, ...], Fraction]:
     """The full count distribution over the query predicates' cardinality
     vectors; the probabilities sum to exactly one."""
-    solver = _solver(problem)
-    weight, fold = _weight_setup(solver, weight)
-    out: dict[tuple[int, ...], Fraction] = {}
-    z = Fraction(0)
-    for sub, contrib in _query_rows(solver, n, query_preds, weight, fold):
-        z += contrib
-        # feasible strata stay in the table even at probability zero
-        out[sub] = out.get(sub, Fraction(0)) + contrib
-    if z == 0:
-        raise SemanticError("partition function is zero; the distribution "
-                            "is undefined")
-    return {k: v / z for k, v in sorted(out.items())}
+    mass, z = _strata(_solver(problem), n, query_preds, weight)
+    return {k: v / z for k, v in sorted(mass.items())}

@@ -390,6 +390,19 @@ def test_flag_the_command_does_not_read_is_refused(command, flag, capsys):
     assert capsys.readouterr() == ("", "")
 
 
+@pytest.mark.parametrize("argv,flag", [
+    (["bench", "--n", "4", "-e", "forall x A(x)"], "--n"),
+    (["count", "-n", "2", "-e", "forall x A(x)", "--prof"], "--prof"),
+    (["count", "-n", "2", "-e", "forall x A(x)", "--form", "json"], "--form"),
+], ids=("n-range", "profiles", "format"))
+def test_abbreviated_flag_is_refused(argv, flag):
+    """A prefix of a flag is not that flag: only the spellings in
+    ``_FLAGS`` are accepted (``--n`` is one for -n, not for --n-range)."""
+    code, out, err = invoke(*argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and f"unrecognized arguments: {flag}" in err
+
+
 #: argvs that together take every branch of each runner that reads a flag
 RUNNER_ARGVS = {
     "count": [["-n", "2", "--track", "A", "--profiles"],

@@ -1,11 +1,15 @@
 import pytest
 from fractions import Fraction
 
+from fo2mc.engine import Solver
 from fo2mc.errors import ParseError, SemanticError
 from fo2mc.logic import (And, Atom, CardCompare, Counting, Eq, Forall,
                          Implies, LinearExpr, Not)
 from fo2mc.parser import (format_problem, parse_cardinality, parse_formula,
                           parse_problem, parse_weight_expr)
+from fo2mc.oracle import oracle_count
+
+from conftest import RUNNING_EXAMPLE
 
 
 def test_running_example_ast():
@@ -82,6 +86,22 @@ def test_error_position():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("text,position,message", [
+    ("forall x A(x) $ B(x)", (1, 15), "unexpected character '$'"),
+    ("predicate A/1\nforall x\n  (A(x) @ A(x))", (3, 9), "unexpected character '@'"),
+    ("forall x A(x) # a comment\n  )", (2, 3), "unexpected trailing input ')'"),
+    ("# header\nforall x (A(x) & B(x)\n", (3, 1),
+     "expected ')', found 'end of input'"),
+], ids=("character-line-1", "character-line-3", "after-comment", "end-of-input"))
+def test_error_line_and_column(text, position, message):
+    """Positions are 1-based; a comment counts as text, and the end of
+    input sits after the last character."""
+    with pytest.raises(ParseError) as err:
+        parse_problem(text)
+    assert (err.value.line, err.value.column) == position
+    assert str(err.value) == f"{position[0]}:{position[1]}: {message}"
+
+
 def test_constraints():
     p = parse_problem("""
     predicate A/1
@@ -137,6 +157,25 @@ def test_format_problem_round_trip(running_problem):
     again = parse_problem(text)
     assert again.sentence == running_problem.sentence
     assert again.constraint == running_problem.constraint
+
+
+@pytest.mark.parametrize("constraint", [
+    "|A| = 1 or |A| = 3",
+    "not (|R| <= 2)",
+    "(|A| >= 1) and -|A| + 3 >= 0",
+    "not (|A| = 0 or |R| > 4) and |R| - 2*|A| >= -1",
+    "-2*|A| + |R| < 0",
+    "|A| = 0 or (|A| >= 1 and |R| <= 3)",
+])
+def test_constraint_connectives_and_signed_terms(constraint):
+    """or, not, parentheses and negative or scaled terms: the count obeys
+    the constraint, and printing the problem parses back to it."""
+    p = parse_problem(f"{RUNNING_EXAMPLE}constraint {constraint}\n")
+    solver = Solver(p)
+    for n in (1, 2, 3):
+        assert solver.count(n) == oracle_count(p.signature, p.sentence, n,
+                                               constraint=p.constraint).total
+    assert parse_problem(format_problem(p)).constraint == p.constraint
 
 
 def test_comments_ignored():
