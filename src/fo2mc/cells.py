@@ -15,6 +15,11 @@ allows O_ii x O_jj, so what a type sends does not depend on its
 partner.  Both properties read the options, not the matrix's syntax, so
 neither depends on which way round a conjunct is written.
 
+The tables are evaluated without a compiler: each conjunct becomes a
+tree of closures over bit masks.  The tables of a pair of types depend on
+each type only through the type slots the matrix reads on its side, so
+they are evaluated once per pattern of those slots.
+
 Two valid 1-types are interchangeable when they have the same 2-tables,
 read with the type on the x side, against every valid type;
 ``CellStructure.classes`` partitions the valid types by that relation.
@@ -23,36 +28,37 @@ read with the type on the x side, against every valid type;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from functools import cache
+from operator import itemgetter
+from typing import Callable, Iterable
 
 from .errors import UnsupportedFeatureError
-from .grounding import compile_lambda
 from .logic import (And, Atom, Eq, Formula, Iff, Implies, Not, Or, Signature,
-                    one_type_slots, slot_bit, substitute,
-                    two_table_slots)
+                    one_type_slots, slot_bit, two_table_slots)
 
 #: table sweep guard: 2u + b beyond this would not fit in memory/time
 MAX_TABLE_BITS = 30
 
 
-def _mask_expr(f: Formula, resolve) -> str:
-    """Translate a quantifier-free formula into a Python expression over
-    bit masks, one bit per interpretation, where ``F`` is the full mask;
-    ``resolve`` maps an Atom or Eq node to a mask expression."""
+def _mask_fn(f: Formula, slot) -> Callable[[list[int]], int]:
+    """Turn a quantifier-free formula into a function of an environment
+    list ``e`` of bit masks, one bit per interpretation, giving the mask on
+    which the formula holds; ``e[0]`` is the full mask and ``slot`` maps an
+    Atom or Eq node to the index of its mask in ``e``."""
     if isinstance(f, (Atom, Eq)):
-        return resolve(f)
+        return itemgetter(slot(f))
     if isinstance(f, Not):
-        return f"(F^{_mask_expr(f.sub, resolve)})"
+        sub = _mask_fn(f.sub, slot)
+        return lambda e: e[0] ^ sub(e)
     if isinstance(f, (And, Or, Implies, Iff)):
-        a = _mask_expr(f.left, resolve)
-        b = _mask_expr(f.right, resolve)
+        a, b = _mask_fn(f.left, slot), _mask_fn(f.right, slot)
         if isinstance(f, And):
-            return f"({a}&{b})"
+            return lambda e: a(e) & b(e)
         if isinstance(f, Or):
-            return f"({a}|{b})"
+            return lambda e: a(e) | b(e)
         if isinstance(f, Implies):
-            return f"((F^{a})|{b})"
-        return f"(F^{a}^{b})"
+            return lambda e: (e[0] ^ a(e)) | b(e)
+        return lambda e: e[0] ^ a(e) ^ b(e)
     raise UnsupportedFeatureError(f"matrix is not quantifier-free: {f}")
 
 
@@ -72,24 +78,6 @@ def _bit_positions(mask: int) -> tuple[int, ...]:
     return tuple(k for k, c in enumerate(bin(mask)[:1:-1]) if c == "1")
 
 
-def _mask_swapper(v_masks: list[int], full: int):
-    """The permutation of a mask over all 2-tables that moves bit v to bit
-    swap(v): per predicate, indices with the (x,y) bit set and the (y,x)
-    bit clear move down by the (y,x) run length, and the reverse up."""
-    b = len(v_masks)
-    moves = []
-    for s in range(0, b, 2):
-        down = v_masks[s] & ~v_masks[s + 1]
-        up = v_masks[s + 1] & ~v_masks[s]
-        moves.append((full ^ down ^ up, down, up, 1 << (b - 2 - s)))
-
-    def swapped(mask: int) -> int:
-        for keep, down, up, run in moves:
-            mask = (mask & keep) | (mask & down) >> run | (mask & up) << run
-        return mask
-    return swapped
-
-
 @dataclass
 class CellStructure:
     """The n_ij / n_ijv tables of a matrix, plus everything the engine
@@ -104,7 +92,9 @@ class CellStructure:
     cross_independent: bool
     directed: bool = False
     #: on a directed matrix, O_ij for every ordered pair of valid types:
-    #: the out-masks (see ``out_mask``) that i may send to j, ascending
+    #: the out-masks that i may send to j, ascending; an out-mask holds
+    #: a 2-table's x->y bits, one per binary predicate (big-endian in
+    #: predicate order)
     out_options: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
     #: the valid types grouped into classes of interchangeable types,
     #: ordered by their smallest member, members ascending
@@ -146,22 +136,14 @@ class CellStructure:
             out |= xy << (width - 1 - (s + 1))
         return out
 
-    def out_mask(self, v: int) -> int:
-        """Project a 2-table onto its x->y bits, one bit per binary
-        predicate (big-endian in predicate order)."""
-        npred = self.b // 2
-        out = 0
-        for k in range(npred):
-            out |= self.table_bit(v, 2 * k) << (npred - 1 - k)
-        return out
-
 
 def build_cells(signature: Signature, matrix: Iterable[Formula]) -> CellStructure:
     """Materialize the lifted-interpretation tables of a matrix.
 
     The matrix is evaluated on bit masks: once over all 2^u 1-types for
-    the diagonal, then per pair of valid types over all 2^b 2-tables at
-    once, with bit v of a mask standing for 2-table v."""
+    the diagonal, then over all 2^b 2-tables at once, with bit v of a
+    mask standing for 2-table v, once per pattern of the type slots it
+    reads on each side of a pair of valid types."""
     matrix = list(matrix)
     u_slots = one_type_slots(signature)
     b_slots = two_table_slots(signature)
@@ -177,44 +159,66 @@ def build_cells(signature: Signature, matrix: Iterable[Formula]) -> CellStructur
     def unary_slot(pred: str) -> int:
         return u_index[(pred, "unary" if signature.arity(pred) == 1 else "reflexive")]
 
-    def diag_resolve(f):
-        return "F" if isinstance(f, Eq) else f"U[{unary_slot(f.pred)}]"
+    # Both sweeps evaluate the matrix on one environment layout: the full
+    # mask, the mask of x = y, the u type slots of the x side, those of
+    # the y side, then the b table slots.  Resolving the leaves records
+    # which type slots the matrix reads on each side, as bits of a type.
+    read_x = read_y = 0
 
-    def cross_resolve(f):
+    def slot(f) -> int:
+        nonlocal read_x, read_y
         if isinstance(f, Eq):
-            return "F" if f.left == f.right else "0"
-        side = "X" if f.args[0] == "x" else "Y"
-        if signature.arity(f.pred) == 1 or f.args[0] == f.args[1]:
-            return f"{side}[{unary_slot(f.pred)}]"
-        direction = "xy" if f.args == ("x", "y") else "yx"
-        return f"V[{b_index[(f.pred, direction)]}]"
+            return 0 if f.left == f.right else 1
+        if signature.arity(f.pred) == 2 and f.args[0] != f.args[1]:
+            return 2 + 2 * u + b_index[(f.pred, "xy" if f.args[0] == "x" else "yx")]
+        s = unary_slot(f.pred)
+        if f.args[0] == "x":
+            read_x |= 1 << (u - 1 - s)
+            return 2 + s
+        read_y |= 1 << (u - 1 - s)
+        return 2 + u + s
 
-    diag = compile_lambda(
-        "U=U, F=F", "&".join(_mask_expr(substitute(c, {"y": "x"}), diag_resolve)
-                             for c in matrix) or "F",
-        {"U": _slot_masks(u), "F": (1 << (1 << u)) - 1})()
-    valid = list(_bit_positions(diag))
+    conjuncts = [_mask_fn(c, slot) for c in matrix]
+
+    def holds(env: list[int]) -> int:
+        mask = env[0]
+        for conjunct in conjuncts:
+            mask &= conjunct(env)
+        return mask
+
+    # on the diagonal both sides are the one element and x = y holds
+    full_u, u_masks = (1 << (1 << u)) - 1, _slot_masks(u)
+    valid = list(_bit_positions(holds(
+        [full_u, full_u, *u_masks, *u_masks,
+         *(u_masks[u_index[(p, "reflexive")]] for p, _ in b_slots)])))
     cells = CellStructure(signature, u_slots, b_slots, valid, {}, {}, False)
 
-    # Per direction, one function of the two types' slot masks (X for the
-    # x side, Y for the y side) gives the mask of 2-tables on which the
-    # matrix holds; the reverse direction reads 2-table v swapped, so its
-    # (x,y) and (y,x) slot masks trade places.
     full = (1 << (1 << b)) - 1
     v_masks = _slot_masks(b)
-    cross = "&".join(_mask_expr(c, cross_resolve) for c in matrix) or "F"
-    forward = compile_lambda("X, Y, V=V, F=F", cross, {"V": v_masks, "F": full})
-    reverse = compile_lambda("X, Y, V=V, F=F", cross,
-                             {"V": [v_masks[s ^ 1] for s in range(b)], "F": full})
-    sides = {t: tuple(full if slot_bit(t, s, u) else 0 for s in range(u))
-             for t in valid}
+    v_swapped = [v_masks[s ^ 1] for s in range(b)]
+
+    @cache
+    def directions(x: int, y: int) -> tuple[int, int]:
+        """The 2-tables on which the matrix holds with type x on the x side
+        and type y on the y side, reading each 2-table as is and swapped;
+        called with both types restricted to the slots their side reads."""
+        env = [full, 0, *(full if slot_bit(t, s, u) else 0
+                          for t in (x, y) for s in range(u))]
+        return holds(env + v_masks), holds(env + v_swapped)
+
+    # per out-mask o (one bit per binary predicate, big-endian in
+    # predicate order), the 2-tables whose x->y bits spell o
+    selectors = [full]
+    for s in range(0, b, 2):
+        selectors = [sel & m for sel in selectors for m in (full ^ v_masks[s], v_masks[s])]
+
+    def sends(mask: int) -> tuple[int, ...]:
+        return tuple(o for o, sel in enumerate(selectors) if mask & sel)
 
     pair_vs: dict[tuple[int, int], tuple[int, ...]] = {}
     n_ij: dict[tuple[int, int], int] = {}
-    # Per type, the id of its oriented 2-table mask against each partner:
-    # the pair's mask for the type on the x side, its swap otherwise.
-    # Ids number the distinct masks; each gets swapped once.
-    swapped = _mask_swapper(v_masks, full)
+    # Per type, the id of its oriented 2-table mask against each partner,
+    # read with the type on the x side; ids number the distinct masks.
     mask_id: dict[int, int] = {}
 
     def ident(mask: int) -> int:
@@ -227,18 +231,19 @@ def build_cells(signature: Signature, matrix: Iterable[Formula]) -> CellStructur
     directed = True
     rows = {t: [0] * len(valid) for t in valid}
     for a_pos, i in enumerate(valid):
-        row_i = rows[i]
+        row_i, i_x, i_y = rows[i], i & read_x, i & read_y
         for b_pos, j in enumerate(valid[a_pos:], a_pos):
-            m_ij, m_ji = forward(sides[i], sides[j]), reverse(sides[j], sides[i])
-            both = m_ij & m_ji
+            f_ij, r_ij = directions(i_x, j & read_y)
+            f_ji, r_ji = directions(j & read_x, i_y)
+            both = f_ij & r_ji
             entry = tables_of.get(both)
             if entry is None:
+                swapped = f_ji & r_ij  # the same 2-tables, j on the x side
                 entry = tables_of[both] = (_bit_positions(both), ident(both),
-                                           ident(swapped(both)))
-                sends = tuple(sorted({cells.out_mask(v) for v in entry[0]}))
-                gets = tuple(sorted({cells.out_mask(cells.swap(v)) for v in entry[0]}))
-                options[entry[1]], options[entry[2]] = sends, gets
-                directed = directed and len(entry[0]) == len(sends) * len(gets)
+                                           ident(swapped))
+                sent, got = sends(both), sends(swapped)
+                options[entry[1]], options[entry[2]] = sent, got
+                directed = directed and len(entry[0]) == len(sent) * len(got)
             vs, row_i[b_pos], rows[j][a_pos] = entry
             key = (i, j)
             pair_vs[key] = vs

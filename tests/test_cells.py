@@ -13,7 +13,7 @@ from fo2mc.logic import (Atom, Eq, Not, Signature, TRUE, atoms_of, conjoin,
 from fo2mc.normalize import normalize
 from fo2mc.parser import parse_problem
 
-from conftest import RUNNING_EXAMPLE, random_qf
+from conftest import RUNNING_EXAMPLE, random_problem, random_qf
 
 GOLDEN_N_IJ = {(0, 0): 4, (0, 1): 4, (0, 2): 2, (0, 3): 2, (1, 1): 4,
               (1, 2): 2, (1, 3): 2, (2, 2): 4, (2, 3): 4, (3, 3): 4}
@@ -223,6 +223,26 @@ def assert_matches_reference(signature, matrix):
 @pytest.mark.parametrize("entry", load_corpus(), ids=lambda e: e.name)
 def test_mask_sweep_matches_reference_on_corpus(entry):
     norm = Solver(entry.problem()).norm
+    assert_matches_reference(norm.signature, norm.matrix)
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_mask_sweep_matches_reference_on_random_problems(seed):
+    """Both encodings of each random problem: per element, and the
+    successor encoding with its sign predicates."""
+    solver = Solver(random_problem(seed))
+    for norm in (solver.norm, solver.successor_encoding()):
+        assert_matches_reference(norm.signature, norm.matrix)
+
+
+def test_mask_sweep_matches_reference_on_one_sided_reads():
+    """B is read only as B(x), C only where x = y, R's reflexive slot only
+    as R(y,y) and S's never, so types that differ in them share one
+    memoized pair evaluation on the side that does not read them."""
+    norm = normalize(parse_problem(
+        "forall x forall y ((B(x) -> R(x,y)) & (x = y -> C(x))"
+        " & (R(y,y) -> S(y,x)) & (A(x) & x != y -> A(y)))"), successors=False)
+    assert len(build_cells(norm.signature, norm.matrix).valid) == 8
     assert_matches_reference(norm.signature, norm.matrix)
 
 

@@ -235,13 +235,30 @@ def test_counts_beyond_the_digit_limit_print_in_full():
         sys.set_int_max_str_digits(limit)
 
 
-@pytest.mark.parametrize("depth", [250, 3000])
-def test_deep_nesting_is_refused(depth):
-    """250 negations pass the parser but exceed the compiler's nesting
-    limit for the cell tables; 3,000 exceed the recursion limit."""
-    text = "predicate A/1\nforall x " + "!" * depth + "A(x)"
-    for command in ("count", "oracle"):
-        code, out, err = invoke(command, "-n", "2", "-e", text)
+def nested(depth):
+    """``depth`` negations around A(x), with a conjunct that makes the
+    parity show: the count at n = 2 is 1 when it is even and 0 when odd."""
+    return "predicate A/1\n(forall x " + "!" * depth + "A(x)) & exists x A(x)"
+
+
+@pytest.mark.parametrize("depth", [250, 251])
+def test_deep_nesting_counts_like_shallow(depth):
+    """The cell tables are evaluated without a compiler, so ``count``
+    answers 250 negations as it answers 0 or 1 of the same parity."""
+    code, out, err = invoke("count", "-n", "2", "-e", nested(depth))
+    assert (code, err) == (0, "")
+    assert out == invoke("count", "-n", "2", "-e", nested(depth % 2))[1]
+    assert out == ("1\n", "0\n")[depth % 2]
+
+
+@pytest.mark.parametrize("depth,commands", [(250, ("oracle",)),
+                                            (3000, ("count", "oracle"))],
+                         ids=("250", "3000"))
+def test_deep_nesting_is_refused(depth, commands):
+    """250 negations exceed the compiler's nesting limit for the oracle's
+    ground formula; 3,000 exceed the recursion limit in every command."""
+    for command in commands:
+        code, out, err = invoke(command, "-n", "2", "-e", nested(depth))
         assert (code, out) == (2, "")
         assert err == "unsupported: formula nested too deeply\n"
 
