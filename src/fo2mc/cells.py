@@ -13,7 +13,12 @@ chosen independently, from the out-edge options O_ij of i toward j and
 O_ji of j toward i.  It is *cross-independent* when moreover every pair
 allows O_ii x O_jj, so what a type sends does not depend on its
 partner.  Both properties read the options, not the matrix's syntax, so
-neither depends on which way round a conjunct is written.
+neither depends on which way round a conjunct is written.  A pair that
+allows nothing needs only one empty side for O_ij x O_ji to be empty: the
+side whose own instance of the matrix (that type on the x side) holds on
+no 2-table gets no options, and the other side keeps the out-edges of its
+own instance, so its options can agree with its options toward other
+partners; both sides are empty only when both instances hold somewhere.
 
 The tables are evaluated without a compiler: each conjunct becomes a
 tree of closures over bit masks.  The tables of a pair of types depend on
@@ -94,7 +99,10 @@ class CellStructure:
     #: on a directed matrix, O_ij for every ordered pair of valid types:
     #: the out-masks that i may send to j, ascending; an out-mask holds
     #: a 2-table's x->y bits, one per binary predicate (big-endian in
-    #: predicate order)
+    #: predicate order).  On a pair that allows nothing, O_ij is empty
+    #: when the matrix with i on the x side holds on no 2-table or when
+    #: both sides' instances hold on some; otherwise i keeps the
+    #: out-masks of its own instance
     out_options: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
     #: the valid types grouped into classes of interchangeable types,
     #: ordered by their smallest member, members ascending
@@ -260,6 +268,15 @@ def build_cells(signature: Signature, matrix: Iterable[Formula]) -> CellStructur
         cells.cross_independent = all(
             (out[i, j], out[j, i]) == (out[i, i], out[j, j]) if vs
             else not (out[i, i] and out[j, j]) for (i, j), vs in pair_vs.items())
+        # a pair that allows nothing empties only the side whose own
+        # instance holds on no 2-table, and the other side keeps what its
+        # own instance sends: the pair factor O_ij O_ji stays 0
+        for (i, j), vs in pair_vs.items():
+            if not vs:
+                f_ij = directions(i & read_x, j & read_y)[0]
+                f_ji = directions(j & read_x, i & read_y)[0]
+                if not (f_ij and f_ji):
+                    out[i, j], out[j, i] = sends(f_ij), sends(f_ji)
     classes: dict[tuple, list[int]] = {}
     for t in valid:
         classes.setdefault(tuple(rows[t]), []).append(t)

@@ -1,53 +1,34 @@
 """Closed-form model counting over the cell tables.
 
-Two evaluation strategies compute the same profile sums:
+A count sums, over the censuses of the domain elements among the classes
+of valid 1-types (see ``cells``), a multinomial times the class weights
+and one factor per pair of elements.  On a directed matrix an element of
+class i contributes w_i prod_j g_ij^(k_j - [i = j]), g_ij being the
+polynomial of the out-edges i may send to j (van Bremen and Kuzelka's
+cell-graph pair factors, split by direction), and a counting block
+``A(x) <-> exists{=m} y G(x,y)`` reads each element's row at its guard
+degree m.  Classes whose columns g_.j agree form one column group, and by
+the multinomial theorem the census runs over the group counts c, each
+worth n!/prod_G c_G! prod_G (sum_{i in G} F_i)^c_G: one group is the n-th
+power of a per-element polynomial.  Any other matrix, and the successor
+encoding of ``normalize`` with its tie counter and 1/m! divisors,
+enumerates the censuses of the classes over 2-table pair factors.
+``Solver`` is the one entry point.
 
-* k-vector enumeration: iterate the censuses of domain elements over the
-  valid 1-types; each census contributes its multinomial coefficient
-  and a product of per-class weights and per-pair factors.
-
-* collapsed power: when the matrix is cross-independent (see ``cells``),
-  the out-edges an element may send do not depend on its partner's type,
-  and the sum over censuses factorizes into the n-th power of a single
-  per-element polynomial.
-
-Both share one counter layout: a counter per tracked predicate (unary
-ones first), then one per counting block, raised by the true atoms of
-each 1-type, 2-table and out-edge mask, so every factor is a generating
-function in the counters (Kuzelka, JAIR 2021).  A census fixes the
-tracked unary cards, so enumeration keeps them as census keys; every
-other counter is a digit range of one Python integer (Kronecker
-substitution, ``_Layout``), with the digit width B proved in
-``_digit_bits``.  A tracked card bounded by a top-level conjunct
-|P| = c, |P| <= c or |P| < c of the constraint, and a tie counter past
-its target, lose their digits above the cap after every product.
-Weights are scaled to integers, and the scale is divided out of each
-decoded row once.
-
-On a directed matrix (see ``cells``) each element picks its out-edges
-independently of the others, given the census, so a block
-``A(x) <-> exists{=m} y G(x,y)`` constrains each element alone through
-its guard degree z.  An element of class i contributes its class weight
-times prod_j g_ij^(k_j - [i = j]), g_ij being the polynomial of the
-out-edges i may send to j (van Bremen and Kuzelka's cell-graph pair
-factors, split by direction): digit m of that row modulo z^(m+1) if it
-is in A, else its row at z = 1 minus that digit, two ring maps.  The
-collapsed power is the case where g_ij does not depend on j.  On any
-other matrix ``Solver`` falls back to the successor encoding (see
-``normalize``), which always enumerates, with the tie counter
-sum_j |f_j| + m |not A| (target m * n) and a 1/m! divisor per block.
-
-Both read the valid types merged into classes (see ``cells`` and
-``ProfileEvaluator``).  Enumeration runs when the matrix does not
-factorize, or when tracked unary cards are the only counters and there
-are at most 20,000 censuses over the classes.  ``Solver`` is the one
-entry point; its ``count``, ``weighted_total`` and ``breakdown`` read
-the same profile rows, filtered once by the cardinality constraint.
+Counters, one per tracked predicate (unary ones first) and one per block,
+are raised by the true atoms of each 1-type, 2-table and out-edge mask,
+so every factor is a generating function in them (Kuzelka, JAIR 2021),
+evaluated as one Python integer (Kronecker substitution, ``_Layout``).
+Tracked unary cards are census keys on pair tables; in the group census
+they split the groups, or stay digits, by a cost estimate.  Constraint
+caps and tie-counter targets drop digits after every product.  Weights
+are scaled to integers, and the scale is divided out of each row once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, product
@@ -103,10 +84,14 @@ def _digit_bits(bound: int) -> int:
 def _integral(polys: Mapping[object, list]) -> tuple[dict, int]:
     """Scale lists of (counts, rational weight) to integer weights by
     their common denominator; returns the scaled lists and the scale."""
-    den = math.lcm(*(Fraction(w).denominator for poly in polys.values()
-                     for _, w in poly))
-    return {k: [(c, int(w * den)) for c, w in poly]
-            for k, poly in polys.items()}, den
+    den = math.lcm(*(getattr(w, "denominator", 0) or Fraction(w).denominator
+                     for poly in polys.values() for _, w in poly))
+    return {k: [(c, int(w * den)) for c, w in poly] for k, poly in polys.items()}, den
+
+
+def _counter_digits(cap: int, top: int) -> int:
+    """The digits ``_Layout`` gives a counter bounded by (cap, top)."""
+    return top + 1 if cap >= top else 2 * cap + 1
 
 
 class _Layout:
@@ -118,33 +103,32 @@ class _Layout:
     (cap, top), the largest value a row keeps and the largest any product
     reaches, with cap < top is 2 cap + 1 digits wide, room for a product
     of two truncated factors, and ``mul`` drops its digits above cap
-    (reduction modulo X^(cap+1), a ring map) through a mask on the digits
-    raised by 2^(bits-1), which are all non-negative."""
+    (reduction modulo X^(cap+1), a ring map) through a mask on the offset
+    digits; with no cap below its top, products are plain ones."""
 
     def __init__(self, counters: Sequence[int], bounds: Sequence[tuple[int, int]],
                  bits: int):
         self.counters = tuple(counters)  # indices into the evaluator's counters
         self.bits = bits
         self.caps = [min(cap, top) for cap, top in bounds]
-        self.widths = [top + 1 if cap >= top else 2 * cap + 1 for cap, top in bounds]
+        self.widths = [_counter_digits(cap, top) for cap, top in bounds]
         self.strides = [math.prod(self.widths[:d]) for d in range(len(bounds) + 1)]
         self.size = self.strides[-1]
         self.offset = _repeat(1 << bits - 1, bits, self.size)
-        self._keep = None
         if any(cap < top for cap, top in bounds):
             keep = (1 << bits) - 1
             for cap, s in zip(self.caps, self.strides):
                 keep = _repeat(keep, bits * s, cap + 1)
             self._keep = (keep, keep & self.offset)
+        else:
+            self.mul, self.pow = operator.mul, pow
 
     def mul(self, a: int, b: int) -> int:
-        if self._keep is None:
-            return a * b
         keep, kept_offset = self._keep
         return ((a * b + self.offset) & keep) - kept_offset
 
     def pow(self, a: int, e: int) -> int:
-        if self._keep is None or e < 2:
+        if e < 2:
             return a ** e
         half = self.pow(a, e // 2)
         return self.mul(self.mul(half, half), a if e & 1 else 1)
@@ -184,22 +168,13 @@ class _Layout:
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All tuples of ``parts`` non-negative integers summing to ``total``,
     in lexicographic order."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
+    if parts < 2:
+        if parts or not total:
+            yield (total,) if parts else ()
         return
     for first in range(total + 1):
         for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def pair_exponent(ka: int, kb: int, same: bool) -> int:
-    """k(i,j): unordered element pairs across (or within) two census
-    classes."""
-    return ka * (ka - 1) // 2 if same else ka * kb
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +221,14 @@ class ProfileEvaluator:
         arity = norm.signature.arity
 
         # The counters each true atom of a predicate raises: tracked
-        # predicates first (unary ones, then binary), then one per block,
-        # its guard degree, or in the successor encoding the tie counter
-        # sum_j |f_j| + m * |not A|, which is m * n exactly on the tied
-        # profiles because the block's sign predicates already cancel every
-        # profile where some A-element lacks an f_j successor (so |f_j| >=
-        # |A| wherever F != 0, and the sum pins each |f_j| individually).
+        # predicates (unary ones first), then one per block, its guard
+        # degree, or in the successor encoding the tie counter sum_j |f_j| +
+        # m * |not A|, which is m * n exactly on the tied profiles: the sign
+        # predicates cancel every profile where an A-element lacks an f_j
+        # successor, so |f_j| >= |A| and the sum pins each |f_j|.
         self.key_names = tuple(sorted(tracked, key=arity))
         self.n_unary = sum(arity(p) == 1 for p in tracked)
         self._ties = norm.successors
-        self._per_element = bool(norm.blocks) and not self._ties
         n_keys = len(self.key_names)
         self._width = n_keys + len(norm.blocks)
         self._raises: dict[str, list[int]] = {}
@@ -272,12 +245,11 @@ class ProfileEvaluator:
         self._bounds += [(b.m * n, b.m * n * (n + 1)) if self._ties else (b.m, n)
                          for b in norm.blocks]
 
-        # ``build_cells`` groups interchangeable types; each group splits by
-        # tracked unary key and block membership into classes.  A class's
-        # representative carries the sum of its members' weights (signs
-        # included) times their counters, exact by the multinomial theorem;
-        # an A-element of a tie-counted block weighs 1/m!.  Classes whose
-        # sum is zero drop out.
+        # ``build_cells`` groups interchangeable types, split here by tracked
+        # unary key and block membership into classes.  A class carries the
+        # sum of its members' weights (signs included) times their counters,
+        # exact by the multinomial theorem; an A-element of a tie-counted
+        # block weighs 1/m!.  Classes whose sum is zero drop out.
         sign_slots = [cells.u_slot_index(p, "unary") for p in norm.sign_preds]
         a_slots = [cells.u_slot_index(b.a_pred, "unary") for b in norm.blocks]
         merged: dict[tuple, tuple[int, dict]] = {}
@@ -316,12 +288,10 @@ class ProfileEvaluator:
                     counts[d] += 1
         return counts, weight
 
-    def _layouts(self, per_element: bool, pairs, first: int):
-        """The census product's layout over the counters from ``first`` on,
-        the class pairs' factor weight scale in a census term, and per flags
-        ``kept`` of the guard degrees a row keeps (only () off the per-element
-        path) the layout with the factors (pa's out-edges toward pb, or the
-        2-tables across pa <= pb) and class weights packed in it."""
+    def _factors(self, per_element: bool, pairs):
+        """The integer factors of the class pairs (pa's out-edges toward pb
+        per element, else the 2-tables across pa <= pb), their scale in a
+        census term, a bound G >= 1 on their norms, the census digit width."""
         n, cells = self.n, self.cells
         slots, options = cells.b_slots, cells.pair_vs
         if per_element:
@@ -332,39 +302,8 @@ class ProfileEvaluator:
             for pa, pb in pairs})
         g = max(1, max(map(_norm, polys.values()), default=0))
         n_pairs = n * (n - 1) // (1 if per_element else 2)
-        end = len(self.key_names) if per_element else self._width
-        layout = _Layout(range(first, end), self._bounds[first:end],
-                         _digit_bits(sum(map(_norm, self._weights)) ** n * g ** n_pairs))
-        spaces = {(): layout}
-        if per_element:
-            # an element raises a unary card at most once, anything else n times
-            tops = [(1, 1) if d < self.n_unary else (min(top, n),) * 2
-                    for d, (_, top) in enumerate(self._bounds[first:end], first)]
-            bits = _digit_bits(max(map(_norm, self._weights)) * g ** (n - 1))
-            spaces = {kept: _Layout(
-                [*range(first, end)] + [d for d, k in enumerate(kept, end) if k],
-                tops + [self._bounds[d] for d, k in enumerate(kept, end) if k], bits)
-                for kept in product((False, True), repeat=len(self.norm.blocks))}
-        return layout, den ** n_pairs, {
-            kept: (space, {k: space.pack(p) for k, p in polys.items()},
-                   [space.pack(w) for w in self._weights])
-            for kept, space in spaces.items()}
-
-    def _element(self, pos: int, exponents, spaces: dict, layout: _Layout) -> int:
-        """One element of class ``pos``: its class weight times its factor
-        toward class pb to the e, for (pb, e) in ``exponents``; per block,
-        digit m of the guard degree if it is in A, else the row at guard
-        degree 1 minus that digit; repacked into the census ``layout``."""
-        in_a, value = self._in_a[pos], 0
-        for kept in product(*[(True,) if hit else (False, True) for hit in in_a]):
-            space, factors, weights = spaces[kept]
-            row = weights[pos]
-            for pb, e in exponents:
-                row = space.mul(row, space.pow(factors[pos, pb], e))
-            value += (-1) ** (sum(kept) - sum(in_a)) * space.at(
-                row, [b.m for b, k in zip(self.norm.blocks, kept) if k])
-        base = spaces[(False,) * len(in_a)][0]
-        return layout.pack(base.decode(value)) if layout.counters else value
+        return polys, den ** n_pairs, g, _digit_bits(
+            sum(map(_norm, self._weights)) ** n * g ** n_pairs)
 
     def _finish(self, rows, scale: int) -> dict:
         """Divide (key, value) rows by their scale times the class weights';
@@ -381,15 +320,14 @@ class ProfileEvaluator:
             out[key] = Fraction(value, scale) if rest else quotient
         return out
 
-    # -- k-vector enumeration ---------------------------------------------------
-
     def _enumerate_table(self) -> dict:
         n, n_unary, n_keys = self.n, self.n_unary, len(self.key_names)
         classes = range(len(self.types))
-        layout, scale, spaces = self._layouts(
-            self._per_element, [(a, b) for a in classes for b in classes
-                                if self._per_element or a <= b], n_unary)
-        _, factors, weights = spaces.get((), (None, None, None))
+        polys, scale, _, bits = self._factors(
+            False, [(a, b) for a in classes for b in classes if a <= b])
+        layout = _Layout(range(n_unary, self._width), self._bounds[n_unary:], bits)
+        factors = {k: layout.pack(p) for k, p in polys.items()}
+        weights = [layout.pack(w) for w in self._weights]
         factorial = [math.factorial(k) for k in range(n + 1)]
         unary_caps = [cap for cap, _ in self._bounds[:n_unary]]
         packed: dict[tuple[int, ...], int] = {}
@@ -402,16 +340,11 @@ class ProfileEvaluator:
             value = factorial[n]
             for _, count in occupied:
                 value //= factorial[count]
-            for pos, count in occupied:
-                # per element: its out-edges toward every other element
-                element = self._element(pos, [(pb, cb - (pos == pb)) for pb, cb in occupied],
-                                        spaces, layout) if self._per_element else weights[pos]
-                value = layout.mul(value, layout.pow(element, count))
-            if not self._per_element:
-                for ia, (pa, ca) in enumerate(occupied):
-                    for pb, cb in occupied[ia:]:
-                        e = pair_exponent(ca, cb, pa == pb)
-                        value = layout.mul(value, layout.pow(factors[pa, pb], e))
+            for ia, (pa, ca) in enumerate(occupied):
+                value = layout.mul(value, layout.pow(weights[pa], ca))
+                for pb, cb in occupied[ia:]:  # the pairs of elements across pa, pb
+                    e = ca * (ca - 1) // 2 if pa == pb else ca * cb
+                    value = layout.mul(value, layout.pow(factors[pa, pb], e))
             if value:
                 packed[key] = packed.get(key, 0) + value
         # keep the rows whose tie counters reach their targets
@@ -422,34 +355,112 @@ class ProfileEvaluator:
              for key, value in packed.items() for counts, coef in layout.decode(value)
              if all(counts[d] == t for d, t in targets)), scale)
 
-    # -- collapsed power ----------------------------------------------------------
+    def _groups(self, columns: list[list[int]], bits: int) -> tuple[int, list]:
+        """The first packed counter and the census groups (unary key or (),
+        column, classes): each column's classes, split by tracked unary key
+        where that beats packing the unary cards by an estimate of, per census
+        and group, 1,000 products of 30-bit digits plus one of the layout's."""
+        def split() -> tuple[int, list]:
+            groups: dict[tuple, list[int]] = {}
+            for k, members in enumerate(columns):
+                for b in members:
+                    groups.setdefault((self._unary_keys[b], k), []).append(b)
+            return self.n_unary, [(*key, members) for key, members in groups.items()]
 
-    def _collapsed_table(self) -> dict:
-        """The n-th power of the per-element polynomial: the sum over the
-        classes of one element's row, its class weight times the (n-1)-th
-        power of its out-edge polynomial."""
-        layout, scale, spaces = self._layouts(
-            True, [(pos, pos) for pos in range(len(self.types))], 0)
-        per_element = sum(self._element(pos, [(pos, self.n - 1)], spaces, layout)
-                          for pos in range(len(self.types)))
-        return self._finish(((tuple(counts[d] for d in layout.counters), coef)
-                             for counts, coef in layout.decode(layout.pow(per_element, self.n))),
-                            scale)
+        def cost(option: tuple[int, list]) -> float:
+            (first, groups), end, n = option, len(self.key_names), self.n
+            words = bits / 30 * math.prod(_counter_digits(*b) for b in self._bounds[first:end])
+            return math.comb(n + len(groups) - 1, n) * len(groups) * (1000 + words ** 1.585)
+        packed = 0, [((), k, members) for k, members in enumerate(columns)]
+        return min(packed, split(), key=cost) if self.n_unary else packed
 
-    # -- public ---------------------------------------------------------------
+    def _readings(self, polys: dict, g: int, layout: _Layout, first: int, cols) -> list:
+        """Per class, the layout its rows decode from and the ways a row is
+        read: (sign, layout it is computed in, its factors toward the columns
+        ``cols`` and class weight packed there, guard degrees read at digit
+        m).  Without blocks: the census layout, as is; else, per flags of the
+        kept guard degrees, digit m of each, signed -1 per block the element
+        is outside (its row at guard degree 1 minus that digit)."""
+        n, end, blocks = self.n, len(self.key_names), self.norm.blocks
+        spaces = {(): layout}
+        if blocks:
+            # an element raises a unary card at most once, anything else n times
+            tops = [(1, 1) if d < self.n_unary else (min(top, n),) * 2
+                    for d, (_, top) in enumerate(self._bounds[first:end], first)]
+            bits = _digit_bits(max(map(_norm, self._weights), default=0) * g ** (n - 1))
+            spaces = {kept: _Layout(
+                [*range(first, end)] + [d for d, k in enumerate(kept, end) if k],
+                tops + [self._bounds[d] for d, k in enumerate(kept, end) if k], bits)
+                for kept in product((False, True), repeat=len(blocks))}
+        return [(spaces[(False,) * len(blocks)], [
+            ((-1) ** (sum(kept) - sum(in_a)), spaces[kept],
+             [spaces[kept].pack(polys[pos, r]) for r in cols],
+             spaces[kept].pack(self._weights[pos]), [b.m for b, k in zip(blocks, kept) if k])
+            for kept in product(*[(True,) if hit else (False, True) for hit in in_a])])
+            for pos, in_a in enumerate(self._in_a)]
+
+    @staticmethod
+    def _element(readings, exponents: Sequence[int], layout: _Layout) -> int:
+        """One element's row in the census ``layout``, read as ``readings``
+        says: its class weight times its factors to the ``exponents``."""
+        (base, ways), value = readings, 0
+        for sign, space, factors, row, top in ways:
+            for f, e in zip(factors, exponents):
+                if e:
+                    row = space.mul(row, space.pow(f, e))
+            if space is layout:
+                return row
+            value += sign * space.at(row, top)
+        return layout.pack(base.decode(value)) if layout.counters else value
+
+    def _group_table(self) -> dict:
+        """The census over column groups: classes whose out-edge columns agree
+        form one column, and a census of the groups is its multinomial times
+        prod_G (sum of G's rows)^c_G."""
+        n, classes, out, columns = self.n, range(len(self.types)), self.cells.out_options, {}
+        for b, u in enumerate(self.types):
+            columns.setdefault(tuple([out[t, u] for t in self.types]), []).append(b)
+        cols = [members[0] for members in columns.values()]
+        polys, scale, g, bits = self._factors(True, [(a, r) for a in classes for r in cols])
+        first, groups = self._groups(list(columns.values()), bits)
+        end = len(self.key_names)
+        layout = _Layout(range(first, end), self._bounds[first:end], bits)
+        readings = self._readings(polys, g, layout, first, cols)
+        caps, last, packed = [cap for cap, _ in self._bounds[:first]], None, {}
+        unary = list(zip(*(ukey for ukey, _, _ in groups)))  # per card, each group's value
+        one_per_column = [k for _, k, _ in groups] == list(range(len(cols)))
+        for counts in compositions(n, len(groups)):
+            key = tuple(sum(c * u for u, c in zip(card, counts)) for card in unary)
+            if any(map(int.__gt__, key, caps)):
+                continue
+            per_column = counts if one_per_column else tuple(
+                sum(c for (_, k, _), c in zip(groups, counts) if k == j) for j in range(len(cols)))
+            if per_column != last:  # rows, and so powers of their sums, depend on these only
+                last, powers, sums = per_column, {}, []
+                for _, k, members in groups:
+                    total = 0
+                    if per_column[k]:
+                        exponents = [cb - (kb == k) for kb, cb in enumerate(per_column)]
+                        for b in members:
+                            total += self._element(readings[b], exponents, layout)
+                    sums.append(total)
+            value, left = 1, n
+            for i, c in enumerate(counts):
+                if c:
+                    power = powers.get((i, c)) or powers.setdefault((i, c), layout.pow(sums[i], c))
+                    value, left = layout.mul(value * math.comb(left, c), power), left - c
+            if value:
+                packed[key] = packed.get(key, 0) + value
+        return self._finish(((key + tuple(counts[d] for d in layout.counters), coef)
+                             for key, value in packed.items()
+                             for counts, coef in layout.decode(value)), scale)
 
     def table(self) -> dict:
-        """The collapsed power runs whenever the matrix allows it and no
-        block carries a tie counter, except when tracked unary cards are
-        the only counters and the censuses are few: then enumeration
-        multiplies integer powers.  The rule counts censuses only, so it
-        can pick the slower path in either direction."""
-        if not self.types:
-            return {}
-        use_collapsed = self.cells.cross_independent and not self._ties and not (
-            0 < self.n_unary == self._width
-            and math.comb(self.n + len(self.types) - 1, len(self.types) - 1) <= 20000)
-        return self._collapsed_table() if use_collapsed else self._enumerate_table()
+        """The census over column groups on a directed matrix without tie
+        counters (one group is the n-th power of one per-element
+        polynomial); the census over pair tables otherwise."""
+        directed = self.cells.directed and not self._ties
+        return self._group_table() if directed else self._enumerate_table()
 
 
 # ---------------------------------------------------------------------------
@@ -499,15 +510,13 @@ class Solver:
             norm = normalize(getattr(problem, "source", problem), successors=False)
         cells = build_cells(norm.signature, norm.matrix)
         if norm.blocks and not cells.directed:
-            # successors cannot be counted per element: fall back to the
-            # successor encoding, with a sign predicate on each block the
-            # matrix does not pin, and rebuild (freeing the first tables)
+            # fall back to the successor encoding, with a sign predicate on
+            # each block the matrix does not pin (freeing the first tables)
             unpinned = {b.index for b in norm.blocks if not block_pinned(cells, b)}
             del cells
             norm = normalize(norm.source, unpinned)
             cells = build_cells(norm.signature, norm.matrix)
-        self.norm = norm
-        self.cells = cells
+        self.norm, self.cells = norm, cells
 
     def _unpinned(self) -> set[int]:
         if self.norm.successors:
@@ -594,26 +603,19 @@ class Solver:
 def fomc_universal(cells: CellStructure, n: int) -> int:
     """Plain universal count: sum over censuses of the multinomial times
     the product of n_ij powers.  Requires no sign predicates or blocks."""
-    total = 0
-    for k in compositions(n, len(cells.valid)):
-        total += universal_term_valid(cells, n, k)
-    return _as_count(total)
+    return _as_count(sum(universal_term_valid(cells, n, k)
+                         for k in compositions(n, len(cells.valid))))
 
 
 def universal_term_valid(cells: CellStructure, n: int, k: Sequence[int]) -> int:
     """One census term, with k indexed over cells.valid."""
-    coef = math.factorial(n)
+    value = math.factorial(n)
     for count in k:
-        coef //= math.factorial(count)
+        value //= math.factorial(count)
     occupied = [(t, c) for t, c in zip(cells.valid, k) if c]
-    value = coef
     for ia, (ta, ca) in enumerate(occupied):
         for tb, cb in occupied[ia:]:
-            e = pair_exponent(ca, cb, ta is tb)
-            if e:
-                value *= cells.n_ij[(ta, tb)] ** e
-                if value == 0:
-                    return 0
+            value *= cells.n_ij[(ta, tb)] ** (ca * (ca - 1) // 2 if ta == tb else ca * cb)
     return value
 
 
@@ -631,22 +633,20 @@ def universal_term(cells: CellStructure, n: int, k: Sequence[int]) -> int:
 
 def witness_deficit_counts(problem: Problem | NormalizedProblem, n: int, m: int
                         ) -> tuple[int, int]:
-    """Diagnostic for a single forall-exists problem.  Returns (p_m, e_m):
-    p_m counts the matrix models in which a marked set of exactly m
-    elements is witness-free (the sign predicate treated as an ordinary
-    predicate with cardinality m); e_m, recovered from the p_j by an
-    alternating binomial sum, counts the models in which exactly m
-    elements have no witness.  Exposed for tests."""
+    """Diagnostic for a single forall-exists problem, exposed for tests:
+    (p_m, e_m), the matrix models in which a marked set of exactly m
+    elements is witness-free (the sign predicate counted as an ordinary
+    predicate), and, by an alternating binomial sum over the p_j, those in
+    which exactly m elements have no witness."""
     solver = Solver(problem)
     norm = solver.norm
     if len(norm.sign_preds) != 1 or norm.blocks:
         raise SemanticError("diagnostic requires exactly one forall-exists conjunct")
     if m > n:
         raise SemanticError(f"m = {m} exceeds the domain size {n}")
-    p_pred = norm.sign_preds[0]
-    # weight -1 on the marked types cancels their sign, so the marked set
-    # is counted like an ordinary predicate
-    _, table = solver.profile_table(n, (p_pred,), {p_pred: (-1, 1)})
+    # weight -1 on the marked types cancels their sign: the marked set is
+    # counted like an ordinary predicate
+    _, table = solver.profile_table(n, norm.sign_preds, {norm.sign_preds[0]: (-1, 1)})
     p = [table.get((j,), 0) for j in range(n + 1)]
     e_m = sum((-1) ** (j - m) * math.comb(j, m) * p[j] for j in range(m, n + 1))
     return p[m], e_m

@@ -20,6 +20,15 @@ forall x forall y (A(x) & R(x,y) & x != y -> A(y))
 
 ZERO_OR_TWO_EXAMPLE = "forall x (forall y !R(x,y) | exists{=2} y R(x,y))"
 
+#: every element has an R-successor in A and an S-successor outside A:
+#: 8 classes of 1-types in 2 column groups
+TWO_WITNESS = ("predicate A/1\npredicate R/2\npredicate S/2\n"
+               "forall x exists y (R(x,y) & A(y)) & forall x exists y (S(x,y) & !A(y))")
+#: two-witness and a T-successor in B: 32 classes in 4 column groups
+THREE_WITNESS = ("predicate A/1\npredicate B/1\npredicate R/2\npredicate S/2\n"
+                 "predicate T/2\n" + TWO_WITNESS.splitlines()[-1]
+                 + " & forall x exists y (T(x,y) & B(y))")
+
 
 @pytest.fixture
 def running_problem() -> Problem:

@@ -188,7 +188,17 @@ def reference_cells(signature, matrix):
                                       if out_mask[v] in sends[(t, p)]
                                       and out_mask[swap[v]] in sends[(p, t)]}
                    for t in valid for p in valid)
-    out_options = sends if directed else {}
+
+    # on a pair that allows nothing, t keeps the out-masks of its own
+    # instance (t on the x side) when that holds on some 2-table and p's
+    # holds on none; otherwise t sends nothing
+    def options(t, p):
+        own, other = rows[(t, p)], rows[(p, t)]
+        if oriented(t, p) or not any(own) or any(other):
+            return sends[(t, p)]
+        return tuple(sorted({out_mask[v] for v in range(1 << b) if own[v]}))
+
+    out_options = {(t, p): options(t, p) for t in valid for p in valid} if directed else {}
     # cross-independent: directed, and every pair allows what each side
     # sends to its own type
     independent = directed and all(
@@ -252,6 +262,23 @@ def test_mask_sweep_matches_reference_with_block_signs():
                   ).successor_encoding()
     assert norm.blocks[0].sign
     assert_matches_reference(norm.signature, norm.matrix)
+
+
+def test_empty_pair_empties_only_the_failing_side():
+    """``exists x A(x)`` becomes P(x) -> !A(y) with a sign predicate P.
+    The pair of the P-type and the A-type allows nothing: the matrix fails
+    with the P-type on the x side and holds with the A-type there, so only
+    the P-type's side is empty, and the A-type sends toward the P-type
+    what it sends toward every type."""
+    cells = Solver(parse_problem("predicate A/1\nexists x A(x)")).cells
+    assert cells.u_slots == [("A", "unary"), ("__P1", "unary")]
+    none, p_type, a_type = cells.valid
+    assert cells.pair_vs[(p_type, a_type)] == ()
+    assert cells.out_options[(p_type, a_type)] == ()
+    assert cells.out_options[(a_type, p_type)] == (0,)
+    assert all(cells.out_options[(t, s)] == (0,) for t in cells.valid for s in cells.valid
+               if (t, s) != (p_type, a_type))
+    assert (none, p_type, a_type) == (0, 1, 2)
 
 
 @settings(max_examples=60, deadline=None)

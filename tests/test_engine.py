@@ -13,7 +13,8 @@ from fo2mc.normalize import normalize
 from fo2mc.oracle import oracle_count, oracle_stratified
 from fo2mc.parser import parse_problem
 
-from conftest import ZERO_OR_TWO_EXAMPLE, RUNNING_EXAMPLE, random_problem
+from conftest import (RUNNING_EXAMPLE, THREE_WITNESS, TWO_WITNESS, ZERO_OR_TWO_EXAMPLE,
+                      random_problem)
 
 
 def running_solver():
@@ -242,15 +243,16 @@ def test_stratified_census_identity():
 # -- evaluation strategies agree --------------------------------------------------------
 
 
-def collapse_both_ways(text, n, tracked=(), fold=None):
-    """Both evaluation paths' tables, with ``fold``, a map of symmetric
-    weights."""
-    solver = Solver(parse_problem(text))
-    cells = solver.cells
-    ev = ProfileEvaluator(solver.norm, cells, n, tracked, fold)
-    if not cells.cross_independent:
-        return None
-    return ev._enumerate_table(), ev._collapsed_table()
+def census_both_ways(problem, n, tracked=(), fold=None):
+    """The census over column groups, and the census over pair tables of
+    the same problem, or of its successor encoding when it has a counting
+    block; ``fold`` is a map of symmetric weights."""
+    solver = Solver(problem)
+    assert solver.cells.directed and not solver.norm.successors
+    groups = ProfileEvaluator(solver.norm, solver.cells, n, tracked, fold)._group_table()
+    norm = solver.successor_encoding()
+    cells = build_cells(norm.signature, norm.matrix) if norm.blocks else solver.cells
+    return groups, ProfileEvaluator(norm, cells, n, tracked, fold)._enumerate_table()
 
 
 @pytest.mark.parametrize("text,tracked", [
@@ -262,76 +264,110 @@ def collapse_both_ways(text, n, tracked=(), fold=None):
     ("predicate A/1\npredicate R/2\nforall x exists{=1} y R(x,y)", ("R", "A")),
     ("forall x exists{=1} y R(x,y) & forall x exists{=1} y S(x,y)", ("S",)),
     ("forall x (A(x) -> exists y R(x,y))\nweight A 2 1\nweight R 0.25 3", ("R",)),
+    (RUNNING_EXAMPLE, ()),
+    (RUNNING_EXAMPLE, ("A", "R")),
+    ("predicate A/1\nexists x A(x)", ()),
+    ("predicate A/1\nexists x A(x)", ("A",)),
+    (TWO_WITNESS, ("A", "R")),
 ])
 def test_enum_equals_collapsed(text, tracked):
+    """The census over column groups, which collapses every census with
+    the same group counts into one term, equals census enumeration over
+    pair tables; blocks are enumerated in their successor encoding, whose
+    signed terms can leave rows of value 0."""
     weights = parse_problem(text).symmetric_weights
     for n in (1, 2, 3, 4, 5):
-        pair = collapse_both_ways(text, n, tracked, weights)
-        assert pair is not None, "expected a collapsible matrix"
-        enum, collapsed = pair
-        enum = {k: v for k, v in enum.items() if v}
-        collapsed = {k: v for k, v in collapsed.items() if v}
-        assert enum == collapsed
+        groups, pairs = census_both_ways(parse_problem(text), n, tracked, weights)
+        assert groups == {k: v for k, v in pairs.items() if v}
+
+
+def test_group_census_equals_pair_tables_on_random_problems():
+    """Every directed random problem, untracked and with A and R tracked:
+    among them are pairs of types that allow nothing although the matrix
+    holds with either type on the x side, where both sides must send
+    nothing."""
+    directed = 0
+    for seed in range(200):
+        problem = random_problem(seed)
+        if not Solver(problem).cells.directed:
+            continue
+        directed += 1
+        for tracked in ((), ("A", "R")):
+            for n in (1, 2, 3):
+                groups, pairs = census_both_ways(problem, n, tracked)
+                assert groups == {k: v for k, v in pairs.items() if v}, (seed, tracked, n)
+    assert directed > 100
 
 
 def test_path_choice(monkeypatch):
-    """A cross-independent matrix takes the collapsed power, unless tracked
-    unary cards are its only counters and there are at most 20,000
-    censuses over the merged classes; then it enumerates them."""
-    paths = []
-    for name in ("_enumerate_table", "_collapsed_table"):
+    """A directed matrix without a tie counter takes the census over its
+    column groups, one per distinct out-edge column; tracked unary cards
+    split the groups or stay digits, whichever the cost estimate favours;
+    any other matrix enumerates pair tables."""
+    paths, groups_seen = [], []
+    for name in ("_group_table", "_enumerate_table"):
         def spy(self, run=getattr(ProfileEvaluator, name), name=name):
             paths.append(name)
             return run(self)
         monkeypatch.setattr(ProfileEvaluator, name, spy)
+    choose = ProfileEvaluator._groups
+
+    def groups_spy(self, columns, bits):
+        first, groups = choose(self, columns, bits)
+        groups_seen.append((len(self.types), len(columns), len(groups),
+                            "split" if first else "pack"))
+        return first, groups
+    monkeypatch.setattr(ProfileEvaluator, "_groups", groups_spy)
 
     def path_of(text, n, tracked=()):
         paths.clear()
+        groups_seen.clear()
         result = Solver(parse_problem(text)).breakdown(n, tracked)
-        assert len(set(paths)) == 1
-        return paths[0], result
+        assert len(paths) == 1
+        return paths[0], groups_seen and groups_seen[0], result
 
-    for text in ("forall x exists y R(x,y)", "forall x (A(x) -> !B(x))",
-                 "forall x (A(x) -> exists y R(x,y))", ZERO_OR_TWO_EXAMPLE):
-        assert path_of(text, 2)[0] == "_collapsed_table"
-    # the counting blocks collapse with only the tracked counters: no tie
-    # counter or guard degree reaches the n-th power
-    census_counters = []
-    layouts = ProfileEvaluator._layouts
-
-    def layouts_spy(self, *args):
-        out = layouts(self, *args)
-        census_counters.append(out[0].counters)
-        return out
-    monkeypatch.setattr(ProfileEvaluator, "_layouts", layouts_spy)
+    # (classes, columns, groups, unary cards)
+    for text, shape in [("forall x exists y R(x,y)", (2, 1, 1, "pack")),
+                        ("predicate A/1\nexists x A(x)", (3, 2, 2, "pack")),
+                        (RUNNING_EXAMPLE, (2, 2, 2, "pack")),
+                        (ZERO_OR_TWO_EXAMPLE, (2, 1, 1, "pack")),
+                        (TWO_WITNESS, (8, 2, 2, "pack")),
+                        (THREE_WITNESS, (32, 4, 4, "pack"))]:
+        assert path_of(text, 2)[:2] == ("_group_table", shape)
+    # the counting problems of the benchmark's collapsed ladder: one group
     corpus = {entry.name: entry for entry in load_corpus()}
     for name in ("count_eq1", "count_eq2", "count_disj", "count_le1",
                  "count_le_sugar", "mixed_exists_eq1", "weighted_eq1", "two_exists"):
         for tracked in ((), ("R",)):
-            census_counters.clear()
-            assert path_of(corpus[name].text, 3, tracked)[0] == "_collapsed_table"
-            assert census_counters == [tuple(range(len(tracked)))]
+            path, (_, _, groups, _), _ = path_of(corpus[name].text, 3, tracked)
+            assert (path, groups) == ("_group_table", 1)
+    for text in ("forall x forall y (R(x,y) -> R(y,x))",
+                 "forall x exists{=1} y (R(x,y) & R(y,x))"):
+        assert path_of(text, 3)[:2] == ("_enumerate_table", [])
+    # the unary-card rows: packed, but for A(x) -> B(x) with a free R, whose
+    # packed integer would have (n + 1)^2 digits of about n^2 bits each
     coins = "predicate H/1\nforall x (H(x) | !H(x))"
-    path, result = path_of(coins, 4, ("H",))
-    assert path == "_enumerate_table"
-    assert [value for _, value in result.profiles] == [1, 4, 6, 4, 1]
-    # five interchangeable valid types; tracking A splits them into two
-    # classes, 21 censuses at n = 20
+    _, shape, result = path_of(coins, 100, ("H",))
+    assert shape == (2, 1, 1, "pack")
+    assert [value for _, value in result.profiles] == [math.comb(100, k) for k in range(101)]
+    three_free = "predicate A/1\npredicate B/1\npredicate C/1\nforall x (A(x) | !A(x))"
+    _, shape, result = path_of(three_free, 10, ("A", "B", "C"))
+    assert shape == (8, 1, 1, "pack") and result.total == 8 ** 10
+    n = 30
     five_types = ("predicate A/1\npredicate B/1\npredicate C/1\n"
                   "forall x (A(x) -> (B(x) & C(x)))")
-    path, result = path_of(five_types, 20, ("A",))
-    assert path == "_enumerate_table"
-    assert result.profiles == [({"A": k}, math.comb(20, k) * 4 ** (20 - k))
-                               for k in range(21)]
-    # tracking A, B and C keeps five classes: C(34, 4) = 46,376 censuses
-    # at n = 30
-    n = 30
-    path, result = path_of(five_types, n, ("A", "B", "C"))
-    assert path == "_collapsed_table"
+    _, shape, result = path_of(five_types, n, ("A", "B", "C"))
+    assert shape == (5, 1, 1, "pack")
     assert result.profiles == [
         ({"A": k, "B": k + b, "C": k + c},
          math.comb(n, k) * math.comb(n - k, b) * math.comb(n - k, c))
         for k in range(n + 1) for b in range(n - k + 1) for c in range(n - k + 1)]
+    n = 100
+    implied = "predicate A/1\npredicate B/1\npredicate R/2\nforall x (A(x) -> B(x))"
+    _, shape, result = path_of(implied, n, ("A", "B"))
+    assert shape == (3, 1, 3, "split")
+    assert result.profiles == [({"A": a, "B": b}, math.comb(n, b) * math.comb(b, a) * 2 ** (n * n))
+                               for a in range(n + 1) for b in range(a, n + 1)]
 
 
 def test_running_example_not_collapsible():
