@@ -9,7 +9,7 @@ from .errors import (Fo2mcError, InternalConsistencyError, OracleCapError,
 from .cells import CellStructure, build_cells
 from .grounding import GroundFormula, eval_qf, ground
 from .normalize import (NormalizedProblem, dump_normalized,
-                        expand_counting_sugar, normalize)
+                        expand_counting_sugar, normalize, successor_encoding)
 from .oracle import OracleReport, oracle_count, oracle_distribution, oracle_stratified
 from .parser import Problem, parse_formula, parse_problem
 from .weights import (count_distribution, distribution_table, wfomc_profile,
@@ -24,7 +24,8 @@ __all__ = [
     "expand_counting_sugar", "fomc_universal", "ground",
     "witness_deficit_counts", "normalize", "oracle_count",
     "oracle_distribution", "oracle_stratified", "parse_formula",
-    "parse_problem", "universal_term", "wfomc_profile", "wfomc_symmetric",
+    "parse_problem", "successor_encoding", "universal_term", "wfomc_profile",
+    "wfomc_symmetric",
 ]
 
 __version__ = "0.1.0"

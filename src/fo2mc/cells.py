@@ -10,15 +10,14 @@ are independent of the domain size.
 A matrix is *directed* when every valid pair of types (i, j) allows
 exactly the 2-tables O_ij x O_ji: the x->y bits and the y->x bits are
 chosen independently, from the out-edge options O_ij of i toward j and
-O_ji of j toward i.  It is *cross-independent* when moreover every pair
-allows O_ii x O_jj, so what a type sends does not depend on its
-partner.  Both properties read the options, not the matrix's syntax, so
-neither depends on which way round a conjunct is written.  A pair that
-allows nothing needs only one empty side for O_ij x O_ji to be empty: the
-side whose own instance of the matrix (that type on the x side) holds on
-no 2-table gets no options, and the other side keeps the out-edges of its
-own instance, so its options can agree with its options toward other
-partners; both sides are empty only when both instances hold somewhere.
+O_ji of j toward i.  This reads the options, not the matrix's syntax,
+so it does not depend on which way round a conjunct is written.  A pair
+that allows nothing needs only one empty side for O_ij x O_ji to be
+empty: the side whose own instance of the matrix (that type on the x
+side) holds on no 2-table gets no options, and the other side keeps the
+out-edges of its own instance, so its options can agree with its options
+toward other partners; both sides are empty only when both instances
+hold somewhere.
 
 The tables are evaluated without a compiler: each conjunct becomes a
 tree of closures over bit masks.  The tables of a pair of types depend on
@@ -94,7 +93,6 @@ class CellStructure:
     valid: list[int]
     pair_vs: dict[tuple[int, int], tuple[int, ...]]
     n_ij: dict[tuple[int, int], int]
-    cross_independent: bool
     directed: bool = False
     #: on a directed matrix, O_ij for every ordered pair of valid types:
     #: the out-masks that i may send to j, ascending; an out-mask holds
@@ -199,7 +197,7 @@ def build_cells(signature: Signature, matrix: Iterable[Formula]) -> CellStructur
     valid = list(_bit_positions(holds(
         [full_u, full_u, *u_masks, *u_masks,
          *(u_masks[u_index[(p, "reflexive")]] for p, _ in b_slots)])))
-    cells = CellStructure(signature, u_slots, b_slots, valid, {}, {}, False)
+    cells = CellStructure(signature, u_slots, b_slots, valid, {}, {})
 
     full = (1 << (1 << b)) - 1
     v_masks = _slot_masks(b)
@@ -262,12 +260,6 @@ def build_cells(signature: Signature, matrix: Iterable[Formula]) -> CellStructur
     if directed:
         out = cells.out_options = {(i, j): options[rows[i][pos]]
                                    for i in valid for pos, j in enumerate(valid)}
-        # every pair allows O_ii x O_jj: what a type sends does not depend
-        # on its partner, and a pair that allows nothing has a side that
-        # cannot meet its own type
-        cells.cross_independent = all(
-            (out[i, j], out[j, i]) == (out[i, i], out[j, j]) if vs
-            else not (out[i, i] and out[j, j]) for (i, j), vs in pair_vs.items())
         # a pair that allows nothing empties only the side whose own
         # instance holds on no 2-table, and the other side keeps what its
         # own instance sends: the pair factor O_ij O_ji stays 0

@@ -10,8 +10,8 @@ cell-graph pair factors, split by direction), and a counting block
 degree m.  Classes whose columns g_.j agree form one column group, and by
 the multinomial theorem the census runs over the group counts c, each
 worth n!/prod_G c_G! prod_G (sum_{i in G} F_i)^c_G: one group is the n-th
-power of a per-element polynomial.  Any other matrix, and the successor
-encoding of ``normalize`` with its tie counter and 1/m! divisors,
+power of a per-element polynomial.  Any other matrix, and the
+``successor_encoding`` with its tie counter and 1/m! divisors,
 enumerates the censuses of the classes over 2-table pair factors.
 ``Solver`` is the one entry point.
 
@@ -38,7 +38,7 @@ from .cells import CellStructure, build_cells
 from .errors import InternalConsistencyError, SemanticError
 from .logic import (CARD_TRUE, CardAnd, CardCompare, CardConstraint,
                     constraint_predicates, slot_bit)
-from .normalize import CountingBlock, NormalizedProblem, normalize
+from .normalize import CountingBlock, NormalizedProblem, normalize, successor_encoding
 from .parser import Problem
 
 
@@ -504,19 +504,13 @@ class Solver:
     across domain sizes, so benchmarks amortize the table sweep."""
 
     def __init__(self, problem: Problem | NormalizedProblem):
-        if isinstance(problem, NormalizedProblem) and not problem.successors:
-            norm = problem
-        else:
-            norm = normalize(getattr(problem, "source", problem), successors=False)
-        cells = build_cells(norm.signature, norm.matrix)
-        if norm.blocks and not cells.directed:
+        norm = problem if isinstance(problem, NormalizedProblem) else normalize(problem)
+        self.norm, self.cells = norm, build_cells(norm.signature, norm.matrix)
+        if norm.blocks and not norm.successors and not self.cells.directed:
             # fall back to the successor encoding, with a sign predicate on
             # each block the matrix does not pin (freeing the first tables)
-            unpinned = {b.index for b in norm.blocks if not block_pinned(cells, b)}
-            del cells
-            norm = normalize(norm.source, unpinned)
-            cells = build_cells(norm.signature, norm.matrix)
-        self.norm, self.cells = norm, cells
+            self.norm, self.cells = successor_encoding(norm, self._unpinned()), None
+            self.cells = build_cells(self.norm.signature, self.norm.matrix)
 
     def _unpinned(self) -> set[int]:
         if self.norm.successors:
@@ -532,9 +526,9 @@ class Solver:
     def successor_encoding(self) -> NormalizedProblem:
         """The problem in the source paper's successor encoding, with a
         sign predicate on each block the matrix does not pin."""
-        if not self.norm.blocks or self.norm.successors:
+        if self.norm.successors:
             return self.norm
-        return normalize(self.norm.source, self._unpinned())
+        return successor_encoding(self.norm, self._unpinned())
 
     # -- profile tables -------------------------------------------------------
 

@@ -1,25 +1,26 @@
 """Rewrites a parsed sentence into the engine's canonical form.
 
-The pipeline: single-variable counting quantifiers become cardinality
-constraints on fresh unary predicates; remaining at-most/at-least
-counting quantifiers are expanded into exact ones; each two-variable
-``exactly-m`` occurrence becomes a block: a fresh unary predicate A
-standing for the occurrence, its guard and m; the result is brought to
-Scott normal form (one universal matrix plus forall-exists conjuncts),
-and finally each exists-conjunct is folded into the matrix through a
-fresh sign predicate that drives the inclusion-exclusion sign.
+``normalize`` returns the per-element normal form.  Single-variable
+counting quantifiers become cardinality constraints on fresh unary
+predicates; each two-variable counting quantifier has its at-most /
+at-least sugar expanded into exact counts, and each ``exactly-m``
+occurrence becomes a block: a fresh unary predicate A standing for the
+occurrence, its guard and m, with no axioms, so A means "exactly m guard
+successors", which the engine enforces per element on matrices whose
+2-tables factor per direction.  The result is brought to Scott normal
+form (one universal matrix plus forall-exists conjuncts), and each
+exists-conjunct is folded into the matrix through a fresh sign predicate
+that drives the inclusion-exclusion sign.
 
-With ``successors=False`` a block gets no axioms: A means "exactly m
-guard successors", which the engine enforces per element on matrices
-whose 2-tables factor per direction.  Otherwise (the default, and the
-engine's fallback for every other matrix) the block uses the source
-paper's successor encoding: m fresh binary predicates f_j with axioms
-that make A a subset of the exactly-m set E, a 1/m! divisor per
-A-element and ties |f_j| = |A|.  Where the matrix does not pin A = E (by
-forcing every guard edge to start in A), ``signed`` gives the block a
-sign predicate S with S(x) -> A(x) and the occurrence A(w) & !S(w):
-summing (-1)^|S| over S within A and A within E leaves exactly the term
-A = E, so the count is exact in every position.
+``successor_encoding`` rewrites that form into the source paper's
+encoding, the engine's fallback for every other matrix: per block, m
+fresh binary predicates f_j with axioms that make A a subset of the
+exactly-m set E, a 1/m! divisor per A-element and ties |f_j| = |A|.
+Where the matrix does not pin A = E (by forcing every guard edge to start
+in A), a block in ``signed`` gets a sign predicate S with S(x) -> A(x)
+and each occurrence read as A(w) & !S(w): summing (-1)^|S| over S within
+A and A within E leaves exactly the term A = E, so the count is exact in
+every position.
 
 Each rewriting walker spells out only the nodes it changes and reaches
 every other node through ``logic.subformulas`` and ``logic.rebuild``.
@@ -29,10 +30,11 @@ Fresh synthetic predicates come from ``NameAllocator.fresh``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import combinations
 from typing import Collection
 
-from .errors import SemanticError, UnsupportedFeatureError
+from .errors import UnsupportedFeatureError
 from .logic import (And, Atom, CARD_TRUE, CardAnd, CardCompare,
                     CardConstraint, Counting, Eq, Exists, Forall, Formula,
                     Iff, Implies, LinearExpr, Not, Or, Signature, card_conjoin,
@@ -71,7 +73,7 @@ class CountingBlock:
     guard: str
     m: int
     a_pred: str
-    f_preds: tuple[str, ...]
+    f_preds: tuple[str, ...] = ()
     sign: str | None = None
 
     @property
@@ -85,8 +87,6 @@ class NormalizedProblem:
     matrix: tuple[Formula, ...]
     sign_preds: tuple[str, ...]
     blocks: tuple[CountingBlock, ...]
-    #: the problem this was normalized from, for re-encoding with signs
-    source: Problem
     #: user constraint plus |A| = m constraints from single-variable counting
     constraint: CardConstraint = CARD_TRUE
     symmetric_weights: dict = field(default_factory=dict)
@@ -156,7 +156,7 @@ def extract_single_var_counting(sentence: Formula, alloc: NameAllocator
 
 
 # ---------------------------------------------------------------------------
-# Step 2: expand <= / >= counting quantifiers into exact ones
+# Step 2: encode two-variable counting occurrences as blocks
 
 
 def expand_counting_sugar(formula: Formula) -> Formula:
@@ -182,24 +182,22 @@ def expand_counting_sugar(formula: Formula) -> Formula:
     raise TypeError(f"not a formula: {formula!r}")
 
 
-# ---------------------------------------------------------------------------
-# Step 3: encode two-variable exact-counting occurrences
-
-
-def encode_counting(sentence: Formula, alloc: NameAllocator,
-                    signed: Collection[int] = (), successors: bool = True
+def encode_counting(sentence: Formula, alloc: NameAllocator
                     ) -> tuple[Formula, tuple[CountingBlock, ...]]:
-    """Replace every ``exists{=m} v body(w,v)`` occurrence with A_i(w) and,
-    with ``successors``, conjoin the successor-encoding axioms; a block
-    whose index is in ``signed`` gets a sign predicate S_i, the axiom
-    S_i(x) -> A_i(x) and the occurrence A_i(w) & !S_i(w).  The axioms use
-    the canonical orientation (w renamed to x, v to y)."""
+    """Replace every ``exists{=m} v body(w,v)`` occurrence, m >= 1, with
+    A_i(w) for a fresh A_i and the bare block (A_i, guard, m); a counting
+    node with other comparisons or m = 0 is expanded into exact ones
+    where it stands.  A body other than a guard atom G(w,v) gets a fresh
+    definitional guard, whose axiom (w renamed to x, v to y) is
+    conjoined."""
     blocks: list[CountingBlock] = []
     axioms: list[Formula] = []
 
     def walk(f: Formula, inside_counting: bool) -> Formula:
         if not isinstance(f, Counting):
             return rebuild(f, [walk(s, inside_counting) for s in subformulas(f)])
+        if f.cmp != "=" or f.count < 1:
+            return walk(expand_counting_sugar(f), inside_counting)
         if inside_counting:
             raise UnsupportedFeatureError(
                 "nested counting quantifiers are not supported")
@@ -210,47 +208,21 @@ def encode_counting(sentence: Formula, alloc: NameAllocator,
             raise UnsupportedFeatureError(
                 "a counting quantifier over a single-variable formula is "
                 "only supported as a top-level conjunct")
-        if f.count < 1:
-            raise SemanticError("exact count must be positive here "
-                                "(sugar expansion removes zero counts)")
-        index = len(blocks) + 1
-        canon = {w: "x", v: "y"}
         if isinstance(body, Atom) and body.args == (w, v):
             guard = body.pred
         else:
             guard = alloc.fresh("R", 2)
             axioms.append(Forall("x", Forall("y", Iff(
-                Atom(guard, ("x", "y")), substitute(body, canon)))))
-        a = alloc.fresh("A", 1)
-        if not successors:
-            blocks.append(CountingBlock(index, guard, f.count, a, ()))
-            return Atom(a, (w,))
-        fs = tuple(alloc.fresh(f"f{index}_", 2) for _ in range(f.count))
-        sign = alloc.fresh("P", 1) if index in signed else None
-        blocks.append(CountingBlock(index, guard, f.count, a, fs, sign))
-        f_atoms = [Atom(name, ("x", "y")) for name in fs]
-        axioms.append(Forall("x", Forall("y", Implies(
-            Atom(a, ("x",)),
-            Iff(Atom(guard, ("x", "y")), disjoin(f_atoms))))))
-        for p in range(len(fs)):
-            for q in range(p + 1, len(fs)):
-                axioms.append(Forall("x", Forall("y", Implies(
-                    f_atoms[p], Not(f_atoms[q])))))
-        for fa in f_atoms:
-            axioms.append(Forall("x", Exists("y", Implies(
-                Atom(a, ("x",)), fa))))
-        if sign is None:
-            return Atom(a, (w,))
-        axioms.append(Forall("x", Implies(Atom(sign, ("x",)),
-                                          Atom(a, ("x",)))))
-        return And(Atom(a, (w,)), Not(Atom(sign, (w,))))
+                Atom(guard, ("x", "y")), substitute(body, {w: "x", v: "y"})))))
+        blocks.append(CountingBlock(len(blocks) + 1, guard, f.count, alloc.fresh("A", 1)))
+        return Atom(blocks[-1].a_pred, (w,))
 
     replaced = walk(sentence, False)
     return conjoin([replaced, *axioms]), tuple(blocks)
 
 
 # ---------------------------------------------------------------------------
-# Step 4: Scott normal form
+# Step 3: Scott normal form
 
 
 def _pull(f: Formula) -> Formula:
@@ -397,7 +369,7 @@ def to_scott(sentence: Formula, alloc: NameAllocator
 
 
 # ---------------------------------------------------------------------------
-# Step 5: sign predicates for the forall-exists conjuncts
+# Step 4: sign predicates for the forall-exists conjuncts
 
 
 def eliminate_existentials(matrix: list[Formula], psis: list[Formula],
@@ -418,22 +390,16 @@ def eliminate_existentials(matrix: list[Formula], psis: list[Formula],
 # Full pipeline
 
 
-def normalize(problem: Problem, signed: Collection[int] = (),
-              successors: bool = True) -> NormalizedProblem:
-    """Normalize a problem: counting blocks in the successor encoding, or
-    bare (A, guard, m) blocks when ``successors`` is false; the successor
-    encoded blocks whose indices are in ``signed`` get an
-    inclusion-exclusion sign predicate."""
+def normalize(problem: Problem) -> NormalizedProblem:
+    """Normalize a problem to the per-element normal form, with bare
+    (A, guard, m) counting blocks."""
     signature = problem.signature.copy()
     alloc = NameAllocator(signature)
     sentence, single_constraints, definitions = extract_single_var_counting(
         problem.sentence, alloc)
-    sentence = conjoin([sentence, *definitions])
-    sentence = expand_counting_sugar(sentence)
-    sentence, blocks = encode_counting(sentence, alloc, signed, successors)
+    sentence, blocks = encode_counting(conjoin([sentence, *definitions]), alloc)
     matrix, psis = to_scott(sentence, alloc)
     matrix, signs = eliminate_existentials(matrix, psis, alloc)
-    signs = tuple(b.sign for b in blocks if b.sign) + signs
     for conjunct in matrix:
         if not is_quantifier_free(conjunct):
             raise UnsupportedFeatureError(f"matrix conjunct not reduced: {conjunct}")
@@ -445,11 +411,51 @@ def normalize(problem: Problem, signed: Collection[int] = (),
         matrix=tuple(matrix),
         sign_preds=signs,
         blocks=blocks,
-        source=problem,
         constraint=constraint,
         symmetric_weights=dict(problem.symmetric_weights),
         profile_weight=problem.profile_weight,
     )
+
+
+def successor_encoding(norm: NormalizedProblem, signed: Collection[int] = ()
+                       ) -> NormalizedProblem:
+    """The source paper's successor encoding of the per-element normal form
+    ``norm``, one block at a time: m fresh binary predicates f_j with
+    A(x) -> (G(x,y) <-> f_1 | ... | f_m), pairwise disjointness and the
+    forall-exists conjuncts A(x) -> f_j(x,y), signed like the problem's
+    own.  A block whose index is in ``signed`` also gets a sign predicate
+    S with S(x) -> A(x), and each matrix occurrence A(t) becomes
+    A(t) & !S(t).  The block signs take the lowest __P numbers, the
+    problem's own signs the next ones."""
+    old = set(norm.sign_preds)
+    signature = Signature({p: a for p, a in norm.signature.arities.items() if p not in old},
+                          norm.signature.synthetic - old)
+    alloc = NameAllocator(signature)
+    signs = {b.a_pred: alloc.fresh("P", 1) for b in norm.blocks if b.index in signed}
+    renamed = {p: alloc.fresh("P", 1) for p in norm.sign_preds}
+
+    def rewrite(f: Formula) -> Formula:
+        if isinstance(f, Atom) and f.pred in signs:
+            return And(f, Not(Atom(signs[f.pred], f.args)))
+        if isinstance(f, Atom) and f.pred in renamed:
+            return Atom(renamed[f.pred], f.args)
+        return rebuild(f, [rewrite(s) for s in subformulas(f)])
+
+    matrix, psis, blocks = [rewrite(c) for c in norm.matrix], [], []
+    for b in norm.blocks:
+        fs = tuple(alloc.fresh(f"f{b.index}_", 2) for _ in range(b.m))
+        f_atoms = [Atom(name, ("x", "y")) for name in fs]
+        a_x = Atom(b.a_pred, ("x",))
+        matrix.append(Implies(a_x, Iff(Atom(b.guard, ("x", "y")), disjoin(f_atoms))))
+        matrix += [Implies(p, Not(q)) for p, q in combinations(f_atoms, 2)]
+        psis += [Implies(a_x, fa) for fa in f_atoms]
+        sign = signs.get(b.a_pred)
+        if sign:
+            matrix.append(Implies(Atom(sign, ("x",)), a_x))
+        blocks.append(replace(b, f_preds=fs, sign=sign))
+    matrix, f_signs = eliminate_existentials(matrix, psis, alloc)
+    return replace(norm, signature=signature, matrix=tuple(matrix), blocks=tuple(blocks),
+                   sign_preds=(*signs.values(), *renamed.values(), *f_signs))
 
 
 def dump_normalized(norm: NormalizedProblem) -> str:

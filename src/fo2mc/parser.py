@@ -48,6 +48,11 @@ _TOKEN_RE = re.compile(r"""
 #: a token: (kind, text, offset); kind is num | int | name | op | eof
 Token = tuple[str, str, int]
 
+#: binary connective -> (precedence, node, nests to the right); a higher
+#: precedence binds tighter, and the others chain to the left
+_CONNECTIVES = {"<->": (1, Iff, False), "->": (2, Implies, True),
+                "|": (3, Or, False), "&": (4, And, False)}
+
 
 def _position(text: str, offset: int) -> tuple[int, int]:
     """The 1-based (line, column) of ``offset`` in ``text``."""
@@ -160,35 +165,16 @@ class _Parser:
 
     # -- formulas -----------------------------------------------------------
 
-    def parse_formula(self, bound: frozenset[str] = frozenset()) -> Formula:
-        return self.parse_iff(bound)
-
-    def parse_iff(self, bound) -> Formula:
-        out = self.parse_implies(bound)
-        while self.at("<->"):
-            self.next()
-            out = Iff(out, self.parse_implies(bound))
-        return out
-
-    def parse_implies(self, bound) -> Formula:
-        left = self.parse_or(bound)
-        if self.at("->"):
-            self.next()
-            return Implies(left, self.parse_implies(bound))
-        return left
-
-    def parse_or(self, bound) -> Formula:
-        out = self.parse_and(bound)
-        while self.at("|"):
-            self.next()
-            out = Or(out, self.parse_and(bound))
-        return out
-
-    def parse_and(self, bound) -> Formula:
+    def parse_formula(self, bound: frozenset[str] = frozenset(),
+                      floor: int = 1) -> Formula:
+        """Precedence climbing: a unary formula, extended by each binary
+        connective of precedence ``floor`` or higher, whose right operand
+        binds one level tighter unless the connective nests to the right."""
         out = self.parse_unary(bound)
-        while self.at("&"):
+        while (op := _CONNECTIVES.get(self.peek()[1])) and op[0] >= floor:
             self.next()
-            out = And(out, self.parse_unary(bound))
+            level, node, nests_right = op
+            out = node(out, self.parse_formula(bound, level + (not nests_right)))
         return out
 
     def parse_unary(self, bound) -> Formula:

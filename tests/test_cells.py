@@ -199,13 +199,6 @@ def reference_cells(signature, matrix):
         return tuple(sorted({out_mask[v] for v in range(1 << b) if own[v]}))
 
     out_options = {(t, p): options(t, p) for t in valid for p in valid} if directed else {}
-    # cross-independent: directed, and every pair allows what each side
-    # sends to its own type
-    independent = directed and all(
-        oriented(t, p) == {v for v in range(1 << b)
-                           if out_mask[v] in sends[(t, t)]
-                           and out_mask[swap[v]] in sends[(p, p)]}
-        for t in valid for p in valid)
 
     # types are interchangeable when their oriented 2-table sets agree
     # against every partner
@@ -213,18 +206,16 @@ def reference_cells(signature, matrix):
     for t in valid:
         classes.setdefault(tuple(oriented(t, p) for p in valid), []).append(t)
     classes = [tuple(members) for members in classes.values()]
-    return valid, pair_vs, independent, directed, out_options, classes
+    return valid, pair_vs, directed, out_options, classes
 
 
 def assert_matches_reference(signature, matrix):
     cells = build_cells(signature, matrix)
-    valid, pair_vs, independent, directed, out_options, classes = \
-        reference_cells(signature, matrix)
+    valid, pair_vs, directed, out_options, classes = reference_cells(signature, matrix)
     assert cells.valid == valid
     assert list(cells.pair_vs.items()) == list(pair_vs.items())
     assert cells.n_ij == {key: len(vs) for key, vs in pair_vs.items()}
     assert list(cells.n_ij) == list(pair_vs)
-    assert cells.cross_independent == independent
     assert cells.directed == directed
     assert cells.out_options == out_options
     assert cells.classes == classes
@@ -251,7 +242,7 @@ def test_mask_sweep_matches_reference_on_one_sided_reads():
     memoized pair evaluation on the side that does not read them."""
     norm = normalize(parse_problem(
         "forall x forall y ((B(x) -> R(x,y)) & (x = y -> C(x))"
-        " & (R(y,y) -> S(y,x)) & (A(x) & x != y -> A(y)))"), successors=False)
+        " & (R(y,y) -> S(y,x)) & (A(x) & x != y -> A(y)))"))
     assert len(build_cells(norm.signature, norm.matrix).valid) == 8
     assert_matches_reference(norm.signature, norm.matrix)
 
@@ -328,13 +319,11 @@ def test_tracked_reflexive_bit_stays_in_class_weight():
 
 @pytest.mark.parametrize("conjunct", ["R(x,y) -> A(x)", "R(y,x) -> A(y)"])
 def test_cross_independence_does_not_depend_on_orientation(conjunct):
-    """The two spellings of one conjunct allow O_ii x O_jj on every pair,
-    so both take the collapsed power and count the same closed forms:
-    an element sends any R-edges when it is in A and none otherwise."""
+    """The two spellings of one conjunct count the same closed forms: an
+    element sends any R-edges when it is in A and none otherwise."""
     plain = Solver(parse_problem(f"forall x forall y ({conjunct})"))
     counting = Solver(parse_problem(f"forall x forall y ({conjunct})"
                                     " & forall x exists{=2} y R(x,y)"))
-    assert plain.cells.cross_independent and counting.cells.cross_independent
     sizes = range(1, 12)
     assert [plain.count(n) for n in sizes] == [(1 + 2 ** n) ** n for n in sizes]
     assert [counting.count(n) for n in sizes] == [math.comb(n, 2) ** n for n in sizes]

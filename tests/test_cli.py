@@ -251,6 +251,15 @@ def test_deep_nesting_counts_like_shallow(depth):
     assert out == ("1\n", "0\n")[depth % 2]
 
 
+def test_deep_parentheses_count_like_none():
+    """Each parenthesis level costs the parser three frames, so 250
+    parentheses around an atom stay within the recursion limit."""
+    deep = "predicate A/1\n(forall x " + "(" * 250 + "A(x)" + ")" * 250 + ") & exists x A(x)"
+    code, out, err = invoke("count", "-n", "2", "-e", deep)
+    assert (code, err) == (0, "")
+    assert out == invoke("count", "-n", "2", "-e", nested(0))[1] == "1\n"
+
+
 @pytest.mark.parametrize("depth,commands", [(250, ("oracle",)),
                                             (3000, ("count", "oracle"))],
                          ids=("250", "3000"))

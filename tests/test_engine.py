@@ -9,7 +9,6 @@ from fo2mc.engine import (ProfileEvaluator, Solver, compositions,
                           witness_deficit_counts)
 from fo2mc.errors import SemanticError
 from fo2mc.logic import CARD_TRUE, CardCompare, LinearExpr, card_conjoin
-from fo2mc.normalize import normalize
 from fo2mc.oracle import oracle_count, oracle_stratified
 from fo2mc.parser import parse_problem
 
@@ -368,12 +367,6 @@ def test_path_choice(monkeypatch):
     assert shape == (3, 1, 3, "split")
     assert result.profiles == [({"A": a, "B": b}, math.comb(n, b) * math.comb(b, a) * 2 ** (n * n))
                                for a in range(n + 1) for b in range(a, n + 1)]
-
-
-def test_running_example_not_collapsible():
-    norm = normalize(parse_problem(RUNNING_EXAMPLE))
-    cells = build_cells(norm.signature, norm.matrix)
-    assert not cells.cross_independent
 
 
 def test_scaling_n50_fast():

@@ -5,7 +5,8 @@ from fo2mc.grounding import ground
 from fo2mc.logic import (Atom, CardCompare, Counting, Forall,
                          Implies, LinearExpr, Not, Or, is_quantifier_free)
 from fo2mc.normalize import (NameAllocator, dump_normalized,
-                             expand_counting_sugar, normalize, to_scott)
+                             expand_counting_sugar, normalize,
+                             successor_encoding, to_scott)
 from fo2mc.oracle import oracle_count
 from fo2mc.parser import parse_formula, parse_problem
 
@@ -61,7 +62,7 @@ def test_sugar_preserves_models(quant):
 
 
 def test_zero_or_two_example_encoding():
-    norm = normalize(parse_problem(ZERO_OR_TWO_EXAMPLE))
+    norm = successor_encoding(normalize(parse_problem(ZERO_OR_TWO_EXAMPLE)))
     assert len(norm.blocks) == 1
     block = norm.blocks[0]
     assert block.guard == "R" and block.m == 2
@@ -91,7 +92,7 @@ def test_single_variable_counting_becomes_constraint():
 
 
 def test_m1_block_has_no_disjointness():
-    norm = normalize(parse_problem("forall x exists{=1} y R(x,y)"))
+    norm = successor_encoding(normalize(parse_problem("forall x exists{=1} y R(x,y)")))
     block = norm.blocks[0]
     assert block.f_preds == ("__f1_1",)
     # no f_i -> !f_j conjunct is generated for a single successor pred
@@ -201,6 +202,6 @@ def test_idempotence_on_matrix():
 
 
 def test_dump_includes_ties():
-    dumped = dump_normalized(normalize(parse_problem(ZERO_OR_TWO_EXAMPLE)))
+    dumped = dump_normalized(successor_encoding(normalize(parse_problem(ZERO_OR_TWO_EXAMPLE))))
     assert "constraint |__f1_1| = |__A1|" in dumped
     assert "# signs __P1 __P2" in dumped

@@ -11,7 +11,8 @@ import fo2mc.engine
 from fo2mc.cells import build_cells
 from fo2mc.corpus import load_corpus
 from fo2mc.engine import Solver, block_pinned
-from fo2mc.normalize import normalize
+from fo2mc.errors import UnsupportedFeatureError
+from fo2mc.normalize import normalize, successor_encoding
 from fo2mc.oracle import oracle_count
 from fo2mc.parser import parse_problem
 
@@ -36,7 +37,7 @@ def timed_count(solver, n):
 
 def test_count_guard_closed_form():
     solver = Solver(CORPUS["count_guard"].problem())
-    assert solver.cells.directed and not solver.cells.cross_independent
+    assert solver.cells.directed
 
     def closed(n):
         return sum(math.comb(n, a) * (a * 2 ** (n - a)) ** n for a in range(n + 1))
@@ -94,15 +95,42 @@ def test_unpinned_fallback_is_signed():
 ])
 def test_cells_built_at_most_twice(monkeypatch, text, builds):
     """Directedness and pinnedness come from the one build without block
-    axioms; only the fallback builds the successor encoding."""
-    calls = []
+    axioms; only the fallback builds the successor encoding, and it
+    rewrites that one normalization rather than normalizing again."""
+    calls, normalized = [], []
 
     def counted(*args):
         calls.append(args)
         return build_cells(*args)
+
+    def counted_normalize(problem):
+        normalized.append(problem)
+        return normalize(problem)
     monkeypatch.setattr(fo2mc.engine, "build_cells", counted)
+    monkeypatch.setattr(fo2mc.engine, "normalize", counted_normalize)
     Solver(parse_problem(text)).count(3)
     assert len(calls) == builds
+    assert len(normalized) == 1
+
+
+def test_signing_every_block_is_exact():
+    """A sign on a block the matrix pins cancels nothing it should keep:
+    the successor encoding with every block signed counts like the
+    solver, wherever its table bits are supported."""
+    checked = 0
+    for problem in [entry.problem() for entry in load_corpus()] + \
+            [random_problem(seed) for seed in range(200)]:
+        norm = normalize(problem)
+        if not norm.blocks:
+            continue
+        try:
+            signed = Solver(successor_encoding(norm, {b.index for b in norm.blocks}))
+        except UnsupportedFeatureError:
+            continue
+        solver = Solver(problem)
+        assert [signed.count(n) for n in (1, 2, 3)] == [solver.count(n) for n in (1, 2, 3)]
+        checked += 1
+    assert checked > 100
 
 
 def decision_problems():
@@ -122,10 +150,10 @@ def test_block_free_build_decides_like_the_successor_encoding():
     build without them decides the path and the signs of the fallback."""
     checked = 0
     for problem in decision_problems():
-        bare = normalize(problem, successors=False)
+        bare = normalize(problem)
         if not bare.blocks:
             continue
-        encoded = normalize(problem)
+        encoded = successor_encoding(bare)
         cells = build_cells(bare.signature, bare.matrix)
         full = build_cells(encoded.signature, encoded.matrix)
         assert cells.directed == full.directed
