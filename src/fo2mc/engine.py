@@ -20,9 +20,19 @@ are raised by the true atoms of each 1-type, 2-table and out-edge mask,
 so every factor is a generating function in them (Kuzelka, JAIR 2021),
 evaluated as one Python integer (Kronecker substitution, ``_Layout``).
 Tracked unary cards are census keys on pair tables; in the group census
-they split the groups, or stay digits, by a cost estimate.  Constraint
-caps and tie-counter targets drop digits after every product.  Weights
-are scaled to integers, and the scale is divided out of each row once.
+they split the groups, or stay digits, by a cost estimate.  Weights are
+scaled to integers, and the scale is divided out once.
+
+A constraint's top-level comparisons give every card a range
+(``card_ranges``): its upper bounds cap the digits kept, dropped after
+every product like those past a tie counter's target, and a census key
+they rule out is skipped.  A table then has two reads.  Its rows decode
+every digit and keep those the constraint allows (``breakdown``,
+distributions, profile weights).  Its sum (``count``, ``weighted_total``)
+adds, per census key, the digits inside the key's box of card ranges under
+a strided mask, without decoding them, wherever each comparison leaves one
+packed card once the key is fixed; a lower bound on a binary card may be
+read as the sum without it minus the sum under its negation.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .cells import CellStructure, build_cells
 from .errors import InternalConsistencyError, SemanticError
-from .logic import (CARD_TRUE, CardAnd, CardCompare, CardConstraint,
+from .logic import (CARD_TRUE, CardAnd, CardCompare, CardConstraint, card_conjoin,
                     constraint_predicates, slot_bit)
 from .normalize import CountingBlock, NormalizedProblem, normalize, successor_encoding
 from .parser import Problem
@@ -164,6 +174,20 @@ class _Layout:
         shift = self.bits * sum(map(int.__mul__, top, self.strides[lower:]))
         return ((x + self.offset) >> shift & ones) - (self.offset & ones)
 
+    def sum(self, x: int, box: Sequence[tuple[int, int]]) -> int:
+        """The sum of x's coefficients whose counters lie in their ranges
+        [lo, hi] of ``box`` (each within its cap): x's digits under a mask
+        strided like the counters, read at X = 1 modulo 2^bits - 1 and
+        centred.  Exact because the digit width bounds the sum of the
+        absolute values of all coefficients below 2^(bits-1)."""
+        if any(lo > hi for lo, hi in box):
+            return 0
+        mask = modulus = (1 << self.bits) - 1
+        for (lo, hi), s in zip(box, self.strides):
+            mask = _repeat(mask, self.bits * s, hi - lo + 1) << self.bits * s * lo
+        value = (((x + self.offset) & mask) - (self.offset & mask)) % modulus
+        return value - modulus if 2 * value > modulus else value
+
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     """All tuples of ``parts`` non-negative integers summing to ``total``,
@@ -175,6 +199,72 @@ def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
     for first in range(total + 1):
         for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
+
+
+# ---------------------------------------------------------------------------
+# card ranges from a constraint's comparisons
+
+
+#: the comparison that holds exactly when one with the key fails
+_NEGATED = {"<=": ">", ">=": "<", "<": ">=", ">": "<="}
+
+#: the fixed cost of one evaluation, in products of single packed digits
+#: (Karatsuba: d digits cost d^1.585): reading a lower bound from its
+#: complement pays once it saves more, which on a 2-core VM happens from
+#: n = 10 for |R| >= 2 and for 2|A| <= |R| + 1 on the running example
+_EVALUATION_DIGITS = 1200
+
+
+def _conjuncts(constraint: CardConstraint) -> tuple[list[CardCompare], bool]:
+    """The comparisons among a constraint's top-level conjuncts, and whether
+    they are the whole constraint."""
+    parts = constraint.parts if isinstance(constraint, CardAnd) else (constraint,)
+    compares = [part for part in parts if isinstance(part, CardCompare)]
+    return compares, len(compares) == len(parts)
+
+
+def _linear(part: CardCompare) -> tuple[dict[str, int], int, bool]:
+    """``part`` as sum_p a_p |p| + c <= 0, or = 0 for an equation: its
+    nonzero coefficients a, its constant c and whether it is an equation."""
+    coeffs = dict(part.left.coeffs)
+    for pred, k in part.right.coeffs:
+        coeffs[pred] = coeffs.get(pred, 0) - k
+    const = part.left.const - part.right.const
+    if part.op in (">=", ">"):
+        coeffs, const = {p: -a for p, a in coeffs.items()}, -const
+    return ({p: a for p, a in coeffs.items() if a},
+            const + (part.op in ("<", ">")), part.op == "=")
+
+
+def card_ranges(forms: Sequence[tuple[dict[str, int], int, bool]],
+                ranges: Mapping[str, tuple[int, int]]) -> dict[str, tuple[int, int]] | None:
+    """Each card's range [lo, hi] narrowed by comparisons in their ``_linear``
+    ``forms``, in one pass: in sum_p a_p |p| + c <= 0 (or = 0), a_q |q| is at most -c
+    minus the least sum the other cards' ranges reach (and, in an
+    equation, at least -c minus their greatest), divided by a_q with floor
+    or ceil.  A part whose other cards are fixed gets the exact range it
+    allows, so a strict op moves the bound by one and an equation leaves
+    one value or none.  None when a part cannot hold."""
+    out = dict(ranges)
+    for coeffs, const, equation in forms:
+        spans = {p: sorted((a * out[p][0], a * out[p][1])) for p, a in coeffs.items()}
+        low = const + sum(least for least, _ in spans.values())
+        high = const + sum(most for _, most in spans.values())
+        if low > 0 or equation and high < 0:
+            return None
+        for p, a in coeffs.items():
+            lo, hi = out[p]
+            top, bottom = spans[p][0] - low, spans[p][1] - high  # a |p| <= top, >= bottom
+            if a > 0:
+                hi = min(hi, top // a)
+                lo = max(lo, -(-bottom // a)) if equation else lo
+            else:
+                lo = max(lo, -(-top // a))
+                hi = min(hi, bottom // a) if equation else hi
+            if lo > hi:
+                return None
+            out[p] = lo, hi
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -206,11 +296,14 @@ class ProfileEvaluator:
     first, then binary, each group in the given order); values carry the
     multinomial coefficient, the inclusion-exclusion sign, any symmetric
     weights and the block divisors, with every counting block already
-    enforced.  Rows of value zero, or above ``caps``, are left out."""
+    enforced.  Rows of value zero are left out, and so are the rows the
+    cardinality ``constraint`` rules out (over tracked predicates only).
+    The table has two reads, both ranged by ``card_ranges`` over the
+    constraint's comparisons: its rows (``table``), and its sum (``total``)."""
 
     def __init__(self, norm: NormalizedProblem, cells: CellStructure, n: int,
                  tracked: Sequence[str] = (), fold: Weights | None = None,
-                 caps: Mapping[str, int] | None = None):
+                 constraint: CardConstraint = CARD_TRUE):
         if n < 1:
             raise SemanticError("domain size must be at least 1")
         self.norm, self.cells, self.n, self.fold = norm, cells, n, fold or {}
@@ -229,6 +322,10 @@ class ProfileEvaluator:
         self.key_names = tuple(sorted(tracked, key=arity))
         self.n_unary = sum(arity(p) == 1 for p in tracked)
         self._ties = norm.successors
+        # the census over column groups runs on a directed matrix without tie
+        # counters (one group is the n-th power of one per-element
+        # polynomial); the census over pair tables otherwise
+        self._directed = cells.directed and not self._ties
         n_keys = len(self.key_names)
         self._width = n_keys + len(norm.blocks)
         self._raises: dict[str, list[int]] = {}
@@ -236,12 +333,18 @@ class ProfileEvaluator:
                                   + [b.f_preds or (b.guard,) for b in norm.blocks]):
             for pred in preds:
                 self._raises.setdefault(pred, []).append(d)
-        # (cap, top) per counter: a card reaches n or n * n, a guard degree
+        # (cap, top) per counter: a card reaches n or n * n but only the
+        # values the constraint's comparisons allow are kept, a guard degree
         # n but only digit m is read; a tie counter only climbs, so nothing
         # past its target matters
-        caps = caps or {}
-        self._bounds = [(max(0, min(caps.get(p, n ** arity(p)), n ** arity(p))),
-                         n ** arity(p)) for p in self.key_names]
+        self.constraint = constraint
+        parts, self._whole = _conjuncts(constraint)
+        self._forms = [_linear(part) for part in parts]
+        self._at: dict[tuple[int, ...], dict | None] = {}  # census key -> card ranges
+        tops = {p: n ** arity(p) for p in self.key_names}
+        ranges = card_ranges(self._forms, {p: (0, top) for p, top in tops.items()})
+        caps = {p: hi for p, (_, hi) in ranges.items()} if ranges else dict.fromkeys(tops, 0)
+        self._bounds = [(caps[p], tops[p]) for p in self.key_names]
         self._bounds += [(b.m * n, b.m * n * (n + 1)) if self._ties else (b.m, n)
                          for b in norm.blocks]
 
@@ -305,23 +408,51 @@ class ProfileEvaluator:
         return polys, den ** n_pairs, g, _digit_bits(
             sum(map(_norm, self._weights)) ** n * g ** n_pairs)
 
+    def _divide(self, value: int, scale: int, what: str):
+        """value / scale; with integer symmetric weights it must divide."""
+        quotient, rest = divmod(value, scale)
+        if rest and all(Fraction(w).denominator == 1
+                        for pair in self.fold.values() for w in pair):
+            raise InternalConsistencyError(
+                f"counting-quantifier division left a non-integer {what}")
+        return Fraction(value, scale) if rest else quotient
+
     def _finish(self, rows, scale: int) -> dict:
         """Divide (key, value) rows by their scale times the class weights';
         with integer symmetric weights every row must divide."""
-        integral = all(Fraction(w).denominator == 1
-                       for pair in self.fold.values() for w in pair)
         scale *= self._type_scale ** self.n
-        out = {}
-        for key, value in rows:
-            quotient, rest = divmod(value, scale)
-            if rest and integral:
-                raise InternalConsistencyError(
-                    f"counting-quantifier division left a non-integer row {key}")
-            out[key] = Fraction(value, scale) if rest else quotient
-        return out
+        return {key: self._divide(value, scale, f"row {key}") for key, value in rows}
 
-    def _enumerate_table(self) -> dict:
-        n, n_unary, n_keys = self.n, self.n_unary, len(self.key_names)
+    def _ranges_at(self, key: tuple[int, ...]) -> dict | None:
+        """The card ranges the constraint's comparisons allow in a census
+        whose unary key is ``key`` (its cards fixed, every other card within
+        [0, cap]), or None when they allow none."""
+        if key not in self._at:
+            start = {p: (0, cap) for p, (cap, _) in zip(self.key_names, self._bounds)}
+            start.update((p, (v, v)) for p, v in zip(self.key_names, key))
+            self._at[key] = card_ranges(self._forms, start)
+        return self._at[key]
+
+    def _rows(self, packed: dict, layout: _Layout, scale: int) -> dict:
+        """The rows read from a census (census key -> value packed in
+        ``layout``, to divide by ``scale``): every digit decoded, kept where
+        each tie counter is at its target and the constraint holds."""
+        n_keys = len(self.key_names)
+        targets = [(d, b.m * self.n) for d, b in enumerate(self.norm.blocks, n_keys)
+                   if self._ties]
+        rows = self._finish(((key + tuple(counts[d] for d in layout.counters if d < n_keys), coef)
+                             for key, value in packed.items()
+                             for counts, coef in layout.decode(value)
+                             if all(counts[d] == t for d, t in targets)), scale)
+        if self.constraint == CARD_TRUE:
+            return rows
+        return {key: value for key, value in rows.items()
+                if self.constraint.holds(dict(zip(self.key_names, key)))}
+
+    def _pair_census(self) -> tuple[dict, _Layout, int]:
+        """The census over pair tables, unread: census key (the tracked unary
+        cards) -> value packed in the layout, the layout, and the scale."""
+        n, n_unary = self.n, self.n_unary
         classes = range(len(self.types))
         polys, scale, _, bits = self._factors(
             False, [(a, b) for a in classes for b in classes if a <= b])
@@ -329,13 +460,12 @@ class ProfileEvaluator:
         factors = {k: layout.pack(p) for k, p in polys.items()}
         weights = [layout.pack(w) for w in self._weights]
         factorial = [math.factorial(k) for k in range(n + 1)]
-        unary_caps = [cap for cap, _ in self._bounds[:n_unary]]
         packed: dict[tuple[int, ...], int] = {}
         for combo in combinations_with_replacement(classes, n):
             occupied = [(pos, len(tuple(group))) for pos, group in groupby(combo)]
             key = tuple(sum(c * self._unary_keys[pos][d] for pos, c in occupied)
                         for d in range(n_unary))
-            if any(map(int.__gt__, key, unary_caps)):
+            if self._ranges_at(key) is None:
                 continue
             value = factorial[n]
             for _, count in occupied:
@@ -347,13 +477,11 @@ class ProfileEvaluator:
                     value = layout.mul(value, layout.pow(factors[pa, pb], e))
             if value:
                 packed[key] = packed.get(key, 0) + value
-        # keep the rows whose tie counters reach their targets
-        targets = [(d, b.m * n) for d, b in enumerate(self.norm.blocks, n_keys)
-                   if self._ties]
-        return self._finish(
-            ((key + tuple(counts[d] for d in range(n_unary, n_keys)), coef)
-             for key, value in packed.items() for counts, coef in layout.decode(value)
-             if all(counts[d] == t for d, t in targets)), scale)
+        return packed, layout, scale
+
+    def _enumerate_table(self) -> dict:
+        """The rows of the census over pair tables."""
+        return self._rows(*self._pair_census())
 
     def _groups(self, columns: list[list[int]], bits: int) -> tuple[int, list]:
         """The first packed counter and the census groups (unary key or (),
@@ -413,10 +541,10 @@ class ProfileEvaluator:
             value += sign * space.at(row, top)
         return layout.pack(base.decode(value)) if layout.counters else value
 
-    def _group_table(self) -> dict:
-        """The census over column groups: classes whose out-edge columns agree
-        form one column, and a census of the groups is its multinomial times
-        prod_G (sum of G's rows)^c_G."""
+    def _group_census(self) -> tuple[dict, _Layout, int]:
+        """The census over column groups, unread like ``_pair_census``:
+        classes whose out-edge columns agree form one column, and a census
+        of the groups is its multinomial times prod_G (sum of G's rows)^c_G."""
         n, classes, out, columns = self.n, range(len(self.types)), self.cells.out_options, {}
         for b, u in enumerate(self.types):
             columns.setdefault(tuple([out[t, u] for t in self.types]), []).append(b)
@@ -426,12 +554,12 @@ class ProfileEvaluator:
         end = len(self.key_names)
         layout = _Layout(range(first, end), self._bounds[first:end], bits)
         readings = self._readings(polys, g, layout, first, cols)
-        caps, last, packed = [cap for cap, _ in self._bounds[:first]], None, {}
+        last, packed = None, {}
         unary = list(zip(*(ukey for ukey, _, _ in groups)))  # per card, each group's value
         one_per_column = [k for _, k, _ in groups] == list(range(len(cols)))
         for counts in compositions(n, len(groups)):
             key = tuple(sum(c * u for u, c in zip(card, counts)) for card in unary)
-            if any(map(int.__gt__, key, caps)):
+            if self._ranges_at(key) is None:
                 continue
             per_column = counts if one_per_column else tuple(
                 sum(c for (_, k, _), c in zip(groups, counts) if k == j) for j in range(len(cols)))
@@ -451,16 +579,35 @@ class ProfileEvaluator:
                     value, left = layout.mul(value * math.comb(left, c), power), left - c
             if value:
                 packed[key] = packed.get(key, 0) + value
-        return self._finish(((key + tuple(counts[d] for d in layout.counters), coef)
-                             for key, value in packed.items()
-                             for counts, coef in layout.decode(value)), scale)
+        return packed, layout, scale
+
+    def _group_table(self) -> dict:
+        """The rows of the census over column groups."""
+        return self._rows(*self._group_census())
 
     def table(self) -> dict:
-        """The census over column groups on a directed matrix without tie
-        counters (one group is the n-th power of one per-element
-        polynomial); the census over pair tables otherwise."""
-        directed = self.cells.directed and not self._ties
-        return self._group_table() if directed else self._enumerate_table()
+        """The rows the constraint allows, keyed by the tracked cards."""
+        return self._group_table() if self._directed else self._enumerate_table()
+
+    def total(self):
+        """The sum of ``table()``.  When every comparison of the constraint
+        bounds at most one packed card once the census key is fixed, each
+        census key's value is summed over its box of card ranges (and the
+        tie counters' targets) without decoding a digit; else the rows are."""
+        packed, layout, scale = self._group_census() if self._directed else self._pair_census()
+        n_keys = len(self.key_names)
+        cards = [self.key_names[d] for d in layout.counters if d < n_keys]
+        if not self._whole or any(len(coeffs.keys() & set(cards)) > 1
+                                  for coeffs, _, _ in self._forms):
+            return sum(self._rows(packed, layout, scale).values())
+        ties = tuple((b.m * self.n,) * 2 for b in self.norm.blocks if self._ties)
+        boxes: dict[tuple, int] = {}
+        for key, value in packed.items():
+            ranges = self._ranges_at(key)
+            box = tuple(ranges[p] for p in cards) + ties
+            boxes[box] = boxes.get(box, 0) + value
+        total = sum(layout.sum(value, box) for box, value in boxes.items())
+        return self._divide(total, scale * self._type_scale ** self.n, "total")
 
 
 # ---------------------------------------------------------------------------
@@ -473,18 +620,9 @@ class CountResult:
     profiles: list[tuple[dict, object]] | None = None
 
 
-def _card_caps(constraint: CardConstraint) -> dict[str, int]:
-    """Each card's largest value that the constraint's top-level conjuncts
-    |P| = c, |P| <= c and |P| < c allow."""
-    caps: dict[str, int] = {}
-    for part in constraint.parts if isinstance(constraint, CardAnd) else (constraint,):
-        if (isinstance(part, CardCompare) and part.op in ("=", "<=", "<")
-                and len(part.left.coeffs) == 1 and not part.right.coeffs):
-            (pred, coefficient), = part.left.coeffs
-            cap = part.right.const - part.left.const - (part.op == "<")
-            if coefficient == 1:
-                caps[pred] = min(caps.get(pred, cap), cap)
-    return caps
+def _tracking(tracked: Sequence[str], constraint: CardConstraint) -> tuple[str, ...]:
+    """The tracked predicates, then the constraint's own."""
+    return tuple(dict.fromkeys(tuple(tracked) + tuple(sorted(constraint_predicates(constraint)))))
 
 
 def _as_count(total) -> int:
@@ -534,12 +672,12 @@ class Solver:
 
     def profile_table(self, n: int, tracked: Sequence[str] = (),
                       fold: Weights | None = None,
-                      caps: Mapping[str, int] | None = None
+                      constraint: CardConstraint = CARD_TRUE
                       ) -> tuple[tuple[str, ...], dict]:
         """Profile table keyed by the tracked predicate cardinalities,
-        with every counting block already enforced and the rows above
-        ``caps`` dropped.  Returns (key names, table)."""
-        ev = ProfileEvaluator(self.norm, self.cells, n, tracked, fold, caps)
+        with every counting block already enforced, holding the rows the
+        ``constraint`` over them allows.  Returns (key names, table)."""
+        ev = ProfileEvaluator(self.norm, self.cells, n, tracked, fold, constraint)
         return ev.key_names, ev.table()
 
     # -- counting entry points ---------------------------------------------------
@@ -553,19 +691,52 @@ class Solver:
         constraint allows (the problem's constraint by default)."""
         if constraint is None:
             constraint = self.norm.constraint
-        track = tuple(dict.fromkeys(
-            tuple(tracked) + tuple(sorted(constraint_predicates(constraint)))))
-        names, table = self.profile_table(n, track, fold, _card_caps(constraint))
+        names, table = self.profile_table(n, _tracking(tracked, constraint), fold, constraint)
         for key, val in table.items():
-            cards = dict(zip(names, key))
-            if constraint == CARD_TRUE or constraint.holds(cards):
-                yield cards, val
+            yield dict(zip(names, key)), val
+
+    def _total(self, n: int, tracked: Sequence[str], fold: Weights | None,
+               constraint: CardConstraint | None):
+        """The sum of the profile table the constraint (the problem's by
+        default) allows.  A comparison
+        that bounds a binary card from below, which nothing else tracks, is
+        read from its narrower side: the sum without the comparison minus
+        the sum under its negation, which caps the card at the largest lower
+        bound less one, wherever the products of the digits this saves
+        outweigh one more evaluation."""
+        if constraint is None:
+            constraint = self.norm.constraint
+        parts, whole = _conjuncts(constraint)
+        signature = self.norm.signature
+        names = constraint_predicates(constraint)
+        if whole and all(p in signature for p in names):
+            forms = [_linear(part) for part in parts]
+            whole_ranges = {p: (0, n ** signature.arity(p)) for p in names}
+            for i, (part, (coeffs, _, equation)) in enumerate(zip(parts, forms)):
+                rest = parts[:i] + parts[i + 1:]
+                others = set(tracked).union(*(f[0] for f in forms[:i] + forms[i + 1:]))
+                for card, a in coeffs.items():
+                    if a > 0 or equation or card in others or signature.arity(card) != 2:
+                        continue
+                    negation = CardCompare(_NEGATED[part.op], part.left, part.right)
+                    ranges = card_ranges(forms[:i] + forms[i + 1:] + [_linear(negation)],
+                                         whole_ranges)
+                    if ranges is None:  # the rest implies the comparison
+                        return self._total(n, tracked, fold, card_conjoin(rest))
+                    top = n * n
+                    saved = (_counter_digits(top, top) ** 1.585
+                             - _counter_digits(ranges[card][1], top) ** 1.585)
+                    if saved > _EVALUATION_DIGITS:
+                        return (self._total(n, tracked, fold, card_conjoin(rest))
+                                - self._total(n, tracked, fold, card_conjoin(rest + [negation])))
+        ev = ProfileEvaluator(self.norm, self.cells, n, _tracking(tracked, constraint),
+                              fold, constraint)
+        return ev.total()
 
     def count(self, n: int, constraint: CardConstraint | None = None) -> int:
         """Exact model count on domain size n, honoring the problem's
         cardinality constraint (or an explicit override)."""
-        return _as_count(sum(val for _, val in
-                             self._allowed_rows(n, constraint=constraint)))
+        return _as_count(self._total(n, (), None, constraint))
 
     def weighted_total(self, n: int, tracked: Sequence[str],
                        fold: Weights | None = None, weight_fn=None,
@@ -573,7 +744,9 @@ class Solver:
         """Sum of weight(profile) * F(profile) over profiles satisfying
         the constraint; the symmetric part enters via ``fold`` and the
         profile-dependent part via ``weight_fn(cards) -> Fraction``."""
-        return sum((Fraction(val) * (weight_fn(cards) if weight_fn is not None else 1)
+        if weight_fn is None:
+            return Fraction(self._total(n, tracked, fold, constraint))
+        return sum((Fraction(val) * weight_fn(cards)
                     for cards, val in self._allowed_rows(n, tracked, fold, constraint)),
                    Fraction(0))
 

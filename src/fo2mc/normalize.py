@@ -44,10 +44,12 @@ from .parser import Problem
 
 
 class NameAllocator:
-    """Deterministic fresh names ``__{kind}{k}``, numbered from 1 per kind:
-    __P{l} for sign predicates, __A{i} and __f{i}_{j} (kind ``f{i}_``) for
-    counting blocks, __R{i} for definitional guards and __D{t} for
-    Scott-reduction definitional predicates."""
+    """Deterministic fresh names ``__{kind}{k}``, numbered per kind from one
+    past the highest ``__{kind}{k}`` the signature already declares (so
+    from 1 unless synthetic names were allowed in the input): __P{l} for
+    sign predicates, __A{i} and __f{i}_{j} (kind ``f{i}_``) for counting
+    blocks, __R{i} for definitional guards and __D{t} for Scott-reduction
+    definitional predicates."""
 
     def __init__(self, signature: Signature):
         self.signature = signature
@@ -55,7 +57,12 @@ class NameAllocator:
 
     def fresh(self, kind: str, arity: int) -> str:
         """Declare and return the next synthetic predicate of ``kind``."""
-        k = self.counters[kind] = self.counters.get(kind, 0) + 1
+        if kind not in self.counters:
+            prefix = f"__{kind}"
+            self.counters[kind] = max((int(p[len(prefix):]) for p in self.signature.predicates()
+                                       if p.startswith(prefix) and p[len(prefix):].isdecimal()),
+                                      default=0)
+        k = self.counters[kind] = self.counters[kind] + 1
         name = f"__{kind}{k}"
         self.signature.declare(name, arity, synthetic=True)
         return name

@@ -51,6 +51,19 @@ def test_linear_card_at_20():
     assert seconds < 1
 
 
+def test_linear_card_at_30():
+    """The same at n = 30, read as the count without the constraint minus
+    the count under its negation 2|A| > |R| + 1, which caps |R| at 2n - 2
+    rather than n^2."""
+    n = 30
+    want = sum(math.comb(n, k) * math.comb(n * n - k * (n - k), r)
+               for k in range(n + 1)
+               for r in range(max(0, 2 * k - 1), n * n - k * (n - k) + 1))
+    value, seconds = timed_count("linear_card", n)
+    assert value == want
+    assert seconds < 2
+
+
 def test_count_disj_card_at_40():
     """|R| = 4 with 0 or 2 successors per element: two elements with two
     successors each."""
