@@ -23,8 +23,10 @@ of ``run`` can share it.
 from __future__ import annotations
 
 import argparse
+import decimal
 import functools
 import json
+import math
 import sys
 import time
 from contextlib import contextmanager
@@ -166,6 +168,25 @@ def _exact_digits():
         sys.set_int_max_str_digits(limit)
 
 
+#: rounds to 12 significant digits at any exponent
+_TWELVE_DIGITS = decimal.Context(prec=12, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
+
+
+def _rounded(value: Fraction) -> str:
+    """value to 12 significant digits: as ``%.12g`` prints its float
+    wherever that is a normal float, else (where the float would overflow
+    or lose digits) in the same notation, rounded from the exact value."""
+    try:
+        approx = float(value)
+    except OverflowError:
+        approx = math.inf
+    if not value or sys.float_info.min <= abs(approx) < math.inf:
+        return f"{approx:.12g}"
+    exact = _TWELVE_DIGITS.divide(decimal.Decimal(value.numerator),
+                                  decimal.Decimal(value.denominator))
+    return f"{_TWELVE_DIGITS.normalize(exact):.12g}"
+
+
 def _emit_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(", ", ": "))
 
@@ -259,7 +280,7 @@ def _run_dist(args, out, err) -> int:
     with _exact_digits():
         payload = {
             "n": n, "mode": "dist", "runtime_ms": elapsed,
-            "count": f"{float(prob):.12g}",
+            "count": _rounded(prob),
             "fraction": f"{prob.numerator}/{prob.denominator}",
             "numerator": decimal_str(numerator),
             "partition": decimal_str(partition),
@@ -295,7 +316,7 @@ def _run_oracle(args, out, err) -> int:
         elapsed = int((time.monotonic() - start) * 1000)
         with _exact_digits():
             payload = {"n": n, "mode": "dist", "runtime_ms": elapsed,
-                       "count": f"{float(prob):.12g}",
+                       "count": _rounded(prob),
                        "fraction": f"{prob.numerator}/{prob.denominator}"}
     else:
         weight_expr = (parse_weight_expr(args.weight, problem.signature)

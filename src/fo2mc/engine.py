@@ -26,9 +26,12 @@ scaled to integers, and the scale is divided out once.
 A constraint's top-level comparisons give every card a range
 (``card_ranges``): its upper bounds cap the digits kept, dropped after
 every product like those past a tie counter's target, and a census key
-they rule out is skipped.  A table then has two reads.  Its rows decode
-every digit and keep those the constraint allows (``breakdown``,
-distributions, profile weights).  Its sum (``count``, ``weighted_total``)
+they rule out is skipped.  A table then has two reads.  Its grouped read
+decodes each census key's digits inside the key's box of card ranges once,
+keeps the rows the constraint allows, and adds each row times its profile
+weight into one integer per value of some of the cards, divided by the
+scale once per group (``table``, ``breakdown``, distributions, profile
+weights).  Its sum (``count``, ``weighted_total`` without a profile weight)
 adds, per census key, the digits inside the key's box of card ranges under
 a strided mask, without decoding them, wherever each comparison leaves one
 packed card once the key is fixed; a lower bound on a binary card may be
@@ -99,6 +102,12 @@ def _integral(polys: Mapping[object, list]) -> tuple[dict, int]:
     return {k: [(c, int(w * den)) for c, w in poly] for k, poly in polys.items()}, den
 
 
+def _quotient(value, scale: int):
+    """value / scale: an int where it divides, else a Fraction."""
+    quotient, rest = divmod(value, scale)
+    return Fraction(value, scale) if rest else quotient
+
+
 def _counter_digits(cap: int, top: int) -> int:
     """The digits ``_Layout`` gives a counter bounded by (cap, top)."""
     return top + 1 if cap >= top else 2 * cap + 1
@@ -153,16 +162,24 @@ class _Layout:
                 total += coef << self.bits * sum(map(int.__mul__, key, self.strides))
         return total
 
+    def digits(self, x: int, box: Sequence[tuple[int, int]]
+               ) -> Iterator[tuple[tuple[int, ...], int]]:
+        """The nonzero coefficients of x whose counters lie in their ranges
+        [lo, hi] of ``box`` (each within its cap), with those counters'
+        values: x's bytes are laid out once and each digit read from them."""
+        width, half = self.bits // 8, 1 << self.bits - 1
+        raw = (x + self.offset).to_bytes(width * self.size, "little")
+        for key in product(*(range(lo, hi + 1) for lo, hi in box)):
+            at = width * sum(map(int.__mul__, key, self.strides))
+            coef = int.from_bytes(raw[at:at + width], "little") - half
+            if coef:
+                yield key, coef
+
     def decode(self, x: int) -> Iterator[tuple[dict[int, int], int]]:
         """The nonzero (counts, coefficient) pairs of x up to the caps,
         counts keyed by the evaluator's counters."""
-        width, half = self.bits // 8, 1 << self.bits - 1
-        raw = (x + self.offset).to_bytes(width * self.size, "little")
-        for pos in range(self.size):
-            coef = int.from_bytes(raw[pos * width:(pos + 1) * width], "little") - half
-            key = [pos // s % w for s, w in zip(self.strides, self.widths)]
-            if coef and all(map(int.__le__, key, self.caps)):
-                yield dict(zip(self.counters, key)), coef
+        for key, coef in self.digits(x, [(0, cap) for cap in self.caps]):
+            yield dict(zip(self.counters, key)), coef
 
     def at(self, x: int, top: Sequence[int]) -> int:
         """x at the values ``top`` of its last counters, packed without
@@ -299,7 +316,8 @@ class ProfileEvaluator:
     enforced.  Rows of value zero are left out, and so are the rows the
     cardinality ``constraint`` rules out (over tracked predicates only).
     The table has two reads, both ranged by ``card_ranges`` over the
-    constraint's comparisons: its rows (``table``), and its sum (``total``)."""
+    constraint's comparisons: its weighted sums grouped by some of the cards
+    (``read``; ``table`` groups by all of them), and its sum (``total``)."""
 
     def __init__(self, norm: NormalizedProblem, cells: CellStructure, n: int,
                  tracked: Sequence[str] = (), fold: Weights | None = None,
@@ -408,20 +426,17 @@ class ProfileEvaluator:
         return polys, den ** n_pairs, g, _digit_bits(
             sum(map(_norm, self._weights)) ** n * g ** n_pairs)
 
+    def _integral(self) -> bool:
+        """Whether every symmetric weight is an integer, so that every row
+        and every sum of them divides by its scale."""
+        return all(Fraction(w).denominator == 1 for pair in self.fold.values() for w in pair)
+
     def _divide(self, value: int, scale: int, what: str):
         """value / scale; with integer symmetric weights it must divide."""
-        quotient, rest = divmod(value, scale)
-        if rest and all(Fraction(w).denominator == 1
-                        for pair in self.fold.values() for w in pair):
+        if value % scale and self._integral():
             raise InternalConsistencyError(
                 f"counting-quantifier division left a non-integer {what}")
-        return Fraction(value, scale) if rest else quotient
-
-    def _finish(self, rows, scale: int) -> dict:
-        """Divide (key, value) rows by their scale times the class weights';
-        with integer symmetric weights every row must divide."""
-        scale *= self._type_scale ** self.n
-        return {key: self._divide(value, scale, f"row {key}") for key, value in rows}
+        return _quotient(value, scale)
 
     def _ranges_at(self, key: tuple[int, ...]) -> dict | None:
         """The card ranges the constraint's comparisons allow in a census
@@ -433,23 +448,50 @@ class ProfileEvaluator:
             self._at[key] = card_ranges(self._forms, start)
         return self._at[key]
 
-    def _rows(self, packed: dict, layout: _Layout, scale: int) -> dict:
-        """The rows read from a census (census key -> value packed in
-        ``layout``, to divide by ``scale``): every digit decoded, kept where
-        each tie counter is at its target and the constraint holds."""
-        n_keys = len(self.key_names)
-        targets = [(d, b.m * self.n) for d, b in enumerate(self.norm.blocks, n_keys)
-                   if self._ties]
-        rows = self._finish(((key + tuple(counts[d] for d in layout.counters if d < n_keys), coef)
-                             for key, value in packed.items()
-                             for counts, coef in layout.decode(value)
-                             if all(counts[d] == t for d, t in targets)), scale)
-        if self.constraint == CARD_TRUE:
-            return rows
-        return {key: value for key, value in rows.items()
-                if self.constraint.holds(dict(zip(self.key_names, key)))}
+    def _packed_cards(self, layout: _Layout) -> tuple[list[str], bool]:
+        """The tracked cards packed in ``layout``, and whether each census
+        key's box of card ranges holds exactly the rows the constraint
+        allows: every comparison bounds at most one packed card once the
+        key is fixed."""
+        cards = [self.key_names[d] for d in layout.counters if d < len(self.key_names)]
+        return cards, self._whole and all(len(coeffs.keys() & set(cards)) < 2
+                                          for coeffs, _, _ in self._forms)
 
-    def _pair_census(self) -> tuple[dict, _Layout, int]:
+    def _read(self, packed: dict, layout: _Layout, scale: int, weight, by: Sequence[str]) -> dict:
+        """The grouped read of a census (census key -> value packed in
+        ``layout``, to divide by ``scale``): each key's digits inside its box
+        of card ranges, with every tie counter at its target, are decoded
+        once; a row the constraint allows adds its digit times ``weight(row)``
+        (1 without a weight; the row lists the tracked cards in the order of
+        ``key_names``) to the integer of its values of the ``by`` cards, and
+        each group is divided by the scale once.  With integer symmetric
+        weights every row must divide on its own."""
+        names = self.key_names
+        cards, exact = self._packed_cards(layout)
+        ties = [(b.m * self.n,) * 2 for b in self.norm.blocks if self._ties]
+        scale *= self._type_scale ** self.n
+        check = scale != 1 and self._integral()
+        group = [names.index(p) for p in by]
+        whole = group == list(range(len(names)))
+        sums: dict[tuple[int, ...], object] = {}
+        for key, value in packed.items():
+            ranges = self._ranges_at(key)
+            for digits, coef in layout.digits(value, [ranges[p] for p in cards] + ties):
+                row = key + digits[:len(cards)]
+                if not exact and not self.constraint.holds(dict(zip(names, row))):
+                    continue
+                if check and coef % scale:
+                    raise InternalConsistencyError(
+                        f"counting-quantifier division left a non-integer row {row}")
+                if weight is not None:
+                    coef *= weight(row)
+                at = row if whole else tuple(map(row.__getitem__, group))
+                sums[at] = sums.get(at, 0) + coef
+        if scale == 1:
+            return sums
+        return {at: _quotient(value, scale) for at, value in sums.items()}
+
+    def _enumerate_table(self) -> tuple[dict, _Layout, int]:
         """The census over pair tables, unread: census key (the tracked unary
         cards) -> value packed in the layout, the layout, and the scale."""
         n, n_unary = self.n, self.n_unary
@@ -478,10 +520,6 @@ class ProfileEvaluator:
             if value:
                 packed[key] = packed.get(key, 0) + value
         return packed, layout, scale
-
-    def _enumerate_table(self) -> dict:
-        """The rows of the census over pair tables."""
-        return self._rows(*self._pair_census())
 
     def _groups(self, columns: list[list[int]], bits: int) -> tuple[int, list]:
         """The first packed counter and the census groups (unary key or (),
@@ -541,8 +579,8 @@ class ProfileEvaluator:
             value += sign * space.at(row, top)
         return layout.pack(base.decode(value)) if layout.counters else value
 
-    def _group_census(self) -> tuple[dict, _Layout, int]:
-        """The census over column groups, unread like ``_pair_census``:
+    def _group_table(self) -> tuple[dict, _Layout, int]:
+        """The census over column groups, unread like ``_enumerate_table``:
         classes whose out-edge columns agree form one column, and a census
         of the groups is its multinomial times prod_G (sum of G's rows)^c_G."""
         n, classes, out, columns = self.n, range(len(self.types)), self.cells.out_options, {}
@@ -581,25 +619,29 @@ class ProfileEvaluator:
                 packed[key] = packed.get(key, 0) + value
         return packed, layout, scale
 
-    def _group_table(self) -> dict:
-        """The rows of the census over column groups."""
-        return self._rows(*self._group_census())
+    def _census(self) -> tuple[dict, _Layout, int]:
+        return self._group_table() if self._directed else self._enumerate_table()
+
+    def read(self, weight=None, by: Sequence[str] = ()) -> dict:
+        """The weighted sums of the rows the constraint allows, grouped by
+        the values of the ``by`` cards: weight(row) times the row's value
+        summed over the rows of each group, ``weight`` a function of the
+        tracked cards in the order of ``key_names``."""
+        return self._read(*self._census(), weight, by)
 
     def table(self) -> dict:
         """The rows the constraint allows, keyed by the tracked cards."""
-        return self._group_table() if self._directed else self._enumerate_table()
+        return self.read(by=self.key_names)
 
     def total(self):
         """The sum of ``table()``.  When every comparison of the constraint
         bounds at most one packed card once the census key is fixed, each
         census key's value is summed over its box of card ranges (and the
         tie counters' targets) without decoding a digit; else the rows are."""
-        packed, layout, scale = self._group_census() if self._directed else self._pair_census()
-        n_keys = len(self.key_names)
-        cards = [self.key_names[d] for d in layout.counters if d < n_keys]
-        if not self._whole or any(len(coeffs.keys() & set(cards)) > 1
-                                  for coeffs, _, _ in self._forms):
-            return sum(self._rows(packed, layout, scale).values())
+        packed, layout, scale = self._census()
+        cards, exact = self._packed_cards(layout)
+        if not exact:
+            return self._read(packed, layout, scale, None, ()).get((), 0)
         ties = tuple((b.m * self.n,) * 2 for b in self.norm.blocks if self._ties)
         boxes: dict[tuple, int] = {}
         for key, value in packed.items():
@@ -682,18 +724,15 @@ class Solver:
 
     # -- counting entry points ---------------------------------------------------
 
-    def _allowed_rows(self, n: int, tracked: Sequence[str] = (),
-                      fold: Weights | None = None,
-                      constraint: CardConstraint | None = None
-                      ) -> Iterator[tuple[dict[str, int], object]]:
-        """Rows (cards, value) of the profile table over the tracked
-        predicates and the constraint's own, for the profiles the
-        constraint allows (the problem's constraint by default)."""
+    def _evaluator(self, n: int, tracked: Sequence[str], fold: Weights | None,
+                   constraint: CardConstraint | None) -> ProfileEvaluator:
+        """The evaluator over the tracked predicates and the constraint's
+        own, for the profiles the constraint (the problem's by default)
+        allows."""
         if constraint is None:
             constraint = self.norm.constraint
-        names, table = self.profile_table(n, _tracking(tracked, constraint), fold, constraint)
-        for key, val in table.items():
-            yield dict(zip(names, key)), val
+        return ProfileEvaluator(self.norm, self.cells, n, _tracking(tracked, constraint),
+                                fold, constraint)
 
     def _total(self, n: int, tracked: Sequence[str], fold: Weights | None,
                constraint: CardConstraint | None):
@@ -729,9 +768,7 @@ class Solver:
                     if saved > _EVALUATION_DIGITS:
                         return (self._total(n, tracked, fold, card_conjoin(rest))
                                 - self._total(n, tracked, fold, card_conjoin(rest + [negation])))
-        ev = ProfileEvaluator(self.norm, self.cells, n, _tracking(tracked, constraint),
-                              fold, constraint)
-        return ev.total()
+        return self._evaluator(n, tracked, fold, constraint).total()
 
     def count(self, n: int, constraint: CardConstraint | None = None) -> int:
         """Exact model count on domain size n, honoring the problem's
@@ -743,24 +780,22 @@ class Solver:
                        constraint: CardConstraint | None = None):
         """Sum of weight(profile) * F(profile) over profiles satisfying
         the constraint; the symmetric part enters via ``fold`` and the
-        profile-dependent part via ``weight_fn(cards) -> Fraction``."""
+        profile-dependent part via ``weight_fn(cards) -> int or Fraction``,
+        read in one group."""
         if weight_fn is None:
             return Fraction(self._total(n, tracked, fold, constraint))
-        return sum((Fraction(val) * weight_fn(cards)
-                    for cards, val in self._allowed_rows(n, tracked, fold, constraint)),
-                   Fraction(0))
+        ev = self._evaluator(n, tracked, fold, constraint)
+        return Fraction(ev.read(lambda row: weight_fn(dict(zip(ev.key_names, row)))).get((), 0))
 
     def breakdown(self, n: int, tracked: Sequence[str],
                   fold: Weights | None = None,
                   constraint: CardConstraint | None = None) -> CountResult:
         """Per-profile signed terms for the tracked predicates."""
-        wanted = set(tracked)
-        projected: dict[tuple, object] = {}
-        for cards, val in self._allowed_rows(n, tracked, fold, constraint):
-            short = tuple((p, c) for p, c in cards.items() if p in wanted)
-            projected[short] = projected.get(short, 0) + val
-        profiles = [(dict(key), val) for key, val in sorted(projected.items())]
-        return CountResult(total=sum(projected.values()), profiles=profiles)
+        ev = self._evaluator(n, tracked, fold, constraint)
+        by = [p for p in ev.key_names if p in tracked]
+        groups = ev.read(by=by)
+        profiles = [(dict(zip(by, key)), val) for key, val in sorted(groups.items())]
+        return CountResult(total=sum(groups.values()), profiles=profiles)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ All AST nodes are immutable; every operation on them is pure.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .errors import SemanticError
 
@@ -454,28 +455,48 @@ class WPow(WeightExpr):
     exponent: WeightExpr
 
 
-def weight_value(expr: WeightExpr, cards: Mapping[str, int]) -> Fraction:
+#: the arithmetic of the binary weight nodes
+_WEIGHT_OPS = {WAdd: operator.add, WSub: operator.sub, WMul: operator.mul}
+
+
+def weight_function(expr: WeightExpr, slot: Callable[[str], object] | None = None
+                    ) -> Callable[[Mapping | Sequence[int]], int | Fraction]:
+    """Compile a weight expression into a function of the cards, built of
+    one closure per node; ``slot`` maps a predicate to the index of its
+    card in the function's argument (by default its name).  Integers stay
+    integers: a ``Fraction`` is built only for a non-integral constant or
+    a negative exponent."""
     if isinstance(expr, WNum):
-        return expr.value
+        value = expr.value.numerator if expr.value.denominator == 1 else expr.value
+        return lambda cards: value
     if isinstance(expr, WCard):
-        return Fraction(cards[expr.pred])
+        return operator.itemgetter(expr.pred if slot is None else slot(expr.pred))
     if isinstance(expr, WNeg):
-        return -weight_value(expr.sub, cards)
-    if isinstance(expr, WAdd):
-        return weight_value(expr.left, cards) + weight_value(expr.right, cards)
-    if isinstance(expr, WSub):
-        return weight_value(expr.left, cards) - weight_value(expr.right, cards)
-    if isinstance(expr, WMul):
-        return weight_value(expr.left, cards) * weight_value(expr.right, cards)
+        sub = weight_function(expr.sub, slot)
+        return lambda cards: -sub(cards)
     if isinstance(expr, WPow):
-        base = weight_value(expr.base, cards)
-        exp = weight_value(expr.exponent, cards)
-        if exp.denominator != 1:
-            raise SemanticError(f"non-integer exponent {exp} in weight expression")
-        if base == 0 and exp < 0:
-            raise SemanticError("0 raised to a negative exponent in weight expression")
-        return base ** int(exp)
+        base, exponent = weight_function(expr.base, slot), weight_function(expr.exponent, slot)
+
+        def power(cards):
+            b, e = base(cards), exponent(cards)
+            if e.denominator != 1:
+                raise SemanticError(f"non-integer exponent {e} in weight expression")
+            if e >= 0:
+                return b ** int(e)
+            if b == 0:
+                raise SemanticError("0 raised to a negative exponent in weight expression")
+            return Fraction(b) ** int(e)
+        return power
+    if type(expr) in _WEIGHT_OPS:
+        op, a, b = (_WEIGHT_OPS[type(expr)], weight_function(expr.left, slot),
+                    weight_function(expr.right, slot))
+        return lambda cards: op(a(cards), b(cards))
     raise TypeError(f"not a weight expression: {expr!r}")
+
+
+def weight_value(expr: WeightExpr, cards: Mapping[str, int]) -> Fraction:
+    """The weight of one profile, as ``weight_function`` computes it."""
+    return Fraction(weight_function(expr)(cards))
 
 
 def weight_predicates(expr: WeightExpr) -> frozenset[str]:

@@ -4,7 +4,11 @@ Symmetric weights multiply a per-literal factor over every ground atom
 and enter the engine's factors as coefficients, so they need no extra
 counters.  Profile weights are arithmetic expressions over predicate
 cardinalities, evaluated per profile; they subsume the symmetric family
-and are what count distributions are built from.
+and are what count distributions are built from.  Each is compiled once
+(``logic.weight_function``) and summed by one grouped read of the packed
+table (``ProfileEvaluator.read``): into one group for ``wfomc_profile``,
+into one per query cardinality vector for a distribution.  The sums stay
+integers unless a weight is not; they become ``Fraction``s here.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import Mapping, Sequence
 
 from .engine import Solver
 from .errors import SemanticError
-from .logic import WeightExpr, weight_predicates, weight_value
+from .logic import WeightExpr, weight_function, weight_predicates
 from .normalize import NormalizedProblem
 from .parser import Problem
 
@@ -57,9 +61,7 @@ def wfomc_profile(problem: Problem | NormalizedProblem | Solver, n: int,
     weight, fold = _weight_setup(solver, weight)
     if weight is None:
         return Fraction(solver.weighted_total(n, (), fold))
-    tracked = tuple(sorted(weight_predicates(weight)))
-    return solver.weighted_total(
-        n, tracked, fold, weight_fn=lambda cards: weight_value(weight, cards))
+    return Fraction(_grouped(solver, n, (), weight, fold).get((), 0))
 
 
 def _weight_setup(solver: Solver, weight):
@@ -75,21 +77,27 @@ def _weight_setup(solver: Solver, weight):
     return weight, symmetric or None
 
 
+def _grouped(solver: Solver, n: int, by: Sequence[str], weight: WeightExpr | None,
+             fold) -> dict[tuple[int, ...], int | Fraction]:
+    """The weighted mass of each vector of the ``by`` cards that the
+    problem's constraint allows: one grouped read, the weight compiled
+    against the evaluator's rows."""
+    tracked = tuple(by)
+    if weight is not None:
+        tracked += tuple(sorted(weight_predicates(weight)))
+    ev = solver._evaluator(n, tracked, fold, None)
+    if weight is not None:
+        weight = weight_function(weight, ev.key_names.index)
+    return ev.read(weight, by)
+
+
 def _strata(solver: Solver, n: int, query_preds: Sequence[str], weight
-            ) -> tuple[dict[tuple[int, ...], Fraction], Fraction]:
+            ) -> tuple[dict[tuple[int, ...], int | Fraction], Fraction]:
     """The weighted mass of each query cardinality vector the problem's
     constraint allows, and the partition function, which must be nonzero.
     Feasible strata stay in the table even at mass zero."""
-    weight, fold = _weight_setup(solver, weight)
-    tracked = tuple(query_preds)
-    if weight is not None:
-        tracked += tuple(sorted(weight_predicates(weight)))
-    mass: dict[tuple[int, ...], Fraction] = {}
-    for cards, val in solver._allowed_rows(n, tracked, fold):
-        w = weight_value(weight, cards) if weight is not None else Fraction(1)
-        sub = tuple(cards[p] for p in query_preds)
-        mass[sub] = mass.get(sub, Fraction(0)) + Fraction(val) * w
-    z = sum(mass.values(), Fraction(0))
+    mass = _grouped(solver, n, query_preds, *_weight_setup(solver, weight))
+    z = Fraction(sum(mass.values()))
     if z == 0:
         raise SemanticError("partition function is zero; the distribution "
                             "is undefined")
@@ -105,7 +113,7 @@ def count_distribution(problem: Problem | NormalizedProblem | Solver, n: int,
     weights, symmetric weights, or their product).
     Returns (numerator, partition function, probability)."""
     mass, z = _strata(_solver(problem), n, [p for p, _ in query], weight)
-    numerator = mass.get(tuple(int(c) for _, c in query), Fraction(0))
+    numerator = Fraction(mass.get(tuple(int(c) for _, c in query), 0))
     return numerator, z, numerator / z
 
 

@@ -97,6 +97,25 @@ def test_dist_subcommand():
     assert payload["mode"] == "dist"
 
 
+#: a weight whose distribution has a probability of about 1.25e399, past
+#: the largest float
+TINY_WEIGHT = "(-1)^|H| + 0." + "0" * 399 + "1"
+
+
+@pytest.mark.parametrize("command", ["dist", "oracle"])
+def test_probability_beyond_float_range(command):
+    """z = 8 * 10^-400 and the mass of |H| = 0 is 1 + 10^-400: the
+    probability is printed to 12 significant digits from the exact
+    fraction, not through a float."""
+    coins = "predicate H/1\nforall x (H(x) | !H(x))"
+    code, out, err = invoke(command, "-n", "3", "-e", coins, "--weight", TINY_WEIGHT,
+                            "--query", "|H| = 0", "--format", "json")
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["fraction"] == f"{10 ** 400 + 1}/8"
+    assert payload["count"] == "1.25e+399"
+
+
 def test_wfomc_subcommand(tmp_path):
     path = tmp_path / "w.fo2"
     path.write_text(RUNNING_EXAMPLE + "weight A 1 1\nweight R 1 2\n")

@@ -77,6 +77,8 @@ def run_cli(argv):
 @example(["count", "-n", "100", str(PROBLEM_DIR / "two_exists.fo2")])
 @example(["count", "-n", "2", "-e", DEEP])
 @example(["count", "-n", "2", "--threads", "abc", "-e", RUNNING_EXAMPLE])
+@example(["dist", "-n", "3", "-e", "predicate H/1\nforall x (H(x) | !H(x))",
+          "--weight", "(-1)^|H| + 0." + "0" * 399 + "1", "--query", "|H| = 0"])
 def test_every_argv_ends_in_an_exit_code(argv):
     code, stderr = run_cli(argv)
     assert code in (0, 1, 2, 3), (code, stderr)

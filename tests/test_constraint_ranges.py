@@ -53,12 +53,12 @@ def reads(monkeypatch):
     """Records which read each ``ProfileEvaluator`` takes: "rows" when it
     decodes the table, "sum" when it sums digit ranges."""
     seen = []
-    rows = ProfileEvaluator._rows
+    rows = ProfileEvaluator._read
 
     def spy(self, *census):
         seen.append("rows")
         return rows(self, *census)
-    monkeypatch.setattr(ProfileEvaluator, "_rows", spy)
+    monkeypatch.setattr(ProfileEvaluator, "_read", spy)
     total = ProfileEvaluator.total
 
     def total_spy(self):
@@ -186,10 +186,10 @@ def test_indivisible_sum_with_integer_weights_is_an_internal_error():
     that does not is reported, not returned as a fraction."""
     solver = Solver(parse_problem("forall x exists{=2} y (R(x,y) & R(y,x))"))
     ev = ProfileEvaluator(solver.norm, solver.cells, 3)
-    packed, layout, scale = ev._pair_census()
+    packed, layout, scale = ev._enumerate_table()
     count = ev.total()
     assert count == 10
-    ev._pair_census = lambda: (packed, layout, scale * (count + 1))
+    ev._enumerate_table = lambda: (packed, layout, scale * (count + 1))
     with pytest.raises(InternalConsistencyError, match="non-integer total"):
         ev.total()
 

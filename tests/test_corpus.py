@@ -60,8 +60,9 @@ def test_corpus_files_round_trip():
 def test_oracle_is_normalization_free():
     """The reference counter must never consult the normalizer."""
     import ast
+    from pathlib import Path
     import fo2mc.oracle as oracle_module
-    tree = ast.parse(open(oracle_module.__file__).read())
+    tree = ast.parse(Path(oracle_module.__file__).read_text())
     imported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module:

@@ -248,10 +248,12 @@ def census_both_ways(problem, n, tracked=(), fold=None):
     block; ``fold`` is a map of symmetric weights."""
     solver = Solver(problem)
     assert solver.cells.directed and not solver.norm.successors
-    groups = ProfileEvaluator(solver.norm, solver.cells, n, tracked, fold)._group_table()
+    ev = ProfileEvaluator(solver.norm, solver.cells, n, tracked, fold)
+    groups = ev._read(*ev._group_table(), None, ev.key_names)
     norm = solver.successor_encoding()
     cells = build_cells(norm.signature, norm.matrix) if norm.blocks else solver.cells
-    return groups, ProfileEvaluator(norm, cells, n, tracked, fold)._enumerate_table()
+    ev = ProfileEvaluator(norm, cells, n, tracked, fold)
+    return groups, ev._read(*ev._enumerate_table(), None, ev.key_names)
 
 
 @pytest.mark.parametrize("text,tracked", [

@@ -13,7 +13,7 @@ from fo2mc.engine import ProfileEvaluator, Solver, witness_deficit_counts
 from fo2mc.errors import InternalConsistencyError
 from fo2mc.oracle import oracle_count, oracle_distribution
 from fo2mc.parser import parse_cardinality, parse_problem, parse_weight_expr
-from fo2mc.weights import count_distribution, wfomc_profile
+from fo2mc.weights import count_distribution, distribution_table, wfomc_profile
 
 from conftest import RUNNING_EXAMPLE
 
@@ -79,6 +79,32 @@ def test_two_blocks_at_100():
     value, seconds = timed_count("two_blocks", n)
     assert value == (n * (1 + math.comb(n, 2))) ** n
     assert seconds < 0.05
+
+
+def test_coins_distribution_at_400():
+    """1 + (-1)^|H| on a free H: the partition function is 2^n and
+    |H| = k has probability C(n,k)(1 + (-1)^k)/2^n."""
+    n = 400
+    solver = Solver(CORPUS["coins"].problem())
+    start = time.monotonic()
+    table = distribution_table(solver, n, ("H",))
+    seconds = time.monotonic() - start
+    assert table == {(k,): Fraction(math.comb(n, k) * (1 + (-1) ** k), 2 ** n)
+                     for k in range(n + 1)}
+    assert seconds < 0.1
+
+
+def test_running_fairness_weight_at_100():
+    """(2|A| - 3)^2 on the running example: with |A| = k, R avoids the
+    k(n-k) edges that leave A."""
+    n = 100
+    solver = Solver(parse_problem(RUNNING_EXAMPLE + "profileweight (2*|A| - 3)^2\n"))
+    start = time.monotonic()
+    value = wfomc_profile(solver, n)
+    seconds = time.monotonic() - start
+    assert value == sum(math.comb(n, k) * 2 ** (n * n - k * (n - k)) * (2 * k - 3) ** 2
+                        for k in range(n + 1))
+    assert seconds < 0.07
 
 
 # -- truncation and signs against the oracle -------------------------------------
@@ -201,5 +227,7 @@ def test_integer_problems_keep_int_rows():
 def test_indivisible_row_with_integer_weights_is_an_internal_error():
     solver = Solver(parse_problem(SUCCESSORS_M2))
     ev = ProfileEvaluator(solver.norm, solver.cells, 2)
+    packed, layout, scale = ev._enumerate_table()
+    ev._enumerate_table = lambda: (packed, layout, scale * 3)
     with pytest.raises(InternalConsistencyError, match="non-integer row"):
-        ev._finish([((), 3)], 1)
+        ev.table()
