@@ -31,7 +31,6 @@ read with the type on the x side, against every valid type;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cache
 from operator import itemgetter
 from typing import Callable, Iterable
@@ -82,29 +81,34 @@ def _bit_positions(mask: int) -> tuple[int, ...]:
     return tuple(k for k, c in enumerate(bin(mask)[:1:-1]) if c == "1")
 
 
-@dataclass
 class CellStructure:
     """The n_ij / n_ijv tables of a matrix, plus everything the engine
     needs to iterate them."""
 
-    signature: Signature
-    u_slots: list[tuple[str, str]]
-    b_slots: list[tuple[str, str]]
-    valid: list[int]
-    pair_vs: dict[tuple[int, int], tuple[int, ...]]
-    n_ij: dict[tuple[int, int], int]
-    directed: bool = False
-    #: on a directed matrix, O_ij for every ordered pair of valid types:
-    #: the out-masks that i may send to j, ascending; an out-mask holds
-    #: a 2-table's x->y bits, one per binary predicate (big-endian in
-    #: predicate order).  On a pair that allows nothing, O_ij is empty
-    #: when the matrix with i on the x side holds on no 2-table or when
-    #: both sides' instances hold on some; otherwise i keeps the
-    #: out-masks of its own instance
-    out_options: dict[tuple[int, int], tuple[int, ...]] = field(default_factory=dict)
-    #: the valid types grouped into classes of interchangeable types,
-    #: ordered by their smallest member, members ascending
-    classes: list[tuple[int, ...]] = field(default_factory=list)
+    def __init__(self, signature: Signature, u_slots: list[tuple[str, str]],
+                 b_slots: list[tuple[str, str]], valid: list[int],
+                 pair_vs: dict[tuple[int, int], tuple[int, ...]],
+                 n_ij: dict[tuple[int, int], int], directed: bool = False,
+                 out_options: dict[tuple[int, int], tuple[int, ...]] | None = None,
+                 classes: list[tuple[int, ...]] | None = None):
+        self.signature = signature
+        self.u_slots = u_slots
+        self.b_slots = b_slots
+        self.valid = valid
+        self.pair_vs = pair_vs
+        self.n_ij = n_ij
+        self.directed = directed
+        #: on a directed matrix, O_ij for every ordered pair of valid types:
+        #: the out-masks that i may send to j, ascending; an out-mask holds
+        #: a 2-table's x->y bits, one per binary predicate (big-endian in
+        #: predicate order).  On a pair that allows nothing, O_ij is empty
+        #: when the matrix with i on the x side holds on no 2-table or when
+        #: both sides' instances hold on some; otherwise i keeps the
+        #: out-masks of its own instance
+        self.out_options = {} if out_options is None else out_options
+        #: the valid types grouped into classes of interchangeable types,
+        #: ordered by their smallest member, members ascending
+        self.classes = [] if classes is None else classes
 
     @property
     def u(self) -> int:

@@ -3,10 +3,10 @@
 Subcommands: count, wfomc, dist, oracle, normalize, cells, bench; every
 counting subcommand answers through one ``Solver``.
 Exit codes: 0 success, 1 parse/semantic error, 2 unsupported feature
-(including formulas nested too deeply to parse), 3 internal consistency
-violation.  All diagnostics go to stderr; results go to stdout, with
-counts printed in full however many digits they have.  JSON output is
-byte-stable for fixed inputs and flags, except for the runtime_ms field.
+(including formulas nested too deeply to parse and counts that run out
+of memory), 3 internal consistency violation.  All diagnostics go to
+stderr; results go to stdout, with counts printed in full however many
+digits they have.  JSON output is byte-stable for fixed inputs and flags, except for the runtime_ms field.
 Each subcommand takes only the flags its runner reads (``COMMANDS``).
 A usage error (a bad flag or choice, a flag the subcommand does not
 take, a missing or unknown subcommand) is a parse error like any other:
@@ -401,6 +401,9 @@ def run(argv=None, out=None, err=None) -> int:
         return _RUNNERS[args.command](args, out, err)
     except RecursionError:
         err.write("unsupported: formula nested too deeply\n")
+        return 2
+    except MemoryError:
+        err.write("unsupported: out of memory\n")
         return 2
     except (ParseError, SemanticError) as exc:
         err.write(f"error: {exc}\n")

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, product
 from typing import Iterator, Mapping, Sequence
@@ -656,10 +655,10 @@ class ProfileEvaluator:
 # solver front end
 
 
-@dataclass
 class CountResult:
-    total: object  # int for pure counting, Fraction for weighted sums
-    profiles: list[tuple[dict, object]] | None = None
+    def __init__(self, total: object, profiles: list[tuple[dict, object]] | None = None):
+        self.total = total  # int for pure counting, Fraction for weighted sums
+        self.profiles = profiles
 
 
 def _tracking(tracked: Sequence[str], constraint: CardConstraint) -> tuple[str, ...]:

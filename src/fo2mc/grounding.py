@@ -8,7 +8,6 @@ evaluation, ``eval_qf`` fixes ``x = x`` to 1 and ``x = y`` to 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .errors import SemanticError, UnsupportedFeatureError
@@ -83,7 +82,6 @@ def compile_lambda(args: str, body: str, env: dict | None = None) -> Callable:
         raise UnsupportedFeatureError("formula nested too deeply") from None
 
 
-@dataclass
 class GroundFormula:
     """A propositional formula over the ground atoms of a signature.
 
@@ -91,11 +89,10 @@ class GroundFormula:
     bit ``i`` of the mask is the truth value of ``atoms[i]``.
     """
 
-    atoms: list[GroundAtom]
-    source: str
-    n: int
-
-    def __post_init__(self):
+    def __init__(self, atoms: list[GroundAtom], source: str, n: int):
+        self.atoms = atoms
+        self.source = source
+        self.n = n
         self.index = {atom: i for i, atom in enumerate(self.atoms)}
         self._fn: Callable[[int], object] = compile_lambda("a", self.source)
 

@@ -30,16 +30,16 @@ Fresh synthetic predicates come from ``NameAllocator.fresh``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Collection
 
 from .errors import UnsupportedFeatureError
 from .logic import (And, Atom, CARD_TRUE, CardAnd, CardCompare,
                     CardConstraint, Counting, Eq, Exists, Forall, Formula,
-                    Iff, Implies, LinearExpr, Not, Or, Signature, card_conjoin,
-                    conjoin, disjoin, free_vars, is_quantifier_free,
-                    other_variable, rebuild, subformulas, substitute)
+                    Iff, Implies, LinearExpr, Node, Not, Or, Signature,
+                    card_conjoin, conjoin, disjoin, free_vars,
+                    is_quantifier_free, other_variable, rebuild, subformulas,
+                    substitute, _set)
 from .parser import Problem
 
 
@@ -68,36 +68,45 @@ class NameAllocator:
         return name
 
 
-@dataclass(frozen=True)
-class CountingBlock:
+class CountingBlock(Node):
     """One ``exactly-m successors`` occurrence: A(x) holds exactly when
     x has m guard successors.  ``f_preds`` are its successor predicates
     in the successor encoding (empty when the engine counts successors
     per element), and ``sign`` its inclusion-exclusion sign predicate,
     if it has one."""
 
-    index: int
-    guard: str
-    m: int
-    a_pred: str
-    f_preds: tuple[str, ...] = ()
-    sign: str | None = None
+    __slots__ = ("index", "guard", "m", "a_pred", "f_preds", "sign")
+
+    def __init__(self, index: int, guard: str, m: int, a_pred: str,
+                 f_preds: tuple[str, ...] = (), sign: str | None = None):
+        _set(self, "index", index)
+        _set(self, "guard", guard)
+        _set(self, "m", m)
+        _set(self, "a_pred", a_pred)
+        _set(self, "f_preds", f_preds)
+        _set(self, "sign", sign)
 
     @property
     def divisor_base(self) -> int:
         return math.factorial(self.m)
 
 
-@dataclass
 class NormalizedProblem:
-    signature: Signature
-    matrix: tuple[Formula, ...]
-    sign_preds: tuple[str, ...]
-    blocks: tuple[CountingBlock, ...]
-    #: user constraint plus |A| = m constraints from single-variable counting
-    constraint: CardConstraint = CARD_TRUE
-    symmetric_weights: dict = field(default_factory=dict)
-    profile_weight: object = None
+    """The matrix, signs and counting blocks of a normalized problem, with
+    ``constraint`` the user constraint plus the |A| = m constraints from
+    single-variable counting, and the problem's weights."""
+
+    def __init__(self, signature: Signature, matrix: tuple[Formula, ...],
+                 sign_preds: tuple[str, ...], blocks: tuple[CountingBlock, ...],
+                 constraint: CardConstraint = CARD_TRUE,
+                 symmetric_weights: dict | None = None, profile_weight: object = None):
+        self.signature = signature
+        self.matrix = matrix
+        self.sign_preds = sign_preds
+        self.blocks = blocks
+        self.constraint = constraint
+        self.symmetric_weights = {} if symmetric_weights is None else symmetric_weights
+        self.profile_weight = profile_weight
 
     @property
     def successors(self) -> bool:
@@ -459,10 +468,17 @@ def successor_encoding(norm: NormalizedProblem, signed: Collection[int] = ()
         sign = signs.get(b.a_pred)
         if sign:
             matrix.append(Implies(Atom(sign, ("x",)), a_x))
-        blocks.append(replace(b, f_preds=fs, sign=sign))
+        blocks.append(CountingBlock(b.index, b.guard, b.m, b.a_pred, fs, sign))
     matrix, f_signs = eliminate_existentials(matrix, psis, alloc)
-    return replace(norm, signature=signature, matrix=tuple(matrix), blocks=tuple(blocks),
-                   sign_preds=(*signs.values(), *renamed.values(), *f_signs))
+    return NormalizedProblem(
+        signature=signature,
+        matrix=tuple(matrix),
+        sign_preds=(*signs.values(), *renamed.values(), *f_signs),
+        blocks=tuple(blocks),
+        constraint=norm.constraint,
+        symmetric_weights=norm.symmetric_weights,
+        profile_weight=norm.profile_weight,
+    )
 
 
 def dump_normalized(norm: NormalizedProblem) -> str:

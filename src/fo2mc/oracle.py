@@ -9,7 +9,6 @@ arbitrate them.  It is deliberately simple rather than fast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -22,13 +21,14 @@ from .logic import (CardConstraint, Formula, Signature, WeightExpr,
 DEFAULT_CAP = 28
 
 
-@dataclass
 class OracleReport:
-    n: int
-    total: int
-    models_enumerated: int
-    weighted_total: Fraction | None = None
-    stratified: dict | None = None
+    def __init__(self, n: int, total: int, models_enumerated: int,
+                 weighted_total: Fraction | None = None, stratified: dict | None = None):
+        self.n = n
+        self.total = total
+        self.models_enumerated = models_enumerated
+        self.weighted_total = weighted_total
+        self.stratified = stratified
 
 
 def _census_sweep(signature: Signature, sentence: Formula, n: int,

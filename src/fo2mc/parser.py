@@ -22,7 +22,6 @@ when a ``ParseError`` is raised.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParseError, SemanticError
@@ -73,16 +72,19 @@ def tokenize(text: str) -> list[Token]:
     return tokens
 
 
-@dataclass
 class Problem:
     """A parsed input: signature, sentence, cardinality constraint and any
     weight declarations."""
 
-    signature: Signature
-    sentence: Formula
-    constraint: CardConstraint = CARD_TRUE
-    symmetric_weights: dict[str, tuple[Fraction, Fraction]] = field(default_factory=dict)
-    profile_weight: WeightExpr | None = None
+    def __init__(self, signature: Signature, sentence: Formula,
+                 constraint: CardConstraint = CARD_TRUE,
+                 symmetric_weights: dict[str, tuple[Fraction, Fraction]] | None = None,
+                 profile_weight: WeightExpr | None = None):
+        self.signature = signature
+        self.sentence = sentence
+        self.constraint = constraint
+        self.symmetric_weights = {} if symmetric_weights is None else symmetric_weights
+        self.profile_weight = profile_weight
 
 
 class _Parser:

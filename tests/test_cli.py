@@ -291,6 +291,17 @@ def test_deep_nesting_is_refused(depth, commands):
         assert err == "unsupported: formula nested too deeply\n"
 
 
+def test_out_of_memory_is_refused(monkeypatch):
+    """A count whose tables outgrow memory is refused like any other
+    unsupported input: one line on stderr, exit 2, no traceback."""
+    def exhausted(self, *args):
+        raise MemoryError()
+
+    monkeypatch.setattr(Solver, "count", exhausted)
+    code, out, err = invoke("count", "-n", "100000", "-e", "forall x exists y R(x,y)")
+    assert (code, out, err) == (2, "", "unsupported: out of memory\n")
+
+
 @pytest.mark.parametrize("argv,message", [
     (["count", "--bogus"], "unrecognized arguments: --bogus"),
     (["count", "--format", "xml"], "argument --format: invalid choice: 'xml'"),

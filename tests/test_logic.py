@@ -1,11 +1,22 @@
-import pytest
+import copy
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import pytest
+
+from fo2mc import logic
 from fo2mc.errors import SemanticError
-from fo2mc.logic import (CardCompare, CardNot, CardOr, LinearExpr,
-                         Signature, WAdd, WCard, WNum, WPow, conjuncts,
-                         decimal_str, free_vars, one_type_slots, slot_bit,
-                         substitute, weight_value, weight_predicates)
+from fo2mc.logic import (And, Atom, CardAnd, CardCompare, CardNot, CardOr,
+                         Counting, Eq, Exists, Forall, Iff, Implies,
+                         LinearExpr, Node, Not, Or, Signature, WAdd, WCard,
+                         WMul, WNeg, WNum, WPow, WSub, conjuncts, decimal_str,
+                         free_vars, one_type_slots, slot_bit, substitute,
+                         weight_value, weight_predicates)
+from fo2mc.normalize import CountingBlock
 from fo2mc.parser import parse_formula
 
 
@@ -91,3 +102,112 @@ def test_formula_repr_round_trips():
     text = "forall x (A(x) -> exists{=2} y (R(x,y) | x = y))"
     f = parse_formula(text)
     assert parse_formula(str(f)) == f
+
+
+A_X = "Atom(pred='A', args=('x',))"
+EQ = "Eq(left='x', right='y')"
+CARD_A = "LinearExpr(coeffs=(('A', 1),), const=0)"
+LE_2 = f"CardCompare(op='<=', left={CARD_A}, right=LinearExpr(coeffs=(), const=2))"
+ONE = "WNum(value=Fraction(1, 1))"
+H = "WCard(pred='H')"
+
+#: per node class, a function building one node (fresh on every call,
+#: children included) and the node's repr in the dataclass format
+NODES = {
+    "Atom": (lambda: Atom("A", ("x",)), A_X),
+    "Eq": (lambda: Eq("x", "y"), EQ),
+    "Not": (lambda: Not(Atom("A", ("x",))), f"Not(sub={A_X})"),
+    "And": (lambda: And(Atom("A", ("x",)), Eq("x", "y")), f"And(left={A_X}, right={EQ})"),
+    "Or": (lambda: Or(Atom("A", ("x",)), Eq("x", "y")), f"Or(left={A_X}, right={EQ})"),
+    "Implies": (lambda: Implies(Atom("A", ("x",)), Eq("x", "y")),
+                f"Implies(left={A_X}, right={EQ})"),
+    "Iff": (lambda: Iff(Atom("A", ("x",)), Eq("x", "y")), f"Iff(left={A_X}, right={EQ})"),
+    "Forall": (lambda: Forall("x", Atom("A", ("x",))), f"Forall(var='x', body={A_X})"),
+    "Exists": (lambda: Exists("x", Atom("A", ("x",))), f"Exists(var='x', body={A_X})"),
+    "Counting": (lambda: Counting("=", 2, "x", Atom("A", ("x",))),
+                 f"Counting(cmp='=', count=2, var='x', body={A_X})"),
+    "LinearExpr": (lambda: LinearExpr.card("A"), CARD_A),
+    "CardCompare": (lambda: CardCompare("<=", LinearExpr.card("A"), LinearExpr.of(2)), LE_2),
+    "CardAnd": (lambda: CardAnd((CardCompare("<=", LinearExpr.card("A"), LinearExpr.of(2)),)),
+                f"CardAnd(parts=({LE_2},))"),
+    "CardOr": (lambda: CardOr((CardCompare("<=", LinearExpr.card("A"), LinearExpr.of(2)),)),
+               f"CardOr(parts=({LE_2},))"),
+    "CardNot": (lambda: CardNot(CardCompare("<=", LinearExpr.card("A"), LinearExpr.of(2))),
+                f"CardNot(sub={LE_2})"),
+    "WNum": (lambda: WNum(Fraction(1)), ONE),
+    "WCard": (lambda: WCard("H"), H),
+    "WNeg": (lambda: WNeg(WCard("H")), f"WNeg(sub={H})"),
+    "WAdd": (lambda: WAdd(WNum(Fraction(1)), WCard("H")), f"WAdd(left={ONE}, right={H})"),
+    "WSub": (lambda: WSub(WNum(Fraction(1)), WCard("H")), f"WSub(left={ONE}, right={H})"),
+    "WMul": (lambda: WMul(WNum(Fraction(1)), WCard("H")), f"WMul(left={ONE}, right={H})"),
+    "WPow": (lambda: WPow(WNum(Fraction(1)), WCard("H")), f"WPow(base={ONE}, exponent={H})"),
+    "CountingBlock": (lambda: CountingBlock(1, "R", 2, "__A1"),
+                      "CountingBlock(index=1, guard='R', m=2, a_pred='__A1', "
+                      "f_preds=(), sign=None)"),
+}
+
+
+def _node_classes(cls=Node):
+    """The names of the concrete node classes: the subclasses of ``cls``
+    that have no subclasses themselves."""
+    subs = cls.__subclasses__()
+    return set().union(*map(_node_classes, subs)) if subs else {cls.__name__}
+
+
+def test_node_parameters_cover_every_node_class():
+    assert _node_classes() == set(NODES)
+
+
+@pytest.mark.parametrize("name", NODES)
+def test_node_semantics(name):
+    """The value semantics every node class keeps: equality and hash by
+    fields, use as a dict key, the dataclass repr, refused assignment,
+    and pickle and copy round trips."""
+    build, text = NODES[name]
+    node, twin = build(), build()
+    assert type(node).__name__ == name
+    assert node is not twin and node == twin and not node != twin
+    assert hash(node) == hash(twin)
+    assert {node: 1}[twin] == 1
+    cls, fields = node.__reduce__()
+    for k in range(len(fields)):
+        assert node != cls(*fields[:k], object(), *fields[k + 1:])
+    assert repr(node) == text
+    first_field = text[len(name) + 1:].split("=")[0]
+    for change in (lambda: setattr(node, first_field, None),
+                   lambda: delattr(node, first_field),
+                   lambda: setattr(node, "extra", 1)):
+        with pytest.raises(AttributeError):
+            change()
+    assert node == twin
+    for copied in (pickle.loads(pickle.dumps(node)), copy.copy(node), copy.deepcopy(node)):
+        assert type(copied) is type(node) and copied == node and hash(copied) == hash(node)
+
+
+@pytest.mark.parametrize("one,other,fields", [
+    (And, Or, (Atom("A", ("x",)), Eq("x", "y"))),
+    (WAdd, WMul, (WNum(Fraction(1)), WCard("H"))),
+    (CardAnd, CardOr, ((CardCompare("=", LinearExpr.card("A"), LinearExpr.of(2)),),)),
+], ids=("And-Or", "WAdd-WMul", "CardAnd-CardOr"))
+def test_same_fields_under_another_type_differ(one, other, fields):
+    assert one(*fields) != other(*fields) and not one(*fields) == other(*fields)
+    assert len({one(*fields), other(*fields)}) == 2
+
+
+def test_linear_expr_defaults():
+    empty = LinearExpr()
+    assert (empty.coeffs, empty.const) == ((), 0)
+    assert empty == LinearExpr((), 0) == LinearExpr.of()
+    assert str(empty) == "0"
+
+
+def test_import_builds_no_dataclass():
+    """Importing the command line, in a fresh interpreter, loads neither
+    ``dataclasses`` nor ``inspect``: the node and record classes are
+    plain classes."""
+    src = str(Path(logic.__file__).resolve().parent.parent)
+    code = ("import sys, fo2mc.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
