@@ -21,17 +21,25 @@ hold somewhere.
 
 The tables are evaluated without a compiler: each conjunct becomes a
 tree of closures over bit masks.  The tables of a pair of types depend on
-each type only through the type slots the matrix reads on its side, so
-they are evaluated once per pattern of those slots.
+each type only through the type slots the matrix reads on its side, its
+*read pattern* there.  One sweep evaluates the matrix over every
+(x pattern, y pattern, 2-table), one bit each, as is and with the 2-table
+swapped; a valid type's row of 2-table masks against every partner is
+then one C-level ``map`` of ANDs per distinct pattern, so types the
+matrix cannot tell apart (unmentioned unary predicates, say) cost
+nothing per pair.  ``CellStructure.tables`` and ``sends`` answer from the
+patterns; ``pair_vs``, ``n_ij`` and ``out_options``, which list every
+pair of valid types, are built only when read.
 
 Two valid 1-types are interchangeable when they have the same 2-tables,
 read with the type on the x side, against every valid type;
-``CellStructure.classes`` partitions the valid types by that relation.
+``CellStructure.classes`` partitions the valid types by that relation:
+types grouped by pattern, then patterns by row.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cached_property
 from operator import itemgetter
 from typing import Callable, Iterable
 
@@ -39,7 +47,11 @@ from .errors import UnsupportedFeatureError
 from .logic import (And, Atom, Eq, Formula, Iff, Implies, Not, Or, Signature,
                     one_type_slots, slot_bit, two_table_slots)
 
-#: table sweep guard: 2u + b beyond this would not fit in memory/time
+#: refuse a signature with more table bits 2u + b than this.  The pair
+#: sweep costs |X| |Y| 2^b bits for the X and Y read patterns of its two
+#: sides, which is 2^(2u+b) only when each side reads every type slot;
+#: the guard judges the signature alone, so it also refuses signatures
+#: whose patterns are few
 MAX_TABLE_BITS = 30
 
 
@@ -81,34 +93,57 @@ def _bit_positions(mask: int) -> tuple[int, ...]:
     return tuple(k for k, c in enumerate(bin(mask)[:1:-1]) if c == "1")
 
 
+def _split(mask: int, width: int, count: int) -> list[int]:
+    """The ``count`` blocks of ``width`` bits of a mask, lowest first."""
+    if width % 8:
+        ones = (1 << width) - 1
+        return [mask >> k * width & ones for k in range(count)]
+    size = width // 8
+    raw = mask.to_bytes(size * count, "little")
+    return [int.from_bytes(raw[k:k + size], "little") for k in range(0, size * count, size)]
+
+
 class CellStructure:
-    """The n_ij / n_ijv tables of a matrix, plus everything the engine
-    needs to iterate them."""
+    """The cell tables of a matrix, answered per pair of read patterns.
+
+    A valid type's pattern is its bits on the type slots the matrix reads
+    on either side.  ``tables`` and ``sends`` answer for a pair of valid
+    types from their two patterns, once per pair of patterns;
+    ``pair_vs``, ``n_ij`` and ``out_options`` list them for every pair of
+    valid types, built on first read."""
 
     def __init__(self, signature: Signature, u_slots: list[tuple[str, str]],
-                 b_slots: list[tuple[str, str]], valid: list[int],
-                 pair_vs: dict[tuple[int, int], tuple[int, ...]],
-                 n_ij: dict[tuple[int, int], int], directed: bool = False,
-                 out_options: dict[tuple[int, int], tuple[int, ...]] | None = None,
-                 classes: list[tuple[int, ...]] | None = None):
+                 b_slots: list[tuple[str, str]], valid: list[int], read: int,
+                 patterns: dict[int, int], rows: list[list[int]], own: list[list[int]],
+                 selectors: list[int]):
+        """``read`` masks a type's pattern, numbered by ``patterns`` in the
+        order of its first valid type.  ``rows[p][q]`` is the mask of the
+        2-tables across a pair of types with patterns p and q, p's type on
+        the x side: where that instance of the matrix holds, ``own[p][q]``,
+        and the swapped instance ``own[q][p]`` holds too.  ``selectors[o]``
+        masks the 2-tables whose x->y bits spell out-mask o."""
         self.signature = signature
         self.u_slots = u_slots
         self.b_slots = b_slots
         self.valid = valid
-        self.pair_vs = pair_vs
-        self.n_ij = n_ij
-        self.directed = directed
-        #: on a directed matrix, O_ij for every ordered pair of valid types:
-        #: the out-masks that i may send to j, ascending; an out-mask holds
-        #: a 2-table's x->y bits, one per binary predicate (big-endian in
-        #: predicate order).  On a pair that allows nothing, O_ij is empty
-        #: when the matrix with i on the x side holds on no 2-table or when
-        #: both sides' instances hold on some; otherwise i keeps the
-        #: out-masks of its own instance
-        self.out_options = {} if out_options is None else out_options
+        self._read, self._at, self._rows, self._own = read, patterns, rows, own
+        self._selectors = selectors
+        self._tables: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._sends: dict[tuple[int, int], tuple[int, ...]] = {}
+        # directed when each distinct mask holds as many 2-tables as the
+        # out-masks it sends times those its swap sends back
+        back = {m: rows[q][p] for p, row in enumerate(rows) for q, m in enumerate(row)}
+        self.directed = all(m.bit_count() == len(self._out_masks(m)) * len(self._out_masks(s))
+                            for m, s in back.items())
+        # types of one pattern share a row, and patterns of one row a class
+        rows_seen: dict[tuple[int, ...], int] = {}
+        class_of = [rows_seen.setdefault(tuple(row), len(rows_seen)) for row in rows]
+        classes: list[list[int]] = [[] for _ in rows_seen]
+        for t in valid:
+            classes[class_of[patterns[t & read]]].append(t)
         #: the valid types grouped into classes of interchangeable types,
         #: ordered by their smallest member, members ascending
-        self.classes = [] if classes is None else classes
+        self.classes = [tuple(members) for members in classes]
 
     @property
     def u(self) -> int:
@@ -130,30 +165,64 @@ class CellStructure:
     def table_bit(self, v: int, slot: int) -> int:
         return slot_bit(v, slot, self.b)
 
-    def n_ijv(self, i: int, j: int, v: int) -> int:
-        a, bb = (i, j) if i <= j else (j, i)
-        vv = v if i <= j else self.swap(v)
-        return 1 if (a, bb) in self.pair_vs and vv in self.pair_vs[(a, bb)] else 0
+    def _out_masks(self, mask: int) -> tuple[int, ...]:
+        return tuple(o for o, sel in enumerate(self._selectors) if mask & sel)
 
-    def swap(self, v: int) -> int:
-        """Exchange the (x,y) and (y,x) bits of every predicate."""
-        out = 0
-        width = self.b
-        for s in range(0, width, 2):
-            xy = slot_bit(v, s, width)
-            yx = slot_bit(v, s + 1, width)
-            out |= yx << (width - 1 - s)
-            out |= xy << (width - 1 - (s + 1))
+    def tables(self, i: int, j: int) -> tuple[int, ...]:
+        """The 2-tables the matrix allows across valid types i and j, read
+        with i on the x side, ascending."""
+        key = self._at[i & self._read], self._at[j & self._read]
+        vs = self._tables.get(key)
+        if vs is None:
+            vs = self._tables[key] = _bit_positions(self._rows[key[0]][key[1]])
+        return vs
+
+    def sends(self, i: int, j: int) -> tuple[int, ...]:
+        """O_ij, the out-masks valid type i may send to valid type j,
+        ascending; an out-mask holds a 2-table's x->y bits, one per binary
+        predicate (big-endian in predicate order).  On a pair that allows
+        nothing, O_ij is empty when the matrix with i on the x side holds on
+        no 2-table or when both sides' instances hold on some; otherwise i
+        keeps the out-masks of its own instance."""
+        key = p, q = self._at[i & self._read], self._at[j & self._read]
+        out = self._sends.get(key)
+        if out is None:
+            mask = self._rows[p][q]
+            if not mask and not self._own[q][p]:
+                mask = self._own[p][q]
+            out = self._sends[key] = self._out_masks(mask)
         return out
+
+    @cached_property
+    def pair_vs(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """``tables`` of every pair of valid types i <= j."""
+        valid = self.valid
+        return {(i, j): self.tables(i, j) for a, i in enumerate(valid) for j in valid[a:]}
+
+    @cached_property
+    def n_ij(self) -> dict[tuple[int, int], int]:
+        """The number of 2-tables of every pair of ``pair_vs``."""
+        return {key: len(vs) for key, vs in self.pair_vs.items()}
+
+    @cached_property
+    def out_options(self) -> dict[tuple[int, int], tuple[int, ...]]:
+        """On a directed matrix, ``sends`` of every ordered pair of valid
+        types; empty otherwise."""
+        if not self.directed:
+            return {}
+        return {(i, j): self.sends(i, j) for i in self.valid for j in self.valid}
+
+    def n_ijv(self, i: int, j: int, v: int) -> int:
+        return int(i in self.valid and j in self.valid and v in self.tables(i, j))
 
 
 def build_cells(signature: Signature, matrix: Iterable[Formula]) -> CellStructure:
     """Materialize the lifted-interpretation tables of a matrix.
 
     The matrix is evaluated on bit masks: once over all 2^u 1-types for
-    the diagonal, then over all 2^b 2-tables at once, with bit v of a
-    mask standing for 2-table v, once per pattern of the type slots it
-    reads on each side of a pair of valid types."""
+    the diagonal, then once over every (x pattern, y pattern, 2-table) of
+    the valid types' read patterns, reading each 2-table as is and once
+    swapped."""
     matrix = list(matrix)
     u_slots = one_type_slots(signature)
     b_slots = two_table_slots(signature)
@@ -201,83 +270,57 @@ def build_cells(signature: Signature, matrix: Iterable[Formula]) -> CellStructur
     valid = list(_bit_positions(holds(
         [full_u, full_u, *u_masks, *u_masks,
          *(u_masks[u_index[(p, "reflexive")]] for p, _ in b_slots)])))
-    cells = CellStructure(signature, u_slots, b_slots, valid, {}, {})
+    if not valid:
+        return CellStructure(signature, u_slots, b_slots, valid, 0, {}, [], [], [])
 
-    full = (1 << (1 << b)) - 1
+    # number the valid types' patterns, and the parts each side reads
+    read = read_x | read_y
+    patterns: dict[int, int] = {}
+    for t in valid:
+        patterns.setdefault(t & read, len(patterns))
+    x_at: dict[int, int] = {}
+    y_at: dict[int, int] = {}
+    p_x = [x_at.setdefault(p & read_x, len(x_at)) for p in patterns]
+    p_y = [y_at.setdefault(p & read_y, len(y_at)) for p in patterns]
+
+    # bit (x |Y| + y) 2^b + v of a sweep mask stands for x pattern x, y
+    # pattern y and 2-table v
+    width, n_y = 1 << b, len(y_at)
+    run = width * n_y  # the bits of one x pattern
+    blocks = len(x_at) * n_y
+    full = (1 << width * blocks) - 1
+    every_table = full // ((1 << width) - 1)  # bit 0 of each 2-table block
+    every_run = full // ((1 << run) - 1)
+
+    def side(at: dict[int, int], s: int, length: int) -> int:
+        """The runs of ``length`` bits of the patterns in ``at`` with type
+        slot s set."""
+        bit = 1 << (u - 1 - s)
+        return sum(((1 << length) - 1) << k * length for p, k in at.items() if p & bit)
+
     v_masks = _slot_masks(b)
-    v_swapped = [v_masks[s ^ 1] for s in range(b)]
+    env = [full, 0, *(side(x_at, s, run) for s in range(u)),
+           *(side(y_at, s, width) * every_run for s in range(u))]
+    as_is = _split(holds(env + [m * every_table for m in v_masks]), width, blocks)
+    swapped = _split(holds(env + [v_masks[s ^ 1] * every_table for s in range(b)]),
+                     width, blocks)
 
-    @cache
-    def directions(x: int, y: int) -> tuple[int, int]:
-        """The 2-tables on which the matrix holds with type x on the x side
-        and type y on the y side, reading each 2-table as is and swapped;
-        called with both types restricted to the slots their side reads."""
-        env = [full, 0, *(full if slot_bit(t, s, u) else 0
-                          for t in (x, y) for s in range(u))]
-        return holds(env + v_masks), holds(env + v_swapped)
+    # per x pattern, the masks where the matrix holds against each pattern
+    # on the y side; per y pattern, those where it holds swapped with each
+    # pattern on the x side; a row ANDs the two of its pattern
+    forth = [[as_is[x * n_y + y] for y in p_y] for x in range(len(x_at))]
+    back = [[swapped[x * n_y + y] for x in p_x] for y in range(n_y)]
+    own = [forth[x] for x in p_x]
+    rows = [list(map(int.__and__, forth[x], back[y])) for x, y in zip(p_x, p_y)]
 
     # per out-mask o (one bit per binary predicate, big-endian in
     # predicate order), the 2-tables whose x->y bits spell o
-    selectors = [full]
+    full_v = (1 << width) - 1
+    selectors = [full_v]
     for s in range(0, b, 2):
-        selectors = [sel & m for sel in selectors for m in (full ^ v_masks[s], v_masks[s])]
-
-    def sends(mask: int) -> tuple[int, ...]:
-        return tuple(o for o, sel in enumerate(selectors) if mask & sel)
-
-    pair_vs: dict[tuple[int, int], tuple[int, ...]] = {}
-    n_ij: dict[tuple[int, int], int] = {}
-    # Per type, the id of its oriented 2-table mask against each partner,
-    # read with the type on the x side; ids number the distinct masks.
-    mask_id: dict[int, int] = {}
-
-    def ident(mask: int) -> int:
-        return mask_id.setdefault(mask, len(mask_id))
-
-    # per distinct mask: its 2-tables, its id and its swap's id; per id,
-    # the out-masks its x side may send
-    tables_of: dict[int, tuple[tuple[int, ...], int, int]] = {}
-    options: dict[int, tuple[int, ...]] = {}
-    directed = True
-    rows = {t: [0] * len(valid) for t in valid}
-    for a_pos, i in enumerate(valid):
-        row_i, i_x, i_y = rows[i], i & read_x, i & read_y
-        for b_pos, j in enumerate(valid[a_pos:], a_pos):
-            f_ij, r_ij = directions(i_x, j & read_y)
-            f_ji, r_ji = directions(j & read_x, i_y)
-            both = f_ij & r_ji
-            entry = tables_of.get(both)
-            if entry is None:
-                swapped = f_ji & r_ij  # the same 2-tables, j on the x side
-                entry = tables_of[both] = (_bit_positions(both), ident(both),
-                                           ident(swapped))
-                sent, got = sends(both), sends(swapped)
-                options[entry[1]], options[entry[2]] = sent, got
-                directed = directed and len(entry[0]) == len(sent) * len(got)
-            vs, row_i[b_pos], rows[j][a_pos] = entry
-            key = (i, j)
-            pair_vs[key] = vs
-            n_ij[key] = len(vs)
-    cells.pair_vs = pair_vs
-    cells.n_ij = n_ij
-    cells.directed = directed
-    if directed:
-        out = cells.out_options = {(i, j): options[rows[i][pos]]
-                                   for i in valid for pos, j in enumerate(valid)}
-        # a pair that allows nothing empties only the side whose own
-        # instance holds on no 2-table, and the other side keeps what its
-        # own instance sends: the pair factor O_ij O_ji stays 0
-        for (i, j), vs in pair_vs.items():
-            if not vs:
-                f_ij = directions(i & read_x, j & read_y)[0]
-                f_ji = directions(j & read_x, i & read_y)[0]
-                if not (f_ij and f_ji):
-                    out[i, j], out[j, i] = sends(f_ij), sends(f_ji)
-    classes: dict[tuple, list[int]] = {}
-    for t in valid:
-        classes.setdefault(tuple(rows[t]), []).append(t)
-    cells.classes = [tuple(members) for members in classes.values()]
-    return cells
+        selectors = [sel & m for sel in selectors for m in (full_v ^ v_masks[s], v_masks[s])]
+    return CellStructure(signature, u_slots, b_slots, valid, read, patterns,
+                         rows, own, selectors)
 
 
 def n_ij_csv(cells: CellStructure) -> str:

@@ -293,12 +293,15 @@ def block_pinned(cells: CellStructure, block: CountingBlock) -> bool:
     a_slot = cells.u_slot_index(block.a_pred, "unary")
     g_refl = cells.u_slot_index(block.guard, "reflexive")
     g_xy = cells.b_slot_index(block.guard, "xy")
-    g_yx = cells.b_slot_index(block.guard, "yx")
-    outside = {i for i in cells.valid if not cells.type_bit(i, a_slot)}
-    return not any(cells.type_bit(i, g_refl) for i in outside) and not any(
-        i in outside and cells.table_bit(v, g_xy)
-        or j in outside and cells.table_bit(v, g_yx)
-        for (i, j), vs in cells.pair_vs.items() for v in vs)
+    outside = [i for i in cells.valid if not cells.type_bit(i, a_slot)]
+    if any(cells.type_bit(i, g_refl) for i in outside):
+        return False
+    # a guard edge from i is an x->y bit of a 2-table with i on the x side,
+    # and the members of a class allow the same 2-tables toward every type
+    class_of = {t: c for c, members in enumerate(cells.classes) for t in members}
+    starts = {class_of[i]: i for i in outside}.values()
+    return not any(cells.table_bit(v, g_xy) for i in starts
+                   for members in cells.classes for v in cells.tables(i, members[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +388,6 @@ class ProfileEvaluator:
                 _, weights = merged.setdefault(
                     (c, tuple(counts[:self.n_unary]), in_a), (t, {}))
                 weights[tuple(counts)] = weights.get(tuple(counts), 0) + w
-        # in ascending representative order, as pair_vs keys have i <= j
         live = sorted((t, key[1], key[2], [(k, w) for k, w in ws.items() if w])
                       for key, (t, ws) in merged.items() if any(ws.values()))
         self.types = [t for t, _, _, _ in live]
@@ -411,18 +413,20 @@ class ProfileEvaluator:
     def _factors(self, per_element: bool, pairs):
         """The integer factors of the class pairs (pa's out-edges toward pb
         per element, else the 2-tables across pa <= pb), their scale in a
-        census term, a bound G >= 1 on their norms, the census digit width."""
+        census term, a bound G >= 1 on their norms, the census digit width.
+        Each distinct option tuple, and each distinct option, is expanded
+        once."""
         n, cells = self.n, self.cells
-        slots, options = cells.b_slots, cells.pair_vs
+        slots, options = cells.b_slots, cells.tables
         if per_element:
             slots = [(p, "xy") for p in cells.signature.binary_predicates()]
-            options = cells.out_options
-        polys, den = _integral({(pa, pb): [
-            self._term(slots, v) for v in options[self.types[pa], self.types[pb]]]
-            for pa, pb in pairs})
-        g = max(1, max(map(_norm, polys.values()), default=0))
+            options = cells.sends
+        at = {(pa, pb): options(self.types[pa], self.types[pb]) for pa, pb in pairs}
+        terms = {v: self._term(slots, v) for v in set().union(*at.values())}
+        distinct, den = _integral({vs: [terms[v] for v in vs] for vs in set(at.values())})
+        g = max(1, max(map(_norm, distinct.values()), default=0))
         n_pairs = n * (n - 1) // (1 if per_element else 2)
-        return polys, den ** n_pairs, g, _digit_bits(
+        return {pair: distinct[vs] for pair, vs in at.items()}, den ** n_pairs, g, _digit_bits(
             sum(map(_norm, self._weights)) ** n * g ** n_pairs)
 
     def _integral(self) -> bool:
@@ -582,9 +586,9 @@ class ProfileEvaluator:
         """The census over column groups, unread like ``_enumerate_table``:
         classes whose out-edge columns agree form one column, and a census
         of the groups is its multinomial times prod_G (sum of G's rows)^c_G."""
-        n, classes, out, columns = self.n, range(len(self.types)), self.cells.out_options, {}
+        n, classes, sends, columns = self.n, range(len(self.types)), self.cells.sends, {}
         for b, u in enumerate(self.types):
-            columns.setdefault(tuple([out[t, u] for t in self.types]), []).append(b)
+            columns.setdefault(tuple([sends(t, u) for t in self.types]), []).append(b)
         cols = [members[0] for members in columns.values()]
         polys, scale, g, bits = self._factors(True, [(a, r) for a in classes for r in cols])
         first, groups = self._groups(list(columns.values()), bits)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -286,6 +287,52 @@ def test_mask_sweep_matches_reference_random_matrices(seed):
              Atom("S", ("x", "y")), Eq("x", "y")]
     matrix = [random_qf(rng, atoms, 3) for _ in range(rng.randrange(1, 3))]
     assert_matches_reference(sig, matrix)
+
+
+# -- many types to one read pattern --------------------------------------------
+
+
+@pytest.mark.parametrize("text", [
+    # C, D and E are never read: eight valid types share each pattern
+    "predicate A/1\npredicate C/1\npredicate D/1\npredicate E/1\npredicate R/2\n"
+    "forall x forall y (A(x) & R(x,y) -> A(y))",
+    # B is read only on the x side, C and R's reflexive slot only on the
+    # y side, E nowhere: a pattern's x and y parts differ
+    "predicate B/1\npredicate C/1\npredicate E/1\npredicate R/2\npredicate S/2\n"
+    "forall x forall y ((B(x) -> R(x,y)) & (C(y) -> !S(x,y)) & (R(y,y) -> S(y,x)))",
+], ids=("unmentioned", "one_sided"))
+def test_mask_sweep_matches_reference_on_shared_patterns(text):
+    norm = normalize(parse_problem(text))
+    assert_matches_reference(norm.signature, norm.matrix)
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_mask_sweep_matches_reference_with_successor_signs(m):
+    """The successor encoding's sign predicates are read on the x side
+    only, and U never."""
+    norm = Solver(parse_problem("predicate U/1\npredicate B/1\npredicate R/2\n"
+                                f"forall x (B(x) -> exists{{={m}}} y R(x,y))")
+                  ).successor_encoding()
+    assert norm.blocks[0].sign and norm.successors
+    assert_matches_reference(norm.signature, norm.matrix)
+
+
+@pytest.mark.parametrize("k", [10, 11])
+def test_unmentioned_unary_predicates_cost_nothing_per_pair(k):
+    """``forall x exists y R(x,y)`` beside k unary predicates it never
+    mentions has 3 * 2^k valid types but two read patterns, so neither the
+    tables nor the count build anything per pair of types."""
+    text = ("predicate R/2\n" + "".join(f"predicate U{i}/1\n" for i in range(k))
+            + "forall x exists y R(x,y)")
+    n = 10
+    tracemalloc.start()
+    try:
+        count = Solver(parse_problem(text)).count(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == (2 ** n - 1) ** n * 2 ** (k * n)
+    assert peak < 64 << 20
 
 
 # -- classes of interchangeable types ------------------------------------------
