@@ -76,17 +76,22 @@ def load_corpus() -> list[CorpusEntry]:
     return entries
 
 
-def _engine_value(entry: CorpusEntry, solver: Solver, n: int):
-    if entry.mode == "fomc":
-        return str(solver.count(n))
-    if entry.mode == "wfomc":
-        return decimal_str(wfomc_profile(solver, n))
-    dist = distribution_table(solver, n, (entry.query_pred,))
+def _distribution(dist: dict, n: int) -> dict[str, str]:
+    """A distribution keyed by the query card, its values as exact strings,
+    with every card 0..n present."""
     out = {str(k): f"{v.numerator}/{v.denominator}" if v.denominator != 1
            else str(v.numerator) for (k,), v in dist.items()}
     for k in range(n + 1):
         out.setdefault(str(k), "0")
     return out
+
+
+def _engine_value(entry: CorpusEntry, solver: Solver, n: int):
+    if entry.mode == "fomc":
+        return str(solver.count(n))
+    if entry.mode == "wfomc":
+        return decimal_str(wfomc_profile(solver, n))
+    return _distribution(distribution_table(solver, n, (entry.query_pred,)), n)
 
 
 def _oracle_value(entry: CorpusEntry, problem: Problem, n: int, cap: int):
@@ -100,14 +105,9 @@ def _oracle_value(entry: CorpusEntry, problem: Problem, n: int, cap: int):
                            symmetric_weights=problem.symmetric_weights or None,
                            profile_weight=problem.profile_weight, cap=cap)
         return decimal_str(rep.weighted_total)
-    dist = oracle_distribution(problem.signature, problem.sentence, n,
-                               problem.profile_weight, (entry.query_pred,),
-                               constraint=problem.constraint, cap=cap)
-    out = {str(k): f"{v.numerator}/{v.denominator}" if v.denominator != 1
-           else str(v.numerator) for (k,), v in dist.items()}
-    for k in range(n + 1):
-        out.setdefault(str(k), "0")
-    return out
+    return _distribution(oracle_distribution(problem.signature, problem.sentence, n,
+                                             problem.profile_weight, (entry.query_pred,),
+                                             constraint=problem.constraint, cap=cap), n)
 
 
 def verify_entry(entry: CorpusEntry, max_n: int | None = None,

@@ -5,11 +5,14 @@ of valid 1-types (see ``cells``), a multinomial times the class weights
 and one factor per pair of elements.  On a directed matrix an element of
 class i contributes w_i prod_j g_ij^(k_j - [i = j]), g_ij being the
 polynomial of the out-edges i may send to j (van Bremen and Kuzelka's
-cell-graph pair factors, split by direction), and a counting block
-``A(x) <-> exists{=m} y G(x,y)`` reads each element's row at its guard
-degree m.  Classes whose columns g_.j agree form one column group, and by
-the multinomial theorem the census runs over the group counts c, each
-worth n!/prod_G c_G! prod_G (sum_{i in G} F_i)^c_G: one group is the n-th
+cell-graph pair factors, split by direction).  A counting block
+``A(x) <-> exists{=m} y G(x,y)`` reads an A-element's row at guard
+degree m and any other's as its whole row minus that digit; the minus is
+a class weight, like a sign predicate's, so each class reads digit m of
+the guard degrees of its own set of blocks.  Classes whose columns g_.j
+agree form one column group, and by the multinomial theorem the census
+runs over the group counts c, each worth
+n!/prod_G c_G! prod_G (sum_{i in G} F_i)^c_G: one group is the n-th
 power of a per-element polynomial.  Any other matrix, and the
 ``successor_encoding`` with its tie counter and 1/m! divisors,
 enumerates the censuses of the classes over 2-table pair factors.
@@ -368,13 +371,16 @@ class ProfileEvaluator:
         self._bounds += [(b.m * n, b.m * n * (n + 1)) if self._ties else (b.m, n)
                          for b in norm.blocks]
 
-        # ``build_cells`` groups interchangeable types, split here by tracked
-        # unary key and block membership into classes.  A class carries the
-        # sum of its members' weights (signs included) times their counters,
-        # exact by the multinomial theorem; an A-element of a tie-counted
-        # block weighs 1/m!.  Classes whose sum is zero drop out.
+        # ``build_cells`` groups interchangeable types, split here into classes
+        # by tracked unary key and ``kept``: with a tie counter a type's A's (an
+        # A-element weighs 1/m!), else each superset of them, the blocks whose
+        # guard degree a row reads at digit m, signed -1 per block outside A
+        # (a row at guard degree 1 minus digit m).  A class carries the sum of
+        # its members' weights (signs included) times their counters, exact by
+        # the multinomial theorem.  Classes whose sum is zero drop out.
         sign_slots = [cells.u_slot_index(p, "unary") for p in norm.sign_preds]
         a_slots = [cells.u_slot_index(b.a_pred, "unary") for b in norm.blocks]
+        outside = (False,) if self._ties else (False, True)
         merged: dict[tuple, tuple[int, dict]] = {}
         for c, members in enumerate(cells.classes):
             for t in members:
@@ -385,14 +391,15 @@ class ProfileEvaluator:
                     if self._ties:
                         w = Fraction(w, block.divisor_base) if hit else w
                         counts[d] += 0 if hit else block.m
-                _, weights = merged.setdefault(
-                    (c, tuple(counts[:self.n_unary]), in_a), (t, {}))
-                weights[tuple(counts)] = weights.get(tuple(counts), 0) + w
+                key = tuple(counts)
+                for kept in product(*[(True,) if hit else outside for hit in in_a]):
+                    _, weights = merged.setdefault((c, key[:self.n_unary], kept), (t, {}))
+                    weights[key] = weights.get(key, 0) + (-1) ** (sum(kept) - sum(in_a)) * w
         live = sorted((t, key[1], key[2], [(k, w) for k, w in ws.items() if w])
                       for key, (t, ws) in merged.items() if any(ws.values()))
         self.types = [t for t, _, _, _ in live]
         self._unary_keys = [ukey for _, ukey, _, _ in live]
-        self._in_a = [in_a for _, _, in_a, _ in live]
+        self._kept = [kept for _, _, kept, _ in live]
         weights, self._type_scale = _integral(dict(enumerate(w for *_, w in live)))
         self._weights = list(weights.values())
 
@@ -433,13 +440,6 @@ class ProfileEvaluator:
         """Whether every symmetric weight is an integer, so that every row
         and every sum of them divides by its scale."""
         return all(Fraction(w).denominator == 1 for pair in self.fold.values() for w in pair)
-
-    def _divide(self, value: int, scale: int, what: str):
-        """value / scale; with integer symmetric weights it must divide."""
-        if value % scale and self._integral():
-            raise InternalConsistencyError(
-                f"counting-quantifier division left a non-integer {what}")
-        return _quotient(value, scale)
 
     def _ranges_at(self, key: tuple[int, ...]) -> dict | None:
         """The card ranges the constraint's comparisons allow in a census
@@ -544,12 +544,11 @@ class ProfileEvaluator:
         return min(packed, split(), key=cost) if self.n_unary else packed
 
     def _readings(self, polys: dict, g: int, layout: _Layout, first: int, cols) -> list:
-        """Per class, the layout its rows decode from and the ways a row is
-        read: (sign, layout it is computed in, its factors toward the columns
-        ``cols`` and class weight packed there, guard degrees read at digit
-        m).  Without blocks: the census layout, as is; else, per flags of the
-        kept guard degrees, digit m of each, signed -1 per block the element
-        is outside (its row at guard degree 1 minus that digit)."""
+        """Per class, how its element's row is read: (the layout the reading
+        decodes from, the layout the row is computed in, its factors toward
+        the columns ``cols`` and class weight packed there, the guard degrees
+        read at digit m).  Without blocks the census layout, as is; else one
+        that keeps only the guard degrees of the class's ``kept`` blocks."""
         n, end, blocks = self.n, len(self.key_names), self.norm.blocks
         spaces = {(): layout}
         if blocks:
@@ -560,27 +559,25 @@ class ProfileEvaluator:
             spaces = {kept: _Layout(
                 [*range(first, end)] + [d for d, k in enumerate(kept, end) if k],
                 tops + [self._bounds[d] for d, k in enumerate(kept, end) if k], bits)
-                for kept in product((False, True), repeat=len(blocks))}
-        return [(spaces[(False,) * len(blocks)], [
-            ((-1) ** (sum(kept) - sum(in_a)), spaces[kept],
-             [spaces[kept].pack(polys[pos, r]) for r in cols],
-             spaces[kept].pack(self._weights[pos]), [b.m for b, k in zip(blocks, kept) if k])
-            for kept in product(*[(True,) if hit else (False, True) for hit in in_a])])
-            for pos, in_a in enumerate(self._in_a)]
+                for kept in {*self._kept, (False,) * len(blocks)}}
+        base = spaces[(False,) * len(blocks)]
+        return [(base, spaces[kept], [spaces[kept].pack(polys[pos, r]) for r in cols],
+                 spaces[kept].pack(self._weights[pos]), [b.m for b, k in zip(blocks, kept) if k])
+                for pos, kept in enumerate(self._kept)]
 
     @staticmethod
-    def _element(readings, exponents: Sequence[int], layout: _Layout) -> int:
-        """One element's row in the census ``layout``, read as ``readings``
-        says: its class weight times its factors to the ``exponents``."""
-        (base, ways), value = readings, 0
-        for sign, space, factors, row, top in ways:
-            for f, e in zip(factors, exponents):
-                if e:
-                    row = space.mul(row, space.pow(f, e))
-            if space is layout:
-                return row
-            value += sign * space.at(row, top)
-        return layout.pack(base.decode(value)) if layout.counters else value
+    def _element(reading, exponents: Sequence[int], layout: _Layout) -> int:
+        """One element's row in the census ``layout``, read as ``reading``
+        says: its class weight times its factors to the ``exponents``, at
+        digit m of each guard degree it keeps."""
+        base, space, factors, row, top = reading
+        for f, e in zip(factors, exponents):
+            if e:
+                row = space.mul(row, space.pow(f, e))
+        if space is layout:
+            return row
+        row = space.at(row, top)
+        return layout.pack(base.decode(row)) if layout.counters else row
 
     def _group_table(self) -> tuple[dict, _Layout, int]:
         """The census over column groups, unread like ``_enumerate_table``:
@@ -652,7 +649,10 @@ class ProfileEvaluator:
             box = tuple(ranges[p] for p in cards) + ties
             boxes[box] = boxes.get(box, 0) + value
         total = sum(layout.sum(value, box) for box, value in boxes.items())
-        return self._divide(total, scale * self._type_scale ** self.n, "total")
+        scale *= self._type_scale ** self.n
+        if total % scale and self._integral():  # integer weights must divide
+            raise InternalConsistencyError("counting-quantifier division left a non-integer total")
+        return _quotient(total, scale)
 
 
 # ---------------------------------------------------------------------------

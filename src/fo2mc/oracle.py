@@ -23,12 +23,11 @@ DEFAULT_CAP = 28
 
 class OracleReport:
     def __init__(self, n: int, total: int, models_enumerated: int,
-                 weighted_total: Fraction | None = None, stratified: dict | None = None):
+                 weighted_total: Fraction | None = None):
         self.n = n
         self.total = total
         self.models_enumerated = models_enumerated
         self.weighted_total = weighted_total
-        self.stratified = stratified
 
 
 def _census_sweep(signature: Signature, sentence: Formula, n: int,

@@ -331,7 +331,7 @@ def test_path_choice(monkeypatch):
     for text, shape in [("forall x exists y R(x,y)", (2, 1, 1, "pack")),
                         ("predicate A/1\nexists x A(x)", (3, 2, 2, "pack")),
                         (RUNNING_EXAMPLE, (2, 2, 2, "pack")),
-                        (ZERO_OR_TWO_EXAMPLE, (2, 1, 1, "pack")),
+                        (ZERO_OR_TWO_EXAMPLE, (3, 1, 1, "pack")),  # outside A: 2 signed classes
                         (TWO_WITNESS, (8, 2, 2, "pack")),
                         (THREE_WITNESS, (32, 4, 4, "pack"))]:
         assert path_of(text, 2)[:2] == ("_group_table", shape)

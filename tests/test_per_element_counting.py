@@ -61,6 +61,34 @@ def test_exactly_m_successors(m, sizes):
     assert [solver.count(n) for n in sizes] == [math.comb(n, m) ** n for n in sizes]
 
 
+def at_most(n, m):
+    return sum(math.comb(n, d) for d in range(m + 1))
+
+
+@pytest.mark.parametrize("op,m,closed", [
+    *[("<=", m, lambda n, m=m: at_most(n, m) ** n) for m in range(1, 8)],
+    *[(">=", m, lambda n, m=m: (2 ** n - at_most(n, m - 1)) ** n) for m in range(1, 5)]])
+def test_counting_sugar_closed_form(op, m, closed):
+    """``exists{<=m}`` and ``exists{>=m}`` expand into exact blocks on one
+    guard: each element has at most m, or at least m, successors."""
+    p = parse_problem(f"forall x exists{{{op}{m}}} y R(x,y)")
+    solver = Solver(p)
+    assert not solver.norm.successors
+    sizes = (1, 2, 3, 12)
+    assert [solver.count(n) for n in sizes] == [closed(n) for n in sizes]
+    for n in (1, 2):
+        assert oracle_count(p.signature, p.sentence, n).total == closed(n)
+
+
+def test_at_most_seven_successors_is_fast():
+    """Seven blocks on one guard: a type outside some blocks' A's joins a
+    signed class per set of blocks it reads at digit m, and those classes
+    merge with its cell-mates' once, before any census, rather than each
+    class reading up to 2^7 signed rows per census."""
+    value, seconds = timed_count(Solver(parse_problem("forall x exists{<=7} y R(x,y)")), 10)
+    assert value == at_most(10, 7) ** 10 and seconds < 3
+
+
 def test_random_seed_127_is_fast():
     """Seed 127's block sits on a directed matrix that does not factor per
     element, so it enumerates censuses without a tie counter."""
