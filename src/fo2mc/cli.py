@@ -36,7 +36,7 @@ from .cells import n_ij_csv
 from .engine import Solver, _as_count
 from .errors import (InternalConsistencyError, ParseError, SemanticError,
                      UnsupportedFeatureError)
-from .logic import CardAnd, CardCompare, decimal_str
+from .logic import SYNTHETIC_PREFIX, CardAnd, CardCompare, decimal_str
 from .normalize import dump_normalized
 from .oracle import DEFAULT_CAP, oracle_count, oracle_distribution
 from .parser import (parse_cardinality, parse_problem, parse_weight_expr)
@@ -211,6 +211,8 @@ def _run_count(args, out, err) -> int:
     solver = Solver(problem)
     tracked = args.track.split(",") if args.track else []
     for pred in tracked:
+        if pred.startswith(SYNTHETIC_PREFIX):
+            raise SemanticError(f"names starting with {SYNTHETIC_PREFIX!r} are reserved")
         if pred not in solver.norm.signature:
             raise SemanticError(f"cannot track undeclared predicate {pred}")
     if args.format == "csv":

@@ -6,25 +6,26 @@ and one factor per pair of elements.  On a directed matrix an element of
 class i contributes w_i prod_j g_ij^(k_j - [i = j]), g_ij being the
 polynomial of the out-edges i may send to j (van Bremen and Kuzelka's
 cell-graph pair factors, split by direction).  A counting block
-``A(x) <-> exists{=m} y G(x,y)`` reads an A-element's row at guard
-degree m and any other's as its whole row minus that digit; the minus is
-a class weight, like a sign predicate's, so each class reads digit m of
-the guard degrees of its own set of blocks.  Classes whose columns g_.j
-agree form one column group, and by the multinomial theorem the census
-runs over the group counts c, each worth
-n!/prod_G c_G! prod_G (sum_{i in G} F_i)^c_G: one group is the n-th
-power of a per-element polynomial.  Any other matrix, and the
-``successor_encoding`` with its tie counter and 1/m! divisors,
+``A(x) <-> exists{=m} y G(x,y)`` reads an A-element's row at digit m of
+its G-degree, one counter for all of G's blocks, and any other's as its
+whole row minus the digit of each of their m's; each minus is a class
+weight, like a sign predicate's, so a class reads each guard degree at
+one digit or whole.  Classes whose columns g_.j agree form one column
+group, and by the multinomial theorem the census runs over the group
+counts c, each worth n!/prod_G c_G! prod_G (sum_{i in G} F_i)^c_G: one
+group is the n-th power of a per-element polynomial.  Any other matrix,
+and the ``successor_encoding`` with its tie counter and 1/m! divisors,
 enumerates the censuses of the classes over 2-table pair factors.
 ``Solver`` is the one entry point.
 
-Counters, one per tracked predicate (unary ones first) and one per block,
-are raised by the true atoms of each 1-type, 2-table and out-edge mask,
-so every factor is a generating function in them (Kuzelka, JAIR 2021),
-evaluated as one Python integer (Kronecker substitution, ``_Layout``).
-Tracked unary cards are census keys on pair tables; in the group census
-they split the groups, or stay digits, by a cost estimate.  Weights are
-scaled to integers, and the scale is divided out once.
+Counters, one per tracked predicate (unary ones first) and one per guard
+(per block in the successor encoding), are raised by the true atoms of
+each 1-type, 2-table and out-edge mask, so every factor is a generating
+function in them (Kuzelka, JAIR 2021), evaluated as one Python integer
+(Kronecker substitution, ``_Layout``).  Tracked unary cards are census
+keys on pair tables; in the group census they split the groups, or stay
+digits, by a cost estimate.  Weights are scaled to integers, and the
+scale is divided out once.
 
 A constraint's top-level comparisons give every card a range
 (``card_ranges``): its upper bounds cap the digits kept, dropped after
@@ -154,12 +155,13 @@ class _Layout:
         half = self.pow(a, e // 2)
         return self.mul(self.mul(half, half), a if e & 1 else 1)
 
-    def pack(self, poly) -> int:
+    def pack(self, poly, ones: Sequence[int] = ()) -> int:
         """Pack (counts, coefficient) pairs, counts indexed like the
-        evaluator's counters, dropping the terms above the caps."""
+        evaluator's counters and those in ``ones`` taken as 0 (evaluated
+        at 1), dropping the terms above the caps."""
         total = 0
         for counts, coef in poly:
-            key = [counts[d] for d in self.counters]
+            key = [0 if d in ones else counts[d] for d in self.counters]
             if all(map(int.__le__, key, self.caps)):
                 total += coef << self.bits * sum(map(int.__mul__, key, self.strides))
         return total
@@ -337,8 +339,8 @@ class ProfileEvaluator:
         arity = norm.signature.arity
 
         # The counters each true atom of a predicate raises: tracked
-        # predicates (unary ones first), then one per block, its guard
-        # degree, or in the successor encoding the tie counter sum_j |f_j| +
+        # predicates (unary ones first), then one per guard, its degree, or in
+        # the successor encoding one per block, the tie counter sum_j |f_j| +
         # m * |not A|, which is m * n exactly on the tied profiles: the sign
         # predicates cancel every profile where an A-element lacks an f_j
         # successor, so |f_j| >= |A| and the sum pins each |f_j|.
@@ -350,16 +352,18 @@ class ProfileEvaluator:
         # polynomial); the census over pair tables otherwise
         self._directed = cells.directed and not self._ties
         n_keys = len(self.key_names)
-        self._width = n_keys + len(norm.blocks)
+        self._guards: dict[str, list[tuple[int, int]]] = {}  # guard -> (block, m)s
+        for i, b in enumerate(() if self._ties else norm.blocks):
+            self._guards.setdefault(b.guard, []).append((i, b.m))
+        counted = [b.f_preds for b in norm.blocks] if self._ties else [(g,) for g in self._guards]
         self._raises: dict[str, list[int]] = {}
-        for d, preds in enumerate([(p,) for p in self.key_names]
-                                  + [b.f_preds or (b.guard,) for b in norm.blocks]):
+        for d, preds in enumerate([(p,) for p in self.key_names] + counted):
             for pred in preds:
                 self._raises.setdefault(pred, []).append(d)
         # (cap, top) per counter: a card reaches n or n * n but only the
         # values the constraint's comparisons allow are kept, a guard degree
-        # n but only digit m is read; a tie counter only climbs, so nothing
-        # past its target matters
+        # n but only its blocks' digits m are read; a tie counter only climbs,
+        # so nothing past its target matters
         self.constraint = constraint
         parts, self._whole = _conjuncts(constraint)
         self._forms = [_linear(part) for part in parts]
@@ -368,46 +372,61 @@ class ProfileEvaluator:
         ranges = card_ranges(self._forms, {p: (0, top) for p, top in tops.items()})
         caps = {p: hi for p, (_, hi) in ranges.items()} if ranges else dict.fromkeys(tops, 0)
         self._bounds = [(caps[p], tops[p]) for p in self.key_names]
-        self._bounds += [(b.m * n, b.m * n * (n + 1)) if self._ties else (b.m, n)
-                         for b in norm.blocks]
+        self._bounds += ([(b.m * n, b.m * n * (n + 1)) for b in norm.blocks] if self._ties
+                         else [(max(m for _, m in blocks), n) for blocks in self._guards.values()])
 
         # ``build_cells`` groups interchangeable types, split here into classes
-        # by tracked unary key and ``kept``: with a tie counter a type's A's (an
-        # A-element weighs 1/m!), else each superset of them, the blocks whose
-        # guard degree a row reads at digit m, signed -1 per block outside A
-        # (a row at guard degree 1 minus digit m).  A class carries the sum of
-        # its members' weights (signs included) times their counters, exact by
-        # the multinomial theorem.  Classes whose sum is zero drop out.
+        # by tracked unary key and the digit read of each guard degree
+        # (``_read_options``); with a tie counter an A-element weighs 1/m!.  A
+        # class carries the sum of its members' signed weights times their
+        # counters, exact by the multinomial theorem.  Classes whose sum is
+        # zero drop out.
         sign_slots = [cells.u_slot_index(p, "unary") for p in norm.sign_preds]
         a_slots = [cells.u_slot_index(b.a_pred, "unary") for b in norm.blocks]
-        outside = (False,) if self._ties else (False, True)
+        options = {(): [((), 1)]}  # A bits -> their ``_read_options``, seeded for no blocks
         merged: dict[tuple, tuple[int, dict]] = {}
         for c, members in enumerate(cells.classes):
             for t in members:
                 counts, w = self._term(cells.u_slots, t)
-                in_a = tuple(bool(cells.type_bit(t, s)) for s in a_slots)
+                in_a = tuple(cells.type_bit(t, s) for s in a_slots)
                 w *= (-1) ** sum(cells.type_bit(t, s) for s in sign_slots)
                 for d, (block, hit) in enumerate(zip(norm.blocks, in_a), n_keys):
                     if self._ties:
                         w = Fraction(w, block.divisor_base) if hit else w
                         counts[d] += 0 if hit else block.m
+                if in_a not in options:
+                    options[in_a] = self._read_options(in_a)
                 key = tuple(counts)
-                for kept in product(*[(True,) if hit else outside for hit in in_a]):
-                    _, weights = merged.setdefault((c, key[:self.n_unary], kept), (t, {}))
-                    weights[key] = weights.get(key, 0) + (-1) ** (sum(kept) - sum(in_a)) * w
+                for reads, sign in options[in_a]:
+                    _, weights = merged.setdefault((c, key[:self.n_unary], reads), (t, {}))
+                    weights[key] = weights.get(key, 0) + sign * w
         live = sorted((t, key[1], key[2], [(k, w) for k, w in ws.items() if w])
                       for key, (t, ws) in merged.items() if any(ws.values()))
         self.types = [t for t, _, _, _ in live]
         self._unary_keys = [ukey for _, ukey, _, _ in live]
-        self._kept = [kept for _, _, kept, _ in live]
+        self._reads = [reads for _, _, reads, _ in live]
         weights, self._type_scale = _integral(dict(enumerate(w for *_, w in live)))
         self._weights = list(weights.values())
+
+    def _read_options(self, in_a: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
+        """The (digit read of each guard degree, 0 for the whole row; sign)
+        of the classes a type in the A's ``in_a`` joins.  Per guard: digit m
+        if in A at m alone; else, if outside every A, the whole row minus
+        digit m per distinct m; else none."""
+        per_guard = []
+        for blocks in self._guards.values():
+            inside, outside = ({m for i, m in blocks if in_a[i] == hit} for hit in (1, 0))
+            if len(inside) > 1 or inside & outside:
+                return []
+            per_guard.append(inside or [0, *(-m for m in sorted(outside))])  # -m: minus digit m
+        return [(tuple(map(abs, reads)), (-1) ** sum(m < 0 for m in reads))
+                for reads in product(*per_guard)]
 
     def _term(self, slots: Sequence[tuple[str, str]], index: int):
         """The counter values raised by the true atoms of ``index``, an
         assignment to ``slots`` (a 1-type, a 2-table or an out-edge mask),
         and the product of its atoms' symmetric weights."""
-        counts, weight = [0] * self._width, 1
+        counts, weight = [0] * len(self._bounds), 1
         for s, (pred, _) in enumerate(slots):
             bit = slot_bit(index, s, len(slots))
             if pred in self.fold:
@@ -501,7 +520,7 @@ class ProfileEvaluator:
         classes = range(len(self.types))
         polys, scale, _, bits = self._factors(
             False, [(a, b) for a in classes for b in classes if a <= b])
-        layout = _Layout(range(n_unary, self._width), self._bounds[n_unary:], bits)
+        layout = _Layout(range(n_unary, len(self._bounds)), self._bounds[n_unary:], bits)
         factors = {k: layout.pack(p) for k, p in polys.items()}
         weights = [layout.pack(w) for w in self._weights]
         factorial = [math.factorial(k) for k in range(n + 1)]
@@ -544,40 +563,41 @@ class ProfileEvaluator:
         return min(packed, split(), key=cost) if self.n_unary else packed
 
     def _readings(self, polys: dict, g: int, layout: _Layout, first: int, cols) -> list:
-        """Per class, how its element's row is read: (the layout the reading
-        decodes from, the layout the row is computed in, its factors toward
-        the columns ``cols`` and class weight packed there, the guard degrees
-        read at digit m).  Without blocks the census layout, as is; else one
-        that keeps only the guard degrees of the class's ``kept`` blocks."""
-        n, end, blocks = self.n, len(self.key_names), self.norm.blocks
-        spaces = {(): layout}
-        if blocks:
+        """Per class, how its element's row is read: (the layout it decodes
+        into, the layout it is computed in, its factors toward the columns
+        ``cols`` and class weight packed there, its ``_reads``).  A class that
+        reads no guard degree uses ``base``, the census counters alone (the
+        census layout without guards); any other the one layout that adds
+        every guard degree, each it does not read packed at 1 (whole)."""
+        n, end = self.n, len(self.key_names)
+        base = element = layout
+        if self._guards:
             # an element raises a unary card at most once, anything else n times
             tops = [(1, 1) if d < self.n_unary else (min(top, n),) * 2
                     for d, (_, top) in enumerate(self._bounds[first:end], first)]
             bits = _digit_bits(max(map(_norm, self._weights), default=0) * g ** (n - 1))
-            spaces = {kept: _Layout(
-                [*range(first, end)] + [d for d, k in enumerate(kept, end) if k],
-                tops + [self._bounds[d] for d, k in enumerate(kept, end) if k], bits)
-                for kept in {*self._kept, (False,) * len(blocks)}}
-        base = spaces[(False,) * len(blocks)]
-        return [(base, spaces[kept], [spaces[kept].pack(polys[pos, r]) for r in cols],
-                 spaces[kept].pack(self._weights[pos]), [b.m for b, k in zip(blocks, kept) if k])
-                for pos, kept in enumerate(self._kept)]
+            base = _Layout(range(first, end), tops, bits)
+            element = _Layout(range(first, len(self._bounds)), tops + self._bounds[end:], bits)
+        readings = []
+        for pos, reads in enumerate(self._reads):
+            space = element if any(reads) else base
+            ones = [d for d, m in enumerate(reads, end) if not m]
+            readings.append((base, space, [space.pack(polys[pos, r], ones) for r in cols],
+                             space.pack(self._weights[pos], ones), reads))
+        return readings
 
     @staticmethod
     def _element(reading, exponents: Sequence[int], layout: _Layout) -> int:
         """One element's row in the census ``layout``, read as ``reading``
         says: its class weight times its factors to the ``exponents``, at
-        digit m of each guard degree it keeps."""
-        base, space, factors, row, top = reading
+        the digit it reads of each guard degree."""
+        base, space, factors, row, reads = reading
         for f, e in zip(factors, exponents):
             if e:
                 row = space.mul(row, space.pow(f, e))
-        if space is layout:
-            return row
-        row = space.at(row, top)
-        return layout.pack(base.decode(row)) if layout.counters else row
+        if space is not base:
+            row = space.at(row, reads)
+        return layout.pack(base.decode(row)) if base is not layout and layout.counters else row
 
     def _group_table(self) -> tuple[dict, _Layout, int]:
         """The census over column groups, unread like ``_enumerate_table``:

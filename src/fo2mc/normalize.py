@@ -203,11 +203,12 @@ def encode_counting(sentence: Formula, alloc: NameAllocator
     """Replace every ``exists{=m} v body(w,v)`` occurrence, m >= 1, with
     A_i(w) for a fresh A_i and the bare block (A_i, guard, m); a counting
     node with other comparisons or m = 0 is expanded into exact ones
-    where it stands.  A body other than a guard atom G(w,v) gets a fresh
+    where it stands.  A body other than a guard atom G(w,v) gets a
     definitional guard, whose axiom (w renamed to x, v to y) is
-    conjoined."""
+    conjoined: one per distinct body so renamed, so that occurrences
+    counting the same body share a guard degree."""
     blocks: list[CountingBlock] = []
-    axioms: list[Formula] = []
+    guards: dict[Formula, str] = {}
 
     def walk(f: Formula, inside_counting: bool) -> Formula:
         if not isinstance(f, Counting):
@@ -227,14 +228,14 @@ def encode_counting(sentence: Formula, alloc: NameAllocator
         if isinstance(body, Atom) and body.args == (w, v):
             guard = body.pred
         else:
-            guard = alloc.fresh("R", 2)
-            axioms.append(Forall("x", Forall("y", Iff(
-                Atom(guard, ("x", "y")), substitute(body, {w: "x", v: "y"})))))
+            renamed = substitute(body, {w: "x", v: "y"})
+            guard = guards.get(renamed) or guards.setdefault(renamed, alloc.fresh("R", 2))
         blocks.append(CountingBlock(len(blocks) + 1, guard, f.count, alloc.fresh("A", 1)))
         return Atom(blocks[-1].a_pred, (w,))
 
     replaced = walk(sentence, False)
-    return conjoin([replaced, *axioms]), tuple(blocks)
+    return conjoin([replaced, *(Forall("x", Forall("y", Iff(Atom(g, ("x", "y")), body)))
+                                for body, g in guards.items())]), tuple(blocks)
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,12 @@ class OracleReport:
         self.weighted_total = weighted_total
 
 
-def _census_sweep(signature: Signature, sentence: Formula, n: int,
-                  cap: int) -> tuple[dict[tuple[int, ...], int], int, list[str]]:
-    """Count models grouped by the vector of per-predicate cardinalities."""
+def _census_sweep(signature: Signature, sentence: Formula, n: int, cap: int,
+                  by_one_types: bool = False
+                  ) -> tuple[dict[tuple[int, ...], int], int, list[str]]:
+    """Count models grouped by the vector of per-predicate cardinalities,
+    or by the census of unary 1-types (how many elements realize each
+    combination of unary and reflexive-binary atoms, slot 0 the high bit)."""
     gf = ground(signature, sentence, n)
     bits = len(gf.atoms)
     if bits > cap:
@@ -40,31 +43,35 @@ def _census_sweep(signature: Signature, sentence: Formula, n: int,
             f"{bits} ground atoms exceed the oracle cap of {cap} "
             f"(2^{bits} assignments); reduce n or raise --oracle-cap")
     preds = signature.predicates()
-    masks = []
-    for pred in preds:
-        m = 0
-        for atom, i in gf.index.items():
-            if atom[0] == pred:
-                m |= 1 << i
-        masks.append(m)
+    if by_one_types:
+        slots = one_type_slots(signature)
+        # per element, the atom indices of its 1-type slots
+        elements = [[gf.index[(pred, c) if kind == "unary" else (pred, c, c)]
+                     for pred, kind in slots] for c in range(n)]
+
+        def key(a: int) -> tuple[int, ...]:
+            types = [sum((a >> i & 1) << len(idxs) - 1 - s for s, i in enumerate(idxs))
+                     for idxs in elements]
+            return tuple(map(types.count, range(1 << len(slots))))
+    else:
+        masks = [sum(1 << i for atom, i in gf.index.items() if atom[0] == pred)
+                 for pred in preds]
+
+        def key(a: int) -> tuple[int, ...]:
+            return tuple((a & m).bit_count() for m in masks)
     fn = gf.function()
     census: dict[tuple[int, ...], int] = {}
     for a in range(1 << bits):
         if fn(a):
-            key = tuple((a & m).bit_count() for m in masks)
-            census[key] = census.get(key, 0) + 1
+            k = key(a)
+            census[k] = census.get(k, 0) + 1
     return census, 1 << bits, preds
 
 
 def _filter(census, preds, constraint: CardConstraint | None):
     if constraint is None:
         return census
-    out = {}
-    for key, cnt in census.items():
-        cards = dict(zip(preds, key))
-        if constraint.holds(cards):
-            out[key] = cnt
-    return out
+    return {key: cnt for key, cnt in census.items() if constraint.holds(dict(zip(preds, key)))}
 
 
 def _symmetric_model_weight(signature: Signature, n: int, cards: Mapping[str, int],
@@ -110,46 +117,15 @@ def oracle_stratified(signature: Signature, sentence: Formula, n: int,
     """Model counts keyed by requested predicate cardinalities, or by the
     census of unary 1-types (how many elements realize each combination
     of unary and reflexive-binary atoms)."""
+    census, _, all_preds = _census_sweep(signature, sentence, n, cap, by_one_types)
     if by_one_types:
-        return _one_type_census(signature, sentence, n, cap)
-    census, _, all_preds = _census_sweep(signature, sentence, n, cap)
+        return census
     census = _filter(census, all_preds, constraint)
     pos = [all_preds.index(p) for p in preds]
     out: dict[tuple[int, ...], int] = {}
     for key, cnt in census.items():
         sub = tuple(key[i] for i in pos)
         out[sub] = out.get(sub, 0) + cnt
-    return out
-
-
-def _one_type_census(signature: Signature, sentence: Formula, n: int,
-                     cap: int) -> dict[tuple[int, ...], int]:
-    gf = ground(signature, sentence, n)
-    bits = len(gf.atoms)
-    if bits > cap:
-        raise OracleCapError(f"{bits} ground atoms exceed the oracle cap of {cap}")
-    slots = one_type_slots(signature)
-    u = len(slots)
-    # per element, the atom indices of its 1-type slots (slot 0 = high bit)
-    elem_bits: list[list[int]] = []
-    for c in range(n):
-        idxs = []
-        for pred, kind in slots:
-            atom = (pred, c) if kind == "unary" else (pred, c, c)
-            idxs.append(gf.index[atom])
-        elem_bits.append(idxs)
-    fn = gf.function()
-    out: dict[tuple[int, ...], int] = {}
-    for a in range(1 << bits):
-        if fn(a):
-            counts = [0] * (1 << u)
-            for idxs in elem_bits:
-                t = 0
-                for i in idxs:
-                    t = (t << 1) | (a >> i & 1)
-                counts[t] += 1
-            key = tuple(counts)
-            out[key] = out.get(key, 0) + 1
     return out
 
 

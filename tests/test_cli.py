@@ -188,6 +188,15 @@ def test_track_undeclared_predicate(flags):
     assert "cannot track undeclared predicate Q" in err
 
 
+def test_track_refuses_synthetic_names():
+    """A sign predicate's profiles are inclusion-exclusion terms, not
+    model counts, so --track refuses reserved names like --weight does."""
+    code, out, err = invoke("count", "-n", "2", "-e", "forall x exists y R(x,y)",
+                            "--track", "__P1", "--profiles")
+    assert code == 1 and out == ""
+    assert "names starting with '__' are reserved" in err
+
+
 def test_exit_code_unsupported():
     code, _, err = invoke("count", "-n", "2", "-e",
                           "predicate A/1\npredicate B/1\n"

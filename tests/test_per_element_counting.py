@@ -10,7 +10,7 @@ import pytest
 import fo2mc.engine
 from fo2mc.cells import build_cells
 from fo2mc.corpus import load_corpus
-from fo2mc.engine import Solver, block_pinned
+from fo2mc.engine import ProfileEvaluator, Solver, block_pinned
 from fo2mc.errors import UnsupportedFeatureError
 from fo2mc.normalize import normalize, successor_encoding
 from fo2mc.oracle import oracle_count
@@ -81,12 +81,60 @@ def test_counting_sugar_closed_form(op, m, closed):
 
 
 def test_at_most_seven_successors_is_fast():
-    """Seven blocks on one guard: a type outside some blocks' A's joins a
-    signed class per set of blocks it reads at digit m, and those classes
-    merge with its cell-mates' once, before any census, rather than each
-    class reading up to 2^7 signed rows per census."""
+    """Seven blocks on one guard share its degree counter: a type outside
+    every A joins the whole-row class and one signed class per m, merged
+    with its cell-mates' once, before any census."""
     value, seconds = timed_count(Solver(parse_problem("forall x exists{<=7} y R(x,y)")), 10)
     assert value == at_most(10, 7) ** 10 and seconds < 3
+
+
+def test_blocks_on_one_guard_share_its_degree_counter():
+    """The seven blocks of ``exists{<=7}`` count one R-degree: one counter,
+    and per cell class at most the whole row and one digit per m."""
+    solver = Solver(parse_problem("forall x exists{<=7} y R(x,y)"))
+    ev = ProfileEvaluator(solver.norm, solver.cells, 10)
+    assert len(solver.norm.blocks) == 7
+    assert len(ev._bounds) - len(ev.key_names) == 1  # counters past the tracked cards
+    assert len(ev.types) <= 16
+
+
+def test_at_most_seven_successors_at_forty():
+    value, seconds = timed_count(Solver(parse_problem("forall x exists{<=7} y R(x,y)")), 40)
+    assert value == at_most(40, 7) ** 40 and seconds < 0.5
+
+
+def test_non_atom_body_shares_one_guard():
+    """The six blocks of a non-atom ``exists{<=5}`` share one definitional
+    guard, so its table bits stay small."""
+    p = parse_problem("forall x (A(x) -> exists{<=5} y (R(x,y) & A(y)))")
+    solver = Solver(p)
+    assert len({b.guard for b in solver.norm.blocks}) == 1
+    assert solver.count(6) == 4_391_850_536_577
+    assert solver.count(2) == oracle_count(p.signature, p.sentence, 2).total
+
+
+@pytest.mark.parametrize("text,sizes", [
+    ("forall x (exists{=1} y R(x,y) -> exists{=2} y R(x,y))", (1, 2, 3)),
+    ("forall x (A(x) -> exists{=1} y R(x,y)) & forall x (B(x) -> !exists{=1} y R(x,y))",
+     (1, 2, 3)),
+    ("forall x (A(x) -> exists{<=1} y R(x,y)) & forall x (!A(x) -> exists{>=2} y R(x,y))",
+     (1, 2, 3)),
+    ("forall x (A(x) <-> exists{<=2} y (R(x,y) & !A(y))) & "
+     "forall x (!A(x) -> exists{>=2} y (R(x,y) & !A(y)))", (1, 2, 3)),
+    ("forall x (exists{=1} y R(x,y) -> exists{<=1} y S(x,y)) & "
+     "forall x (exists{=2} y S(x,y) | exists{=1} y R(x,y))", (1, 2)),
+    ("forall x forall y (R(x,y) -> R(y,x)) & "
+     "forall x (exists{=1} y R(x,y) | exists{=2} y R(x,y))", (1, 2, 3)),
+])
+def test_blocks_sharing_a_guard_match_the_oracle(text, sizes):
+    """Blocks on one guard: different m's, the same m twice, ``<=`` mixed
+    with ``>=``, a non-atom body, two guards, and a matrix that is not
+    directed (the successor encoding, one tie counter per block)."""
+    p = parse_problem(text)
+    solver = Solver(p)
+    assert len({b.guard for b in solver.norm.blocks}) < len(solver.norm.blocks)
+    for n in sizes:
+        assert solver.count(n) == oracle_count(p.signature, p.sentence, n).total
 
 
 def test_random_seed_127_is_fast():
