@@ -55,6 +55,15 @@ from .logic import (And, Atom, Eq, Formula, Iff, Implies, Not, Or, Signature,
 MAX_TABLE_BITS = 30
 
 
+def check_table_bits(u: int, b: int) -> None:
+    """Refuse u type slots and b table slots past ``MAX_TABLE_BITS``."""
+    if 2 * u + b > MAX_TABLE_BITS:
+        raise UnsupportedFeatureError(
+            f"signature needs 2*{u}+{b} = {2 * u + b} table bits, "
+            f"beyond the supported {MAX_TABLE_BITS}; the lifted tables "
+            "would not fit")
+
+
 def _mask_fn(f: Formula, slot) -> Callable[[list[int]], int]:
     """Turn a quantifier-free formula into a function of an environment
     list ``e`` of bit masks, one bit per interpretation, giving the mask on
@@ -227,11 +236,7 @@ def build_cells(signature: Signature, matrix: Iterable[Formula]) -> CellStructur
     u_slots = one_type_slots(signature)
     b_slots = two_table_slots(signature)
     u, b = len(u_slots), len(b_slots)
-    if 2 * u + b > MAX_TABLE_BITS:
-        raise UnsupportedFeatureError(
-            f"signature needs 2*{u}+{b} = {2 * u + b} table bits, "
-            f"beyond the supported {MAX_TABLE_BITS}; the lifted tables "
-            "would not fit")
+    check_table_bits(u, b)
     u_index = {slot: s for s, slot in enumerate(u_slots)}
     b_index = {slot: s for s, slot in enumerate(b_slots)}
 

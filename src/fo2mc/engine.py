@@ -14,12 +14,13 @@ one digit or whole.  Classes whose columns g_.j agree form one column
 group, and by the multinomial theorem the census runs over the group
 counts c, each worth n!/prod_G c_G! prod_G (sum_{i in G} F_i)^c_G: one
 group is the n-th power of a per-element polynomial.  Any other matrix,
-and the ``successor_encoding`` with its tie counter and 1/m! divisors,
-enumerates the censuses of the classes over 2-table pair factors.
+and the ``successor_encoding`` with its 1/m! divisors, enumerates the
+censuses of the classes over 2-table pair factors; there every block
+raises one tie counter, and each census key's value is read at its target.
 ``Solver`` is the one entry point.
 
 Counters, one per tracked predicate (unary ones first) and one per guard
-(per block in the successor encoding), are raised by the true atoms of
+(one tie counter in the successor encoding), are raised by the true atoms of
 each 1-type, 2-table and out-edge mask, so every factor is a generating
 function in them (Kuzelka, JAIR 2021), evaluated as one Python integer
 (Kronecker substitution, ``_Layout``).  Tracked unary cards are census
@@ -29,7 +30,7 @@ scale is divided out once.
 
 A constraint's top-level comparisons give every card a range
 (``card_ranges``): its upper bounds cap the digits kept, dropped after
-every product like those past a tie counter's target, and a census key
+every product like those past the tie counter's target, and a census key
 they rule out is skipped.  A table then has two reads.  Its grouped read
 decodes each census key's digits inside the key's box of card ranges once,
 keeps the rows the constraint allows, and adds each row times its profile
@@ -50,7 +51,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, product
 from typing import Iterator, Mapping, Sequence
 
-from .cells import CellStructure, build_cells
+from .cells import CellStructure, build_cells, check_table_bits
 from .errors import InternalConsistencyError, SemanticError
 from .logic import (CARD_TRUE, CardAnd, CardCompare, CardConstraint, card_conjoin,
                     constraint_predicates, slot_bit)
@@ -331,7 +332,7 @@ class ProfileEvaluator:
                  constraint: CardConstraint = CARD_TRUE):
         if n < 1:
             raise SemanticError("domain size must be at least 1")
-        self.norm, self.cells, self.n, self.fold = norm, cells, n, fold or {}
+        self.cells, self.n, self.fold = cells, n, fold or {}
         tracked = tuple(dict.fromkeys(tracked))
         for pred in tracked:
             if pred not in norm.signature:
@@ -340,30 +341,34 @@ class ProfileEvaluator:
 
         # The counters each true atom of a predicate raises: tracked
         # predicates (unary ones first), then one per guard, its degree, or in
-        # the successor encoding one per block, the tie counter sum_j |f_j| +
-        # m * |not A|, which is m * n exactly on the tied profiles: the sign
-        # predicates cancel every profile where an A-element lacks an f_j
-        # successor, so |f_j| >= |A| and the sum pins each |f_j|.
+        # the successor encoding one tie counter, raised by every f_ij and by
+        # m_i per block whose A_i a type lies outside.  Block i's share,
+        # sum_j |f_ij| + m_i * |not A_i|, is at least m_i * n on every term
+        # the sign predicates leave (each A_i-element has its f_ij successors),
+        # so the counter is sum_i m_i * n exactly when every share is tied.
         self.key_names = tuple(sorted(tracked, key=arity))
         self.n_unary = sum(arity(p) == 1 for p in tracked)
         self._ties = norm.successors
-        # the census over column groups runs on a directed matrix without tie
-        # counters (one group is the n-th power of one per-element
+        if norm.blocks and not self._ties and not cells.directed:
+            raise InternalConsistencyError("per-element blocks need a directed matrix")
+        # the census over column groups runs on a directed matrix without a
+        # tie counter (one group is the n-th power of one per-element
         # polynomial); the census over pair tables otherwise
         self._directed = cells.directed and not self._ties
         n_keys = len(self.key_names)
         self._guards: dict[str, list[tuple[int, int]]] = {}  # guard -> (block, m)s
         for i, b in enumerate(() if self._ties else norm.blocks):
             self._guards.setdefault(b.guard, []).append((i, b.m))
-        counted = [b.f_preds for b in norm.blocks] if self._ties else [(g,) for g in self._guards]
+        counted = ([tuple(f for b in norm.blocks for f in b.f_preds)] if self._ties
+                   else [(g,) for g in self._guards])
         self._raises: dict[str, list[int]] = {}
         for d, preds in enumerate([(p,) for p in self.key_names] + counted):
             for pred in preds:
                 self._raises.setdefault(pred, []).append(d)
         # (cap, top) per counter: a card reaches n or n * n but only the
         # values the constraint's comparisons allow are kept, a guard degree
-        # n but only its blocks' digits m are read; a tie counter only climbs,
-        # so nothing past its target matters
+        # n but only its blocks' digits m are read; the tie counter only
+        # climbs, so nothing past its target matters
         self.constraint = constraint
         parts, self._whole = _conjuncts(constraint)
         self._forms = [_linear(part) for part in parts]
@@ -372,7 +377,8 @@ class ProfileEvaluator:
         ranges = card_ranges(self._forms, {p: (0, top) for p, top in tops.items()})
         caps = {p: hi for p, (_, hi) in ranges.items()} if ranges else dict.fromkeys(tops, 0)
         self._bounds = [(caps[p], tops[p]) for p in self.key_names]
-        self._bounds += ([(b.m * n, b.m * n * (n + 1)) for b in norm.blocks] if self._ties
+        tie = sum(b.m for b in norm.blocks) * n  # the tie counter's target
+        self._bounds += ([(tie, tie * (n + 1))] if self._ties
                          else [(max(m for _, m in blocks), n) for blocks in self._guards.values()])
 
         # ``build_cells`` groups interchangeable types, split here into classes
@@ -390,10 +396,10 @@ class ProfileEvaluator:
                 counts, w = self._term(cells.u_slots, t)
                 in_a = tuple(cells.type_bit(t, s) for s in a_slots)
                 w *= (-1) ** sum(cells.type_bit(t, s) for s in sign_slots)
-                for d, (block, hit) in enumerate(zip(norm.blocks, in_a), n_keys):
-                    if self._ties:
+                if self._ties:
+                    for block, hit in zip(norm.blocks, in_a):
                         w = Fraction(w, block.divisor_base) if hit else w
-                        counts[d] += 0 if hit else block.m
+                        counts[n_keys] += 0 if hit else block.m
                 if in_a not in options:
                     options[in_a] = self._read_options(in_a)
                 key = tuple(counts)
@@ -475,22 +481,20 @@ class ProfileEvaluator:
         key's box of card ranges holds exactly the rows the constraint
         allows: every comparison bounds at most one packed card once the
         key is fixed."""
-        cards = [self.key_names[d] for d in layout.counters if d < len(self.key_names)]
+        cards = [self.key_names[d] for d in layout.counters]
         return cards, self._whole and all(len(coeffs.keys() & set(cards)) < 2
                                           for coeffs, _, _ in self._forms)
 
     def _read(self, packed: dict, layout: _Layout, scale: int, weight, by: Sequence[str]) -> dict:
         """The grouped read of a census (census key -> value packed in
         ``layout``, to divide by ``scale``): each key's digits inside its box
-        of card ranges, with every tie counter at its target, are decoded
-        once; a row the constraint allows adds its digit times ``weight(row)``
-        (1 without a weight; the row lists the tracked cards in the order of
-        ``key_names``) to the integer of its values of the ``by`` cards, and
-        each group is divided by the scale once.  With integer symmetric
-        weights every row must divide on its own."""
+        of card ranges are decoded once; a row the constraint allows adds its
+        digit times ``weight(row)`` (1 without a weight; the row lists the
+        tracked cards in the order of ``key_names``) to the integer of its
+        values of the ``by`` cards, and each group is divided by the scale
+        once.  With integer symmetric weights every row must divide on its own."""
         names = self.key_names
         cards, exact = self._packed_cards(layout)
-        ties = [(b.m * self.n,) * 2 for b in self.norm.blocks if self._ties]
         scale *= self._type_scale ** self.n
         check = scale != 1 and self._integral()
         group = [names.index(p) for p in by]
@@ -498,8 +502,8 @@ class ProfileEvaluator:
         sums: dict[tuple[int, ...], object] = {}
         for key, value in packed.items():
             ranges = self._ranges_at(key)
-            for digits, coef in layout.digits(value, [ranges[p] for p in cards] + ties):
-                row = key + digits[:len(cards)]
+            for digits, coef in layout.digits(value, [ranges[p] for p in cards]):
+                row = key + digits
                 if not exact and not self.constraint.holds(dict(zip(names, row))):
                     continue
                 if check and coef % scale:
@@ -515,15 +519,15 @@ class ProfileEvaluator:
 
     def _enumerate_table(self) -> tuple[dict, _Layout, int]:
         """The census over pair tables, unread: census key (the tracked unary
-        cards) -> value packed in the layout, the layout, and the scale."""
-        n, n_unary = self.n, self.n_unary
+        cards) -> value packed in the layout of the tracked binary cards (read
+        at the tie counter's target), that layout, and the scale."""
+        n, n_unary, end = self.n, self.n_unary, len(self.key_names)
         classes = range(len(self.types))
         polys, scale, _, bits = self._factors(
             False, [(a, b) for a in classes for b in classes if a <= b])
         layout = _Layout(range(n_unary, len(self._bounds)), self._bounds[n_unary:], bits)
         factors = {k: layout.pack(p) for k, p in polys.items()}
         weights = [layout.pack(w) for w in self._weights]
-        factorial = [math.factorial(k) for k in range(n + 1)]
         packed: dict[tuple[int, ...], int] = {}
         for combo in combinations_with_replacement(classes, n):
             occupied = [(pos, len(tuple(group))) for pos, group in groupby(combo)]
@@ -531,17 +535,18 @@ class ProfileEvaluator:
                         for d in range(n_unary))
             if self._ranges_at(key) is None:
                 continue
-            value = factorial[n]
-            for _, count in occupied:
-                value //= factorial[count]
+            value, left = 1, n
             for ia, (pa, ca) in enumerate(occupied):
-                value = layout.mul(value, layout.pow(weights[pa], ca))
+                value, left = layout.mul(value * math.comb(left, ca),
+                                         layout.pow(weights[pa], ca)), left - ca
                 for pb, cb in occupied[ia:]:  # the pairs of elements across pa, pb
                     e = ca * (ca - 1) // 2 if pa == pb else ca * cb
                     value = layout.mul(value, layout.pow(factors[pa, pb], e))
             if value:
                 packed[key] = packed.get(key, 0) + value
-        return packed, layout, scale
+        if self._ties:  # each key's value at the tie counter's target
+            packed = {key: layout.at(v, [self._bounds[-1][0]]) for key, v in packed.items()}
+        return packed, _Layout(range(n_unary, end), self._bounds[n_unary:end], bits), scale
 
     def _groups(self, columns: list[list[int]], bits: int) -> tuple[int, list]:
         """The first packed counter and the census groups (unary key or (),
@@ -656,17 +661,16 @@ class ProfileEvaluator:
     def total(self):
         """The sum of ``table()``.  When every comparison of the constraint
         bounds at most one packed card once the census key is fixed, each
-        census key's value is summed over its box of card ranges (and the
-        tie counters' targets) without decoding a digit; else the rows are."""
+        census key's value is summed over its box of card ranges without
+        decoding a digit; else the rows are."""
         packed, layout, scale = self._census()
         cards, exact = self._packed_cards(layout)
         if not exact:
             return self._read(packed, layout, scale, None, ()).get((), 0)
-        ties = tuple((b.m * self.n,) * 2 for b in self.norm.blocks if self._ties)
         boxes: dict[tuple, int] = {}
         for key, value in packed.items():
             ranges = self._ranges_at(key)
-            box = tuple(ranges[p] for p in cards) + ties
+            box = tuple(ranges[p] for p in cards)
             boxes[box] = boxes.get(box, 0) + value
         total = sum(layout.sum(value, box) for box, value in boxes.items())
         scale *= self._type_scale ** self.n
@@ -711,8 +715,12 @@ class Solver:
         self.norm, self.cells = norm, build_cells(norm.signature, norm.matrix)
         if norm.blocks and not norm.successors and not self.cells.directed:
             # fall back to the successor encoding, with a sign predicate on
-            # each block the matrix does not pin (freeing the first tables)
-            self.norm, self.cells = successor_encoding(norm, self._unpinned()), None
+            # each block the matrix does not pin (freeing the first tables);
+            # each f_ij adds a reflexive slot, two table slots and an existence
+            # sign, so oversize tables are refused before any axiom is built
+            unpinned, m = self._unpinned(), sum(b.m for b in norm.blocks)
+            check_table_bits(self.cells.u + 2 * m + len(unpinned), self.cells.b + 2 * m)
+            self.norm, self.cells = successor_encoding(norm, unpinned), None
             self.cells = build_cells(self.norm.signature, self.norm.matrix)
 
     def _unpinned(self) -> set[int]:

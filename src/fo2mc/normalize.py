@@ -115,21 +115,11 @@ class NormalizedProblem:
 
     def tie_constraint(self) -> CardConstraint:
         """The induced |f_ij| = |A_i| ties of all counting blocks."""
-        ties = []
-        for b in self.blocks:
-            for f in b.f_preds:
-                ties.append(CardCompare("=", LinearExpr.card(f),
-                                        LinearExpr.card(b.a_pred)))
-        return card_conjoin(ties) if ties else CARD_TRUE
+        return card_conjoin([CardCompare("=", LinearExpr.card(f), LinearExpr.card(b.a_pred))
+                             for b in self.blocks for f in b.f_preds])
 
     def merged_constraint(self) -> CardConstraint:
-        parts = []
-        if self.constraint != CARD_TRUE:
-            parts.append(self.constraint)
-        tie = self.tie_constraint()
-        if tie != CARD_TRUE:
-            parts.append(tie)
-        return card_conjoin(parts) if parts else CARD_TRUE
+        return card_conjoin([self.constraint, self.tie_constraint()])
 
     def matrix_formula(self) -> Formula:
         return conjoin(self.matrix)
@@ -420,15 +410,12 @@ def normalize(problem: Problem) -> NormalizedProblem:
     for conjunct in matrix:
         if not is_quantifier_free(conjunct):
             raise UnsupportedFeatureError(f"matrix conjunct not reduced: {conjunct}")
-    constraint = card_conjoin([problem.constraint, *single_constraints])
-    if isinstance(constraint, CardAnd) and not constraint.parts:
-        constraint = CARD_TRUE
     return NormalizedProblem(
         signature=signature,
         matrix=tuple(matrix),
         sign_preds=signs,
         blocks=blocks,
-        constraint=constraint,
+        constraint=card_conjoin([problem.constraint, *single_constraints]),
         symmetric_weights=dict(problem.symmetric_weights),
         profile_weight=problem.profile_weight,
     )
@@ -492,10 +479,8 @@ def dump_normalized(norm: NormalizedProblem) -> str:
     body = norm.matrix_formula()
     lines.append(str(Forall("x", Forall("y", body))))
     merged = norm.merged_constraint()
-    if merged != CARD_TRUE:
-        parts = merged.parts if isinstance(merged, CardAnd) else (merged,)
-        for part in parts:
-            lines.append(f"constraint {part}")
+    for part in merged.parts if isinstance(merged, CardAnd) else (merged,):
+        lines.append(f"constraint {part}")
     if norm.sign_preds:
         lines.append(f"# signs {' '.join(norm.sign_preds)}")
     return "\n".join(lines) + "\n"

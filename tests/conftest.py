@@ -29,6 +29,12 @@ THREE_WITNESS = ("predicate A/1\npredicate B/1\npredicate R/2\npredicate S/2\n"
                  "predicate T/2\n" + TWO_WITNESS.splitlines()[-1]
                  + " & forall x exists y (T(x,y) & B(y))")
 
+#: a symmetric R with one R-successor per element and any S with one
+#: S-successor: I(n) n^n models (I the involution numbers), two blocks on a
+#: matrix that is not directed, so the successor encoding
+SYM2BLK = ("predicate R/2\npredicate S/2\nforall x forall y (R(x,y) -> R(y,x)) & "
+           "forall x exists{=1} y R(x,y) & forall x exists{=1} y S(x,y)\n")
+
 
 @pytest.fixture
 def running_problem() -> Problem:

@@ -5,6 +5,7 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -211,6 +212,18 @@ def test_exit_code_unsupported_successor_encoding():
     code, out, err = invoke("count", "-n", "8", "-e",
                             "forall x exists{=7} y (R(x,y) & R(y,x))")
     assert code == 2 and out == "" and "table bits" in err
+
+
+def test_oversize_successor_encoding_is_refused_before_it_is_built():
+    """2000 successors need 12010 table bits: refused from the size of the
+    encoded signature, before its 2000 * 1999 / 2 disjointness axioms are
+    built."""
+    start = time.monotonic()
+    code, out, err = invoke("count", "-n", "3", "-e",
+                            "predicate R/2\nforall x exists{=2000} y (R(x,y) & R(y,x))")
+    assert code == 2 and out == ""
+    assert "signature needs 2*4003+4004 = 12010 table bits, beyond the supported 30" in err
+    assert time.monotonic() - start < 1
 
 
 def test_exit_code_oracle_cap():

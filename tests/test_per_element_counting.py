@@ -11,12 +11,12 @@ import fo2mc.engine
 from fo2mc.cells import build_cells
 from fo2mc.corpus import load_corpus
 from fo2mc.engine import ProfileEvaluator, Solver, block_pinned
-from fo2mc.errors import UnsupportedFeatureError
+from fo2mc.errors import InternalConsistencyError, UnsupportedFeatureError
 from fo2mc.normalize import normalize, successor_encoding
 from fo2mc.oracle import oracle_count
 from fo2mc.parser import parse_problem
 
-from conftest import random_problem
+from conftest import SYM2BLK, random_problem
 
 CORPUS = {entry.name: entry for entry in load_corpus()}
 
@@ -129,7 +129,7 @@ def test_non_atom_body_shares_one_guard():
 def test_blocks_sharing_a_guard_match_the_oracle(text, sizes):
     """Blocks on one guard: different m's, the same m twice, ``<=`` mixed
     with ``>=``, a non-atom body, two guards, and a matrix that is not
-    directed (the successor encoding, one tie counter per block)."""
+    directed (the successor encoding, one tie counter for every block)."""
     p = parse_problem(text)
     solver = Solver(p)
     assert len({b.guard for b in solver.norm.blocks}) < len(solver.norm.blocks)
@@ -156,6 +156,41 @@ def test_not_directed_blocks_use_successor_encoding(text):
     assert solver.norm.blocks[0].f_preds
     for n in (1, 2, 3):
         assert solver.count(n) == oracle_count(p.signature, p.sentence, n).total
+
+
+def test_blocks_share_one_tie_counter():
+    """Both blocks of two guards raise one tie counter, bounded by
+    (2n, 2n(n+1)), and the census is read at its target: the layout the
+    reads receive holds the tracked |R| alone."""
+    solver = Solver(parse_problem(SYM2BLK))
+    n = 4
+    ev = ProfileEvaluator(solver.norm, solver.cells, n, ("R",))
+    assert len(solver.norm.blocks) == 2
+    assert ev._bounds[len(ev.key_names):] == [(2 * n, 2 * n * (n + 1))]
+    assert ev._enumerate_table()[1].counters == (0,)
+
+
+def test_two_blocks_on_two_guards_at_twelve():
+    """I(n) n^n models: I(n) = I(n-1) + (n-1) I(n-2) symmetric R with one
+    R-successor each (the involutions), n^n S with one S-successor each."""
+    involutions = [1, 1]
+    for n in range(2, 13):
+        involutions.append(involutions[-1] + (n - 1) * involutions[-2])
+    solver = Solver(parse_problem(SYM2BLK))
+    assert [solver.count(n) for n in (1, 2, 3, 4)] == [
+        involutions[n] * n ** n for n in (1, 2, 3, 4)]
+    value, seconds = timed_count(solver, 12)
+    assert value == involutions[12] * 12 ** 12 == 1249609310023974912 and seconds < 1
+
+
+def test_per_element_form_on_a_matrix_that_is_not_directed_is_refused():
+    """``Solver`` moves such blocks to the successor encoding; built on the
+    per-element form directly, the evaluator refuses rather than count 27
+    models at n = 3, where there are 54."""
+    norm = normalize(parse_problem(NOT_DIRECTED[0]))
+    with pytest.raises(InternalConsistencyError, match="directed matrix"):
+        ProfileEvaluator(norm, build_cells(norm.signature, norm.matrix), 3)
+    assert Solver(norm).count(3) == 54
 
 
 def test_unpinned_fallback_is_signed():

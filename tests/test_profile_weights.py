@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import fo2mc.engine
 from fo2mc.engine import ProfileEvaluator, Solver
 from fo2mc.errors import SemanticError
 from fo2mc.logic import WAdd, WCard, WMul, WNeg, WNum, WPow, WSub, weight_value
@@ -22,8 +23,8 @@ from conftest import RUNNING_EXAMPLE, random_problem
 PREDS = ("A", "B", "R")
 
 #: exactly two R-successors, along a guard that couples both directions:
-#: a matrix that is not directed, so the successor encoding, with a tie
-#: counter per block and 1/2! per element
+#: a matrix that is not directed, so the successor encoding, with its tie
+#: counter and 1/2! per element
 SUCCESSORS = "predicate A/1\npredicate R/2\nforall x exists{=2} y (R(x,y) & R(y,x))\n"
 
 #: a constraint that is not a conjunction of comparisons, so rows are
@@ -102,21 +103,34 @@ def test_constrained_fractional_weights():
             check(problem, random_weight(rng, ("A", "R"), 3), n, rng.choice((["A"], ["R", "A"])))
 
 
-def test_rows_off_the_tie_target_are_not_read():
+def test_rows_off_the_tie_target_are_not_read(monkeypatch):
     """Only digits whose tie counter is at its target m * n are rows.  No
     digit below it survives (each element of A has its m successors), so
-    one is planted there: the grouped read must skip it."""
+    one is planted there in the census layout, which holds |R| and the tie
+    counter: the read at the target must drop it, and the layout the reads
+    receive holds |R| alone.  The same digit planted at the target is read."""
     solver = Solver(parse_problem(SUCCESSORS))
     n, block = 3, solver.norm.blocks[0]
-    ev = ProfileEvaluator(solver.norm, solver.cells, n, ("R",))
-    want = ev.table()
-    packed, layout, scale = ev._enumerate_table()
-    assert layout.counters == (0, 1)  # |R|, then the tie counter
-    stray = layout.pack([([0, block.m * n - 1], 5 * scale * ev._type_scale ** n)])
-    ev._enumerate_table = lambda: ({key: value + stray for key, value in packed.items()},
-                                   layout, scale)
+    target = block.m * n
+    want = ProfileEvaluator(solver.norm, solver.cells, n, ("R",)).table()
+    read_at = fo2mc.engine._Layout.at
+
+    def planted(tie):
+        ev = ProfileEvaluator(solver.norm, solver.cells, n, ("R",))
+        _, _, scale = ev._enumerate_table()
+        stray = ([0, tie], 5 * scale * ev._type_scale ** n)  # one row of 5 at |R| = 0
+
+        def at(layout, x, top):
+            assert layout.counters == (0, 1) and top == [target]
+            return read_at(layout, x + layout.pack([stray]), top)
+        monkeypatch.setattr(fo2mc.engine._Layout, "at", at)
+        assert ev._enumerate_table()[1].counters == (0,)
+        return ev
+
+    ev = planted(target - 1)
     assert ev.table() == want
     assert ev.read(lambda cards: 2, ()) == {(): 2 * sum(want.values())}
+    assert planted(target).table() == {**want, (0,): want.get((0,), 0) + 5}
 
 
 @pytest.mark.parametrize("weight,message", [

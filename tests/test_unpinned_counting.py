@@ -8,9 +8,11 @@ import pytest
 
 from fo2mc.engine import Solver
 from fo2mc.normalize import normalize
-from fo2mc.oracle import oracle_count
+from fo2mc.oracle import oracle_count, oracle_stratified
 from fo2mc.parser import parse_problem
 from fo2mc.weights import wfomc_symmetric
+
+from conftest import SYM2BLK
 
 PREAMBLE = "predicate A/1\npredicate B/1\npredicate R/2\n"
 
@@ -24,6 +26,21 @@ UNPINNED_SHAPES = ("forall x (A(x) | exists{{={m}}} y R(x,y))",
 MATRIX_ATOMS = ("A(x)", "A(y)", "B(x)", "B(y)", "R(x,x)", "R(x,y)",
                 "R(y,x)", "R(y,y)", "x = y")
 EXISTS_ATOMS = ("A(x)", "B(x)", "R(x,y)", "R(y,x)")
+
+#: two or more blocks on a matrix that is not directed: the successor
+#: encoding, every block raising its one tie counter
+SYMMETRIC = "forall x forall y (R(x,y) -> R(y,x))"
+MULTI_BLOCK = {
+    "two_guards": SYM2BLK,
+    "two_m_one_guard": ("predicate R/2\n" + SYMMETRIC
+                        + " & forall x (exists{=1} y R(x,y) | exists{=2} y R(x,y))\n"),
+    "at_most_two": "predicate R/2\n" + SYMMETRIC + " & forall x exists{<=2} y R(x,y)\n",
+    "pinned_and_unpinned": ("predicate A/1\npredicate R/2\npredicate S/2\n" + SYMMETRIC
+                            + " & forall x exists{=1} y R(x,y)"
+                            " & forall x (A(x) | exists{=1} y S(x,y))\n"),
+    "constrained": SYM2BLK + "constraint |R| <= 6\n",
+    "weighted": SYM2BLK + "weight R 2 1\nweight S 1 3\n",
+}
 
 
 def random_qf(rng: random.Random, atoms, depth: int) -> str:
@@ -107,3 +124,36 @@ def test_unpinned_shapes_match_oracle(shape, m, seed):
         else:
             want = oracle_count(p.signature, p.sentence, n, constraint=p.constraint)
             assert solver.count(n) == want.total
+
+
+# -- several blocks in the successor encoding --------------------------------------
+
+
+@pytest.mark.parametrize("text", MULTI_BLOCK.values(), ids=MULTI_BLOCK)
+def test_multi_block_fallback_matches_oracle(text):
+    p = parse_problem(text)
+    solver = Solver(p)
+    assert solver.norm.successors and len(solver.norm.blocks) > 1
+    for n in (1, 2, 3):
+        want = oracle_count(p.signature, p.sentence, n, constraint=p.constraint,
+                            symmetric_weights=p.symmetric_weights or None)
+        if p.symmetric_weights:
+            assert wfomc_symmetric(solver, n) == want.weighted_total
+        else:
+            assert solver.count(n) == want.total
+
+
+def test_pinned_and_unpinned_blocks_together():
+    blocks = Solver(parse_problem(MULTI_BLOCK["pinned_and_unpinned"])).norm.blocks
+    assert [b.sign is None for b in blocks] == [True, False]
+
+
+def test_multi_block_fallback_breakdown():
+    p = parse_problem(SYM2BLK)
+    solver = Solver(p)
+    for n in (1, 2, 3):
+        want = oracle_stratified(p.signature, p.sentence, n, ("R", "S"))
+        got = solver.breakdown(n, ("R", "S"))
+        assert {(c["R"], c["S"]): v for c, v in got.profiles if v} == {
+            k: v for k, v in want.items() if v}
+        assert got.total == sum(want.values())
