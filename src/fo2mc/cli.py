@@ -10,27 +10,29 @@ digits they have.  JSON output is byte-stable for fixed inputs and flags, except
 Each subcommand takes only the flags its runner reads (``COMMANDS``).
 A usage error (a bad flag or choice, a flag the subcommand does not
 take, a missing or unknown subcommand) is a parse error like any other:
-``error: ...`` on stderr and exit 1.
+``error: ...`` on stderr and exit 1.  ``-h``/``--help`` prints the usage
+of the program or of one subcommand to stdout and exits 0.
 
-The argument parser is built once per process.  Building it makes 41
-``add_argument`` calls, each of which creates a help formatter that
-probes the terminal size: about 1.6 ms (Python 3.11, 2-core VM), against
-under 0.1 ms to parse one argv with a parser already built.
-``parse_args`` keeps no state between calls, so every in-process caller
-of ``run`` can share it.
+Arguments are read straight from the ``COMMANDS``/``_FLAGS`` table, by
+the rules argparse (Python 3.11) applies to this one shape of command
+line, with its error texts, whatever the Python version.  Parsing a
+benchmark argv this way takes about 5 us (Python 3.11, 2-core VM);
+argparse took 80 us, plus 1.6 ms to build its parser and 2.5 ms to
+import.
 """
 
 from __future__ import annotations
 
-import argparse
 import decimal
 import functools
 import json
 import math
+import re
 import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .cells import n_ij_csv
 from .engine import Solver, _as_count
@@ -42,26 +44,29 @@ from .oracle import DEFAULT_CAP, oracle_count, oracle_distribution
 from .parser import (parse_cardinality, parse_problem, parse_weight_expr)
 from .weights import count_distribution, wfomc_profile
 
-#: every flag a subcommand may take besides the problem source and
-#: --format: its spellings and its ``add_argument`` keywords
+#: every option a subcommand may take besides --format: its spellings,
+#: its slot, its value kind (``int``, ``str``, or ``bool`` for a switch),
+#: its default and its help; -n and --n-range exclude each other
 _FLAGS = {
-    "-n": (("-n", "--n", "--domain-size"),
-           dict(dest="domain_size", type=int, help="domain size")),
-    "--n-range": (("--n-range",), dict(help="domain size range A..B")),
-    "--track": (("--track",), dict(help="comma separated predicates to track")),
-    "--profiles": (("--profiles",), dict(action="store_true",
-                                         help="emit the per-profile breakdown")),
-    "--weight": (("--weight",),
-                 dict(help="profile weight expression over |P| counters")),
-    "--query": (("--query",), dict(help="count query, e.g. '|H| = 2'")),
-    "--oracle-cap": (("--oracle-cap",),
-                     dict(type=int, default=DEFAULT_CAP,
-                          help="maximum ground atoms the oracle accepts")),
+    "-e": (("-e", "--inline"), "inline", str, None,
+           "inline problem text instead of a file"),
+    "-n": (("-n", "--n", "--domain-size"), "domain_size", int, None, "domain size"),
+    "--n-range": (("--n-range",), "n_range", str, None, "domain size range A..B"),
+    "--track": (("--track",), "track", str, None,
+                "comma separated predicates to track"),
+    "--profiles": (("--profiles",), "profiles", bool, False,
+                   "emit the per-profile breakdown"),
+    "--weight": (("--weight",), "weight", str, None,
+                 "profile weight expression over |P| counters"),
+    "--query": (("--query",), "query", str, None, "count query, e.g. '|H| = 2'"),
+    "--oracle-cap": (("--oracle-cap",), "oracle_cap", int, DEFAULT_CAP,
+                     "maximum ground atoms the oracle accepts"),
 }
+_HELP = (("-h", "--help"), "help", bool, None, "show this help and exit")
+_EXCLUSIVE = (_FLAGS["-n"], _FLAGS["--n-range"])
 
-#: per subcommand, the flags its runner reads besides the problem source,
-#: and its --format choices (no --format flag when empty); -n and
-#: --n-range exclude each other
+#: per subcommand, the flags its runner reads besides the problem source
+#: (a file, or -e), and its --format choices (no --format flag when empty)
 COMMANDS = {
     "count": (("-n", "--n-range", "--track", "--profiles"), ("text", "json", "csv")),
     "wfomc": (("-n", "--weight"), ("text", "json", "csv")),
@@ -74,37 +79,174 @@ COMMANDS = {
 
 SUBCOMMANDS = tuple(COMMANDS)
 
+#: an argument argparse reads as a negative number, hence as a value
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")
 
-class _Parser(argparse.ArgumentParser):
-    """Raises usage errors instead of printing usage and exiting with 2,
-    so ``run`` reports them on its own error stream with exit 1.  The
-    subcommand parsers are of this class too (``parser_class``)."""
 
-    def error(self, message):
-        raise SemanticError(message)
+class _Help(Exception):
+    """-h/--help, raised out of ``parse_args`` with the usage to print."""
+
+
+def _error(option, message) -> SemanticError:
+    return SemanticError(f"argument {'/'.join(option[0])}: {message}")
+
+
+def _read(table, arg):
+    """How one argument before any ``--`` reads: None for a positional,
+    else (its option, or None if unknown; the spelling; the value
+    attached by ``=`` or, after a one-letter spelling, directly)."""
+    if arg in table:
+        return table[arg], arg, None
+    if len(arg) < 2 or arg[0] != "-":
+        return None
+    head, eq, tail = arg.partition("=")
+    if eq and head in table:
+        return table[head], head, tail
+    if arg[1] != "-" and arg[:2] in table:
+        return table[arg[:2]], arg[:2], arg[2:]
+    if " " in arg or _NEGATIVE.match(arg):
+        return None
+    return None, arg, None
+
+
+def _scan(table, args) -> list:
+    """``_read`` of every argument; the first ``--`` reads as "--", and
+    every argument after it as a positional."""
+    found = []
+    for i, arg in enumerate(args):
+        if arg == "--":
+            return found + ["--"] + [None] * (len(args) - i - 1)
+        found.append(_read(table, arg))
+    return found
+
+
+class _Parser:
+    """Reads an argv: options before the subcommand (only -h is known
+    there), the subcommand, then its options and at most one problem file
+    in any order.  Only full spellings are options; a repeated option
+    keeps its last value; an option's value is the next argument unless
+    it reads as an option or ``--``; the first ``--`` may stand on either
+    side of the file; every argument left over is unrecognized."""
+
+    def __init__(self):
+        self.top = {"-h": _HELP, "--help": _HELP}
+        self.commands = {}
+        for name, (flags, formats) in COMMANDS.items():
+            options = [_FLAGS["-e"]]
+            if formats:
+                options.append((("--format",), "format", formats, "text",
+                                "output format"))
+            options += [_FLAGS[flag] for flag in flags]
+            table = {spelling: option for option in options + [_HELP]
+                     for spelling in option[0]}
+            slots = {"file": None, **{option[1]: option[3] for option in options}}
+            self.commands[name] = table, slots
+
+    def parse_args(self, argv=None) -> SimpleNamespace:
+        args = sys.argv[1:] if argv is None else list(argv)
+        extras, found = [], []
+        for arg in args:  # the options before the subcommand
+            found.append(None if arg == "--" else _read(self.top, arg))
+            if found[-1] is None:
+                break
+            self._option(None, self.top, args, found, len(found) - 1, {}, extras)
+        i = len(found) - 1
+        if i < 0 or found[i] is not None or args[i:] == ["--"]:
+            raise SemanticError("the following arguments are required: command")
+        command = args[i]
+        if command not in COMMANDS:
+            raise SemanticError(f"argument command: invalid choice: {command!r} "
+                                f"(choose from {', '.join(map(repr, COMMANDS))})")
+        table, slots = self.commands[command]
+        slots, rest = dict(slots), args[i + 1:]
+        found = _scan(table, rest)
+        i, file_open = 0, True
+        while i < len(rest):
+            if isinstance(found[i], tuple):
+                i = self._option(command, table, rest, found, i, slots, extras)
+            elif file_open:  # the file, with a "--" on either side
+                file_open = False
+                i += found[i] == "--"
+                if i < len(rest) and found[i] is None:
+                    slots["file"] = rest[i]
+                    i += 1
+                i += i < len(rest) and found[i] == "--"
+            else:
+                extras.append(rest[i])
+                i += 1
+        if extras:
+            raise SemanticError(f"unrecognized arguments: {' '.join(extras)}")
+        return SimpleNamespace(command=command, **slots)
+
+    def _option(self, command, table, args, found, i, slots, extras) -> int:
+        """Take the option at ``args[i]``, and its value, into ``slots``
+        (an unknown one into ``extras``); return the index after them."""
+        option, spelling, value = found[i]
+        if option is None:
+            extras.append(args[i])
+            return i + 1
+        taken, stop = [], i + 1
+        while option[2] is bool and value is not None:  # "-hn3" is "-h -n3"
+            if spelling[1] == "-" or not value or "-" + value[0] not in table:
+                raise _error(option, f"ignored explicit argument {value!r}")
+            taken.append((option, None))
+            spelling = "-" + value[0]
+            option, value = table[spelling], value[1:] or None
+        if option[2] is not bool and value is None:
+            if stop == len(args) or found[stop] is not None:
+                raise _error(option, "expected one argument")
+            value, stop = args[stop], stop + 1
+        for option, value in taken + [(option, value)]:
+            self._take(command, option, value, slots)
+        return stop
+
+    def _take(self, command, option, value, slots):
+        _, slot, kind, _, _ = option
+        if option is _HELP:
+            raise _Help(self.usage(command))
+        if kind is bool:
+            value = True
+        elif kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                raise _error(option, f"invalid int value: {value!r}") from None
+        elif kind is not str and value not in kind:
+            raise _error(option, f"invalid choice: {value!r} "
+                                 f"(choose from {', '.join(map(repr, kind))})")
+        if option in _EXCLUSIVE:
+            other = _EXCLUSIVE[option is _EXCLUSIVE[0]]
+            if slots.get(other[1]) is not None:
+                raise _error(option, f"not allowed with argument {'/'.join(other[0])}")
+        slots[slot] = value
+
+    def usage(self, command=None) -> str:
+        """The -h text of the program (``command`` None) or of one subcommand."""
+        if command is None:
+            return (f"usage: fo2mc {{{','.join(COMMANDS)}}} ...\n\n"
+                    "Exact lifted model counting for two-variable logic with "
+                    "equality,\ncardinality constraints and counting quantifiers.\n\n"
+                    "Run 'fo2mc COMMAND -h' for the options of one subcommand.\n")
+        rows = [("file", "problem file (.fo2 by convention)")]
+        table, _ = self.commands[command]
+        for spellings, slot, kind, _, text in dict.fromkeys(table.values()):
+            label = ", ".join(spellings)
+            if kind in (int, str):
+                label += " " + slot.upper()
+            elif kind is not bool:
+                label += " {" + ",".join(kind) + "}"
+            rows.append((label, text))
+        width = max(len(label) for label, _ in rows) + 2
+        return (f"usage: fo2mc {command} [options] [file]\n\n"
+                + "".join(f"  {label:{width}}{text}\n" for label, text in rows))
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     """The process's one parser, shared by every caller: do not modify it.
     Each subcommand takes only the flags ``COMMANDS`` lists for it, spelled
     in full, so any other flag or abbreviation is an unrecognized argument."""
-    parser = _Parser(
-        prog="fo2mc", allow_abbrev=False,
-        description="Exact lifted model counting for two-variable logic with "
-                    "equality, cardinality constraints and counting quantifiers.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (flags, formats) in COMMANDS.items():
-        p = sub.add_parser(name, allow_abbrev=False)
-        p.add_argument("file", nargs="?", help="problem file (.fo2 by convention)")
-        p.add_argument("-e", "--inline", help="inline problem text instead of a file")
-        if formats:
-            p.add_argument("--format", choices=formats, default="text")
-        sizes = p.add_mutually_exclusive_group()
-        for flag in flags:
-            names, kwargs = _FLAGS[flag]
-            (sizes if flag in ("-n", "--n-range") else p).add_argument(*names, **kwargs)
-    return parser
+    return _Parser()
 
 
 def _load_problem(args):
@@ -401,6 +543,9 @@ def run(argv=None, out=None, err=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _RUNNERS[args.command](args, out, err)
+    except _Help as exc:
+        out.write(str(exc))
+        return 0
     except RecursionError:
         err.write("unsupported: formula nested too deeply\n")
         return 2

@@ -624,13 +624,19 @@ def format_formula(f: Formula, parent_prec: int = 0) -> str:
             return f"{f.sub.left} != {f.sub.right}"
         return "!" + format_formula(f.sub, _PREC[Not])
     if isinstance(f, (And, Or, Implies, Iff)):
-        prec = _PREC[type(f)]
-        op = {And: "&", Or: "|", Implies: "->", Iff: "<->"}[type(f)]
-        # -> is right-associative, the rest chain to the left
-        lp = prec if isinstance(f, Implies) else prec - 1
-        rp = prec - 1 if isinstance(f, Implies) else prec
-        text = (f"{format_formula(f.left, lp)} {op} "
-                f"{format_formula(f.right, rp)}")
+        kind = type(f)
+        prec = _PREC[kind]
+        op = {And: "&", Or: "|", Implies: "->", Iff: "<->"}[kind]
+        # -> is right-associative, the rest chain to the left; a chain of
+        # one connective needs no parentheses inside, so it is walked
+        # rather than recursed into (a normalized matrix is one And chain
+        # of thousands of conjuncts)
+        parts = []
+        while type(f) is kind:
+            inner, f = (f.left, f.right) if kind is Implies else (f.right, f.left)
+            parts.append(format_formula(inner, prec))
+        parts.append(format_formula(f, prec - 1))
+        text = f" {op} ".join(parts if kind is Implies else reversed(parts))
         return f"({text})" if prec <= parent_prec else text
     if isinstance(f, Forall):
         return f"forall {f.var} ({format_formula(f.body)})"

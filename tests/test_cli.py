@@ -1,4 +1,3 @@
-import argparse
 import io
 import json
 import os
@@ -7,6 +6,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -145,6 +145,17 @@ def test_normalize_dump():
     assert code == 0
     assert "constraint |__f1_1| = |__A1|" in out
     assert "# signs __P1 __P2" in out
+
+
+def test_normalize_dump_of_a_long_matrix():
+    """The successor encoding of exists{=60} is one conjunction of about
+    2,000 conjuncts; it prints without recursing once per conjunct."""
+    text = "predicate R/2\nforall x exists{=60} y R(x,y)"
+    code, out, err = invoke("normalize", "-e", text)
+    assert (code, err) == (0, "")
+    matrix = Solver(parse_problem(text)).successor_encoding().matrix
+    [line] = [line for line in out.splitlines() if line.startswith("forall x")]
+    assert line.count(" & ") == len(matrix) - 1 > 1800
 
 
 def test_cells_dump(running_file):
@@ -354,25 +365,68 @@ def test_usage_error_exit_code_of_the_process():
     assert proc.stderr == "error: unrecognized arguments: --bogus\n"
 
 
-def test_parser_is_built_once(monkeypatch):
-    invoke("count", "-n", "2", "-e", RUNNING_EXAMPLE)
-    calls = []
-    add_argument = argparse.ArgumentParser.add_argument
+def test_one_count_imports_no_argparse():
+    """Answering a query neither imports argparse nor builds a parser twice."""
+    src = str(Path(fo2mc.__file__).resolve().parent.parent)
+    argv = ["count", "-n", "2", "-e", RUNNING_EXAMPLE]
+    script = ("import io, sys\n"
+              "from fo2mc import cli\n"
+              "out = io.StringIO()\n"
+              f"code = cli.run({argv!r}, out, sys.stderr)\n"
+              "assert (code, out.getvalue()) == (0, '48\\n')\n"
+              "assert cli.build_parser() is cli.build_parser()\n"
+              "print('argparse' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
-    def counted(self, *args, **kwargs):
-        calls.append(args)
-        return add_argument(self, *args, **kwargs)
 
-    monkeypatch.setattr(argparse.ArgumentParser, "add_argument", counted)
-    coins = "predicate H/1\nforall x (H(x) | !H(x))\nweight H 1 2"
-    argvs = ([["count", "-n", str(n), "-e", RUNNING_EXAMPLE] for n in range(1, 8)]
-             + [["wfomc", "-n", str(n), "-e", coins] for n in range(1, 8)]
-             + [["dist", "-n", str(n), "-e", coins, "--query", "|H| = 1"]
-                for n in range(1, 7)])
-    assert len(argvs) == 20
-    for argv in argvs:
-        assert invoke(*argv)[0] == 0
-    assert calls == []
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["--bogus", "-h", "count"],
+                                  ["-h", "frobnicate"]])
+def test_help_of_the_program(argv, capsys):
+    code, out, err = invoke(*argv)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: fo2mc {count,wfomc,dist,oracle,normalize,cells,bench}")
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_help_of_each_subcommand_names_its_flags(command, capsys):
+    code, out, err = invoke(command, "--help")
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: fo2mc {command} ")
+    flags, formats = cli.COMMANDS[command]
+    spellings = {"-h", "--help", "-e", "--inline", *(("--format",) if formats else ()),
+                 *(spelling for flag in flags for spelling in cli._FLAGS[flag][0])}
+    named = {word.strip(",") for word in out.split() if word.startswith("-")}
+    assert named == spellings
+    assert invoke(command, "-h") == (0, out, "")
+    assert capsys.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["count", "--bogus", "-h"], 0),
+    (["count", "-n", "3", "-h", "-n", "abc"], 0),
+    (["count", "-hn3"], 0),
+    (["count", "-n", "abc", "-h"], 1),
+    (["count", "-hn"], 1),
+], ids=("after-unrecognized", "before-bad-value", "joined", "after-bad-value",
+        "joined-without-value"))
+def test_help_is_read_in_turn(argv, code):
+    """-h answers as soon as it is read: an error in an earlier argument
+    comes first, a later argument is not read."""
+    got, out, err = invoke(*argv)
+    assert got == code
+    assert out.startswith("usage: fo2mc count ") if code == 0 else err.startswith("error: ")
+
+
+def test_help_exit_code_of_the_process():
+    src = str(Path(fo2mc.__file__).resolve().parent.parent)
+    proc = subprocess.run([sys.executable, "-m", "fo2mc.cli", "normalize", "-h"],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: fo2mc normalize ")
 
 
 def test_parser_keeps_no_state_between_calls(running_file):
@@ -495,7 +549,7 @@ RUNNER_ARGVS = {
 }
 
 
-class RecordingArgs(argparse.Namespace):
+class RecordingArgs(SimpleNamespace):
     """Parsed arguments that record which of them are read."""
 
     def __init__(self, args):

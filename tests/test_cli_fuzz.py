@@ -1,5 +1,5 @@
 """Fuzz the command line: any argv ends in an exit code 0-3, never in a
-Python traceback."""
+Python traceback or a SystemExit."""
 
 import contextlib
 import io
@@ -49,6 +49,7 @@ FLAGS = [
     ["--n-range", "1..3"], ["--n-range", "3..1"], ["--n-range", "x"],
     ["--oracle-cap", "4"], ["--oracle-cap", "-1"],
     ["--threads", "2"], ["--bogus"],
+    ["--format=json"], ["--n=2"], ["-n2"], ["-e" + RUNNING_EXAMPLE], ["-h"],
 ]
 
 
@@ -64,10 +65,14 @@ def argvs(draw):
 
 def run_cli(argv):
     """Exit code and everything written to ``err``.  Usage errors are
-    reported there like any other, so nothing reaches sys.stderr."""
+    reported there like any other, and -h writes to ``out``, so nothing
+    reaches sys.stdout or sys.stderr."""
     out, err, stray = io.StringIO(), io.StringIO(), io.StringIO()
-    with contextlib.redirect_stderr(stray):
-        code = run(argv, out=out, err=err)
+    with contextlib.redirect_stderr(stray), contextlib.redirect_stdout(stray):
+        try:
+            code = run(argv, out=out, err=err)
+        except SystemExit as exc:
+            raise AssertionError(f"SystemExit({exc.code!r})") from None
     assert stray.getvalue() == ""
     return code, err.getvalue()
 

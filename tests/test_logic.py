@@ -104,6 +104,27 @@ def test_formula_repr_round_trips():
     assert parse_formula(str(f)) == f
 
 
+@pytest.mark.parametrize("text,printed", [
+    ("A(x) & B(x) & (C(x) & D(x)) & E(x)", "A(x) & B(x) & (C(x) & D(x)) & E(x)"),
+    ("(A(x) -> B(x)) -> C(x) -> D(x) -> E(x)", "(A(x) -> B(x)) -> C(x) -> D(x) -> E(x)"),
+    ("A(x) <-> (B(x) <-> C(x)) <-> D(x)", "A(x) <-> (B(x) <-> C(x)) <-> D(x)"),
+    ("(A(x) | B(x) & C(x) | D(x)) & (E(x) -> A(x))",
+     "(A(x) | B(x) & C(x) | D(x)) & (E(x) -> A(x))"),
+])
+def test_connective_chains_print_as_parsed(text, printed):
+    f = parse_formula(text)
+    assert str(f) == printed
+    assert parse_formula(printed) == f
+
+
+def test_long_conjunction_prints_without_recursion():
+    atoms = [Atom(f"P{i}", ("x",)) for i in range(5000)]
+    f = atoms[0]
+    for atom in atoms[1:]:
+        f = And(f, atom)
+    assert str(f) == " & ".join(f"P{i}(x)" for i in range(5000))
+
+
 A_X = "Atom(pred='A', args=('x',))"
 EQ = "Eq(left='x', right='y')"
 CARD_A = "LinearExpr(coeffs=(('A', 1),), const=0)"
