@@ -8,8 +8,8 @@ from .errors import (Fo2mcError, InternalConsistencyError, OracleCapError,
                      ParseError, SemanticError, UnsupportedFeatureError)
 from .cells import CellStructure, build_cells
 from .grounding import GroundFormula, eval_qf, ground
-from .normalize import (NormalizedProblem, dump_normalized,
-                        expand_counting_sugar, normalize, successor_encoding)
+from .normalize import (NormalizedProblem, dump_normalized, normalize,
+                        successor_encoding)
 from .oracle import OracleReport, oracle_count, oracle_distribution, oracle_stratified
 from .parser import Problem, parse_formula, parse_problem
 from .weights import (count_distribution, distribution_table, wfomc_profile,
@@ -20,9 +20,8 @@ __all__ = [
     "InternalConsistencyError", "NormalizedProblem", "OracleCapError",
     "OracleReport", "ParseError", "Problem", "SemanticError", "Solver",
     "UnsupportedFeatureError", "build_cells", "count_distribution",
-    "distribution_table", "dump_normalized", "eval_qf",
-    "expand_counting_sugar", "fomc_universal", "ground",
-    "witness_deficit_counts", "normalize", "oracle_count",
+    "distribution_table", "dump_normalized", "eval_qf", "fomc_universal",
+    "ground", "witness_deficit_counts", "normalize", "oracle_count",
     "oracle_distribution", "oracle_stratified", "parse_formula",
     "parse_problem", "successor_encoding", "universal_term", "wfomc_profile",
     "wfomc_symmetric",

@@ -6,14 +6,14 @@ and one factor per pair of elements.  On a directed matrix an element of
 class i contributes w_i prod_j g_ij^(k_j - [i = j]), g_ij being the
 polynomial of the out-edges i may send to j (van Bremen and Kuzelka's
 cell-graph pair factors, split by direction).  A counting block
-``A(x) <-> exists{=m} y G(x,y)`` reads an A-element's row at digit m of
-its G-degree, one counter for all of G's blocks, and any other's as its
-whole row minus the digit of each of their m's; each minus is a class
-weight, like a sign predicate's, so a class reads each guard degree at
-one digit or whole.  Classes whose columns g_.j agree form one column
-group, and by the multinomial theorem the census runs over the group
-counts c, each worth n!/prod_G c_G! prod_G (sum_{i in G} F_i)^c_G: one
-group is the n-th power of a per-element polynomial.  Any other matrix,
+``A(x) <-> exists{cmp m} y G(x,y)`` reads an A-element's row summed over
+the digits of its G-degree in the block's span, one counter for all of
+G's blocks, and any other's as its whole row minus that sum (swapped for
+at-least); per guard this expands into signed digit boxes, each sign a
+class weight.  Classes whose columns g_.j agree form one column group,
+and by the multinomial theorem the census runs over the group counts c,
+each worth n!/prod_G c_G! prod_G (sum_{i in G} F_i)^c_G: one group is the
+n-th power of a per-element polynomial.  Any other matrix,
 and the ``successor_encoding`` with its 1/m! divisors, enumerates the
 censuses of the classes over 2-table pair factors; there every block
 raises one tie counter, and each census key's value is read at its target.
@@ -51,7 +51,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, groupby, product
 from typing import Iterator, Mapping, Sequence
 
-from .cells import CellStructure, build_cells, check_table_bits
+from .cells import CellStructure, build_cells
 from .errors import InternalConsistencyError, SemanticError
 from .logic import (CARD_TRUE, CardAnd, CardCompare, CardConstraint, card_conjoin,
                     constraint_predicates, slot_bit)
@@ -294,12 +294,16 @@ def card_ranges(forms: Sequence[tuple[dict[str, int], int, bool]],
 
 
 def block_pinned(cells: CellStructure, block: CountingBlock) -> bool:
-    """True when the matrix forces every guard edge to start in A, which
-    pins A to the set of elements with exactly m guard successors."""
+    """True when the matrix pins A (its complement for at-least) to the set
+    of elements whose guard degree lies in the span: for ``=m``, when it forces
+    every guard edge to start in A; for a span holding 0, when no valid type
+    reads a degree outside it."""
     a_slot = cells.u_slot_index(block.a_pred, "unary")
     g_refl = cells.u_slot_index(block.guard, "reflexive")
     g_xy = cells.b_slot_index(block.guard, "xy")
-    outside = [i for i in cells.valid if not cells.type_bit(i, a_slot)]
+    outside = [i for i in cells.valid if cells.type_bit(i, a_slot) == (block.cmp == ">=")]
+    if block.cmp != "=":  # an element outside the span may have no guard edge
+        return not outside
     if any(cells.type_bit(i, g_refl) for i in outside):
         return False
     # a guard edge from i is an x->y bit of a 2-table with i on the x side,
@@ -356,9 +360,9 @@ class ProfileEvaluator:
         # polynomial); the census over pair tables otherwise
         self._directed = cells.directed and not self._ties
         n_keys = len(self.key_names)
-        self._guards: dict[str, list[tuple[int, int]]] = {}  # guard -> (block, m)s
+        self._guards: dict[str, list[tuple[int, CountingBlock]]] = {}  # guard -> its blocks
         for i, b in enumerate(() if self._ties else norm.blocks):
-            self._guards.setdefault(b.guard, []).append((i, b.m))
+            self._guards.setdefault(b.guard, []).append((i, b))
         counted = ([tuple(f for b in norm.blocks for f in b.f_preds)] if self._ties
                    else [(g,) for g in self._guards])
         self._raises: dict[str, list[int]] = {}
@@ -367,7 +371,7 @@ class ProfileEvaluator:
                 self._raises.setdefault(pred, []).append(d)
         # (cap, top) per counter: a card reaches n or n * n but only the
         # values the constraint's comparisons allow are kept, a guard degree
-        # n but only its blocks' digits m are read; the tie counter only
+        # n but only its blocks' spans are read; the tie counter only
         # climbs, so nothing past its target matters
         self.constraint = constraint
         parts, self._whole = _conjuncts(constraint)
@@ -379,17 +383,17 @@ class ProfileEvaluator:
         self._bounds = [(caps[p], tops[p]) for p in self.key_names]
         tie = sum(b.m for b in norm.blocks) * n  # the tie counter's target
         self._bounds += ([(tie, tie * (n + 1))] if self._ties
-                         else [(max(m for _, m in blocks), n) for blocks in self._guards.values()])
+                         else [(max(b.span[1] for _, b in blocks), n)
+                               for blocks in self._guards.values()])
 
         # ``build_cells`` groups interchangeable types, split here into classes
-        # by tracked unary key and the digit read of each guard degree
+        # by tracked unary key and the digit box read of each guard degree
         # (``_read_options``); with a tie counter an A-element weighs 1/m!.  A
         # class carries the sum of its members' signed weights times their
-        # counters, exact by the multinomial theorem.  Classes whose sum is
-        # zero drop out.
+        # counters, exact by the multinomial theorem; zero sums drop out.
         sign_slots = [cells.u_slot_index(p, "unary") for p in norm.sign_preds]
         a_slots = [cells.u_slot_index(b.a_pred, "unary") for b in norm.blocks]
-        options = {(): [((), 1)]}  # A bits -> their ``_read_options``, seeded for no blocks
+        options = {}  # A bits -> their ``_read_options``
         merged: dict[tuple, tuple[int, dict]] = {}
         for c, members in enumerate(cells.classes):
             for t in members:
@@ -398,7 +402,7 @@ class ProfileEvaluator:
                 w *= (-1) ** sum(cells.type_bit(t, s) for s in sign_slots)
                 if self._ties:
                     for block, hit in zip(norm.blocks, in_a):
-                        w = Fraction(w, block.divisor_base) if hit else w
+                        w = Fraction(w, math.factorial(block.m)) if hit else w
                         counts[n_keys] += 0 if hit else block.m
                 if in_a not in options:
                     options[in_a] = self._read_options(in_a)
@@ -414,18 +418,21 @@ class ProfileEvaluator:
         weights, self._type_scale = _integral(dict(enumerate(w for *_, w in live)))
         self._weights = list(weights.values())
 
-    def _read_options(self, in_a: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
-        """The (digit read of each guard degree, 0 for the whole row; sign)
-        of the classes a type in the A's ``in_a`` joins.  Per guard: digit m
-        if in A at m alone; else, if outside every A, the whole row minus
-        digit m per distinct m; else none."""
+    def _read_options(self, in_a: Sequence[int]) -> list[tuple[tuple, int]]:
+        """The (digit box read of each guard degree, () for the whole row;
+        sign) of the classes a type in the A's ``in_a`` joins.  Per guard,
+        the degrees its blocks allow (inside the spans of the A's it is in,
+        swapped for at-least, outside the others) form runs between the
+        spans' ends: the runs allowed, or the whole row minus the others."""
         per_guard = []
         for blocks in self._guards.values():
-            inside, outside = ({m for i, m in blocks if in_a[i] == hit} for hit in (1, 0))
-            if len(inside) > 1 or inside & outside:
-                return []
-            per_guard.append(inside or [0, *(-m for m in sorted(outside))])  # -m: minus digit m
-        return [(tuple(map(abs, reads)), (-1) ** sum(m < 0 for m in reads))
+            spans = [(b.span, in_a[i] != (b.cmp == ">=")) for i, b in blocks]  # (span, inside?)
+            cuts = sorted({0, *(end for (lo, hi), _ in spans for end in (lo, hi + 1))})
+            allowed = [all((lo <= d <= hi) == hit for (lo, hi), hit in spans) for d in cuts]
+            tail = allowed[-1]  # every degree past the spans
+            runs = [(lo, hi - 1) for lo, hi, ok in zip(cuts, cuts[1:], allowed) if ok != tail]
+            per_guard.append([((), 1)] * tail + [(run, -1 if tail else 1) for run in runs])
+        return [(tuple(box for box, _ in reads), math.prod(sign for _, sign in reads))
                 for reads in product(*per_guard)]
 
     def _term(self, slots: Sequence[tuple[str, str]], index: int):
@@ -570,10 +577,10 @@ class ProfileEvaluator:
     def _readings(self, polys: dict, g: int, layout: _Layout, first: int, cols) -> list:
         """Per class, how its element's row is read: (the layout it decodes
         into, the layout it is computed in, its factors toward the columns
-        ``cols`` and class weight packed there, its ``_reads``).  A class that
-        reads no guard degree uses ``base``, the census counters alone (the
-        census layout without guards); any other the one layout that adds
-        every guard degree, each it does not read packed at 1 (whole)."""
+        ``cols`` and class weight packed there, the guard degrees of its
+        ``_reads`` box).  A class reading no guard degree uses ``base``, the
+        census counters alone; any other the one layout that adds every guard
+        degree, each it does not read packed at 1 (whole)."""
         n, end = self.n, len(self.key_names)
         base = element = layout
         if self._guards:
@@ -586,22 +593,24 @@ class ProfileEvaluator:
         readings = []
         for pos, reads in enumerate(self._reads):
             space = element if any(reads) else base
-            ones = [d for d, m in enumerate(reads, end) if not m]
+            ones = [d for d, box in enumerate(reads, end) if not box]
+            keys = list(product(*(range(box[0], min(box[1], n) + 1) if box else (0,)
+                                  for box in reads)))
             readings.append((base, space, [space.pack(polys[pos, r], ones) for r in cols],
-                             space.pack(self._weights[pos], ones), reads))
+                             space.pack(self._weights[pos], ones), keys))
         return readings
 
     @staticmethod
     def _element(reading, exponents: Sequence[int], layout: _Layout) -> int:
         """One element's row in the census ``layout``, read as ``reading``
-        says: its class weight times its factors to the ``exponents``, at
-        the digit it reads of each guard degree."""
-        base, space, factors, row, reads = reading
+        says: its class weight times its factors to the ``exponents``,
+        summed over the digit box it reads of the guard degrees."""
+        base, space, factors, row, keys = reading
         for f, e in zip(factors, exponents):
             if e:
                 row = space.mul(row, space.pow(f, e))
         if space is not base:
-            row = space.at(row, reads)
+            row = sum(space.at(row, key) for key in keys)
         return layout.pack(base.decode(row)) if base is not layout and layout.counters else row
 
     def _group_table(self) -> tuple[dict, _Layout, int]:
@@ -715,12 +724,8 @@ class Solver:
         self.norm, self.cells = norm, build_cells(norm.signature, norm.matrix)
         if norm.blocks and not norm.successors and not self.cells.directed:
             # fall back to the successor encoding, with a sign predicate on
-            # each block the matrix does not pin (freeing the first tables);
-            # each f_ij adds a reflexive slot, two table slots and an existence
-            # sign, so oversize tables are refused before any axiom is built
-            unpinned, m = self._unpinned(), sum(b.m for b in norm.blocks)
-            check_table_bits(self.cells.u + 2 * m + len(unpinned), self.cells.b + 2 * m)
-            self.norm, self.cells = successor_encoding(norm, unpinned), None
+            # each block the matrix does not pin (freeing the first tables)
+            self.norm, self.cells = successor_encoding(norm, self._unpinned()), None
             self.cells = build_cells(self.norm.signature, self.norm.matrix)
 
     def _unpinned(self) -> set[int]:

@@ -2,25 +2,24 @@
 
 ``normalize`` returns the per-element normal form.  Single-variable
 counting quantifiers become cardinality constraints on fresh unary
-predicates; each two-variable counting quantifier has its at-most /
-at-least sugar expanded into exact counts, and each ``exactly-m``
-occurrence becomes a block: a fresh unary predicate A standing for the
-occurrence, its guard and m, with no axioms, so A means "exactly m guard
-successors", which the engine enforces per element on matrices whose
-2-tables factor per direction.  The result is brought to Scott normal
-form (one universal matrix plus forall-exists conjuncts), and each
-exists-conjunct is folded into the matrix through a fresh sign predicate
-that drives the inclusion-exclusion sign.
+predicates; any other ``exists{cmp m}`` becomes a block, a fresh unary
+predicate A standing for the occurrence, its guard, cmp and m, with no
+axioms: A means "the guard degree lies in the block's span" (outside it
+for at-least), which the engine enforces per element on matrices whose
+2-tables factor per direction.  ``=0``, ``<=0``, ``>=1`` and ``>=0`` are
+rewritten where they stand.  The result is brought to Scott normal form
+(one universal matrix plus forall-exists conjuncts), and each
+exists-conjunct is folded into the matrix through a fresh sign predicate.
 
 ``successor_encoding`` rewrites that form into the source paper's
-encoding, the engine's fallback for every other matrix: per block, m
-fresh binary predicates f_j with axioms that make A a subset of the
-exactly-m set E, a 1/m! divisor per A-element and ties |f_j| = |A|.
-Where the matrix does not pin A = E (by forcing every guard edge to start
-in A), a block in ``signed`` gets a sign predicate S with S(x) -> A(x)
-and each occurrence read as A(w) & !S(w): summing (-1)^|S| over S within
-A and A within E leaves exactly the term A = E, so the count is exact in
-every position.
+encoding, the engine's fallback for every other matrix: per degree k of a
+block's span, k fresh binary predicates f_j with axioms that make A_k a
+subset of the exactly-k set E_k, a 1/k! divisor per A_k-element and ties
+|f_j| = |A_k|; the union of the A_k stands for A.  Where the matrix does
+not pin it to the union of the E_k, a block in ``signed`` gets a sign
+predicate S with S(x) -> union(x), each occurrence read as
+union(w) & !S(w): summing (-1)^|S| over S within the union and each A_k
+within E_k leaves exactly the union of the E_k, so the count is exact.
 
 Each rewriting walker spells out only the nodes it changes and reaches
 every other node through ``logic.subformulas`` and ``logic.rebuild``.
@@ -29,10 +28,10 @@ Fresh synthetic predicates come from ``NameAllocator.fresh``.
 
 from __future__ import annotations
 
-import math
 from itertools import combinations
 from typing import Collection
 
+from .cells import check_table_bits
 from .errors import UnsupportedFeatureError
 from .logic import (And, Atom, CARD_TRUE, CardAnd, CardCompare,
                     CardConstraint, Counting, Eq, Exists, Forall, Formula,
@@ -69,26 +68,27 @@ class NameAllocator:
 
 
 class CountingBlock(Node):
-    """One ``exactly-m successors`` occurrence: A(x) holds exactly when
-    x has m guard successors.  ``f_preds`` are its successor predicates
-    in the successor encoding (empty when the engine counts successors
-    per element), and ``sign`` its inclusion-exclusion sign predicate,
-    if it has one."""
+    """One ``exists{cmp m}`` occurrence: A(x) holds exactly when x's guard
+    degree lies in ``span`` (outside it for ``>=``); in the successor
+    encoding, the exact block of one degree of occurrence ``index``, with its
+    successor predicates ``f_preds`` and the occurrence's ``sign``, if any."""
 
-    __slots__ = ("index", "guard", "m", "a_pred", "f_preds", "sign")
+    __slots__ = ("index", "guard", "cmp", "m", "a_pred", "f_preds", "sign")
 
-    def __init__(self, index: int, guard: str, m: int, a_pred: str,
+    def __init__(self, index: int, guard: str, cmp: str, m: int, a_pred: str,
                  f_preds: tuple[str, ...] = (), sign: str | None = None):
         _set(self, "index", index)
         _set(self, "guard", guard)
+        _set(self, "cmp", cmp)
         _set(self, "m", m)
         _set(self, "a_pred", a_pred)
         _set(self, "f_preds", f_preds)
         _set(self, "sign", sign)
 
     @property
-    def divisor_base(self) -> int:
-        return math.factorial(self.m)
+    def span(self) -> tuple[int, int]:
+        """The degrees lo..hi A reads: m, 0..m for at-most, 0..m-1 for at-least."""
+        return (self.m, self.m) if self.cmp == "=" else (0, self.m - (self.cmp == ">="))
 
 
 class NormalizedProblem:
@@ -165,51 +165,30 @@ def extract_single_var_counting(sentence: Formula, alloc: NameAllocator
 # Step 2: encode two-variable counting occurrences as blocks
 
 
-def expand_counting_sugar(formula: Formula) -> Formula:
-    """Rewrite so that only ``exists{=m}`` with m >= 1 remains: at-most
-    becomes a disjunction of exact counts, at-least the negation of an
-    at-most, and ``exists{=0}`` a universal negation."""
-    subs = [expand_counting_sugar(s) for s in subformulas(formula)]
-    if not isinstance(formula, Counting):
-        return rebuild(formula, subs)
-    (body,) = subs
-    v, m = formula.var, formula.count
-    if formula.cmp == "=":
-        if m == 0:
-            return Forall(v, Not(body))
-        return Counting("=", m, v, body)
-    if formula.cmp == "<=":
-        return disjoin(expand_counting_sugar(Counting("=", k, v, body))
-                       for k in range(m + 1))
-    if formula.cmp == ">=":
-        if m == 0:
-            return Eq(v, v)  # trivially true
-        return Not(expand_counting_sugar(Counting("<=", m - 1, v, body)))
-    raise TypeError(f"not a formula: {formula!r}")
-
-
 def encode_counting(sentence: Formula, alloc: NameAllocator
                     ) -> tuple[Formula, tuple[CountingBlock, ...]]:
-    """Replace every ``exists{=m} v body(w,v)`` occurrence, m >= 1, with
-    A_i(w) for a fresh A_i and the bare block (A_i, guard, m); a counting
-    node with other comparisons or m = 0 is expanded into exact ones
-    where it stands.  A body other than a guard atom G(w,v) gets a
-    definitional guard, whose axiom (w renamed to x, v to y) is
-    conjoined: one per distinct body so renamed, so that occurrences
-    counting the same body share a guard degree."""
+    """Replace every ``exists{cmp m} v body(w,v)`` occurrence with A_i(w)
+    for a fresh A_i and the bare block (A_i, guard, cmp, m), but ``=0`` and
+    ``<=0`` by ``forall v !body``, ``>=1`` by ``exists v body`` and ``>=0``
+    by true.  A body other than a guard atom G(w,v) gets a definitional
+    guard, whose axiom (w renamed to x, v to y) is conjoined: one per
+    distinct body so renamed, so that occurrences counting the same body
+    share a guard degree."""
     blocks: list[CountingBlock] = []
     guards: dict[Formula, str] = {}
 
     def walk(f: Formula, inside_counting: bool) -> Formula:
         if not isinstance(f, Counting):
             return rebuild(f, [walk(s, inside_counting) for s in subformulas(f)])
-        if f.cmp != "=" or f.count < 1:
-            return walk(expand_counting_sugar(f), inside_counting)
+        v = f.var
+        if f.count == 0 and f.cmp != ">=":
+            return Forall(v, Not(walk(f.body, inside_counting)))
+        if f.cmp == ">=" and f.count < 2:
+            return Exists(v, walk(f.body, inside_counting)) if f.count else Eq(v, v)
         if inside_counting:
             raise UnsupportedFeatureError(
                 "nested counting quantifiers are not supported")
         body = walk(f.body, True)
-        v = f.var
         w = other_variable(v)
         if free_vars(body) <= {v}:
             raise UnsupportedFeatureError(
@@ -220,7 +199,7 @@ def encode_counting(sentence: Formula, alloc: NameAllocator
         else:
             renamed = substitute(body, {w: "x", v: "y"})
             guard = guards.get(renamed) or guards.setdefault(renamed, alloc.fresh("R", 2))
-        blocks.append(CountingBlock(len(blocks) + 1, guard, f.count, alloc.fresh("A", 1)))
+        blocks.append(CountingBlock(len(blocks) + 1, guard, f.cmp, f.count, alloc.fresh("A", 1)))
         return Atom(blocks[-1].a_pred, (w,))
 
     replaced = walk(sentence, False)
@@ -399,7 +378,7 @@ def eliminate_existentials(matrix: list[Formula], psis: list[Formula],
 
 def normalize(problem: Problem) -> NormalizedProblem:
     """Normalize a problem to the per-element normal form, with bare
-    (A, guard, m) counting blocks."""
+    (A, guard, cmp, m) counting blocks."""
     signature = problem.signature.copy()
     alloc = NameAllocator(signature)
     sentence, single_constraints, definitions = extract_single_var_counting(
@@ -424,39 +403,55 @@ def normalize(problem: Problem) -> NormalizedProblem:
 def successor_encoding(norm: NormalizedProblem, signed: Collection[int] = ()
                        ) -> NormalizedProblem:
     """The source paper's successor encoding of the per-element normal form
-    ``norm``, one block at a time: m fresh binary predicates f_j with
-    A(x) -> (G(x,y) <-> f_1 | ... | f_m), pairwise disjointness and the
-    forall-exists conjuncts A(x) -> f_j(x,y), signed like the problem's
-    own.  A block whose index is in ``signed`` also gets a sign predicate
-    S with S(x) -> A(x), and each matrix occurrence A(t) becomes
-    A(t) & !S(t).  The block signs take the lowest __P numbers, the
-    problem's own signs the next ones."""
+    ``norm``, per degree k of each block's span: k fresh binary predicates
+    f_j with A_k(x) -> (G(x,y) <-> f_1 | ... | f_k), pairwise disjointness
+    and the forall-exists conjuncts A_k(x) -> f_j(x,y), signed like the
+    problem's own; A_k is A for the highest k, else fresh.  A block whose
+    index is in ``signed`` also gets a sign predicate S with S(x) -> A_k(x)
+    for some k.  Each occurrence A(t) reads the union of the A_k (and !S(t)),
+    negated for at-least.  The block signs take the lowest __P numbers, the
+    problem's own signs the next ones.  Oversize encodings are refused
+    before any axiom is built: each f_j adds a type slot, two table slots
+    and an existence sign."""
+    u, b = len(norm.signature.arities), 2 * len(norm.signature.binary_predicates())
+    for block in norm.blocks:
+        lo, hi = block.span
+        fs = (lo + hi) * (hi - lo + 1) // 2
+        u, b = u + 2 * fs + hi - lo + (block.index in signed), b + 2 * fs
+    check_table_bits(u, b)
     old = set(norm.sign_preds)
     signature = Signature({p: a for p, a in norm.signature.arities.items() if p not in old},
                           norm.signature.synthetic - old)
     alloc = NameAllocator(signature)
     signs = {b.a_pred: alloc.fresh("P", 1) for b in norm.blocks if b.index in signed}
     renamed = {p: alloc.fresh("P", 1) for p in norm.sign_preds}
+    unions = {b.a_pred: [*(alloc.fresh("A", 1) for _ in range(*b.span)), b.a_pred]
+              for b in norm.blocks}
+    at_least = {b.a_pred for b in norm.blocks if b.cmp == ">="}
 
     def rewrite(f: Formula) -> Formula:
-        if isinstance(f, Atom) and f.pred in signs:
-            return And(f, Not(Atom(signs[f.pred], f.args)))
+        if isinstance(f, Atom) and f.pred in unions:
+            seen = disjoin(Atom(a, f.args) for a in unions[f.pred])
+            if f.pred in signs:
+                seen = And(seen, Not(Atom(signs[f.pred], f.args)))
+            return Not(seen) if f.pred in at_least else seen
         if isinstance(f, Atom) and f.pred in renamed:
             return Atom(renamed[f.pred], f.args)
         return rebuild(f, [rewrite(s) for s in subformulas(f)])
 
     matrix, psis, blocks = [rewrite(c) for c in norm.matrix], [], []
     for b in norm.blocks:
-        fs = tuple(alloc.fresh(f"f{b.index}_", 2) for _ in range(b.m))
-        f_atoms = [Atom(name, ("x", "y")) for name in fs]
-        a_x = Atom(b.a_pred, ("x",))
-        matrix.append(Implies(a_x, Iff(Atom(b.guard, ("x", "y")), disjoin(f_atoms))))
-        matrix += [Implies(p, Not(q)) for p, q in combinations(f_atoms, 2)]
-        psis += [Implies(a_x, fa) for fa in f_atoms]
-        sign = signs.get(b.a_pred)
+        guard, sign, union = Atom(b.guard, ("x", "y")), signs.get(b.a_pred), unions[b.a_pred]
+        for k, a_pred in enumerate(union, b.span[0]):
+            fs = tuple(alloc.fresh(f"f{b.index}_", 2) for _ in range(k))
+            f_atoms = [Atom(name, ("x", "y")) for name in fs]
+            a_x = Atom(a_pred, ("x",))
+            matrix.append(Implies(a_x, Iff(guard, disjoin(f_atoms)) if fs else Not(guard)))
+            matrix += [Implies(p, Not(q)) for p, q in combinations(f_atoms, 2)]
+            psis += [Implies(a_x, fa) for fa in f_atoms]
+            blocks.append(CountingBlock(b.index, b.guard, "=", k, a_pred, fs, sign))
         if sign:
-            matrix.append(Implies(Atom(sign, ("x",)), a_x))
-        blocks.append(CountingBlock(b.index, b.guard, b.m, b.a_pred, fs, sign))
+            matrix.append(Implies(Atom(sign, ("x",)), disjoin(Atom(a, ("x",)) for a in union)))
     matrix, f_signs = eliminate_existentials(matrix, psis, alloc)
     return NormalizedProblem(
         signature=signature,

@@ -147,15 +147,23 @@ def test_normalize_dump():
     assert "# signs __P1 __P2" in out
 
 
-def test_normalize_dump_of_a_long_matrix():
-    """The successor encoding of exists{=60} is one conjunction of about
-    2,000 conjuncts; it prints without recursing once per conjunct."""
-    text = "predicate R/2\nforall x exists{=60} y R(x,y)"
-    code, out, err = invoke("normalize", "-e", text)
-    assert (code, err) == (0, "")
-    matrix = Solver(parse_problem(text)).successor_encoding().matrix
-    [line] = [line for line in out.splitlines() if line.startswith("forall x")]
-    assert line.count(" & ") == len(matrix) - 1 > 1800
+@pytest.mark.parametrize("body,bits", [("R(x,y)", "2*4002+4002 = 12006"),
+                                       ("(R(x,y) & R(y,x))", "2*4003+4004 = 12010")])
+def test_normalize_refuses_an_oversize_encoding(body, bits):
+    """2000 successors, counted per element on a directed matrix or not at
+    all: the encoding ``normalize`` prints is refused from its predicted
+    size, before its 2000 * 1999 / 2 disjointness axioms are built."""
+    start = time.monotonic()
+    code, out, err = invoke("normalize", "-e", f"predicate R/2\nforall x exists{{=2000}} y {body}")
+    assert code == 2 and out == ""
+    assert f"signature needs {bits} table bits, beyond the supported 30" in err
+    assert time.monotonic() - start < 1
+
+
+def test_count_at_most_a_thousand_successors():
+    """One block, read over the digits 0..3 of the R-degree at n = 3."""
+    assert invoke("count", "-n", "3", "-e", "predicate R/2\nforall x exists{<=1000} y R(x,y)") \
+        == (0, "512\n", "")
 
 
 def test_cells_dump(running_file):

@@ -162,8 +162,8 @@ NODES = {
     "WSub": (lambda: WSub(WNum(Fraction(1)), WCard("H")), f"WSub(left={ONE}, right={H})"),
     "WMul": (lambda: WMul(WNum(Fraction(1)), WCard("H")), f"WMul(left={ONE}, right={H})"),
     "WPow": (lambda: WPow(WNum(Fraction(1)), WCard("H")), f"WPow(base={ONE}, exponent={H})"),
-    "CountingBlock": (lambda: CountingBlock(1, "R", 2, "__A1"),
-                      "CountingBlock(index=1, guard='R', m=2, a_pred='__A1', "
+    "CountingBlock": (lambda: CountingBlock(1, "R", "<=", 2, "__A1"),
+                      "CountingBlock(index=1, guard='R', cmp='<=', m=2, a_pred='__A1', "
                       "f_preds=(), sign=None)"),
 }
 

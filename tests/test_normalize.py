@@ -1,61 +1,120 @@
+import itertools
+import random
+
 import pytest
 
+from fo2mc.engine import Solver
 from fo2mc.errors import UnsupportedFeatureError
-from fo2mc.grounding import ground
-from fo2mc.logic import (Atom, CardCompare, Counting, Forall,
-                         Implies, LinearExpr, Not, Or, is_quantifier_free)
-from fo2mc.normalize import (NameAllocator, dump_normalized,
-                             expand_counting_sugar, normalize,
-                             successor_encoding, to_scott)
+from fo2mc.logic import (Atom, CardCompare, Counting, Exists, Forall, Implies,
+                         LinearExpr, Not, Signature, is_quantifier_free)
+from fo2mc.normalize import (NameAllocator, NormalizedProblem, dump_normalized,
+                             encode_counting, normalize, successor_encoding, to_scott)
 from fo2mc.oracle import oracle_count
 from fo2mc.parser import parse_formula, parse_problem
 
 from conftest import ZERO_OR_TWO_EXAMPLE, RUNNING_EXAMPLE
 
 
-def model_set(signature, sentence, n):
-    gf = ground(signature, sentence, n)
-    return {a for a in range(1 << len(gf.atoms)) if gf.evaluate(a)}
-
-
-# -- counting sugar -----------------------------------------------------------
-
-
-def test_sugar_ge1_is_plain_exists():
-    # at-least-1 becomes the negation of the empty-successor case
-    f = parse_formula("exists{>=1} y R(x,y)")
-    out = expand_counting_sugar(f)
-    assert out == Not(Forall("y", Not(Atom("R", ("x", "y")))))
-
-
-def test_sugar_le1_expansion():
-    f = parse_formula("exists{<=1} y R(x,y)")
-    out = expand_counting_sugar(f)
-    r = Atom("R", ("x", "y"))
-    assert out == Or(Forall("y", Not(r)), Counting("=", 1, "y", r))
-
-
-def test_sugar_ge2_expansion():
-    f = parse_formula("exists{>=2} y R(x,y)")
-    out = expand_counting_sugar(f)
-    r = Atom("R", ("x", "y"))
-    assert out == Not(Or(Forall("y", Not(r)), Counting("=", 1, "y", r)))
+# -- counting comparisons -----------------------------------------------------
 
 
 def test_sugar_eq0_is_universal_negation():
-    f = parse_formula("exists{=0} y R(x,y)")
-    assert expand_counting_sugar(f) == Forall("y", Not(Atom("R", ("x", "y"))))
+    """Exactly 0 (and at most 0) is rewritten where it stands, with no block."""
+    for quant in ("exists{=0}", "exists{<=0}"):
+        out, blocks = encode_counting(parse_formula(f"{quant} y R(x,y)"),
+                                      NameAllocator(Signature({"R": 2})))
+        assert out == Forall("y", Not(Atom("R", ("x", "y")))) and blocks == ()
+
+
+def test_sugar_ge1_is_plain_exists():
+    out, blocks = encode_counting(parse_formula("exists{>=1} y R(x,y)"),
+                                  NameAllocator(Signature({"R": 2})))
+    assert out == Exists("y", Atom("R", ("x", "y"))) and blocks == ()
+
+
+@pytest.mark.parametrize("quant,span", [("exists{<=1}", (0, 1)), ("exists{>=2}", (0, 1)),
+                                        ("exists{<=2}", (0, 2)), ("exists{=3}", (3, 3))])
+def test_one_block_per_counting_quantifier(quant, span):
+    """Every comparison with m past the degenerate ones is one block, whose
+    A reads a span of the guard degree (at-least its complement)."""
+    norm = normalize(parse_problem(f"forall x ({quant} y R(x,y))"))
+    [block] = norm.blocks
+    assert (block.guard, block.cmp + str(block.m), block.span) == ("R", quant[7:-1], span)
+    assert [str(c) for c in norm.matrix] == [f"{block.a_pred}(x)"]
 
 
 @pytest.mark.parametrize("quant", ["exists{<=1}", "exists{>=2}", "exists{<=2}"])
 def test_sugar_preserves_models(quant):
-    """Oracle-checked model equivalence of the expansion on small domains."""
-    text = f"forall x ({quant} y R(x,y))"
-    p = parse_problem(text)
-    expanded = expand_counting_sugar(p.sentence)
+    """The per-element count and the successor encoding's, signed where
+    the matrix does not pin the block or signed always, match the oracle
+    on small domains."""
+    p = parse_problem(f"forall x ({quant} y R(x,y))")
+    solvers = [Solver(p), Solver(Solver(p).successor_encoding()),
+               Solver(successor_encoding(normalize(p), {1}))]
     for n in (1, 2, 3):
-        assert model_set(p.signature, p.sentence, n) == \
-            model_set(p.signature, expanded, n)
+        want = oracle_count(p.signature, p.sentence, n).total
+        assert [s.count(n) for s in solvers] == [want] * 3
+
+
+#: the positions of the counting quantifier in the differential
+POSITIONS = {"positive": "forall x {q} y R(x,y)",
+             "negated": "forall x !({q} y R(x,y))",
+             "disjunctive": "forall x (A(x) | {q} y R(x,y))",
+             "biconditional": "forall x (A(x) <-> {q} y R(x,y))",
+             "existential": "exists x {q} y R(x,y)"}
+DIRECTED_ATOMS = ("A(x)", "A(y)", "R(x,x)", "R(x,y)", "x = y")
+
+
+def comparison_problem(position: str, cmp: str, m: int, symmetric: bool) -> str:
+    """The counting quantifier ``exists{cmp m}`` in ``position``, beside a
+    seeded random matrix over the x -> y atoms (so directed, unless the
+    symmetry of R is added)."""
+    rng = random.Random(f"{position}/{cmp}/{m}/{symmetric}")
+
+    def qf(depth):
+        if depth == 0 or rng.random() < 0.3:
+            return rng.choice(DIRECTED_ATOMS)
+        op = rng.choice(("&", "|", "->"))
+        return f"({qf(depth - 1)} {op} {qf(depth - 1)})"
+    conjuncts = [POSITIONS[position].format(q=f"exists{{{cmp}{m}}}")]
+    if rng.random() < 0.5:
+        conjuncts.append(f"forall x forall y {qf(2)}")
+    if symmetric:
+        conjuncts.append("forall x forall y (R(x,y) -> R(y,x))")
+    return "predicate A/1\npredicate R/2\n" + " & ".join(f"({c})" for c in conjuncts) + "\n"
+
+
+@pytest.mark.parametrize("symmetric", (False, True), ids=("directed", "symmetric"))
+@pytest.mark.parametrize("position", POSITIONS)
+def test_comparison_differential(position, symmetric):
+    """Each comparison with m = 0..3 matches the oracle at n <= 3, per
+    element on directed matrices and in the successor encoding on
+    symmetric ones, wherever its table bits are supported."""
+    encoded = []
+    for cmp, m in itertools.product(("=", "<=", ">="), range(4)):
+        p = parse_problem(comparison_problem(position, cmp, m, symmetric))
+        try:
+            solver = Solver(p)
+        except UnsupportedFeatureError:
+            assert symmetric and m >= 2
+            continue
+        for n in (1, 2, 3):
+            assert solver.count(n) == oracle_count(p.signature, p.sentence, n).total
+        encoded.append(solver.norm.successors)
+    assert len(encoded) >= 8 and any(encoded) == symmetric
+
+
+def test_symmetric_at_least_three_counts():
+    """The symmetric matrix with at least 3 R-successors (a loop counts):
+    the successor encoding of degrees 0..2, read negated, within 30 table
+    bits.  At n = 4, 43 of the 1,024 symmetric relations qualify."""
+    p = parse_problem("predicate R/2\nforall x forall y (R(x,y) -> R(y,x)) & "
+                      "forall x exists{>=3} y R(x,y)")
+    solver = Solver(p)
+    assert solver.norm.successors and [b.m for b in solver.norm.blocks] == [0, 1, 2]
+    assert 2 * solver.cells.u + solver.cells.b <= 30
+    assert [solver.count(n) for n in (1, 2, 3, 4)] == [
+        *(oracle_count(p.signature, p.sentence, n).total for n in (1, 2, 3)), 43]
 
 
 # -- counting encoding ---------------------------------------------------------
@@ -68,7 +127,6 @@ def test_zero_or_two_example_encoding():
     assert block.guard == "R" and block.m == 2
     assert block.a_pred == "__A1"
     assert block.f_preds == ("__f1_1", "__f1_2")
-    assert block.divisor_base == 2
     assert norm.sign_preds == ("__P1", "__P2")
     assert block.sign is None
     texts = [str(c) for c in norm.matrix]
@@ -199,6 +257,15 @@ def test_idempotence_on_matrix():
     dumped = dump_normalized(norm)
     again = normalize(parse_problem(dumped, allow_synthetic=True))
     assert again.matrix == norm.matrix
+
+
+def test_dump_of_a_long_matrix():
+    """A matrix of 2,000 conjuncts is one conjunction; it prints without
+    recursing once per conjunct."""
+    norm = normalize(parse_problem("forall x forall y (R(x,y) -> R(y,x))"))
+    long = NormalizedProblem(norm.signature, norm.matrix * 2000, (), ())
+    [line] = [line for line in dump_normalized(long).splitlines() if line.startswith("forall x")]
+    assert line.count(" & ") == 1999
 
 
 def test_dump_includes_ties():

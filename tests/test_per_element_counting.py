@@ -8,7 +8,7 @@ import time
 import pytest
 
 import fo2mc.engine
-from fo2mc.cells import build_cells
+from fo2mc.cells import MAX_TABLE_BITS, build_cells
 from fo2mc.corpus import load_corpus
 from fo2mc.engine import ProfileEvaluator, Solver, block_pinned
 from fo2mc.errors import InternalConsistencyError, UnsupportedFeatureError
@@ -69,11 +69,12 @@ def at_most(n, m):
     *[("<=", m, lambda n, m=m: at_most(n, m) ** n) for m in range(1, 8)],
     *[(">=", m, lambda n, m=m: (2 ** n - at_most(n, m - 1)) ** n) for m in range(1, 5)]])
 def test_counting_sugar_closed_form(op, m, closed):
-    """``exists{<=m}`` and ``exists{>=m}`` expand into exact blocks on one
-    guard: each element has at most m, or at least m, successors."""
+    """``exists{<=m}`` and ``exists{>=m}`` are one block each, read over a
+    span of the guard degree: each element has at most m, or at least m,
+    successors (``>=1`` is a plain existential, with no block)."""
     p = parse_problem(f"forall x exists{{{op}{m}}} y R(x,y)")
     solver = Solver(p)
-    assert not solver.norm.successors
+    assert not solver.norm.successors and len(solver.norm.blocks) == (op + str(m) != ">=1")
     sizes = (1, 2, 3, 12)
     assert [solver.count(n) for n in sizes] == [closed(n) for n in sizes]
     for n in (1, 2):
@@ -81,21 +82,35 @@ def test_counting_sugar_closed_form(op, m, closed):
 
 
 def test_at_most_seven_successors_is_fast():
-    """Seven blocks on one guard share its degree counter: a type outside
-    every A joins the whole-row class and one signed class per m, merged
-    with its cell-mates' once, before any census."""
+    """One block reads the R-degree's digits 0..7: one class per valid type."""
     value, seconds = timed_count(Solver(parse_problem("forall x exists{<=7} y R(x,y)")), 10)
     assert value == at_most(10, 7) ** 10 and seconds < 3
 
 
+def test_at_most_twelve_successors_at_ten():
+    """One block, two valid types, Solver included: the twelve exact blocks
+    it once expanded into had 8,191."""
+    start = time.monotonic()
+    solver = Solver(parse_problem("forall x exists{<=12} y R(x,y)"))
+    assert solver.count(10) == 2 ** 100 and len(solver.cells.valid) == 2
+    assert time.monotonic() - start < 0.05
+
+
 def test_blocks_on_one_guard_share_its_degree_counter():
-    """The seven blocks of ``exists{<=7}`` count one R-degree: one counter,
-    and per cell class at most the whole row and one digit per m."""
+    """``exists{<=7}`` is one block on one R-degree counter, its classes
+    reading digits 0..7; two blocks on R share that counter, and a type in
+    one A and outside the other reads a signed sum of digit boxes."""
     solver = Solver(parse_problem("forall x exists{<=7} y R(x,y)"))
     ev = ProfileEvaluator(solver.norm, solver.cells, 10)
-    assert len(solver.norm.blocks) == 7
+    assert len(solver.norm.blocks) == 1
     assert len(ev._bounds) - len(ev.key_names) == 1  # counters past the tracked cards
-    assert len(ev.types) <= 16
+    assert ev._reads == [((0, 7),)] * len(ev.types)
+    solver = Solver(parse_problem("forall x (exists{<=1} y R(x,y) | exists{>=3} y R(x,y))"))
+    ev = ProfileEvaluator(solver.norm, solver.cells, 10)
+    assert len(solver.norm.blocks) == 2 and ev._bounds[len(ev.key_names):] == [(2, 10)]
+    assert ev._read_options((1, 0)) == [(((0, 1),), 1)]
+    assert ev._read_options((0, 1)) == [(((),), 1), (((0, 1),), -1), (((2, 2),), -1)]
+    assert ev._read_options((1, 1)) == []
 
 
 def test_at_most_seven_successors_at_forty():
@@ -104,8 +119,8 @@ def test_at_most_seven_successors_at_forty():
 
 
 def test_non_atom_body_shares_one_guard():
-    """The six blocks of a non-atom ``exists{<=5}`` share one definitional
-    guard, so its table bits stay small."""
+    """A non-atom ``exists{<=5}`` is one block on one definitional guard, so
+    its table bits stay small."""
     p = parse_problem("forall x (A(x) -> exists{<=5} y (R(x,y) & A(y)))")
     solver = Solver(p)
     assert len({b.guard for b in solver.norm.blocks}) == 1
@@ -250,25 +265,59 @@ def decision_problems():
     for shape in ("forall x (A(x) | exists{=1} y R(x,y))",
                   "forall x !(exists{=1} y R(x,y))",
                   "forall x (A(x) <-> exists{=1} y R(x,y))",
-                  "forall x (A(x) -> exists{=1} y R(x,y))", *NOT_DIRECTED):
-        for m in (1, 2):
-            yield parse_problem("predicate A/1\npredicate R/2\n"
-                                + shape.replace("{=1}", f"{{={m}}}"))
+                  "forall x (A(x) -> exists{=1} y R(x,y))",
+                  "forall x exists{=1} y R(x,y)", *NOT_DIRECTED):
+        for quant in ("{=1}", "{=2}", "{<=1}", "{<=2}", "{>=2}"):
+            yield parse_problem("predicate A/1\npredicate R/2\n" + shape.replace("{=1}", quant))
 
 
 def test_block_free_build_decides_like_the_successor_encoding():
     """The block axioms change neither directedness nor pinnedness, so the
-    build without them decides the path and the signs of the fallback."""
+    build without them decides the path and the signs of the fallback.  An
+    exactly-m block keeps its A in the encoding; any other's union of exact
+    blocks, whose span holds 0, is pinned when no valid type lies outside it."""
     checked = 0
     for problem in decision_problems():
         bare = normalize(problem)
         if not bare.blocks:
             continue
-        encoded = successor_encoding(bare)
+        try:
+            encoded = successor_encoding(bare)
+        except UnsupportedFeatureError:  # past the table-bit limit
+            continue
         cells = build_cells(bare.signature, bare.matrix)
         full = build_cells(encoded.signature, encoded.matrix)
         assert cells.directed == full.directed
-        assert [block_pinned(cells, b) for b in bare.blocks] == \
-            [block_pinned(full, b) for b in encoded.blocks]
+        for b in bare.blocks:
+            parts = [e for e in encoded.blocks if e.index == b.index]
+            if b.cmp == "=":
+                [part] = parts
+                assert block_pinned(cells, b) == block_pinned(full, part)
+            else:
+                slots = [full.u_slot_index(e.a_pred, "unary") for e in parts]
+                outside = [i for i in full.valid if not any(full.type_bit(i, s) for s in slots)]
+                assert block_pinned(cells, b) == (not outside)
         checked += 1
     assert checked > 100
+
+
+def test_predicted_size_is_the_built_encodings(monkeypatch):
+    """``successor_encoding`` predicts its type and table slots from the
+    per-element form before building any axiom; signed as ``Solver`` signs
+    it and signed throughout, the prediction is the built encoding's."""
+    predicted = []
+    monkeypatch.setitem(successor_encoding.__globals__, "check_table_bits",
+                        lambda u, b: predicted.append((u, b)))
+    checked = 0
+    for problem in decision_problems():
+        bare = normalize(problem)
+        cells = build_cells(bare.signature, bare.matrix)
+        unpinned = {b.index for b in bare.blocks if not block_pinned(cells, b)}
+        for signed in (unpinned, {b.index for b in bare.blocks}) if bare.blocks else ():
+            encoded = successor_encoding(bare, signed)
+            u, b = predicted.pop()
+            if 2 * u + b <= MAX_TABLE_BITS:
+                full = build_cells(encoded.signature, encoded.matrix)
+                assert (full.u, full.b) == (u, b)
+                checked += 1
+    assert checked > 200
