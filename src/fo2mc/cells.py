@@ -28,8 +28,8 @@ swapped; a valid type's row of 2-table masks against every partner is
 then one C-level ``map`` of ANDs per distinct pattern, so types the
 matrix cannot tell apart (unmentioned unary predicates, say) cost
 nothing per pair.  ``CellStructure.tables`` and ``sends`` answer from the
-patterns; ``pair_vs``, ``n_ij`` and ``out_options``, which list every
-pair of valid types, are built only when read.
+patterns; ``pair_vs`` and ``n_ij``, which list every pair of valid types,
+are built only when read.
 
 Two valid 1-types are interchangeable when they have the same 2-tables,
 read with the type on the x side, against every valid type;
@@ -118,8 +118,8 @@ class CellStructure:
     A valid type's pattern is its bits on the type slots the matrix reads
     on either side.  ``tables`` and ``sends`` answer for a pair of valid
     types from their two patterns, once per pair of patterns;
-    ``pair_vs``, ``n_ij`` and ``out_options`` list them for every pair of
-    valid types, built on first read."""
+    ``pair_vs`` and ``n_ij`` list the tables for every pair of valid types,
+    built on first read."""
 
     def __init__(self, signature: Signature, u_slots: list[tuple[str, str]],
                  b_slots: list[tuple[str, str]], valid: list[int], read: int,
@@ -212,14 +212,6 @@ class CellStructure:
     def n_ij(self) -> dict[tuple[int, int], int]:
         """The number of 2-tables of every pair of ``pair_vs``."""
         return {key: len(vs) for key, vs in self.pair_vs.items()}
-
-    @cached_property
-    def out_options(self) -> dict[tuple[int, int], tuple[int, ...]]:
-        """On a directed matrix, ``sends`` of every ordered pair of valid
-        types; empty otherwise."""
-        if not self.directed:
-            return {}
-        return {(i, j): self.sends(i, j) for i in self.valid for j in self.valid}
 
     def n_ijv(self, i: int, j: int, v: int) -> int:
         return int(i in self.valid and j in self.valid and v in self.tables(i, j))

@@ -25,22 +25,21 @@ each 1-type, 2-table and out-edge mask, so every factor is a generating
 function in them (Kuzelka, JAIR 2021), evaluated as one Python integer
 (Kronecker substitution, ``_Layout``).  Tracked unary cards are census
 keys on pair tables; in the group census they split the groups, or stay
-digits, by a cost estimate.  Weights are scaled to integers, and the
-scale is divided out once.
+digits, by a cost estimate.  Every weight is an integer before any census:
+each symmetric weight pair of a predicate p is scaled by the lcm d_p of its
+denominators, and in the successor encoding a type outside block i's A
+weighs m_i! where one inside would weigh 1/m_i!, so every model is counted
+prod_p d_p^(n^arity(p)) prod_i m_i!^n times, a closed-form scale.
 
 A constraint's top-level comparisons give every card a range
 (``card_ranges``): its upper bounds cap the digits kept, dropped after
 every product like those past the tie counter's target, and a census key
-they rule out is skipped.  A table then has two reads.  Its grouped read
-decodes each census key's digits inside the key's box of card ranges once,
-keeps the rows the constraint allows, and adds each row times its profile
-weight into one integer per value of some of the cards, divided by the
-scale once per group (``table``, ``breakdown``, distributions, profile
-weights).  Its sum (``count``, ``weighted_total`` without a profile weight)
-adds, per census key, the digits inside the key's box of card ranges under
-a strided mask, without decoding them, wherever each comparison leaves one
-packed card once the key is fixed; a lower bound on a binary card may be
-read as the sum without it minus the sum under its negation.
+they rule out is skipped.  A table has one read: it decodes each census
+key's digits inside the key's box of card ranges once, keeps the rows the
+constraint allows, and adds each row times its profile weight into one
+integer per value of some of the cards (none for ``total``), divided by
+the scale once per group.  A lower bound on a binary card may be read as
+the total without it minus the total under its negation.
 """
 
 from __future__ import annotations
@@ -89,21 +88,13 @@ def _digit_bits(bound: int) -> int:
     bit length plus a sign bit, in whole bytes.  The bounds passed in
     hold because |p q| <= |p| |q|, truncating or extracting digits never
     raises |p|, and a nonzero integer polynomial has |p| >= 1: a census
-    term is its multinomial times n class weights w_c times one factor
-    per pair of elements (a 2-table polynomial, or two out-edge ones), so
-    every partial product of a term, and every sum of terms, is at most
-    (sum_c |w_c|)^n * G^pairs by the multinomial theorem, for G >= 1
-    bounding every factor, and one element's row at most
+    term is its multinomial times n integer class weights w_c times one
+    factor per pair of elements (a 2-table polynomial, or two out-edge
+    ones), so every partial product of a term, and every sum of terms, is
+    at most (sum_c |w_c|)^n * G^pairs by the multinomial theorem, for
+    G >= 1 bounding every factor, and one element's row at most
     max_c |w_c| * G^(n-1)."""
     return (bound.bit_length() + 8) // 8 * 8
-
-
-def _integral(polys: Mapping[object, list]) -> tuple[dict, int]:
-    """Scale lists of (counts, rational weight) to integer weights by
-    their common denominator; returns the scaled lists and the scale."""
-    den = math.lcm(*(getattr(w, "denominator", 0) or Fraction(w).denominator
-                     for poly in polys.values() for _, w in poly))
-    return {k: [(c, int(w * den)) for c, w in poly] for k, poly in polys.items()}, den
 
 
 def _quotient(value, scale: int):
@@ -167,18 +158,25 @@ class _Layout:
                 total += coef << self.bits * sum(map(int.__mul__, key, self.strides))
         return total
 
+    def coefficients(self, x: int, box: Sequence[tuple[int, int]]) -> list[int]:
+        """The coefficients of x whose counters lie in their ranges [lo, hi]
+        of ``box`` (each within its cap), zeros included, in the order of
+        the product of the ranges: x's bytes are laid out once and each
+        digit read from them."""
+        width, half, read = self.bits // 8, 1 << self.bits - 1, int.from_bytes
+        raw = (x + self.offset).to_bytes(width * self.size, "little")
+        ats = [0]
+        for (lo, hi), s in zip(box, self.strides):
+            step = width * s
+            ats = [at + k for at in ats for k in range(step * lo, step * (hi + 1), step)]
+        return [read(raw[at:at + width], "little") - half for at in ats]
+
     def digits(self, x: int, box: Sequence[tuple[int, int]]
                ) -> Iterator[tuple[tuple[int, ...], int]]:
-        """The nonzero coefficients of x whose counters lie in their ranges
-        [lo, hi] of ``box`` (each within its cap), with those counters'
-        values: x's bytes are laid out once and each digit read from them."""
-        width, half = self.bits // 8, 1 << self.bits - 1
-        raw = (x + self.offset).to_bytes(width * self.size, "little")
-        for key in product(*(range(lo, hi + 1) for lo, hi in box)):
-            at = width * sum(map(int.__mul__, key, self.strides))
-            coef = int.from_bytes(raw[at:at + width], "little") - half
-            if coef:
-                yield key, coef
+        """The nonzero ``coefficients`` of x in ``box``, with the values of
+        their counters."""
+        keys = product(*(range(lo, hi + 1) for lo, hi in box))
+        return ((key, coef) for key, coef in zip(keys, self.coefficients(x, box)) if coef)
 
     def decode(self, x: int) -> Iterator[tuple[dict[int, int], int]]:
         """The nonzero (counts, coefficient) pairs of x up to the caps,
@@ -195,20 +193,6 @@ class _Layout:
         ones = (1 << self.bits * self.strides[lower]) - 1
         shift = self.bits * sum(map(int.__mul__, top, self.strides[lower:]))
         return ((x + self.offset) >> shift & ones) - (self.offset & ones)
-
-    def sum(self, x: int, box: Sequence[tuple[int, int]]) -> int:
-        """The sum of x's coefficients whose counters lie in their ranges
-        [lo, hi] of ``box`` (each within its cap): x's digits under a mask
-        strided like the counters, read at X = 1 modulo 2^bits - 1 and
-        centred.  Exact because the digit width bounds the sum of the
-        absolute values of all coefficients below 2^(bits-1)."""
-        if any(lo > hi for lo, hi in box):
-            return 0
-        mask = modulus = (1 << self.bits) - 1
-        for (lo, hi), s in zip(box, self.strides):
-            mask = _repeat(mask, self.bits * s, hi - lo + 1) << self.bits * s * lo
-        value = (((x + self.offset) & mask) - (self.offset & mask)) % modulus
-        return value - modulus if 2 * value > modulus else value
 
 
 def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
@@ -327,21 +311,33 @@ class ProfileEvaluator:
     weights and the block divisors, with every counting block already
     enforced.  Rows of value zero are left out, and so are the rows the
     cardinality ``constraint`` rules out (over tracked predicates only).
-    The table has two reads, both ranged by ``card_ranges`` over the
-    constraint's comparisons: its weighted sums grouped by some of the cards
-    (``read``; ``table`` groups by all of them), and its sum (``total``)."""
+    The table has one read, ranged by ``card_ranges`` over the constraint's
+    comparisons: its weighted sums grouped by some of the cards (``read``;
+    ``table`` groups by all of them, ``total`` by none), each divided by
+    ``scale``, the closed-form over-count of the integer weights."""
 
     def __init__(self, norm: NormalizedProblem, cells: CellStructure, n: int,
                  tracked: Sequence[str] = (), fold: Weights | None = None,
                  constraint: CardConstraint = CARD_TRUE):
         if n < 1:
             raise SemanticError("domain size must be at least 1")
-        self.cells, self.n, self.fold = cells, n, fold or {}
+        self.cells, self.n = cells, n
         tracked = tuple(dict.fromkeys(tracked))
         for pred in tracked:
             if pred not in norm.signature:
                 raise SemanticError(f"cannot track undeclared predicate {pred}")
         arity = norm.signature.arity
+        # Each symmetric weight pair of p times the lcm d_p of its denominators
+        # weighs every model prod_p d_p^(n^arity(p)) times over, d_p once per
+        # ground atom.  Under integer weights every row is a whole weighted
+        # count, so each must divide by the scale on its own.
+        self.fold, self.scale = {}, 1
+        for pred, pair in (fold or {}).items():
+            if pred in norm.signature:
+                d = math.lcm(*(Fraction(w).denominator for w in pair))
+                self.fold[pred] = tuple(int(w * d) for w in pair)
+                self.scale *= d ** (n ** arity(pred))
+        self._rows_divide = self.scale == 1
 
         # The counters each true atom of a predicate raises: tracked
         # predicates (unary ones first), then one per guard, its degree, or in
@@ -388,9 +384,11 @@ class ProfileEvaluator:
 
         # ``build_cells`` groups interchangeable types, split here into classes
         # by tracked unary key and the digit box read of each guard degree
-        # (``_read_options``); with a tie counter an A-element weighs 1/m!.  A
-        # class carries the sum of its members' signed weights times their
-        # counters, exact by the multinomial theorem; zero sums drop out.
+        # (``_read_options``).  With a tie counter a type outside block i's A
+        # weighs m_i! in place of 1/m_i! inside it, every model prod_i m_i!^n
+        # times over.  A class carries the sum of its members' signed weights
+        # times their counters, exact by the multinomial theorem; zero sums
+        # drop out.
         sign_slots = [cells.u_slot_index(p, "unary") for p in norm.sign_preds]
         a_slots = [cells.u_slot_index(b.a_pred, "unary") for b in norm.blocks]
         options = {}  # A bits -> their ``_read_options``
@@ -402,7 +400,7 @@ class ProfileEvaluator:
                 w *= (-1) ** sum(cells.type_bit(t, s) for s in sign_slots)
                 if self._ties:
                     for block, hit in zip(norm.blocks, in_a):
-                        w = Fraction(w, math.factorial(block.m)) if hit else w
+                        w *= 1 if hit else math.factorial(block.m)
                         counts[n_keys] += 0 if hit else block.m
                 if in_a not in options:
                     options[in_a] = self._read_options(in_a)
@@ -415,8 +413,9 @@ class ProfileEvaluator:
         self.types = [t for t, _, _, _ in live]
         self._unary_keys = [ukey for _, ukey, _, _ in live]
         self._reads = [reads for _, _, reads, _ in live]
-        weights, self._type_scale = _integral(dict(enumerate(w for *_, w in live)))
-        self._weights = list(weights.values())
+        self._weights = [w for *_, w in live]
+        if self._ties:
+            self.scale *= math.prod(math.factorial(b.m) for b in norm.blocks) ** n
 
     def _read_options(self, in_a: Sequence[int]) -> list[tuple[tuple, int]]:
         """The (digit box read of each guard degree, () for the whole row;
@@ -451,10 +450,9 @@ class ProfileEvaluator:
 
     def _factors(self, per_element: bool, pairs):
         """The integer factors of the class pairs (pa's out-edges toward pb
-        per element, else the 2-tables across pa <= pb), their scale in a
-        census term, a bound G >= 1 on their norms, the census digit width.
-        Each distinct option tuple, and each distinct option, is expanded
-        once."""
+        per element, else the 2-tables across pa <= pb), a bound G >= 1 on
+        their norms and the census digit width.  Each distinct option tuple,
+        and each distinct option, is expanded once."""
         n, cells = self.n, self.cells
         slots, options = cells.b_slots, cells.tables
         if per_element:
@@ -462,16 +460,11 @@ class ProfileEvaluator:
             options = cells.sends
         at = {(pa, pb): options(self.types[pa], self.types[pb]) for pa, pb in pairs}
         terms = {v: self._term(slots, v) for v in set().union(*at.values())}
-        distinct, den = _integral({vs: [terms[v] for v in vs] for vs in set(at.values())})
+        distinct = {vs: [terms[v] for v in vs] for vs in set(at.values())}
         g = max(1, max(map(_norm, distinct.values()), default=0))
         n_pairs = n * (n - 1) // (1 if per_element else 2)
-        return {pair: distinct[vs] for pair, vs in at.items()}, den ** n_pairs, g, _digit_bits(
+        return {pair: distinct[vs] for pair, vs in at.items()}, g, _digit_bits(
             sum(map(_norm, self._weights)) ** n * g ** n_pairs)
-
-    def _integral(self) -> bool:
-        """Whether every symmetric weight is an integer, so that every row
-        and every sum of them divides by its scale."""
-        return all(Fraction(w).denominator == 1 for pair in self.fold.values() for w in pair)
 
     def _ranges_at(self, key: tuple[int, ...]) -> dict | None:
         """The card ranges the constraint's comparisons allow in a census
@@ -492,24 +485,35 @@ class ProfileEvaluator:
         return cards, self._whole and all(len(coeffs.keys() & set(cards)) < 2
                                           for coeffs, _, _ in self._forms)
 
-    def _read(self, packed: dict, layout: _Layout, scale: int, weight, by: Sequence[str]) -> dict:
-        """The grouped read of a census (census key -> value packed in
-        ``layout``, to divide by ``scale``): each key's digits inside its box
-        of card ranges are decoded once; a row the constraint allows adds its
-        digit times ``weight(row)`` (1 without a weight; the row lists the
-        tracked cards in the order of ``key_names``) to the integer of its
-        values of the ``by`` cards, and each group is divided by the scale
-        once.  With integer symmetric weights every row must divide on its own."""
-        names = self.key_names
+    def _read(self, packed: dict, layout: _Layout, weight, by: Sequence[str]) -> dict:
+        """The read of a census (census key -> value packed in ``layout``):
+        each key's digits inside its box of card ranges are decoded once; a
+        row the constraint allows adds its digit times ``weight(row)`` (1
+        without a weight; the row lists the tracked cards in the order of
+        ``key_names``) to the integer of its values of the ``by`` cards, and
+        each group is divided by ``scale`` once.  Without a weight, a group
+        or a row to check against the constraint, each key's digits are
+        summed whole.  With integer symmetric weights every row must divide
+        on its own."""
+        names, scale = self.key_names, self.scale
         cards, exact = self._packed_cards(layout)
-        scale *= self._type_scale ** self.n
-        check = scale != 1 and self._integral()
+        check = scale != 1 and self._rows_divide
         group = [names.index(p) for p in by]
         whole = group == list(range(len(names)))
+        bare = exact and weight is None and not group  # one group, no row needed
         sums: dict[tuple[int, ...], object] = {}
         for key, value in packed.items():
             ranges = self._ranges_at(key)
-            for digits, coef in layout.digits(value, [ranges[p] for p in cards]):
+            box = [ranges[p] for p in cards]
+            if bare:
+                coefs = layout.coefficients(value, box)
+                if check and any(coef % scale for coef in coefs):
+                    raise InternalConsistencyError(
+                        f"counting-quantifier division left a non-integer row in census {key}")
+                if any(coefs):
+                    sums[()] = sums.get((), 0) + sum(coefs)
+                continue
+            for digits, coef in layout.digits(value, box):
                 row = key + digits
                 if not exact and not self.constraint.holds(dict(zip(names, row))):
                     continue
@@ -524,14 +528,13 @@ class ProfileEvaluator:
             return sums
         return {at: _quotient(value, scale) for at, value in sums.items()}
 
-    def _enumerate_table(self) -> tuple[dict, _Layout, int]:
+    def _enumerate_table(self) -> tuple[dict, _Layout]:
         """The census over pair tables, unread: census key (the tracked unary
         cards) -> value packed in the layout of the tracked binary cards (read
-        at the tie counter's target), that layout, and the scale."""
+        at the tie counter's target), and that layout."""
         n, n_unary, end = self.n, self.n_unary, len(self.key_names)
         classes = range(len(self.types))
-        polys, scale, _, bits = self._factors(
-            False, [(a, b) for a in classes for b in classes if a <= b])
+        polys, _, bits = self._factors(False, [(a, b) for a in classes for b in classes if a <= b])
         layout = _Layout(range(n_unary, len(self._bounds)), self._bounds[n_unary:], bits)
         factors = {k: layout.pack(p) for k, p in polys.items()}
         weights = [layout.pack(w) for w in self._weights]
@@ -553,7 +556,7 @@ class ProfileEvaluator:
                 packed[key] = packed.get(key, 0) + value
         if self._ties:  # each key's value at the tie counter's target
             packed = {key: layout.at(v, [self._bounds[-1][0]]) for key, v in packed.items()}
-        return packed, _Layout(range(n_unary, end), self._bounds[n_unary:end], bits), scale
+        return packed, _Layout(range(n_unary, end), self._bounds[n_unary:end], bits)
 
     def _groups(self, columns: list[list[int]], bits: int) -> tuple[int, list]:
         """The first packed counter and the census groups (unary key or (),
@@ -613,7 +616,7 @@ class ProfileEvaluator:
             row = sum(space.at(row, key) for key in keys)
         return layout.pack(base.decode(row)) if base is not layout and layout.counters else row
 
-    def _group_table(self) -> tuple[dict, _Layout, int]:
+    def _group_table(self) -> tuple[dict, _Layout]:
         """The census over column groups, unread like ``_enumerate_table``:
         classes whose out-edge columns agree form one column, and a census
         of the groups is its multinomial times prod_G (sum of G's rows)^c_G."""
@@ -621,7 +624,7 @@ class ProfileEvaluator:
         for b, u in enumerate(self.types):
             columns.setdefault(tuple([sends(t, u) for t in self.types]), []).append(b)
         cols = [members[0] for members in columns.values()]
-        polys, scale, g, bits = self._factors(True, [(a, r) for a in classes for r in cols])
+        polys, g, bits = self._factors(True, [(a, r) for a in classes for r in cols])
         first, groups = self._groups(list(columns.values()), bits)
         end = len(self.key_names)
         layout = _Layout(range(first, end), self._bounds[first:end], bits)
@@ -651,9 +654,9 @@ class ProfileEvaluator:
                     value, left = layout.mul(value * math.comb(left, c), power), left - c
             if value:
                 packed[key] = packed.get(key, 0) + value
-        return packed, layout, scale
+        return packed, layout
 
-    def _census(self) -> tuple[dict, _Layout, int]:
+    def _census(self) -> tuple[dict, _Layout]:
         return self._group_table() if self._directed else self._enumerate_table()
 
     def read(self, weight=None, by: Sequence[str] = ()) -> dict:
@@ -668,24 +671,8 @@ class ProfileEvaluator:
         return self.read(by=self.key_names)
 
     def total(self):
-        """The sum of ``table()``.  When every comparison of the constraint
-        bounds at most one packed card once the census key is fixed, each
-        census key's value is summed over its box of card ranges without
-        decoding a digit; else the rows are."""
-        packed, layout, scale = self._census()
-        cards, exact = self._packed_cards(layout)
-        if not exact:
-            return self._read(packed, layout, scale, None, ()).get((), 0)
-        boxes: dict[tuple, int] = {}
-        for key, value in packed.items():
-            ranges = self._ranges_at(key)
-            box = tuple(ranges[p] for p in cards)
-            boxes[box] = boxes.get(box, 0) + value
-        total = sum(layout.sum(value, box) for box, value in boxes.items())
-        scale *= self._type_scale ** self.n
-        if total % scale and self._integral():  # integer weights must divide
-            raise InternalConsistencyError("counting-quantifier division left a non-integer total")
-        return _quotient(total, scale)
+        """The sum of ``table()``: the one group of ``read()``."""
+        return self.read().get((), 0)
 
 
 # ---------------------------------------------------------------------------

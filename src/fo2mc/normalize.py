@@ -20,6 +20,10 @@ not pin it to the union of the E_k, a block in ``signed`` gets a sign
 predicate S with S(x) -> union(x), each occurrence read as
 union(w) & !S(w): summing (-1)^|S| over S within the union and each A_k
 within E_k leaves exactly the union of the E_k, so the count is exact.
+A pinned block whose span holds 0 leaves A_0 implicit: the elements
+outside every other A_k have no guard edge, every element's degree is in
+the span, and its occurrences, which the matrix forces, read true (false
+for at-least).
 
 Each rewriting walker spells out only the nodes it changes and reaches
 every other node through ``logic.subformulas`` and ``logic.rebuild``.
@@ -33,7 +37,7 @@ from typing import Collection
 
 from .cells import check_table_bits
 from .errors import UnsupportedFeatureError
-from .logic import (And, Atom, CARD_TRUE, CardAnd, CardCompare,
+from .logic import (FALSE, TRUE, And, Atom, CARD_TRUE, CardAnd, CardCompare,
                     CardConstraint, Counting, Eq, Exists, Forall, Formula,
                     Iff, Implies, LinearExpr, Node, Not, Or, Signature,
                     card_conjoin, conjoin, disjoin, free_vars,
@@ -409,15 +413,19 @@ def successor_encoding(norm: NormalizedProblem, signed: Collection[int] = ()
     problem's own; A_k is A for the highest k, else fresh.  A block whose
     index is in ``signed`` also gets a sign predicate S with S(x) -> A_k(x)
     for some k.  Each occurrence A(t) reads the union of the A_k (and !S(t)),
-    negated for at-least.  The block signs take the lowest __P numbers, the
-    problem's own signs the next ones.  Oversize encodings are refused
-    before any axiom is built: each f_j adds a type slot, two table slots
-    and an existence sign."""
+    negated for at-least.  A block not in ``signed`` whose span holds 0 has
+    no A_0 but the axiom !(A_1 | ... | A_hi)(x) -> !G(x,y), and its
+    occurrences read true (false for at-least).  The block signs take the
+    lowest __P numbers, the problem's own signs the next ones.  Oversize
+    encodings are refused before any axiom is built: each f_j adds a type
+    slot, two table slots and an existence sign."""
+    implicit = {b.a_pred for b in norm.blocks if b.index not in signed and b.span[0] == 0}
     u, b = len(norm.signature.arities), 2 * len(norm.signature.binary_predicates())
     for block in norm.blocks:
         lo, hi = block.span
         fs = (lo + hi) * (hi - lo + 1) // 2
-        u, b = u + 2 * fs + hi - lo + (block.index in signed), b + 2 * fs
+        u += 2 * fs + hi - lo + (block.index in signed) - (block.a_pred in implicit)
+        b += 2 * fs
     check_table_bits(u, b)
     old = set(norm.sign_preds)
     signature = Signature({p: a for p, a in norm.signature.arities.items() if p not in old},
@@ -425,11 +433,14 @@ def successor_encoding(norm: NormalizedProblem, signed: Collection[int] = ()
     alloc = NameAllocator(signature)
     signs = {b.a_pred: alloc.fresh("P", 1) for b in norm.blocks if b.index in signed}
     renamed = {p: alloc.fresh("P", 1) for p in norm.sign_preds}
-    unions = {b.a_pred: [*(alloc.fresh("A", 1) for _ in range(*b.span)), b.a_pred]
-              for b in norm.blocks}
+    first = {b.a_pred: b.span[0] + (b.a_pred in implicit) for b in norm.blocks}
+    unions = {b.a_pred: [*(alloc.fresh("A", 1) for _ in range(first[b.a_pred], b.span[1])),
+                         b.a_pred] for b in norm.blocks}
     at_least = {b.a_pred for b in norm.blocks if b.cmp == ">="}
 
     def rewrite(f: Formula) -> Formula:
+        if isinstance(f, Atom) and f.pred in implicit:
+            return FALSE if f.pred in at_least else TRUE
         if isinstance(f, Atom) and f.pred in unions:
             seen = disjoin(Atom(a, f.args) for a in unions[f.pred])
             if f.pred in signs:
@@ -442,7 +453,7 @@ def successor_encoding(norm: NormalizedProblem, signed: Collection[int] = ()
     matrix, psis, blocks = [rewrite(c) for c in norm.matrix], [], []
     for b in norm.blocks:
         guard, sign, union = Atom(b.guard, ("x", "y")), signs.get(b.a_pred), unions[b.a_pred]
-        for k, a_pred in enumerate(union, b.span[0]):
+        for k, a_pred in enumerate(union, first[b.a_pred]):
             fs = tuple(alloc.fresh(f"f{b.index}_", 2) for _ in range(k))
             f_atoms = [Atom(name, ("x", "y")) for name in fs]
             a_x = Atom(a_pred, ("x",))
@@ -450,6 +461,8 @@ def successor_encoding(norm: NormalizedProblem, signed: Collection[int] = ()
             matrix += [Implies(p, Not(q)) for p, q in combinations(f_atoms, 2)]
             psis += [Implies(a_x, fa) for fa in f_atoms]
             blocks.append(CountingBlock(b.index, b.guard, "=", k, a_pred, fs, sign))
+        if b.a_pred in implicit:
+            matrix.append(Implies(Not(disjoin(Atom(a, ("x",)) for a in union)), Not(guard)))
         if sign:
             matrix.append(Implies(Atom(sign, ("x",)), disjoin(Atom(a, ("x",)) for a in union)))
     matrix, f_signs = eliminate_existentials(matrix, psis, alloc)

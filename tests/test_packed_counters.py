@@ -227,7 +227,6 @@ def test_integer_problems_keep_int_rows():
 def test_indivisible_row_with_integer_weights_is_an_internal_error():
     solver = Solver(parse_problem(SUCCESSORS_M2))
     ev = ProfileEvaluator(solver.norm, solver.cells, 2)
-    packed, layout, scale = ev._enumerate_table()
-    ev._enumerate_table = lambda: (packed, layout, scale * 3)
+    ev.scale *= 3
     with pytest.raises(InternalConsistencyError, match="non-integer row"):
         ev.table()

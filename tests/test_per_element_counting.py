@@ -162,15 +162,41 @@ def test_random_seed_127_is_fast():
 # -- the fallback -----------------------------------------------------------------
 
 
-@pytest.mark.parametrize("text", NOT_DIRECTED)
+#: the guards of NOT_DIRECTED counted at most m times (or fewer than m,
+#: negated), so every block is pinned and its span holds 0
+PINNED_SPANS = [(pre + f"forall x {q} y {guard}")
+                for pre, guard in (("", "(R(x,y) & R(y,x))"), ("", "R(y,x)"),
+                                   ("forall x forall y (R(x,y) -> R(y,x)) & ", "R(x,y)"))
+                for q in ("exists{<=1}", "exists{<=2}", "!exists{>=2}", "!exists{>=3}")]
+
+
+@pytest.mark.parametrize("text", NOT_DIRECTED + tuple(PINNED_SPANS))
 def test_not_directed_blocks_use_successor_encoding(text):
+    """A block without a sign has no degree 0: a pinned block whose span
+    holds 0 encodes the degrees 1..hi only, and the elements outside their
+    A's have no guard edge."""
     p = parse_problem(text)
     solver = Solver(p)
     assert not solver.cells.directed
     assert solver.norm.successors
     assert solver.norm.blocks[0].f_preds
+    assert all(b.m or b.sign for b in solver.norm.blocks)
     for n in (1, 2, 3):
         assert solver.count(n) == oracle_count(p.signature, p.sentence, n).total
+
+
+def test_implicit_degree_zero_saves_a_type_slot():
+    """Beside 7 unmentioned unary predicates, ``exists{<=1}`` on a coupled
+    guard fits in 30 table bits (2^21 times the bare count at n = 3), and
+    the symmetric ``exists{<=2}`` needs 26."""
+    unary = "".join(f"predicate B{k}/1\n" for k in range(1, 8))
+    text = "predicate R/2\nforall x exists{<=1} y (R(x,y) & R(y,x))\n"
+    solver = Solver(parse_problem(unary + text))
+    assert 2 * solver.cells.u + solver.cells.b == 30
+    assert solver.count(3) == 566231040 == 2 ** 21 * Solver(parse_problem(text)).count(3)
+    symmetric = Solver(parse_problem(
+        "forall x forall y (R(x,y) -> R(y,x)) & forall x exists{<=2} y R(x,y)"))
+    assert 2 * symmetric.cells.u + symmetric.cells.b == 26
 
 
 def test_blocks_share_one_tie_counter():
@@ -275,14 +301,15 @@ def test_block_free_build_decides_like_the_successor_encoding():
     """The block axioms change neither directedness nor pinnedness, so the
     build without them decides the path and the signs of the fallback.  An
     exactly-m block keeps its A in the encoding; any other's union of exact
-    blocks, whose span holds 0, is pinned when no valid type lies outside it."""
+    blocks, whose span holds 0, is pinned when no valid type lies outside it
+    (signed here, so that the union holds an explicit A_0)."""
     checked = 0
     for problem in decision_problems():
         bare = normalize(problem)
         if not bare.blocks:
             continue
         try:
-            encoded = successor_encoding(bare)
+            encoded = successor_encoding(bare, {b.index for b in bare.blocks if b.cmp != "="})
         except UnsupportedFeatureError:  # past the table-bit limit
             continue
         cells = build_cells(bare.signature, bare.matrix)

@@ -117,8 +117,7 @@ def test_rows_off_the_tie_target_are_not_read(monkeypatch):
 
     def planted(tie):
         ev = ProfileEvaluator(solver.norm, solver.cells, n, ("R",))
-        _, _, scale = ev._enumerate_table()
-        stray = ([0, tie], 5 * scale * ev._type_scale ** n)  # one row of 5 at |R| = 0
+        stray = ([0, tie], 5 * ev.scale)  # one row of 5 at |R| = 0
 
         def at(layout, x, top):
             assert layout.counters == (0, 1) and top == [target]

@@ -1,7 +1,7 @@
 import pytest
 from fractions import Fraction
 
-from fo2mc.engine import Solver
+from fo2mc.engine import ProfileEvaluator, Solver
 from fo2mc.errors import SemanticError
 from fo2mc.logic import WNum, weight_value
 from fo2mc.oracle import oracle_count, oracle_distribution
@@ -44,6 +44,42 @@ def test_symmetric_matches_oracle():
 def test_rational_weights_exact():
     p = parse_problem("predicate A/1\nforall x (A(x) | !A(x))\nweight A 0.5 0.25")
     assert wfomc_symmetric(p, 2) == (Fraction(1, 2) + Fraction(1, 4)) ** 2
+
+
+#: one problem per way the engine evaluates a count, with its scale at
+#: n = 3: the successor encoding with two exact blocks whose A's are
+#: disjoint (d_R^9 (1! 2!)^3), with a signed block the matrix does not pin
+#: (d_R^9 1!^3), the per-element count of a block and pair tables without a
+#: block (d_A^3 d_R^9); A is weighted where it is declared
+SCALED = {
+    "disjoint_blocks": ("forall x forall y (R(x,y) -> R(y,x)) & "
+                        "forall x (exists{=1} y R(x,y) | exists{=2} y R(x,y))", 2 ** 9 * 2 ** 3),
+    "signed_block": ("forall x !exists{=1} y (R(x,y) & R(y,x))", 2 ** 9),
+    "per_element": ("forall x (A(x) -> exists{=2} y R(x,y))", 10 ** 3 * 2 ** 9),
+    "pair_tables": ("forall x forall y (R(x,y) -> (R(y,x) | A(x)))", 10 ** 3 * 2 ** 9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALED))
+def test_closed_form_scale(name):
+    """Fractional and negative symmetric weights are integers before any
+    census: each pair is scaled by the lcm d_p of its denominators, a type
+    outside block i's A weighs m_i!, and the count is divided by
+    prod_p d_p^(n^arity(p)) prod_i m_i!^n."""
+    text, scale = SCALED[name]
+    unary = "A(" in text
+    p = parse_problem("predicate A/1\n" * unary + "predicate R/2\n" + text +
+                      "\nweight A 0.2 -1.5" * unary + "\nweight R 0.5 -3\n")
+    solver = Solver(p)
+    paths = {"disjoint_blocks": solver.norm.successors and len(solver.norm.blocks) == 2,
+             "signed_block": solver.norm.successors and not solver.pinned,
+             "per_element": solver.norm.blocks and not solver.norm.successors,
+             "pair_tables": not solver.norm.blocks and not solver.cells.directed}
+    assert paths[name]
+    for n in (1, 2, 3):
+        assert wfomc_symmetric(solver, n) == oracle_count(
+            p.signature, p.sentence, n, symmetric_weights=p.symmetric_weights).weighted_total
+    assert ProfileEvaluator(solver.norm, solver.cells, 3, fold=p.symmetric_weights).scale == scale
 
 
 def test_missing_weight_rejected():
