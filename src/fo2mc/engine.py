@@ -17,7 +17,13 @@ n-th power of a per-element polynomial.  Any other matrix,
 and the ``successor_encoding`` with its 1/m! divisors, enumerates the
 censuses of the classes over 2-table pair factors; there every block
 raises one tie counter, and each census key's value is read at its target.
-``Solver`` is the one entry point.
+Both censuses are one depth-first walk over the class (group) counts
+(``_walk``): the parts raising a tracked unary card go first, the cards'
+partial sums are carried down, and no subtree whose cards cannot land in
+their box of card ranges is entered.  On pair tables a node keeps, toward
+each later class it is asked about, the product of the factors of the
+classes placed, so a census costs one power and two products.  ``Solver``
+is the one entry point.
 
 Counters, one per tracked predicate (unary ones first) and one per guard
 (one tie counter in the successor encoding), are raised by the true atoms of
@@ -34,8 +40,9 @@ prod_p d_p^(n^arity(p)) prod_i m_i!^n times, a closed-form scale.
 A constraint's top-level comparisons give every card a range
 (``card_ranges``): its upper bounds cap the digits kept, dropped after
 every product like those past the tie counter's target, and a census key
-they rule out is skipped.  A table has one read: it decodes each census
-key's digits inside the key's box of card ranges once, keeps the rows the
+they rule out is never reached.  A table has one read: it decodes each
+census key's digits inside the key's box of card ranges once (a key whose
+layout packs no card is its own value), keeps the rows the
 constraint allows, and adds each row times its profile weight into one
 integer per value of some of the cards (none for ``total``), divided by
 the scale once per group.  A lower bound on a binary card may be read as
@@ -47,7 +54,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import combinations_with_replacement, groupby, product
+from itertools import product
 from typing import Iterator, Mapping, Sequence
 
 from .cells import CellStructure, build_cells
@@ -83,18 +90,27 @@ def _norm(poly: Sequence[tuple[object, int]]) -> int:
     return sum(abs(w) for _, w in poly)
 
 
-def _digit_bits(bound: int) -> int:
-    """Digit width for coefficients of magnitude at most ``bound``: its
-    bit length plus a sign bit, in whole bytes.  The bounds passed in
-    hold because |p q| <= |p| |q|, truncating or extracting digits never
-    raises |p|, and a nonzero integer polynomial has |p| >= 1: a census
-    term is its multinomial times n integer class weights w_c times one
-    factor per pair of elements (a 2-table polynomial, or two out-edge
-    ones), so every partial product of a term, and every sum of terms, is
-    at most (sum_c |w_c|)^n * G^pairs by the multinomial theorem, for
-    G >= 1 bounding every factor, and one element's row at most
-    max_c |w_c| * G^(n-1)."""
-    return (bound.bit_length() + 8) // 8 * 8
+def _digit_bits(*powers: tuple[int, int]) -> int:
+    """Digit width for coefficients of magnitude at most the product of
+    base^exp over ``powers``: its bit length plus a sign bit, in whole
+    bytes.  The bit length comes from logarithms with a margin above their
+    rounding error, so the width is at least the exact bound's and at most
+    one byte wider, and no power is built (at n = 100 the bound has about
+    16,000 bits).  The bounds passed in hold because |p q| <= |p| |q|,
+    truncating or extracting digits never raises |p|, and a nonzero integer
+    polynomial has |p| >= 1: a census term is its multinomial times n
+    integer class weights w_c times one factor per pair of elements (a
+    2-table polynomial, or two out-edge ones), so every partial product of
+    a term, and every sum of terms, is at most (sum_c |w_c|)^n * G^pairs by
+    the multinomial theorem, for G >= 1 bounding every factor, and one
+    element's row at most max_c |w_c| * G^(n-1)."""
+    log = 0.0
+    for base, exp in powers:
+        if exp:
+            if not base:
+                return 8
+            log += exp * math.log2(base)
+    return (math.floor(log * (1 + 2 ** -40) + 2 ** -30) + 9) // 8 * 8
 
 
 def _quotient(value, scale: int):
@@ -118,7 +134,9 @@ class _Layout:
     reaches, with cap < top is 2 cap + 1 digits wide, room for a product
     of two truncated factors, and ``mul`` drops its digits above cap
     (reduction modulo X^(cap+1), a ring map) through a mask on the offset
-    digits; with no cap below its top, products are plain ones."""
+    digits, or, where only the last counter is cut, so that the kept digits
+    are the lowest ones, as the balanced residue modulo 2^(bits * kept);
+    with no cap below its top, products are plain ones."""
 
     def __init__(self, counters: Sequence[int], bounds: Sequence[tuple[int, int]],
                  bits: int):
@@ -129,7 +147,11 @@ class _Layout:
         self.strides = [math.prod(self.widths[:d]) for d in range(len(bounds) + 1)]
         self.size = self.strides[-1]
         self.offset = _repeat(1 << bits - 1, bits, self.size)
-        if any(cap < top for cap, top in bounds):
+        self._low = None
+        if bounds and bounds[-1][0] < bounds[-1][1] and all(c >= t for c, t in bounds[:-1]):
+            kept = bits * self.strides[-2] * (self.caps[-1] + 1)
+            self._low = (1 << kept) - 1, 1 << kept - 1, 1 << kept
+        elif any(cap < top for cap, top in bounds):
             keep = (1 << bits) - 1
             for cap, s in zip(self.caps, self.strides):
                 keep = _repeat(keep, bits * s, cap + 1)
@@ -138,6 +160,10 @@ class _Layout:
             self.mul, self.pow = operator.mul, pow
 
     def mul(self, a: int, b: int) -> int:
+        if self._low:
+            mask, half, whole = self._low
+            x = a * b & mask
+            return x - whole if x >= half else x
         keep, kept_offset = self._keep
         return ((a * b + self.offset) & keep) - kept_offset
 
@@ -145,12 +171,15 @@ class _Layout:
         if e < 2:
             return a ** e
         half = self.pow(a, e // 2)
-        return self.mul(self.mul(half, half), a if e & 1 else 1)
+        square = self.mul(half, half)
+        return self.mul(square, a) if e & 1 else square
 
     def pack(self, poly, ones: Sequence[int] = ()) -> int:
         """Pack (counts, coefficient) pairs, counts indexed like the
         evaluator's counters and those in ``ones`` taken as 0 (evaluated
         at 1), dropping the terms above the caps."""
+        if not self.counters:
+            return sum(coef for _, coef in poly)
         total = 0
         for counts, coef in poly:
             key = [0 if d in ones else counts[d] for d in self.counters]
@@ -376,6 +405,8 @@ class ProfileEvaluator:
         tops = {p: n ** arity(p) for p in self.key_names}
         ranges = card_ranges(self._forms, {p: (0, top) for p, top in tops.items()})
         caps = {p: hi for p, (_, hi) in ranges.items()} if ranges else dict.fromkeys(tops, 0)
+        # the unary cards' box, which the census walk never leaves
+        self._box = None if ranges is None else [ranges[p] for p in self.key_names[:self.n_unary]]
         self._bounds = [(caps[p], tops[p]) for p in self.key_names]
         tie = sum(b.m for b in norm.blocks) * n  # the tie counter's target
         self._bounds += ([(tie, tie * (n + 1))] if self._ties
@@ -464,7 +495,7 @@ class ProfileEvaluator:
         g = max(1, max(map(_norm, distinct.values()), default=0))
         n_pairs = n * (n - 1) // (1 if per_element else 2)
         return {pair: distinct[vs] for pair, vs in at.items()}, g, _digit_bits(
-            sum(map(_norm, self._weights)) ** n * g ** n_pairs)
+            (sum(map(_norm, self._weights)), n), (g, n_pairs))
 
     def _ranges_at(self, key: tuple[int, ...]) -> dict | None:
         """The card ranges the constraint's comparisons allow in a census
@@ -473,7 +504,7 @@ class ProfileEvaluator:
         if key not in self._at:
             start = {p: (0, cap) for p, (cap, _) in zip(self.key_names, self._bounds)}
             start.update((p, (v, v)) for p, v in zip(self.key_names, key))
-            self._at[key] = card_ranges(self._forms, start)
+            self._at[key] = card_ranges(self._forms, start) if self._forms else start
         return self._at[key]
 
     def _packed_cards(self, layout: _Layout) -> tuple[list[str], bool]:
@@ -503,17 +534,20 @@ class ProfileEvaluator:
         bare = exact and weight is None and not group  # one group, no row needed
         sums: dict[tuple[int, ...], object] = {}
         for key, value in packed.items():
-            ranges = self._ranges_at(key)
-            box = [ranges[p] for p in cards]
+            if cards:
+                ranges = self._ranges_at(key)
+                box = [ranges[p] for p in cards]
             if bare:
-                coefs = layout.coefficients(value, box)
+                coefs = layout.coefficients(value, box) if cards else [value]
                 if check and any(coef % scale for coef in coefs):
                     raise InternalConsistencyError(
                         f"counting-quantifier division left a non-integer row in census {key}")
                 if any(coefs):
                     sums[()] = sums.get((), 0) + sum(coefs)
                 continue
-            for digits, coef in layout.digits(value, box):
+            # with no card packed, the value is the one coefficient
+            rows = layout.digits(value, box) if cards else [((), value)] if value else []
+            for digits, coef in rows:
                 row = key + digits
                 if not exact and not self.constraint.holds(dict(zip(names, row))):
                     continue
@@ -528,32 +562,132 @@ class ProfileEvaluator:
             return sums
         return {at: _quotient(value, scale) for at, value in sums.items()}
 
+    def _walk(self, unary: Sequence[tuple[int, ...]], leaf, grow=None, state=None) -> dict:
+        """The census walk: census key (the tracked unary cards) -> the sum of
+        its censuses' values, over the counts of the parts (classes, or column
+        groups) summing to n, depth first in the parts' order, part i adding
+        ``unary[i]`` to the cards per element.  The cards' partial sums are
+        carried down, and a part's counts are cut to those that can still
+        land every card in its box of card ranges, so no subtree outside the
+        box is entered; each key reached is checked against the constraint's
+        comparisons.  ``grow(i, left, state, counts)`` yields the counts k of
+        part i in the range ``counts``, in order, each with the state passed
+        down, and may stop early; ``leaf(counts, state)`` is the value of the
+        census ``counts``, the last part taking what is left."""
+        n, last, packed = self.n, len(unary) - 1, {}
+        if self._box is None or not unary or not unary[0] and self._ranges_at(()) is None:
+            return packed
+        box = self._box[:len(unary[0])]
+        cut = box if self._forms else ()  # with no comparison every census is in the box
+        # per part and card, the least and the most a later part adds per element
+        later = [[(min(card), max(card)) for card in zip(*unary[i + 1:])] if cut else ()
+                 for i in range(last)]
+        counts = [0] * len(unary)
+
+        def branch(i: int, left: int, sums: tuple[int, ...], state):
+            lo, hi = 0, left
+            for (low, high), a, (least, most), s in zip(cut, unary[i], later[i], sums):
+                # the card ends at s + k a + r, the later parts adding r within
+                # [(left - k) least, (left - k) most]: k c <= r for each (c, r)
+                for c, r in ((a - least, high - s - left * least),
+                             (most - a, s + left * most - low)):
+                    if c > 0:
+                        hi = min(hi, r // c)
+                    elif c < 0:
+                        lo = max(lo, -(r // -c))
+                    elif r < 0:
+                        return ()
+            if lo > hi:
+                return ()
+            if grow is None:
+                return ((k, state) for k in range(lo, hi + 1))
+            return grow(i, left, state, range(lo, hi + 1))
+
+        def reach(key: tuple[int, ...], left: int, state) -> None:
+            if box:  # the last part takes what is left
+                key = tuple([s + left * a for s, a in zip(key, unary[last])])
+                if self._forms and self._ranges_at(key) is None:
+                    return
+            counts[last] = left
+            value = leaf(counts, state)
+            if value:
+                packed[key] = packed.get(key, 0) + value
+
+        sums = (0,) * len(box)
+        if not last:
+            reach(sums, n, state)
+        frames = [(0, n, sums, branch(0, n, sums, state))] if last else []
+        while frames:
+            i, left, sums, steps = frames[-1]
+            for k, down in steps:
+                counts[i] = k
+                below = tuple([s + k * a for s, a in zip(sums, unary[i])]) if box else sums
+                if i + 1 < last:
+                    if k < left:
+                        frames.append((i + 1, left - k, below, branch(i + 1, left - k, below, down)))
+                        break
+                    counts[i + 1:] = [0] * (last - i)  # none left: the later parts take 0
+                reach(below, left - k, down)
+            else:
+                frames.pop()
+        return packed
+
     def _enumerate_table(self) -> tuple[dict, _Layout]:
         """The census over pair tables, unread: census key (the tracked unary
         cards) -> value packed in the layout of the tracked binary cards (read
-        at the tie counter's target), and that layout."""
-        n, n_unary, end = self.n, self.n_unary, len(self.key_names)
-        classes = range(len(self.types))
-        polys, _, bits = self._factors(False, [(a, b) for a in classes for b in classes if a <= b])
+        at the tie counter's target), and that layout.  A census is its
+        multinomial times prod_a w_a^k_a f_aa^C(k_a, 2) prod_{a<b} f_ab^(k_a k_b)
+        over the classes a, b and their 2-table factors f.  Each node of the
+        walk that places k > 0 elements of a class a keeps, toward each later
+        class b it is asked about, the product prod f_cb^k_c over the classes
+        c placed so far, its parent's times f_ab^k, so a census costs one power
+        of it and two products; w_a^k f_aa^C(k, 2) and f_ab^k are computed
+        once per classes and k.  A product that is 0 (every digit past a cap)
+        stays 0 whatever it is multiplied by, so the walk goes no further."""
+        n_unary, end = self.n_unary, len(self.key_names)
+        order = list(range(len(self.types)))
+        if n_unary:  # the classes raising a tracked unary card first
+            order.sort(key=lambda a: not any(self._unary_keys[a]))
+        polys, _, bits = self._factors(False, [(a, b) for a in order for b in order if a <= b])
         layout = _Layout(range(n_unary, len(self._bounds)), self._bounds[n_unary:], bits)
-        factors = {k: layout.pack(p) for k, p in polys.items()}
-        weights = [layout.pack(w) for w in self._weights]
-        packed: dict[tuple[int, ...], int] = {}
-        for combo in combinations_with_replacement(classes, n):
-            occupied = [(pos, len(tuple(group))) for pos, group in groupby(combo)]
-            key = tuple(sum(c * self._unary_keys[pos][d] for pos, c in occupied)
-                        for d in range(n_unary))
-            if self._ranges_at(key) is None:
-                continue
-            value, left = 1, n
-            for ia, (pa, ca) in enumerate(occupied):
-                value, left = layout.mul(value * math.comb(left, ca),
-                                         layout.pow(weights[pa], ca)), left - ca
-                for pb, cb in occupied[ia:]:  # the pairs of elements across pa, pb
-                    e = ca * (ca - 1) // 2 if pa == pb else ca * cb
-                    value = layout.mul(value, layout.pow(factors[pa, pb], e))
-            if value:
-                packed[key] = packed.get(key, 0) + value
+        mul, pow, comb, last = layout.mul, layout.pow, math.comb, len(order) - 1
+        packs = {pair: layout.pack(p) for pair, p in polys.items()}
+        powers: dict[tuple[int, int, int], int] = {}
+
+        def power(i: int, b: int, k: int) -> int:  # f_ib^k, w_i^k f_ii^C(k, 2) for b = i
+            if (i, b, k) not in powers:
+                a, c = sorted((order[i], order[b]))
+                powers[i, b, k] = (pow(packs[a, c], k) if i != b else mul(
+                    pow(layout.pack(self._weights[a]), k), pow(packs[a, a], k * (k - 1) // 2)))
+            return powers[i, b, k]
+
+        def toward(node, b: int) -> int:  # the placed classes' product toward class b
+            if node is None:
+                return 1
+            i, k, parent, kept = node
+            if b not in kept:
+                kept[b] = mul(toward(parent, b), power(i, b, k))
+            return kept[b]
+
+        def grow(i: int, left: int, state, counts: range):
+            value, node = state
+            base = toward(node, i)
+            step = pow(base, counts.start)
+            for k in counts:
+                if k > counts.start:
+                    step = mul(step, base)
+                down = value * comb(left, k)
+                if k:
+                    down = mul(down, mul(power(i, i, k), step))
+                if not down:
+                    return
+                yield k, (down, (i, k, node, {}) if k else node)
+
+        def leaf(counts: list[int], state) -> int:
+            (value, node), k = state, counts[-1]
+            return mul(value, mul(power(last, last, k), pow(toward(node, last), k))) if k else value
+
+        packed = self._walk([self._unary_keys[a] for a in order], leaf, grow, (1, None))
         if self._ties:  # each key's value at the tie counter's target
             packed = {key: layout.at(v, [self._bounds[-1][0]]) for key, v in packed.items()}
         return packed, _Layout(range(n_unary, end), self._bounds[n_unary:end], bits)
@@ -577,84 +711,96 @@ class ProfileEvaluator:
         packed = 0, [((), k, members) for k, members in enumerate(columns)]
         return min(packed, split(), key=cost) if self.n_unary else packed
 
-    def _readings(self, polys: dict, g: int, layout: _Layout, first: int, cols) -> list:
-        """Per class, how its element's row is read: (the layout it decodes
-        into, the layout it is computed in, its factors toward the columns
-        ``cols`` and class weight packed there, the guard degrees of its
-        ``_reads`` box).  A class reading no guard degree uses ``base``, the
-        census counters alone; any other the one layout that adds every guard
-        degree, each it does not read packed at 1 (whole)."""
+    def _readings(self, polys: dict, g: int, layout: _Layout, first: int, cols) -> tuple:
+        """The layout rows are read into, and per class how its element's
+        row is computed: (the product and power of the layout it is computed
+        in, its factors toward the columns ``cols`` other than 1, by column,
+        and its class weight, packed there, and None or that layout and the
+        guard degrees of its ``_reads`` box).  A class reading no guard
+        degree uses the read layout, the census counters alone; any other the
+        one layout that adds every guard degree, each it does not read packed
+        at 1 (whole)."""
         n, end = self.n, len(self.key_names)
         base = element = layout
         if self._guards:
             # an element raises a unary card at most once, anything else n times
             tops = [(1, 1) if d < self.n_unary else (min(top, n),) * 2
                     for d, (_, top) in enumerate(self._bounds[first:end], first)]
-            bits = _digit_bits(max(map(_norm, self._weights), default=0) * g ** (n - 1))
+            bits = _digit_bits((max(map(_norm, self._weights), default=0), 1), (g, n - 1))
             base = _Layout(range(first, end), tops, bits)
             element = _Layout(range(first, len(self._bounds)), tops + self._bounds[end:], bits)
-        readings = []
+        rows = []
         for pos, reads in enumerate(self._reads):
             space = element if any(reads) else base
             ones = [d for d, box in enumerate(reads, end) if not box]
+            factors = [(j, f) for j, r in enumerate(cols) if (f := space.pack(polys[pos, r], ones)) != 1]
             keys = list(product(*(range(box[0], min(box[1], n) + 1) if box else (0,)
                                   for box in reads)))
-            readings.append((base, space, [space.pack(polys[pos, r], ones) for r in cols],
-                             space.pack(self._weights[pos], ones), keys))
-        return readings
-
-    @staticmethod
-    def _element(reading, exponents: Sequence[int], layout: _Layout) -> int:
-        """One element's row in the census ``layout``, read as ``reading``
-        says: its class weight times its factors to the ``exponents``,
-        summed over the digit box it reads of the guard degrees."""
-        base, space, factors, row, keys = reading
-        for f, e in zip(factors, exponents):
-            if e:
-                row = space.mul(row, space.pow(f, e))
-        if space is not base:
-            row = sum(space.at(row, key) for key in keys)
-        return layout.pack(base.decode(row)) if base is not layout and layout.counters else row
+            rows.append((space.mul, space.pow, factors, space.pack(self._weights[pos], ones),
+                         (space, keys) if space is not base else None))
+        return base, rows
 
     def _group_table(self) -> tuple[dict, _Layout]:
         """The census over column groups, unread like ``_enumerate_table``:
         classes whose out-edge columns agree form one column, and a census
-        of the groups is its multinomial times prod_G (sum of G's rows)^c_G."""
+        of the groups is its multinomial times prod_G (sum of G's rows)^c_G.
+        A row depends on the column counts alone, so where several groups
+        share a column, the powers of the group sums are kept while the
+        walk's column counts stay the same."""
         n, classes, sends, columns = self.n, range(len(self.types)), self.cells.sends, {}
         for b, u in enumerate(self.types):
             columns.setdefault(tuple([sends(t, u) for t in self.types]), []).append(b)
         cols = [members[0] for members in columns.values()]
         polys, g, bits = self._factors(True, [(a, r) for a in classes for r in cols])
         first, groups = self._groups(list(columns.values()), bits)
+        if first:  # the groups raising a tracked unary card first
+            groups.sort(key=lambda group: not any(group[0]))
         end = len(self.key_names)
         layout = _Layout(range(first, end), self._bounds[first:end], bits)
-        readings = self._readings(polys, g, layout, first, cols)
-        last, packed = None, {}
-        unary = list(zip(*(ukey for ukey, _, _ in groups)))  # per card, each group's value
-        one_per_column = [k for _, k, _ in groups] == list(range(len(cols)))
-        for counts in compositions(n, len(groups)):
-            key = tuple(sum(c * u for u, c in zip(card, counts)) for card in unary)
-            if self._ranges_at(key) is None:
-                continue
-            per_column = counts if one_per_column else tuple(
-                sum(c for (_, k, _), c in zip(groups, counts) if k == j) for j in range(len(cols)))
-            if per_column != last:  # rows, and so powers of their sums, depend on these only
-                last, powers, sums = per_column, {}, []
-                for _, k, members in groups:
-                    total = 0
-                    if per_column[k]:
-                        exponents = [cb - (kb == k) for kb, cb in enumerate(per_column)]
-                        for b in members:
-                            total += self._element(readings[b], exponents, layout)
-                    sums.append(total)
+        shared = len(groups) > len(cols)
+        if not shared:  # the walk's counts are the column counts, in the groups' order
+            cols = [cols[k] for _, k, _ in groups]
+        base, rows = self._readings(polys, g, layout, first, cols)
+        convert = self._guards and layout.counters  # rows come in the element layout
+        mul, pow, comb = layout.mul, layout.pow, math.comb
+        # per group: its column and its members' rows
+        parts = [(k if shared else i, [rows[b] for b in members])
+                 for i, (_, k, members) in enumerate(groups)]
+        seen, powers = None, {}  # the column counts, and the powers of group sums kept for them
+
+        def leaf(counts: list[int], _) -> int:
+            nonlocal seen, powers
+            per_column = counts
+            if shared:
+                per_column = [0] * len(cols)
+                for (k, _), c in zip(parts, counts):
+                    per_column[k] += c
+                if per_column != seen:
+                    seen, powers = per_column, {}
             value, left = 1, n
             for i, c in enumerate(counts):
-                if c:
-                    power = powers.get((i, c)) or powers.setdefault((i, c), layout.pow(sums[i], c))
-                    value, left = layout.mul(value * math.comb(left, c), power), left - c
-            if value:
-                packed[key] = packed.get(key, 0) + value
-        return packed, layout
+                if not c:
+                    continue
+                power = powers.get((i, c)) if shared else None
+                if power is None:
+                    own, members = parts[i]
+                    total = 0
+                    for smul, spow, factors, row, reads in members:
+                        for j, f in factors:
+                            e = per_column[j] - (j == own)
+                            if e:
+                                row = smul(row, spow(f, e))
+                        if reads:  # the guard degrees it reads
+                            space, keys = reads
+                            row = sum(space.at(row, key) for key in keys)
+                        total += layout.pack(base.decode(row)) if convert else row
+                    power = pow(total, c)
+                    if shared:
+                        powers[i, c] = power
+                value, left = mul(value * comb(left, c), power), left - c
+            return value
+
+        return self._walk([ukey for ukey, _, _ in groups], leaf), layout
 
     def _census(self) -> tuple[dict, _Layout]:
         return self._group_table() if self._directed else self._enumerate_table()

@@ -415,10 +415,11 @@ def successor_encoding(norm: NormalizedProblem, signed: Collection[int] = ()
     for some k.  Each occurrence A(t) reads the union of the A_k (and !S(t)),
     negated for at-least.  A block not in ``signed`` whose span holds 0 has
     no A_0 but the axiom !(A_1 | ... | A_hi)(x) -> !G(x,y), and its
-    occurrences read true (false for at-least).  The block signs take the
-    lowest __P numbers, the problem's own signs the next ones.  Oversize
-    encodings are refused before any axiom is built: each f_j adds a type
-    slot, two table slots and an existence sign."""
+    occurrences read true (false for at-least): a conjunct that this makes
+    true is dropped.  The block signs take the lowest __P numbers, the
+    problem's own signs the next ones.  Oversize encodings are refused
+    before any axiom is built: each f_j adds a type slot, two table slots
+    and an existence sign."""
     implicit = {b.a_pred for b in norm.blocks if b.index not in signed and b.span[0] == 0}
     u, b = len(norm.signature.arities), 2 * len(norm.signature.binary_predicates())
     for block in norm.blocks:
@@ -450,7 +451,9 @@ def successor_encoding(norm: NormalizedProblem, signed: Collection[int] = ()
             return Atom(renamed[f.pred], f.args)
         return rebuild(f, [rewrite(s) for s in subformulas(f)])
 
-    matrix, psis, blocks = [rewrite(c) for c in norm.matrix], [], []
+    # a conjunct the rewrite makes true goes; one the input wrote as true stays
+    matrix = [r for c in norm.matrix if (r := rewrite(c)) != TRUE or c == TRUE]
+    psis, blocks = [], []
     for b in norm.blocks:
         guard, sign, union = Atom(b.guard, ("x", "y")), signs.get(b.a_pred), unions[b.a_pred]
         for k, a_pred in enumerate(union, first[b.a_pred]):

@@ -272,3 +272,19 @@ def test_dump_includes_ties():
     dumped = dump_normalized(successor_encoding(normalize(parse_problem(ZERO_OR_TWO_EXAMPLE))))
     assert "constraint |__f1_1| = |__A1|" in dumped
     assert "# signs __P1 __P2" in dumped
+
+
+def test_implicit_degree_zero_drops_the_conjunct_it_makes_true():
+    """The occurrence of a pinned block whose span holds 0 reads true in the
+    successor encoding, and the conjunct that said it holds is dropped, so
+    no cell sweep evaluates a constant; a true conjunct the input wrote
+    stays."""
+    dumped = dump_normalized(successor_encoding(normalize(parse_problem(
+        "predicate R/2\nforall x exists{<=1} y R(x,y)"))))
+    assert dumped.splitlines()[4] == (
+        "forall x (forall y ((__A1(x) -> (R(x, y) <-> __f1_1(x, y))) & (!__A1(x) -> !R(x, y))"
+        " & (__P1(x) -> !(__A1(x) -> __f1_1(x, y)))))")
+    written = successor_encoding(normalize(parse_problem(
+        "predicate R/2\nforall x forall y x = x & forall x exists{<=1} y R(x,y)")))
+    assert written.matrix[0] == parse_formula("x = x")
+    assert len(written.matrix) == 4

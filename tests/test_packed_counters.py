@@ -3,19 +3,20 @@ at sizes the sparse counter polynomials could not reach, and the
 truncated and signed cases against the ground oracle."""
 
 import math
+import random
 import time
 from fractions import Fraction
 
 import pytest
 
 from fo2mc.corpus import load_corpus
-from fo2mc.engine import ProfileEvaluator, Solver, witness_deficit_counts
+from fo2mc.engine import ProfileEvaluator, Solver, _digit_bits, witness_deficit_counts
 from fo2mc.errors import InternalConsistencyError
 from fo2mc.oracle import oracle_count, oracle_distribution
 from fo2mc.parser import parse_cardinality, parse_problem, parse_weight_expr
 from fo2mc.weights import count_distribution, distribution_table, wfomc_profile
 
-from conftest import RUNNING_EXAMPLE
+from conftest import RUNNING_EXAMPLE, random_problem
 
 CORPUS = {entry.name: entry for entry in load_corpus()}
 
@@ -230,3 +231,48 @@ def test_indivisible_row_with_integer_weights_is_an_internal_error():
     ev.scale *= 3
     with pytest.raises(InternalConsistencyError, match="non-integer row"):
         ev.table()
+
+
+# -- digit widths --------------------------------------------------------------
+
+
+def exact_width(bound: int) -> int:
+    """The bit length of ``bound`` plus a sign bit, in whole bytes."""
+    return (bound.bit_length() + 8) // 8 * 8
+
+
+def test_digit_width_from_logarithms():
+    """The width read from logarithms is at least the exact bound's and at
+    most one byte wider: on powers of 2 and their neighbours, where the
+    bit length steps, and on random bases and exponents."""
+    rng = random.Random(3)
+    cases = [((2, e),) for e in range(200)] + [((0, 0),), ((0, 5),), ((1, 10 ** 6),)]
+    cases += [((2 ** k + d, e), (3, f)) for k in (1, 7, 30, 64) for d in (-1, 0, 1)
+              for e in (1, 2, 59) for f in (0, 1, 1770)]
+    cases += [((rng.randint(1, 9), rng.randint(0, 3600)),
+               (rng.getrandbits(rng.randint(1, 200)) + 1, rng.randint(0, 300)))
+              for _ in range(500)]
+    for powers in cases:
+        exact = exact_width(math.prod(base ** exp for base, exp in powers))
+        assert exact <= _digit_bits(*powers) <= exact + 8, powers
+
+
+def test_census_digit_widths_against_the_exact_bounds():
+    """The widths of the census, (sum_c |w_c|)^n G^pairs, and of one
+    element's row, max_c |w_c| G^(n-1), on the corpus and the random
+    problems at n <= 60."""
+    problems = [entry.problem() for entry in CORPUS.values()]
+    problems += [random_problem(seed) for seed in range(200)]
+    for index, problem in enumerate(problems):
+        solver = Solver(problem)
+        for n in (1, 2, 3, 7, 20, 60)[index % 2::2]:
+            ev = solver._evaluator(n, (), None, None)
+            per_element = ev._directed
+            classes = range(len(ev.types))
+            _, g, bits = ev._factors(per_element, [(a, b) for a in classes for b in classes])
+            norms = [sum(abs(w) for _, w in weights) for weights in ev._weights]
+            pairs = n * (n - 1) // (1 if per_element else 2)
+            exact = exact_width(sum(norms) ** n * g ** pairs)
+            assert exact <= bits <= exact + 8, (index, n)
+            row = exact_width(max(norms, default=0) * g ** (n - 1))
+            assert row <= _digit_bits((max(norms, default=0), 1), (g, n - 1)) <= row + 8
