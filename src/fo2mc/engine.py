@@ -419,7 +419,8 @@ class ProfileEvaluator:
         # weighs m_i! in place of 1/m_i! inside it, every model prod_i m_i!^n
         # times over.  A class carries the sum of its members' signed weights
         # times their counters, exact by the multinomial theorem; zero sums
-        # drop out.
+        # drop out.  The classes raising a tracked unary card come first, the
+        # order in which both censuses walk them (``_walk``), then by type.
         sign_slots = [cells.u_slot_index(p, "unary") for p in norm.sign_preds]
         a_slots = [cells.u_slot_index(b.a_pred, "unary") for b in norm.blocks]
         options = {}  # A bits -> their ``_read_options``
@@ -439,11 +440,11 @@ class ProfileEvaluator:
                 for reads, sign in options[in_a]:
                     _, weights = merged.setdefault((c, key[:self.n_unary], reads), (t, {}))
                     weights[key] = weights.get(key, 0) + sign * w
-        live = sorted((t, key[1], key[2], [(k, w) for k, w in ws.items() if w])
-                      for key, (t, ws) in merged.items() if any(ws.values()))
-        self.types = [t for t, _, _, _ in live]
-        self._unary_keys = [ukey for _, ukey, _, _ in live]
-        self._reads = [reads for _, _, reads, _ in live]
+        live = sorted((not any(ukey), t, ukey, reads, [(k, w) for k, w in ws.items() if w])
+                      for (_, ukey, reads), (t, ws) in merged.items() if any(ws.values()))
+        self.types = [t for _, t, _, _, _ in live]
+        self._unary_keys = [ukey for _, _, ukey, _, _ in live]
+        self._reads = [reads for _, _, _, reads, _ in live]
         self._weights = [w for *_, w in live]
         if self._ties:
             self.scale *= math.prod(math.factorial(b.m) for b in norm.blocks) ** n
@@ -637,28 +638,24 @@ class ProfileEvaluator:
         cards) -> value packed in the layout of the tracked binary cards (read
         at the tie counter's target), and that layout.  A census is its
         multinomial times prod_a w_a^k_a f_aa^C(k_a, 2) prod_{a<b} f_ab^(k_a k_b)
-        over the classes a, b and their 2-table factors f.  Each node of the
-        walk that places k > 0 elements of a class a keeps, toward each later
-        class b it is asked about, the product prod f_cb^k_c over the classes
-        c placed so far, its parent's times f_ab^k, so a census costs one power
-        of it and two products; w_a^k f_aa^C(k, 2) and f_ab^k are computed
-        once per classes and k.  A product that is 0 (every digit past a cap)
+        over the classes a, b and their 2-table factors f, walked in the
+        classes' order.  Each node of the walk that places k > 0 elements of
+        a class a keeps, toward each later class b it is asked about, the
+        product prod f_cb^k_c over the classes c placed so far, its parent's
+        times f_ab^k, so a census costs one power of it and two products;
+        w_a^k f_aa^C(k, 2) and f_ab^k are computed once per classes and k.  A product that is 0 (every digit past a cap)
         stays 0 whatever it is multiplied by, so the walk goes no further."""
-        n_unary, end = self.n_unary, len(self.key_names)
-        order = list(range(len(self.types)))
-        if n_unary:  # the classes raising a tracked unary card first
-            order.sort(key=lambda a: not any(self._unary_keys[a]))
-        polys, _, bits = self._factors(False, [(a, b) for a in order for b in order if a <= b])
+        n_unary, end, classes = self.n_unary, len(self.key_names), range(len(self.types))
+        polys, _, bits = self._factors(False, [(a, b) for a in classes for b in classes if a <= b])
         layout = _Layout(range(n_unary, len(self._bounds)), self._bounds[n_unary:], bits)
-        mul, pow, comb, last = layout.mul, layout.pow, math.comb, len(order) - 1
+        mul, pow, comb, last = layout.mul, layout.pow, math.comb, len(classes) - 1
         packs = {pair: layout.pack(p) for pair, p in polys.items()}
         powers: dict[tuple[int, int, int], int] = {}
 
-        def power(i: int, b: int, k: int) -> int:  # f_ib^k, w_i^k f_ii^C(k, 2) for b = i
+        def power(i: int, b: int, k: int) -> int:  # f_ib^k (i < b), w_i^k f_ii^C(k, 2) for b = i
             if (i, b, k) not in powers:
-                a, c = sorted((order[i], order[b]))
-                powers[i, b, k] = (pow(packs[a, c], k) if i != b else mul(
-                    pow(layout.pack(self._weights[a]), k), pow(packs[a, a], k * (k - 1) // 2)))
+                powers[i, b, k] = (pow(packs[i, b], k) if i != b else mul(
+                    pow(layout.pack(self._weights[i]), k), pow(packs[i, i], k * (k - 1) // 2)))
             return powers[i, b, k]
 
         def toward(node, b: int) -> int:  # the placed classes' product toward class b
@@ -687,31 +684,32 @@ class ProfileEvaluator:
             (value, node), k = state, counts[-1]
             return mul(value, mul(power(last, last, k), pow(toward(node, last), k))) if k else value
 
-        packed = self._walk([self._unary_keys[a] for a in order], leaf, grow, (1, None))
+        packed = self._walk(self._unary_keys, leaf, grow, (1, None))
         if self._ties:  # each key's value at the tie counter's target
             packed = {key: layout.at(v, [self._bounds[-1][0]]) for key, v in packed.items()}
         return packed, _Layout(range(n_unary, end), self._bounds[n_unary:end], bits)
 
-    def _groups(self, columns: list[list[int]], bits: int) -> tuple[int, list]:
+    def _groups(self, column: Sequence[int], bits: int) -> tuple[int, list]:
         """The first packed counter and the census groups (unary key or (),
-        column, classes): each column's classes, split by tracked unary key
-        where that beats packing the unary cards by an estimate of, per census
-        and group, 1,000 products of 30-bit digits plus one of the layout's."""
-        def split() -> tuple[int, list]:
-            groups: dict[tuple, list[int]] = {}
-            for k, members in enumerate(columns):
-                for b in members:
-                    groups.setdefault((self._unary_keys[b], k), []).append(b)
-            return self.n_unary, [(*key, members) for key, members in groups.items()]
+        column, classes), each at its first class, so those raising a tracked
+        unary card come first: the classes of each ``column``, split by
+        tracked unary key where that beats packing the unary cards by an
+        estimate of, per census and group, 1,000 products of 30-bit digits
+        plus one of the layout's."""
+        def groups(split: bool) -> list:
+            out: dict[tuple, list[int]] = {}
+            for b, k in enumerate(column):
+                out.setdefault((self._unary_keys[b] if split else (), k), []).append(b)
+            return [(*key, members) for key, members in out.items()]
 
         def cost(option: tuple[int, list]) -> float:
             (first, groups), end, n = option, len(self.key_names), self.n
             words = bits / 30 * math.prod(_counter_digits(*b) for b in self._bounds[first:end])
             return math.comb(n + len(groups) - 1, n) * len(groups) * (1000 + words ** 1.585)
-        packed = 0, [((), k, members) for k, members in enumerate(columns)]
-        return min(packed, split(), key=cost) if self.n_unary else packed
+        packed = 0, groups(False)
+        return min(packed, (self.n_unary, groups(True)), key=cost) if self.n_unary else packed
 
-    def _readings(self, polys: dict, g: int, layout: _Layout, first: int, cols) -> tuple:
+    def _readings(self, polys: dict, g: int, layout: _Layout, cols) -> tuple:
         """The layout rows are read into, and per class how its element's
         row is computed: (the product and power of the layout it is computed
         in, its factors toward the columns ``cols`` other than 1, by column,
@@ -724,11 +722,12 @@ class ProfileEvaluator:
         base = element = layout
         if self._guards:
             # an element raises a unary card at most once, anything else n times
-            tops = [(1, 1) if d < self.n_unary else (min(top, n),) * 2
-                    for d, (_, top) in enumerate(self._bounds[first:end], first)]
+            tops = [(1, 1) if d < self.n_unary else (min(self._bounds[d][1], n),) * 2
+                    for d in layout.counters]
             bits = _digit_bits((max(map(_norm, self._weights), default=0), 1), (g, n - 1))
-            base = _Layout(range(first, end), tops, bits)
-            element = _Layout(range(first, len(self._bounds)), tops + self._bounds[end:], bits)
+            base = _Layout(layout.counters, tops, bits)
+            element = _Layout(layout.counters + tuple(range(end, len(self._bounds))),
+                              tops + self._bounds[end:], bits)
         rows = []
         for pos, reads in enumerate(self._reads):
             space = element if any(reads) else base
@@ -743,49 +742,41 @@ class ProfileEvaluator:
     def _group_table(self) -> tuple[dict, _Layout]:
         """The census over column groups, unread like ``_enumerate_table``:
         classes whose out-edge columns agree form one column, and a census
-        of the groups is its multinomial times prod_G (sum of G's rows)^c_G.
-        A row depends on the column counts alone, so where several groups
-        share a column, the powers of the group sums are kept while the
-        walk's column counts stay the same."""
+        of the groups is its multinomial times prod_G (sum of G's rows)^c_G,
+        walked in the groups' order.  A row depends on the column counts
+        alone, so the powers of the group sums are kept while the walk's
+        column counts stay the same, as they do where several groups share a
+        column."""
         n, classes, sends, columns = self.n, range(len(self.types)), self.cells.sends, {}
-        for b, u in enumerate(self.types):
-            columns.setdefault(tuple([sends(t, u) for t in self.types]), []).append(b)
-        cols = [members[0] for members in columns.values()]
+        column = [columns.setdefault(tuple([sends(t, u) for t in self.types]), len(columns))
+                  for u in self.types]  # each class's column
+        cols = [column.index(k) for k in range(len(columns))]  # each column's first class
         polys, g, bits = self._factors(True, [(a, r) for a in classes for r in cols])
-        first, groups = self._groups(list(columns.values()), bits)
-        if first:  # the groups raising a tracked unary card first
-            groups.sort(key=lambda group: not any(group[0]))
+        first, groups = self._groups(column, bits)
         end = len(self.key_names)
         layout = _Layout(range(first, end), self._bounds[first:end], bits)
-        shared = len(groups) > len(cols)
-        if not shared:  # the walk's counts are the column counts, in the groups' order
-            cols = [cols[k] for _, k, _ in groups]
-        base, rows = self._readings(polys, g, layout, first, cols)
+        base, rows = self._readings(polys, g, layout, cols)
         convert = self._guards and layout.counters  # rows come in the element layout
         mul, pow, comb = layout.mul, layout.pow, math.comb
-        # per group: its column and its members' rows
-        parts = [(k if shared else i, [rows[b] for b in members])
-                 for i, (_, k, members) in enumerate(groups)]
+        column_of = [k for _, k, _ in groups]
+        parts = [[rows[b] for b in members] for _, _, members in groups]
         seen, powers = None, {}  # the column counts, and the powers of group sums kept for them
 
         def leaf(counts: list[int], _) -> int:
             nonlocal seen, powers
-            per_column = counts
-            if shared:
-                per_column = [0] * len(cols)
-                for (k, _), c in zip(parts, counts):
-                    per_column[k] += c
-                if per_column != seen:
-                    seen, powers = per_column, {}
+            per_column = [0] * len(cols)
+            for k, c in zip(column_of, counts):
+                per_column[k] += c
+            if per_column != seen:
+                seen, powers = per_column, {}
             value, left = 1, n
             for i, c in enumerate(counts):
                 if not c:
                     continue
-                power = powers.get((i, c)) if shared else None
+                power = powers.get((i, c))
                 if power is None:
-                    own, members = parts[i]
-                    total = 0
-                    for smul, spow, factors, row, reads in members:
+                    own, total = column_of[i], 0
+                    for smul, spow, factors, row, reads in parts[i]:
                         for j, f in factors:
                             e = per_column[j] - (j == own)
                             if e:
@@ -794,9 +785,7 @@ class ProfileEvaluator:
                             space, keys = reads
                             row = sum(space.at(row, key) for key in keys)
                         total += layout.pack(base.decode(row)) if convert else row
-                    power = pow(total, c)
-                    if shared:
-                        powers[i, c] = power
+                    power = powers[i, c] = pow(total, c)
                 value, left = mul(value * comb(left, c), power), left - c
             return value
 

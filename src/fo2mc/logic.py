@@ -209,13 +209,10 @@ def free_vars(formula: Formula) -> frozenset[str]:
         return frozenset(formula.args)
     if isinstance(formula, Eq):
         return frozenset((formula.left, formula.right))
-    if isinstance(formula, Not):
-        return free_vars(formula.sub)
-    if isinstance(formula, (And, Or, Implies, Iff)):
-        return free_vars(formula.left) | free_vars(formula.right)
-    if isinstance(formula, (Forall, Exists, Counting)):
-        return free_vars(formula.body) - {formula.var}
-    raise TypeError(f"not a formula: {formula!r}")
+    free = frozenset()
+    for sub in subformulas(formula):
+        free |= free_vars(sub)
+    return free - {formula.var} if isinstance(formula, (Forall, Exists, Counting)) else free
 
 
 def subformulas(formula: Formula) -> tuple[Formula, ...]:
@@ -223,11 +220,11 @@ def subformulas(formula: Formula) -> tuple[Formula, ...]:
     ``rebuild`` this is the only code that knows each node's children."""
     if isinstance(formula, (Atom, Eq)):
         return ()
+    if isinstance(formula, _Connective):
+        return (formula.left, formula.right)
     if isinstance(formula, Not):
         return (formula.sub,)
-    if isinstance(formula, (And, Or, Implies, Iff)):
-        return (formula.left, formula.right)
-    if isinstance(formula, (Forall, Exists, Counting)):
+    if isinstance(formula, (_Quantifier, Counting)):
         return (formula.body,)
     raise TypeError(f"not a formula: {formula!r}")
 
@@ -262,13 +259,12 @@ def substitute(formula: Formula, mapping: Mapping[str, str]) -> Formula:
 
 
 def is_quantifier_free(formula: Formula) -> bool:
-    if isinstance(formula, (Atom, Eq)):
-        return True
-    if isinstance(formula, Not):
-        return is_quantifier_free(formula.sub)
-    if isinstance(formula, (And, Or, Implies, Iff)):
-        return is_quantifier_free(formula.left) and is_quantifier_free(formula.right)
-    return False
+    if isinstance(formula, (Forall, Exists, Counting)):
+        return False
+    for sub in subformulas(formula):
+        if not is_quantifier_free(sub):
+            return False
+    return True
 
 
 def atoms_of(formula: Formula) -> Iterator[Atom]:

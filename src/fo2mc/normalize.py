@@ -133,15 +133,18 @@ class NormalizedProblem:
 # Step 1: single-variable counting quantifiers -> cardinality constraints
 
 
-def _distribute(sentence: Formula) -> list[Formula]:
-    """Split into conjuncts, distributing universal quantifiers over
-    conjunctions and dropping vacuous ones (the domain is never empty)."""
+def _distribute(sentence: Formula, bound: tuple[str, ...] = ()) -> list[Formula]:
+    """Split into conjuncts, distributing universal quantifiers (``bound``
+    around the sentence, outermost first) over conjunctions and dropping
+    vacuous ones (the domain is never empty)."""
     if isinstance(sentence, And):
-        return _distribute(sentence.left) + _distribute(sentence.right)
+        return _distribute(sentence.left, bound) + _distribute(sentence.right, bound)
     if isinstance(sentence, Forall):
-        parts = _distribute(sentence.body)
-        return [Forall(sentence.var, p) if sentence.var in free_vars(p) else p
-                for p in parts]
+        return _distribute(sentence.body, bound + (sentence.var,))
+    free = free_vars(sentence) if bound else ()
+    for var in reversed(bound):
+        if var in free:
+            sentence, free = Forall(var, sentence), free - {var}
     return [sentence]
 
 
@@ -215,6 +218,12 @@ def encode_counting(sentence: Formula, alloc: NameAllocator
 # Step 3: Scott normal form
 
 
+#: (connective, left quantifier, right quantifier) -> the one quantifier
+#: their same-variable sides merge into
+_MERGES = {(Or, Exists, Exists): Exists, (And, Forall, Forall): Forall,
+           (Implies, Forall, Exists): Exists}
+
+
 def _pull(f: Formula) -> Formula:
     """Pull quantifiers outward through connectives whose other side does
     not mention the bound variable; push negation through quantifiers."""
@@ -232,6 +241,11 @@ def _pull(f: Formula) -> Formula:
     if isinstance(f, (And, Or, Implies)):
         left, right = _pull(f.left), _pull(f.right)
         kind = type(f)
+        # both sides quantifying one variable merge: exists over |, forall
+        # over &, and (forall v a) -> (exists v b) as exists v (a -> b)
+        merged = _MERGES.get((kind, type(left), type(right)))
+        if merged and left.var == right.var:
+            return _pull(merged(left.var, kind(left.body, right.body)))
         # right side quantified, left side free of its variable
         if isinstance(right, (Forall, Exists)) and right.var not in free_vars(left):
             inner = kind(left, right.body)
@@ -244,12 +258,6 @@ def _pull(f: Formula) -> Formula:
             else:
                 quant = Forall if isinstance(left, Forall) else Exists
             return _pull(quant(left.var, kind(left.body, right)))
-        if (kind is Or and isinstance(left, Exists) and isinstance(right, Exists)
-                and left.var == right.var):
-            return _pull(Exists(left.var, Or(left.body, right.body)))
-        if (kind is And and isinstance(left, Forall) and isinstance(right, Forall)
-                and left.var == right.var):
-            return _pull(Forall(left.var, And(left.body, right.body)))
         return kind(left, right)
     if isinstance(f, Iff):
         return Iff(_pull(f.left), _pull(f.right))
@@ -299,11 +307,9 @@ def to_scott(sentence: Formula, alloc: NameAllocator
     psis: list[Formula] = []
     pending = _distribute(sentence)
     while pending:
+        # pulling keeps the connective under the universal prefix, so a
+        # conjunct ``_distribute`` left whole needs no second split
         conjunct = _pull(pending.pop(0))
-        pending_split = _distribute(conjunct)
-        if len(pending_split) > 1:
-            pending = pending_split + pending
-            continue
         prefix, core = _strip_prefix(conjunct)
         if is_quantifier_free(core):
             matrix.append(core)

@@ -8,7 +8,7 @@ import random
 
 import pytest
 
-from fo2mc.engine import Solver, _Layout
+from fo2mc.engine import ProfileEvaluator, Solver, _Layout
 from fo2mc.logic import And, Atom, Forall, card_conjoin
 from fo2mc.oracle import oracle_count
 from fo2mc.parser import Problem, parse_cardinality, parse_problem
@@ -112,3 +112,32 @@ def test_a_fixed_card_enters_one_census():
     assert len(ev.types) == 2
     assert ev.total() == 780 * 2 ** (40 * 40 - 1)
     assert len(ev._at) == 1
+
+
+def test_parts_raising_a_tracked_unary_card_come_first(monkeypatch):
+    """An evaluator lists first the classes whose tracked unary key is
+    nonzero, each run by representative type, and both censuses walk their
+    parts (classes, or column groups at their first classes) in that
+    order."""
+    walked = []
+
+    def walk(self, unary, *args, run=ProfileEvaluator._walk):
+        walked.append([any(key) for key in unary])
+        return run(self, unary, *args)
+    monkeypatch.setattr(ProfileEvaluator, "_walk", walk)
+    mixed = 0
+    for seed in range(60):
+        solver = Solver(random_problem(seed))
+        for tracked in (("A",), ("A", "B"), ("B", "R")):
+            ev = solver._evaluator(3, tracked, None, None)
+            raising = [any(key) for key in ev._unary_keys]
+            cut = raising.count(True)
+            assert raising == [True] * cut + [False] * (len(raising) - cut)
+            assert ev.types[:cut] == sorted(ev.types[:cut])
+            assert ev.types[cut:] == sorted(ev.types[cut:])
+            mixed += 0 < cut < len(raising)
+            walked.clear()
+            ev.total()
+            for parts in walked:
+                assert parts == sorted(parts, reverse=True)
+    assert mixed

@@ -15,6 +15,7 @@ import fo2mc.corpus
 from fo2mc import cli
 from fo2mc.cli import build_parser, run
 from fo2mc.engine import Solver
+from fo2mc.errors import InternalConsistencyError
 from fo2mc.parser import parse_problem
 
 from conftest import ZERO_OR_TWO_EXAMPLE, RUNNING_EXAMPLE
@@ -341,6 +342,17 @@ def test_out_of_memory_is_refused(monkeypatch):
     monkeypatch.setattr(Solver, "count", exhausted)
     code, out, err = invoke("count", "-n", "100000", "-e", "forall x exists y R(x,y)")
     assert (code, out, err) == (2, "", "unsupported: out of memory\n")
+
+
+def test_internal_consistency_violation_exits_3(monkeypatch):
+    """A violated internal check is reported on one stderr line with exit
+    3, and nothing is printed as a count."""
+    def violated(self, *args):
+        raise InternalConsistencyError("negative model count -1")
+
+    monkeypatch.setattr(Solver, "count", violated)
+    code, out, err = invoke("count", "-n", "2", "-e", "forall x exists y R(x,y)")
+    assert (code, out, err) == (3, "", "internal consistency violation: negative model count -1\n")
 
 
 @pytest.mark.parametrize("argv,message", [

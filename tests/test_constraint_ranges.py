@@ -180,8 +180,11 @@ def test_indivisible_sum_with_integer_weights_is_an_internal_error():
     count = ev.total()
     assert count == 10
     ev.scale *= count + 1
-    with pytest.raises(InternalConsistencyError, match="non-integer row"):
+    with pytest.raises(InternalConsistencyError, match="non-integer row in census"):
         ev.total()
+    # a weighted read checks each row on its own
+    with pytest.raises(InternalConsistencyError, match=r"non-integer row \(\)"):
+        ev.read(lambda row: 1)
 
 
 def test_card_ranges():

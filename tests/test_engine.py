@@ -313,9 +313,9 @@ def test_path_choice(monkeypatch):
         monkeypatch.setattr(ProfileEvaluator, name, spy)
     choose = ProfileEvaluator._groups
 
-    def groups_spy(self, columns, bits):
-        first, groups = choose(self, columns, bits)
-        groups_seen.append((len(self.types), len(columns), len(groups),
+    def groups_spy(self, column, bits):
+        first, groups = choose(self, column, bits)
+        groups_seen.append((len(self.types), len(set(column)), len(groups),
                             "split" if first else "pack"))
         return first, groups
     monkeypatch.setattr(ProfileEvaluator, "_groups", groups_spy)

@@ -205,6 +205,30 @@ def test_guarded_exists_pull():
     assert psis == [Implies(Atom("A", ("x",)), Atom("R", ("x", "y")))]
 
 
+@pytest.mark.parametrize("text,merged", [
+    ("forall x (exists y R(x,y) | exists y S(x,y))", "forall x exists y (R(x,y) | S(x,y))"),
+    ("forall x ((forall y R(x,y)) -> exists y S(x,y))",
+     "forall x exists y (R(x,y) -> S(x,y))"),
+    ("exists x ((forall y R(x,y)) & forall y S(x,y))", "exists x forall y (R(x,y) & S(x,y))"),
+], ids=("or-exists", "forall-implies-exists", "and-forall"))
+def test_same_variable_quantifiers_merge_before_either_is_pulled(text, merged):
+    """Quantifiers over one variable on both sides of a connective merge
+    into one before either side is pulled out alone, so the sentence
+    normalizes like its merged form: the first two need one sign predicate
+    and no definitional one, where pulling one side first took __D1, __P1
+    and __P2."""
+    header = "predicate R/2\npredicate S/2\n"
+    problem = parse_problem(header + text)
+    norm = normalize(problem)
+    assert dump_normalized(norm) == dump_normalized(normalize(parse_problem(header + merged)))
+    if text.startswith("forall"):
+        assert norm.sign_preds == ("__P1",)
+        assert not [p for p in norm.signature.predicates() if p.startswith("__D")]
+    solver = Solver(problem)
+    for n in (1, 2):
+        assert solver.count(n) == oracle_count(problem.signature, problem.sentence, n).total
+
+
 def test_matrix_conjuncts_are_quantifier_free():
     for text in ("forall x forall y (R(x,y) -> R(y,x))",
                  "exists x forall y R(x,y)",
