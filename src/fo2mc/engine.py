@@ -13,17 +13,15 @@ at-least); per guard this expands into signed digit boxes, each sign a
 class weight.  Classes whose columns g_.j agree form one column group,
 and by the multinomial theorem the census runs over the group counts c,
 each worth n!/prod_G c_G! prod_G (sum_{i in G} F_i)^c_G: one group is the
-n-th power of a per-element polynomial.  Any other matrix,
-and the ``successor_encoding`` with its 1/m! divisors, enumerates the
-censuses of the classes over 2-table pair factors; there every block
-raises one tie counter, and each census key's value is read at its target.
-Both censuses are one depth-first walk over the class (group) counts
-(``_walk``): the parts raising a tracked unary card go first, the cards'
-partial sums are carried down, and no subtree whose cards cannot land in
-their box of card ranges is entered.  On pair tables a node keeps, toward
-each later class it is asked about, the product of the factors of the
-classes placed, so a census costs one power and two products.  ``Solver``
-is the one entry point.
+n-th power of a per-element polynomial.  Any other matrix, and the
+``successor_encoding`` with its 1/m! divisors, enumerates the censuses
+over 2-table pair factors f_ij, where every block raises one tie counter
+and each census key's value is read at its target, and by the same
+theorem classes of one tracked unary key whose f_i. agree form one group.
+Both censuses are one depth-first walk over the group counts (``_walk``):
+the parts raising a tracked unary card go first, the cards' partial sums
+are carried down, and no subtree whose cards cannot land in their box of
+card ranges is entered.  ``Solver`` is the one entry point.
 
 Counters, one per tracked predicate (unary ones first) and one per guard
 (one tie counter in the successor encoding), are raised by the true atoms of
@@ -565,8 +563,8 @@ class ProfileEvaluator:
 
     def _walk(self, unary: Sequence[tuple[int, ...]], leaf, grow=None, state=None) -> dict:
         """The census walk: census key (the tracked unary cards) -> the sum of
-        its censuses' values, over the counts of the parts (classes, or column
-        groups) summing to n, depth first in the parts' order, part i adding
+        its censuses' values, over the counts of the parts (groups of classes)
+        summing to n, depth first in the parts' order, part i adding
         ``unary[i]`` to the cards per element.  The cards' partial sums are
         carried down, and a part's counts are cut to those that can still
         land every card in its box of card ranges, so no subtree outside the
@@ -638,53 +636,52 @@ class ProfileEvaluator:
         cards) -> value packed in the layout of the tracked binary cards (read
         at the tie counter's target), and that layout.  A census is its
         multinomial times prod_a w_a^k_a f_aa^C(k_a, 2) prod_{a<b} f_ab^(k_a k_b)
-        over the classes a, b and their 2-table factors f, walked in the
-        classes' order.  Each node of the walk that places k > 0 elements of
-        a class a keeps, toward each later class b it is asked about, the
-        product prod f_cb^k_c over the classes c placed so far, its parent's
-        times f_ab^k, so a census costs one power of it and two products;
-        w_a^k f_aa^C(k, 2) and f_ab^k are computed once per classes and k.  A product that is 0 (every digit past a cap)
-        stays 0 whatever it is multiplied by, so the walk goes no further."""
+        over the classes a, b and their 2-table factors f.  Classes of one
+        tracked unary key whose packed factors toward every class agree pool
+        into one group weighing the sum of their weights, by the multinomial
+        theorem, as alike columns do in ``_group_table``.  The walk carries
+        the product of the groups placed: placing k elements of group i
+        multiplies it by w_i^k f_ii^C(k, 2) and by f_ji^(k_j k) for each group
+        j placed, each power computed once.  A product that is 0 (every digit
+        past a cap) stays 0 whatever it is multiplied by, so the walk goes no
+        further."""
         n_unary, end, classes = self.n_unary, len(self.key_names), range(len(self.types))
         polys, _, bits = self._factors(False, [(a, b) for a in classes for b in classes if a <= b])
         layout = _Layout(range(n_unary, len(self._bounds)), self._bounds[n_unary:], bits)
-        mul, pow, comb, last = layout.mul, layout.pow, math.comb, len(classes) - 1
+        mul, pow, comb = layout.mul, layout.pow, math.comb
         packs = {pair: layout.pack(p) for pair, p in polys.items()}
-        powers: dict[tuple[int, int, int], int] = {}
+        groups: dict[tuple, list[int]] = {}  # (unary key, packed factors) -> classes
+        for a in classes:
+            row = tuple(packs[min(a, b), max(a, b)] for b in classes)
+            groups.setdefault((self._unary_keys[a], row), []).append(a)
+        firsts = [members[0] for members in groups.values()]
+        weights = [sum(layout.pack(self._weights[a]) for a in members)
+                   for members in groups.values()]
+        last, powers = len(firsts) - 1, {}
 
-        def power(i: int, b: int, k: int) -> int:  # f_ib^k (i < b), w_i^k f_ii^C(k, 2) for b = i
-            if (i, b, k) not in powers:
-                powers[i, b, k] = (pow(packs[i, b], k) if i != b else mul(
-                    pow(layout.pack(self._weights[i]), k), pow(packs[i, i], k * (k - 1) // 2)))
-            return powers[i, b, k]
-
-        def toward(node, b: int) -> int:  # the placed classes' product toward class b
-            if node is None:
-                return 1
-            i, k, parent, kept = node
-            if b not in kept:
-                kept[b] = mul(toward(parent, b), power(i, b, k))
-            return kept[b]
+        def place(i: int, k: int, value: int, placed: tuple) -> int:  # k > 0 of group i
+            for j, c in ((i, k), *placed):
+                power = powers.get((j, i, c * k))
+                if power is None:  # f_ji^(c k), or for j = i (c = k) w_i^k f_ii^C(k, 2)
+                    f = packs[firsts[j], firsts[i]]
+                    power = powers[j, i, c * k] = pow(f, c * k) if j != i else mul(
+                        pow(weights[i], k), pow(f, k * (k - 1) // 2))
+                value = mul(value, power)
+            return value
 
         def grow(i: int, left: int, state, counts: range):
-            value, node = state
-            base = toward(node, i)
-            step = pow(base, counts.start)
+            value, placed = state
             for k in counts:
-                if k > counts.start:
-                    step = mul(step, base)
-                down = value * comb(left, k)
-                if k:
-                    down = mul(down, mul(power(i, i, k), step))
+                down = place(i, k, value * comb(left, k), placed) if k else value
                 if not down:
                     return
-                yield k, (down, (i, k, node, {}) if k else node)
+                yield k, (down, placed + ((i, k),) if k else placed)
 
         def leaf(counts: list[int], state) -> int:
-            (value, node), k = state, counts[-1]
-            return mul(value, mul(power(last, last, k), pow(toward(node, last), k))) if k else value
+            (value, placed), k = state, counts[-1]
+            return place(last, k, value, placed) if k else value
 
-        packed = self._walk(self._unary_keys, leaf, grow, (1, None))
+        packed = self._walk([self._unary_keys[a] for a in firsts], leaf, grow, (1, ()))
         if self._ties:  # each key's value at the tie counter's target
             packed = {key: layout.at(v, [self._bounds[-1][0]]) for key, v in packed.items()}
         return packed, _Layout(range(n_unary, end), self._bounds[n_unary:end], bits)

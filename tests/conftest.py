@@ -1,5 +1,6 @@
-"""Shared helpers: parsing shortcuts and a seeded random problem
-generator used by property and integrality tests."""
+"""Shared helpers: parsing shortcuts, a seeded random problem generator
+used by property and integrality tests, and the census walk's problems,
+which the relation tests share."""
 
 from __future__ import annotations
 
@@ -89,3 +90,27 @@ def random_problem(seed: int) -> Problem:
         bound = rng.randrange(0, 5)
         constraint = CardCompare(op, LinearExpr.card(pred), LinearExpr.of(bound))
     return Problem(signature, sentence, constraint)
+
+
+SYMMETRIC = "forall x forall y (R(x,y) -> R(y,x))"
+
+#: matrices the successor encoding counts, beside the random ones
+FALLBACKS = (SYMMETRIC + " & forall x exists{=1} y R(x,y)",
+             SYMMETRIC + " & forall x exists{=2} y R(x,y)",
+             SYMMETRIC + " & forall x exists{<=1} y R(x,y)",
+             "forall x exists{=1} y (R(x,y) & R(y,x))")
+
+
+def walk_problems():
+    """Seeded problems over A, B and R: random matrices (directed or not,
+    with forall-exists and pinned counting conjuncts, and a constraint of
+    their own), and the symmetric fallback shapes, each with a random
+    unary conjunct on A and B."""
+    problems = [random_problem(seed) for seed in range(0, 200, 9)]
+    rng = random.Random(24)
+    unary = [Atom("A", ("x",)), Atom("B", ("x",))]
+    for text in FALLBACKS:
+        problem = parse_problem("predicate A/1\npredicate B/1\npredicate R/2\n" + text)
+        body = And(problem.sentence, Forall("x", random_qf(rng, unary, 2)))
+        problems.append(Problem(problem.signature, body, problem.constraint))
+    return problems

@@ -1,42 +1,20 @@
 """The census walk: it enters only the censuses whose tracked unary cards
-can land in the constraint's box, and on pair tables it shares the
-products of a census's prefix.  Checked by identities between constrained
-counts past the oracle's reach, against the oracle below it, and by the
-number of census keys and packed products a count takes."""
+can land in the constraint's box, and on pair tables it walks pooled
+classes and shares the products of a census's prefix.  Checked by
+identities between constrained counts past the oracle's reach, against
+the oracle below it, and by the number of census keys, parts and packed
+products a count takes."""
 
 import random
 
 import pytest
 
 from fo2mc.engine import ProfileEvaluator, Solver, _Layout
-from fo2mc.logic import And, Atom, Forall, card_conjoin
+from fo2mc.logic import card_conjoin
 from fo2mc.oracle import oracle_count
-from fo2mc.parser import Problem, parse_cardinality, parse_problem
+from fo2mc.parser import parse_cardinality, parse_problem
 
-from conftest import random_problem, random_qf
-
-SYMMETRIC = "forall x forall y (R(x,y) -> R(y,x))"
-
-#: matrices the successor encoding counts, beside the random ones
-FALLBACKS = (SYMMETRIC + " & forall x exists{=1} y R(x,y)",
-             SYMMETRIC + " & forall x exists{=2} y R(x,y)",
-             SYMMETRIC + " & forall x exists{<=1} y R(x,y)",
-             "forall x exists{=1} y (R(x,y) & R(y,x))")
-
-
-def walk_problems():
-    """Seeded problems over A, B and R: random matrices (directed or not,
-    with forall-exists and pinned counting conjuncts, and a constraint of
-    their own), and the symmetric fallback shapes, each with a random
-    unary conjunct on A and B."""
-    problems = [random_problem(seed) for seed in range(0, 200, 9)]
-    rng = random.Random(24)
-    unary = [Atom("A", ("x",)), Atom("B", ("x",))]
-    for text in FALLBACKS:
-        problem = parse_problem("predicate A/1\npredicate B/1\npredicate R/2\n" + text)
-        body = And(problem.sentence, Forall("x", random_qf(rng, unary, 2)))
-        problems.append(Problem(problem.signature, body, problem.constraint))
-    return problems
+from conftest import SYM2BLK, SYMMETRIC, random_problem, walk_problems
 
 
 def count(solver, problem, n, text=None):
@@ -92,14 +70,41 @@ def products(monkeypatch):
 @pytest.mark.parametrize("m,n,most,want", [(2, 12, 6000, 1521077404),
                                           (3, 8, 60000, 848932)])
 def test_prefix_products_on_pair_tables(products, m, n, most, want):
-    """Each node of the pair-table walk carries its products toward the
-    later classes: the symmetric ``exists{=2}`` at n = 12 took 22,100
-    products when every census raised each class pair to its own power,
-    and ``exists{=3}`` at n = 8 took 259,032."""
+    """The pair-table walk carries the product of a census's prefix: the
+    symmetric ``exists{=2}`` at n = 12 took 22,100 products when every
+    census raised each class pair to its own power, and ``exists{=3}`` at
+    n = 8 took 259,032."""
     solver = Solver(parse_problem(f"{SYMMETRIC} & forall x exists{{={m}}} y R(x,y)"))
     assert solver.norm.successors
     assert solver.count(n) == want
     assert products[0] <= most
+
+
+#: a symmetric F that spreads S, and two R-successors in S per element:
+#: not directed, so the successor encoding
+SMOKERS2 = ("predicate F/2\npredicate S/1\npredicate R/2\n"
+            "forall x forall y (F(x,y) -> F(y,x)) & forall x forall y (F(x,y) & S(x) -> S(y)) & "
+            "forall x exists{=2} y (R(x,y) & S(y))")
+
+
+@pytest.mark.parametrize("text,parts,classes,want", [
+    (f"{SYMMETRIC} & forall x exists{{=3}} y R(x,y)", 4, 8, 1760),
+    (SMOKERS2, 6, 8, 90253169786880),
+    (SYM2BLK, 4, 4, 3545856)], ids=["exists3", "smokers2", "sym2blk"])
+def test_pair_table_classes_pool(monkeypatch, text, parts, classes, want):
+    """Classes of one tracked unary key whose packed 2-table factors agree
+    toward every class are one part of the pair-table walk: at n = 6 the
+    symmetric ``exists{=3}`` walks 4 parts for its 8 classes, *smokers2* 6
+    for 8, and *sym2blk*, whose classes all differ, 4 for 4."""
+    walked = []
+
+    def walk(self, unary, *args, run=ProfileEvaluator._walk):
+        walked.append(len(unary))
+        return run(self, unary, *args)
+    monkeypatch.setattr(ProfileEvaluator, "_walk", walk)
+    ev = Solver(parse_problem(text))._evaluator(6, (), None, None)
+    assert ev.total() == want
+    assert (walked, len(ev.types)) == ([parts], classes)
 
 
 def test_a_fixed_card_enters_one_census():
@@ -117,8 +122,8 @@ def test_a_fixed_card_enters_one_census():
 def test_parts_raising_a_tracked_unary_card_come_first(monkeypatch):
     """An evaluator lists first the classes whose tracked unary key is
     nonzero, each run by representative type, and both censuses walk their
-    parts (classes, or column groups at their first classes) in that
-    order."""
+    parts (pooled classes, or column groups, at their first classes) in
+    that order."""
     walked = []
 
     def walk(self, unary, *args, run=ProfileEvaluator._walk):
