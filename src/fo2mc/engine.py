@@ -1,35 +1,34 @@
 """Closed-form model counting over the cell tables.
 
 A count sums, over the censuses of the domain elements among the classes
-of valid 1-types (see ``cells``), a multinomial times the class weights
-and one factor per pair of elements.  On a directed matrix an element of
-class i contributes w_i prod_j g_ij^(k_j - [i = j]), g_ij being the
-polynomial of the out-edges i may send to j (van Bremen and Kuzelka's
-cell-graph pair factors, split by direction).  A counting block
-``A(x) <-> exists{cmp m} y G(x,y)`` reads an A-element's row summed over
-the digits of its G-degree in the block's span, one counter for all of
-G's blocks, and any other's as its whole row minus that sum (swapped for
-at-least); per guard this expands into signed digit boxes, each sign a
-class weight.  Classes whose columns g_.j agree form one column group,
-and by the multinomial theorem the census runs over the group counts c,
-each worth n!/prod_G c_G! prod_G (sum_{i in G} F_i)^c_G: one group is the
-n-th power of a per-element polynomial.  Any other matrix, and the
-``successor_encoding`` with its 1/m! divisors, enumerates the censuses
-over 2-table pair factors f_ij, where every block raises one tie counter
-and each census key's value is read at its target, and by the same
-theorem classes of one tracked unary key whose f_i. agree form one group.
-Both censuses are one depth-first walk over the group counts (``_walk``):
-the parts raising a tracked unary card go first, the cards' partial sums
-are carried down, and no subtree whose cards cannot land in their box of
-card ranges is entered.  ``Solver`` is the one entry point.
+of valid 1-types (see ``cells``), a multinomial times one factor per pair
+of elements and one row per element (``_census``; van Bremen and
+Kuzelka's cell-graph factors).  On a directed matrix the pair factor is 1
+and an element of class i has the row w_i prod_j g_ij^(k_j - [i = j]),
+g_ij being the polynomial of the out-edges i may send to column j.  A
+counting block ``A(x) <-> exists{cmp m} y G(x,y)`` reads an A-element's
+row summed over the digits of its G-degree in the block's span, one
+counter for all of G's blocks, and any other's as its whole row minus
+that sum (swapped for at-least); per guard this expands into signed digit
+boxes, each sign a class weight.  On any other matrix, and in the
+``successor_encoding`` with its 1/m! divisors, the pair factor f_ij is the
+2-table polynomial and the row the bare class weight; every block raises
+one tie counter, and each census key's value is read at its target.  By
+the multinomial theorem classes of one column whose pair factors agree
+form one group, and the census runs over the group counts: one group is
+the n-th power of a per-element polynomial.  The census is one
+depth-first walk (``_walk``): the groups raising a tracked unary card go
+first, the cards' partial sums are carried down, and no subtree whose
+cards cannot land in their box of card ranges is entered.  ``Solver`` is
+the one entry point.
 
 Counters, one per tracked predicate (unary ones first) and one per guard
 (one tie counter in the successor encoding), are raised by the true atoms of
 each 1-type, 2-table and out-edge mask, so every factor is a generating
 function in them (Kuzelka, JAIR 2021), evaluated as one Python integer
-(Kronecker substitution, ``_Layout``).  Tracked unary cards are census
-keys on pair tables; in the group census they split the groups, or stay
-digits, by a cost estimate.  Every weight is an integer before any census:
+(Kronecker substitution, ``_Layout``).  Tracked unary cards split the
+groups as census keys or, under per-element rows, stay digits where a
+cost estimate favours that.  Every weight is an integer before any census:
 each symmetric weight pair of a predicate p is scaled by the lcm d_p of its
 denominators, and in the successor encoding a type outside block i's A
 weighs m_i! where one inside would weigh 1/m_i!, so every model is counted
@@ -97,10 +96,11 @@ def _digit_bits(*powers: tuple[int, int]) -> int:
     16,000 bits).  The bounds passed in hold because |p q| <= |p| |q|,
     truncating or extracting digits never raises |p|, and a nonzero integer
     polynomial has |p| >= 1: a census term is its multinomial times n
-    integer class weights w_c times one factor per pair of elements (a
-    2-table polynomial, or two out-edge ones), so every partial product of
-    a term, and every sum of terms, is at most (sum_c |w_c|)^n * G^pairs by
-    the multinomial theorem, for G >= 1 bounding every factor, and one
+    integer class weights w_c times a 2-table polynomial per pair of
+    elements and an out-edge one per ordered pair, so every partial product
+    of a term, and every sum of terms, is at most
+    (sum_c |w_c|)^n F^C(n, 2) G^(n(n-1)) by the multinomial theorem, for F
+    and G >= 1 bounding the two kinds (1 where one is absent), and one
     element's row at most max_c |w_c| * G^(n-1)."""
     log = 0.0
     for base, exp in powers:
@@ -378,9 +378,8 @@ class ProfileEvaluator:
         self._ties = norm.successors
         if norm.blocks and not self._ties and not cells.directed:
             raise InternalConsistencyError("per-element blocks need a directed matrix")
-        # the census over column groups runs on a directed matrix without a
-        # tie counter (one group is the n-th power of one per-element
-        # polynomial); the census over pair tables otherwise
+        # per-element rows and no pair factor on a directed matrix without a
+        # tie counter; 2-table pair factors and bare class weights otherwise
         self._directed = cells.directed and not self._ties
         n_keys = len(self.key_names)
         self._guards: dict[str, list[tuple[int, CountingBlock]]] = {}  # guard -> its blocks
@@ -418,7 +417,7 @@ class ProfileEvaluator:
         # times over.  A class carries the sum of its members' signed weights
         # times their counters, exact by the multinomial theorem; zero sums
         # drop out.  The classes raising a tracked unary card come first, the
-        # order in which both censuses walk them (``_walk``), then by type.
+        # order in which the census walks them (``_walk``), then by type.
         sign_slots = [cells.u_slot_index(p, "unary") for p in norm.sign_preds]
         a_slots = [cells.u_slot_index(b.a_pred, "unary") for b in norm.blocks]
         options = {}  # A bits -> their ``_read_options``
@@ -478,23 +477,35 @@ class ProfileEvaluator:
                     counts[d] += 1
         return counts, weight
 
-    def _factors(self, per_element: bool, pairs):
-        """The integer factors of the class pairs (pa's out-edges toward pb
-        per element, else the 2-tables across pa <= pb), a bound G >= 1 on
-        their norms and the census digit width.  Each distinct option tuple,
-        and each distinct option, is expanded once."""
-        n, cells = self.n, self.cells
-        slots, options = cells.b_slots, cells.tables
-        if per_element:
+    def _factors(self) -> tuple[dict, dict, list[int], int, int]:
+        """The integer factors of the class pairs, each distinct option tuple
+        and option expanded once: on a directed matrix without a tie counter,
+        the out-edge factors g_aj of class a toward column j (the classes
+        every class sends to alike) and no pair factor f, each being 1;
+        otherwise the 2-table factors f_ab (a <= b), no g and one column.
+        Also each class's column, a bound G >= 1 on the g's norms and the
+        census digit width, for F >= 1 bounding the f's."""
+        cells, types = self.cells, self.types
+        classes = range(len(types))
+        if self._directed:
+            columns: dict[tuple, int] = {}
+            column = [columns.setdefault(tuple([cells.sends(t, u) for t in types]), len(columns))
+                      for u in types]
+            firsts = [types[column.index(j)] for j in range(len(columns))]  # a type per column
+            at = {(a, j): cells.sends(types[a], u) for a in classes for j, u in enumerate(firsts)}
             slots = [(p, "xy") for p in cells.signature.binary_predicates()]
-            options = cells.sends
-        at = {(pa, pb): options(self.types[pa], self.types[pb]) for pa, pb in pairs}
+        else:
+            column, slots = [0] * len(types), cells.b_slots
+            at = {(a, b): cells.tables(types[a], types[b]) for a in classes for b in classes
+                  if a <= b}
         terms = {v: self._term(slots, v) for v in set().union(*at.values())}
         distinct = {vs: [terms[v] for v in vs] for vs in set(at.values())}
-        g = max(1, max(map(_norm, distinct.values()), default=0))
-        n_pairs = n * (n - 1) // (1 if per_element else 2)
-        return {pair: distinct[vs] for pair, vs in at.items()}, g, _digit_bits(
-            (sum(map(_norm, self._weights)), n), (g, n_pairs))
+        polys = {pair: distinct[vs] for pair, vs in at.items()}
+        norm, n = max(1, max(map(_norm, distinct.values()), default=0)), self.n
+        f, g = (1, norm) if self._directed else (norm, 1)
+        bits = _digit_bits((sum(map(_norm, self._weights)), n), (f, n * (n - 1) // 2),
+                           (g, n * (n - 1)))
+        return ({}, polys, column, g, bits) if self._directed else (polys, {}, column, g, bits)
 
     def _ranges_at(self, key: tuple[int, ...]) -> dict | None:
         """The card ranges the constraint's comparisons allow in a census
@@ -561,7 +572,7 @@ class ProfileEvaluator:
             return sums
         return {at: _quotient(value, scale) for at, value in sums.items()}
 
-    def _walk(self, unary: Sequence[tuple[int, ...]], leaf, grow=None, state=None) -> dict:
+    def _walk(self, unary: Sequence[tuple[int, ...]], leaf, grow, state) -> dict:
         """The census walk: census key (the tracked unary cards) -> the sum of
         its censuses' values, over the counts of the parts (groups of classes)
         summing to n, depth first in the parts' order, part i adding
@@ -598,8 +609,6 @@ class ProfileEvaluator:
                         return ()
             if lo > hi:
                 return ()
-            if grow is None:
-                return ((k, state) for k in range(lo, hi + 1))
             return grow(i, left, state, range(lo, hi + 1))
 
         def reach(key: tuple[int, ...], left: int, state) -> None:
@@ -631,90 +640,38 @@ class ProfileEvaluator:
                 frames.pop()
         return packed
 
-    def _enumerate_table(self) -> tuple[dict, _Layout]:
-        """The census over pair tables, unread: census key (the tracked unary
-        cards) -> value packed in the layout of the tracked binary cards (read
-        at the tie counter's target), and that layout.  A census is its
-        multinomial times prod_a w_a^k_a f_aa^C(k_a, 2) prod_{a<b} f_ab^(k_a k_b)
-        over the classes a, b and their 2-table factors f.  Classes of one
-        tracked unary key whose packed factors toward every class agree pool
-        into one group weighing the sum of their weights, by the multinomial
-        theorem, as alike columns do in ``_group_table``.  The walk carries
-        the product of the groups placed: placing k elements of group i
-        multiplies it by w_i^k f_ii^C(k, 2) and by f_ji^(k_j k) for each group
-        j placed, each power computed once.  A product that is 0 (every digit
-        past a cap) stays 0 whatever it is multiplied by, so the walk goes no
-        further."""
-        n_unary, end, classes = self.n_unary, len(self.key_names), range(len(self.types))
-        polys, _, bits = self._factors(False, [(a, b) for a in classes for b in classes if a <= b])
-        layout = _Layout(range(n_unary, len(self._bounds)), self._bounds[n_unary:], bits)
-        mul, pow, comb = layout.mul, layout.pow, math.comb
-        packs = {pair: layout.pack(p) for pair, p in polys.items()}
-        groups: dict[tuple, list[int]] = {}  # (unary key, packed factors) -> classes
-        for a in classes:
-            row = tuple(packs[min(a, b), max(a, b)] for b in classes)
-            groups.setdefault((self._unary_keys[a], row), []).append(a)
-        firsts = [members[0] for members in groups.values()]
-        weights = [sum(layout.pack(self._weights[a]) for a in members)
-                   for members in groups.values()]
-        last, powers = len(firsts) - 1, {}
-
-        def place(i: int, k: int, value: int, placed: tuple) -> int:  # k > 0 of group i
-            for j, c in ((i, k), *placed):
-                power = powers.get((j, i, c * k))
-                if power is None:  # f_ji^(c k), or for j = i (c = k) w_i^k f_ii^C(k, 2)
-                    f = packs[firsts[j], firsts[i]]
-                    power = powers[j, i, c * k] = pow(f, c * k) if j != i else mul(
-                        pow(weights[i], k), pow(f, k * (k - 1) // 2))
-                value = mul(value, power)
-            return value
-
-        def grow(i: int, left: int, state, counts: range):
-            value, placed = state
-            for k in counts:
-                down = place(i, k, value * comb(left, k), placed) if k else value
-                if not down:
-                    return
-                yield k, (down, placed + ((i, k),) if k else placed)
-
-        def leaf(counts: list[int], state) -> int:
-            (value, placed), k = state, counts[-1]
-            return place(last, k, value, placed) if k else value
-
-        packed = self._walk([self._unary_keys[a] for a in firsts], leaf, grow, (1, ()))
-        if self._ties:  # each key's value at the tie counter's target
-            packed = {key: layout.at(v, [self._bounds[-1][0]]) for key, v in packed.items()}
-        return packed, _Layout(range(n_unary, end), self._bounds[n_unary:end], bits)
-
-    def _groups(self, column: Sequence[int], bits: int) -> tuple[int, list]:
+    def _groups(self, keys: Sequence[tuple], bits: int) -> tuple[int, list]:
         """The first packed counter and the census groups (unary key or (),
-        column, classes), each at its first class, so those raising a tracked
-        unary card come first: the classes of each ``column``, split by
-        tracked unary key where that beats packing the unary cards by an
-        estimate of, per census and group, 1,000 products of 30-bit digits
-        plus one of the layout's."""
+        classes), each at its first class, so those raising a tracked unary
+        card come first: the classes of each of the ``keys``, split by
+        tracked unary key, on per-element rows only where that beats packing
+        the unary cards by an estimate of, per census and group, 1,000
+        products of 30-bit digits plus one of the layout's (calibrated there:
+        with pair factors packing can leave a read decoding every row)."""
         def groups(split: bool) -> list:
             out: dict[tuple, list[int]] = {}
-            for b, k in enumerate(column):
-                out.setdefault((self._unary_keys[b] if split else (), k), []).append(b)
-            return [(*key, members) for key, members in out.items()]
+            for b, key in enumerate(keys):
+                out.setdefault((self._unary_keys[b] if split else (), key), []).append(b)
+            return [(ukey, members) for (ukey, _), members in out.items()]
 
         def cost(option: tuple[int, list]) -> float:
             (first, groups), end, n = option, len(self.key_names), self.n
             words = bits / 30 * math.prod(_counter_digits(*b) for b in self._bounds[first:end])
             return math.comb(n + len(groups) - 1, n) * len(groups) * (1000 + words ** 1.585)
-        packed = 0, groups(False)
-        return min(packed, (self.n_unary, groups(True)), key=cost) if self.n_unary else packed
+        if not self.n_unary:
+            return 0, groups(False)
+        split = self.n_unary, groups(True)
+        return min((0, groups(False)), split, key=cost) if self._directed else split
 
-    def _readings(self, polys: dict, g: int, layout: _Layout, cols) -> tuple:
+    def _readings(self, sends: dict, g: int, layout: _Layout, columns: int) -> tuple:
         """The layout rows are read into, and per class how its element's
         row is computed: (the product and power of the layout it is computed
-        in, its factors toward the columns ``cols`` other than 1, by column,
-        and its class weight, packed there, and None or that layout and the
-        guard degrees of its ``_reads`` box).  A class reading no guard
-        degree uses the read layout, the census counters alone; any other the
-        one layout that adds every guard degree, each it does not read packed
-        at 1 (whole)."""
+        in, its out-edge factors ``sends`` toward the ``columns`` other than
+        1, by column, and its class weight, packed there, and None or that
+        layout and the guard degrees of its ``_reads`` box).  A class
+        reading no guard degree uses the read layout, the census counters
+        alone; any other the one layout that adds every guard degree, each
+        it does not read packed at 1 (whole)."""
         n, end = self.n, len(self.key_names)
         base = element = layout
         if self._guards:
@@ -729,67 +686,109 @@ class ProfileEvaluator:
         for pos, reads in enumerate(self._reads):
             space = element if any(reads) else base
             ones = [d for d, box in enumerate(reads, end) if not box]
-            factors = [(j, f) for j, r in enumerate(cols) if (f := space.pack(polys[pos, r], ones)) != 1]
+            factors = [(j, f) for j in range(columns) if (f := space.pack(sends[pos, j], ones)) != 1]
             keys = list(product(*(range(box[0], min(box[1], n) + 1) if box else (0,)
                                   for box in reads)))
             rows.append((space.mul, space.pow, factors, space.pack(self._weights[pos], ones),
                          (space, keys) if space is not base else None))
         return base, rows
 
-    def _group_table(self) -> tuple[dict, _Layout]:
-        """The census over column groups, unread like ``_enumerate_table``:
-        classes whose out-edge columns agree form one column, and a census
-        of the groups is its multinomial times prod_G (sum of G's rows)^c_G,
-        walked in the groups' order.  A row depends on the column counts
-        alone, so the powers of the group sums are kept while the walk's
-        column counts stay the same, as they do where several groups share a
-        column."""
-        n, classes, sends, columns = self.n, range(len(self.types)), self.cells.sends, {}
-        column = [columns.setdefault(tuple([sends(t, u) for t in self.types]), len(columns))
-                  for u in self.types]  # each class's column
-        cols = [column.index(k) for k in range(len(columns))]  # each column's first class
-        polys, g, bits = self._factors(True, [(a, r) for a in classes for r in cols])
-        first, groups = self._groups(column, bits)
-        end = len(self.key_names)
-        layout = _Layout(range(first, end), self._bounds[first:end], bits)
-        base, rows = self._readings(polys, g, layout, cols)
+    def _census(self) -> tuple[dict, _Layout]:
+        """The census, unread: census key (the tracked unary cards it fixes)
+        -> value packed in the layout of the other tracked cards (read at the
+        tie counter's target), and that layout.  A census of the group counts
+        k is its multinomial times prod_a f_aa^C(k_a, 2) prod_{a<b} f_ab^(k_a k_b)
+        prod_a (sum of a's rows)^k_a.  The walk carries the product of the
+        groups placed: k > 0 elements of group i multiply it by their
+        multinomial, f_ii^C(k, 2), f_ji^(k_j k) for each group j placed and,
+        where no row of i reads a column count, its row sum's k-th power, each
+        power computed once; a product that is 0 (every digit past a cap)
+        stays 0, so the walk goes no further.  The leaf multiplies in the
+        other row sums' powers, kept while the column counts stay the same."""
+        n, end = self.n, len(self.key_names)
+        tables, sends, column, g, bits = self._factors()
+        columns = len(set(column)) if sends else 0
+        top = end + self._ties  # the census counters: the tracked cards and any tie counter
+        layout = _Layout(range(self.n_unary, top), self._bounds[self.n_unary:top], bits)
+        packs = {pair: layout.pack(p) for pair, p in tables.items()}
+        keys = [(k, *[packs[min(a, b), max(a, b)] for a in range(len(column))])
+                for b, k in enumerate(column)] if packs else column  # column, packed f row
+        first, groups = self._groups(keys, bits)
+        if first != self.n_unary:  # per-element rows with the unary cards packed
+            layout = _Layout(range(first, top), self._bounds[first:top], bits)
+        base, rows = self._readings(sends, g, layout, columns)
         convert = self._guards and layout.counters  # rows come in the element layout
         mul, pow, comb = layout.mul, layout.pow, math.comb
-        column_of = [k for _, k, _ in groups]
-        parts = [[rows[b] for b in members] for _, _, members in groups]
-        seen, powers = None, {}  # the column counts, and the powers of group sums kept for them
 
-        def leaf(counts: list[int], _) -> int:
-            nonlocal seen, powers
-            per_column = [0] * len(cols)
-            for k, c in zip(column_of, counts):
-                per_column[k] += c
-            if per_column != seen:
-                seen, powers = per_column, {}
-            value, left = 1, n
-            for i, c in enumerate(counts):
-                if not c:
-                    continue
-                power = powers.get((i, c))
-                if power is None:
-                    own, total = column_of[i], 0
-                    for smul, spow, factors, row, reads in parts[i]:
-                        for j, f in factors:
-                            e = per_column[j] - (j == own)
-                            if e:
-                                row = smul(row, spow(f, e))
-                        if reads:  # the guard degrees it reads
-                            space, keys = reads
-                            row = sum(space.at(row, key) for key in keys)
-                        total += layout.pack(base.decode(row)) if convert else row
-                    power = powers[i, c] = pow(total, c)
-                value, left = mul(value * comb(left, c), power), left - c
+        def row_sum(part: list, per_column: list[int] | None, own: int) -> int:
+            total = 0
+            for smul, spow, factors, row, reads in part:
+                for j, f in factors:
+                    e = per_column[j] - (j == own)
+                    if e:
+                        row = smul(row, spow(f, e))
+                if reads:  # the guard degrees it reads
+                    space, box = reads
+                    row = sum(space.at(row, key) for key in box)
+                total += layout.pack(base.decode(row)) if convert else row
+            return total
+
+        firsts = [members[0] for _, members in groups]
+        column_of = [column[b] for b in firsts]
+        parts = [[rows[b] for b in members] for _, members in groups]
+        # each group's row sum where none of its rows reads a column count
+        fixed = [None if any(row[2] for row in part) else row_sum(part, None, 0) for part in parts]
+        varying = [i for i, row in enumerate(fixed) if row is None]
+        last, powers = len(groups) - 1, {}
+        seen, row_powers = None, {}  # the column counts, and the powers of row sums kept for them
+
+        def place(i: int, k: int, value: int, placed: tuple) -> int:  # k > 0 of group i
+            for j, c in ((i, k), *placed):
+                power = powers.get((j, i, c * k))
+                if power is None:  # f_ji^(c k), or for j = i (c = k) row^k f_ii^C(k, 2)
+                    f = packs.get((firsts[j], firsts[i]), 1)  # 1 with no pair factor
+                    power = 1 if f == 1 else pow(f, c * k if j != i else k * (k - 1) // 2)
+                    power = powers[j, i, c * k] = mul(pow(fixed[i], k), power) if j == i else power
+                if power != 1:
+                    value = mul(value, power)
             return value
 
-        return self._walk([ukey for ukey, _, _ in groups], leaf), layout
+        def grow(i: int, left: int, state, counts: range):
+            value, placed = state
+            for k in counts:
+                down = value * comb(left, k) if k else value
+                if k and fixed[i] is not None:  # else the leaf multiplies the row sum in
+                    down = place(i, k, down, placed)
+                    if not down:
+                        return
+                yield k, (down, placed + ((i, k),) if k and packs else placed)
 
-    def _census(self) -> tuple[dict, _Layout]:
-        return self._group_table() if self._directed else self._enumerate_table()
+        def leaf(counts: list[int], state) -> int:
+            nonlocal seen, row_powers
+            (value, placed), k = state, counts[-1]
+            if k and fixed[last] is not None:
+                value = place(last, k, value, placed)
+            if not varying or not value:
+                return value
+            per_column = [0] * columns
+            for j, c in zip(column_of, counts):
+                per_column[j] += c
+            if per_column != seen:
+                seen, row_powers = per_column, {}
+            for i in varying:
+                c = counts[i]
+                if c:
+                    power = row_powers.get((i, c))
+                    if power is None:
+                        power = row_powers[i, c] = pow(row_sum(parts[i], per_column, column_of[i]), c)
+                    value = mul(value, power)
+            return value
+
+        packed = self._walk([ukey for ukey, _ in groups], leaf, grow, (1, ()))
+        if self._ties:  # each key's value at the tie counter's target
+            packed = {key: layout.at(v, [self._bounds[end][0]]) for key, v in packed.items()}
+            layout = _Layout(range(first, end), self._bounds[first:end], bits)
+        return packed, layout
 
     def read(self, weight=None, by: Sequence[str] = ()) -> dict:
         """The weighted sums of the rows the constraint allows, grouped by
@@ -979,8 +978,8 @@ def universal_term_valid(cells: CellStructure, n: int, k: Sequence[int]) -> int:
 def universal_term(cells: CellStructure, n: int, k: Sequence[int]) -> int:
     """One census term with k indexed over the full 1-type range 0..2^u-1
     (zero for censuses that use an invalid 1-type)."""
-    if len(k) != 1 << cells.u or sum(k) != n:
-        raise SemanticError(f"census must have 2^u entries summing to {n}")
+    if len(k) != 1 << cells.u or sum(k) != n or min(k, default=0) < 0:
+        raise SemanticError(f"census must have 2^u non-negative entries summing to {n}")
     valid = set(cells.valid)
     if any(c and t not in valid for t, c in enumerate(k)):
         return 0
@@ -999,8 +998,8 @@ def witness_deficit_counts(problem: Problem | NormalizedProblem, n: int, m: int
     norm = solver.norm
     if len(norm.sign_preds) != 1 or norm.blocks:
         raise SemanticError("diagnostic requires exactly one forall-exists conjunct")
-    if m > n:
-        raise SemanticError(f"m = {m} exceeds the domain size {n}")
+    if not 0 <= m <= n:
+        raise SemanticError(f"m = {m} is outside 0..{n}, the domain size")
     # weight -1 on the marked types cancels their sign: the marked set is
     # counted like an ordinary predicate
     _, table = solver.profile_table(n, norm.sign_preds, {norm.sign_preds[0]: (-1, 1)})

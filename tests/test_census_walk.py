@@ -121,9 +121,8 @@ def test_a_fixed_card_enters_one_census():
 
 def test_parts_raising_a_tracked_unary_card_come_first(monkeypatch):
     """An evaluator lists first the classes whose tracked unary key is
-    nonzero, each run by representative type, and both censuses walk their
-    parts (pooled classes, or column groups, at their first classes) in
-    that order."""
+    nonzero, each run by representative type, and the census walks its
+    groups (of pooled classes, at their first classes) in that order."""
     walked = []
 
     def walk(self, unary, *args, run=ProfileEvaluator._walk):

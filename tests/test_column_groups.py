@@ -1,4 +1,4 @@
-"""The census over column groups: closed forms for shapes whose classes
+"""The census under per-element rows: closed forms for shapes whose classes
 fall into few column groups, at sizes that enumerating the censuses of
 the classes could not reach, each also checked against the ground oracle
 at small n."""

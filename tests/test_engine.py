@@ -131,6 +131,15 @@ def test_witness_deficit_m_above_n():
         witness_deficit_counts(p, 2, 3)
 
 
+def test_diagnostics_refuse_negative_arguments():
+    """A negative m, or a negative census entry, is refused like m > n, not
+    left to ``math.comb`` or ``math.factorial`` to fail on."""
+    with pytest.raises(SemanticError, match="outside 0..3"):
+        witness_deficit_counts(parse_problem("forall x exists y R(x,y)"), 3, -1)
+    with pytest.raises(SemanticError, match="non-negative"):
+        universal_term(running_solver().cells, 3, (4, 0, 0, -1))
+
+
 # -- constrained counting ----------------------------------------------------------
 
 
@@ -243,17 +252,22 @@ def test_stratified_census_identity():
 
 
 def census_both_ways(problem, n, tracked=(), fold=None):
-    """The census over column groups, and the census over pair tables of
-    the same problem, or of its successor encoding when it has a counting
-    block; ``fold`` is a map of symmetric weights."""
+    """The census read per element, and the census read over pair tables:
+    of the successor encoding when the problem has a counting block, else
+    of the same cells with the evaluator's directed flag cleared; ``fold``
+    is a map of symmetric weights."""
     solver = Solver(problem)
     assert solver.cells.directed and not solver.norm.successors
     ev = ProfileEvaluator(solver.norm, solver.cells, n, tracked, fold)
-    groups = ev._read(*ev._group_table(), None, ev.key_names)
-    norm = solver.successor_encoding()
-    cells = build_cells(norm.signature, norm.matrix) if norm.blocks else solver.cells
-    ev = ProfileEvaluator(norm, cells, n, tracked, fold)
-    return groups, ev._read(*ev._enumerate_table(), None, ev.key_names)
+    assert ev._directed
+    rows = ev.table()
+    if solver.norm.blocks:
+        norm = solver.successor_encoding()
+        ev = ProfileEvaluator(norm, build_cells(norm.signature, norm.matrix), n, tracked, fold)
+    else:
+        ev = ProfileEvaluator(solver.norm, solver.cells, n, tracked, fold)
+        ev._directed = False
+    return rows, ev.table()
 
 
 @pytest.mark.parametrize("text,tracked", [
@@ -272,10 +286,10 @@ def census_both_ways(problem, n, tracked=(), fold=None):
     (TWO_WITNESS, ("A", "R")),
 ])
 def test_enum_equals_collapsed(text, tracked):
-    """The census over column groups, which collapses every census with
-    the same group counts into one term, equals census enumeration over
-    pair tables; blocks are enumerated in their successor encoding, whose
-    signed terms can leave rows of value 0."""
+    """The census read per element, which collapses every census with the
+    same column-group counts into one term, equals the census over pair
+    tables; blocks go through their successor encoding, whose signed terms
+    can leave rows of value 0."""
     weights = parse_problem(text).symmetric_weights
     for n in (1, 2, 3, 4, 5):
         groups, pairs = census_both_ways(parse_problem(text), n, tracked, weights)
@@ -283,7 +297,8 @@ def test_enum_equals_collapsed(text, tracked):
 
 
 def test_group_census_equals_pair_tables_on_random_problems():
-    """Every directed random problem, untracked and with A and R tracked:
+    """Every directed random problem, untracked and with A and R tracked,
+    read per element and over pair tables:
     among them are pairs of types that allow nothing although the matrix
     holds with either type on the x side, where both sides must send
     nothing."""
@@ -301,31 +316,31 @@ def test_group_census_equals_pair_tables_on_random_problems():
 
 
 def test_path_choice(monkeypatch):
-    """A directed matrix without a tie counter takes the census over its
-    column groups, one per distinct out-edge column; tracked unary cards
-    split the groups or stay digits, whichever the cost estimate favours;
-    any other matrix enumerates pair tables."""
-    paths, groups_seen = [], []
-    for name in ("_group_table", "_enumerate_table"):
-        def spy(self, run=getattr(ProfileEvaluator, name), name=name):
-            paths.append(name)
-            return run(self)
-        monkeypatch.setattr(ProfileEvaluator, name, spy)
-    choose = ProfileEvaluator._groups
+    """A directed matrix without a tie counter reads rows per element, its
+    classes grouped by out-edge column; tracked unary cards split the
+    groups or stay digits, whichever the cost estimate favours; any other
+    matrix reads pair tables, its classes grouped by packed pair factors."""
+    walks, groups_seen = [], []
+    walk, choose = ProfileEvaluator._walk, ProfileEvaluator._groups
 
-    def groups_spy(self, column, bits):
-        first, groups = choose(self, column, bits)
-        groups_seen.append((len(self.types), len(set(column)), len(groups),
+    def walk_spy(self, *args):
+        walks.append("rows" if self._directed else "pairs")
+        return walk(self, *args)
+
+    def groups_spy(self, keys, bits):
+        first, groups = choose(self, keys, bits)
+        groups_seen.append((len(self.types), len(set(keys)), len(groups),
                             "split" if first else "pack"))
         return first, groups
+    monkeypatch.setattr(ProfileEvaluator, "_walk", walk_spy)
     monkeypatch.setattr(ProfileEvaluator, "_groups", groups_spy)
 
     def path_of(text, n, tracked=()):
-        paths.clear()
+        walks.clear()
         groups_seen.clear()
         result = Solver(parse_problem(text)).breakdown(n, tracked)
-        assert len(paths) == 1
-        return paths[0], groups_seen and groups_seen[0], result
+        assert len(walks) == len(groups_seen) == 1
+        return walks[0], groups_seen[0], result
 
     # (classes, columns, groups, unary cards)
     for text, shape in [("forall x exists y R(x,y)", (2, 1, 1, "pack")),
@@ -334,17 +349,22 @@ def test_path_choice(monkeypatch):
                         (ZERO_OR_TWO_EXAMPLE, (3, 1, 1, "pack")),  # outside A: 2 signed classes
                         (TWO_WITNESS, (8, 2, 2, "pack")),
                         (THREE_WITNESS, (32, 4, 4, "pack"))]:
-        assert path_of(text, 2)[:2] == ("_group_table", shape)
+        assert path_of(text, 2)[:2] == ("rows", shape)
     # the counting problems of the benchmark's collapsed ladder: one group
     corpus = {entry.name: entry for entry in load_corpus()}
     for name in ("count_eq1", "count_eq2", "count_disj", "count_le1",
                  "count_le_sugar", "mixed_exists_eq1", "weighted_eq1", "two_exists"):
         for tracked in ((), ("R",)):
             path, (_, _, groups, _), _ = path_of(corpus[name].text, 3, tracked)
-            assert (path, groups) == ("_group_table", 1)
-    for text in ("forall x forall y (R(x,y) -> R(y,x))",
-                 "forall x exists{=1} y (R(x,y) & R(y,x))"):
-        assert path_of(text, 3)[:2] == ("_enumerate_table", [])
+            assert (path, groups) == ("rows", 1)
+    # (classes, distinct packed pair factors, groups, unary cards); with
+    # pair factors the unary cards are census keys, whatever the estimate
+    for text, tracked, shape in [
+            ("forall x forall y (R(x,y) -> R(y,x))", (), (1, 1, 1, "pack")),
+            ("forall x exists{=1} y (R(x,y) & R(y,x))", (), (2, 2, 2, "pack")),
+            ("predicate A/1\npredicate R/2\nforall x forall y (R(x,y) -> R(y,x))", ("A",),
+             (2, 1, 2, "split"))]:
+        assert path_of(text, 3, tracked)[:2] == ("pairs", shape)
     # the unary-card rows: packed, but for A(x) -> B(x) with a free R, whose
     # packed integer would have (n + 1)^2 digits of about n^2 bits each
     coins = "predicate H/1\nforall x (H(x) | !H(x))"

@@ -258,21 +258,22 @@ def test_digit_width_from_logarithms():
 
 
 def test_census_digit_widths_against_the_exact_bounds():
-    """The widths of the census, (sum_c |w_c|)^n G^pairs, and of one
-    element's row, max_c |w_c| G^(n-1), on the corpus and the random
-    problems at n <= 60."""
+    """The widths of the census, (sum_c |w_c|)^n F^C(n,2) G^(n(n-1)), and of
+    one element's row, max_c |w_c| G^(n-1), on the corpus and the random
+    problems at n <= 60: one of F and G is 1, the other bounds the 2-table
+    or the out-edge factors."""
     problems = [entry.problem() for entry in CORPUS.values()]
     problems += [random_problem(seed) for seed in range(200)]
     for index, problem in enumerate(problems):
         solver = Solver(problem)
         for n in (1, 2, 3, 7, 20, 60)[index % 2::2]:
             ev = solver._evaluator(n, (), None, None)
-            per_element = ev._directed
-            classes = range(len(ev.types))
-            _, g, bits = ev._factors(per_element, [(a, b) for a in classes for b in classes])
+            tables, sends, _, g, bits = ev._factors()
+            assert not (tables and sends)
+            f = max([1] + [sum(abs(w) for _, w in poly) for poly in tables.values()])
+            assert g == max([1] + [sum(abs(w) for _, w in poly) for poly in sends.values()])
             norms = [sum(abs(w) for _, w in weights) for weights in ev._weights]
-            pairs = n * (n - 1) // (1 if per_element else 2)
-            exact = exact_width(sum(norms) ** n * g ** pairs)
+            exact = exact_width(sum(norms) ** n * f ** (n * (n - 1) // 2) * g ** (n * (n - 1)))
             assert exact <= bits <= exact + 8, (index, n)
             row = exact_width(max(norms, default=0) * g ** (n - 1))
             assert row <= _digit_bits((max(norms, default=0), 1), (g, n - 1)) <= row + 8

@@ -208,7 +208,7 @@ def test_blocks_share_one_tie_counter():
     ev = ProfileEvaluator(solver.norm, solver.cells, n, ("R",))
     assert len(solver.norm.blocks) == 2
     assert ev._bounds[len(ev.key_names):] == [(2 * n, 2 * n * (n + 1))]
-    assert ev._enumerate_table()[1].counters == (0,)
+    assert ev._census()[1].counters == (0,)
 
 
 def test_two_blocks_on_two_guards_at_twelve():

@@ -123,7 +123,7 @@ def test_rows_off_the_tie_target_are_not_read(monkeypatch):
             assert layout.counters == (0, 1) and top == [target]
             return read_at(layout, x + layout.pack([stray]), top)
         monkeypatch.setattr(fo2mc.engine._Layout, "at", at)
-        assert ev._enumerate_table()[1].counters == (0,)
+        assert ev._census()[1].counters == (0,)
         return ev
 
     ev = planted(target - 1)

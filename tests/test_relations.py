@@ -1,18 +1,22 @@
 """Relations between counts that hold at every domain size, checked at
 n = 5..8, past the oracle's reach: the successor encoding counts what the
-per-element census counts, and an unrelated symmetric predicate multiplies
-a count by the number of its interpretations.  Both send a directed
-problem through the census over pair tables."""
+per-element census counts, an unrelated symmetric predicate or an unused
+one multiplies a count by the number of its interpretations, and the
+models where every element satisfies a counting formula and those where
+some element does not add up to all models.  The symmetric predicate, and
+one side of each complement, send a directed problem through pair
+factors."""
 
 import math
 
 import pytest
 
+from fo2mc.cells import MAX_TABLE_BITS
 from fo2mc.corpus import load_corpus
 from fo2mc.engine import Solver
 from fo2mc.errors import UnsupportedFeatureError
 from fo2mc.logic import And, Atom, Forall, Implies, Signature
-from fo2mc.parser import Problem
+from fo2mc.parser import Problem, parse_problem
 
 from conftest import walk_problems
 
@@ -31,12 +35,19 @@ def relation_problems() -> dict[str, Problem]:
 PROBLEMS = relation_problems()
 
 
+def declaring(problem: Problem, name: str, arity: int) -> Problem:
+    """The problem with one more predicate, which it does not mention."""
+    assert name not in problem.signature
+    signature = Signature(dict(problem.signature.arities), set(problem.signature.synthetic))
+    signature.declare(name, arity)
+    return Problem(signature, problem.sentence, problem.constraint)
+
+
 def with_symmetric_f(problem: Problem) -> Problem:
     """The problem conjoined with a symmetric F of its own."""
-    signature = Signature(dict(problem.signature.arities), set(problem.signature.synthetic))
-    signature.declare("F", 2)
+    problem = declaring(problem, "F", 2)
     symmetric = Forall("x", Forall("y", Implies(Atom("F", ("x", "y")), Atom("F", ("y", "x")))))
-    return Problem(signature, And(problem.sentence, symmetric), problem.constraint)
+    return Problem(problem.signature, And(problem.sentence, symmetric), problem.constraint)
 
 
 @pytest.mark.parametrize("name", PROBLEMS)
@@ -65,3 +76,53 @@ def test_unrelated_symmetric_predicate(name):
     solver, extended = Solver(problem), Solver(with_symmetric_f(problem))
     for n in range(5, LARGEST.get(name, 8) + 1):
         assert extended.count(n) == solver.count(n) * 2 ** (n + math.comb(n, 2)), n
+
+
+@pytest.mark.parametrize("arity", (1, 2))
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_unused_predicate(name, arity):
+    """Declaring a predicate the problem never mentions multiplies its count
+    by 2^n (unary) or 2^(n^2) (binary)."""
+    problem = PROBLEMS[name]
+    solver, extended = Solver(problem), Solver(declaring(problem, "U", arity))
+    for n in range(5, LARGEST.get(name, 8) + 1):
+        assert extended.count(n) == solver.count(n) * 2 ** n ** arity, n
+
+
+def test_unused_predicates_up_to_30_table_bits():
+    """An unused predicate adds 2 table bits (unary) or 4 (binary): beside
+    ``forall x exists y R(x,y)`` and its sign predicate, 12 unused unary
+    ones take 30 bits and count, and one more of either arity is refused."""
+    problem = parse_problem("predicate R/2\nforall x exists y R(x,y)")
+    solver = Solver(problem)
+    for i in range(12):
+        problem = declaring(problem, f"U{i}", 1)
+    extended = Solver(problem)
+    assert 2 * extended.cells.u + extended.cells.b == MAX_TABLE_BITS
+    for n in (5, 6):
+        assert extended.count(n) == solver.count(n) * 2 ** (12 * n), n
+    for arity, bits in ((1, 32), (2, 34)):
+        with pytest.raises(UnsupportedFeatureError, match=f"= {bits} table bits"):
+            Solver(declaring(problem, "V", arity))
+
+
+#: counting formulas in x with a unary condition on y
+PHIS = ("exists{=2} y (R(x,y) & A(y))", "exists{<=1} y (R(x,y) & A(y))",
+        "exists{>=2} y (R(x,y) & A(y))")
+
+
+@pytest.mark.parametrize("phi", PHIS)
+@pytest.mark.parametrize("base,sizes", [
+    ("forall x exists y R(x,y)", range(5, 9)),
+    ("forall x forall y (R(x,y) -> R(y,x))", (5, 6))], ids=["directed", "symmetric"])
+def test_complement(base, sizes, phi):
+    """count(B & forall x phi) + count(B & exists x !phi) = count(B): the
+    exists side needs a sign predicate where the forall side may not, and
+    on the symmetric B both go through the successor encoding.  A triple
+    takes about 10 ms on the directed B at n = 8, and 0.3 to 0.6 s on the
+    symmetric one at n = 6."""
+    declared = "predicate A/1\npredicate R/2\n"
+    every, some, whole = (Solver(parse_problem(declared + text)) for text in (
+        f"{base} & forall x {phi}", f"{base} & exists x !({phi})", base))
+    for n in sizes:
+        assert every.count(n) + some.count(n) == whole.count(n), n

@@ -59,8 +59,7 @@ def random_qf(rng: random.Random, atoms, depth: int) -> str:
 
 def test_escapable_block_closed_form():
     """Each element is in A or has exactly one R-successor:
-    (2^n + n)^n models, which the signed block reaches on the collapsed
-    path."""
+    (2^n + n)^n models, which the signed block reaches per element."""
     s = Solver(parse_problem("predicate A/1\npredicate R/2\n"
                              "forall x (A(x) | exists{=1} y R(x,y))"))
     assert not s.pinned
