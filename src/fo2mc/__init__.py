@@ -2,15 +2,15 @@
 cardinality constraints and counting quantifiers, with weighted counting
 and count distributions, verified against a brute-force ground oracle."""
 
-from .engine import (CountResult, Solver, fomc_universal, universal_term,
-                     witness_deficit_counts)
+from .engine import CountResult, Solver, witness_deficit_counts
 from .errors import (Fo2mcError, InternalConsistencyError, OracleCapError,
                      ParseError, SemanticError, UnsupportedFeatureError)
 from .cells import CellStructure, build_cells
 from .grounding import GroundFormula, eval_qf, ground
 from .normalize import (NormalizedProblem, dump_normalized, normalize,
                         successor_encoding)
-from .oracle import OracleReport, oracle_count, oracle_distribution, oracle_stratified
+from .oracle import (OracleReport, oracle_count, oracle_distribution, oracle_stratified,
+                     spec_count, spec_terms)
 from .parser import Problem, parse_formula, parse_problem
 from .weights import (count_distribution, distribution_table, wfomc_profile,
                       wfomc_symmetric)
@@ -20,11 +20,11 @@ __all__ = [
     "InternalConsistencyError", "NormalizedProblem", "OracleCapError",
     "OracleReport", "ParseError", "Problem", "SemanticError", "Solver",
     "UnsupportedFeatureError", "build_cells", "count_distribution",
-    "distribution_table", "dump_normalized", "eval_qf", "fomc_universal",
-    "ground", "witness_deficit_counts", "normalize", "oracle_count",
+    "distribution_table", "dump_normalized", "eval_qf", "ground",
+    "witness_deficit_counts", "normalize", "oracle_count",
     "oracle_distribution", "oracle_stratified", "parse_formula",
-    "parse_problem", "successor_encoding", "universal_term", "wfomc_profile",
-    "wfomc_symmetric",
+    "parse_problem", "spec_count", "spec_terms", "successor_encoding",
+    "wfomc_profile", "wfomc_symmetric",
 ]
 
 __version__ = "0.1.0"

@@ -111,12 +111,6 @@ def _digit_bits(*powers: tuple[int, int]) -> int:
     return (math.floor(log * (1 + 2 ** -40) + 2 ** -30) + 9) // 8 * 8
 
 
-def _quotient(value, scale: int):
-    """value / scale: an int where it divides, else a Fraction."""
-    quotient, rest = divmod(value, scale)
-    return Fraction(value, scale) if rest else quotient
-
-
 def _counter_digits(cap: int, top: int) -> int:
     """The digits ``_Layout`` gives a counter bounded by (cap, top)."""
     return top + 1 if cap >= top else 2 * cap + 1
@@ -220,18 +214,6 @@ class _Layout:
         ones = (1 << self.bits * self.strides[lower]) - 1
         shift = self.bits * sum(map(int.__mul__, top, self.strides[lower:]))
         return ((x + self.offset) >> shift & ones) - (self.offset & ones)
-
-
-def compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All tuples of ``parts`` non-negative integers summing to ``total``,
-    in lexicographic order."""
-    if parts < 2:
-        if parts or not total:
-            yield (total,) if parts else ()
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 # ---------------------------------------------------------------------------
@@ -570,7 +552,8 @@ class ProfileEvaluator:
                 sums[at] = sums.get(at, 0) + coef
         if scale == 1:
             return sums
-        return {at: _quotient(value, scale) for at, value in sums.items()}
+        return {at: Fraction(value, scale) if value % scale else value // scale
+                for at, value in sums.items()}
 
     def _walk(self, unary: Sequence[tuple[int, ...]], leaf, grow, state) -> dict:
         """The census walk: census key (the tracked unary cards) -> the sum of
@@ -816,11 +799,6 @@ class CountResult:
         self.profiles = profiles
 
 
-def _tracking(tracked: Sequence[str], constraint: CardConstraint) -> tuple[str, ...]:
-    """The tracked predicates, then the constraint's own."""
-    return tuple(dict.fromkeys(tuple(tracked) + tuple(sorted(constraint_predicates(constraint)))))
-
-
 def _as_count(total) -> int:
     if isinstance(total, Fraction):
         if total.denominator != 1:
@@ -885,8 +863,8 @@ class Solver:
         allows."""
         if constraint is None:
             constraint = self.norm.constraint
-        return ProfileEvaluator(self.norm, self.cells, n, _tracking(tracked, constraint),
-                                fold, constraint)
+        tracked = tuple(dict.fromkeys((*tracked, *sorted(constraint_predicates(constraint)))))
+        return ProfileEvaluator(self.norm, self.cells, n, tracked, fold, constraint)
 
     def _total(self, n: int, tracked: Sequence[str], fold: Weights | None,
                constraint: CardConstraint | None):
@@ -950,41 +928,6 @@ class Solver:
         groups = ev.read(by=by)
         profiles = [(dict(zip(by, key)), val) for key, val in sorted(groups.items())]
         return CountResult(total=sum(groups.values()), profiles=profiles)
-
-
-# ---------------------------------------------------------------------------
-# spec-level operations
-
-
-def fomc_universal(cells: CellStructure, n: int) -> int:
-    """Plain universal count: sum over censuses of the multinomial times
-    the product of n_ij powers.  Requires no sign predicates or blocks."""
-    return _as_count(sum(universal_term_valid(cells, n, k)
-                         for k in compositions(n, len(cells.valid))))
-
-
-def universal_term_valid(cells: CellStructure, n: int, k: Sequence[int]) -> int:
-    """One census term, with k indexed over cells.valid."""
-    value = math.factorial(n)
-    for count in k:
-        value //= math.factorial(count)
-    occupied = [(t, c) for t, c in zip(cells.valid, k) if c]
-    for ia, (ta, ca) in enumerate(occupied):
-        for tb, cb in occupied[ia:]:
-            value *= cells.n_ij[(ta, tb)] ** (ca * (ca - 1) // 2 if ta == tb else ca * cb)
-    return value
-
-
-def universal_term(cells: CellStructure, n: int, k: Sequence[int]) -> int:
-    """One census term with k indexed over the full 1-type range 0..2^u-1
-    (zero for censuses that use an invalid 1-type)."""
-    if len(k) != 1 << cells.u or sum(k) != n or min(k, default=0) < 0:
-        raise SemanticError(f"census must have 2^u non-negative entries summing to {n}")
-    valid = set(cells.valid)
-    if any(c and t not in valid for t, c in enumerate(k)):
-        return 0
-    packed = [k[t] for t in cells.valid]
-    return universal_term_valid(cells, n, packed)
 
 
 def witness_deficit_counts(problem: Problem | NormalizedProblem, n: int, m: int

@@ -1,4 +1,4 @@
-"""Brute-force ground reference counter.
+"""Brute-force ground reference counter, and the source paper's lemma.
 
 The oracle enumerates every truth assignment over the ground atoms and
 evaluates the original, pre-normalization sentence directly (counting
@@ -9,13 +9,20 @@ arbitrate them.  It is deliberately simple rather than fast.
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from fractions import Fraction
+from functools import cache
+from itertools import combinations_with_replacement, repeat
 from typing import Mapping, Sequence
 
+from .cells import build_cells
 from .errors import OracleCapError
 from .grounding import ground
 from .logic import (CardConstraint, Formula, Signature, WeightExpr,
-                    one_type_slots, weight_value)
+                    constraint_predicates, one_type_slots, slot_bit, weight_value)
+from .normalize import normalize, successor_encoding
+from .parser import Problem
 
 #: default cap on the number of ground atoms (2^28 assignments)
 DEFAULT_CAP = 28
@@ -156,3 +163,72 @@ def oracle_distribution(signature: Signature, sentence: Formula, n: int,
     if z == 0:
         raise ZeroDivisionError("partition function is zero")
     return {k: v / z for k, v in num.items()}
+
+
+def _times(p: dict, q: dict, top: int) -> dict:
+    """p q, keyed by (cards..., tie), without the monomials past tie ``top``."""
+    out: dict = {}
+    for a, x in p.items():
+        for b, y in q.items():
+            if a[-1] + b[-1] <= top:
+                key = tuple(map(int.__add__, a, b))
+                out[key] = out.get(key, 0) + x * y
+    return out
+
+
+def spec_terms(problem: Problem, n: int, constraint: CardConstraint | None = None
+               ) -> dict[tuple[int, ...], Fraction]:
+    """The source paper's lemma, literally, sharing only the front end up to
+    ``build_cells`` with the engine.  On the successor encoding with every
+    block signed (exact whether or not the matrix pins it), a census k of
+    the valid 1-types, keyed over 0..2^u-1, has the term n!/prod_t k_t!
+    times each element's 1-type polynomial and each pair's 2-table one: the
+    weights of their atoms (-1 for a true sign atom, else the symmetric
+    weight) over the cards of the constraint (the problem's unless given,
+    as in ``Solver.count``) and the tie sum_ij |f_ij|, kept at the tie
+    sum_i m_i |A_i| where the constraint allows, over prod_i m_i!^|A_i|."""
+    enc = successor_encoding(norm := normalize(problem), [b.index for b in norm.blocks])
+    cells = build_cells(enc.signature, enc.matrix)
+    constraint = enc.constraint if constraint is None else constraint
+    preds = sorted(constraint_predicates(constraint))
+    ties = {f for b in enc.blocks for f in b.f_preds}
+    weights = {**enc.symmetric_weights, **dict.fromkeys(enc.sign_preds, (-1, 1))}
+    due = {t: [b.m for b in enc.blocks if cells.type_bit(t, cells.u_slot_index(b.a_pred, "unary"))]
+           for t in cells.valid}
+    top, one = n * max(map(sum, due.values()), default=0), (0,) * (len(preds) + 1)
+
+    @cache
+    def power(factor: tuple[int, ...], e: int) -> dict:
+        """The e-th power of the polynomial of a 1-type (t,) or a pair (i, j)."""
+        slots, base = cells.u_slots if len(factor) == 1 else cells.b_slots, {}
+        for index in factor if len(factor) == 1 else cells.tables(*factor):
+            atoms = [(p, slot_bit(index, s, len(slots))) for s, (p, _) in enumerate(slots)]
+            key = (*(sum(b for q, b in atoms if q == p) for p in preds),
+                   sum(b for q, b in atoms if q in ties))
+            base[key] = base.get(key, 0) + math.prod(weights.get(q, (1, 1))[1 - b]
+                                                     for q, b in atoms)
+        out = {one: 1}
+        for bit in bin(e)[2:]:
+            out = _times(out, out, top)
+            out = _times(out, base, top) if bit == "1" else out
+        return out
+
+    terms = {}
+    for k in map(Counter, combinations_with_replacement(cells.valid, n)):
+        target = sum(sum(due[t]) * c for t, c in k.items())
+        poly = {one: math.factorial(n) // math.prod(map(math.factorial, k.values()))}
+        census = sorted(k.items())
+        for a, (i, c) in enumerate(census):
+            poly = _times(poly, power((i,), c), target)
+            for j, d in census[a + (c == 1):]:  # one element of a type pairs with no other
+                poly = _times(poly, power((i, j), c * (c - 1) // 2 if i == j else c * d), target)
+        kept = sum(w for key, w in poly.items()
+                   if key[-1] == target and constraint.holds(dict(zip(preds, key))))
+        divisor = math.prod(math.factorial(m) ** c for t, c in census for m in due[t])
+        terms[tuple(map(k.get, range(1 << cells.u), repeat(0)))] = Fraction(kept, divisor)
+    return terms
+
+
+def spec_count(problem: Problem, n: int, constraint: CardConstraint | None = None) -> Fraction:
+    """The sum of ``spec_terms``: the exact count, symmetric weights applied."""
+    return sum(spec_terms(problem, n, constraint).values(), Fraction(0))

@@ -124,4 +124,5 @@ def distribution_table(problem: Problem | NormalizedProblem | Solver, n: int,
     """The full count distribution over the query predicates' cardinality
     vectors; the probabilities sum to exactly one."""
     mass, z = _strata(_solver(problem), n, query_preds, weight)
-    return {k: v / z for k, v in sorted(mass.items())}
+    inverse = 1 / z  # one division, then a product per stratum
+    return {k: v * inverse for k, v in sorted(mass.items())}

@@ -58,16 +58,23 @@ def test_corpus_files_round_trip():
 
 
 def test_oracle_is_normalization_free():
-    """The reference counter must never consult the normalizer."""
+    """The ground oracle must never consult the normalizer, the cell tables
+    or the engine.  Its module imports no engine, and of its functions only
+    ``spec_terms``, the lemma's reference, reads a name imported from the
+    normalizer or the cells: it shares that front end with the engine."""
     import ast
     from pathlib import Path
     import fo2mc.oracle as oracle_module
     tree = ast.parse(Path(oracle_module.__file__).read_text())
-    imported = set()
+    imported, front_end = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module:
             imported.add(node.module)
+            if "normalize" in node.module or "cells" in node.module:
+                front_end.update(alias.asname or alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
-    assert not any("normalize" in mod or "engine" in mod or "cells" in mod
-                   for mod in imported), imported
+    assert not any("engine" in mod for mod in imported), imported
+    readers = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+               and front_end & {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}}
+    assert front_end and readers == {"spec_terms"}, readers

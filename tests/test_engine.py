@@ -4,12 +4,10 @@ import pytest
 
 from fo2mc.cells import build_cells
 from fo2mc.corpus import load_corpus
-from fo2mc.engine import (ProfileEvaluator, Solver, compositions,
-                          fomc_universal, universal_term,
-                          witness_deficit_counts)
+from fo2mc.engine import ProfileEvaluator, Solver, witness_deficit_counts
 from fo2mc.errors import SemanticError
 from fo2mc.logic import CARD_TRUE, CardCompare, LinearExpr, card_conjoin
-from fo2mc.oracle import oracle_count, oracle_stratified
+from fo2mc.oracle import oracle_count, oracle_stratified, spec_count, spec_terms
 from fo2mc.parser import parse_problem
 
 from conftest import (RUNNING_EXAMPLE, THREE_WITNESS, TWO_WITNESS, ZERO_OR_TWO_EXAMPLE,
@@ -26,13 +24,11 @@ def running_solver():
 def test_worked_census_term_n3():
     """Worked census term: n=3, census (2,0,0,1) contributes
     3 * 4 * 2^2 = 48."""
-    solver = running_solver()
-    assert universal_term(solver.cells, 3, (2, 0, 0, 1)) == 48
+    assert spec_terms(parse_problem(RUNNING_EXAMPLE), 3)[(2, 0, 0, 1)] == 48
 
 
 def test_fomc_universal_running():
-    solver = running_solver()
-    assert fomc_universal(solver.cells, 2) == 48
+    assert spec_count(parse_problem(RUNNING_EXAMPLE), 2) == 48
     assert 48 == 16 + 16 + 8 + 8  # hand sum over |A| strata at n=2
 
 
@@ -44,9 +40,12 @@ def test_tautology_with_one_unary():
 
 
 def test_term_validation():
-    solver = running_solver()
-    with pytest.raises(SemanticError):
-        universal_term(solver.cells, 3, (1, 0, 0, 1))
+    """The reference's census keys have 2^u non-negative entries summing to
+    n, one per census of the valid 1-types: (1,0,0,1) is no census at n=3."""
+    terms = spec_terms(parse_problem(RUNNING_EXAMPLE), 3)
+    assert (1, 0, 0, 1) not in terms
+    assert len(terms) == math.comb(len(running_solver().cells.valid) + 2, 3)
+    assert all(len(k) == 4 and min(k) >= 0 and sum(k) == 3 for k in terms)
 
 
 # -- Scott form -----------------------------------------------------------------
@@ -61,20 +60,21 @@ def test_forall_exists_closed_form():
 
 
 def test_no_existentials_equals_universal():
-    """The merged evaluation equals the plain census sum over every valid
-    type, on the running example and on the universal-only random
-    problems (no sign predicates, no counting blocks)."""
+    """The merged evaluation equals the reference's plain census sum over
+    every valid type, on the running example and on the universal-only
+    random problems (no sign predicates, no counting blocks)."""
     solver = running_solver()
-    assert solver.count(3) == fomc_universal(solver.cells, 3)
+    assert solver.count(3) == spec_count(parse_problem(RUNNING_EXAMPLE), 3)
     universal = 0
     for seed in range(200):
-        solver = Solver(random_problem(seed))
+        problem = random_problem(seed)
+        solver = Solver(problem)
         if solver.norm.sign_preds or solver.norm.blocks:
             continue
         universal += 1
         for n in range(1, 6):
             assert solver.count(n, constraint=CARD_TRUE) == \
-                fomc_universal(solver.cells, n), (seed, n)
+                spec_count(problem, n, CARD_TRUE), (seed, n)
     assert universal > 0
 
 
@@ -132,12 +132,10 @@ def test_witness_deficit_m_above_n():
 
 
 def test_diagnostics_refuse_negative_arguments():
-    """A negative m, or a negative census entry, is refused like m > n, not
-    left to ``math.comb`` or ``math.factorial`` to fail on."""
+    """A negative m is refused like m > n, not left to ``math.comb`` to
+    fail on."""
     with pytest.raises(SemanticError, match="outside 0..3"):
         witness_deficit_counts(parse_problem("forall x exists y R(x,y)"), 3, -1)
-    with pytest.raises(SemanticError, match="non-negative"):
-        universal_term(running_solver().cells, 3, (4, 0, 0, -1))
 
 
 # -- constrained counting ----------------------------------------------------------
@@ -238,14 +236,13 @@ def test_breakdown_binary_tracking():
 
 
 def test_stratified_census_identity():
-    """Per-census engine terms equal oracle 1-type census counts."""
+    """Per-census reference terms equal oracle 1-type census counts."""
     p = parse_problem(RUNNING_EXAMPLE)
-    solver = Solver(p)
     for n in (1, 2, 3):
         census = oracle_stratified(p.signature, p.sentence, n, by_one_types=True)
-        for k in compositions(n, 4):
-            want = census.get(k, 0)
-            assert universal_term(solver.cells, n, k) == want
+        terms = spec_terms(p, n)
+        for k in terms.keys() | census.keys():
+            assert terms.get(k, 0) == census.get(k, 0), k
 
 
 # -- evaluation strategies agree --------------------------------------------------------

@@ -1,13 +1,16 @@
 """Relations between counts that hold at every domain size, checked at
 n = 5..8, past the oracle's reach: the successor encoding counts what the
 per-element census counts, an unrelated symmetric predicate or an unused
-one multiplies a count by the number of its interpretations, and the
-models where every element satisfies a counting formula and those where
-some element does not add up to all models.  The symmetric predicate, and
-one side of each complement, send a directed problem through pair
+one multiplies a count by the number of its interpretations, the models
+where every element satisfies a counting formula and those where some
+element does not add up to all models, renaming predicates or variables
+and reordering conjuncts change no count, and a weight w on one predicate
+sums its table's counts times w to the card.  The symmetric predicate,
+and one side of each complement, send a directed problem through pair
 factors."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -15,8 +18,10 @@ from fo2mc.cells import MAX_TABLE_BITS
 from fo2mc.corpus import load_corpus
 from fo2mc.engine import Solver
 from fo2mc.errors import UnsupportedFeatureError
-from fo2mc.logic import And, Atom, Forall, Implies, Signature
+from fo2mc.logic import (And, Atom, CardCompare, Counting, Eq, Exists, Forall, Implies,
+                         LinearExpr, Signature, conjoin, conjuncts, rebuild, subformulas)
 from fo2mc.parser import Problem, parse_problem
+from fo2mc.weights import wfomc_symmetric
 
 from conftest import walk_problems
 
@@ -126,3 +131,65 @@ def test_complement(base, sizes, phi):
         f"{base} & forall x {phi}", f"{base} & exists x !({phi})", base))
     for n in sizes:
         assert every.count(n) + some.count(n) == whole.count(n), n
+
+
+def renamed(problem: Problem, names: dict[str, str], variables: dict[str, str]) -> Problem:
+    """The problem with its predicates renamed by ``names`` and its
+    variables, bound ones included, by ``variables``."""
+    def walk(f):
+        if isinstance(f, Atom):
+            return Atom(names.get(f.pred, f.pred), tuple(variables.get(a, a) for a in f.args))
+        if isinstance(f, Eq):
+            return Eq(variables.get(f.left, f.left), variables.get(f.right, f.right))
+        if isinstance(f, (Forall, Exists)):
+            return type(f)(variables.get(f.var, f.var), walk(f.body))
+        if isinstance(f, Counting):
+            return Counting(f.cmp, f.count, variables.get(f.var, f.var), walk(f.body))
+        return rebuild(f, [walk(s) for s in subformulas(f)])
+
+    def card(c):
+        if isinstance(c, CardCompare):
+            left, right = (LinearExpr(tuple(sorted((names.get(p, p), k) for p, k in e.coeffs)),
+                                      e.const) for e in (c.left, c.right))
+            return CardCompare(c.op, left, right)
+        return type(c)(tuple(map(card, c.parts)))
+
+    signature = Signature({names.get(p, p): a for p, a in problem.signature.arities.items()})
+    return Problem(signature, walk(problem.sentence), card(problem.constraint))
+
+
+def transformed(problem: Problem, transform: str) -> Problem:
+    if transform == "predicates":  # reversing their order, which orders the type slots
+        preds = problem.signature.predicates()
+        return renamed(problem, {p: f"Q{len(preds) - i}" for i, p in enumerate(preds)}, {})
+    if transform == "variables":
+        return renamed(problem, {}, {"x": "y", "y": "x"})
+    parts = list(conjuncts(problem.sentence))
+    return Problem(problem.signature, conjoin(parts[::-1]), problem.constraint)
+
+
+@pytest.mark.parametrize("transform", ("predicates", "variables", "conjuncts"))
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_renaming(name, transform):
+    """Renaming the predicates, swapping x and y, or reversing the top-level
+    conjuncts leaves every count unchanged."""
+    problem = PROBLEMS[name]
+    solver, other = Solver(problem), Solver(transformed(problem, transform))
+    for n in range(5, LARGEST.get(name, 8) + 1):
+        assert other.count(n) == solver.count(n), n
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_weights_against_tables(name):
+    """wfomc with weight (w, 1) on A (on R where there is no A) equals
+    sum_k w^k count(|A| = k), read from ``breakdown``, for w = 2 and 3."""
+    problem = PROBLEMS[name]
+    pred = "A" if "A" in problem.signature else "R"
+    solver = Solver(problem)
+    for n in range(5, LARGEST.get(name, 8) + 1):
+        table = solver.breakdown(n, (pred,)).profiles
+        for w in (2, 3):
+            weights = {p: (Fraction(w if p == pred else 1), Fraction(1))
+                       for p in problem.signature.user_predicates()}
+            assert wfomc_symmetric(solver, n, weights) == \
+                sum(w ** cards[pred] * value for cards, value in table), (n, w)
