@@ -10,17 +10,17 @@ counting block ``A(x) <-> exists{cmp m} y G(x,y)`` reads an A-element's
 row summed over the digits of its G-degree in the block's span, one
 counter for all of G's blocks, and any other's as its whole row minus
 that sum (swapped for at-least); per guard this expands into signed digit
-boxes, each sign a class weight.  On any other matrix, and in the
-``successor_encoding`` with its 1/m! divisors, the pair factor f_ij is the
-2-table polynomial and the row the bare class weight; every block raises
-one tie counter, and each census key's value is read at its target.  By
-the multinomial theorem classes of one column whose pair factors agree
-form one group, and the census runs over the group counts: one group is
-the n-th power of a per-element polynomial.  The census is one
-depth-first walk (``_walk``): the groups raising a tracked unary card go
-first, the cards' partial sums are carried down, and no subtree whose
-cards cannot land in their box of card ranges is entered.  ``Solver`` is
-the one entry point.
+boxes, each sign a class weight.  On any other matrix the pair factor
+f_ij is the 2-table polynomial and the row the bare class weight.  In the
+``successor_encoding``, with its 1/m! divisors, every block raises one tie
+counter through either kind of factor, and each census key's value is
+read at its target.  By the multinomial theorem classes of one column
+whose pair factors agree form one group, and the census runs over the
+group counts: one group is the n-th power of a per-element polynomial.
+The census is one depth-first walk (``_walk``): the groups raising a
+tracked unary card go first, the cards' partial sums are carried down,
+and no subtree whose cards cannot land in their box of card ranges is
+entered.  ``Solver`` is the one entry point.
 
 Counters, one per tracked predicate (unary ones first) and one per guard
 (one tie counter in the successor encoding), are raised by the true atoms of
@@ -126,9 +126,7 @@ class _Layout:
     reaches, with cap < top is 2 cap + 1 digits wide, room for a product
     of two truncated factors, and ``mul`` drops its digits above cap
     (reduction modulo X^(cap+1), a ring map) through a mask on the offset
-    digits, or, where only the last counter is cut, so that the kept digits
-    are the lowest ones, as the balanced residue modulo 2^(bits * kept);
-    with no cap below its top, products are plain ones."""
+    digits; with no cap below its top, products are plain ones."""
 
     def __init__(self, counters: Sequence[int], bounds: Sequence[tuple[int, int]],
                  bits: int):
@@ -139,11 +137,7 @@ class _Layout:
         self.strides = [math.prod(self.widths[:d]) for d in range(len(bounds) + 1)]
         self.size = self.strides[-1]
         self.offset = _repeat(1 << bits - 1, bits, self.size)
-        self._low = None
-        if bounds and bounds[-1][0] < bounds[-1][1] and all(c >= t for c, t in bounds[:-1]):
-            kept = bits * self.strides[-2] * (self.caps[-1] + 1)
-            self._low = (1 << kept) - 1, 1 << kept - 1, 1 << kept
-        elif any(cap < top for cap, top in bounds):
+        if any(cap < top for cap, top in bounds):
             keep = (1 << bits) - 1
             for cap, s in zip(self.caps, self.strides):
                 keep = _repeat(keep, bits * s, cap + 1)
@@ -152,10 +146,6 @@ class _Layout:
             self.mul, self.pow = operator.mul, pow
 
     def mul(self, a: int, b: int) -> int:
-        if self._low:
-            mask, half, whole = self._low
-            x = a * b & mask
-            return x - whole if x >= half else x
         keep, kept_offset = self._keep
         return ((a * b + self.offset) & keep) - kept_offset
 
@@ -360,9 +350,9 @@ class ProfileEvaluator:
         self._ties = norm.successors
         if norm.blocks and not self._ties and not cells.directed:
             raise InternalConsistencyError("per-element blocks need a directed matrix")
-        # per-element rows and no pair factor on a directed matrix without a
-        # tie counter; 2-table pair factors and bare class weights otherwise
-        self._directed = cells.directed and not self._ties
+        # per-element rows and no pair factor on a directed matrix, 2-table
+        # pair factors and bare class weights otherwise
+        self._directed = cells.directed
         n_keys = len(self.key_names)
         self._guards: dict[str, list[tuple[int, CountingBlock]]] = {}  # guard -> its blocks
         for i, b in enumerate(() if self._ties else norm.blocks):
@@ -461,10 +451,11 @@ class ProfileEvaluator:
 
     def _factors(self) -> tuple[dict, dict, list[int], int, int]:
         """The integer factors of the class pairs, each distinct option tuple
-        and option expanded once: on a directed matrix without a tie counter,
-        the out-edge factors g_aj of class a toward column j (the classes
-        every class sends to alike) and no pair factor f, each being 1;
-        otherwise the 2-table factors f_ab (a <= b), no g and one column.
+        and option expanded once: on a directed matrix, with or without a
+        tie counter, the out-edge factors g_aj of class a toward column j
+        (the classes every class sends to alike) and no pair factor f, each
+        being 1; otherwise the 2-table factors f_ab (a <= b), no g and one
+        column.
         Also each class's column, a bound G >= 1 on the g's norms and the
         census digit width, for F >= 1 bounding the f's."""
         cells, types = self.cells, self.types
@@ -908,16 +899,12 @@ class Solver:
         return _as_count(self._total(n, (), None, constraint))
 
     def weighted_total(self, n: int, tracked: Sequence[str],
-                       fold: Weights | None = None, weight_fn=None,
-                       constraint: CardConstraint | None = None):
-        """Sum of weight(profile) * F(profile) over profiles satisfying
-        the constraint; the symmetric part enters via ``fold`` and the
-        profile-dependent part via ``weight_fn(cards) -> int or Fraction``,
-        read in one group."""
-        if weight_fn is None:
-            return Fraction(self._total(n, tracked, fold, constraint))
-        ev = self._evaluator(n, tracked, fold, constraint)
-        return Fraction(ev.read(lambda row: weight_fn(dict(zip(ev.key_names, row)))).get((), 0))
+                       fold: Weights | None = None,
+                       constraint: CardConstraint | None = None) -> Fraction:
+        """Sum of F(profile) over profiles satisfying the constraint, the
+        symmetric weights ``fold`` entering F; a profile weight is read by
+        ``weights.wfomc_profile``."""
+        return Fraction(self._total(n, tracked, fold, constraint))
 
     def breakdown(self, n: int, tracked: Sequence[str],
                   fold: Weights | None = None,

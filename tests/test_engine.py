@@ -249,22 +249,25 @@ def test_stratified_census_identity():
 
 
 def census_both_ways(problem, n, tracked=(), fold=None):
-    """The census read per element, and the census read over pair tables:
-    of the successor encoding when the problem has a counting block, else
-    of the same cells with the evaluator's directed flag cleared; ``fold``
-    is a map of symmetric weights."""
+    """The census read per element, then the other reads of the same
+    count: when the problem has a counting block, its successor encoding
+    read per element and over pair tables, both with a tie counter, else
+    the same cells read over pair tables; the pair tables come from the
+    evaluator with its directed flag cleared.  ``fold`` is a map of
+    symmetric weights."""
     solver = Solver(problem)
     assert solver.cells.directed and not solver.norm.successors
     ev = ProfileEvaluator(solver.norm, solver.cells, n, tracked, fold)
     assert ev._directed
-    rows = ev.table()
-    if solver.norm.blocks:
+    tables = [ev.table()]
+    norm, cells = solver.norm, solver.cells
+    if norm.blocks:
         norm = solver.successor_encoding()
-        ev = ProfileEvaluator(norm, build_cells(norm.signature, norm.matrix), n, tracked, fold)
-    else:
-        ev = ProfileEvaluator(solver.norm, solver.cells, n, tracked, fold)
-        ev._directed = False
-    return rows, ev.table()
+        cells = build_cells(norm.signature, norm.matrix)
+        tables.append(ProfileEvaluator(norm, cells, n, tracked, fold).table())
+    ev = ProfileEvaluator(norm, cells, n, tracked, fold)
+    ev._directed = False
+    return tables + [ev.table()]
 
 
 @pytest.mark.parametrize("text,tracked", [
@@ -285,12 +288,13 @@ def census_both_ways(problem, n, tracked=(), fold=None):
 def test_enum_equals_collapsed(text, tracked):
     """The census read per element, which collapses every census with the
     same column-group counts into one term, equals the census over pair
-    tables; blocks go through their successor encoding, whose signed terms
-    can leave rows of value 0."""
+    tables; blocks go through their successor encoding as well, read both
+    ways, whose signed terms can leave rows of value 0."""
     weights = parse_problem(text).symmetric_weights
     for n in (1, 2, 3, 4, 5):
-        groups, pairs = census_both_ways(parse_problem(text), n, tracked, weights)
-        assert groups == {k: v for k, v in pairs.items() if v}
+        groups, *others = census_both_ways(parse_problem(text), n, tracked, weights)
+        for other in others:
+            assert groups == {k: v for k, v in other.items() if v}
 
 
 def test_group_census_equals_pair_tables_on_random_problems():
@@ -307,16 +311,18 @@ def test_group_census_equals_pair_tables_on_random_problems():
         directed += 1
         for tracked in ((), ("A", "R")):
             for n in (1, 2, 3):
-                groups, pairs = census_both_ways(problem, n, tracked)
-                assert groups == {k: v for k, v in pairs.items() if v}, (seed, tracked, n)
+                groups, *others = census_both_ways(problem, n, tracked)
+                for other in others:
+                    assert groups == {k: v for k, v in other.items() if v}, (seed, tracked, n)
     assert directed > 100
 
 
 def test_path_choice(monkeypatch):
-    """A directed matrix without a tie counter reads rows per element, its
-    classes grouped by out-edge column; tracked unary cards split the
-    groups or stay digits, whichever the cost estimate favours; any other
-    matrix reads pair tables, its classes grouped by packed pair factors."""
+    """A directed matrix, with or without a tie counter, reads rows per
+    element, its classes grouped by out-edge column; tracked unary cards
+    split the groups or stay digits, whichever the cost estimate favours;
+    any other matrix reads pair tables, its classes grouped by packed pair
+    factors."""
     walks, groups_seen = [], []
     walk, choose = ProfileEvaluator._walk, ProfileEvaluator._groups
 
@@ -332,10 +338,13 @@ def test_path_choice(monkeypatch):
     monkeypatch.setattr(ProfileEvaluator, "_walk", walk_spy)
     monkeypatch.setattr(ProfileEvaluator, "_groups", groups_spy)
 
-    def path_of(text, n, tracked=()):
+    def path_of(text, n, tracked=(), encoded=False):
         walks.clear()
         groups_seen.clear()
-        result = Solver(parse_problem(text)).breakdown(n, tracked)
+        solver = Solver(parse_problem(text))
+        if encoded:  # the successor encoding, with its tie counter
+            solver = Solver(solver.successor_encoding())
+        result = solver.breakdown(n, tracked)
         assert len(walks) == len(groups_seen) == 1
         return walks[0], groups_seen[0], result
 
@@ -354,6 +363,12 @@ def test_path_choice(monkeypatch):
         for tracked in ((), ("R",)):
             path, (_, _, groups, _), _ = path_of(corpus[name].text, 3, tracked)
             assert (path, groups) == ("rows", 1)
+    # their successor encoding, and two_blocks's, keeps the directed matrix
+    # and reads rows per element with a tie counter
+    for name in ("count_eq1", "count_eq2", "two_blocks"):
+        path, _, result = path_of(corpus[name].text, 4, ("R",), encoded=True)
+        assert path == "rows"
+        assert result.profiles == Solver(corpus[name].problem()).breakdown(4, ("R",)).profiles
     # (classes, distinct packed pair factors, groups, unary cards); with
     # pair factors the unary cards are census keys, whatever the estimate
     for text, tracked, shape in [

@@ -10,7 +10,8 @@ from fractions import Fraction
 import pytest
 
 from fo2mc.corpus import load_corpus
-from fo2mc.engine import ProfileEvaluator, Solver, _digit_bits, witness_deficit_counts
+from fo2mc.engine import (ProfileEvaluator, Solver, _digit_bits, _Layout,
+                          witness_deficit_counts)
 from fo2mc.errors import InternalConsistencyError
 from fo2mc.oracle import oracle_count, oracle_distribution
 from fo2mc.parser import parse_cardinality, parse_problem, parse_weight_expr
@@ -277,3 +278,47 @@ def test_census_digit_widths_against_the_exact_bounds():
             assert exact <= bits <= exact + 8, (index, n)
             row = exact_width(max(norms, default=0) * g ** (n - 1))
             assert row <= _digit_bits((max(norms, default=0), 1), (g, n - 1)) <= row + 8
+
+
+# -- truncated products ---------------------------------------------------------
+
+
+def truncated_product(p: dict, q: dict, caps) -> dict:
+    """p q over dict polynomials (counts -> coefficient), without the terms
+    past a cap and those of coefficient 0."""
+    out = {}
+    for a, x in p.items():
+        for b, y in q.items():
+            counts = tuple(map(int.__add__, a, b))
+            if all(map(int.__le__, counts, caps)):
+                out[counts] = out.get(counts, 0) + x * y
+    return {counts: coef for counts, coef in out.items() if coef}
+
+
+@pytest.mark.parametrize("capped", ("last", "two", "none"))
+def test_layout_mul_against_dict_polynomials(capped):
+    """``_Layout.mul`` of two packed polynomials decodes to their product
+    truncated at the caps, on seeded random layouts: the last counter cut
+    below its top, two counters cut, or none.  A factor's terms past a cap
+    are dropped when it is packed; an uncut counter's terms stay within its
+    top in every product."""
+    rng = random.Random(f"mul {capped}")
+    for _ in range(200):
+        dims = rng.randint(2, 3)
+        tops = [rng.randint(1, 9) for _ in range(dims)]
+        cut = {"last": [dims - 1], "two": rng.sample(range(dims), 2), "none": []}[capped]
+        bounds = [(rng.randrange(top), top) if d in cut else (top + rng.randrange(3), top)
+                  for d, top in enumerate(tops)]
+        layout = _Layout(range(dims), bounds, 16)
+        caps = [min(bound) for bound in bounds]
+
+        def poly(part: int) -> dict:
+            # an uncut counter's two factors share its top
+            highs = [top if d in cut else (top + part) // 2 for d, top in enumerate(tops)]
+            return {tuple(rng.randint(0, high) for high in highs): rng.randint(-9, 9)
+                    for _ in range(rng.randint(1, 6))}
+        p, q = poly(0), poly(1)
+        got = {tuple(counts[d] for d in range(dims)): coef
+               for counts, coef in layout.decode(layout.mul(layout.pack(p.items()),
+                                                            layout.pack(q.items())))}
+        assert got == truncated_product(p, q, caps), (bounds, p, q)

@@ -77,6 +77,8 @@ def test_folding_equals_explicit_exponents(seed):
     """The cell-folded symmetric path equals the profile-weighted path
     with explicit (k,h)(P) exponents, on random signatures."""
     from fractions import Fraction
+    from fo2mc.parser import parse_weight_expr
+    from fo2mc.weights import wfomc_profile
     rng = random.Random(seed ^ 0xF01D)
     problem = random_problem(seed)
     weights = {p: (Fraction(rng.randrange(1, 4)), Fraction(rng.randrange(1, 4)))
@@ -84,14 +86,7 @@ def test_folding_equals_explicit_exponents(seed):
     solver = Solver(problem)
     n = rng.choice((1, 2, 3))
     folded = solver.weighted_total(n, (), fold=weights)
-
-    def explicit(cards):
-        total = Fraction(1)
-        for pred, (w1, w0) in weights.items():
-            sites = n ** problem.signature.arity(pred)
-            total *= w1 ** cards[pred] * w0 ** (sites - cards[pred])
-        return total
-
-    tracked = tuple(sorted(weights))
-    assert folded == solver.weighted_total(n, tracked, weight_fn=explicit)
+    explicit = " * ".join(f"{w1}^|{pred}| * {w0}^({n ** problem.signature.arity(pred)} - |{pred}|)"
+                          for pred, (w1, w0) in sorted(weights.items()))
+    assert folded == wfomc_profile(solver, n, parse_weight_expr(explicit, problem.signature))
 

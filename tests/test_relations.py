@@ -1,13 +1,15 @@
 """Relations between counts that hold at every domain size, checked at
 n = 5..8, past the oracle's reach: the successor encoding counts what the
 per-element census counts, an unrelated symmetric predicate or an unused
-one multiplies a count by the number of its interpretations, the models
-where every element satisfies a counting formula and those where some
-element does not add up to all models, renaming predicates or variables
-and reordering conjuncts change no count, and a weight w on one predicate
-sums its table's counts times w to the card.  The symmetric predicate,
-and one side of each complement, send a directed problem through pair
-factors."""
+one multiplies a count and each profile by the number of its
+interpretations, the models where every element satisfies a counting
+formula and those where some element does not add up to all models,
+renaming predicates or variables and reordering conjuncts change no
+count, and a weight w on one predicate sums its table's counts times w to
+the card.  The successor encoding of a directed problem reads element
+rows with a tie counter; the symmetric predicate, and one side of each
+complement, send a directed problem through pair factors, with a tie
+counter where it has a counting block."""
 
 import math
 from fractions import Fraction
@@ -25,9 +27,7 @@ from fo2mc.weights import wfomc_symmetric
 
 from conftest import walk_problems
 
-#: the largest n per problem where 8 is too slow: on the successor encoding
-#: two_blocks's breakdown with R tracked takes about 15 s at n = 8
-LARGEST = {"two_blocks": 6}
+SIZES = range(5, 9)
 
 
 def relation_problems() -> dict[str, Problem]:
@@ -58,12 +58,13 @@ def with_symmetric_f(problem: Problem) -> Problem:
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_forced_fallback(name):
     """``Solver(s.successor_encoding())`` gives ``s``'s counts, and its
-    breakdown with A tracked (R where the problem has no A)."""
+    breakdown with A and R tracked, each where the problem has it."""
     problem = PROBLEMS[name]
     solver = Solver(problem)
     fallback = Solver(solver.successor_encoding())
-    tracked = ("A",) if "A" in problem.signature else ("R",)
-    for n in range(5, LARGEST.get(name, 8) + 1):
+    tracked = tuple(p for p in ("A", "R") if p in problem.signature)
+    assert tracked
+    for n in SIZES:
         assert fallback.count(n) == solver.count(n), n
         assert (fallback.breakdown(n, tracked).profiles
                 == solver.breakdown(n, tracked).profiles), n
@@ -72,15 +73,23 @@ def test_forced_fallback(name):
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_unrelated_symmetric_predicate(name):
     """Conjoining a symmetric F the problem does not mention multiplies its
-    count by 2^(n + C(n, 2)); two_blocks is refused with F (34 table bits)."""
+    count by 2^(n + C(n, 2)), and at n = 5 and 6 each row of its breakdown
+    with A tracked (R where the problem has no A); two_blocks is refused
+    with F (34 table bits)."""
     problem = PROBLEMS[name]
     if name == "two_blocks":
         with pytest.raises(UnsupportedFeatureError, match="34 table bits"):
             Solver(with_symmetric_f(problem))
         return
     solver, extended = Solver(problem), Solver(with_symmetric_f(problem))
-    for n in range(5, LARGEST.get(name, 8) + 1):
-        assert extended.count(n) == solver.count(n) * 2 ** (n + math.comb(n, 2)), n
+    tracked = ("A",) if "A" in problem.signature else ("R",)
+    for n in SIZES:
+        factor = 2 ** (n + math.comb(n, 2))
+        assert extended.count(n) == solver.count(n) * factor, n
+        if n <= 6:
+            rows = solver.breakdown(n, tracked).profiles
+            assert extended.breakdown(n, tracked).profiles == [
+                (cards, value * factor) for cards, value in rows], n
 
 
 @pytest.mark.parametrize("arity", (1, 2))
@@ -90,7 +99,7 @@ def test_unused_predicate(name, arity):
     by 2^n (unary) or 2^(n^2) (binary)."""
     problem = PROBLEMS[name]
     solver, extended = Solver(problem), Solver(declaring(problem, "U", arity))
-    for n in range(5, LARGEST.get(name, 8) + 1):
+    for n in SIZES:
         assert extended.count(n) == solver.count(n) * 2 ** n ** arity, n
 
 
@@ -175,7 +184,7 @@ def test_renaming(name, transform):
     conjuncts leaves every count unchanged."""
     problem = PROBLEMS[name]
     solver, other = Solver(problem), Solver(transformed(problem, transform))
-    for n in range(5, LARGEST.get(name, 8) + 1):
+    for n in SIZES:
         assert other.count(n) == solver.count(n), n
 
 
@@ -186,7 +195,7 @@ def test_weights_against_tables(name):
     problem = PROBLEMS[name]
     pred = "A" if "A" in problem.signature else "R"
     solver = Solver(problem)
-    for n in range(5, LARGEST.get(name, 8) + 1):
+    for n in SIZES:
         table = solver.breakdown(n, (pred,)).profiles
         for w in (2, 3):
             weights = {p: (Fraction(w if p == pred else 1), Fraction(1))

@@ -99,18 +99,12 @@ def test_symmetric_on_counting_problem():
 def test_folding_equivalence():
     """The cell-folded symmetric path equals the profile-weighted path
     with the explicit exponent formula."""
-    text = RUNNING_EXAMPLE + "weight A 3 1\nweight R 1 2\n"
-    p = parse_problem(text)
-    s = Solver(p)
+    folded = Solver(parse_problem(RUNNING_EXAMPLE + "weight A 3 1\nweight R 1 2\n"))
+    bare = Solver(parse_problem(RUNNING_EXAMPLE))
     for n in (1, 2, 3):
-        folded = wfomc_symmetric(s, n)
-        explicit = s.weighted_total(
-            n, ("A", "R"),
-            weight_fn=lambda cards: (Fraction(3) ** cards["A"]
-                                     * Fraction(1) ** (n - cards["A"])
-                                     * Fraction(1) ** cards["R"]
-                                     * Fraction(2) ** (n * n - cards["R"])))
-        assert folded == explicit
+        explicit = parse_weight_expr(f"3^|A| * 1^({n} - |A|) * 1^|R| * 2^({n * n} - |R|)",
+                                     bare.norm.signature)
+        assert wfomc_symmetric(folded, n) == wfomc_profile(bare, n, explicit)
 
 
 def test_profile_weight_unit_is_fomc():
