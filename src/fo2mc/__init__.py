@@ -2,7 +2,7 @@
 cardinality constraints and counting quantifiers, with weighted counting
 and count distributions, verified against a brute-force ground oracle."""
 
-from .engine import CountResult, Solver, witness_deficit_counts
+from .engine import Solver
 from .errors import (Fo2mcError, InternalConsistencyError, OracleCapError,
                      ParseError, SemanticError, UnsupportedFeatureError)
 from .cells import CellStructure, build_cells
@@ -16,12 +16,11 @@ from .weights import (count_distribution, distribution_table, wfomc_profile,
                       wfomc_symmetric)
 
 __all__ = [
-    "CellStructure", "CountResult", "Fo2mcError", "GroundFormula",
-    "InternalConsistencyError", "NormalizedProblem", "OracleCapError",
-    "OracleReport", "ParseError", "Problem", "SemanticError", "Solver",
-    "UnsupportedFeatureError", "build_cells", "count_distribution",
-    "distribution_table", "dump_normalized", "eval_qf", "ground",
-    "witness_deficit_counts", "normalize", "oracle_count",
+    "CellStructure", "Fo2mcError", "GroundFormula", "InternalConsistencyError",
+    "NormalizedProblem", "OracleCapError", "OracleReport", "ParseError",
+    "Problem", "SemanticError", "Solver", "UnsupportedFeatureError",
+    "build_cells", "count_distribution", "distribution_table",
+    "dump_normalized", "eval_qf", "ground", "normalize", "oracle_count",
     "oracle_distribution", "oracle_stratified", "parse_formula",
     "parse_problem", "spec_count", "spec_terms", "successor_encoding",
     "wfomc_profile", "wfomc_symmetric",

@@ -333,11 +333,6 @@ def _emit_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(", ", ": "))
 
 
-def _profiles_payload(result):
-    return [{"cards": cards, "value": decimal_str(Fraction(value))}
-            for cards, value in result.profiles]
-
-
 def _count_sizes(args):
     if args.n_range:
         return list(_parse_range(args))
@@ -351,27 +346,32 @@ def _run_count(args, out, err) -> int:
     problem = _load_problem(args)
     sizes = _count_sizes(args)
     solver = Solver(problem)
-    tracked = args.track.split(",") if args.track else []
+    tracked = [pred.strip() for pred in args.track.split(",")] if args.track else []
     for pred in tracked:
+        if not pred:
+            raise SemanticError(f"--track names an empty predicate: {args.track!r}")
         if pred.startswith(SYNTHETIC_PREFIX):
             raise SemanticError(f"names starting with {SYNTHETIC_PREFIX!r} are reserved")
         if pred not in solver.norm.signature:
             raise SemanticError(f"cannot track undeclared predicate {pred}")
+    by = sorted(dict.fromkeys(tracked), key=solver.norm.signature.arity)  # unary first
     if args.format == "csv":
         out.write("n,count\n")
     for n in sizes:
         start = time.monotonic()
         if args.profiles:
-            result = solver.breakdown(n, tracked)
-            value = _as_count(result.total)
+            groups = solver.read(n, by)
+            value = _as_count(sum(groups.values()))
         else:
-            result, value = None, solver.count(n)
+            groups, value = None, solver.count(n)
         elapsed = int((time.monotonic() - start) * 1000)
         with _exact_digits():
             payload = {"n": n, "count": str(value), "mode": "fomc",
                        "runtime_ms": elapsed}
-            if result is not None:
-                payload["profiles"] = _profiles_payload(result)
+            if groups is not None:
+                payload["profiles"] = [{"cards": dict(zip(by, cards)),
+                                        "value": decimal_str(Fraction(v))}
+                                       for cards, v in sorted(groups.items())]
         if args.format == "json":
             out.write(_emit_json(payload) + "\n")
         elif args.format == "csv":

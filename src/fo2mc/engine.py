@@ -20,7 +20,8 @@ group counts: one group is the n-th power of a per-element polynomial.
 The census is one depth-first walk (``_walk``): the groups raising a
 tracked unary card go first, the cards' partial sums are carried down,
 and no subtree whose cards cannot land in their box of card ranges is
-entered.  ``Solver`` is the one entry point.
+entered.  ``Solver.read`` is the one entry point, and the one place an
+evaluator is built.
 
 Counters, one per tracked predicate (unary ones first) and one per guard
 (one tie counter in the successor encoding), are raised by the true atoms of
@@ -41,9 +42,10 @@ they rule out is never reached.  A table has one read: it decodes each
 census key's digits inside the key's box of card ranges once (a key whose
 layout packs no card is its own value), keeps the rows the
 constraint allows, and adds each row times its profile weight into one
-integer per value of some of the cards (none for ``total``), divided by
-the scale once per group.  A lower bound on a binary card may be read as
-the total without it minus the total under its negation.
+integer per value of some of the cards (none for a total), divided by
+the scale once per group.  In a total with no profile weight, a lower
+bound on a binary card may be read as the total without it minus the
+total under its negation.
 """
 
 from __future__ import annotations
@@ -56,8 +58,9 @@ from typing import Iterator, Mapping, Sequence
 
 from .cells import CellStructure, build_cells
 from .errors import InternalConsistencyError, SemanticError
-from .logic import (CARD_TRUE, CardAnd, CardCompare, CardConstraint, card_conjoin,
-                    constraint_predicates, slot_bit)
+from .logic import (CARD_TRUE, CardAnd, CardCompare, CardConstraint, WeightExpr,
+                    card_conjoin, constraint_predicates, slot_bit, weight_function,
+                    weight_predicates)
 from .normalize import CountingBlock, NormalizedProblem, normalize, successor_encoding
 from .parser import Problem
 
@@ -784,12 +787,6 @@ class ProfileEvaluator:
 # solver front end
 
 
-class CountResult:
-    def __init__(self, total: object, profiles: list[tuple[dict, object]] | None = None):
-        self.total = total  # int for pure counting, Fraction for weighted sums
-        self.profiles = profiles
-
-
 def _as_count(total) -> int:
     if isinstance(total, Fraction):
         if total.denominator != 1:
@@ -802,9 +799,9 @@ def _as_count(total) -> int:
 
 
 class Solver:
-    """Builds the normalized problem and its cell tables once; answers
-    count/weighted-count queries per domain size.  Pure and reusable
-    across domain sizes, so benchmarks amortize the table sweep."""
+    """Builds the normalized problem and its cell tables once and answers
+    every query through ``read``.  Only the cells are shared across domain
+    sizes: each read builds its own evaluator."""
 
     def __init__(self, problem: Problem | NormalizedProblem):
         norm = problem if isinstance(problem, NormalizedProblem) else normalize(problem)
@@ -833,50 +830,35 @@ class Solver:
             return self.norm
         return successor_encoding(self.norm, self._unpinned())
 
-    # -- profile tables -------------------------------------------------------
+    def profile_table(self, n: int, tracked: Sequence[str] = (), fold: Weights | None = None,
+                      constraint: CardConstraint = CARD_TRUE) -> tuple[tuple[str, ...], dict]:
+        """(key names, ``read`` grouped by every tracked card, unary first).
+        Nothing in the package calls it; the benchmark harness wraps it."""
+        names = tuple(sorted(dict.fromkeys(tracked), key=self.norm.signature.arity))
+        return names, self.read(n, names, None, fold, constraint)
 
-    def profile_table(self, n: int, tracked: Sequence[str] = (),
-                      fold: Weights | None = None,
-                      constraint: CardConstraint = CARD_TRUE
-                      ) -> tuple[tuple[str, ...], dict]:
-        """Profile table keyed by the tracked predicate cardinalities,
-        with every counting block already enforced, holding the rows the
-        ``constraint`` over them allows.  Returns (key names, table)."""
-        ev = ProfileEvaluator(self.norm, self.cells, n, tracked, fold, constraint)
-        return ev.key_names, ev.table()
-
-    # -- counting entry points ---------------------------------------------------
-
-    def _evaluator(self, n: int, tracked: Sequence[str], fold: Weights | None,
-                   constraint: CardConstraint | None) -> ProfileEvaluator:
-        """The evaluator over the tracked predicates and the constraint's
-        own, for the profiles the constraint (the problem's by default)
-        allows."""
-        if constraint is None:
-            constraint = self.norm.constraint
-        tracked = tuple(dict.fromkeys((*tracked, *sorted(constraint_predicates(constraint)))))
-        return ProfileEvaluator(self.norm, self.cells, n, tracked, fold, constraint)
-
-    def _total(self, n: int, tracked: Sequence[str], fold: Weights | None,
-               constraint: CardConstraint | None):
-        """The sum of the profile table the constraint (the problem's by
-        default) allows.  A comparison
-        that bounds a binary card from below, which nothing else tracks, is
-        read from its narrower side: the sum without the comparison minus
-        the sum under its negation, which caps the card at the largest lower
-        bound less one, wherever the products of the digits this saves
-        outweigh one more evaluation."""
+    def read(self, n: int, by: Sequence[str] = (), weight: WeightExpr | None = None,
+             fold: Weights | None = None, constraint: CardConstraint | None = None) -> dict:
+        """The grouped read, the one way into the census sum: the mass of
+        each vector of the ``by`` cards that the constraint (the problem's by
+        default) allows, the symmetric weights ``fold`` entering the factors
+        and the profile ``weight`` each row.  With no group and no weight, a
+        comparison that bounds a binary card from below, which nothing else
+        tracks, is read from its narrower side: the sum without the
+        comparison minus the sum under its negation, which caps the card at
+        the largest lower bound less one, wherever the products of the
+        digits this saves outweigh one more evaluation."""
         if constraint is None:
             constraint = self.norm.constraint
         parts, whole = _conjuncts(constraint)
         signature = self.norm.signature
         names = constraint_predicates(constraint)
-        if whole and all(p in signature for p in names):
+        if not by and weight is None and whole and all(p in signature for p in names):
             forms = [_linear(part) for part in parts]
             whole_ranges = {p: (0, n ** signature.arity(p)) for p in names}
             for i, (part, (coeffs, _, equation)) in enumerate(zip(parts, forms)):
                 rest = parts[:i] + parts[i + 1:]
-                others = set(tracked).union(*(f[0] for f in forms[:i] + forms[i + 1:]))
+                others = set().union(*(f[0] for f in forms[:i] + forms[i + 1:]))
                 for card, a in coeffs.items():
                     if a > 0 or equation or card in others or signature.arity(card) != 2:
                         continue
@@ -884,55 +866,21 @@ class Solver:
                     ranges = card_ranges(forms[:i] + forms[i + 1:] + [_linear(negation)],
                                          whole_ranges)
                     if ranges is None:  # the rest implies the comparison
-                        return self._total(n, tracked, fold, card_conjoin(rest))
+                        return self.read(n, fold=fold, constraint=card_conjoin(rest))
                     top = n * n
                     saved = (_counter_digits(top, top) ** 1.585
                              - _counter_digits(ranges[card][1], top) ** 1.585)
                     if saved > _EVALUATION_DIGITS:
-                        return (self._total(n, tracked, fold, card_conjoin(rest))
-                                - self._total(n, tracked, fold, card_conjoin(rest + [negation])))
-        return self._evaluator(n, tracked, fold, constraint).total()
+                        total = (self.read(n, fold=fold, constraint=card_conjoin(rest)).get((), 0)
+                                 - self.read(n, fold=fold, constraint=card_conjoin(rest + [negation]))
+                                 .get((), 0))
+                        return {(): total} if total else {}
+        tracked = (*by, *sorted(weight_predicates(weight) if weight is not None else ()),
+                   *sorted(names))
+        ev = ProfileEvaluator(self.norm, self.cells, n, tracked, fold, constraint)
+        return ev.read(None if weight is None else weight_function(weight, ev.key_names.index), by)
 
     def count(self, n: int, constraint: CardConstraint | None = None) -> int:
         """Exact model count on domain size n, honoring the problem's
         cardinality constraint (or an explicit override)."""
-        return _as_count(self._total(n, (), None, constraint))
-
-    def weighted_total(self, n: int, tracked: Sequence[str],
-                       fold: Weights | None = None,
-                       constraint: CardConstraint | None = None) -> Fraction:
-        """Sum of F(profile) over profiles satisfying the constraint, the
-        symmetric weights ``fold`` entering F; a profile weight is read by
-        ``weights.wfomc_profile``."""
-        return Fraction(self._total(n, tracked, fold, constraint))
-
-    def breakdown(self, n: int, tracked: Sequence[str],
-                  fold: Weights | None = None,
-                  constraint: CardConstraint | None = None) -> CountResult:
-        """Per-profile signed terms for the tracked predicates."""
-        ev = self._evaluator(n, tracked, fold, constraint)
-        by = [p for p in ev.key_names if p in tracked]
-        groups = ev.read(by=by)
-        profiles = [(dict(zip(by, key)), val) for key, val in sorted(groups.items())]
-        return CountResult(total=sum(groups.values()), profiles=profiles)
-
-
-def witness_deficit_counts(problem: Problem | NormalizedProblem, n: int, m: int
-                        ) -> tuple[int, int]:
-    """Diagnostic for a single forall-exists problem, exposed for tests:
-    (p_m, e_m), the matrix models in which a marked set of exactly m
-    elements is witness-free (the sign predicate counted as an ordinary
-    predicate), and, by an alternating binomial sum over the p_j, those in
-    which exactly m elements have no witness."""
-    solver = Solver(problem)
-    norm = solver.norm
-    if len(norm.sign_preds) != 1 or norm.blocks:
-        raise SemanticError("diagnostic requires exactly one forall-exists conjunct")
-    if not 0 <= m <= n:
-        raise SemanticError(f"m = {m} is outside 0..{n}, the domain size")
-    # weight -1 on the marked types cancels their sign: the marked set is
-    # counted like an ordinary predicate
-    _, table = solver.profile_table(n, norm.sign_preds, {norm.sign_preds[0]: (-1, 1)})
-    p = [table.get((j,), 0) for j in range(n + 1)]
-    e_m = sum((-1) ** (j - m) * math.comb(j, m) * p[j] for j in range(m, n + 1))
-    return p[m], e_m
+        return _as_count(self.read(n, constraint=constraint).get((), 0))

@@ -245,15 +245,21 @@ def rebuild(formula: Formula, subs) -> Formula:
 
 
 def substitute(formula: Formula, mapping: Mapping[str, str]) -> Formula:
-    """Simultaneously rename free variables.  Quantified variables are
-    never renamed; the parser guarantees no rebinding, so capture cannot
-    occur for the swaps and merges used here."""
+    """Simultaneously rename variables.  A permutation of the variables (the
+    swap of x and y) renames the bound ones too, which gives an
+    alpha-equivalent formula and cannot capture; any other mapping renames
+    free variables only, so a merge of x and y is safe on quantifier-free
+    formulas only."""
     if isinstance(formula, Atom):
         return Atom(formula.pred, tuple(mapping.get(a, a) for a in formula.args))
     if isinstance(formula, Eq):
         return Eq(mapping.get(formula.left, formula.left),
                   mapping.get(formula.right, formula.right))
     if isinstance(formula, (Forall, Exists, Counting)):
+        if set(mapping) == set(mapping.values()):
+            var, body = mapping.get(formula.var, formula.var), substitute(formula.body, mapping)
+            return (Counting(formula.cmp, formula.count, var, body)
+                    if isinstance(formula, Counting) else type(formula)(var, body))
         mapping = {k: v for k, v in mapping.items() if k != formula.var}
     return rebuild(formula, [substitute(s, mapping) for s in subformulas(formula)])
 

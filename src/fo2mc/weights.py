@@ -4,10 +4,9 @@ Symmetric weights multiply a per-literal factor over every ground atom
 and enter the engine's factors as coefficients, so they need no extra
 counters.  Profile weights are arithmetic expressions over predicate
 cardinalities, evaluated per profile; they subsume the symmetric family
-and are what count distributions are built from.  Each is compiled once
-(``logic.weight_function``) and summed by one grouped read of the packed
-table (``ProfileEvaluator.read``): into one group for ``wfomc_profile``,
-into one per query cardinality vector for a distribution.  The sums stay
+and are what count distributions are built from.  Each is summed by one
+grouped read, ``Solver.read``: into one group for ``wfomc_profile``, into
+one per query cardinality vector for a distribution.  The sums stay
 integers unless a weight is not; they become ``Fraction``s here.
 """
 
@@ -18,7 +17,7 @@ from typing import Mapping, Sequence
 
 from .engine import Solver
 from .errors import SemanticError
-from .logic import WeightExpr, weight_function, weight_predicates
+from .logic import WeightExpr
 from .normalize import NormalizedProblem
 from .parser import Problem
 
@@ -48,7 +47,7 @@ def wfomc_symmetric(problem: Problem | NormalizedProblem | Solver, n: int,
     if weights is None:
         weights = solver.norm.symmetric_weights
     _check_symmetric(solver, weights)
-    return Fraction(solver.weighted_total(n, (), fold=weights))
+    return Fraction(solver.read(n, fold=weights).get((), 0))
 
 
 def wfomc_profile(problem: Problem | NormalizedProblem | Solver, n: int,
@@ -58,10 +57,7 @@ def wfomc_profile(problem: Problem | NormalizedProblem | Solver, n: int,
     problem's profile weight and the problem's symmetric weights, if it
     declares any, are folded into F: the weighting is their product."""
     solver = _solver(problem)
-    weight, fold = _weight_setup(solver, weight)
-    if weight is None:
-        return Fraction(solver.weighted_total(n, (), fold))
-    return Fraction(_grouped(solver, n, (), weight, fold).get((), 0))
+    return Fraction(solver.read(n, (), *_weight_setup(solver, weight)).get((), 0))
 
 
 def _weight_setup(solver: Solver, weight):
@@ -77,26 +73,12 @@ def _weight_setup(solver: Solver, weight):
     return weight, symmetric or None
 
 
-def _grouped(solver: Solver, n: int, by: Sequence[str], weight: WeightExpr | None,
-             fold) -> dict[tuple[int, ...], int | Fraction]:
-    """The weighted mass of each vector of the ``by`` cards that the
-    problem's constraint allows: one grouped read, the weight compiled
-    against the evaluator's rows."""
-    tracked = tuple(by)
-    if weight is not None:
-        tracked += tuple(sorted(weight_predicates(weight)))
-    ev = solver._evaluator(n, tracked, fold, None)
-    if weight is not None:
-        weight = weight_function(weight, ev.key_names.index)
-    return ev.read(weight, by)
-
-
 def _strata(solver: Solver, n: int, query_preds: Sequence[str], weight
             ) -> tuple[dict[tuple[int, ...], int | Fraction], Fraction]:
     """The weighted mass of each query cardinality vector the problem's
     constraint allows, and the partition function, which must be nonzero.
     Feasible strata stay in the table even at mass zero."""
-    mass = _grouped(solver, n, query_preds, *_weight_setup(solver, weight))
+    mass = solver.read(n, query_preds, *_weight_setup(solver, weight))
     z = Fraction(sum(mass.values()))
     if z == 0:
         raise SemanticError("partition function is zero; the distribution "

@@ -1,16 +1,19 @@
 """Shared helpers: parsing shortcuts, a seeded random problem generator
-used by property and integrality tests, and the census walk's problems,
-which the relation tests share."""
+used by property and integrality tests, the census walk's problems,
+which the relation tests share, and reads of ``Solver`` shaped for tests."""
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
 
+from fo2mc.engine import ProfileEvaluator, Solver
+from fo2mc.errors import SemanticError
 from fo2mc.logic import (And, Atom, CardCompare, Counting, Eq, Exists, Forall,
                          Formula, Iff, Implies, LinearExpr, Not, Or, Signature,
-                         CARD_TRUE)
+                         CARD_TRUE, constraint_predicates)
 from fo2mc.parser import Problem, parse_problem
 
 RUNNING_EXAMPLE = """\
@@ -114,3 +117,41 @@ def walk_problems():
         body = And(problem.sentence, Forall("x", random_qf(rng, unary, 2)))
         problems.append(Problem(problem.signature, body, problem.constraint))
     return problems
+
+
+def profile_rows(solver: Solver, n: int, tracked, fold=None, constraint=None) -> list:
+    """``Solver.read`` grouped by the tracked cards (deduplicated, unary
+    first) as sorted (cards, value) rows, the rows ``count --profiles``
+    prints."""
+    by = sorted(dict.fromkeys(tracked), key=solver.norm.signature.arity)
+    return [(dict(zip(by, cards)), value)
+            for cards, value in sorted(solver.read(n, by, None, fold, constraint).items())]
+
+
+def evaluator(solver: Solver, n: int, tracked=()) -> ProfileEvaluator:
+    """The evaluator ``Solver.read`` builds for an unweighted read grouped
+    by ``tracked``: the problem's constraint applies, and its cards are
+    tracked too."""
+    constraint = solver.norm.constraint
+    tracked = (*tracked, *sorted(constraint_predicates(constraint)))
+    return ProfileEvaluator(solver.norm, solver.cells, n, tracked, None, constraint)
+
+
+def witness_deficit_counts(problem, n: int, m: int) -> tuple[int, int]:
+    """For a single forall-exists problem: (p_m, e_m), the matrix models in
+    which a marked set of exactly m elements is witness-free (the sign
+    predicate counted as an ordinary predicate), and, by an alternating
+    binomial sum over the p_j, those in which exactly m elements have no
+    witness."""
+    solver = Solver(problem)
+    norm = solver.norm
+    if len(norm.sign_preds) != 1 or norm.blocks:
+        raise SemanticError("diagnostic requires exactly one forall-exists conjunct")
+    if not 0 <= m <= n:
+        raise SemanticError(f"m = {m} is outside 0..{n}, the domain size")
+    # weight -1 on the marked types cancels their sign: the marked set is
+    # counted like an ordinary predicate
+    table = solver.read(n, norm.sign_preds, None, {norm.sign_preds[0]: (-1, 1)}, CARD_TRUE)
+    p = [table.get((j,), 0) for j in range(n + 1)]
+    e_m = sum((-1) ** (j - m) * math.comb(j, m) * p[j] for j in range(m, n + 1))
+    return p[m], e_m

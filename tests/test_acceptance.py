@@ -9,13 +9,14 @@ from fractions import Fraction
 
 from fo2mc.cells import build_cells
 from fo2mc.corpus import load_corpus, verify_entry
-from fo2mc.engine import Solver, witness_deficit_counts
+from fo2mc.engine import Solver
 from fo2mc.normalize import normalize
 from fo2mc.oracle import oracle_stratified, spec_terms
 from fo2mc.parser import parse_problem
 from fo2mc.weights import distribution_table
 
-from conftest import ZERO_OR_TWO_EXAMPLE, RUNNING_EXAMPLE, random_problem
+from conftest import (ZERO_OR_TWO_EXAMPLE, RUNNING_EXAMPLE, random_problem,
+                      witness_deficit_counts)
 
 GOLDEN_N_IJ = (4, 4, 2, 2, 4, 2, 2, 4, 4, 4)
 

@@ -14,7 +14,7 @@ from fo2mc.logic import card_conjoin
 from fo2mc.oracle import oracle_count
 from fo2mc.parser import parse_cardinality, parse_problem
 
-from conftest import SYM2BLK, SYMMETRIC, random_problem, walk_problems
+from conftest import SYM2BLK, SYMMETRIC, evaluator, random_problem, walk_problems
 
 
 def count(solver, problem, n, text=None):
@@ -102,7 +102,7 @@ def test_pair_table_classes_pool(monkeypatch, text, parts, classes, want):
         walked.append(len(unary))
         return run(self, unary, *args)
     monkeypatch.setattr(ProfileEvaluator, "_walk", walk)
-    ev = Solver(parse_problem(text))._evaluator(6, (), None, None)
+    ev = evaluator(Solver(parse_problem(text)), 6)
     assert ev.total() == want
     assert (walked, len(ev.types)) == ([parts], classes)
 
@@ -113,7 +113,7 @@ def test_a_fixed_card_enters_one_census():
     problem = parse_problem("predicate A/1\npredicate R/2\nexists{=2} x A(x) & "
                             "forall x forall y (A(x) & A(y) -> (R(x,y) <-> R(y,x)))")
     solver = Solver(problem)
-    ev = solver._evaluator(40, (), None, None)
+    ev = evaluator(solver, 40)
     assert len(ev.types) == 2
     assert ev.total() == 780 * 2 ** (40 * 40 - 1)
     assert len(ev._at) == 1
@@ -133,7 +133,7 @@ def test_parts_raising_a_tracked_unary_card_come_first(monkeypatch):
     for seed in range(60):
         solver = Solver(random_problem(seed))
         for tracked in (("A",), ("A", "B"), ("B", "R")):
-            ev = solver._evaluator(3, tracked, None, None)
+            ev = evaluator(solver, 3, tracked)
             raising = [any(key) for key in ev._unary_keys]
             cut = raising.count(True)
             assert raising == [True] * cut + [False] * (len(raising) - cut)

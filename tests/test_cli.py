@@ -12,7 +12,7 @@ import pytest
 
 import fo2mc
 import fo2mc.corpus
-from fo2mc import cli
+from fo2mc import cli, engine
 from fo2mc.cli import build_parser, run
 from fo2mc.engine import Solver
 from fo2mc.errors import InternalConsistencyError
@@ -216,6 +216,60 @@ def test_track_refuses_synthetic_names():
                             "--track", "__P1", "--profiles")
     assert code == 1 and out == ""
     assert "names starting with '__' are reserved" in err
+
+
+def test_track_names_are_stripped():
+    """Spaces around a --track name are not part of it."""
+    _, want, _ = invoke("count", "-n", "2", "-e", RUNNING_EXAMPLE, "--track", "A,R", "--profiles")
+    code, out, err = invoke("count", "-n", "2", "-e", RUNNING_EXAMPLE,
+                            "--track", " A, R ", "--profiles")
+    assert (code, out, err) == (0, want, "")
+
+
+@pytest.mark.parametrize("names", ["A,,R", "A,", " , R"])
+def test_track_refuses_an_empty_name(names):
+    code, out, err = invoke("count", "-n", "2", "-e", RUNNING_EXAMPLE, "--track", names)
+    assert code == 1 and out == ""
+    assert f"--track names an empty predicate: {names!r}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "-n", "3", "-e", RUNNING_EXAMPLE],
+    ["wfomc", "-n", "3", "-e", RUNNING_EXAMPLE + "weight A 2 1\nweight R 1 3\n"],
+    ["wfomc", "-n", "3", "-e", RUNNING_EXAMPLE, "--weight", "2^|A| + |R|"],
+    ["dist", "-n", "3", "-e", RUNNING_EXAMPLE, "--query", "|A| = 1"],
+    ["count", "-n", "3", "-e", RUNNING_EXAMPLE, "--track", "R,A", "--profiles"],
+], ids=["count", "wfomc-symmetric", "wfomc-profile", "dist", "profiles"])
+def test_one_evaluator_per_answer(argv, monkeypatch):
+    """``Solver.read`` builds the one evaluator of each answer."""
+    built = []
+
+    def counted(*args, evaluator=engine.ProfileEvaluator):
+        built.append(args)
+        return evaluator(*args)
+    monkeypatch.setattr(engine, "ProfileEvaluator", counted)
+    code, _, err = invoke(*argv)
+    assert (code, err, len(built)) == (0, "", 1)
+
+
+def test_evaluator_is_built_in_one_place():
+    src = Path(fo2mc.__file__).parent
+    sites = [(path.name, line) for path in sorted(src.rglob("*.py"))
+             for line in path.read_text().splitlines() if "ProfileEvaluator(" in line]
+    assert len(sites) == 1 and sites[0][0] == "engine.py", sites
+
+
+REMOVED_NAMES = ("CountResult", "witness_deficit_counts", "weighted_total", "breakdown")
+
+
+def test_public_api():
+    """Every exported name resolves, and none of the removed ones is
+    exported or left on ``Solver``."""
+    for name in fo2mc.__all__:
+        assert getattr(fo2mc, name) is not None, name
+    assert not set(REMOVED_NAMES) & set(fo2mc.__all__)
+    assert not [name for name in REMOVED_NAMES if hasattr(Solver, name) or hasattr(fo2mc, name)]
+    assert not hasattr(fo2mc.weights, "_grouped")
 
 
 def test_exit_code_unsupported():

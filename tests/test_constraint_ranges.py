@@ -2,7 +2,7 @@
 conjunctive constraint gives the one packed card it bounds a range, and
 the count decodes only the digits inside the ranges, with no check per
 row.  Checked against the ground oracle and against the sum of the rows
-that ``breakdown`` decodes and filters."""
+that ``Solver.read`` decodes and filters by tracked card."""
 
 import random
 
@@ -44,8 +44,7 @@ def random_constraint(rng: random.Random, n: int):
 
 
 def rows_total(solver, n, tracked, constraint, fold=None):
-    return sum(value for _, value in
-               solver.breakdown(n, tracked, fold, constraint=constraint).profiles)
+    return sum(solver.read(n, tracked, None, fold, constraint).values())
 
 
 @pytest.fixture

@@ -4,14 +4,14 @@ import pytest
 
 from fo2mc.cells import build_cells
 from fo2mc.corpus import load_corpus
-from fo2mc.engine import ProfileEvaluator, Solver, witness_deficit_counts
+from fo2mc.engine import ProfileEvaluator, Solver
 from fo2mc.errors import SemanticError
 from fo2mc.logic import CARD_TRUE, CardCompare, LinearExpr, card_conjoin
 from fo2mc.oracle import oracle_count, oracle_stratified, spec_count, spec_terms
 from fo2mc.parser import parse_problem
 
 from conftest import (RUNNING_EXAMPLE, THREE_WITNESS, TWO_WITNESS, ZERO_OR_TWO_EXAMPLE,
-                      random_problem)
+                      profile_rows, random_problem, witness_deficit_counts)
 
 
 def running_solver():
@@ -213,26 +213,25 @@ def test_unpinned_pattern_matches_oracle():
 
 def test_profile_breakdown_running():
     s = running_solver()
-    result = s.breakdown(2, ("A",))
-    assert result.total == 48
-    assert [(cards["A"], value) for cards, value in result.profiles] == \
+    rows = profile_rows(s, 2, ("A",))
+    assert sum(value for _, value in rows) == 48
+    assert [(cards["A"], value) for cards, value in rows] == \
         [(0, 16), (1, 16), (2, 16)]
 
 
 def test_breakdown_empty_tracking():
     s = running_solver()
-    result = s.breakdown(3, ())
-    assert result.profiles == [({}, 1792)]
+    assert profile_rows(s, 3, ()) == [({}, 1792)]
 
 
 def test_breakdown_binary_tracking():
     s = running_solver()
-    result = s.breakdown(2, ("R",))
+    rows = profile_rows(s, 2, ("R",))
     strata = oracle_stratified(s.norm.signature, parse_problem(RUNNING_EXAMPLE).sentence,
                                2, preds=("R",))
-    assert {cards["R"]: value for cards, value in result.profiles} == \
+    assert {cards["R"]: value for cards, value in rows} == \
         {r: c for (r,), c in strata.items()}
-    assert result.total == 48
+    assert sum(value for _, value in rows) == 48
 
 
 def test_stratified_census_identity():
@@ -344,9 +343,9 @@ def test_path_choice(monkeypatch):
         solver = Solver(parse_problem(text))
         if encoded:  # the successor encoding, with its tie counter
             solver = Solver(solver.successor_encoding())
-        result = solver.breakdown(n, tracked)
+        rows = profile_rows(solver, n, tracked)
         assert len(walks) == len(groups_seen) == 1
-        return walks[0], groups_seen[0], result
+        return walks[0], groups_seen[0], rows
 
     # (classes, columns, groups, unary cards)
     for text, shape in [("forall x exists y R(x,y)", (2, 1, 1, "pack")),
@@ -366,9 +365,9 @@ def test_path_choice(monkeypatch):
     # their successor encoding, and two_blocks's, keeps the directed matrix
     # and reads rows per element with a tie counter
     for name in ("count_eq1", "count_eq2", "two_blocks"):
-        path, _, result = path_of(corpus[name].text, 4, ("R",), encoded=True)
+        path, _, rows = path_of(corpus[name].text, 4, ("R",), encoded=True)
         assert path == "rows"
-        assert result.profiles == Solver(corpus[name].problem()).breakdown(4, ("R",)).profiles
+        assert rows == profile_rows(Solver(corpus[name].problem()), 4, ("R",))
     # (classes, distinct packed pair factors, groups, unary cards); with
     # pair factors the unary cards are census keys, whatever the estimate
     for text, tracked, shape in [
@@ -380,26 +379,26 @@ def test_path_choice(monkeypatch):
     # the unary-card rows: packed, but for A(x) -> B(x) with a free R, whose
     # packed integer would have (n + 1)^2 digits of about n^2 bits each
     coins = "predicate H/1\nforall x (H(x) | !H(x))"
-    _, shape, result = path_of(coins, 100, ("H",))
+    _, shape, rows = path_of(coins, 100, ("H",))
     assert shape == (2, 1, 1, "pack")
-    assert [value for _, value in result.profiles] == [math.comb(100, k) for k in range(101)]
+    assert [value for _, value in rows] == [math.comb(100, k) for k in range(101)]
     three_free = "predicate A/1\npredicate B/1\npredicate C/1\nforall x (A(x) | !A(x))"
-    _, shape, result = path_of(three_free, 10, ("A", "B", "C"))
-    assert shape == (8, 1, 1, "pack") and result.total == 8 ** 10
+    _, shape, rows = path_of(three_free, 10, ("A", "B", "C"))
+    assert shape == (8, 1, 1, "pack") and sum(value for _, value in rows) == 8 ** 10
     n = 30
     five_types = ("predicate A/1\npredicate B/1\npredicate C/1\n"
                   "forall x (A(x) -> (B(x) & C(x)))")
-    _, shape, result = path_of(five_types, n, ("A", "B", "C"))
+    _, shape, rows = path_of(five_types, n, ("A", "B", "C"))
     assert shape == (5, 1, 1, "pack")
-    assert result.profiles == [
+    assert rows == [
         ({"A": k, "B": k + b, "C": k + c},
          math.comb(n, k) * math.comb(n - k, b) * math.comb(n - k, c))
         for k in range(n + 1) for b in range(n - k + 1) for c in range(n - k + 1)]
     n = 100
     implied = "predicate A/1\npredicate B/1\npredicate R/2\nforall x (A(x) -> B(x))"
-    _, shape, result = path_of(implied, n, ("A", "B"))
+    _, shape, rows = path_of(implied, n, ("A", "B"))
     assert shape == (3, 1, 3, "split")
-    assert result.profiles == [({"A": a, "B": b}, math.comb(n, b) * math.comb(b, a) * 2 ** (n * n))
+    assert rows == [({"A": a, "B": b}, math.comb(n, b) * math.comb(b, a) * 2 ** (n * n))
                                for a in range(n + 1) for b in range(a, n + 1)]
 
 
@@ -433,5 +432,5 @@ def test_spec_operations_through_solver():
     constrained = Solver(parse_problem(RUNNING_EXAMPLE + "constraint |A| = 2\n"))
     assert constrained.count(2) == 16
     assert constrained.count(2, constraint=CARD_TRUE) == 48
-    assert constrained.breakdown(2, ("A",)).profiles == [({"A": 2}, 16)]
-    assert running_solver().breakdown(2, ("A",)).total == 48
+    assert profile_rows(constrained, 2, ("A",)) == [({"A": 2}, 16)]
+    assert sum(value for _, value in profile_rows(running_solver(), 2, ("A",))) == 48

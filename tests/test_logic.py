@@ -57,6 +57,12 @@ def test_free_vars_and_substitution():
     assert substitute(swapped, {"x": "y", "y": "x"}) == f
 
 
+def test_swap_renames_bound_variables_and_merge_only_free_ones():
+    f = parse_formula("R(y,x) & exists y S(x,y)")
+    assert substitute(f, {"x": "y", "y": "x"}) == parse_formula("R(x,y) & exists x S(y,x)")
+    assert substitute(f, {"y": "x"}) == parse_formula("R(x,x) & exists y S(x,y)")
+
+
 def test_conjunct_splitting():
     f = parse_formula("A(x) & (B(x) & C(x)) & D(x)")
     names = [c.pred for c in conjuncts(f)]

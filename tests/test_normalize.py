@@ -5,12 +5,12 @@ import pytest
 
 from fo2mc.engine import Solver
 from fo2mc.errors import UnsupportedFeatureError
-from fo2mc.logic import (Atom, CardCompare, Counting, Exists, Forall, Implies,
+from fo2mc.logic import (And, Atom, CardCompare, Counting, Exists, Forall, Iff, Implies,
                          LinearExpr, Not, Signature, is_quantifier_free)
 from fo2mc.normalize import (NameAllocator, NormalizedProblem, dump_normalized,
                              encode_counting, normalize, successor_encoding, to_scott)
 from fo2mc.oracle import oracle_count
-from fo2mc.parser import parse_formula, parse_problem
+from fo2mc.parser import Problem, parse_formula, parse_problem
 
 from conftest import ZERO_OR_TWO_EXAMPLE, RUNNING_EXAMPLE
 
@@ -170,6 +170,28 @@ def test_nested_counting_rejected():
                                  And(Atom("R", ("x", "y")), inner)))
     with pytest.raises(UnsupportedFeatureError, match="nested"):
         encode_counting(outer, NameAllocator(sig))
+
+
+R, S, A = (lambda a, b: Atom("R", (a, b))), (lambda a, b: Atom("S", (a, b))), (lambda a: Atom("A", (a,)))
+
+
+@pytest.mark.parametrize("arities, sentence", [
+    ({"R": 2, "S": 2},
+     Forall("y", Counting("=", 1, "x", And(R("y", "x"), Exists("y", S("x", "y")))))),
+    ({"A": 1, "R": 2, "S": 2},
+     Forall("y", Iff(A("y"), Counting("=", 1, "x", And(R("y", "x"),
+                                                       Forall("y", Implies(S("x", "y"),
+                                                                           A("y")))))))),
+], ids=["exists", "forall"])
+def test_counting_body_swap_renames_bound_variables(arities, sentence):
+    """Built without the parser, these bodies rebind y under a counting
+    quantifier over x.  The swap of x and y renames the bound y too, so
+    the counts match the oracle at n = 2 and 3 (where a free-only renaming
+    captured y: 48 / 12,096 and 336 / 314,560)."""
+    signature = Signature(arities)
+    solver = Solver(Problem(signature, sentence))
+    for n in (1, 2, 3):
+        assert solver.count(n) == oracle_count(signature, sentence, n).total, n
 
 
 def test_non_toplevel_single_var_counting_rejected():

@@ -10,14 +10,13 @@ from fractions import Fraction
 import pytest
 
 from fo2mc.corpus import load_corpus
-from fo2mc.engine import (ProfileEvaluator, Solver, _digit_bits, _Layout,
-                          witness_deficit_counts)
+from fo2mc.engine import ProfileEvaluator, Solver, _digit_bits, _Layout
 from fo2mc.errors import InternalConsistencyError
 from fo2mc.oracle import oracle_count, oracle_distribution
 from fo2mc.parser import parse_cardinality, parse_problem, parse_weight_expr
 from fo2mc.weights import count_distribution, distribution_table, wfomc_profile
 
-from conftest import RUNNING_EXAMPLE, random_problem
+from conftest import RUNNING_EXAMPLE, evaluator, random_problem, witness_deficit_counts
 
 CORPUS = {entry.name: entry for entry in load_corpus()}
 
@@ -222,7 +221,7 @@ def test_integer_problems_keep_int_rows():
     row exactly, so its rows stay integers."""
     solver = Solver(parse_problem(SUCCESSORS_M2))
     assert solver.norm.successors
-    _, table = solver.profile_table(3, ("R",))
+    table = solver.read(3, ("R",))
     assert table and all(type(value) is int for value in table.values())
 
 
@@ -268,7 +267,7 @@ def test_census_digit_widths_against_the_exact_bounds():
     for index, problem in enumerate(problems):
         solver = Solver(problem)
         for n in (1, 2, 3, 7, 20, 60)[index % 2::2]:
-            ev = solver._evaluator(n, (), None, None)
+            ev = evaluator(solver, n)
             tables, sends, _, g, bits = ev._factors()
             assert not (tables and sends)
             f = max([1] + [sum(abs(w) for _, w in poly) for poly in tables.values()])

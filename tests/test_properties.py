@@ -85,7 +85,7 @@ def test_folding_equals_explicit_exponents(seed):
                for p in problem.signature.user_predicates()}
     solver = Solver(problem)
     n = rng.choice((1, 2, 3))
-    folded = solver.weighted_total(n, (), fold=weights)
+    folded = solver.read(n, fold=weights).get((), 0)
     explicit = " * ".join(f"{w1}^|{pred}| * {w0}^({n ** problem.signature.arity(pred)} - |{pred}|)"
                           for pred, (w1, w0) in sorted(weights.items()))
     assert folded == wfomc_profile(solver, n, parse_weight_expr(explicit, problem.signature))

@@ -25,7 +25,7 @@ from fo2mc.logic import (And, Atom, CardCompare, Counting, Eq, Exists, Forall, I
 from fo2mc.parser import Problem, parse_problem
 from fo2mc.weights import wfomc_symmetric
 
-from conftest import walk_problems
+from conftest import profile_rows, walk_problems
 
 SIZES = range(5, 9)
 
@@ -58,7 +58,7 @@ def with_symmetric_f(problem: Problem) -> Problem:
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_forced_fallback(name):
     """``Solver(s.successor_encoding())`` gives ``s``'s counts, and its
-    breakdown with A and R tracked, each where the problem has it."""
+    rows with A and R tracked, each where the problem has it."""
     problem = PROBLEMS[name]
     solver = Solver(problem)
     fallback = Solver(solver.successor_encoding())
@@ -66,14 +66,13 @@ def test_forced_fallback(name):
     assert tracked
     for n in SIZES:
         assert fallback.count(n) == solver.count(n), n
-        assert (fallback.breakdown(n, tracked).profiles
-                == solver.breakdown(n, tracked).profiles), n
+        assert profile_rows(fallback, n, tracked) == profile_rows(solver, n, tracked), n
 
 
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_unrelated_symmetric_predicate(name):
     """Conjoining a symmetric F the problem does not mention multiplies its
-    count by 2^(n + C(n, 2)), and at n = 5 and 6 each row of its breakdown
+    count by 2^(n + C(n, 2)), and at n = 5 and 6 each of its rows
     with A tracked (R where the problem has no A); two_blocks is refused
     with F (34 table bits)."""
     problem = PROBLEMS[name]
@@ -87,8 +86,8 @@ def test_unrelated_symmetric_predicate(name):
         factor = 2 ** (n + math.comb(n, 2))
         assert extended.count(n) == solver.count(n) * factor, n
         if n <= 6:
-            rows = solver.breakdown(n, tracked).profiles
-            assert extended.breakdown(n, tracked).profiles == [
+            rows = profile_rows(solver, n, tracked)
+            assert profile_rows(extended, n, tracked) == [
                 (cards, value * factor) for cards, value in rows], n
 
 
@@ -191,12 +190,12 @@ def test_renaming(name, transform):
 @pytest.mark.parametrize("name", PROBLEMS)
 def test_weights_against_tables(name):
     """wfomc with weight (w, 1) on A (on R where there is no A) equals
-    sum_k w^k count(|A| = k), read from ``breakdown``, for w = 2 and 3."""
+    sum_k w^k count(|A| = k), read from ``Solver.read``, for w = 2 and 3."""
     problem = PROBLEMS[name]
     pred = "A" if "A" in problem.signature else "R"
     solver = Solver(problem)
     for n in SIZES:
-        table = solver.breakdown(n, (pred,)).profiles
+        table = profile_rows(solver, n, (pred,))
         for w in (2, 3):
             weights = {p: (Fraction(w if p == pred else 1), Fraction(1))
                        for p in problem.signature.user_predicates()}

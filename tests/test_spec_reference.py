@@ -47,8 +47,8 @@ def engine_count(problem, n, constraint):
     """``Solver``'s count, weighted like the reference's by the problem's
     symmetric weights."""
     if problem.symmetric_weights:
-        return Solver(problem).weighted_total(n, (), problem.symmetric_weights,
-                                              constraint=constraint)
+        return Solver(problem).read(n, fold=problem.symmetric_weights,
+                                    constraint=constraint).get((), 0)
     return Solver(problem).count(n, constraint)
 
 
@@ -95,15 +95,15 @@ def test_linear_card():
     "forall x exists y R(x,y)\nconstraint |R| >= 12"), ids=["symmetric", "forall_exists"])
 def test_complement_read(text, n, monkeypatch):
     """``Solver`` reads these lower bounds as the total without them minus
-    the total under their negation: three calls of ``Solver._total``."""
+    the total under their negation: three calls of ``Solver.read``."""
     problem = parse_problem("predicate R/2\n" + text)
     calls = []
-    total = Solver._total
+    read = Solver.read
 
-    def spy(self, *args):
-        calls.append(args[-1])
-        return total(self, *args)
+    def spy(self, *args, **kwargs):
+        calls.append(kwargs.get("constraint"))
+        return read(self, *args, **kwargs)
 
-    monkeypatch.setattr(Solver, "_total", spy)
+    monkeypatch.setattr(Solver, "read", spy)
     assert Solver(problem).count(n) == spec_count(problem, n)
     assert len(calls) == 3, [str(c) for c in calls]

@@ -9,7 +9,7 @@ from fo2mc.parser import parse_problem, parse_weight_expr
 from fo2mc.weights import (count_distribution, distribution_table,
                            wfomc_profile, wfomc_symmetric)
 
-from conftest import RUNNING_EXAMPLE
+from conftest import RUNNING_EXAMPLE, profile_rows
 
 COINS = """\
 predicate H/1
@@ -118,8 +118,7 @@ def test_coins_partition_and_strata():
     p = parse_problem(COINS)
     assert wfomc_profile(p, 4) == 16
     s = Solver(p)
-    result = s.breakdown(4, ("H",))
-    strata = {cards["H"]: value for cards, value in result.profiles}
+    strata = {cards["H"]: value for cards, value in profile_rows(s, 4, ("H",))}
     assert strata == {0: 1, 1: 4, 2: 6, 3: 4, 4: 1}
     w = p.profile_weight
     assert [weight_value(w, {"H": k}) for k in range(5)] == [2, 0, 2, 0, 2]
