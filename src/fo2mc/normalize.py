@@ -1,15 +1,21 @@
 """Rewrites a parsed sentence into the engine's canonical form.
 
-``normalize`` returns the per-element normal form.  Single-variable
-counting quantifiers become cardinality constraints on fresh unary
-predicates; any other ``exists{cmp m}`` becomes a block, a fresh unary
-predicate A standing for the occurrence, its guard, cmp and m, with no
-axioms: A means "the guard degree lies in the block's span" (outside it
-for at-least), which the engine enforces per element on matrices whose
-2-tables factor per direction.  ``=0``, ``<=0``, ``>=1`` and ``>=0`` are
-rewritten where they stand.  The result is brought to Scott normal form
-(one universal matrix plus forall-exists conjuncts), and each
-exists-conjunct is folded into the matrix through a fresh sign predicate.
+``normalize`` returns the per-element normal form.  ``to_scott`` brings
+the sentence to Scott normal form (one universal matrix plus
+forall-exists conjuncts) in one loop that replaces an innermost
+quantified subformula per step by a fresh unary predicate, one per
+distinct subformula: ``exists`` and ``forall`` by a definitional D, and
+``exists{cmp m}`` by a block, a fresh unary predicate A standing for the
+occurrence, its guard, cmp and m, with no axioms: A means "the guard
+degree lies in the block's span" (outside it for at-least), which the
+engine enforces per element on matrices whose 2-tables factor per
+direction.  ``=0``, ``<=0``, ``>=1`` and ``>=0`` are rewritten where they
+stand, and a closed counting quantifier that is a whole top-level
+conjunct becomes a cardinality constraint on a fresh unary predicate.
+Innermost first, a quantifier in a counting body, one that reuses a
+variable included, is replaced before the body is read.
+``eliminate_existentials`` then folds each exists-conjunct into the
+matrix through a fresh sign predicate.
 
 ``successor_encoding`` rewrites that form into the source paper's
 encoding, the engine's fallback for every other matrix: per degree k of a
@@ -130,7 +136,7 @@ class NormalizedProblem:
 
 
 # ---------------------------------------------------------------------------
-# Step 1: single-variable counting quantifiers -> cardinality constraints
+# Step 1: Scott normal form, with counting blocks
 
 
 def _distribute(sentence: Formula, bound: tuple[str, ...] = ()) -> list[Formula]:
@@ -148,76 +154,6 @@ def _distribute(sentence: Formula, bound: tuple[str, ...] = ()) -> list[Formula]
     return [sentence]
 
 
-def extract_single_var_counting(sentence: Formula, alloc: NameAllocator
-                                ) -> tuple[Formula, list[CardConstraint], list[Formula]]:
-    """Replace top-level conjuncts of the form ``exists{cmp m} v (body(v))``
-    by a constraint ``|A| cmp m`` with a fresh defining predicate A."""
-    kept: list[Formula] = []
-    constraints: list[CardConstraint] = []
-    definitions: list[Formula] = []
-    for part in _distribute(sentence):
-        if (isinstance(part, Counting)
-                and free_vars(part.body) <= {part.var}):
-            a = alloc.fresh("A", 1)
-            v = part.var
-            definitions.append(Forall(v, Iff(Atom(a, (v,)), part.body)))
-            constraints.append(CardCompare(part.cmp, LinearExpr.card(a),
-                                           LinearExpr.of(part.count)))
-        else:
-            kept.append(part)
-    return conjoin(kept) if kept else Forall("x", Eq("x", "x")), constraints, definitions
-
-
-# ---------------------------------------------------------------------------
-# Step 2: encode two-variable counting occurrences as blocks
-
-
-def encode_counting(sentence: Formula, alloc: NameAllocator
-                    ) -> tuple[Formula, tuple[CountingBlock, ...]]:
-    """Replace every ``exists{cmp m} v body(w,v)`` occurrence with A_i(w)
-    for a fresh A_i and the bare block (A_i, guard, cmp, m), but ``=0`` and
-    ``<=0`` by ``forall v !body``, ``>=1`` by ``exists v body`` and ``>=0``
-    by true.  A body other than a guard atom G(w,v) gets a definitional
-    guard, whose axiom (w renamed to x, v to y) is conjoined: one per
-    distinct body so renamed, so that occurrences counting the same body
-    share a guard degree."""
-    blocks: list[CountingBlock] = []
-    guards: dict[Formula, str] = {}
-
-    def walk(f: Formula, inside_counting: bool) -> Formula:
-        if not isinstance(f, Counting):
-            return rebuild(f, [walk(s, inside_counting) for s in subformulas(f)])
-        v = f.var
-        if f.count == 0 and f.cmp != ">=":
-            return Forall(v, Not(walk(f.body, inside_counting)))
-        if f.cmp == ">=" and f.count < 2:
-            return Exists(v, walk(f.body, inside_counting)) if f.count else Eq(v, v)
-        if inside_counting:
-            raise UnsupportedFeatureError(
-                "nested counting quantifiers are not supported")
-        body = walk(f.body, True)
-        w = other_variable(v)
-        if free_vars(body) <= {v}:
-            raise UnsupportedFeatureError(
-                "a counting quantifier over a single-variable formula is "
-                "only supported as a top-level conjunct")
-        if isinstance(body, Atom) and body.args == (w, v):
-            guard = body.pred
-        else:
-            renamed = substitute(body, {w: "x", v: "y"})
-            guard = guards.get(renamed) or guards.setdefault(renamed, alloc.fresh("R", 2))
-        blocks.append(CountingBlock(len(blocks) + 1, guard, f.cmp, f.count, alloc.fresh("A", 1)))
-        return Atom(blocks[-1].a_pred, (w,))
-
-    replaced = walk(sentence, False)
-    return conjoin([replaced, *(Forall("x", Forall("y", Iff(Atom(g, ("x", "y")), body)))
-                                for body, g in guards.items())]), tuple(blocks)
-
-
-# ---------------------------------------------------------------------------
-# Step 3: Scott normal form
-
-
 #: (connective, left quantifier, right quantifier) -> the one quantifier
 #: their same-variable sides merge into
 _MERGES = {(Or, Exists, Exists): Exists, (And, Forall, Forall): Forall,
@@ -226,7 +162,9 @@ _MERGES = {(Or, Exists, Exists): Exists, (And, Forall, Forall): Forall,
 
 def _pull(f: Formula) -> Formula:
     """Pull quantifiers outward through connectives whose other side does
-    not mention the bound variable; push negation through quantifiers."""
+    not mention the bound variable; push negation through quantifiers.
+    A counting quantifier stays where it stands, but ``=0`` and ``<=0``
+    become ``forall v !body``, ``>=1`` ``exists v body`` and ``>=0`` true."""
     if isinstance(f, (Atom, Eq)):
         return f
     if isinstance(f, Not):
@@ -238,6 +176,12 @@ def _pull(f: Formula) -> Formula:
         return Not(sub)
     if isinstance(f, (Forall, Exists)):
         return type(f)(f.var, _pull(f.body))
+    if isinstance(f, Counting):
+        if f.count == 0 and f.cmp != ">=":
+            return _pull(Forall(f.var, Not(f.body)))
+        if f.cmp == ">=" and f.count < 2:
+            return _pull(Exists(f.var, f.body)) if f.count else Eq(f.var, f.var)
+        return rebuild(f, [_pull(f.body)])
     if isinstance(f, (And, Or, Implies)):
         left, right = _pull(f.left), _pull(f.right)
         kind = type(f)
@@ -274,9 +218,9 @@ def _strip_prefix(f: Formula) -> tuple[tuple[str, ...], Formula]:
 
 def _innermost_quantified(f: Formula, in_scope: tuple[str, ...]
                           ) -> tuple[Formula, tuple[str, ...]] | None:
-    """Find a quantified subformula whose body is quantifier-free,
-    together with the variables bound around its position."""
-    if isinstance(f, (Forall, Exists)):
+    """Find a quantified (or counting) subformula whose body is
+    quantifier-free, together with the variables bound around its position."""
+    if isinstance(f, (Forall, Exists, Counting)):
         deeper = _innermost_quantified(f.body, in_scope + (f.var,))
         if deeper is None and is_quantifier_free(f.body):
             return f, in_scope
@@ -299,22 +243,45 @@ def _replace_once(f: Formula, target: Formula, replacement: Formula) -> Formula:
 
 
 def to_scott(sentence: Formula, alloc: NameAllocator
-             ) -> tuple[list[Formula], list[Formula]]:
-    """Reduce to Scott normal form: a list of quantifier-free matrix
-    conjuncts plus a list of quantifier-free Psi_i, one per forall-exists
-    conjunct (canonicalized so x is the universal variable)."""
+             ) -> tuple[list[Formula], list[Formula], tuple[CountingBlock, ...],
+                        list[CardConstraint]]:
+    """Reduce to Scott normal form: quantifier-free matrix conjuncts, one
+    quantifier-free Psi_i per forall-exists conjunct (canonicalized so x is
+    the universal variable), the counting blocks and the constraints of
+    single-variable counting.
+
+    One loop eliminates an innermost quantified subformula per step, each
+    distinct one (renamed so that its free variable is x) for one fresh
+    unary predicate: ``exists`` and ``forall`` a definitional D, with its
+    two axioms, and ``exists{cmp m} v body(w,v)`` an A for the block
+    (A, guard, cmp, m).  The guard is G for the body G(w,v), else one
+    definitional __R per distinct body (w renamed x, v renamed y), so
+    that occurrences counting the same body share a guard degree.  A
+    closed counting quantifier is a constraint |A| cmp m with A(v) <-> body
+    when it is a whole top-level conjunct, and refused anywhere else."""
     matrix: list[Formula] = []
     psis: list[Formula] = []
+    blocks: list[CountingBlock] = []
+    constraints: list[CardConstraint] = []
+    defined: dict[Formula, str] = {}
+    guards: dict[Formula, str] = {}
     pending = _distribute(sentence)
     while pending:
+        conjunct = pending.pop(0)
+        if isinstance(conjunct, Counting) and not free_vars(conjunct):
+            a, v = alloc.fresh("A", 1), conjunct.var
+            constraints.append(CardCompare(conjunct.cmp, LinearExpr.card(a),
+                                           LinearExpr.of(conjunct.count)))
+            pending.append(Forall(v, Iff(Atom(a, (v,)), conjunct.body)))
+            continue
         # pulling keeps the connective under the universal prefix, so a
         # conjunct ``_distribute`` left whole needs no second split
-        conjunct = _pull(pending.pop(0))
+        conjunct = _pull(conjunct)
         prefix, core = _strip_prefix(conjunct)
         if is_quantifier_free(core):
             matrix.append(core)
             continue
-        if isinstance(core, Iff) and not is_quantifier_free(core):
+        if isinstance(core, Iff):
             rebuilt_a: Formula = Implies(core.left, core.right)
             rebuilt_b: Formula = Implies(core.right, core.left)
             for var in reversed(prefix):
@@ -329,7 +296,6 @@ def to_scott(sentence: Formula, alloc: NameAllocator
                 body = substitute(core.body, {w: "x", v: "y"})
                 psis.append(body)
                 continue
-        # eliminate one innermost quantified subformula definitionally
         found = _innermost_quantified(core, prefix)
         if found is None:
             raise UnsupportedFeatureError(
@@ -338,34 +304,52 @@ def to_scott(sentence: Formula, alloc: NameAllocator
         v = sub.var
         w = other_variable(v)
         fv = free_vars(sub)
+        if isinstance(sub, Counting) and not fv:
+            raise UnsupportedFeatureError(
+                "a counting quantifier over a single-variable formula is "
+                "only supported as a top-level conjunct")
         carrier = next(iter(fv), None)
         if carrier is None:
             # closed subformula: the definitional predicate is constant
             # (its definition does not mention its argument)
             carrier = scope[0] if scope else w
-        d = alloc.fresh("D", 1)
-        d_atom = Atom(d, (carrier,))
-        replaced = _replace_once(core, sub, d_atom)
+        key = substitute(sub, {"x": "y", "y": "x"}) if fv == {"y"} else sub
+        axioms: list[Formula] = []
+        if key not in defined:
+            d = defined[key] = alloc.fresh("A" if isinstance(sub, Counting) else "D", 1)
+            body = sub.body
+            if isinstance(sub, Counting):
+                if isinstance(body, Atom) and body.args == (w, v):
+                    guard = body.pred
+                else:
+                    renamed = substitute(body, {w: "x", v: "y"})
+                    if renamed not in guards:
+                        guards[renamed] = alloc.fresh("R", 2)
+                        pending.append(Forall("x", Forall("y", Iff(
+                            Atom(guards[renamed], ("x", "y")), renamed))))
+                    guard = guards[renamed]
+                blocks.append(CountingBlock(len(blocks) + 1, guard, sub.cmp, sub.count, d))
+            else:
+                # definition axioms, oriented with the defined variable as x
+                def_var = carrier if fv else w
+                d_x = Atom(d, (def_var,))
+                if isinstance(sub, Exists):
+                    axioms = [Forall(def_var, Exists(v, Or(Not(d_x), body))),
+                              Forall(def_var, Forall(v, Implies(body, d_x)))]
+                else:
+                    axioms = [Forall(def_var, Forall(v, Or(Not(d_x), body))),
+                              Forall(def_var, Exists(v, Or(Not(body), d_x)))]
+        replaced = _replace_once(core, sub, Atom(defined[key], (carrier,)))
         for var in reversed(prefix):
             replaced = Forall(var, replaced)
         for var in free_vars(replaced):
             replaced = Forall(var, replaced)
-        # definition axioms, oriented with the defined variable as x
-        def_var = carrier if fv else w
-        d_x = Atom(d, (def_var,))
-        body = sub.body
-        if isinstance(sub, Exists):
-            forward = Forall(def_var, Exists(v, Or(Not(d_x), body)))
-            backward = Forall(def_var, Forall(v, Implies(body, d_x)))
-        else:
-            forward = Forall(def_var, Forall(v, Or(Not(d_x), body)))
-            backward = Forall(def_var, Exists(v, Or(Not(body), d_x)))
-        pending = [replaced, forward, backward] + pending
-    return matrix, psis
+        pending = [replaced, *axioms] + pending
+    return matrix, psis, tuple(blocks), constraints
 
 
 # ---------------------------------------------------------------------------
-# Step 4: sign predicates for the forall-exists conjuncts
+# Step 2: sign predicates for the forall-exists conjuncts
 
 
 def eliminate_existentials(matrix: list[Formula], psis: list[Formula],
@@ -391,10 +375,7 @@ def normalize(problem: Problem) -> NormalizedProblem:
     (A, guard, cmp, m) counting blocks."""
     signature = problem.signature.copy()
     alloc = NameAllocator(signature)
-    sentence, single_constraints, definitions = extract_single_var_counting(
-        problem.sentence, alloc)
-    sentence, blocks = encode_counting(conjoin([sentence, *definitions]), alloc)
-    matrix, psis = to_scott(sentence, alloc)
+    matrix, psis, blocks, constraints = to_scott(problem.sentence, alloc)
     matrix, signs = eliminate_existentials(matrix, psis, alloc)
     for conjunct in matrix:
         if not is_quantifier_free(conjunct):
@@ -404,7 +385,7 @@ def normalize(problem: Problem) -> NormalizedProblem:
         matrix=tuple(matrix),
         sign_preds=signs,
         blocks=blocks,
-        constraint=card_conjoin([problem.constraint, *single_constraints]),
+        constraint=card_conjoin([problem.constraint, *constraints]),
         symmetric_weights=dict(problem.symmetric_weights),
         profile_weight=problem.profile_weight,
     )

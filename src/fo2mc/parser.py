@@ -167,27 +167,26 @@ class _Parser:
 
     # -- formulas -----------------------------------------------------------
 
-    def parse_formula(self, bound: frozenset[str] = frozenset(),
-                      floor: int = 1) -> Formula:
+    def parse_formula(self, floor: int = 1) -> Formula:
         """Precedence climbing: a unary formula, extended by each binary
         connective of precedence ``floor`` or higher, whose right operand
         binds one level tighter unless the connective nests to the right."""
-        out = self.parse_unary(bound)
+        out = self.parse_unary()
         while (op := _CONNECTIVES.get(self.peek()[1])) and op[0] >= floor:
             self.next()
             level, node, nests_right = op
-            out = node(out, self.parse_formula(bound, level + (not nests_right)))
+            out = node(out, self.parse_formula(level + (not nests_right)))
         return out
 
-    def parse_unary(self, bound) -> Formula:
+    def parse_unary(self) -> Formula:
         if self.at("!"):
             self.next()
-            return Not(self.parse_unary(bound))
+            return Not(self.parse_unary())
         if self.at("forall") or self.at("exists"):
-            return self.parse_quantifier(bound)
-        return self.parse_primary(bound)
+            return self.parse_quantifier()
+        return self.parse_primary()
 
-    def parse_quantifier(self, bound) -> Formula:
+    def parse_quantifier(self) -> Formula:
         head = self.next()
         cmp = None
         count = 0
@@ -206,25 +205,22 @@ class _Parser:
         if var_tok[1] not in VARIABLES:
             self.fail("quantified variable must be x or y", var_tok)
         var = var_tok[1]
-        if var in bound:
-            self.fail(f"variable {var} is already bound; "
-                      "rebinding is not supported", var_tok)
         if self.at("."):
             self.next()
         # tight scope: the quantifier binds the next unary formula, so
         # chains like "forall x exists y R(x,y) & forall x ..." conjoin
-        body = self.parse_unary(bound | {var})
+        body = self.parse_unary()
         if head[1] == "forall":
             return Forall(var, body)
         if cmp is None:
             return Exists(var, body)
         return Counting(cmp, count, var, body)
 
-    def parse_primary(self, bound) -> Formula:
+    def parse_primary(self) -> Formula:
         tok = self.peek()
         if self.at("("):
             self.next()
-            inner = self.parse_formula(bound)
+            inner = self.parse_formula()
             self.expect(")")
             return inner
         if tok[0] != "name":

@@ -26,6 +26,9 @@ PROBLEMS = [
     "predicate A/1\nforall x A(x)\nconstraint |A| = 2",
     "predicate B/1\npredicate R/2\nforall x (B(x) | exists{=1} y R(x,y))",
     "forall x !(exists{=1} y R(x,y))",
+    "forall x exists y (R(x,y) & exists x R(y,x))",
+    "forall x exists{=1} y (R(x,y) & exists{=1} x R(y,x))",
+    "forall x (A(x) | exists{=1} x A(x))",
     "predicate A/1\nforall x " + "!" * 250 + "A(x)",
     DEEP,
     "forall x (",
@@ -88,3 +91,10 @@ def test_every_argv_ends_in_an_exit_code(argv):
     code, stderr = run_cli(argv)
     assert code in (0, 1, 2, 3), (code, stderr)
     assert "Traceback" not in stderr
+
+
+def test_closed_counting_under_a_connective_exits_2():
+    """A closed counting quantifier counts only as a whole top-level
+    conjunct; under a connective it is refused with exit 2."""
+    code, stderr = run_cli(["count", "-n", "2", "-e", "forall x (A(x) | exists{=1} x A(x))"])
+    assert code == 2 and "top-level conjunct" in stderr, (code, stderr)

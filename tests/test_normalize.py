@@ -5,31 +5,34 @@ import pytest
 
 from fo2mc.engine import Solver
 from fo2mc.errors import UnsupportedFeatureError
-from fo2mc.logic import (And, Atom, CardCompare, Counting, Exists, Forall, Iff, Implies,
-                         LinearExpr, Not, Signature, is_quantifier_free)
+from fo2mc.logic import (And, Atom, CardCompare, Counting, Exists, Forall, Formula, Iff,
+                         Implies, LinearExpr, Not, Or, Signature, is_quantifier_free,
+                         other_variable, subformulas)
 from fo2mc.normalize import (NameAllocator, NormalizedProblem, dump_normalized,
-                             encode_counting, normalize, successor_encoding, to_scott)
+                             normalize, successor_encoding, to_scott)
 from fo2mc.oracle import oracle_count
 from fo2mc.parser import Problem, parse_formula, parse_problem
 
-from conftest import ZERO_OR_TWO_EXAMPLE, RUNNING_EXAMPLE
+from conftest import ZERO_OR_TWO_EXAMPLE, RUNNING_EXAMPLE, random_qf
 
 
 # -- counting comparisons -----------------------------------------------------
 
 
 def test_sugar_eq0_is_universal_negation():
-    """Exactly 0 (and at most 0) is rewritten where it stands, with no block."""
+    """Exactly 0 (and at most 0) is rewritten where it stands, with no
+    block: forall y !R(x,y), whose body is the matrix."""
     for quant in ("exists{=0}", "exists{<=0}"):
-        out, blocks = encode_counting(parse_formula(f"{quant} y R(x,y)"),
-                                      NameAllocator(Signature({"R": 2})))
-        assert out == Forall("y", Not(Atom("R", ("x", "y")))) and blocks == ()
+        matrix, psis, blocks, _ = to_scott(parse_formula(f"{quant} y R(x,y)"),
+                                           NameAllocator(Signature({"R": 2})))
+        assert matrix == [Not(Atom("R", ("x", "y")))] and psis == [] and blocks == ()
 
 
 def test_sugar_ge1_is_plain_exists():
-    out, blocks = encode_counting(parse_formula("exists{>=1} y R(x,y)"),
-                                  NameAllocator(Signature({"R": 2})))
-    assert out == Exists("y", Atom("R", ("x", "y"))) and blocks == ()
+    """At least 1 is exists y R(x,y), whose body is the one Psi."""
+    matrix, psis, blocks, _ = to_scott(parse_formula("exists{>=1} y R(x,y)"),
+                                       NameAllocator(Signature({"R": 2})))
+    assert matrix == [] and psis == [Atom("R", ("x", "y"))] and blocks == ()
 
 
 @pytest.mark.parametrize("quant,span", [("exists{<=1}", (0, 1)), ("exists{>=2}", (0, 1)),
@@ -157,37 +160,47 @@ def test_m1_block_has_no_disjointness():
     assert not any("__f1_1(x, y) -> !" in str(c) for c in norm.matrix)
 
 
-def test_nested_counting_rejected():
-    # unreachable through the parser (it forbids rebinding), so build the
-    # AST directly: an exactly-1 quantifier inside an exactly-2 body
-    from fo2mc.logic import And, Signature
-    from fo2mc.normalize import encode_counting
-    sig = Signature()
-    sig.declare("R", 2)
-    sig.declare("S", 2)
+def test_nested_counting_is_two_blocks():
+    """An exactly-1 quantifier inside an exactly-2 body: the inner one is a
+    block first, and its A atom is part of the outer block's guard.  Read
+    against in-edges, S(x,y), the inner guard is a definitional
+    __R(x,y) <-> S(y,x); that matrix is not directed, and its successor
+    encoding is refused for table bits.  Read against out-edges, S(y,x),
+    the guard is S and the count matches the oracle."""
     inner = Counting("=", 1, "x", Atom("S", ("x", "y")))
-    outer = Forall("x", Counting("=", 2, "y",
-                                 And(Atom("R", ("x", "y")), inner)))
-    with pytest.raises(UnsupportedFeatureError, match="nested"):
-        encode_counting(outer, NameAllocator(sig))
+    outer = Forall("x", Counting("=", 2, "y", And(Atom("R", ("x", "y")), inner)))
+    header = "predicate R/2\npredicate S/2\n"
+    text = "forall x exists{=2} y (R(x,y) & exists{=1} x S(x,y))"
+    assert parse_formula(text) == outer
+    norm = normalize(parse_problem(header + text))
+    assert [(b.guard, b.cmp, b.m) for b in norm.blocks] == [("__R1", "=", 1), ("__R2", "=", 2)]
+    with pytest.raises(UnsupportedFeatureError, match="table bits"):
+        Solver(norm)
+    p = parse_problem(header + text.replace("S(x,y)", "S(y,x)"))
+    solver = Solver(p)
+    assert [(b.guard, b.cmp, b.m) for b in solver.norm.blocks] == [("S", "=", 1), ("__R1", "=", 2)]
+    for n in (1, 2, 3):
+        assert solver.count(n) == oracle_count(p.signature, p.sentence, n).total, n
 
 
 R, S, A = (lambda a, b: Atom("R", (a, b))), (lambda a, b: Atom("S", (a, b))), (lambda a: Atom("A", (a,)))
 
 
-@pytest.mark.parametrize("arities, sentence", [
-    ({"R": 2, "S": 2},
+@pytest.mark.parametrize("arities, text, sentence", [
+    ({"R": 2, "S": 2}, "forall y exists{=1} x (R(y,x) & exists y S(x,y))",
      Forall("y", Counting("=", 1, "x", And(R("y", "x"), Exists("y", S("x", "y")))))),
     ({"A": 1, "R": 2, "S": 2},
+     "forall y (A(y) <-> exists{=1} x (R(y,x) & forall y (S(x,y) -> A(y))))",
      Forall("y", Iff(A("y"), Counting("=", 1, "x", And(R("y", "x"),
                                                        Forall("y", Implies(S("x", "y"),
                                                                            A("y")))))))),
 ], ids=["exists", "forall"])
-def test_counting_body_swap_renames_bound_variables(arities, sentence):
-    """Built without the parser, these bodies rebind y under a counting
-    quantifier over x.  The swap of x and y renames the bound y too, so
-    the counts match the oracle at n = 2 and 3 (where a free-only renaming
-    captured y: 48 / 12,096 and 336 / 314,560)."""
+def test_counting_body_swap_renames_bound_variables(arities, text, sentence):
+    """These bodies rebind y under a counting quantifier over x.  The swap
+    of x and y renames the bound y too, so the counts match the oracle at
+    n = 2 and 3 (where a free-only renaming captured y: 48 / 12,096 and
+    336 / 314,560)."""
+    assert parse_formula(text) == sentence
     signature = Signature(arities)
     solver = Solver(Problem(signature, sentence))
     for n in (1, 2, 3):
@@ -200,13 +213,73 @@ def test_non_toplevel_single_var_counting_rejected():
                                 "forall x (B(x) -> exists{=2} y A(y))"))
 
 
+# -- reuse of variables ----------------------------------------------------------
+
+
+def reuse_sentence(rng: random.Random, depth: int) -> Formula:
+    """A sentence over A/1 and R/2 whose quantifiers nest ``depth`` deep on
+    alternating variables, so that from depth 3 on it reuses one: each
+    level is forall, exists or exists{cmp m} for m <= 2 over a random
+    connective of a quantifier-free side and the next level."""
+    def level(d: int, v: str) -> Formula:
+        w = other_variable(v)
+        atoms = [Atom("A", (v,)), Atom("R", (v, v))]
+        if d > 1:
+            atoms += [Atom("R", (v, w)), Atom("R", (w, v)), Atom("A", (w,))]
+        body = random_qf(rng, atoms, 1)
+        if d < depth:
+            connective = rng.choice([And, Or, Implies, Iff])
+            body = connective(*rng.sample([body, level(d + 1, w)], 2))
+            if rng.random() < 0.2:
+                body = Not(body)
+        kind = rng.randrange(4)
+        if kind < 2:
+            return (Forall, Exists)[kind](v, body)
+        return Counting(rng.choice(("=", "<=", ">=")), rng.randrange(3), v, body)
+    return level(1, rng.choice("xy"))
+
+
+def nests_counting(f: Formula, inside: bool = False) -> bool:
+    """True when a counting quantifier stands in another's body."""
+    if isinstance(f, Counting) and inside:
+        return True
+    return any(nests_counting(s, inside or isinstance(f, Counting)) for s in subformulas(f))
+
+
+def test_reuse_differential():
+    """160 seeded sentences that reuse a variable, at depth 3 to 5: the
+    109 the engine accepts match the oracle at n <= 3, 64 of them with a
+    counting quantifier in another's body; the others are refused with
+    exit 2, 22 for table bits and 29 for a closed counting quantifier
+    under a connective."""
+    rng = random.Random(15)
+    compared, nested, refused = 0, 0, {}
+    for _ in range(160):
+        sentence = reuse_sentence(rng, rng.randint(3, 5))
+        p = parse_problem(f"predicate A/1\npredicate R/2\n{sentence}")
+        assert p.sentence == sentence
+        try:
+            solver = Solver(p)
+        except UnsupportedFeatureError as exc:
+            reason = "top-level" if "top-level" in str(exc) else "table bits"
+            assert reason in str(exc)
+            refused[reason] = refused.get(reason, 0) + 1
+            continue
+        for n in (1, 2, 3):
+            assert solver.count(n) == oracle_count(p.signature, sentence, n).total, (str(sentence), n)
+        compared += 1
+        nested += nests_counting(sentence)
+    assert (compared, nested, refused) == (109, 64, {"table bits": 22, "top-level": 29})
+
+
 # -- Scott reduction -----------------------------------------------------------
 
 
 def scott_parts(text):
     p = parse_problem(text)
     alloc = NameAllocator(p.signature.copy())
-    return to_scott(p.sentence, alloc)
+    matrix, psis, _, _ = to_scott(p.sentence, alloc)
+    return matrix, psis
 
 
 def test_already_snf():

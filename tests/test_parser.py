@@ -3,7 +3,7 @@ from fractions import Fraction
 
 from fo2mc.engine import Solver
 from fo2mc.errors import ParseError, SemanticError
-from fo2mc.logic import (And, Atom, CardCompare, Counting, Eq, Forall,
+from fo2mc.logic import (And, Atom, CardCompare, Counting, Eq, Exists, Forall,
                          Implies, LinearExpr, Not)
 from fo2mc.parser import (format_problem, parse_cardinality, parse_formula,
                           parse_problem, parse_weight_expr)
@@ -53,9 +53,15 @@ def test_free_variable_rejected():
         parse_problem("forall x R(x,y)")
 
 
-def test_rebinding_rejected():
-    with pytest.raises(ParseError, match="rebinding"):
-        parse_formula("forall x forall x A(x)")
+def test_rebinding_binds_the_inner_scope():
+    """A reused variable binds in the innermost quantifier that names it:
+    the inner x ranges over B on its own, so every element is in A and
+    some element is in B, 2^n - 1 models."""
+    p = parse_problem("predicate A/1\npredicate B/1\nforall x (A(x) & exists x B(x))")
+    assert p.sentence == Forall("x", And(Atom("A", ("x",)), Exists("x", Atom("B", ("x",)))))
+    solver = Solver(p)
+    for n in (1, 2, 3):
+        assert solver.count(n) == oracle_count(p.signature, p.sentence, n).total == 2 ** n - 1
 
 
 def test_only_x_y_variables():

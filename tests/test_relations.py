@@ -5,10 +5,12 @@ one multiplies a count and each profile by the number of its
 interpretations, the models where every element satisfies a counting
 formula and those where some element does not add up to all models,
 renaming predicates or variables and reordering conjuncts change no
-count, and a weight w on one predicate sums its table's counts times w to
-the card.  The successor encoding of a directed problem reads element
-rows with a tie counter; the symmetric predicate, and one side of each
-complement, send a directed problem through pair factors, with a tie
+count, a weight w on one predicate sums its table's counts times w to the
+card, and a sentence that reuses a variable counts what its hand
+reduction (a fresh unary predicate, no reuse) counts.  The successor
+encoding of a directed problem reads element rows with a tie counter;
+the symmetric predicate, and one side of each complement, send a
+directed problem through pair factors, with a tie
 counter where it has a counting block."""
 
 import math
@@ -139,6 +141,33 @@ def test_complement(base, sizes, phi):
         f"{base} & forall x {phi}", f"{base} & exists x !({phi})", base))
     for n in sizes:
         assert every.count(n) + some.count(n) == whole.count(n), n
+
+
+#: sentences that reuse a variable, each beside its hand reduction: the
+#: inner subformula in y is a user predicate D defined beside it, and no
+#: variable is reused
+REUSE = {
+    "forall x exists y (R(x,y) & exists x S(y,x))":
+        "forall x exists y (R(x,y) & D(y)) & forall y (D(y) <-> exists x S(y,x))",
+    "forall x (A(x) | forall y (R(x,y) -> exists x S(y,x)))":
+        "forall x (A(x) | forall y (R(x,y) -> D(y))) & forall y (D(y) <-> exists x S(y,x))",
+    "forall x exists{=1} y (R(x,y) & exists{=1} x S(y,x))":
+        "forall x exists{=1} y (R(x,y) & D(y)) & forall y (D(y) <-> exists{=1} x S(y,x))",
+    "forall x (A(x) <-> exists{=2} y (R(x,y) & exists x S(y,x)))":
+        "forall x (A(x) <-> exists{=2} y (R(x,y) & D(y))) & forall y (D(y) <-> exists x S(y,x))",
+}
+
+
+@pytest.mark.parametrize("text", REUSE)
+def test_reuse_equals_its_hand_reduction(text):
+    """A sentence that reuses a variable counts what its hand reduction
+    counts, a fresh D defined by the subformula it stands for (so one D
+    per model): the third has a counting quantifier in another's body."""
+    declared = "predicate A/1\npredicate R/2\npredicate S/2\n"
+    solver = Solver(parse_problem(declared + text))
+    reduced = Solver(parse_problem(declared + "predicate D/1\n" + REUSE[text]))
+    for n in SIZES:
+        assert solver.count(n) == reduced.count(n), n
 
 
 def renamed(problem: Problem, names: dict[str, str], variables: dict[str, str]) -> Problem:
