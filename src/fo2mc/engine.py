@@ -9,8 +9,8 @@ g_ij being the polynomial of the out-edges i may send to column j.  A
 counting block ``A(x) <-> exists{cmp m} y G(x,y)`` reads an A-element's
 row summed over the digits of its G-degree in the block's span, one
 counter for all of G's blocks, and any other's as its whole row minus
-that sum (swapped for at-least); per guard this expands into signed digit
-boxes, each sign a class weight.  On any other matrix the pair factor
+that sum; per guard this expands into signed digit boxes, each sign a
+class weight.  On any other matrix the pair factor
 f_ij is the 2-table polynomial and the row the bare class weight.  In the
 ``successor_encoding``, with its 1/m! divisors, every block raises one tie
 counter through either kind of factor, and each census key's value is
@@ -280,14 +280,13 @@ def card_ranges(forms: Sequence[tuple[dict[str, int], int, bool]],
 
 
 def block_pinned(cells: CellStructure, block: CountingBlock) -> bool:
-    """True when the matrix pins A (its complement for at-least) to the set
-    of elements whose guard degree lies in the span: for ``=m``, when it forces
-    every guard edge to start in A; for a span holding 0, when no valid type
-    reads a degree outside it."""
+    """True when the matrix pins A to the set of elements whose guard degree
+    lies in the span: for ``=m``, when it forces every guard edge to start
+    in A; for a span holding 0, when no valid type reads a degree outside it."""
     a_slot = cells.u_slot_index(block.a_pred, "unary")
     g_refl = cells.u_slot_index(block.guard, "reflexive")
     g_xy = cells.b_slot_index(block.guard, "xy")
-    outside = [i for i in cells.valid if cells.type_bit(i, a_slot) == (block.cmp == ">=")]
+    outside = [i for i in cells.valid if not cells.type_bit(i, a_slot)]
     if block.cmp != "=":  # an element outside the span may have no guard edge
         return not outside
     if any(cells.type_bit(i, g_refl) for i in outside):
@@ -425,11 +424,11 @@ class ProfileEvaluator:
         """The (digit box read of each guard degree, () for the whole row;
         sign) of the classes a type in the A's ``in_a`` joins.  Per guard,
         the degrees its blocks allow (inside the spans of the A's it is in,
-        swapped for at-least, outside the others) form runs between the
-        spans' ends: the runs allowed, or the whole row minus the others."""
+        outside the others) form runs between the spans' ends: the runs
+        allowed, or the whole row minus the others."""
         per_guard = []
         for blocks in self._guards.values():
-            spans = [(b.span, in_a[i] != (b.cmp == ">=")) for i, b in blocks]  # (span, inside?)
+            spans = [(b.span, in_a[i]) for i, b in blocks]  # (span, inside?)
             cuts = sorted({0, *(end for (lo, hi), _ in spans for end in (lo, hi + 1))})
             allowed = [all((lo <= d <= hi) == hit for (lo, hi), hit in spans) for d in cuts]
             tail = allowed[-1]  # every degree past the spans

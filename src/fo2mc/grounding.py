@@ -96,19 +96,9 @@ class GroundFormula:
         self.index = {atom: i for i, atom in enumerate(self.atoms)}
         self._fn: Callable[[int], object] = compile_lambda("a", self.source)
 
-    def evaluate(self, assignment) -> bool:
-        """Evaluate under a truth assignment: either an int bitmask or a
-        mapping from ground atoms to 0/1 (which must be total)."""
-        if isinstance(assignment, int):
-            return bool(self._fn(assignment))
-        mask = 0
-        for atom, i in self.index.items():
-            try:
-                value = assignment[atom]
-            except KeyError:
-                raise SemanticError(f"assignment misses ground atom {atom}") from None
-            if value:
-                mask |= 1 << i
+    def evaluate(self, mask: int) -> bool:
+        """Evaluate under a truth assignment, bit ``index[atom]`` of ``mask``
+        the value of each ground atom."""
         return bool(self._fn(mask))
 
     def function(self) -> Callable[[int], object]:

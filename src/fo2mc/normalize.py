@@ -7,11 +7,12 @@ quantified subformula per step by a fresh unary predicate, one per
 distinct subformula: ``exists`` and ``forall`` by a definitional D, and
 ``exists{cmp m}`` by a block, a fresh unary predicate A standing for the
 occurrence, its guard, cmp and m, with no axioms: A means "the guard
-degree lies in the block's span" (outside it for at-least), which the
-engine enforces per element on matrices whose 2-tables factor per
-direction.  ``=0``, ``<=0``, ``>=1`` and ``>=0`` are rewritten where they
-stand, and a closed counting quantifier that is a whole top-level
-conjunct becomes a cardinality constraint on a fresh unary predicate.
+degree lies in the block's span", which the engine enforces per element
+on matrices whose 2-tables factor per direction.  ``=0``, ``<=0``,
+``>=1`` and ``>=0`` are rewritten where they stand, ``>=m`` as
+``!<=m-1`` (at least m and at most m-1 share one block), and a closed
+counting quantifier that is a whole top-level conjunct becomes a
+cardinality constraint on a fresh unary predicate.
 Innermost first, a quantifier in a counting body, one that reuses a
 variable included, is replaced before the body is read.
 ``eliminate_existentials`` then folds each exists-conjunct into the
@@ -28,8 +29,7 @@ union(w) & !S(w): summing (-1)^|S| over S within the union and each A_k
 within E_k leaves exactly the union of the E_k, so the count is exact.
 A pinned block whose span holds 0 leaves A_0 implicit: the elements
 outside every other A_k have no guard edge, every element's degree is in
-the span, and its occurrences, which the matrix forces, read true (false
-for at-least).
+the span, and its occurrences, which the matrix forces, read true.
 
 Each rewriting walker spells out only the nodes it changes and reaches
 every other node through ``logic.subformulas`` and ``logic.rebuild``.
@@ -43,7 +43,7 @@ from typing import Collection
 
 from .cells import check_table_bits
 from .errors import UnsupportedFeatureError
-from .logic import (FALSE, TRUE, And, Atom, CARD_TRUE, CardAnd, CardCompare,
+from .logic import (TRUE, And, Atom, CARD_TRUE, CardAnd, CardCompare,
                     CardConstraint, Counting, Eq, Exists, Forall, Formula,
                     Iff, Implies, LinearExpr, Node, Not, Or, Signature,
                     card_conjoin, conjoin, disjoin, free_vars,
@@ -78,8 +78,8 @@ class NameAllocator:
 
 
 class CountingBlock(Node):
-    """One ``exists{cmp m}`` occurrence: A(x) holds exactly when x's guard
-    degree lies in ``span`` (outside it for ``>=``); in the successor
+    """One ``exists{cmp m}`` occurrence, cmp ``=`` or ``<=``: A(x) holds
+    exactly when x's guard degree lies in ``span``; in the successor
     encoding, the exact block of one degree of occurrence ``index``, with its
     successor predicates ``f_preds`` and the occurrence's ``sign``, if any."""
 
@@ -97,8 +97,8 @@ class CountingBlock(Node):
 
     @property
     def span(self) -> tuple[int, int]:
-        """The degrees lo..hi A reads: m, 0..m for at-most, 0..m-1 for at-least."""
-        return (self.m, self.m) if self.cmp == "=" else (0, self.m - (self.cmp == ">="))
+        """The degrees lo..hi A reads: m, or 0..m for at-most."""
+        return (self.m, self.m) if self.cmp == "=" else (0, self.m)
 
 
 class NormalizedProblem:
@@ -164,11 +164,14 @@ def _pull(f: Formula) -> Formula:
     """Pull quantifiers outward through connectives whose other side does
     not mention the bound variable; push negation through quantifiers.
     A counting quantifier stays where it stands, but ``=0`` and ``<=0``
-    become ``forall v !body``, ``>=1`` ``exists v body`` and ``>=0`` true."""
+    become ``forall v !body``, ``>=1`` ``exists v body``, ``>=0`` true and
+    ``>=m`` ``!<=m-1``, so every block counts ``=`` or ``<=``."""
     if isinstance(f, (Atom, Eq)):
         return f
     if isinstance(f, Not):
         sub = _pull(f.sub)
+        if isinstance(sub, Not) and isinstance(sub.sub, Counting):  # !!exists{<=m-1}
+            return sub.sub
         if isinstance(sub, Forall):
             return _pull(Exists(sub.var, Not(sub.body)))
         if isinstance(sub, Exists):
@@ -181,6 +184,8 @@ def _pull(f: Formula) -> Formula:
             return _pull(Forall(f.var, Not(f.body)))
         if f.cmp == ">=" and f.count < 2:
             return _pull(Exists(f.var, f.body)) if f.count else Eq(f.var, f.var)
+        if f.cmp == ">=":
+            return Not(Counting("<=", f.count - 1, f.var, _pull(f.body)))
         return rebuild(f, [_pull(f.body)])
     if isinstance(f, (And, Or, Implies)):
         left, right = _pull(f.left), _pull(f.right)
@@ -342,8 +347,6 @@ def to_scott(sentence: Formula, alloc: NameAllocator
         replaced = _replace_once(core, sub, Atom(defined[key], (carrier,)))
         for var in reversed(prefix):
             replaced = Forall(var, replaced)
-        for var in free_vars(replaced):
-            replaced = Forall(var, replaced)
         pending = [replaced, *axioms] + pending
     return matrix, psis, tuple(blocks), constraints
 
@@ -399,12 +402,10 @@ def successor_encoding(norm: NormalizedProblem, signed: Collection[int] = ()
     and the forall-exists conjuncts A_k(x) -> f_j(x,y), signed like the
     problem's own; A_k is A for the highest k, else fresh.  A block whose
     index is in ``signed`` also gets a sign predicate S with S(x) -> A_k(x)
-    for some k.  Each occurrence A(t) reads the union of the A_k (and !S(t)),
-    negated for at-least.  A block not in ``signed`` whose span holds 0 has
-    no A_0 but the axiom !(A_1 | ... | A_hi)(x) -> !G(x,y), and its
-    occurrences read true (false for at-least): a conjunct that this makes
-    true is dropped.  The block signs take the lowest __P numbers, the
-    problem's own signs the next ones.  Oversize encodings are refused
+    for some k.  Each occurrence A(t) reads the union of the A_k (and !S(t)).
+    A block not in ``signed`` whose span holds 0 has no A_0 but the axiom
+    !(A_1 | ... | A_hi)(x) -> !G(x,y), and its occurrences read true: a
+    conjunct that this makes true is dropped.  Oversize encodings are refused
     before any axiom is built: each f_j adds a type slot, two table slots
     and an existence sign."""
     implicit = {b.a_pred for b in norm.blocks if b.index not in signed and b.span[0] == 0}
@@ -415,27 +416,21 @@ def successor_encoding(norm: NormalizedProblem, signed: Collection[int] = ()
         u += 2 * fs + hi - lo + (block.index in signed) - (block.a_pred in implicit)
         b += 2 * fs
     check_table_bits(u, b)
-    old = set(norm.sign_preds)
-    signature = Signature({p: a for p, a in norm.signature.arities.items() if p not in old},
-                          norm.signature.synthetic - old)
+    signature = norm.signature.copy()
     alloc = NameAllocator(signature)
     signs = {b.a_pred: alloc.fresh("P", 1) for b in norm.blocks if b.index in signed}
-    renamed = {p: alloc.fresh("P", 1) for p in norm.sign_preds}
     first = {b.a_pred: b.span[0] + (b.a_pred in implicit) for b in norm.blocks}
     unions = {b.a_pred: [*(alloc.fresh("A", 1) for _ in range(first[b.a_pred], b.span[1])),
                          b.a_pred] for b in norm.blocks}
-    at_least = {b.a_pred for b in norm.blocks if b.cmp == ">="}
 
     def rewrite(f: Formula) -> Formula:
         if isinstance(f, Atom) and f.pred in implicit:
-            return FALSE if f.pred in at_least else TRUE
+            return TRUE
         if isinstance(f, Atom) and f.pred in unions:
             seen = disjoin(Atom(a, f.args) for a in unions[f.pred])
             if f.pred in signs:
                 seen = And(seen, Not(Atom(signs[f.pred], f.args)))
-            return Not(seen) if f.pred in at_least else seen
-        if isinstance(f, Atom) and f.pred in renamed:
-            return Atom(renamed[f.pred], f.args)
+            return seen
         return rebuild(f, [rewrite(s) for s in subformulas(f)])
 
     # a conjunct the rewrite makes true goes; one the input wrote as true stays
@@ -459,7 +454,7 @@ def successor_encoding(norm: NormalizedProblem, signed: Collection[int] = ()
     return NormalizedProblem(
         signature=signature,
         matrix=tuple(matrix),
-        sign_preds=(*signs.values(), *renamed.values(), *f_signs),
+        sign_preds=(*norm.sign_preds, *signs.values(), *f_signs),
         blocks=tuple(blocks),
         constraint=norm.constraint,
         symmetric_weights=norm.symmetric_weights,

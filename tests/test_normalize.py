@@ -39,11 +39,21 @@ def test_sugar_ge1_is_plain_exists():
                                         ("exists{<=2}", (0, 2)), ("exists{=3}", (3, 3))])
 def test_one_block_per_counting_quantifier(quant, span):
     """Every comparison with m past the degenerate ones is one block, whose
-    A reads a span of the guard degree (at-least its complement)."""
+    A reads a span of the guard degree: at least m is not at most m-1."""
     norm = normalize(parse_problem(f"forall x ({quant} y R(x,y))"))
     [block] = norm.blocks
-    assert (block.guard, block.cmp + str(block.m), block.span) == ("R", quant[7:-1], span)
-    assert [str(c) for c in norm.matrix] == [f"{block.a_pred}(x)"]
+    at_least = quant.startswith("exists{>=")
+    cmp = f"<={span[1]}" if at_least else quant[7:-1]
+    assert (block.guard, block.cmp + str(block.m), block.span) == ("R", cmp, span)
+    assert [str(c) for c in norm.matrix] == [f"{'!' * at_least}{block.a_pred}(x)"]
+
+
+def test_negated_at_least_has_no_double_negation():
+    """Not at least 2 is at most 1, read as the block's A itself."""
+    norm = normalize(parse_problem("forall x !exists{>=2} y R(x,y)"))
+    [block] = norm.blocks
+    assert (block.cmp, block.m) == ("<=", 1)
+    assert [str(c) for c in norm.matrix] == ["__A1(x)"]
 
 
 @pytest.mark.parametrize("quant", ["exists{<=1}", "exists{>=2}", "exists{<=2}"])

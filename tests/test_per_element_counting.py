@@ -98,8 +98,9 @@ def test_at_most_twelve_successors_at_ten():
 
 def test_blocks_on_one_guard_share_its_degree_counter():
     """``exists{<=7}`` is one block on one R-degree counter, its classes
-    reading digits 0..7; two blocks on R share that counter, and a type in
-    one A and outside the other reads a signed sum of digit boxes."""
+    reading digits 0..7; two blocks on R share that counter, ``>=3`` read as
+    not ``<=2``, and a type outside both A's reads a signed sum of digit
+    boxes."""
     solver = Solver(parse_problem("forall x exists{<=7} y R(x,y)"))
     ev = ProfileEvaluator(solver.norm, solver.cells, 10)
     assert len(solver.norm.blocks) == 1
@@ -107,10 +108,12 @@ def test_blocks_on_one_guard_share_its_degree_counter():
     assert ev._reads == [((0, 7),)] * len(ev.types)
     solver = Solver(parse_problem("forall x (exists{<=1} y R(x,y) | exists{>=3} y R(x,y))"))
     ev = ProfileEvaluator(solver.norm, solver.cells, 10)
-    assert len(solver.norm.blocks) == 2 and ev._bounds[len(ev.key_names):] == [(2, 10)]
-    assert ev._read_options((1, 0)) == [(((0, 1),), 1)]
-    assert ev._read_options((0, 1)) == [(((),), 1), (((0, 1),), -1), (((2, 2),), -1)]
-    assert ev._read_options((1, 1)) == []
+    assert [(b.cmp, b.m) for b in solver.norm.blocks] == [("<=", 1), ("<=", 2)]
+    assert ev._bounds[len(ev.key_names):] == [(2, 10)]
+    assert ev._read_options((1, 1)) == [(((0, 1),), 1)]
+    assert ev._read_options((0, 1)) == [(((2, 2),), 1)]
+    assert ev._read_options((0, 0)) == [(((),), 1), (((0, 1),), -1), (((2, 2),), -1)]
+    assert ev._read_options((1, 0)) == []
 
 
 def test_at_most_seven_successors_at_forty():
@@ -133,7 +136,7 @@ def test_non_atom_body_shares_one_guard():
     ("forall x (A(x) -> exists{=1} y R(x,y)) & forall x (B(x) -> !exists{=1} y R(x,y))",
      (1, 2, 3), 1),
     ("forall x (A(x) -> exists{<=1} y R(x,y)) & forall x (!A(x) -> exists{>=2} y R(x,y))",
-     (1, 2, 3), 2),
+     (1, 2, 3), 1),
     ("forall x (A(x) <-> exists{<=2} y (R(x,y) & !A(y))) & "
      "forall x (!A(x) -> exists{>=2} y (R(x,y) & !A(y)))", (1, 2, 3), 2),
     ("forall x (exists{=1} y R(x,y) -> exists{<=1} y S(x,y)) & "
@@ -143,15 +146,50 @@ def test_non_atom_body_shares_one_guard():
 ])
 def test_blocks_sharing_a_guard_match_the_oracle(text, sizes, blocks):
     """Blocks on one guard: different m's, the same m twice (one block for
-    both occurrences), ``<=`` mixed with ``>=``, a non-atom body, two
-    guards, and a matrix that is not directed (the successor encoding, one
-    tie counter for every block)."""
+    both occurrences), ``<=m`` with ``>=m+1`` (one block, read as A and not
+    A), ``<=`` mixed with ``>=``, a non-atom body, two guards, and a matrix
+    that is not directed (the successor encoding, one tie counter for every
+    block)."""
     p = parse_problem(text)
     solver = Solver(p)
     guards = [b.guard for b in solver.norm.blocks]
     assert len(guards) == blocks and (blocks == 1 or len(set(guards)) < blocks)
     for n in sizes:
         assert solver.count(n) == oracle_count(p.signature, p.sentence, n).total
+
+
+#: at most 1 and at least 2 over one body, on a symmetric R: one block
+SYM_MIXED = ("forall x forall y (R(x,y) -> R(y,x)) & forall x (A(x) -> exists{<=1} y R(x,y)) & "
+             "forall x (!A(x) -> exists{>=2} y R(x,y))")
+LITERALS = ("A(x)", "!A(x)", "B(x)", "!B(x)")
+
+
+@pytest.mark.parametrize("body", ["R(x,y)", "R(x,y) & A(y)", "R(x,y) & !B(y)"])
+@pytest.mark.parametrize("left,right", [(a, b) for a in LITERALS for b in LITERALS])
+def test_complementary_quantifiers_match_the_oracle(body, left, right):
+    """``exists{<=1}`` and ``exists{>=2}`` over one body, each under a
+    literal, on a symmetric matrix: one block in the successor encoding."""
+    p = parse_problem("predicate A/1\npredicate B/1\npredicate R/2\n"
+                      "forall x forall y (R(x,y) -> R(y,x)) & "
+                      f"forall x ({left} -> exists{{<=1}} y ({body})) & "
+                      f"forall x ({right} -> exists{{>=2}} y ({body}))")
+    solver = Solver(p)
+    assert len(normalize(p).blocks) == 1 and solver.norm.successors
+    for n in (1, 2, 3):
+        assert solver.count(n) == oracle_count(p.signature, p.sentence, n).total
+
+
+def test_sym_mixed_is_one_block():
+    """At most 1 and at least 2 on one guard are one block, read as A and
+    not A: 18 table bits and 18 valid types (two blocks needed 30 and
+    212), so an unmentioned unary predicate still fits."""
+    assert len(normalize(parse_problem(SYM_MIXED)).blocks) == 1
+    solver = Solver(parse_problem(SYM_MIXED))
+    assert 2 * solver.cells.u + solver.cells.b == 18 and len(solver.cells.valid) == 18
+    p = parse_problem("predicate A/1\npredicate B/1\npredicate R/2\n" + SYM_MIXED)
+    solver = Solver(p)
+    for n, want in ((1, 4), (2, 32), (3, 512)):
+        assert solver.count(n) == want == oracle_count(p.signature, p.sentence, n).total
 
 
 def test_random_seed_127_is_fast():
