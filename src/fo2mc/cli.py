@@ -42,7 +42,7 @@ from .logic import SYNTHETIC_PREFIX, CardAnd, CardCompare, decimal_str
 from .normalize import dump_normalized
 from .oracle import DEFAULT_CAP, oracle_count, oracle_distribution
 from .parser import (parse_cardinality, parse_problem, parse_weight_expr)
-from .weights import count_distribution, wfomc_profile
+from .weights import _check_symmetric, count_distribution, wfomc_profile
 
 #: every option a subcommand may take besides --format: its spellings,
 #: its slot, its value kind (``int``, ``str``, or ``bool`` for a switch),
@@ -441,11 +441,7 @@ def _run_oracle(args, out, err) -> int:
     n = _need_n(args)
     cap = args.oracle_cap
     if problem.symmetric_weights:
-        missing = [p for p in problem.signature.predicates()
-                   if p not in problem.symmetric_weights]
-        if missing:
-            raise SemanticError("missing symmetric weight for predicate(s): "
-                                + ", ".join(missing))
+        _check_symmetric(problem.signature, problem.symmetric_weights)
     start = time.monotonic()
     if args.query:
         query = _parse_query(args.query, problem.signature)

@@ -12,7 +12,7 @@ counter for all of G's blocks, and any other's as its whole row minus
 that sum; per guard this expands into signed digit boxes, each sign a
 class weight.  On any other matrix the pair factor
 f_ij is the 2-table polynomial and the row the bare class weight.  In the
-``successor_encoding``, with its 1/m! divisors, every block raises one tie
+``successor_encoding``, with its 1/m! weights, every block raises one tie
 counter through either kind of factor, and each census key's value is
 read at its target.  By the multinomial theorem classes of one column
 whose pair factors agree form one group, and the census runs over the
@@ -30,10 +30,10 @@ function in them (Kuzelka, JAIR 2021), evaluated as one Python integer
 (Kronecker substitution, ``_Layout``).  Tracked unary cards split the
 groups as census keys or, under per-element rows, stay digits where a
 cost estimate favours that.  Every weight is an integer before any census:
-each symmetric weight pair of a predicate p is scaled by the lcm d_p of its
-denominators, and in the successor encoding a type outside block i's A
-weighs m_i! where one inside would weigh 1/m_i!, so every model is counted
-prod_p d_p^(n^arity(p)) prod_i m_i!^n times, a closed-form scale.
+one rule scales each (true, false) weight pair of a predicate p, symmetric
+or literal (a sign's -1, an exact successor block's 1/m! on a true A), by
+the lcm d_p of its denominators, so every model is counted
+prod_p d_p^(n^arity(p)) times, a closed-form scale.
 
 A constraint's top-level comparisons give every card a range
 (``card_ranges``): its upper bounds cap the digits kept, dropped after
@@ -308,14 +308,14 @@ class ProfileEvaluator:
 
     Keys are cardinality snapshots of the tracked predicates (unary
     first, then binary, each group in the given order); values carry the
-    multinomial coefficient, the inclusion-exclusion sign, any symmetric
-    weights and the block divisors, with every counting block already
-    enforced.  Rows of value zero are left out, and so are the rows the
-    cardinality ``constraint`` rules out (over tracked predicates only).
-    The table has one read, ranged by ``card_ranges`` over the constraint's
-    comparisons: its weighted sums grouped by some of the cards (``read``;
-    ``table`` groups by all of them, ``total`` by none), each divided by
-    ``scale``, the closed-form over-count of the integer weights."""
+    multinomial coefficient and the literal weights, symmetric ones and the
+    synthetic predicates' (inclusion-exclusion signs, block divisors), with
+    every counting block already enforced.  Rows of value zero are left
+    out, and so are the rows the cardinality ``constraint`` rules out (over
+    tracked predicates only).  The table has one read, ranged by
+    ``card_ranges`` over the constraint's comparisons: its weighted sums
+    grouped by some of the cards (``read``), each divided by ``scale``, the
+    closed-form over-count of the integer weights."""
 
     def __init__(self, norm: NormalizedProblem, cells: CellStructure, n: int,
                  tracked: Sequence[str] = (), fold: Weights | None = None,
@@ -328,22 +328,24 @@ class ProfileEvaluator:
             if pred not in norm.signature:
                 raise SemanticError(f"cannot track undeclared predicate {pred}")
         arity = norm.signature.arity
-        # Each symmetric weight pair of p times the lcm d_p of its denominators
-        # weighs every model prod_p d_p^(n^arity(p)) times over, d_p once per
-        # ground atom.  Under integer weights every row is a whole weighted
-        # count, so each must divide by the scale on its own.
+        # Each (true, false) weight pair of p, ``fold`` over the synthetic
+        # predicates' ``literal_weights``, times the lcm d_p of its
+        # denominators weighs every model prod_p d_p^(n^arity(p)) times over,
+        # d_p once per ground atom.  Unless the caller's weights have a
+        # denominator every row is a whole weighted count, dividing on its own.
         self.fold, self.scale = {}, 1
-        for pred, pair in (fold or {}).items():
+        for pred, pair in {**norm.literal_weights, **(fold or {})}.items():
             if pred in norm.signature:
                 d = math.lcm(*(Fraction(w).denominator for w in pair))
                 self.fold[pred] = tuple(int(w * d) for w in pair)
                 self.scale *= d ** (n ** arity(pred))
-        self._rows_divide = self.scale == 1
+        self._rows_divide = all(Fraction(w).denominator == 1 for p, pair in (fold or {}).items()
+                                if p in norm.signature for w in pair)
 
-        # The counters each true atom of a predicate raises: tracked
-        # predicates (unary ones first), then one per guard, its degree, or in
-        # the successor encoding one tie counter, raised by every f_ij and by
-        # m_i per block whose A_i a type lies outside.  Block i's share,
+        # The counters an atom raises, per predicate and truth value: a true
+        # one its tracked predicate's (unary ones first), then one per guard,
+        # its degree, or in the successor encoding one tie counter, raised by
+        # every true f_ij and by m_i for a false A_i.  Block i's share,
         # sum_j |f_ij| + m_i * |not A_i|, is at least m_i * n on every term
         # the sign predicates leave (each A_i-element has its f_ij successors),
         # so the counter is sum_i m_i * n exactly when every share is tied.
@@ -355,16 +357,17 @@ class ProfileEvaluator:
         # per-element rows and no pair factor on a directed matrix, 2-table
         # pair factors and bare class weights otherwise
         self._directed = cells.directed
-        n_keys = len(self.key_names)
         self._guards: dict[str, list[tuple[int, CountingBlock]]] = {}  # guard -> its blocks
         for i, b in enumerate(() if self._ties else norm.blocks):
             self._guards.setdefault(b.guard, []).append((i, b))
         counted = ([tuple(f for b in norm.blocks for f in b.f_preds)] if self._ties
                    else [(g,) for g in self._guards])
-        self._raises: dict[str, list[int]] = {}
+        self._raises: dict[tuple[str, int], list[int]] = {}
         for d, preds in enumerate([(p,) for p in self.key_names] + counted):
             for pred in preds:
-                self._raises.setdefault(pred, []).append(d)
+                self._raises.setdefault((pred, 1), []).append(d)
+        for b in norm.blocks if self._ties else ():
+            self._raises[b.a_pred, 0] = [len(self.key_names)] * b.m
         # (cap, top) per counter: a card reaches n or n * n but only the
         # values the constraint's comparisons allow are kept, a guard degree
         # n but only its blocks' spans are read; the tie counter only
@@ -386,13 +389,11 @@ class ProfileEvaluator:
 
         # ``build_cells`` groups interchangeable types, split here into classes
         # by tracked unary key and the digit box read of each guard degree
-        # (``_read_options``).  With a tie counter a type outside block i's A
-        # weighs m_i! in place of 1/m_i! inside it, every model prod_i m_i!^n
-        # times over.  A class carries the sum of its members' signed weights
-        # times their counters, exact by the multinomial theorem; zero sums
-        # drop out.  The classes raising a tracked unary card come first, the
-        # order in which the census walks them (``_walk``), then by type.
-        sign_slots = [cells.u_slot_index(p, "unary") for p in norm.sign_preds]
+        # (``_read_options``).  A class carries the sum of its members' signed
+        # weights times their counters, exact by the multinomial theorem;
+        # zero sums drop out.  The classes raising a tracked unary card come
+        # first, the order in which the census walks them (``_walk``), then
+        # by type.
         a_slots = [cells.u_slot_index(b.a_pred, "unary") for b in norm.blocks]
         options = {}  # A bits -> their ``_read_options``
         merged: dict[tuple, tuple[int, dict]] = {}
@@ -400,11 +401,6 @@ class ProfileEvaluator:
             for t in members:
                 counts, w = self._term(cells.u_slots, t)
                 in_a = tuple(cells.type_bit(t, s) for s in a_slots)
-                w *= (-1) ** sum(cells.type_bit(t, s) for s in sign_slots)
-                if self._ties:
-                    for block, hit in zip(norm.blocks, in_a):
-                        w *= 1 if hit else math.factorial(block.m)
-                        counts[n_keys] += 0 if hit else block.m
                 if in_a not in options:
                     options[in_a] = self._read_options(in_a)
                 key = tuple(counts)
@@ -417,8 +413,6 @@ class ProfileEvaluator:
         self._unary_keys = [ukey for _, _, ukey, _, _ in live]
         self._reads = [reads for _, _, _, reads, _ in live]
         self._weights = [w for *_, w in live]
-        if self._ties:
-            self.scale *= math.prod(math.factorial(b.m) for b in norm.blocks) ** n
 
     def _read_options(self, in_a: Sequence[int]) -> list[tuple[tuple, int]]:
         """The (digit box read of each guard degree, () for the whole row;
@@ -438,17 +432,16 @@ class ProfileEvaluator:
                 for reads in product(*per_guard)]
 
     def _term(self, slots: Sequence[tuple[str, str]], index: int):
-        """The counter values raised by the true atoms of ``index``, an
+        """The counter values raised by the atoms of ``index``, an
         assignment to ``slots`` (a 1-type, a 2-table or an out-edge mask),
-        and the product of its atoms' symmetric weights."""
+        and the product of its atoms' integer weights."""
         counts, weight = [0] * len(self._bounds), 1
         for s, (pred, _) in enumerate(slots):
             bit = slot_bit(index, s, len(slots))
             if pred in self.fold:
-                weight *= self.fold[pred][0 if bit else 1]
-            if bit:
-                for d in self._raises.get(pred, ()):
-                    counts[d] += 1
+                weight *= self.fold[pred][1 - bit]
+            for d in self._raises.get((pred, bit), ()):
+                counts[d] += 1
         return counts, weight
 
     def _factors(self) -> tuple[dict, dict, list[int], int, int]:
@@ -772,14 +765,6 @@ class ProfileEvaluator:
         summed over the rows of each group, ``weight`` a function of the
         tracked cards in the order of ``key_names``."""
         return self._read(*self._census(), weight, by)
-
-    def table(self) -> dict:
-        """The rows the constraint allows, keyed by the tracked cards."""
-        return self.read(by=self.key_names)
-
-    def total(self):
-        """The sum of ``table()``: the one group of ``read()``."""
-        return self.read().get((), 0)
 
 
 # ---------------------------------------------------------------------------

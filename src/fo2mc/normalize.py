@@ -16,12 +16,13 @@ cardinality constraint on a fresh unary predicate.
 Innermost first, a quantifier in a counting body, one that reuses a
 variable included, is replaced before the body is read.
 ``eliminate_existentials`` then folds each exists-conjunct into the
-matrix through a fresh sign predicate.
+matrix through a fresh sign predicate, whose true atoms weigh -1
+(``NormalizedProblem.literal_weights``, the synthetic predicates' weights).
 
 ``successor_encoding`` rewrites that form into the source paper's
 encoding, the engine's fallback for every other matrix: per degree k of a
 block's span, k fresh binary predicates f_j with axioms that make A_k a
-subset of the exactly-k set E_k, a 1/k! divisor per A_k-element and ties
+subset of the exactly-k set E_k, a weight 1/k! per true A_k atom and ties
 |f_j| = |A_k|; the union of the A_k stands for A.  Where the matrix does
 not pin it to the union of the E_k, a block in ``signed`` gets a sign
 predicate S with S(x) -> union(x), each occurrence read as
@@ -38,6 +39,8 @@ Fresh synthetic predicates come from ``NameAllocator.fresh``.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from itertools import combinations
 from typing import Collection
 
@@ -104,7 +107,7 @@ class CountingBlock(Node):
 class NormalizedProblem:
     """The matrix, signs and counting blocks of a normalized problem, with
     ``constraint`` the user constraint plus the |A| = m constraints from
-    single-variable counting, and the problem's weights."""
+    single-variable counting, the problem's weights and ``literal_weights``."""
 
     def __init__(self, signature: Signature, matrix: tuple[Formula, ...],
                  sign_preds: tuple[str, ...], blocks: tuple[CountingBlock, ...],
@@ -117,6 +120,15 @@ class NormalizedProblem:
         self.constraint = constraint
         self.symmetric_weights = {} if symmetric_weights is None else symmetric_weights
         self.profile_weight = profile_weight
+
+    @property
+    def literal_weights(self) -> dict[str, tuple[Fraction, Fraction]]:
+        """The synthetic predicates' (true, false) weights: -1 for a sign, and
+        1/m! for the A of an exact successor block (its successors' m! orders)."""
+        weights = dict.fromkeys(self.sign_preds, (-1, 1))
+        weights.update((b.a_pred, (Fraction(1, math.factorial(b.m)), 1))
+                       for b in self.blocks if len(b.f_preds) >= 2)
+        return weights
 
     @property
     def successors(self) -> bool:
@@ -162,15 +174,15 @@ _MERGES = {(Or, Exists, Exists): Exists, (And, Forall, Forall): Forall,
 
 def _pull(f: Formula) -> Formula:
     """Pull quantifiers outward through connectives whose other side does
-    not mention the bound variable; push negation through quantifiers.
-    A counting quantifier stays where it stands, but ``=0`` and ``<=0``
-    become ``forall v !body``, ``>=1`` ``exists v body``, ``>=0`` true and
-    ``>=m`` ``!<=m-1``, so every block counts ``=`` or ``<=``."""
+    not mention the bound variable; push negation through quantifiers and
+    drop double negations.  A counting quantifier stays where it stands,
+    but ``=0`` and ``<=0`` become ``forall v !body``, ``>=1`` ``exists v
+    body``, ``>=0`` true and ``>=m`` ``!<=m-1``: every block counts = or <=."""
     if isinstance(f, (Atom, Eq)):
         return f
     if isinstance(f, Not):
         sub = _pull(f.sub)
-        if isinstance(sub, Not) and isinstance(sub.sub, Counting):  # !!exists{<=m-1}
+        if isinstance(sub, Not):
             return sub.sub
         if isinstance(sub, Forall):
             return _pull(Exists(sub.var, Not(sub.body)))

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 
 from .engine import Solver
 from .errors import SemanticError
-from .logic import WeightExpr
+from .logic import Signature, WeightExpr
 from .normalize import NormalizedProblem
 from .parser import Problem
 
@@ -26,15 +26,14 @@ def _solver(problem) -> Solver:
     return problem if isinstance(problem, Solver) else Solver(problem)
 
 
-def _check_symmetric(solver: Solver,
-                     weights: Mapping[str, tuple[Fraction, Fraction]]):
-    missing = [p for p in solver.norm.signature.user_predicates()
-               if p not in weights]
+def _check_symmetric(signature: Signature, weights: Mapping[str, tuple[Fraction, Fraction]]):
+    """Every user predicate of ``signature`` has a weight, and no other one."""
+    missing = [p for p in signature.user_predicates() if p not in weights]
     if missing:
         raise SemanticError(
             f"missing symmetric weight for predicate(s): {', '.join(missing)}")
     for pred in weights:
-        if pred not in solver.norm.signature or pred in solver.norm.signature.synthetic:
+        if pred not in signature or pred in signature.synthetic:
             raise SemanticError(f"weight declared for unknown predicate {pred}")
 
 
@@ -46,7 +45,7 @@ def wfomc_symmetric(problem: Problem | NormalizedProblem | Solver, n: int,
     solver = _solver(problem)
     if weights is None:
         weights = solver.norm.symmetric_weights
-    _check_symmetric(solver, weights)
+    _check_symmetric(solver.norm.signature, weights)
     return Fraction(solver.read(n, fold=weights).get((), 0))
 
 
@@ -69,7 +68,7 @@ def _weight_setup(solver: Solver, weight):
         weight = solver.norm.profile_weight
     symmetric = solver.norm.symmetric_weights
     if symmetric:
-        _check_symmetric(solver, symmetric)
+        _check_symmetric(solver.norm.signature, symmetric)
     return weight, symmetric or None
 
 

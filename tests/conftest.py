@@ -149,9 +149,9 @@ def witness_deficit_counts(problem, n: int, m: int) -> tuple[int, int]:
         raise SemanticError("diagnostic requires exactly one forall-exists conjunct")
     if not 0 <= m <= n:
         raise SemanticError(f"m = {m} is outside 0..{n}, the domain size")
-    # weight -1 on the marked types cancels their sign: the marked set is
+    # weight (1, 1) replaces the sign's literal weight: the marked set is
     # counted like an ordinary predicate
-    table = solver.read(n, norm.sign_preds, None, {norm.sign_preds[0]: (-1, 1)}, CARD_TRUE)
+    table = solver.read(n, norm.sign_preds, None, {norm.sign_preds[0]: (1, 1)}, CARD_TRUE)
     p = [table.get((j,), 0) for j in range(n + 1)]
     e_m = sum((-1) ** (j - m) * math.comb(j, m) * p[j] for j in range(m, n + 1))
     return p[m], e_m

@@ -103,7 +103,7 @@ def test_pair_table_classes_pool(monkeypatch, text, parts, classes, want):
         return run(self, unary, *args)
     monkeypatch.setattr(ProfileEvaluator, "_walk", walk)
     ev = evaluator(Solver(parse_problem(text)), 6)
-    assert ev.total() == want
+    assert ev.read().get((), 0) == want
     assert (walked, len(ev.types)) == ([parts], classes)
 
 
@@ -115,7 +115,7 @@ def test_a_fixed_card_enters_one_census():
     solver = Solver(problem)
     ev = evaluator(solver, 40)
     assert len(ev.types) == 2
-    assert ev.total() == 780 * 2 ** (40 * 40 - 1)
+    assert ev.read().get((), 0) == 780 * 2 ** (40 * 40 - 1)
     assert len(ev._at) == 1
 
 
@@ -141,7 +141,7 @@ def test_parts_raising_a_tracked_unary_card_come_first(monkeypatch):
             assert ev.types[cut:] == sorted(ev.types[cut:])
             mixed += 0 < cut < len(raising)
             walked.clear()
-            ev.total()
+            ev.read().get((), 0)
             for parts in walked:
                 assert parts == sorted(parts, reverse=True)
     assert mixed

@@ -258,15 +258,16 @@ def census_both_ways(problem, n, tracked=(), fold=None):
     assert solver.cells.directed and not solver.norm.successors
     ev = ProfileEvaluator(solver.norm, solver.cells, n, tracked, fold)
     assert ev._directed
-    tables = [ev.table()]
+    tables = [ev.read(by=ev.key_names)]
     norm, cells = solver.norm, solver.cells
     if norm.blocks:
         norm = solver.successor_encoding()
         cells = build_cells(norm.signature, norm.matrix)
-        tables.append(ProfileEvaluator(norm, cells, n, tracked, fold).table())
+        ev = ProfileEvaluator(norm, cells, n, tracked, fold)
+        tables.append(ev.read(by=ev.key_names))
     ev = ProfileEvaluator(norm, cells, n, tracked, fold)
     ev._directed = False
-    return tables + [ev.table()]
+    return tables + [ev.read(by=ev.key_names)]
 
 
 @pytest.mark.parametrize("text,tracked", [

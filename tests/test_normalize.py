@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -13,7 +14,7 @@ from fo2mc.normalize import (NameAllocator, NormalizedProblem, dump_normalized,
 from fo2mc.oracle import oracle_count
 from fo2mc.parser import Problem, parse_formula, parse_problem
 
-from conftest import ZERO_OR_TWO_EXAMPLE, RUNNING_EXAMPLE, random_qf
+from conftest import SYMMETRIC, ZERO_OR_TWO_EXAMPLE, RUNNING_EXAMPLE, random_qf
 
 
 # -- counting comparisons -----------------------------------------------------
@@ -54,6 +55,27 @@ def test_negated_at_least_has_no_double_negation():
     [block] = norm.blocks
     assert (block.cmp, block.m) == ("<=", 1)
     assert [str(c) for c in norm.matrix] == ["__A1(x)"]
+
+
+def test_double_negations_cancel():
+    """A double negation the input writes cancels like one that pushing a
+    negation creates: rand009 of the ``small_random`` workload has the sign
+    conjunct __P1(x) -> !R(x,y), not __P1(x) -> !!!R(x,y)."""
+    norm = normalize(parse_problem("forall x exists y !(!(R(x,y)))"))
+    assert [str(c) for c in norm.matrix] == ["__P1(x) -> !R(x, y)"]
+
+
+def test_literal_weights():
+    """A true sign atom weighs -1 and the A of an exact successor block of
+    m = 3 successors 1/3!; a per-element block has no literal weight."""
+    norm = normalize(parse_problem("forall x exists y R(x,y)"))
+    assert norm.literal_weights == {"__P1": (-1, 1)}
+    assert normalize(parse_problem("forall x exists{=3} y R(x,y)")).literal_weights == {}
+    enc = Solver(parse_problem(f"{SYMMETRIC} & forall x exists{{=3}} y R(x,y)")).norm
+    [block] = enc.blocks
+    assert len(block.f_preds) == len(enc.sign_preds) == 3
+    assert enc.literal_weights == {**dict.fromkeys(enc.sign_preds, (-1, 1)),
+                                   block.a_pred: (Fraction(1, 6), 1)}
 
 
 @pytest.mark.parametrize("quant", ["exists{<=1}", "exists{>=2}", "exists{<=2}"])

@@ -230,7 +230,7 @@ def test_indivisible_row_with_integer_weights_is_an_internal_error():
     ev = ProfileEvaluator(solver.norm, solver.cells, 2)
     ev.scale *= 3
     with pytest.raises(InternalConsistencyError, match="non-integer row"):
-        ev.table()
+        ev.read(by=ev.key_names)
 
 
 # -- digit widths --------------------------------------------------------------

@@ -112,7 +112,7 @@ def test_rows_off_the_tie_target_are_not_read(monkeypatch):
     solver = Solver(parse_problem(SUCCESSORS))
     n, block = 3, solver.norm.blocks[0]
     target = block.m * n
-    want = ProfileEvaluator(solver.norm, solver.cells, n, ("R",)).table()
+    want = ProfileEvaluator(solver.norm, solver.cells, n, ("R",)).read(by=("R",))
     read_at = fo2mc.engine._Layout.at
 
     def planted(tie):
@@ -127,9 +127,9 @@ def test_rows_off_the_tie_target_are_not_read(monkeypatch):
         return ev
 
     ev = planted(target - 1)
-    assert ev.table() == want
+    assert ev.read(by=ev.key_names) == want
     assert ev.read(lambda cards: 2, ()) == {(): 2 * sum(want.values())}
-    assert planted(target).table() == {**want, (0,): want.get((0,), 0) + 5}
+    assert planted(target).read(by=("R",)) == {**want, (0,): want.get((0,), 0) + 5}
 
 
 @pytest.mark.parametrize("weight,message", [
