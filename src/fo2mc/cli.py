@@ -1,7 +1,8 @@
 """Command line front end.
 
 Subcommands: count, wfomc, dist, oracle, normalize, cells, bench; every
-counting subcommand answers through one ``Solver``.
+counting subcommand answers through one ``Solver`` (``oracle`` through the
+ground oracle) and prints one payload per mode through one writer.
 Exit codes: 0 success, 1 parse/semantic error, 2 unsupported feature
 (including formulas nested too deeply to parse and counts that run out
 of memory), 3 internal consistency violation.  All diagnostics go to
@@ -333,10 +334,60 @@ def _emit_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, separators=(", ", ": "))
 
 
-def _count_sizes(args):
-    if args.n_range:
-        return list(_parse_range(args))
-    return [_need_n(args)]
+def _elapsed_ms(start: float) -> int:
+    return int((time.monotonic() - start) * 1000)
+
+
+def _count(mode: str, n: int, start: float, value, by=(), groups: dict | None = None) -> dict:
+    """The payload of a count, of mode fomc or wfomc, with its profiles
+    when ``groups``, the read grouped by the ``by`` cards, is given."""
+    payload = {"n": n, "mode": mode, "runtime_ms": _elapsed_ms(start)}
+    with _exact_digits():
+        payload["count"] = decimal_str(value)
+        if groups is not None:
+            payload["profiles"] = [{"cards": dict(zip(by, cards)),
+                                    "value": decimal_str(Fraction(v))}
+                                   for cards, v in sorted(groups.items())]
+    return payload
+
+
+def _dist(n: int, start: float, prob: Fraction, numerator: Fraction | None = None,
+          partition: Fraction | None = None) -> dict:
+    """The payload of a probability, with the numerator and partition
+    function it is the ratio of when they are given."""
+    payload = {"n": n, "mode": "dist", "runtime_ms": _elapsed_ms(start)}
+    with _exact_digits():
+        payload.update(count=_rounded(prob), fraction=f"{prob.numerator}/{prob.denominator}")
+        if numerator is not None:
+            payload.update(numerator=decimal_str(numerator), partition=decimal_str(partition))
+    return payload
+
+
+def _write(out, fmt: str, payloads) -> None:
+    """Print each payload as a JSON line, as a csv row ``n,count`` under
+    one header, or as text: its count and profiles, or a probability's
+    fraction, followed by `` = `` and its rounded value when the payload
+    has its numerator.  ``payloads`` may be a generator: each result is
+    printed as it is made."""
+    if fmt == "csv":
+        out.write("n,count\n")
+    for payload in payloads:
+        if fmt == "json":
+            out.write(_emit_json(payload) + "\n")
+        elif fmt == "csv":
+            out.write(f"{payload['n']},{payload['count']}\n")
+        elif "numerator" in payload:
+            out.write(f"{payload['fraction']} = {payload['count']}\n")
+        else:
+            out.write(f"{payload.get('fraction', payload['count'])}\n")
+            for entry in payload.get("profiles", ()):
+                out.write(f"  {entry['cards']}: {entry['value']}\n")
+
+
+def _weight(args, problem):
+    """The --weight expression, else the problem's profile weight, if any."""
+    return (parse_weight_expr(args.weight, problem.signature) if args.weight
+            else problem.profile_weight)
 
 
 def _run_count(args, out, err) -> int:
@@ -344,7 +395,7 @@ def _run_count(args, out, err) -> int:
         raise SemanticError("--profiles cannot be printed as csv; "
                             "use --format text or json")
     problem = _load_problem(args)
-    sizes = _count_sizes(args)
+    sizes = _parse_range(args) if args.n_range else [_need_n(args)]
     solver = Solver(problem)
     tracked = [pred.strip() for pred in args.track.split(",")] if args.track else []
     for pred in tracked:
@@ -355,31 +406,16 @@ def _run_count(args, out, err) -> int:
         if pred not in solver.norm.signature:
             raise SemanticError(f"cannot track undeclared predicate {pred}")
     by = sorted(dict.fromkeys(tracked), key=solver.norm.signature.arity)  # unary first
-    if args.format == "csv":
-        out.write("n,count\n")
-    for n in sizes:
-        start = time.monotonic()
-        if args.profiles:
-            groups = solver.read(n, by)
-            value = _as_count(sum(groups.values()))
-        else:
-            groups, value = None, solver.count(n)
-        elapsed = int((time.monotonic() - start) * 1000)
-        with _exact_digits():
-            payload = {"n": n, "count": str(value), "mode": "fomc",
-                       "runtime_ms": elapsed}
-            if groups is not None:
-                payload["profiles"] = [{"cards": dict(zip(by, cards)),
-                                        "value": decimal_str(Fraction(v))}
-                                       for cards, v in sorted(groups.items())]
-        if args.format == "json":
-            out.write(_emit_json(payload) + "\n")
-        elif args.format == "csv":
-            out.write(f"{n},{payload['count']}\n")
-        else:
-            out.write(f"{payload['count']}\n")
-            for entry in payload.get("profiles", ()):
-                out.write(f"  {entry['cards']}: {entry['value']}\n")
+
+    def payloads():
+        for n in sizes:
+            start = time.monotonic()
+            if args.profiles:
+                groups = solver.read(n, by)
+                yield _count("fomc", n, start, _as_count(sum(groups.values())), by, groups)
+            else:
+                yield _count("fomc", n, start, solver.count(n))
+    _write(out, args.format, payloads())
     return 0
 
 
@@ -387,24 +423,12 @@ def _run_wfomc(args, out, err) -> int:
     problem = _load_problem(args)
     n = _need_n(args)
     solver = Solver(problem)
-    weight = (parse_weight_expr(args.weight, solver.norm.signature)
-              if args.weight else None)
-    if (weight is None and not problem.symmetric_weights
-            and problem.profile_weight is None):
+    weight = _weight(args, problem)
+    if weight is None and not problem.symmetric_weights:
         raise SemanticError("wfomc needs weight declarations in the problem "
                             "file or a --weight expression")
     start = time.monotonic()
-    value = wfomc_profile(solver, n, weight)
-    elapsed = int((time.monotonic() - start) * 1000)
-    with _exact_digits():
-        payload = {"n": n, "count": decimal_str(value), "mode": "wfomc",
-                   "runtime_ms": elapsed}
-    if args.format == "json":
-        out.write(_emit_json(payload) + "\n")
-    elif args.format == "csv":
-        out.write(f"n,count\n{n},{payload['count']}\n")
-    else:
-        out.write(payload["count"] + "\n")
+    _write(out, args.format, [_count("wfomc", n, start, wfomc_profile(solver, n, weight))])
     return 0
 
 
@@ -414,70 +438,34 @@ def _run_dist(args, out, err) -> int:
     solver = Solver(problem)
     if not args.query:
         raise SemanticError("dist requires --query, e.g. --query '|H| = 2'")
-    query = _parse_query(args.query, solver.norm.signature)
-    weight = None
-    if args.weight:
-        weight = parse_weight_expr(args.weight, solver.norm.signature)
+    query = _parse_query(args.query, problem.signature)
+    weight = _weight(args, problem)
     start = time.monotonic()
     numerator, partition, prob = count_distribution(solver, n, query, weight)
-    elapsed = int((time.monotonic() - start) * 1000)
-    with _exact_digits():
-        payload = {
-            "n": n, "mode": "dist", "runtime_ms": elapsed,
-            "count": _rounded(prob),
-            "fraction": f"{prob.numerator}/{prob.denominator}",
-            "numerator": decimal_str(numerator),
-            "partition": decimal_str(partition),
-        }
-    if args.format == "json":
-        out.write(_emit_json(payload) + "\n")
-    else:
-        out.write(f"{payload['fraction']} = {payload['count']}\n")
+    _write(out, args.format, [_dist(n, start, prob, numerator, partition)])
     return 0
 
 
 def _run_oracle(args, out, err) -> int:
     problem = _load_problem(args)
     n = _need_n(args)
-    cap = args.oracle_cap
     if problem.symmetric_weights:
         _check_symmetric(problem.signature, problem.symmetric_weights)
+    ground = problem.signature, problem.sentence, n
+    given = dict(constraint=problem.constraint, cap=args.oracle_cap,
+                 symmetric_weights=problem.symmetric_weights or None)
     start = time.monotonic()
     if args.query:
         query = _parse_query(args.query, problem.signature)
-        weight = (parse_weight_expr(args.weight, problem.signature)
-                  if args.weight else problem.profile_weight)
-        dist = oracle_distribution(problem.signature, problem.sentence, n,
-                                   weight, [p for p, _ in query],
-                                   constraint=problem.constraint,
-                                   symmetric_weights=problem.symmetric_weights or None,
-                                   cap=cap)
-        prob = dist.get(tuple(c for _, c in query), Fraction(0))
-        elapsed = int((time.monotonic() - start) * 1000)
-        with _exact_digits():
-            payload = {"n": n, "mode": "dist", "runtime_ms": elapsed,
-                       "count": _rounded(prob),
-                       "fraction": f"{prob.numerator}/{prob.denominator}"}
+        dist = oracle_distribution(*ground, _weight(args, problem), [p for p, _ in query],
+                                   **given)
+        payload = _dist(n, start, dist.get(tuple(c for _, c in query), Fraction(0)))
     else:
-        weight_expr = (parse_weight_expr(args.weight, problem.signature)
-                       if args.weight else problem.profile_weight)
-        report = oracle_count(problem.signature, problem.sentence, n,
-                              constraint=problem.constraint,
-                              symmetric_weights=problem.symmetric_weights or None,
-                              profile_weight=weight_expr, cap=cap)
-        elapsed = int((time.monotonic() - start) * 1000)
-        with _exact_digits():
-            if report.weighted_total is not None:
-                payload = {"n": n, "mode": "wfomc", "runtime_ms": elapsed,
-                           "count": decimal_str(report.weighted_total)}
-            else:
-                payload = {"n": n, "mode": "fomc", "runtime_ms": elapsed,
-                           "count": str(report.total)}
-    if args.format == "json":
-        out.write(_emit_json(payload) + "\n")
-    else:
-        line = payload.get("fraction", payload["count"])
-        out.write(f"{line}\n")
+        report = oracle_count(*ground, profile_weight=_weight(args, problem), **given)
+        mode, value = (("fomc", report.total) if report.weighted_total is None
+                       else ("wfomc", report.weighted_total))
+        payload = _count(mode, n, start, value)
+    _write(out, args.format, [payload])
     return 0
 
 

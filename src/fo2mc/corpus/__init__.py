@@ -95,19 +95,15 @@ def _engine_value(entry: CorpusEntry, solver: Solver, n: int):
 
 
 def _oracle_value(entry: CorpusEntry, problem: Problem, n: int, cap: int):
-    if entry.mode == "fomc":
-        rep = oracle_count(problem.signature, problem.sentence, n,
-                           constraint=problem.constraint, cap=cap)
-        return str(rep.total)
-    if entry.mode == "wfomc":
-        rep = oracle_count(problem.signature, problem.sentence, n,
-                           constraint=problem.constraint,
-                           symmetric_weights=problem.symmetric_weights or None,
-                           profile_weight=problem.profile_weight, cap=cap)
-        return decimal_str(rep.weighted_total)
-    return _distribution(oracle_distribution(problem.signature, problem.sentence, n,
-                                             problem.profile_weight, (entry.query_pred,),
-                                             constraint=problem.constraint, cap=cap), n)
+    """The oracle's answer on the entry, weighed as ``fo2mc oracle`` weighs it."""
+    ground = problem.signature, problem.sentence, n
+    given = dict(constraint=problem.constraint, cap=cap,
+                 symmetric_weights=problem.symmetric_weights or None)
+    if entry.mode == "dist":
+        return _distribution(oracle_distribution(*ground, problem.profile_weight,
+                                                 (entry.query_pred,), **given), n)
+    rep = oracle_count(*ground, profile_weight=problem.profile_weight, **given)
+    return str(rep.total) if entry.mode == "fomc" else decimal_str(rep.weighted_total)
 
 
 def verify_entry(entry: CorpusEntry, max_n: int | None = None,

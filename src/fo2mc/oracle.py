@@ -2,9 +2,12 @@
 
 The oracle enumerates every truth assignment over the ground atoms and
 evaluates the original, pre-normalization sentence directly (counting
-quantifiers by literally counting witnesses).  It never touches the
-normalizer or the lifted engine, which keeps it independent enough to
-arbitrate them.  It is deliberately simple rather than fast.
+quantifiers by literally counting witnesses).  One weighted sweep,
+``_strata``, groups the models the constraint allows by the cards of the
+requested predicates and weighs them; ``oracle_count``,
+``oracle_stratified`` and ``oracle_distribution`` each read it.  It never
+touches the normalizer or the lifted engine, which keeps it independent
+enough to arbitrate them.  It is deliberately simple rather than fast.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from itertools import combinations_with_replacement, repeat
 from typing import Mapping, Sequence
 
 from .cells import build_cells
-from .errors import OracleCapError
+from .errors import OracleCapError, SemanticError
 from .grounding import ground
 from .logic import (CardConstraint, Formula, Signature, WeightExpr,
                     constraint_predicates, one_type_slots, slot_bit, weight_value)
@@ -75,20 +78,30 @@ def _census_sweep(signature: Signature, sentence: Formula, n: int, cap: int,
     return census, 1 << bits, preds
 
 
-def _filter(census, preds, constraint: CardConstraint | None):
-    if constraint is None:
-        return census
-    return {key: cnt for key, cnt in census.items() if constraint.holds(dict(zip(preds, key)))}
-
-
-def _symmetric_model_weight(signature: Signature, n: int, cards: Mapping[str, int],
-                            weights: Mapping[str, tuple[Fraction, Fraction]]) -> Fraction:
-    w = Fraction(1)
-    for pred, t in cards.items():
-        sites = n ** signature.arity(pred)
-        w1, w0 = weights.get(pred, (Fraction(1), Fraction(1)))
-        w *= Fraction(w1) ** t * Fraction(w0) ** (sites - t)
-    return w
+def _strata(signature: Signature, sentence: Formula, n: int, cap: int,
+            preds: Sequence[str], constraint: CardConstraint | None = None,
+            symmetric_weights: Mapping[str, tuple[Fraction, Fraction]] | None = None,
+            profile_weight: WeightExpr | None = None
+            ) -> tuple[dict[tuple[int, ...], tuple[int, int | Fraction]], int]:
+    """Per vector of the cards of ``preds``, the models the constraint
+    allows and their mass under the symmetric and profile weights (1 where
+    absent); and the number of assignments enumerated."""
+    census, enumerated, all_preds = _census_sweep(signature, sentence, n, cap)
+    pos = [all_preds.index(p) for p in preds]
+    strata: dict[tuple[int, ...], tuple[int, int | Fraction]] = {}
+    for key, cnt in census.items():
+        cards = dict(zip(all_preds, key))
+        if constraint is not None and not constraint.holds(cards):
+            continue
+        w = 1 if profile_weight is None else weight_value(profile_weight, cards)
+        if symmetric_weights:
+            for pred, t in cards.items():
+                w1, w0 = symmetric_weights.get(pred, (1, 1))
+                w *= Fraction(w1) ** t * Fraction(w0) ** (n ** signature.arity(pred) - t)
+        sub = tuple(key[i] for i in pos)
+        models, mass = strata.get(sub, (0, 0))
+        strata[sub] = models + cnt, mass + cnt * w
+    return strata, enumerated
 
 
 def oracle_count(signature: Signature, sentence: Formula, n: int,
@@ -98,20 +111,11 @@ def oracle_count(signature: Signature, sentence: Formula, n: int,
                  cap: int = DEFAULT_CAP) -> OracleReport:
     """Exact count (optionally weighted) of the models satisfying the
     sentence and the cardinality constraint."""
-    census, enumerated, preds = _census_sweep(signature, sentence, n, cap)
-    census = _filter(census, preds, constraint)
-    total = sum(census.values())
-    weighted = None
-    if symmetric_weights is not None or profile_weight is not None:
-        weighted = Fraction(0)
-        for key, cnt in census.items():
-            cards = dict(zip(preds, key))
-            w = Fraction(1)
-            if symmetric_weights is not None:
-                w *= _symmetric_model_weight(signature, n, cards, symmetric_weights)
-            if profile_weight is not None:
-                w *= weight_value(profile_weight, cards)
-            weighted += cnt * w
+    strata, enumerated = _strata(signature, sentence, n, cap, (), constraint,
+                                 symmetric_weights, profile_weight)
+    total, mass = strata.get((), (0, 0))
+    weighted = (None if symmetric_weights is None and profile_weight is None
+                else Fraction(mass))
     return OracleReport(n=n, total=total, models_enumerated=enumerated,
                         weighted_total=weighted)
 
@@ -123,17 +127,11 @@ def oracle_stratified(signature: Signature, sentence: Formula, n: int,
                       cap: int = DEFAULT_CAP) -> dict:
     """Model counts keyed by requested predicate cardinalities, or by the
     census of unary 1-types (how many elements realize each combination
-    of unary and reflexive-binary atoms)."""
-    census, _, all_preds = _census_sweep(signature, sentence, n, cap, by_one_types)
+    of unary and reflexive-binary atoms), which ignores the constraint."""
     if by_one_types:
-        return census
-    census = _filter(census, all_preds, constraint)
-    pos = [all_preds.index(p) for p in preds]
-    out: dict[tuple[int, ...], int] = {}
-    for key, cnt in census.items():
-        sub = tuple(key[i] for i in pos)
-        out[sub] = out.get(sub, 0) + cnt
-    return out
+        return _census_sweep(signature, sentence, n, cap, by_one_types)[0]
+    strata, _ = _strata(signature, sentence, n, cap, preds, constraint)
+    return {key: models for key, (models, _) in strata.items()}
 
 
 def oracle_distribution(signature: Signature, sentence: Formula, n: int,
@@ -143,26 +141,15 @@ def oracle_distribution(signature: Signature, sentence: Formula, n: int,
                         symmetric_weights: Mapping[str, tuple[Fraction, Fraction]] | None = None,
                         cap: int = DEFAULT_CAP) -> dict[tuple[int, ...], Fraction]:
     """Probability of each count vector of the query predicates under the
-    weighted distribution; weights default to 1."""
-    census, _, preds = _census_sweep(signature, sentence, n, cap)
-    census = _filter(census, preds, constraint)
-    pos = [preds.index(p) for p in query_preds]
-    num: dict[tuple[int, ...], Fraction] = {}
-    z = Fraction(0)
-    for key, cnt in census.items():
-        cards = dict(zip(preds, key))
-        w = Fraction(1)
-        if profile_weight is not None:
-            w *= weight_value(profile_weight, cards)
-        if symmetric_weights is not None:
-            w *= _symmetric_model_weight(signature, n, cards, symmetric_weights)
-        contrib = cnt * w
-        z += contrib
-        sub = tuple(key[i] for i in pos)
-        num[sub] = num.get(sub, Fraction(0)) + contrib
+    weighted distribution; weights default to 1.  A zero partition
+    function is refused, as the engine refuses it."""
+    strata, _ = _strata(signature, sentence, n, cap, query_preds, constraint,
+                        symmetric_weights, profile_weight)
+    z = Fraction(sum(mass for _, mass in strata.values()))
     if z == 0:
-        raise ZeroDivisionError("partition function is zero")
-    return {k: v / z for k, v in num.items()}
+        raise SemanticError("partition function is zero; the distribution "
+                            "is undefined")
+    return {key: mass / z for key, (_, mass) in strata.items()}
 
 
 def _times(p: dict, q: dict, top: int) -> dict:

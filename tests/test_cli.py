@@ -99,6 +99,15 @@ def test_dist_subcommand():
     assert payload["mode"] == "dist"
 
 
+def test_zero_partition_is_refused_by_dist_and_oracle():
+    """A weighting whose partition function is zero has no distribution:
+    the engine and the ground oracle refuse it alike."""
+    argv = ("-n", "2", "-e", "predicate H/1\nforall x (H(x) | !H(x))",
+            "--weight", "0", "--query", "|H| = 1")
+    refused = (1, "", "error: partition function is zero; the distribution is undefined\n")
+    assert invoke("dist", *argv) == invoke("oracle", *argv) == refused
+
+
 #: a weight whose distribution has a probability of about 1.25e399, past
 #: the largest float
 TINY_WEIGHT = "(-1)^|H| + 0." + "0" * 399 + "1"

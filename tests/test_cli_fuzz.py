@@ -87,6 +87,8 @@ def run_cli(argv):
 @example(["count", "-n", "2", "--threads", "abc", "-e", RUNNING_EXAMPLE])
 @example(["dist", "-n", "3", "-e", "predicate H/1\nforall x (H(x) | !H(x))",
           "--weight", "(-1)^|H| + 0." + "0" * 399 + "1", "--query", "|H| = 0"])
+@example(["oracle", "-n", "2", "-e", "predicate H/1\nforall x (H(x) | !H(x))",
+          "--weight", "0", "--query", "|H| = 1"])
 def test_every_argv_ends_in_an_exit_code(argv):
     code, stderr = run_cli(argv)
     assert code in (0, 1, 2, 3), (code, stderr)

@@ -3,7 +3,7 @@ eligible, with a fresh oracle run (the DERIVED regeneration discipline)."""
 
 import pytest
 
-from fo2mc.corpus import load_corpus, verify_entry
+from fo2mc.corpus import CorpusEntry, load_corpus, verify_entry
 
 ENTRIES = {entry.name: entry for entry in load_corpus()}
 
@@ -43,6 +43,17 @@ def test_coins_entry_distribution():
     assert entry.expected["4"]["distribution"] == {
         "0": "1/8", "1": "0", "2": "3/4", "3": "0", "4": "1/8"}
     assert entry.expected["4"]["provenance"] == "PINNED"
+
+
+def test_weighted_dist_entry_against_the_oracle():
+    """A dist entry's weight lines weigh the oracle's distribution as they
+    weigh the engine's: unweighted, it would read 1/8, 3/8, 3/8, 1/8."""
+    entry = CorpusEntry(
+        name="weighted_coins", text="predicate H/1\nforall x (H(x) | !H(x))\nweight H 1 2\n",
+        tags=("weighted",), mode="dist", oracle_eligible=True, query_pred="H",
+        expected={"3": {"distribution": {"0": "8/27", "1": "4/9", "2": "2/9", "3": "1/27"}}})
+    report = verify_entry(entry)
+    assert report.ok and report.checks == 2, report.failures
 
 
 def test_corpus_files_round_trip():

@@ -234,6 +234,15 @@ def test_breakdown_binary_tracking():
     assert sum(value for _, value in rows) == 48
 
 
+def test_profile_table_reads_by_its_tracked_cards_unary_first():
+    """``Solver.profile_table``, which the benchmark harness wraps, reads by
+    the tracked names deduplicated, unary ones first, and returns them."""
+    s = running_solver()
+    names, table = s.profile_table(3, ("R", "A", "A"))
+    assert names == ("A", "R")
+    assert table == s.read(3, names) and sum(table.values()) == 1792
+
+
 def test_stratified_census_identity():
     """Per-census reference terms equal oracle 1-type census counts."""
     p = parse_problem(RUNNING_EXAMPLE)

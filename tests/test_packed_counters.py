@@ -321,3 +321,13 @@ def test_layout_mul_against_dict_polynomials(capped):
                for counts, coef in layout.decode(layout.mul(layout.pack(p.items()),
                                                             layout.pack(q.items())))}
         assert got == truncated_product(p, q, caps), (bounds, p, q)
+
+
+def test_layout_at_past_a_cap_is_zero():
+    """``_Layout.at`` reads the run of the lower counters' digits at values
+    of the last ones, and 0 at a value past that counter's cap."""
+    layout = _Layout((0, 1), [(3, 3), (1, 4)], 16)  # counter 1 kept up to 1 of 4
+    x = layout.pack([((1, 0), 5), ((2, 1), 7)])
+    assert layout.at(x, (0,)) == 5 << 16
+    assert layout.at(x, (1,)) == 7 << 32
+    assert [layout.at(x, (k,)) for k in (2, 3, 4)] == [0, 0, 0]
