@@ -1,9 +1,9 @@
 """Curated problems with golden expectations.
 
 Each entry is a ``.fo2`` problem next to a ``.expected.json`` file with
-feature tags, per-n expected values and a provenance marker (DERIVED
-values are regenerated from the oracle whenever the verifier runs, so a
-drifting oracle or engine cannot hide behind a stale golden).
+feature tags, per-n expected values and a provenance marker.  Verifying
+compares each value with the engine and, where eligible, a fresh oracle
+run (nothing is regenerated), so no drift hides behind a stale golden.
 """
 
 from __future__ import annotations

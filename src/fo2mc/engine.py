@@ -12,9 +12,9 @@ counter for all of G's blocks, and any other's as its whole row minus
 that sum; per guard this expands into signed digit boxes, each sign a
 class weight.  On any other matrix the pair factor
 f_ij is the 2-table polynomial and the row the bare class weight.  In the
-``successor_encoding``, with its 1/m! weights, every block raises one tie
-counter through either kind of factor, and each census key's value is
-read at its target.  By the multinomial theorem classes of one column
+``successor_encoding``, with its 1/j indicator weights, every block's chain
+raises one tie counter through either kind of factor, and each census key's
+value is read at its target.  By the multinomial theorem classes of one column
 whose pair factors agree form one group, and the census runs over the
 group counts: one group is the n-th power of a per-element polynomial.
 The census is one depth-first walk (``_walk``): the groups raising a
@@ -31,7 +31,7 @@ function in them (Kuzelka, JAIR 2021), evaluated as one Python integer
 groups as census keys or, under per-element rows, stay digits where a
 cost estimate favours that.  Every weight is an integer before any census:
 one rule scales each (true, false) weight pair of a predicate p, symmetric
-or literal (a sign's -1, an exact successor block's 1/m! on a true A), by
+or literal (a sign's -1, a chain's 1/j on its true j-th indicator), by
 the lcm d_p of its denominators, so every model is counted
 prod_p d_p^(n^arity(p)) times, a closed-form scale.
 
@@ -345,10 +345,10 @@ class ProfileEvaluator:
         # The counters an atom raises, per predicate and truth value: a true
         # one its tracked predicate's (unary ones first), then one per guard,
         # its degree, or in the successor encoding one tie counter, raised by
-        # every true f_ij and by m_i for a false A_i.  Block i's share,
-        # sum_j |f_ij| + m_i * |not A_i|, is at least m_i * n on every term
-        # the sign predicates leave (each A_i-element has its f_ij successors),
-        # so the counter is sum_i m_i * n exactly when every share is tied.
+        # every true slot and every false indicator.  An element's share in a
+        # chain of hi slots is at least hi on every term the sign predicates
+        # leave (a true I_j has its f_j successor, the slots disjoint), equal
+        # when I_1..I_d hold and its d filled slots hold one successor each.
         self.key_names = tuple(sorted(tracked, key=arity))
         self.n_unary = sum(arity(p) == 1 for p in tracked)
         self._ties = norm.successors
@@ -366,8 +366,8 @@ class ProfileEvaluator:
         for d, preds in enumerate([(p,) for p in self.key_names] + counted):
             for pred in preds:
                 self._raises.setdefault((pred, 1), []).append(d)
-        for b in norm.blocks if self._ties else ():
-            self._raises[b.a_pred, 0] = [len(self.key_names)] * b.m
+        for pred in (i for b in norm.blocks for i in b.indicators):
+            self._raises.setdefault((pred, 0), []).append(len(self.key_names))
         # (cap, top) per counter: a card reaches n or n * n but only the
         # values the constraint's comparisons allow are kept, a guard degree
         # n but only its blocks' spans are read; the tie counter only
@@ -382,7 +382,7 @@ class ProfileEvaluator:
         # the unary cards' box, which the census walk never leaves
         self._box = None if ranges is None else [ranges[p] for p in self.key_names[:self.n_unary]]
         self._bounds = [(caps[p], tops[p]) for p in self.key_names]
-        tie = sum(b.m for b in norm.blocks) * n  # the tie counter's target
+        tie = sum(len(b.f_preds) for b in norm.blocks) * n  # the tie counter's target
         self._bounds += ([(tie, tie * (n + 1))] if self._ties
                          else [(max(b.span[1] for _, b in blocks), n)
                                for blocks in self._guards.values()])

@@ -20,17 +20,18 @@ matrix through a fresh sign predicate, whose true atoms weigh -1
 (``NormalizedProblem.literal_weights``, the synthetic predicates' weights).
 
 ``successor_encoding`` rewrites that form into the source paper's
-encoding, the engine's fallback for every other matrix: per degree k of a
-block's span, k fresh binary predicates f_j with axioms that make A_k a
-subset of the exactly-k set E_k, a weight 1/k! per true A_k atom and ties
-|f_j| = |A_k|; the union of the A_k stands for A.  Where the matrix does
-not pin it to the union of the E_k, a block in ``signed`` gets a sign
-predicate S with S(x) -> union(x), each occurrence read as
-union(w) & !S(w): summing (-1)^|S| over S within the union and each A_k
-within E_k leaves exactly the union of the E_k, so the count is exact.
-A pinned block whose span holds 0 leaves A_0 implicit: the elements
-outside every other A_k have no guard edge, every element's degree is in
-the span, and its occurrences, which the matrix forces, read true.
+encoding, the engine's fallback for every other matrix: per block of span
+lo..hi one chain of hi fresh binary slots f_j, which split an A-element's
+guard edges, and nested unary indicators I_j, true when f_j is filled,
+weighing 1/j each and tied by |f_j| = |I_j|: an element of degree d fills
+d slots in d! orders and weighs 1/d!.  I_j is A itself for j <= lo (an
+exact block is the paper's encoding, with 1/m! on A).  Where the matrix
+does not pin A, a block in ``signed`` gets a sign predicate S with
+S(x) -> A(x), each occurrence read as A(w) & !S(w): summing (-1)^|S| over
+S within A and the chain within the span leaves exactly the elements
+whose degree lies in the span, so the count is exact.  A pinned block
+whose span holds 0 has A forced true: A serves as I_1, every element's
+guard edges fill the slots, and its occurrences read true.
 
 Each rewriting walker spells out only the nodes it changes and reaches
 every other node through ``logic.subformulas`` and ``logic.rebuild``.
@@ -39,7 +40,6 @@ Fresh synthetic predicates come from ``NameAllocator.fresh``.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import combinations
 from typing import Collection
@@ -83,19 +83,21 @@ class NameAllocator:
 class CountingBlock(Node):
     """One ``exists{cmp m}`` occurrence, cmp ``=`` or ``<=``: A(x) holds
     exactly when x's guard degree lies in ``span``; in the successor
-    encoding, the exact block of one degree of occurrence ``index``, with its
-    successor predicates ``f_preds`` and the occurrence's ``sign``, if any."""
+    encoding, with its slots ``f_preds``, their ``indicators`` (A for the
+    slots up to lo) and its ``sign``, if any."""
 
-    __slots__ = ("index", "guard", "cmp", "m", "a_pred", "f_preds", "sign")
+    __slots__ = ("index", "guard", "cmp", "m", "a_pred", "f_preds", "indicators", "sign")
 
     def __init__(self, index: int, guard: str, cmp: str, m: int, a_pred: str,
-                 f_preds: tuple[str, ...] = (), sign: str | None = None):
+                 f_preds: tuple[str, ...] = (), indicators: tuple[str, ...] = (),
+                 sign: str | None = None):
         _set(self, "index", index)
         _set(self, "guard", guard)
         _set(self, "cmp", cmp)
         _set(self, "m", m)
         _set(self, "a_pred", a_pred)
         _set(self, "f_preds", f_preds)
+        _set(self, "indicators", indicators)
         _set(self, "sign", sign)
 
     @property
@@ -124,10 +126,12 @@ class NormalizedProblem:
     @property
     def literal_weights(self) -> dict[str, tuple[Fraction, Fraction]]:
         """The synthetic predicates' (true, false) weights: -1 for a sign, and
-        1/m! for the A of an exact successor block (its successors' m! orders)."""
-        weights = dict.fromkeys(self.sign_preds, (-1, 1))
-        weights.update((b.a_pred, (Fraction(1, math.factorial(b.m)), 1))
-                       for b in self.blocks if len(b.f_preds) >= 2)
+        1/j for the j-th indicator of a chain (1/m! on an exact block's A)."""
+        weights, divisors = dict.fromkeys(self.sign_preds, (-1, 1)), {}
+        for b in self.blocks:
+            for j, pred in enumerate(b.indicators, 1):
+                divisors[pred] = divisors.get(pred, 1) * j
+        weights.update((p, (Fraction(1, d), 1)) for p, d in divisors.items() if d > 1)
         return weights
 
     @property
@@ -136,9 +140,9 @@ class NormalizedProblem:
         return any(b.f_preds for b in self.blocks)
 
     def tie_constraint(self) -> CardConstraint:
-        """The induced |f_ij| = |A_i| ties of all counting blocks."""
-        return card_conjoin([CardCompare("=", LinearExpr.card(f), LinearExpr.card(b.a_pred))
-                             for b in self.blocks for f in b.f_preds])
+        """The induced |f_j| = |I_j| ties of every chain's slots."""
+        return card_conjoin([CardCompare("=", LinearExpr.card(f), LinearExpr.card(i))
+                             for b in self.blocks for f, i in zip(b.f_preds, b.indicators)])
 
     def merged_constraint(self) -> CardConstraint:
         return card_conjoin([self.constraint, self.tie_constraint()])
@@ -409,59 +413,54 @@ def normalize(problem: Problem) -> NormalizedProblem:
 def successor_encoding(norm: NormalizedProblem, signed: Collection[int] = ()
                        ) -> NormalizedProblem:
     """The source paper's successor encoding of the per-element normal form
-    ``norm``, per degree k of each block's span: k fresh binary predicates
-    f_j with A_k(x) -> (G(x,y) <-> f_1 | ... | f_k), pairwise disjointness
-    and the forall-exists conjuncts A_k(x) -> f_j(x,y), signed like the
-    problem's own; A_k is A for the highest k, else fresh.  A block whose
-    index is in ``signed`` also gets a sign predicate S with S(x) -> A_k(x)
-    for some k.  Each occurrence A(t) reads the union of the A_k (and !S(t)).
-    A block not in ``signed`` whose span holds 0 has no A_0 but the axiom
-    !(A_1 | ... | A_hi)(x) -> !G(x,y), and its occurrences read true: a
-    conjunct that this makes true is dropped.  Oversize encodings are refused
-    before any axiom is built: each f_j adds a type slot, two table slots
-    and an existence sign."""
-    implicit = {b.a_pred for b in norm.blocks if b.index not in signed and b.span[0] == 0}
+    ``norm``, one chain per block of span lo..hi: hi fresh binary slots f_j,
+    pairwise disjoint, with A(x) -> (G(x,y) <-> f_1 | ... | f_hi), and
+    indicators I_j with the forall-exists conjuncts I_j(x) -> f_j(x,y),
+    signed like the problem's own, I_{j+1} -> I_j and I_1 -> A; I_j is A
+    for j <= lo.  A block whose index is in ``signed`` also gets a sign
+    predicate S with S(x) -> A(x), and each occurrence A(t) reads
+    A(t) & !S(t).  A block not in ``signed`` whose span holds 0 has A forced
+    true by the matrix: A serves as I_1, G <-> f_1 | ... | f_hi holds for
+    every x, and its occurrences read true (a conjunct this makes true is
+    dropped).  Oversize encodings are refused before any axiom is built:
+    each f_j adds a type slot, two table slots and an existence sign."""
+    forced = {b.a_pred for b in norm.blocks if b.index not in signed and b.span[0] == 0}
     u, b = len(norm.signature.arities), 2 * len(norm.signature.binary_predicates())
     for block in norm.blocks:
         lo, hi = block.span
-        fs = (lo + hi) * (hi - lo + 1) // 2
-        u += 2 * fs + hi - lo + (block.index in signed) - (block.a_pred in implicit)
-        b += 2 * fs
+        u += 3 * hi - lo + (block.index in signed) - (block.a_pred in forced)
+        b += 2 * hi
     check_table_bits(u, b)
     signature = norm.signature.copy()
     alloc = NameAllocator(signature)
     signs = {b.a_pred: alloc.fresh("P", 1) for b in norm.blocks if b.index in signed}
-    first = {b.a_pred: b.span[0] + (b.a_pred in implicit) for b in norm.blocks}
-    unions = {b.a_pred: [*(alloc.fresh("A", 1) for _ in range(first[b.a_pred], b.span[1])),
-                         b.a_pred] for b in norm.blocks}
 
     def rewrite(f: Formula) -> Formula:
-        if isinstance(f, Atom) and f.pred in implicit:
+        if isinstance(f, Atom) and f.pred in forced:
             return TRUE
-        if isinstance(f, Atom) and f.pred in unions:
-            seen = disjoin(Atom(a, f.args) for a in unions[f.pred])
-            if f.pred in signs:
-                seen = And(seen, Not(Atom(signs[f.pred], f.args)))
-            return seen
+        if isinstance(f, Atom) and f.pred in signs:
+            return And(f, Not(Atom(signs[f.pred], f.args)))
         return rebuild(f, [rewrite(s) for s in subformulas(f)])
 
     # a conjunct the rewrite makes true goes; one the input wrote as true stays
     matrix = [r for c in norm.matrix if (r := rewrite(c)) != TRUE or c == TRUE]
     psis, blocks = [], []
     for b in norm.blocks:
-        guard, sign, union = Atom(b.guard, ("x", "y")), signs.get(b.a_pred), unions[b.a_pred]
-        for k, a_pred in enumerate(union, first[b.a_pred]):
-            fs = tuple(alloc.fresh(f"f{b.index}_", 2) for _ in range(k))
-            f_atoms = [Atom(name, ("x", "y")) for name in fs]
-            a_x = Atom(a_pred, ("x",))
-            matrix.append(Implies(a_x, Iff(guard, disjoin(f_atoms)) if fs else Not(guard)))
-            matrix += [Implies(p, Not(q)) for p, q in combinations(f_atoms, 2)]
-            psis += [Implies(a_x, fa) for fa in f_atoms]
-            blocks.append(CountingBlock(b.index, b.guard, "=", k, a_pred, fs, sign))
-        if b.a_pred in implicit:
-            matrix.append(Implies(Not(disjoin(Atom(a, ("x",)) for a in union)), Not(guard)))
+        guard, sign, a_x = Atom(b.guard, ("x", "y")), signs.get(b.a_pred), Atom(b.a_pred, ("x",))
+        lo, hi = b.span
+        fs = tuple(alloc.fresh(f"f{b.index}_", 2) for _ in range(hi))
+        own = max(lo, b.a_pred in forced)  # the slots whose indicator is A
+        indicators = (b.a_pred,) * own + tuple(alloc.fresh("A", 1) for _ in range(own, hi))
+        f_atoms = [Atom(name, ("x", "y")) for name in fs]
+        i_atoms = [Atom(name, ("x",)) for name in indicators]
+        split = Iff(guard, disjoin(f_atoms))
+        matrix.append(split if b.a_pred in forced else Implies(a_x, split))
+        matrix += [Implies(p, Not(q)) for p, q in combinations(f_atoms, 2)]
+        matrix += [Implies(p, q) for p, q in zip(i_atoms, [a_x, *i_atoms]) if p != q]
+        psis += map(Implies, i_atoms, f_atoms)
         if sign:
-            matrix.append(Implies(Atom(sign, ("x",)), disjoin(Atom(a, ("x",)) for a in union)))
+            matrix.append(Implies(Atom(sign, ("x",)), a_x))
+        blocks.append(CountingBlock(b.index, b.guard, b.cmp, b.m, b.a_pred, fs, indicators, sign))
     matrix, f_signs = eliminate_existentials(matrix, psis, alloc)
     return NormalizedProblem(
         signature=signature,

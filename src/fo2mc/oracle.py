@@ -172,17 +172,17 @@ def spec_terms(problem: Problem, n: int, constraint: CardConstraint | None = Non
     times each element's 1-type polynomial and each pair's 2-table one: the
     weights of their atoms (-1 for a true sign atom, else the symmetric
     weight) over the cards of the constraint (the problem's unless given,
-    as in ``Solver.count``) and the tie sum_ij |f_ij|, kept at the tie
-    sum_i m_i |A_i| where the constraint allows, over prod_i m_i!^|A_i|."""
+    as in ``Solver.count``) and the tie sum_j |f_j|, kept at sum_j |I_j|
+    where the constraint allows, over prod_j j^|I_j|."""
     enc = successor_encoding(norm := normalize(problem), [b.index for b in norm.blocks])
     cells = build_cells(enc.signature, enc.matrix)
     constraint = enc.constraint if constraint is None else constraint
     preds = sorted(constraint_predicates(constraint))
     ties = {f for b in enc.blocks for f in b.f_preds}
     weights = {**enc.symmetric_weights, **dict.fromkeys(enc.sign_preds, (-1, 1))}
-    due = {t: [b.m for b in enc.blocks if cells.type_bit(t, cells.u_slot_index(b.a_pred, "unary"))]
-           for t in cells.valid}
-    top, one = n * max(map(sum, due.values()), default=0), (0,) * (len(preds) + 1)
+    due = {t: [j for b in enc.blocks for j, i in enumerate(b.indicators, 1)
+               if cells.type_bit(t, cells.u_slot_index(i, "unary"))] for t in cells.valid}
+    top, one = n * max(map(len, due.values()), default=0), (0,) * (len(preds) + 1)
 
     @cache
     def power(factor: tuple[int, ...], e: int) -> dict:
@@ -202,7 +202,7 @@ def spec_terms(problem: Problem, n: int, constraint: CardConstraint | None = Non
 
     terms = {}
     for k in map(Counter, combinations_with_replacement(cells.valid, n)):
-        target = sum(sum(due[t]) * c for t, c in k.items())
+        target = sum(len(due[t]) * c for t, c in k.items())
         poly = {one: math.factorial(n) // math.prod(map(math.factorial, k.values()))}
         census = sorted(k.items())
         for a, (i, c) in enumerate(census):
@@ -211,7 +211,7 @@ def spec_terms(problem: Problem, n: int, constraint: CardConstraint | None = Non
                 poly = _times(poly, power((i, j), c * (c - 1) // 2 if i == j else c * d), target)
         kept = sum(w for key, w in poly.items()
                    if key[-1] == target and constraint.holds(dict(zip(preds, key))))
-        divisor = math.prod(math.factorial(m) ** c for t, c in census for m in due[t])
+        divisor = math.prod(j ** c for t, c in census for j in due[t])
         terms[tuple(map(k.get, range(1 << cells.u), repeat(0)))] = Fraction(kept, divisor)
     return terms
 

@@ -39,6 +39,11 @@ THREE_WITNESS = ("predicate A/1\npredicate B/1\npredicate R/2\npredicate S/2\n"
 SYM2BLK = ("predicate R/2\npredicate S/2\nforall x forall y (R(x,y) -> R(y,x)) & "
            "forall x exists{=1} y R(x,y) & forall x exists{=1} y S(x,y)\n")
 
+#: a weight line naming a predicate the declarations leave out
+UNDECLARED_WEIGHT = "predicate A/1\nforall x A(x)\nweight Q 1 2\n"
+#: a second profile weight
+TWO_PROFILE_WEIGHTS = "predicate H/1\nforall x H(x)\nprofileweight |H|\nprofileweight 2\n"
+
 
 @pytest.fixture
 def running_problem() -> Problem:

@@ -18,7 +18,8 @@ from fo2mc.engine import Solver
 from fo2mc.errors import InternalConsistencyError
 from fo2mc.parser import parse_problem
 
-from conftest import ZERO_OR_TWO_EXAMPLE, RUNNING_EXAMPLE
+from conftest import (RUNNING_EXAMPLE, TWO_PROFILE_WEIGHTS, UNDECLARED_WEIGHT,
+                      ZERO_OR_TWO_EXAMPLE)
 
 
 def invoke(*argv):
@@ -150,11 +151,41 @@ def test_wfomc_multiplies_symmetric_and_profile_weights(text, flags):
     assert code == 0 and out == brute == "4725\n"
 
 
+@pytest.mark.parametrize("text,line", [
+    (UNDECLARED_WEIGHT, "error: 3:8: weight for undeclared predicate Q"),
+    (TWO_PROFILE_WEIGHTS, "error: 4:1: duplicate profileweight declaration"),
+], ids=("undeclared-weight", "duplicate-profileweight"))
+def test_weight_line_errors_exit_one(text, line):
+    assert invoke("count", "-n", "2", "-e", text) == (1, "", line + "\n")
+
+
 def test_normalize_dump():
     code, out, _ = invoke("normalize", "-e", ZERO_OR_TWO_EXAMPLE)
     assert code == 0
     assert "constraint |__f1_1| = |__A1|" in out
     assert "# signs __P1 __P2" in out
+
+
+def test_normalize_dump_of_a_pinned_span():
+    """The symmetric ``exists{<=2}``: one chain of two slots that every
+    element's R-edges fill, A (__A1) the first indicator, __A2 the second."""
+    code, out, err = invoke("normalize", "-e", "predicate R/2\nforall x forall y (R(x,y) -> R(y,x))"
+                            " & forall x exists{<=2} y R(x,y)")
+    assert (code, err) == (0, "")
+    assert out == (
+        "predicate R/2\n"
+        "predicate __A1/1  # synthetic\n"
+        "predicate __A2/1  # synthetic\n"
+        "predicate __P1/1  # synthetic\n"
+        "predicate __P2/1  # synthetic\n"
+        "predicate __f1_1/2  # synthetic\n"
+        "predicate __f1_2/2  # synthetic\n"
+        "forall x (forall y ((R(x, y) -> R(y, x)) & (R(x, y) <-> __f1_1(x, y) | __f1_2(x, y))"
+        " & (__f1_1(x, y) -> !__f1_2(x, y)) & (__A2(x) -> __A1(x))"
+        " & (__P1(x) -> !(__A1(x) -> __f1_1(x, y))) & (__P2(x) -> !(__A2(x) -> __f1_2(x, y)))))\n"
+        "constraint |__f1_1| = |__A1|\n"
+        "constraint |__f1_2| = |__A2|\n"
+        "# signs __P1 __P2\n")
 
 
 @pytest.mark.parametrize("body,bits", [("R(x,y)", "2*4002+4002 = 12006"),

@@ -1,8 +1,11 @@
 """Corpus integrity: every entry agrees with its golden and, where
-eligible, with a fresh oracle run (the DERIVED regeneration discipline)."""
+eligible, with a fresh oracle run; a golden is compared, never regenerated."""
+
+import dataclasses
 
 import pytest
 
+import fo2mc.corpus
 from fo2mc.corpus import CorpusEntry, load_corpus, verify_entry
 
 ENTRIES = {entry.name: entry for entry in load_corpus()}
@@ -54,6 +57,32 @@ def test_weighted_dist_entry_against_the_oracle():
         expected={"3": {"distribution": {"0": "8/27", "1": "4/9", "2": "2/9", "3": "1/27"}}})
     report = verify_entry(entry)
     assert report.ok and report.checks == 2, report.failures
+
+
+def test_a_doctored_golden_is_one_failure():
+    """The engine against a wrong golden: one failure, naming the size and
+    the command that reproduces it, and no oracle check at that size."""
+    entry = ENTRIES["running"]
+    doctored = dataclasses.replace(entry, expected={**entry.expected, "2": {"count": "49"}})
+    report = verify_entry(doctored, max_n=2)
+    assert report.failures == ["running n=2: engine '48' != golden '49' "
+                               "(reproduce: fo2mc count -n 2 problems/running.fo2)"]
+    assert report.checks == 3
+
+
+def test_an_oracle_that_drifts_is_one_failure(monkeypatch):
+    """The oracle against the golden the engine agrees with."""
+    monkeypatch.setattr(fo2mc.corpus, "_oracle_value", lambda entry, problem, n, cap: "0")
+    report = verify_entry(ENTRIES["running"], max_n=1)
+    assert report.failures == ["running n=1: oracle '0' != golden '4' "
+                               "(reproduce: fo2mc count -n 1 problems/running.fo2 vs fo2mc oracle)"]
+    assert report.checks == 2
+
+
+def test_max_n_below_every_size_checks_nothing():
+    entry = ENTRIES["running"]
+    report = verify_entry(entry, max_n=min(entry.sizes()) - 1)
+    assert report.ok and report.checks == 0
 
 
 def test_corpus_files_round_trip():

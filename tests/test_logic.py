@@ -170,7 +170,7 @@ NODES = {
     "WPow": (lambda: WPow(WNum(Fraction(1)), WCard("H")), f"WPow(base={ONE}, exponent={H})"),
     "CountingBlock": (lambda: CountingBlock(1, "R", "<=", 2, "__A1"),
                       "CountingBlock(index=1, guard='R', cmp='<=', m=2, a_pred='__A1', "
-                      "f_preds=(), sign=None)"),
+                      "f_preds=(), indicators=(), sign=None)"),
 }
 
 

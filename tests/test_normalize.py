@@ -78,6 +78,32 @@ def test_literal_weights():
                                    block.a_pred: (Fraction(1, 6), 1)}
 
 
+def test_chain_weights_and_ties():
+    """The symmetric ``exists{<=3}`` is one pinned chain of three slots,
+    A its first indicator: the j-th indicator weighs 1/j when true, so A
+    has no weight, and each slot is tied to its indicator."""
+    enc = Solver(parse_problem(f"{SYMMETRIC} & forall x exists{{<=3}} y R(x,y)")).norm
+    [block] = enc.blocks
+    a, second, third = block.indicators
+    assert a == block.a_pred and block.sign is None and len(block.f_preds) == 3
+    assert enc.literal_weights == {**dict.fromkeys(enc.sign_preds, (-1, 1)),
+                                   second: (Fraction(1, 2), 1), third: (Fraction(1, 3), 1)}
+    assert enc.tie_constraint().parts == tuple(
+        CardCompare("=", LinearExpr.card(f), LinearExpr.card(i))
+        for f, i in zip(block.f_preds, block.indicators))
+
+
+def test_unpinned_chain_has_a_fresh_first_indicator():
+    """An unpinned ``exists{<=2}`` is signed, and its first indicator is a
+    fresh predicate of weight 1 that implies A."""
+    enc = Solver(parse_problem(f"{SYMMETRIC} & forall x (A(x) <-> exists{{<=2}} y R(x,y))")).norm
+    [block] = enc.blocks
+    first, second = block.indicators
+    assert block.sign and first != block.a_pred
+    assert first not in enc.literal_weights and enc.literal_weights[second] == (Fraction(1, 2), 1)
+    assert Implies(Atom(first, ("x",)), Atom(block.a_pred, ("x",))) in enc.matrix
+
+
 @pytest.mark.parametrize("quant", ["exists{<=1}", "exists{>=2}", "exists{<=2}"])
 def test_sugar_preserves_models(quant):
     """The per-element count and the successor encoding's, signed where
@@ -141,13 +167,14 @@ def test_comparison_differential(position, symmetric):
 
 def test_symmetric_at_least_three_counts():
     """The symmetric matrix with at least 3 R-successors (a loop counts):
-    the successor encoding of degrees 0..2, read negated, within 30 table
-    bits.  At n = 4, 43 of the 1,024 symmetric relations qualify."""
+    one signed ``<=2`` block with a chain of two slots, read negated, in 24
+    table bits.  At n = 4, 43 of the 1,024 symmetric relations qualify."""
     p = parse_problem("predicate R/2\nforall x forall y (R(x,y) -> R(y,x)) & "
                       "forall x exists{>=3} y R(x,y)")
     solver = Solver(p)
-    assert solver.norm.successors and [b.m for b in solver.norm.blocks] == [0, 1, 2]
-    assert 2 * solver.cells.u + solver.cells.b <= 30
+    [block] = solver.norm.blocks
+    assert (block.cmp, block.m, len(block.f_preds), bool(block.sign)) == ("<=", 2, 2, True)
+    assert 2 * solver.cells.u + solver.cells.b == 24
     assert [solver.count(n) for n in (1, 2, 3, 4)] == [
         *(oracle_count(p.signature, p.sentence, n).total for n in (1, 2, 3)), 43]
 
@@ -425,17 +452,18 @@ def test_dump_includes_ties():
     assert "# signs __P1 __P2" in dumped
 
 
-def test_implicit_degree_zero_drops_the_conjunct_it_makes_true():
+def test_pinned_span_drops_the_conjunct_it_makes_true():
     """The occurrence of a pinned block whose span holds 0 reads true in the
     successor encoding, and the conjunct that said it holds is dropped, so
-    no cell sweep evaluates a constant; a true conjunct the input wrote
-    stays."""
+    no cell sweep evaluates a constant; every element's guard edges fill
+    the slots, and A is the first indicator.  A true conjunct the input
+    wrote stays."""
     dumped = dump_normalized(successor_encoding(normalize(parse_problem(
         "predicate R/2\nforall x exists{<=1} y R(x,y)"))))
     assert dumped.splitlines()[4] == (
-        "forall x (forall y ((__A1(x) -> (R(x, y) <-> __f1_1(x, y))) & (!__A1(x) -> !R(x, y))"
+        "forall x (forall y ((R(x, y) <-> __f1_1(x, y))"
         " & (__P1(x) -> !(__A1(x) -> __f1_1(x, y)))))")
     written = successor_encoding(normalize(parse_problem(
         "predicate R/2\nforall x forall y x = x & forall x exists{<=1} y R(x,y)")))
     assert written.matrix[0] == parse_formula("x = x")
-    assert len(written.matrix) == 4
+    assert len(written.matrix) == 3

@@ -9,7 +9,7 @@ from fo2mc.parser import (format_problem, parse_cardinality, parse_formula,
                           parse_problem, parse_weight_expr)
 from fo2mc.oracle import oracle_count
 
-from conftest import RUNNING_EXAMPLE
+from conftest import RUNNING_EXAMPLE, TWO_PROFILE_WEIGHTS, UNDECLARED_WEIGHT
 
 
 def test_running_example_ast():
@@ -98,7 +98,10 @@ def test_error_position():
     ("forall x A(x) # a comment\n  )", (2, 3), "unexpected trailing input ')'"),
     ("# header\nforall x (A(x) & B(x)\n", (3, 1),
      "expected ')', found 'end of input'"),
-], ids=("character-line-1", "character-line-3", "after-comment", "end-of-input"))
+    (UNDECLARED_WEIGHT, (3, 8), "weight for undeclared predicate Q"),
+    (TWO_PROFILE_WEIGHTS, (4, 1), "duplicate profileweight declaration"),
+], ids=("character-line-1", "character-line-3", "after-comment", "end-of-input",
+        "undeclared-weight", "duplicate-profileweight"))
 def test_error_line_and_column(text, position, message):
     """Positions are 1-based; a comment counts as text, and the end of
     input sits after the last character."""

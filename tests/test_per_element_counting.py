@@ -4,6 +4,8 @@ fall back to the successor encoding."""
 
 import math
 import time
+from collections import Counter
+from functools import cache
 
 import pytest
 
@@ -181,11 +183,11 @@ def test_complementary_quantifiers_match_the_oracle(body, left, right):
 
 def test_sym_mixed_is_one_block():
     """At most 1 and at least 2 on one guard are one block, read as A and
-    not A: 18 table bits and 18 valid types (two blocks needed 30 and
+    not A: 18 table bits and 14 valid types (two blocks needed 30 and
     212), so an unmentioned unary predicate still fits."""
     assert len(normalize(parse_problem(SYM_MIXED)).blocks) == 1
     solver = Solver(parse_problem(SYM_MIXED))
-    assert 2 * solver.cells.u + solver.cells.b == 18 and len(solver.cells.valid) == 18
+    assert 2 * solver.cells.u + solver.cells.b == 18 and len(solver.cells.valid) == 14
     p = parse_problem("predicate A/1\npredicate B/1\npredicate R/2\n" + SYM_MIXED)
     solver = Solver(p)
     for n, want in ((1, 4), (2, 32), (3, 512)):
@@ -212,23 +214,23 @@ PINNED_SPANS = [(pre + f"forall x {q} y {guard}")
 
 @pytest.mark.parametrize("text", NOT_DIRECTED + tuple(PINNED_SPANS))
 def test_not_directed_blocks_use_successor_encoding(text):
-    """A block without a sign has no degree 0: a pinned block whose span
-    holds 0 encodes the degrees 1..hi only, and the elements outside their
-    A's have no guard edge."""
+    """A block without a sign reuses its A as the chain's first indicator:
+    a pinned block whose span holds 0 has A forced true, so A is free to
+    say that the first slot is filled."""
     p = parse_problem(text)
     solver = Solver(p)
     assert not solver.cells.directed
     assert solver.norm.successors
     assert solver.norm.blocks[0].f_preds
-    assert all(b.m or b.sign for b in solver.norm.blocks)
+    assert all(b.sign or b.indicators[0] == b.a_pred for b in solver.norm.blocks)
     for n in (1, 2, 3):
         assert solver.count(n) == oracle_count(p.signature, p.sentence, n).total
 
 
-def test_implicit_degree_zero_saves_a_type_slot():
+def test_pinned_span_reuses_a_as_its_first_indicator():
     """Beside 7 unmentioned unary predicates, ``exists{<=1}`` on a coupled
     guard fits in 30 table bits (2^21 times the bare count at n = 3), and
-    the symmetric ``exists{<=2}`` needs 26."""
+    the symmetric ``exists{<=2}``, one chain of two slots, needs 20."""
     unary = "".join(f"predicate B{k}/1\n" for k in range(1, 8))
     text = "predicate R/2\nforall x exists{<=1} y (R(x,y) & R(y,x))\n"
     solver = Solver(parse_problem(unary + text))
@@ -236,7 +238,7 @@ def test_implicit_degree_zero_saves_a_type_slot():
     assert solver.count(3) == 566231040 == 2 ** 21 * Solver(parse_problem(text)).count(3)
     symmetric = Solver(parse_problem(
         "forall x forall y (R(x,y) -> R(y,x)) & forall x exists{<=2} y R(x,y)"))
-    assert 2 * symmetric.cells.u + symmetric.cells.b == 26
+    assert 2 * symmetric.cells.u + symmetric.cells.b == 20
 
 
 def test_blocks_share_one_tie_counter():
@@ -249,6 +251,16 @@ def test_blocks_share_one_tie_counter():
     assert len(solver.norm.blocks) == 2
     assert ev._bounds[len(ev.key_names):] == [(2 * n, 2 * n * (n + 1))]
     assert ev._census()[1].counters == (0,)
+
+
+def test_chain_tie_bounds():
+    """The symmetric ``exists{<=3}``, one chain of three slots, raises the
+    tie counter to its target 3n, bounded by (3n, 3n(n+1))."""
+    solver = Solver(parse_problem("forall x forall y (R(x,y) -> R(y,x)) & "
+                                  "forall x exists{<=3} y R(x,y)"))
+    for n in (1, 4):
+        ev = ProfileEvaluator(solver.norm, solver.cells, n)
+        assert ev._bounds[len(ev.key_names):] == [(3 * n, 3 * n * (n + 1))]
 
 
 def test_two_blocks_on_two_guards_at_twelve():
@@ -272,6 +284,54 @@ def test_per_element_form_on_a_matrix_that_is_not_directed_is_refused():
     with pytest.raises(InternalConsistencyError, match="directed matrix"):
         ProfileEvaluator(norm, build_cells(norm.signature, norm.matrix), 3)
     assert Solver(norm).count(3) == 54
+
+
+#: the symmetric relations on n = 1..5 whose every degree lies in the span
+#: (a loop adds 1), as ``symmetric_degree_ranges`` counts them
+SPAN_COUNTS = {"<=1": [2, 5, 14, 43, 142], "<=2": [2, 8, 45, 315, 2634],
+               "<=3": [2, 8, 64, 809, 13846], ">=2": [0, 1, 14, 315, 13846],
+               ">=3": [0, 0, 1, 43, 2634], "=2": [0, 1, 4, 18, 112]}
+
+
+@cache
+def symmetric_degree_ranges(n: int) -> Counter:
+    """A brute force that shares nothing with the package: the symmetric
+    relations on n elements, one bit per pair i <= j, counted by their
+    (least, greatest) element degree."""
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
+    ranges = Counter()
+    for bits in range(1 << len(pairs)):
+        degree = [0] * n
+        for k, (i, j) in enumerate(pairs):
+            if bits >> k & 1:
+                degree[i] += 1
+                if j != i:
+                    degree[j] += 1
+        ranges[min(degree), max(degree)] += 1
+    return ranges
+
+
+@pytest.mark.parametrize("span", SPAN_COUNTS)
+def test_spans_match_a_brute_force(span):
+    """Every span is one chain on the symmetric matrix, exact up to n = 5,
+    past the oracle's reach."""
+    cmp, m = span.rstrip("0123456789"), int(span.lstrip("<>="))
+    lo, hi = {"<=": (0, m), ">=": (m, math.inf), "=": (m, m)}[cmp]
+    solver = Solver(parse_problem("forall x forall y (R(x,y) -> R(y,x)) & "
+                                  f"forall x exists{{{span}}} y R(x,y)"))
+    brute = [sum(c for (least, most), c in symmetric_degree_ranges(n).items()
+                 if lo <= least and most <= hi) for n in range(1, 6)]
+    assert [solver.count(n) for n in range(1, 6)] == brute == SPAN_COUNTS[span]
+
+
+def test_unpinned_span_matches_the_oracle():
+    """An A that may or may not hold outside the span: the signed chain."""
+    p = parse_problem("forall x forall y (R(x,y) -> R(y,x)) & "
+                      "forall x (A(x) <-> exists{<=2} y R(x,y))")
+    solver = Solver(p)
+    assert not solver.pinned
+    for n in (1, 2, 3):
+        assert solver.count(n) == oracle_count(p.signature, p.sentence, n).total
 
 
 def test_unpinned_fallback_is_signed():
@@ -340,9 +400,9 @@ def decision_problems():
 def test_block_free_build_decides_like_the_successor_encoding():
     """The block axioms change neither directedness nor pinnedness, so the
     build without them decides the path and the signs of the fallback.  An
-    exactly-m block keeps its A in the encoding; any other's union of exact
-    blocks, whose span holds 0, is pinned when no valid type lies outside it
-    (signed here, so that the union holds an explicit A_0)."""
+    exactly-m block keeps its A in the encoding; any other, whose span
+    holds 0, is pinned when no valid type lies outside its A (signed here,
+    so that its A is not read as the chain's first indicator)."""
     checked = 0
     for problem in decision_problems():
         bare = normalize(problem)
@@ -356,13 +416,12 @@ def test_block_free_build_decides_like_the_successor_encoding():
         full = build_cells(encoded.signature, encoded.matrix)
         assert cells.directed == full.directed
         for b in bare.blocks:
-            parts = [e for e in encoded.blocks if e.index == b.index]
+            [part] = [e for e in encoded.blocks if e.index == b.index]
             if b.cmp == "=":
-                [part] = parts
                 assert block_pinned(cells, b) == block_pinned(full, part)
             else:
-                slots = [full.u_slot_index(e.a_pred, "unary") for e in parts]
-                outside = [i for i in full.valid if not any(full.type_bit(i, s) for s in slots)]
+                slot = full.u_slot_index(part.a_pred, "unary")
+                outside = [i for i in full.valid if not full.type_bit(i, slot)]
                 assert block_pinned(cells, b) == (not outside)
         checked += 1
     assert checked > 100

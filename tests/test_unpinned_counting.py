@@ -34,7 +34,7 @@ MULTI_BLOCK = {
     "two_guards": SYM2BLK,
     "two_m_one_guard": ("predicate R/2\n" + SYMMETRIC
                         + " & forall x (exists{=1} y R(x,y) | exists{=2} y R(x,y))\n"),
-    "at_most_two": "predicate R/2\n" + SYMMETRIC + " & forall x exists{<=2} y R(x,y)\n",
+    "two_spans": SYM2BLK.replace("{=1}", "{<=1}"),
     "pinned_and_unpinned": ("predicate A/1\npredicate R/2\npredicate S/2\n" + SYMMETRIC
                             + " & forall x exists{=1} y R(x,y)"
                             " & forall x (A(x) | exists{=1} y S(x,y))\n"),
