@@ -103,10 +103,12 @@ def _bit_positions(mask: int) -> tuple[int, ...]:
 
 
 def _split(mask: int, width: int, count: int) -> list[int]:
-    """The ``count`` blocks of ``width`` bits of a mask, lowest first."""
+    """The ``count`` blocks of ``width`` bits of a mask, lowest first, read
+    from its bytes (8 // width blocks per byte for a width below 8)."""
     if width % 8:
-        ones = (1 << width) - 1
-        return [mask >> k * width & ones for k in range(count)]
+        ones, shifts = (1 << width) - 1, range(0, 8, width)
+        raw = mask.to_bytes(-(-count * width // 8), "little")
+        return [byte >> k & ones for byte in raw for k in shifts][:count]
     size = width // 8
     raw = mask.to_bytes(size * count, "little")
     return [int.from_bytes(raw[k:k + size], "little") for k in range(0, size * count, size)]

@@ -17,7 +17,7 @@ raises one tie counter through either kind of factor, and each census key's
 value is read at its target.  By the multinomial theorem classes of one column
 whose pair factors agree form one group, and the census runs over the
 group counts: one group is the n-th power of a per-element polynomial.
-The census is one depth-first walk (``_walk``): the groups raising a
+The census is one depth-first walk in ``_census``: the groups raising a
 tracked unary card go first, the cards' partial sums are carried down,
 and no subtree whose cards cannot land in their box of card ranges is
 entered.  ``Solver.read`` is the one entry point, and the one place an
@@ -392,7 +392,7 @@ class ProfileEvaluator:
         # (``_read_options``).  A class carries the sum of its members' signed
         # weights times their counters, exact by the multinomial theorem;
         # zero sums drop out.  The classes raising a tracked unary card come
-        # first, the order in which the census walks them (``_walk``), then
+        # first, the order in which the census walks them (``_census``), then
         # by type.
         a_slots = [cells.u_slot_index(b.a_pred, "unary") for b in norm.blocks]
         options = {}  # A bits -> their ``_read_options``
@@ -541,74 +541,6 @@ class ProfileEvaluator:
         return {at: Fraction(value, scale) if value % scale else value // scale
                 for at, value in sums.items()}
 
-    def _walk(self, unary: Sequence[tuple[int, ...]], leaf, grow, state) -> dict:
-        """The census walk: census key (the tracked unary cards) -> the sum of
-        its censuses' values, over the counts of the parts (groups of classes)
-        summing to n, depth first in the parts' order, part i adding
-        ``unary[i]`` to the cards per element.  The cards' partial sums are
-        carried down, and a part's counts are cut to those that can still
-        land every card in its box of card ranges, so no subtree outside the
-        box is entered; each key reached is checked against the constraint's
-        comparisons.  ``grow(i, left, state, counts)`` yields the counts k of
-        part i in the range ``counts``, in order, each with the state passed
-        down, and may stop early; ``leaf(counts, state)`` is the value of the
-        census ``counts``, the last part taking what is left."""
-        n, last, packed = self.n, len(unary) - 1, {}
-        if self._box is None or not unary or not unary[0] and self._ranges_at(()) is None:
-            return packed
-        box = self._box[:len(unary[0])]
-        cut = box if self._forms else ()  # with no comparison every census is in the box
-        # per part and card, the least and the most a later part adds per element
-        later = [[(min(card), max(card)) for card in zip(*unary[i + 1:])] if cut else ()
-                 for i in range(last)]
-        counts = [0] * len(unary)
-
-        def branch(i: int, left: int, sums: tuple[int, ...], state):
-            lo, hi = 0, left
-            for (low, high), a, (least, most), s in zip(cut, unary[i], later[i], sums):
-                # the card ends at s + k a + r, the later parts adding r within
-                # [(left - k) least, (left - k) most]: k c <= r for each (c, r)
-                for c, r in ((a - least, high - s - left * least),
-                             (most - a, s + left * most - low)):
-                    if c > 0:
-                        hi = min(hi, r // c)
-                    elif c < 0:
-                        lo = max(lo, -(r // -c))
-                    elif r < 0:
-                        return ()
-            if lo > hi:
-                return ()
-            return grow(i, left, state, range(lo, hi + 1))
-
-        def reach(key: tuple[int, ...], left: int, state) -> None:
-            if box:  # the last part takes what is left
-                key = tuple([s + left * a for s, a in zip(key, unary[last])])
-                if self._forms and self._ranges_at(key) is None:
-                    return
-            counts[last] = left
-            value = leaf(counts, state)
-            if value:
-                packed[key] = packed.get(key, 0) + value
-
-        sums = (0,) * len(box)
-        if not last:
-            reach(sums, n, state)
-        frames = [(0, n, sums, branch(0, n, sums, state))] if last else []
-        while frames:
-            i, left, sums, steps = frames[-1]
-            for k, down in steps:
-                counts[i] = k
-                below = tuple([s + k * a for s, a in zip(sums, unary[i])]) if box else sums
-                if i + 1 < last:
-                    if k < left:
-                        frames.append((i + 1, left - k, below, branch(i + 1, left - k, below, down)))
-                        break
-                    counts[i + 1:] = [0] * (last - i)  # none left: the later parts take 0
-                reach(below, left - k, down)
-            else:
-                frames.pop()
-        return packed
-
     def _groups(self, keys: Sequence[tuple], bits: int) -> tuple[int, list]:
         """The first packed counter and the census groups (unary key or (),
         classes), each at its first class, so those raising a tracked unary
@@ -667,13 +599,19 @@ class ProfileEvaluator:
         -> value packed in the layout of the other tracked cards (read at the
         tie counter's target), and that layout.  A census of the group counts
         k is its multinomial times prod_a f_aa^C(k_a, 2) prod_{a<b} f_ab^(k_a k_b)
-        prod_a (sum of a's rows)^k_a.  The walk carries the product of the
-        groups placed: k > 0 elements of group i multiply it by their
-        multinomial, f_ii^C(k, 2), f_ji^(k_j k) for each group j placed and,
-        where no row of i reads a column count, its row sum's k-th power, each
-        power computed once; a product that is 0 (every digit past a cap)
-        stays 0, so the walk goes no further.  The leaf multiplies in the
-        other row sums' powers, kept while the column counts stay the same."""
+        prod_a (sum of a's rows)^k_a, summed over the counts summing to n by
+        one depth-first walk in the groups' order on an explicit stack of
+        frames.  A frame holds a group, the elements left, the unary cards'
+        partial sums, the product of the groups placed and its counts cut to
+        those that can still land every card in its box of card ranges, so no
+        census outside the box is entered.  k > 0 elements of group i multiply
+        the product by their multinomial, f_ii^C(k, 2), f_ji^(k_j k) for each
+        group j placed and, where no row of i reads a column count, its row
+        sum's k-th power, each power computed once; a product that is 0 (every
+        digit past a cap) stays 0 for every larger k, so the frame ends.  The
+        last group takes what is left: its key is checked against the
+        constraint's comparisons and the other row sums' powers, kept while
+        the column counts stay the same, multiplied in."""
         n, end = self.n, len(self.key_names)
         tables, sends, column, g, bits = self._factors()
         columns = len(set(column)) if sends else 0
@@ -705,10 +643,11 @@ class ProfileEvaluator:
         firsts = [members[0] for _, members in groups]
         column_of = [column[b] for b in firsts]
         parts = [[rows[b] for b in members] for _, members in groups]
+        unary = [ukey for ukey, _ in groups]  # what an element of each group adds to the cards
         # each group's row sum where none of its rows reads a column count
         fixed = [None if any(row[2] for row in part) else row_sum(part, None, 0) for part in parts]
         varying = [i for i, row in enumerate(fixed) if row is None]
-        last, powers = len(groups) - 1, {}
+        last, powers, packed = len(groups) - 1, {}, {}
         seen, row_powers = None, {}  # the column counts, and the powers of row sums kept for them
 
         def place(i: int, k: int, value: int, placed: tuple) -> int:  # k > 0 of group i
@@ -722,38 +661,77 @@ class ProfileEvaluator:
                     value = mul(value, power)
             return value
 
-        def grow(i: int, left: int, state, counts: range):
-            value, placed = state
-            for k in counts:
-                down = value * comb(left, k) if k else value
-                if k and fixed[i] is not None:  # else the leaf multiplies the row sum in
-                    down = place(i, k, down, placed)
-                    if not down:
-                        return
-                yield k, (down, placed + ((i, k),) if k and packs else placed)
+        walk = groups and self._box is not None and (unary[0] or self._ranges_at(()) is not None)
+        box = self._box[:len(unary[0])] if walk else []
+        cut = box if self._forms else ()  # with no comparison every census is in the box
+        # per group and card, the least and the most a later group adds per element
+        later = [[(min(card), max(card)) for card in zip(*unary[i + 1:])] if cut else ()
+                 for i in range(last)]
 
-        def leaf(counts: list[int], state) -> int:
-            nonlocal seen, row_powers
-            (value, placed), k = state, counts[-1]
-            if k and fixed[last] is not None:
-                value = place(last, k, value, placed)
-            if not varying or not value:
-                return value
-            per_column = [0] * columns
-            for j, c in zip(column_of, counts):
-                per_column[j] += c
-            if per_column != seen:
-                seen, row_powers = per_column, {}
-            for i in varying:
-                c = counts[i]
-                if c:
-                    power = row_powers.get((i, c))
-                    if power is None:
-                        power = row_powers[i, c] = pow(row_sum(parts[i], per_column, column_of[i]), c)
-                    value = mul(value, power)
-            return value
+        def counts_of(i: int, left: int, sums: tuple[int, ...]) -> Iterator[int]:
+            lo, hi = 0, left
+            for (low, high), a, (least, most), s in zip(cut, unary[i], later[i], sums):
+                # the card ends at s + k a + r, the later groups adding r within
+                # [(left - k) least, (left - k) most]: k c <= r for each (c, r)
+                for c, r in ((a - least, high - s - left * least),
+                             (most - a, s + left * most - low)):
+                    if c > 0:
+                        hi = min(hi, r // c)
+                    elif c < 0:
+                        lo = max(lo, -(r // -c))
+                    elif r < 0:
+                        return iter(())
+            return iter(range(lo, hi + 1))
 
-        packed = self._walk([ukey for ukey, _ in groups], leaf, grow, (1, ()))
+        # a single group places none of its elements before the last step takes them all
+        sums = (0,) * len(box)
+        frames = [(0, n, sums, 1, (), counts_of(0, n, sums) if last else iter((0,)))] if walk else []
+        counts = [0] * len(groups)
+        while frames:
+            i, left, sums, value, placed, ks = frames[-1]
+            for k in ks:
+                counts[i], down, rest, placed_k = k, value, left - k, placed
+                if k:
+                    down = value * comb(left, k)
+                    if fixed[i] is not None:  # else the last step multiplies the row sum in
+                        down = place(i, k, down, placed)
+                        if not down:  # so is every larger count's
+                            frames.pop()
+                            break
+                    if packs:
+                        placed_k = placed + ((i, k),)
+                key = tuple([s + k * a for s, a in zip(sums, unary[i])]) if box else sums
+                if i + 1 < last:
+                    if rest:
+                        frames.append((i + 1, rest, key, down, placed_k, counts_of(i + 1, rest, key)))
+                        break
+                    counts[i + 1:] = [0] * (last - i)  # none left: the later groups take 0
+                # the last group takes what is left
+                if box:
+                    key = tuple([s + rest * a for s, a in zip(key, unary[last])])
+                    if self._forms and self._ranges_at(key) is None:
+                        continue
+                counts[last] = rest
+                if rest and fixed[last] is not None:
+                    down = place(last, rest, down, placed_k)
+                if varying and down:
+                    per_column = [0] * columns
+                    for j, c in zip(column_of, counts):
+                        per_column[j] += c
+                    if per_column != seen:
+                        seen, row_powers = per_column, {}
+                    for v in varying:
+                        c = counts[v]
+                        if c:
+                            power = row_powers.get((v, c))
+                            if power is None:
+                                power = row_powers[v, c] = pow(
+                                    row_sum(parts[v], per_column, column_of[v]), c)
+                            down = mul(down, power)
+                if down:
+                    packed[key] = packed.get(key, 0) + down
+            else:
+                frames.pop()
         if self._ties:  # each key's value at the tie counter's target
             packed = {key: layout.at(v, [self._bounds[end][0]]) for key, v in packed.items()}
             layout = _Layout(range(first, end), self._bounds[first:end], bits)

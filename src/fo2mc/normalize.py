@@ -410,7 +410,7 @@ def normalize(problem: Problem) -> NormalizedProblem:
     )
 
 
-def successor_encoding(norm: NormalizedProblem, signed: Collection[int] = ()
+def successor_encoding(norm: NormalizedProblem, signed: Collection[int] | None = None
                        ) -> NormalizedProblem:
     """The source paper's successor encoding of the per-element normal form
     ``norm``, one chain per block of span lo..hi: hi fresh binary slots f_j,
@@ -422,8 +422,13 @@ def successor_encoding(norm: NormalizedProblem, signed: Collection[int] = ()
     A(t) & !S(t).  A block not in ``signed`` whose span holds 0 has A forced
     true by the matrix: A serves as I_1, G <-> f_1 | ... | f_hi holds for
     every x, and its occurrences read true (a conjunct this makes true is
-    dropped).  Oversize encodings are refused before any axiom is built:
-    each f_j adds a type slot, two table slots and an existence sign."""
+    dropped).  ``signed`` defaults to every block: a sign is exact whether
+    or not the matrix pins the block and costs only table bits, while an
+    unsigned block the matrix does not pin counts wrong.  Oversize encodings
+    are refused before any axiom is built: each f_j adds a type slot, two
+    table slots and an existence sign."""
+    if signed is None:
+        signed = {b.index for b in norm.blocks}
     forced = {b.a_pred for b in norm.blocks if b.index not in signed and b.span[0] == 0}
     u, b = len(norm.signature.arities), 2 * len(norm.signature.binary_predicates())
     for block in norm.blocks:

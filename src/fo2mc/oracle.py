@@ -174,7 +174,7 @@ def spec_terms(problem: Problem, n: int, constraint: CardConstraint | None = Non
     weight) over the cards of the constraint (the problem's unless given,
     as in ``Solver.count``) and the tie sum_j |f_j|, kept at sum_j |I_j|
     where the constraint allows, over prod_j j^|I_j|."""
-    enc = successor_encoding(norm := normalize(problem), [b.index for b in norm.blocks])
+    enc = successor_encoding(normalize(problem))
     cells = build_cells(enc.signature, enc.matrix)
     constraint = enc.constraint if constraint is None else constraint
     preds = sorted(constraint_predicates(constraint))

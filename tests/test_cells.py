@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fo2mc.cells import build_cells, n_ij_csv
+from fo2mc.cells import _split, build_cells, n_ij_csv
 from fo2mc.corpus import load_corpus
 from fo2mc.engine import ProfileEvaluator, Solver
 from fo2mc.errors import UnsupportedFeatureError
@@ -375,3 +375,16 @@ def test_cross_independence_does_not_depend_on_orientation(conjunct):
     sizes = range(1, 12)
     assert [plain.count(n) for n in sizes] == [(1 + 2 ** n) ** n for n in sizes]
     assert [counting.count(n) for n in sizes] == [math.comb(n, 2) ** n for n in sizes]
+
+
+@pytest.mark.parametrize("width", [1, 4, 8, 16])
+def test_split_matches_shifting(width):
+    """A mask's blocks read from its bytes are those a shift per block
+    gives, for block counts that do and do not fill the last byte."""
+    import random
+
+    rng = random.Random(width)
+    ones = (1 << width) - 1
+    for count in (1, 2, 3, 7, 8, 9, 64, 257):
+        for mask in (0, (1 << width * count) - 1, rng.getrandbits(width * count)):
+            assert _split(mask, width, count) == [mask >> k * width & ones for k in range(count)]

@@ -5,6 +5,7 @@ identities between constrained counts past the oracle's reach, against
 the oracle below it, and by the number of census keys, parts and packed
 products a count takes."""
 
+import math
 import random
 
 import pytest
@@ -98,13 +99,43 @@ def test_pair_table_classes_pool(monkeypatch, text, parts, classes, want):
     for 8, and *sym2blk*, whose classes all differ, 4 for 4."""
     walked = []
 
-    def walk(self, unary, *args, run=ProfileEvaluator._walk):
-        walked.append(len(unary))
-        return run(self, unary, *args)
-    monkeypatch.setattr(ProfileEvaluator, "_walk", walk)
+    def groups(self, *args, run=ProfileEvaluator._groups):
+        first, out = run(self, *args)
+        walked.append(len(out))
+        return first, out
+    monkeypatch.setattr(ProfileEvaluator, "_groups", groups)
     ev = evaluator(Solver(parse_problem(text)), 6)
     assert ev.read().get((), 0) == want
     assert (walked, len(ev.types)) == ([parts], classes)
+
+
+def test_a_zero_prefix_ends_its_group(products):
+    """Every two elements outside A share a symmetric R edge, so |R| <= 6
+    holds only with at most three of them; the forced class !A comes first
+    in walk order, and once its prefix product truncates to 0 no larger
+    count of it is tried: at n = 30 the count takes 130 products, and
+    1,074 without the stop.  With a = |!A|, r reflexive R atoms and p free
+    unordered pairs, the count is sum_a C(n, a) sum_{r + 2p <= 6 - a(a-1)}
+    C(n, r) C(C(n, 2) - C(a, 2), p)."""
+    problem = parse_problem("predicate A/1\npredicate R/2\n"
+                            "forall x forall y (R(x,y) <-> R(y,x)) & "
+                            "forall x forall y (!A(x) & !A(y) & x != y -> R(x,y))\n"
+                            "constraint |R| <= 6")
+    solver = Solver(problem)
+
+    def want(n: int) -> int:
+        comb, pairs = math.comb, math.comb(n, 2)
+        return sum(comb(n, a) * comb(n, r) * comb(pairs - comb(a, 2), p)
+                   for a in range(n + 1) for r in range(7) for p in range(4)
+                   if r + 2 * p <= 6 - a * (a - 1))
+    for n in (1, 2, 3):
+        assert solver.count(n) == want(n) == oracle_count(
+            problem.signature, problem.sentence, n, problem.constraint).total
+    assert [want(n) for n in (10, 30)] == [1137268, 2383132192]
+    assert solver.count(10) == want(10)
+    products[0] = 0
+    assert solver.count(30) == want(30)
+    assert products[0] <= 200
 
 
 def test_a_fixed_card_enters_one_census():
@@ -125,10 +156,11 @@ def test_parts_raising_a_tracked_unary_card_come_first(monkeypatch):
     groups (of pooled classes, at their first classes) in that order."""
     walked = []
 
-    def walk(self, unary, *args, run=ProfileEvaluator._walk):
-        walked.append([any(key) for key in unary])
-        return run(self, unary, *args)
-    monkeypatch.setattr(ProfileEvaluator, "_walk", walk)
+    def groups(self, *args, run=ProfileEvaluator._groups):
+        first, out = run(self, *args)
+        walked.append([any(key) for key, _ in out])
+        return first, out
+    monkeypatch.setattr(ProfileEvaluator, "_groups", groups)
     mixed = 0
     for seed in range(60):
         solver = Solver(random_problem(seed))

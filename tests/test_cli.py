@@ -470,6 +470,29 @@ def test_usage_error_exits_1_on_err(argv, message, capsys):
     assert capsys.readouterr() == ("", "")
 
 
+RUNNER_PROBLEM = "predicate A/1\npredicate R/2\nforall x exists y R(x,y)"
+
+
+@pytest.mark.parametrize("argv,line", [
+    (["bench"], "error: --n-range A..B is required for bench"),
+    (["bench", "--n-range", "5"], "error: --n-range must look like 2..50"),
+    (["bench", "--n-range", "0..3"], "error: --n-range bounds must satisfy 1 <= A <= B"),
+    (["bench", "--n-range", "4..2"], "error: --n-range bounds must satisfy 1 <= A <= B"),
+    (["count", "-n", "0"], "error: domain size must be at least 1"),
+    (["dist", "-n", "2"], "error: dist requires --query, e.g. --query '|H| = 2'"),
+    (["dist", "-n", "2", "--query", "|A| <= 1"],
+     "error: --query must be a conjunction of |P| = k comparisons"),
+    (["wfomc", "-n", "2"],
+     "error: wfomc needs weight declarations in the problem file or a --weight expression"),
+], ids=("bench-no-range", "bench-range-shape", "bench-range-zero", "bench-range-reversed",
+        "count-n-zero", "dist-no-query", "dist-query-shape", "wfomc-no-weight"))
+def test_runner_refusal_exits_1_with_one_line(argv, line, capsys):
+    """A runner refuses its arguments with exit 1 and one line on the
+    caller's error stream, nothing on sys.stderr."""
+    assert invoke(*argv, "-e", RUNNER_PROBLEM) == (1, "", line + "\n")
+    assert capsys.readouterr() == ("", "")
+
+
 def test_usage_error_exit_code_of_the_process():
     src = str(Path(fo2mc.__file__).resolve().parent.parent)
     proc = subprocess.run([sys.executable, "-m", "fo2mc.cli", "count", "--bogus"],

@@ -9,6 +9,7 @@ from fo2mc.errors import SemanticError
 from fo2mc.logic import CARD_TRUE, CardCompare, LinearExpr, card_conjoin
 from fo2mc.oracle import oracle_count, oracle_stratified, spec_count, spec_terms
 from fo2mc.parser import parse_problem
+from fo2mc.weights import wfomc_symmetric
 
 from conftest import (RUNNING_EXAMPLE, THREE_WITNESS, TWO_WITNESS, ZERO_OR_TWO_EXAMPLE,
                       profile_rows, random_problem, witness_deficit_counts)
@@ -129,6 +130,19 @@ def test_witness_deficit_m_above_n():
     p = parse_problem("forall x exists y R(x,y)")
     with pytest.raises(SemanticError):
         witness_deficit_counts(p, 2, 3)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda p: Solver(p).read(0), "domain size must be at least 1"),
+    (lambda p: Solver(p).read(2, ("Q",)), "cannot track undeclared predicate Q"),
+    (lambda p: wfomc_symmetric(p, 2, {"A": (1, 1), "R": (1, 1), "Q": (2, 1)}),
+     "weight declared for unknown predicate Q"),
+], ids=("domain-size", "track-undeclared", "weight-unknown"))
+def test_library_refusals(call, message):
+    p = parse_problem("predicate A/1\npredicate R/2\nforall x exists y R(x,y)")
+    with pytest.raises(SemanticError) as err:
+        call(p)
+    assert str(err.value) == message
 
 
 def test_diagnostics_refuse_negative_arguments():
@@ -333,18 +347,14 @@ def test_path_choice(monkeypatch):
     any other matrix reads pair tables, its classes grouped by packed pair
     factors."""
     walks, groups_seen = [], []
-    walk, choose = ProfileEvaluator._walk, ProfileEvaluator._groups
-
-    def walk_spy(self, *args):
-        walks.append("rows" if self._directed else "pairs")
-        return walk(self, *args)
+    choose = ProfileEvaluator._groups
 
     def groups_spy(self, keys, bits):
+        walks.append("rows" if self._directed else "pairs")
         first, groups = choose(self, keys, bits)
         groups_seen.append((len(self.types), len(set(keys)), len(groups),
                             "split" if first else "pack"))
         return first, groups
-    monkeypatch.setattr(ProfileEvaluator, "_walk", walk_spy)
     monkeypatch.setattr(ProfileEvaluator, "_groups", groups_spy)
 
     def path_of(text, n, tracked=(), encoded=False):

@@ -117,6 +117,17 @@ def test_sugar_preserves_models(quant):
         assert [s.count(n) for s in solvers] == [want] * 3
 
 
+@pytest.mark.parametrize("cmp", ["=1", "<=1"])
+def test_successor_encoding_signs_every_block_by_default(cmp):
+    """Called without a sign set, ``successor_encoding`` signs every block,
+    so a block the matrix does not pin counts exactly: unsigned, the
+    symmetric ``exists{=1}`` read as A counted 3, 18, 170 at n = 1..3."""
+    p = parse_problem(f"{SYMMETRIC} & forall x (A(x) <-> exists{{{cmp}}} y R(x,y))")
+    solver = Solver(successor_encoding(normalize(p)))
+    assert [solver.count(n) for n in (1, 2, 3)] == [
+        oracle_count(p.signature, p.sentence, n).total for n in (1, 2, 3)]
+
+
 #: the positions of the counting quantifier in the differential
 POSITIONS = {"positive": "forall x {q} y R(x,y)",
              "negated": "forall x !({q} y R(x,y))",
@@ -183,7 +194,7 @@ def test_symmetric_at_least_three_counts():
 
 
 def test_zero_or_two_example_encoding():
-    norm = successor_encoding(normalize(parse_problem(ZERO_OR_TWO_EXAMPLE)))
+    norm = successor_encoding(normalize(parse_problem(ZERO_OR_TWO_EXAMPLE)), signed=())
     assert len(norm.blocks) == 1
     block = norm.blocks[0]
     assert block.guard == "R" and block.m == 2
@@ -459,11 +470,11 @@ def test_pinned_span_drops_the_conjunct_it_makes_true():
     the slots, and A is the first indicator.  A true conjunct the input
     wrote stays."""
     dumped = dump_normalized(successor_encoding(normalize(parse_problem(
-        "predicate R/2\nforall x exists{<=1} y R(x,y)"))))
+        "predicate R/2\nforall x exists{<=1} y R(x,y)")), signed=()))
     assert dumped.splitlines()[4] == (
         "forall x (forall y ((R(x, y) <-> __f1_1(x, y))"
         " & (__P1(x) -> !(__A1(x) -> __f1_1(x, y)))))")
     written = successor_encoding(normalize(parse_problem(
-        "predicate R/2\nforall x forall y x = x & forall x exists{<=1} y R(x,y)")))
+        "predicate R/2\nforall x forall y x = x & forall x exists{<=1} y R(x,y)")), signed=())
     assert written.matrix[0] == parse_formula("x = x")
     assert len(written.matrix) == 3

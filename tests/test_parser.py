@@ -1,6 +1,9 @@
-import pytest
+import io
 from fractions import Fraction
 
+import pytest
+
+from fo2mc.cli import run
 from fo2mc.engine import Solver
 from fo2mc.errors import ParseError, SemanticError
 from fo2mc.logic import (And, Atom, CardCompare, Counting, Eq, Exists, Forall,
@@ -100,15 +103,39 @@ def test_error_position():
      "expected ')', found 'end of input'"),
     (UNDECLARED_WEIGHT, (3, 8), "weight for undeclared predicate Q"),
     (TWO_PROFILE_WEIGHTS, (4, 1), "duplicate profileweight declaration"),
+    ("predicate R/3\nforall x R(x,x)", (1, 13), "arity must be 1 or 2"),
+    ("predicate x/1\nforall x A(x)", (1, 11), "'x' is a reserved variable name"),
+    ("predicate /1\nforall x A(x)", (1, 11), "expected a predicate name"),
+    ("forall x exists{<3} y R(x,y)", (1, 17), "expected =, <= or >= in counting quantifier"),
+    ("forall x exists{=a} y R(x,y)", (1, 18), "expected a non-negative integer multiplicity"),
+    ("forall z A(z)", (1, 8), "quantified variable must be x or y"),
+    ("forall x (x < x)", (1, 13), "expected = or != after a variable"),
+    ("forall x (x = A)", (1, 15), "equality arguments must be variables"),
+    ("forall x A(z)", (1, 12), "terms must be the variables x or y"),
+    ("forall x A(x)\nconstraint |A| 3", (2, 16), "expected a comparison operator"),
+    ("forall x A(x)\nconstraint |A| <= x", (2, 19), "expected an integer or |predicate|"),
+    ("predicate A/1\nforall x A(x)\nweight A x 1", (3, 10), "expected a number"),
+    ("predicate A/1\nforall x A(x)\nprofileweight *", (3, 15),
+     "expected a number, |predicate| or parenthesized expression"),
 ], ids=("character-line-1", "character-line-3", "after-comment", "end-of-input",
-        "undeclared-weight", "duplicate-profileweight"))
-def test_error_line_and_column(text, position, message):
+        "undeclared-weight", "duplicate-profileweight", "arity", "reserved-name",
+        "no-predicate-name", "counting-operator", "multiplicity", "quantified-variable",
+        "after-variable", "equality-argument", "term", "comparison-operator",
+        "constraint-term", "weight-number", "profileweight-term"))
+def test_error_line_and_column(text, position, message, capsys):
     """Positions are 1-based; a comment counts as text, and the end of
-    input sits after the last character."""
+    input sits after the last character.  Through the command line, with
+    or without weights to read, the error exits 1 with its one line on the
+    caller's error stream and nothing on sys.stderr."""
     with pytest.raises(ParseError) as err:
         parse_problem(text)
     assert (err.value.line, err.value.column) == position
     assert str(err.value) == f"{position[0]}:{position[1]}: {message}"
+    for command in ("count", "wfomc"):
+        out, stream = io.StringIO(), io.StringIO()
+        assert run([command, "-n", "2", "-e", text], out=out, err=stream) == 1
+        assert (out.getvalue(), stream.getvalue()) == ("", f"error: {err.value}\n")
+    assert capsys.readouterr() == ("", "")
 
 
 def test_constraints():
