@@ -27,9 +27,9 @@ each type only through the type slots the matrix reads on its side, its
 swapped; a valid type's row of 2-table masks against every partner is
 then one C-level ``map`` of ANDs per distinct pattern, so types the
 matrix cannot tell apart (unmentioned unary predicates, say) cost
-nothing per pair.  ``CellStructure.tables`` and ``sends`` answer from the
-patterns; ``pair_vs`` and ``n_ij``, which list every pair of valid types,
-are built only when read.
+nothing per pair.  ``CellStructure.tables`` and ``sends`` answer per
+distinct mask; ``pair_vs`` and ``n_ij``, which list every pair of valid
+types, are built only when read.
 
 Two valid 1-types are interchangeable when they have the same 2-tables,
 read with the type on the x side, against every valid type;
@@ -115,13 +115,13 @@ def _split(mask: int, width: int, count: int) -> list[int]:
 
 
 class CellStructure:
-    """The cell tables of a matrix, answered per pair of read patterns.
+    """The cell tables of a matrix, answered per distinct table mask.
 
     A valid type's pattern is its bits on the type slots the matrix reads
-    on either side.  ``tables`` and ``sends`` answer for a pair of valid
-    types from their two patterns, once per pair of patterns;
-    ``pair_vs`` and ``n_ij`` list the tables for every pair of valid types,
-    built on first read."""
+    on either side; a pair's two patterns select its mask, and ``tables``
+    and ``sends`` decode each distinct mask on its first use.  ``pair_vs``
+    and ``n_ij`` list the tables for every pair of valid types, built on
+    first read."""
 
     def __init__(self, signature: Signature, u_slots: list[tuple[str, str]],
                  b_slots: list[tuple[str, str]], valid: list[int], read: int,
@@ -139,8 +139,8 @@ class CellStructure:
         self.valid = valid
         self._read, self._at, self._rows, self._own = read, patterns, rows, own
         self._selectors = selectors
-        self._tables: dict[tuple[int, int], tuple[int, ...]] = {}
-        self._sends: dict[tuple[int, int], tuple[int, ...]] = {}
+        self._tables: dict[int, tuple[int, ...]] = {}
+        self._out: dict[int, tuple[int, ...]] = {}
         # directed when each distinct mask holds as many 2-tables as the
         # out-masks it sends times those its swap sends back
         back = {m: rows[q][p] for p, row in enumerate(rows) for q, m in enumerate(row)}
@@ -177,15 +177,18 @@ class CellStructure:
         return slot_bit(v, slot, self.b)
 
     def _out_masks(self, mask: int) -> tuple[int, ...]:
-        return tuple(o for o, sel in enumerate(self._selectors) if mask & sel)
+        out = self._out.get(mask)
+        if out is None:
+            out = self._out[mask] = tuple(o for o, sel in enumerate(self._selectors) if mask & sel)
+        return out
 
     def tables(self, i: int, j: int) -> tuple[int, ...]:
         """The 2-tables the matrix allows across valid types i and j, read
         with i on the x side, ascending."""
-        key = self._at[i & self._read], self._at[j & self._read]
-        vs = self._tables.get(key)
+        mask = self._rows[self._at[i & self._read]][self._at[j & self._read]]
+        vs = self._tables.get(mask)
         if vs is None:
-            vs = self._tables[key] = _bit_positions(self._rows[key[0]][key[1]])
+            vs = self._tables[mask] = _bit_positions(mask)
         return vs
 
     def sends(self, i: int, j: int) -> tuple[int, ...]:
@@ -195,14 +198,11 @@ class CellStructure:
         nothing, O_ij is empty when the matrix with i on the x side holds on
         no 2-table or when both sides' instances hold on some; otherwise i
         keeps the out-masks of its own instance."""
-        key = p, q = self._at[i & self._read], self._at[j & self._read]
-        out = self._sends.get(key)
-        if out is None:
-            mask = self._rows[p][q]
-            if not mask and not self._own[q][p]:
-                mask = self._own[p][q]
-            out = self._sends[key] = self._out_masks(mask)
-        return out
+        p, q = self._at[i & self._read], self._at[j & self._read]
+        mask = self._rows[p][q]
+        if not mask and not self._own[q][p]:
+            mask = self._own[p][q]
+        return self._out_masks(mask)
 
     @cached_property
     def pair_vs(self) -> dict[tuple[int, int], tuple[int, ...]]:

@@ -448,19 +448,18 @@ class ProfileEvaluator:
         """The integer factors of the class pairs, each distinct option tuple
         and option expanded once: on a directed matrix, with or without a
         tie counter, the out-edge factors g_aj of class a toward column j
-        (the classes every class sends to alike) and no pair factor f, each
-        being 1; otherwise the 2-table factors f_ab (a <= b), no g and one
-        column.
+        (the classes every class sends to alike, told apart by O_ab asked
+        once per ordered class pair) and no pair factor f, each being 1;
+        otherwise the 2-table factors f_ab (a <= b), no g and one column.
         Also each class's column, a bound G >= 1 on the g's norms and the
         census digit width, for F >= 1 bounding the f's."""
         cells, types = self.cells, self.types
         classes = range(len(types))
         if self._directed:
-            columns: dict[tuple, int] = {}
+            columns: dict[tuple, int] = {}  # O_ab over the classes a, per class b
             column = [columns.setdefault(tuple([cells.sends(t, u) for t in types]), len(columns))
                       for u in types]
-            firsts = [types[column.index(j)] for j in range(len(columns))]  # a type per column
-            at = {(a, j): cells.sends(types[a], u) for a in classes for j, u in enumerate(firsts)}
+            at = {(a, j): key[a] for a in classes for j, key in enumerate(columns)}
             slots = [(p, "xy") for p in cells.signature.binary_predicates()]
         else:
             column, slots = [0] * len(types), cells.b_slots

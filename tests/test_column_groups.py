@@ -8,7 +8,8 @@ import time
 
 import pytest
 
-from fo2mc.engine import Solver
+from fo2mc.cells import CellStructure
+from fo2mc.engine import ProfileEvaluator, Solver
 from fo2mc.oracle import oracle_count
 from fo2mc.parser import parse_problem
 
@@ -59,3 +60,29 @@ def test_closed_form_matches_oracle(name):
     for n in (1, 2):
         want = oracle_count(problem.signature, problem.sentence, n).total
         assert solver.count(n) == closed(n) == want
+
+
+@pytest.mark.parametrize("text", (TWO_WITNESS, THREE_WITNESS), ids=("two", "three"))
+def test_out_edges_asked_once_per_class_pair(monkeypatch, text):
+    """One read of a directed problem asks ``CellStructure.sends`` at most
+    once per ordered pair of the evaluator's classes: the column keys and
+    the out-edge factors come from the same answers."""
+    solver = Solver(parse_problem(text))
+    assert solver.cells.directed
+    calls, evaluators = [], []
+    sends, factors = CellStructure.sends, ProfileEvaluator._factors
+
+    def counted(cells, i, j):
+        calls.append((i, j))
+        return sends(cells, i, j)
+
+    def recorded(ev):
+        evaluators.append(ev)
+        return factors(ev)
+
+    monkeypatch.setattr(CellStructure, "sends", counted)
+    monkeypatch.setattr(ProfileEvaluator, "_factors", recorded)
+    solver.read(3)
+    (ev,) = evaluators
+    assert len(ev.types) >= 4
+    assert len(calls) <= len(ev.types) ** 2

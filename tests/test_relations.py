@@ -4,8 +4,9 @@ per-element census counts, an unrelated symmetric predicate or an unused
 one multiplies a count and each profile by the number of its
 interpretations, the models where every element satisfies a counting
 formula and those where some element does not add up to all models,
-renaming predicates or variables and reordering conjuncts change no
-count, a weight w on one predicate sums its table's counts times w to the
+renaming predicates or variables, reordering conjuncts and transposing
+binary predicates change no count (or the transposition is refused), a
+weight w on one predicate sums its table's counts times w to the
 card, and a sentence that reuses a variable counts what its hand
 reduction (a fresh unary predicate, no reuse) counts.  The successor
 encoding of a directed problem reads element rows with a tie counter;
@@ -14,7 +15,10 @@ directed problem through pair factors, with a tie
 counter where it has a counting block."""
 
 import math
+import re
+from collections.abc import Collection
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -170,12 +174,15 @@ def test_reuse_equals_its_hand_reduction(text):
         assert solver.count(n) == reduced.count(n), n
 
 
-def renamed(problem: Problem, names: dict[str, str], variables: dict[str, str]) -> Problem:
-    """The problem with its predicates renamed by ``names`` and its
-    variables, bound ones included, by ``variables``."""
+def renamed(problem: Problem, names: dict[str, str], variables: dict[str, str],
+            transposed: Collection[str] = ()) -> Problem:
+    """The problem with its predicates renamed by ``names``, its
+    variables, bound ones included, by ``variables``, and the arguments of
+    the ``transposed`` predicates' atoms swapped."""
     def walk(f):
         if isinstance(f, Atom):
-            return Atom(names.get(f.pred, f.pred), tuple(variables.get(a, a) for a in f.args))
+            args = tuple(variables.get(a, a) for a in f.args)
+            return Atom(names.get(f.pred, f.pred), args[::-1] if f.pred in transposed else args)
         if isinstance(f, Eq):
             return Eq(variables.get(f.left, f.left), variables.get(f.right, f.right))
         if isinstance(f, (Forall, Exists)):
@@ -214,6 +221,33 @@ def test_renaming(name, transform):
     solver, other = Solver(problem), Solver(transformed(problem, transform))
     for n in SIZES:
         assert other.count(n) == solver.count(n), n
+
+
+#: the transpositions refused, with the table bits they need: two_blocks's
+#: guards R and S read as in-edges, so the successor encoding takes over
+REFUSED_TRANSPOSITIONS = {"two_blocks": {("R",): 34, ("S",): 34, ("R", "S"): 38}}
+
+
+@pytest.mark.parametrize("name", PROBLEMS)
+def test_transposition(name):
+    """Transposing any non-empty set of the binary predicates in every atom
+    (P(a,b) becomes P(b,a), the constraint unchanged) counts what the
+    problem counts or is refused for its table bits, and exactly the pinned
+    sets are refused."""
+    problem = PROBLEMS[name]
+    solver = Solver(problem)
+    want = [solver.count(n) for n in SIZES]
+    binary = problem.signature.binary_predicates()
+    refused = {}
+    for preds in (c for k in range(1, len(binary) + 1) for c in combinations(binary, k)):
+        try:
+            other = Solver(renamed(problem, {}, {}, preds))
+            counts = [other.count(n) for n in SIZES]
+        except UnsupportedFeatureError as e:
+            refused[preds] = int(re.search(r"= (\d+) table bits", str(e))[1])
+            continue
+        assert counts == want, preds
+    assert refused == REFUSED_TRANSPOSITIONS.get(name, {})
 
 
 @pytest.mark.parametrize("name", PROBLEMS)
