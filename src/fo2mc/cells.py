@@ -293,9 +293,9 @@ def build_cells(signature: Signature, matrix: Iterable[Formula]) -> CellStructur
 
     def side(at: dict[int, int], s: int, length: int) -> int:
         """The runs of ``length`` bits of the patterns in ``at`` with type
-        slot s set."""
+        slot s set, spelt out highest pattern first and parsed once."""
         bit = 1 << (u - 1 - s)
-        return sum(((1 << length) - 1) << k * length for p, k in at.items() if p & bit)
+        return int("".join(("1" if p & bit else "0") * length for p in reversed(at)), 2)
 
     v_masks = _slot_masks(b)
     env = [full, 0, *(side(x_at, s, run) for s in range(u)),

@@ -444,35 +444,27 @@ class ProfileEvaluator:
                 counts[d] += 1
         return counts, weight
 
-    def _factors(self) -> tuple[dict, dict, list[int], int, int]:
-        """The integer factors of the class pairs, each distinct option tuple
-        and option expanded once: on a directed matrix, with or without a
-        tie counter, the out-edge factors g_aj of class a toward column j
-        (the classes every class sends to alike, told apart by O_ab asked
-        once per ordered class pair) and no pair factor f, each being 1;
-        otherwise the 2-table factors f_ab (a <= b), no g and one column.
-        Also each class's column, a bound G >= 1 on the g's norms and the
-        census digit width, for F >= 1 bounding the f's."""
+    def _factors(self) -> tuple[dict, list[tuple], list[int], int, int]:
+        """The polynomial of each distinct option tuple, the columns (per
+        class b, the options of every class a toward it, each distinct
+        column once) and each class's column.  On a directed matrix, with or
+        without a tie counter, an option is O_ab, asked once per ordered
+        class pair, whose factor g is read per element, and the pair factor
+        f is 1; otherwise it is the 2-tables of a and b read with a on the x
+        side, whose factor is f, and g is 1.  Also a bound G >= 1 on the g's
+        norms and the census digit width, for F >= 1 bounding the f's."""
         cells, types = self.cells, self.types
-        classes = range(len(types))
-        if self._directed:
-            columns: dict[tuple, int] = {}  # O_ab over the classes a, per class b
-            column = [columns.setdefault(tuple([cells.sends(t, u) for t in types]), len(columns))
-                      for u in types]
-            at = {(a, j): key[a] for a in classes for j, key in enumerate(columns)}
-            slots = [(p, "xy") for p in cells.signature.binary_predicates()]
-        else:
-            column, slots = [0] * len(types), cells.b_slots
-            at = {(a, b): cells.tables(types[a], types[b]) for a in classes for b in classes
-                  if a <= b}
-        terms = {v: self._term(slots, v) for v in set().union(*at.values())}
-        distinct = {vs: [terms[v] for v in vs] for vs in set(at.values())}
-        polys = {pair: distinct[vs] for pair, vs in at.items()}
-        norm, n = max(1, max(map(_norm, distinct.values()), default=0)), self.n
+        option, slots = ((cells.sends, [(p, "xy") for p in cells.signature.binary_predicates()])
+                         if self._directed else (cells.tables, cells.b_slots))
+        columns: dict[tuple, int] = {}
+        column = [columns.setdefault(tuple([option(t, u) for t in types]), len(columns))
+                  for u in types]
+        polys = {vs: [self._term(slots, v) for v in vs] for vs in set().union(*columns)}
+        norm, n = max(1, max(map(_norm, polys.values()), default=0)), self.n
         f, g = (1, norm) if self._directed else (norm, 1)
         bits = _digit_bits((sum(map(_norm, self._weights)), n), (f, n * (n - 1) // 2),
                            (g, n * (n - 1)))
-        return ({}, polys, column, g, bits) if self._directed else (polys, {}, column, g, bits)
+        return polys, list(columns), column, g, bits
 
     def _ranges_at(self, key: tuple[int, ...]) -> dict | None:
         """The card ranges the constraint's comparisons allow in a census
@@ -563,15 +555,16 @@ class ProfileEvaluator:
         split = self.n_unary, groups(True)
         return min((0, groups(False)), split, key=cost) if self._directed else split
 
-    def _readings(self, sends: dict, g: int, layout: _Layout, columns: int) -> tuple:
+    def _readings(self, polys: dict, columns: Sequence[tuple], g: int, layout: _Layout) -> tuple:
         """The layout rows are read into, and per class how its element's
         row is computed: (the product and power of the layout it is computed
-        in, its out-edge factors ``sends`` toward the ``columns`` other than
-        1, by column, and its class weight, packed there, and None or that
-        layout and the guard degrees of its ``_reads`` box).  A class
+        in, its out-edge factors toward the ``columns`` other than 1, by
+        column, each distinct option of ``polys`` packed once per layout and
+        set of counters at 1, and its class weight, packed there, and None or
+        that layout and the guard degrees of its ``_reads`` box).  A class
         reading no guard degree uses the read layout, the census counters
-        alone; any other the one layout that adds every guard degree, each
-        it does not read packed at 1 (whole)."""
+        alone; any other the one layout that adds every guard degree, each it
+        does not read packed at 1 (whole)."""
         n, end = self.n, len(self.key_names)
         base = element = layout
         if self._guards:
@@ -582,11 +575,15 @@ class ProfileEvaluator:
             base = _Layout(layout.counters, tops, bits)
             element = _Layout(layout.counters + tuple(range(end, len(self._bounds))),
                               tops + self._bounds[end:], bits)
+        packed: dict[tuple, dict] = {}  # counters at 1 (they fix the layout) -> packed options
         rows = []
         for pos, reads in enumerate(self._reads):
             space = element if any(reads) else base
-            ones = [d for d, box in enumerate(reads, end) if not box]
-            factors = [(j, f) for j in range(columns) if (f := space.pack(sends[pos, j], ones)) != 1]
+            ones = tuple(d for d, box in enumerate(reads, end) if not box)
+            if columns and ones not in packed:
+                packed[ones] = {vs: space.pack(poly, ones) for vs, poly in polys.items()}
+            factors = [(j, f) for j, options in enumerate(columns)
+                       if (f := packed[ones][options[pos]]) != 1]
             keys = list(product(*(range(box[0], min(box[1], n) + 1) if box else (0,)
                                   for box in reads)))
             rows.append((space.mul, space.pow, factors, space.pack(self._weights[pos], ones),
@@ -598,31 +595,31 @@ class ProfileEvaluator:
         -> value packed in the layout of the other tracked cards (read at the
         tie counter's target), and that layout.  A census of the group counts
         k is its multinomial times prod_a f_aa^C(k_a, 2) prod_{a<b} f_ab^(k_a k_b)
-        prod_a (sum of a's rows)^k_a, summed over the counts summing to n by
-        one depth-first walk in the groups' order on an explicit stack of
-        frames.  A frame holds a group, the elements left, the unary cards'
-        partial sums, the product of the groups placed and its counts cut to
-        those that can still land every card in its box of card ranges, so no
-        census outside the box is entered.  k > 0 elements of group i multiply
-        the product by their multinomial, f_ii^C(k, 2), f_ji^(k_j k) for each
-        group j placed and, where no row of i reads a column count, its row
-        sum's k-th power, each power computed once; a product that is 0 (every
-        digit past a cap) stays 0 for every larger k, so the frame ends.  The
-        last group takes what is left: its key is checked against the
-        constraint's comparisons and the other row sums' powers, kept while
-        the column counts stay the same, multiplied in."""
+        prod_a (sum of a's rows)^k_a, each f packed once per distinct option
+        tuple and the groups keyed by column or packed f row, summed over the
+        counts summing to n by one depth-first walk in the groups' order on
+        an explicit stack of frames.  A frame holds a group, the elements
+        left, the unary cards' partial sums, the product of the groups placed
+        and its counts cut to those that can still land every card in its box
+        of card ranges, so no census outside the box is entered.  k > 0
+        elements of group i multiply the product by their multinomial,
+        f_ii^C(k, 2), f_ji^(k_j k) for each group j placed and, where no row
+        of i reads a column count, its row sum's k-th power, each power
+        computed once; a product that is 0 (every digit past a cap) stays 0
+        for every larger k, so the frame ends.  The last group takes what is
+        left: its key is checked against the constraint's comparisons and the
+        other row sums' powers, kept while the column counts stay the same,
+        multiplied in."""
         n, end = self.n, len(self.key_names)
-        tables, sends, column, g, bits = self._factors()
-        columns = len(set(column)) if sends else 0
+        polys, columns, column, g, bits = self._factors()
         top = end + self._ties  # the census counters: the tracked cards and any tie counter
         layout = _Layout(range(self.n_unary, top), self._bounds[self.n_unary:top], bits)
-        packs = {pair: layout.pack(p) for pair, p in tables.items()}
-        keys = [(k, *[packs[min(a, b), max(a, b)] for a in range(len(column))])
-                for b, k in enumerate(column)] if packs else column  # column, packed f row
-        first, groups = self._groups(keys, bits)
+        packed = {} if self._directed else {vs: layout.pack(p) for vs, p in polys.items()}
+        packs = [tuple([packed[vs] for vs in columns[j]]) for j in column] if packed else []
+        first, groups = self._groups(packs or column, bits)  # packed f rows, or columns
         if first != self.n_unary:  # per-element rows with the unary cards packed
             layout = _Layout(range(first, top), self._bounds[first:top], bits)
-        base, rows = self._readings(sends, g, layout, columns)
+        base, rows = self._readings(polys, columns if self._directed else [], g, layout)
         convert = self._guards and layout.counters  # rows come in the element layout
         mul, pow, comb = layout.mul, layout.pow, math.comb
 
@@ -653,7 +650,7 @@ class ProfileEvaluator:
             for j, c in ((i, k), *placed):
                 power = powers.get((j, i, c * k))
                 if power is None:  # f_ji^(c k), or for j = i (c = k) row^k f_ii^C(k, 2)
-                    f = packs.get((firsts[j], firsts[i]), 1)  # 1 with no pair factor
+                    f = packs[firsts[i]][firsts[j]] if packs else 1  # 1 with no pair factor
                     power = 1 if f == 1 else pow(f, c * k if j != i else k * (k - 1) // 2)
                     power = powers[j, i, c * k] = mul(pow(fixed[i], k), power) if j == i else power
                 if power != 1:
@@ -714,7 +711,7 @@ class ProfileEvaluator:
                 if rest and fixed[last] is not None:
                     down = place(last, rest, down, placed_k)
                 if varying and down:
-                    per_column = [0] * columns
+                    per_column = [0] * len(columns)
                     for j, c in zip(column_of, counts):
                         per_column[j] += c
                     if per_column != seen:

@@ -5,11 +5,13 @@ at small n."""
 
 import math
 import time
+from collections import Counter
+from itertools import combinations_with_replacement
 
 import pytest
 
 from fo2mc.cells import CellStructure
-from fo2mc.engine import ProfileEvaluator, Solver
+from fo2mc.engine import ProfileEvaluator, Solver, _Layout
 from fo2mc.oracle import oracle_count
 from fo2mc.parser import parse_problem
 
@@ -23,6 +25,25 @@ def two_witness(n):
     some of the n - k others; its other n out-edges are free."""
     return sum(math.comb(n, k) * ((2 ** k - 1) * (2 ** (n - k) - 1) * 2 ** n) ** n
                for k in range(n + 1))
+
+
+def mirrored(k):
+    """k unary predicates mirrored along R: an R-edge joins elements that
+    agree on every A_i."""
+    body = " & ".join(f"(A{i}(x) <-> A{i}(y))" for i in range(k))
+    return "".join(f"predicate A{i}/1\n" for i in range(k)) + (
+        f"predicate R/2\nforall x forall y (R(x,y) -> ({body}))")
+
+
+def mirrored_count(k, n):
+    """Over the censuses c of the 2^k types, n!/prod c_t! 2^(sum c_t^2):
+    the R-edges inside each type's block are free, the others absent."""
+    total = 0
+    for census in combinations_with_replacement(range(2 ** k), n):
+        counts = Counter(census).values()
+        total += (math.factorial(n) // math.prod(map(math.factorial, counts))
+                  * 2 ** sum(c * c for c in counts))
+    return total
 
 
 def three_witness(n):
@@ -86,3 +107,42 @@ def test_out_edges_asked_once_per_class_pair(monkeypatch, text):
     (ev,) = evaluators
     assert len(ev.types) >= 4
     assert len(calls) <= len(ev.types) ** 2
+
+
+def test_each_distinct_option_packed_once(monkeypatch):
+    """One read of the mirrored row with 6 predicates (64 classes, two
+    distinct out-edge options) packs each class weight and each distinct
+    option once, not one factor per class and column."""
+    solver = Solver(parse_problem(mirrored(6)))
+    assert solver.cells.directed
+    calls, evaluators = [], []
+    pack, factors = _Layout.pack, ProfileEvaluator._factors
+
+    def counted(layout, poly, ones=()):
+        calls.append(poly)
+        return pack(layout, poly, ones)
+
+    def recorded(ev):
+        evaluators.append(ev)
+        return factors(ev)
+
+    monkeypatch.setattr(_Layout, "pack", counted)
+    monkeypatch.setattr(ProfileEvaluator, "_factors", recorded)
+    assert solver.read(1) == {(): 2 ** 7}
+    (ev,) = evaluators
+    assert len(ev.types) == 64
+    assert len(calls) <= 2 * len(ev.types)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_mirrored_closed_form(k):
+    """Many classes in many column groups: the mirrored row against its
+    closed form at n = 1..3, and against the oracle where it has at most 16
+    ground atoms."""
+    problem = parse_problem(mirrored(k))
+    solver = Solver(problem)
+    for n in (1, 2, 3):
+        want = mirrored_count(k, n)
+        assert solver.count(n) == want, n
+        if k * n + n * n <= 16:
+            assert oracle_count(problem.signature, problem.sentence, n).total == want, n
