@@ -276,30 +276,6 @@ def card_ranges(forms: Sequence[tuple[dict[str, int], int, bool]],
 
 
 # ---------------------------------------------------------------------------
-# pinnedness of counting blocks
-
-
-def block_pinned(cells: CellStructure, block: CountingBlock) -> bool:
-    """True when the matrix pins A to the set of elements whose guard degree
-    lies in the span: for ``=m``, when it forces every guard edge to start
-    in A; for a span holding 0, when no valid type reads a degree outside it."""
-    a_slot = cells.u_slot_index(block.a_pred, "unary")
-    g_refl = cells.u_slot_index(block.guard, "reflexive")
-    g_xy = cells.b_slot_index(block.guard, "xy")
-    outside = [i for i in cells.valid if not cells.type_bit(i, a_slot)]
-    if block.cmp != "=":  # an element outside the span may have no guard edge
-        return not outside
-    if any(cells.type_bit(i, g_refl) for i in outside):
-        return False
-    # a guard edge from i is an x->y bit of a 2-table with i on the x side,
-    # and the members of a class allow the same 2-tables toward every type
-    class_of = {t: c for c, members in enumerate(cells.classes) for t in members}
-    starts = {class_of[i]: i for i in outside}.values()
-    return not any(cells.table_bit(v, g_xy) for i in starts
-                   for members in cells.classes for v in cells.tables(i, members[0]))
-
-
-# ---------------------------------------------------------------------------
 # the profile evaluator
 
 
@@ -758,35 +734,22 @@ def _as_count(total) -> int:
 
 class Solver:
     """Builds the normalized problem and its cell tables once and answers
-    every query through ``read``.  Only the cells are shared across domain
-    sizes: each read builds its own evaluator."""
+    every query through ``read``, in the successor encoding, signed by the
+    first cells, for blocks on a matrix that is not directed.  Only the
+    cells are shared across domain sizes: each read builds its own evaluator."""
 
     def __init__(self, problem: Problem | NormalizedProblem):
         norm = problem if isinstance(problem, NormalizedProblem) else normalize(problem)
         self.norm, self.cells = norm, build_cells(norm.signature, norm.matrix)
         if norm.blocks and not norm.successors and not self.cells.directed:
-            # fall back to the successor encoding, with a sign predicate on
-            # each block the matrix does not pin (freeing the first tables)
-            self.norm, self.cells = successor_encoding(norm, self._unpinned()), None
+            # the first tables go before the encoding's are built
+            self.norm, self.cells = successor_encoding(norm, self.cells), None
             self.cells = build_cells(self.norm.signature, self.norm.matrix)
-
-    def _unpinned(self) -> set[int]:
-        if self.norm.successors:
-            return {b.index for b in self.norm.blocks if b.sign}
-        return {b.index for b in self.norm.blocks if not block_pinned(self.cells, b)}
-
-    @property
-    def pinned(self) -> bool:
-        """True when the matrix pins every counting block, so the successor
-        encoding needs no sign predicate."""
-        return not self._unpinned()
 
     def successor_encoding(self) -> NormalizedProblem:
         """The problem in the source paper's successor encoding, with a
         sign predicate on each block the matrix does not pin."""
-        if self.norm.successors:
-            return self.norm
-        return successor_encoding(self.norm, self._unpinned())
+        return successor_encoding(self.norm, self.cells)
 
     def profile_table(self, n: int, tracked: Sequence[str] = (), fold: Weights | None = None,
                       constraint: CardConstraint = CARD_TRUE) -> tuple[tuple[str, ...], dict]:

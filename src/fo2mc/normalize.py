@@ -26,7 +26,7 @@ guard edges, and nested unary indicators I_j, true when f_j is filled,
 weighing 1/j each and tied by |f_j| = |I_j|: an element of degree d fills
 d slots in d! orders and weighs 1/d!.  I_j is A itself for j <= lo (an
 exact block is the paper's encoding, with 1/m! on A).  Where the matrix
-does not pin A, a block in ``signed`` gets a sign predicate S with
+does not pin A (``block_pinned``), a block gets a sign predicate S with
 S(x) -> A(x), each occurrence read as A(w) & !S(w): summing (-1)^|S| over
 S within A and the chain within the span leaves exactly the elements
 whose degree lies in the span, so the count is exact.  A pinned block
@@ -42,10 +42,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Collection
 
-from .cells import check_table_bits
-from .errors import UnsupportedFeatureError
+from .cells import CellStructure, check_table_bits
+from .errors import SemanticError, UnsupportedFeatureError
 from .logic import (TRUE, And, Atom, CARD_TRUE, CardAnd, CardCompare,
                     CardConstraint, Counting, Eq, Exists, Forall, Formula,
                     Iff, Implies, LinearExpr, Node, Not, Or, Signature,
@@ -410,25 +409,48 @@ def normalize(problem: Problem) -> NormalizedProblem:
     )
 
 
-def successor_encoding(norm: NormalizedProblem, signed: Collection[int] | None = None
+def block_pinned(cells: CellStructure, block: CountingBlock) -> bool:
+    """True when the matrix of ``cells`` pins A to the elements whose guard
+    degree lies in the span: for ``=m``, when it forces every guard edge to
+    start in A; for a span holding 0, when no valid type lies outside A."""
+    a_slot = cells.u_slot_index(block.a_pred, "unary")
+    g_refl = cells.u_slot_index(block.guard, "reflexive")
+    g_xy = cells.b_slot_index(block.guard, "xy")
+    outside = [i for i in cells.valid if not cells.type_bit(i, a_slot)]
+    if block.cmp != "=":  # an element outside the span may have no guard edge
+        return not outside
+    if any(cells.type_bit(i, g_refl) for i in outside):
+        return False
+    # a guard edge from i is an x->y bit of a 2-table with i on the x side,
+    # and the members of a class allow the same 2-tables toward every type
+    class_of = {t: c for c, members in enumerate(cells.classes) for t in members}
+    starts = {class_of[i]: i for i in outside}.values()
+    return not any(cells.table_bit(v, g_xy) for i in starts
+                   for members in cells.classes for v in cells.tables(i, members[0]))
+
+
+def successor_encoding(norm: NormalizedProblem, cells: CellStructure | None = None
                        ) -> NormalizedProblem:
     """The source paper's successor encoding of the per-element normal form
     ``norm``, one chain per block of span lo..hi: hi fresh binary slots f_j,
     pairwise disjoint, with A(x) -> (G(x,y) <-> f_1 | ... | f_hi), and
     indicators I_j with the forall-exists conjuncts I_j(x) -> f_j(x,y),
     signed like the problem's own, I_{j+1} -> I_j and I_1 -> A; I_j is A
-    for j <= lo.  A block whose index is in ``signed`` also gets a sign
+    for j <= lo.  A block that ``cells``, ``norm``'s per-element cells, do
+    not pin (``block_pinned``), or any block without cells, gets a sign
     predicate S with S(x) -> A(x), and each occurrence A(t) reads
-    A(t) & !S(t).  A block not in ``signed`` whose span holds 0 has A forced
-    true by the matrix: A serves as I_1, G <-> f_1 | ... | f_hi holds for
-    every x, and its occurrences read true (a conjunct this makes true is
-    dropped).  ``signed`` defaults to every block: a sign is exact whether
-    or not the matrix pins the block and costs only table bits, while an
-    unsigned block the matrix does not pin counts wrong.  Oversize encodings
-    are refused before any axiom is built: each f_j adds a type slot, two
-    table slots and an existence sign."""
-    if signed is None:
-        signed = {b.index for b in norm.blocks}
+    A(t) & !S(t): a sign is exact whether or not A is pinned, and costs
+    table bits.  A pinned block whose span holds 0 has A forced true by the
+    matrix: A serves as I_1, G <-> f_1 | ... | f_hi holds for every x, and
+    its occurrences read true (a conjunct this makes true is dropped).
+    Cells of another normal form are refused, and an encoded ``norm`` is
+    its own encoding.  Oversize encodings are refused before any axiom is
+    built: each f_j adds a type slot, two table slots and an existence sign."""
+    if cells is not None and cells.signature is not norm.signature:
+        raise SemanticError("cells built for another normal form")
+    if norm.successors:
+        return norm
+    signed = {b.index for b in norm.blocks if cells is None or not block_pinned(cells, b)}
     forced = {b.a_pred for b in norm.blocks if b.index not in signed and b.span[0] == 0}
     u, b = len(norm.signature.arities), 2 * len(norm.signature.binary_predicates())
     for block in norm.blocks:

@@ -166,14 +166,14 @@ def _times(p: dict, q: dict, top: int) -> dict:
 def spec_terms(problem: Problem, n: int, constraint: CardConstraint | None = None
                ) -> dict[tuple[int, ...], Fraction]:
     """The source paper's lemma, literally, sharing only the front end up to
-    ``build_cells`` with the engine.  On the successor encoding with every
-    block signed (exact whether or not the matrix pins it), a census k of
-    the valid 1-types, keyed over 0..2^u-1, has the term n!/prod_t k_t!
-    times each element's 1-type polynomial and each pair's 2-table one: the
-    weights of their atoms (-1 for a true sign atom, else the symmetric
-    weight) over the cards of the constraint (the problem's unless given,
-    as in ``Solver.count``) and the tie sum_j |f_j|, kept at sum_j |I_j|
-    where the constraint allows, over prod_j j^|I_j|."""
+    ``build_cells`` with the engine.  On the successor encoding built
+    without cells, every block signed (exact whether or not the matrix pins
+    it), a census k of the valid 1-types, keyed over 0..2^u-1, has the term
+    n!/prod_t k_t! times each element's 1-type polynomial and each pair's
+    2-table one: the weights of their atoms (-1 for a true sign atom, else
+    the symmetric weight) over the cards of the constraint (the problem's
+    unless given, as in ``Solver.count``) and the tie sum_j |f_j|, kept at
+    sum_j |I_j| where the constraint allows, over prod_j j^|I_j|."""
     enc = successor_encoding(normalize(problem))
     cells = build_cells(enc.signature, enc.matrix)
     constraint = enc.constraint if constraint is None else constraint

@@ -142,6 +142,12 @@ def evaluator(solver: Solver, n: int, tracked=()) -> ProfileEvaluator:
     return ProfileEvaluator(solver.norm, solver.cells, n, tracked, None, constraint)
 
 
+def pinned(solver: Solver) -> bool:
+    """True when the matrix pins every counting block, so the solver's
+    successor encoding carries no sign predicate."""
+    return not any(b.sign for b in solver.successor_encoding().blocks)
+
+
 def witness_deficit_counts(problem, n: int, m: int) -> tuple[int, int]:
     """For a single forall-exists problem: (p_m, e_m), the matrix models in
     which a marked set of exactly m elements is witness-free (the sign

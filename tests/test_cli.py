@@ -228,6 +228,21 @@ def test_bench_csv(running_file):
     assert lines[3].endswith("skipped")
 
 
+def test_bench_oracle_mismatch_exits_3(running_file, monkeypatch):
+    """A lifted count the oracle disputes is an internal consistency
+    violation, exit 3, after the rows already checked were written."""
+    count = Solver.count
+    monkeypatch.setattr(Solver, "count", lambda self, n, constraint=None:
+                        count(self, n, constraint) + (n >= 2))
+    code, out, err = invoke("bench", running_file, "--n-range", "1..3")
+    truth = count(Solver(parse_problem(RUNNING_EXAMPLE)), 2)
+    assert code == 3
+    assert err == (f"internal consistency violation: bench mismatch at n=2: "
+                   f"lifted {truth + 1} vs oracle {truth}\n")
+    header, row = out.splitlines()
+    assert header == "n,lifted_ms,oracle_ms" and row.startswith("1,")
+
+
 def test_exit_code_parse_error():
     code, _, err = invoke("count", "-n", "2", "-e", "forall x (")
     assert code == 1 and "error" in err

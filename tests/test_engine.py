@@ -12,7 +12,7 @@ from fo2mc.parser import parse_problem
 from fo2mc.weights import wfomc_symmetric
 
 from conftest import (RUNNING_EXAMPLE, THREE_WITNESS, TWO_WITNESS, ZERO_OR_TWO_EXAMPLE,
-                      profile_rows, random_problem, witness_deficit_counts)
+                      pinned, profile_rows, random_problem, witness_deficit_counts)
 
 
 def running_solver():
@@ -203,7 +203,7 @@ def test_blocks_are_pinned_on_supported_shapes():
     for text in ("forall x exists{=1} y R(x,y)", ZERO_OR_TWO_EXAMPLE,
                  "forall x exists y S(x,y) & forall x exists{=2} y R(x,y)"):
         s = Solver(parse_problem(text))
-        assert s.pinned
+        assert pinned(s)
 
 
 def test_unpinned_pattern_matches_oracle():
@@ -214,7 +214,7 @@ def test_unpinned_pattern_matches_oracle():
     p = parse_problem("predicate B/1\npredicate R/2\n"
                       "forall x (B(x) | exists{=1} y R(x,y))")
     s = Solver(p)
-    assert not s.pinned
+    assert not pinned(s)
     assert s.cells.directed and not s.norm.successors and not s.norm.sign_preds
     encoded = s.successor_encoding()
     assert encoded.blocks[0].sign == encoded.sign_preds[0]

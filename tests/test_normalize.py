@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+from fo2mc.cells import build_cells
 from fo2mc.engine import Solver
-from fo2mc.errors import UnsupportedFeatureError
+from fo2mc.errors import SemanticError, UnsupportedFeatureError
 from fo2mc.logic import (And, Atom, CardCompare, Counting, Exists, Forall, Formula, Iff,
                          Implies, LinearExpr, Not, Or, Signature, is_quantifier_free,
                          other_variable, subformulas)
@@ -111,7 +112,7 @@ def test_sugar_preserves_models(quant):
     on small domains."""
     p = parse_problem(f"forall x ({quant} y R(x,y))")
     solvers = [Solver(p), Solver(Solver(p).successor_encoding()),
-               Solver(successor_encoding(normalize(p), {1}))]
+               Solver(successor_encoding(normalize(p)))]
     for n in (1, 2, 3):
         want = oracle_count(p.signature, p.sentence, n).total
         assert [s.count(n) for s in solvers] == [want] * 3
@@ -119,13 +120,33 @@ def test_sugar_preserves_models(quant):
 
 @pytest.mark.parametrize("cmp", ["=1", "<=1"])
 def test_successor_encoding_signs_every_block_by_default(cmp):
-    """Called without a sign set, ``successor_encoding`` signs every block,
+    """Called without cells, ``successor_encoding`` signs every block,
     so a block the matrix does not pin counts exactly: unsigned, the
     symmetric ``exists{=1}`` read as A counted 3, 18, 170 at n = 1..3."""
     p = parse_problem(f"{SYMMETRIC} & forall x (A(x) <-> exists{{{cmp}}} y R(x,y))")
     solver = Solver(successor_encoding(normalize(p)))
     assert [solver.count(n) for n in (1, 2, 3)] == [
         oracle_count(p.signature, p.sentence, n).total for n in (1, 2, 3)]
+
+
+def test_every_route_to_an_unpinned_encoding_counts_exactly():
+    """The symmetric ``exists{=1}`` read as A is not pinned, so each public
+    route to its successor encoding signs the block and counts like the
+    oracle.  Encoding an encoding returns it (a second chain counted 2, 32,
+    9216), and cells of another normalization, which would decide the
+    signs from another signature, are refused."""
+    p = parse_problem(f"{SYMMETRIC} & forall x (A(x) <-> exists{{=1}} y R(x,y))")
+    norm = normalize(p)
+    routes = [successor_encoding(norm),
+              successor_encoding(norm, build_cells(norm.signature, norm.matrix)),
+              Solver(p).successor_encoding(), Solver(norm).successor_encoding()]
+    assert all(enc.blocks[0].sign for enc in routes)
+    assert all(successor_encoding(enc) is enc for enc in routes)
+    assert [[Solver(enc).count(n) for n in (1, 2, 3)] for enc in routes] == [[2, 8, 64]] * 4
+    assert [oracle_count(p.signature, p.sentence, n).total for n in (1, 2, 3)] == [2, 8, 64]
+    other = normalize(p)
+    with pytest.raises(SemanticError, match="another normal form"):
+        successor_encoding(norm, build_cells(other.signature, other.matrix))
 
 
 #: the positions of the counting quantifier in the differential
@@ -194,7 +215,8 @@ def test_symmetric_at_least_three_counts():
 
 
 def test_zero_or_two_example_encoding():
-    norm = successor_encoding(normalize(parse_problem(ZERO_OR_TWO_EXAMPLE)), signed=())
+    bare = normalize(parse_problem(ZERO_OR_TWO_EXAMPLE))
+    norm = successor_encoding(bare, build_cells(bare.signature, bare.matrix))
     assert len(norm.blocks) == 1
     block = norm.blocks[0]
     assert block.guard == "R" and block.m == 2
@@ -469,12 +491,13 @@ def test_pinned_span_drops_the_conjunct_it_makes_true():
     no cell sweep evaluates a constant; every element's guard edges fill
     the slots, and A is the first indicator.  A true conjunct the input
     wrote stays."""
-    dumped = dump_normalized(successor_encoding(normalize(parse_problem(
-        "predicate R/2\nforall x exists{<=1} y R(x,y)")), signed=()))
+    bare = normalize(parse_problem("predicate R/2\nforall x exists{<=1} y R(x,y)"))
+    dumped = dump_normalized(successor_encoding(bare, build_cells(bare.signature, bare.matrix)))
     assert dumped.splitlines()[4] == (
         "forall x (forall y ((R(x, y) <-> __f1_1(x, y))"
         " & (__P1(x) -> !(__A1(x) -> __f1_1(x, y)))))")
-    written = successor_encoding(normalize(parse_problem(
-        "predicate R/2\nforall x forall y x = x & forall x exists{<=1} y R(x,y)")), signed=())
+    bare = normalize(parse_problem(
+        "predicate R/2\nforall x forall y x = x & forall x exists{<=1} y R(x,y)"))
+    written = successor_encoding(bare, build_cells(bare.signature, bare.matrix))
     assert written.matrix[0] == parse_formula("x = x")
     assert len(written.matrix) == 3

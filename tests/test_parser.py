@@ -36,6 +36,12 @@ def test_counting_quantifier_ast():
     assert f.cmp == ">=" and f.count == 3
 
 
+def test_quantifier_dot_is_optional():
+    """A dot may follow a quantified variable; it changes nothing."""
+    assert parse_formula("forall x. exists{=1} y. R(x,y)") == \
+        parse_formula("forall x exists{=1} y R(x,y)")
+
+
 def test_undeclared_predicate_strict():
     with pytest.raises(ParseError, match="undeclared predicate A"):
         parse_problem("predicate R/2\nforall x (A(x))")
@@ -117,11 +123,15 @@ def test_error_position():
     ("predicate A/1\nforall x A(x)\nweight A x 1", (3, 10), "expected a number"),
     ("predicate A/1\nforall x A(x)\nprofileweight *", (3, 15),
      "expected a number, |predicate| or parenthesized expression"),
+    ("predicate A/1\npredicate A/2\nforall x A(x)", (2, 13),
+     "predicate A redeclared with arity 2 (was 1)"),
+    ("forall x and", (1, 10), "expected a formula, found keyword 'and'"),
 ], ids=("character-line-1", "character-line-3", "after-comment", "end-of-input",
         "undeclared-weight", "duplicate-profileweight", "arity", "reserved-name",
         "no-predicate-name", "counting-operator", "multiplicity", "quantified-variable",
         "after-variable", "equality-argument", "term", "comparison-operator",
-        "constraint-term", "weight-number", "profileweight-term"))
+        "constraint-term", "weight-number", "profileweight-term", "redeclared-arity",
+        "keyword-as-formula"))
 def test_error_line_and_column(text, position, message, capsys):
     """Positions are 1-based; a comment counts as text, and the end of
     input sits after the last character.  Through the command line, with

@@ -12,13 +12,13 @@ import pytest
 import fo2mc.engine
 from fo2mc.cells import MAX_TABLE_BITS, build_cells
 from fo2mc.corpus import load_corpus
-from fo2mc.engine import ProfileEvaluator, Solver, block_pinned
+from fo2mc.engine import ProfileEvaluator, Solver
 from fo2mc.errors import InternalConsistencyError, UnsupportedFeatureError
-from fo2mc.normalize import normalize, successor_encoding
+from fo2mc.normalize import block_pinned, normalize, successor_encoding
 from fo2mc.oracle import oracle_count
 from fo2mc.parser import parse_problem
 
-from conftest import SYM2BLK, random_problem
+from conftest import SYM2BLK, pinned, random_problem
 
 CORPUS = {entry.name: entry for entry in load_corpus()}
 
@@ -329,14 +329,14 @@ def test_unpinned_span_matches_the_oracle():
     p = parse_problem("forall x forall y (R(x,y) -> R(y,x)) & "
                       "forall x (A(x) <-> exists{<=2} y R(x,y))")
     solver = Solver(p)
-    assert not solver.pinned
+    assert not pinned(solver)
     for n in (1, 2, 3):
         assert solver.count(n) == oracle_count(p.signature, p.sentence, n).total
 
 
 def test_unpinned_fallback_is_signed():
     solver = Solver(parse_problem(NOT_DIRECTED[2]))
-    assert not solver.pinned and solver.norm.blocks[0].sign
+    assert not pinned(solver) and solver.norm.blocks[0].sign
 
 
 @pytest.mark.parametrize("text,builds", [
@@ -376,7 +376,7 @@ def test_signing_every_block_is_exact():
         if not norm.blocks:
             continue
         try:
-            signed = Solver(successor_encoding(norm, {b.index for b in norm.blocks}))
+            signed = Solver(successor_encoding(norm))
         except UnsupportedFeatureError:
             continue
         solver = Solver(problem)
@@ -401,15 +401,15 @@ def test_block_free_build_decides_like_the_successor_encoding():
     """The block axioms change neither directedness nor pinnedness, so the
     build without them decides the path and the signs of the fallback.  An
     exactly-m block keeps its A in the encoding; any other, whose span
-    holds 0, is pinned when no valid type lies outside its A (signed here,
-    so that its A is not read as the chain's first indicator)."""
+    holds 0, is pinned when no valid type lies outside its A (every block is
+    signed here, so that no A is read as the chain's first indicator)."""
     checked = 0
     for problem in decision_problems():
         bare = normalize(problem)
         if not bare.blocks:
             continue
         try:
-            encoded = successor_encoding(bare, {b.index for b in bare.blocks if b.cmp != "="})
+            encoded = successor_encoding(bare)
         except UnsupportedFeatureError:  # past the table-bit limit
             continue
         cells = build_cells(bare.signature, bare.matrix)
@@ -429,8 +429,8 @@ def test_block_free_build_decides_like_the_successor_encoding():
 
 def test_predicted_size_is_the_built_encodings(monkeypatch):
     """``successor_encoding`` predicts its type and table slots from the
-    per-element form before building any axiom; signed as ``Solver`` signs
-    it and signed throughout, the prediction is the built encoding's."""
+    per-element form before building any axiom; signed from the per-element
+    cells and signed throughout, the prediction is the built encoding's."""
     predicted = []
     monkeypatch.setitem(successor_encoding.__globals__, "check_table_bits",
                         lambda u, b: predicted.append((u, b)))
@@ -438,9 +438,8 @@ def test_predicted_size_is_the_built_encodings(monkeypatch):
     for problem in decision_problems():
         bare = normalize(problem)
         cells = build_cells(bare.signature, bare.matrix)
-        unpinned = {b.index for b in bare.blocks if not block_pinned(cells, b)}
-        for signed in (unpinned, {b.index for b in bare.blocks}) if bare.blocks else ():
-            encoded = successor_encoding(bare, signed)
+        for evidence in (cells, None) if bare.blocks else ():
+            encoded = successor_encoding(bare, evidence)
             u, b = predicted.pop()
             if 2 * u + b <= MAX_TABLE_BITS:
                 full = build_cells(encoded.signature, encoded.matrix)

@@ -37,8 +37,7 @@ UNCOMPARED = {"walk3", "walk7", "walk8", "walk14", "walk17", "walk20", "walk22",
 def sizes(problem, candidates) -> list[int]:
     """The domain sizes among ``candidates`` with at most ``CENSUSES``
     censuses of the reference's valid 1-types."""
-    norm = normalize(problem)
-    encoding = successor_encoding(norm, [b.index for b in norm.blocks])
+    encoding = successor_encoding(normalize(problem))
     types = len(build_cells(encoding.signature, encoding.matrix).valid)
     return [n for n in candidates if math.comb(types + n - 1, n) <= CENSUSES]
 

@@ -9,7 +9,7 @@ from fo2mc.parser import parse_problem, parse_weight_expr
 from fo2mc.weights import (count_distribution, distribution_table,
                            wfomc_profile, wfomc_symmetric)
 
-from conftest import RUNNING_EXAMPLE, profile_rows
+from conftest import RUNNING_EXAMPLE, pinned, profile_rows
 
 COINS = """\
 predicate H/1
@@ -72,7 +72,7 @@ def test_closed_form_scale(name):
                       "\nweight A 0.2 -1.5" * unary + "\nweight R 0.5 -3\n")
     solver = Solver(p)
     paths = {"disjoint_blocks": solver.norm.successors and len(solver.norm.blocks) == 2,
-             "signed_block": solver.norm.successors and not solver.pinned,
+             "signed_block": solver.norm.successors and not pinned(solver),
              "per_element": solver.norm.blocks and not solver.norm.successors,
              "pair_tables": not solver.norm.blocks and not solver.cells.directed}
     assert paths[name]
