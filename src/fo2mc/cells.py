@@ -115,7 +115,7 @@ def _split(mask: int, width: int, count: int) -> list[int]:
 
 
 class CellStructure:
-    """The cell tables of a matrix, answered per distinct table mask.
+    """The cell tables of ``matrix``, answered per distinct table mask.
 
     A valid type's pattern is its bits on the type slots the matrix reads
     on either side; a pair's two patterns select its mask, and ``tables``
@@ -123,17 +123,17 @@ class CellStructure:
     and ``n_ij`` list the tables for every pair of valid types, built on
     first read."""
 
-    def __init__(self, signature: Signature, u_slots: list[tuple[str, str]],
-                 b_slots: list[tuple[str, str]], valid: list[int], read: int,
-                 patterns: dict[int, int], rows: list[list[int]], own: list[list[int]],
-                 selectors: list[int]):
+    def __init__(self, signature: Signature, matrix: tuple[Formula, ...],
+                 u_slots: list[tuple[str, str]], b_slots: list[tuple[str, str]],
+                 valid: list[int], read: int, patterns: dict[int, int],
+                 rows: list[list[int]], own: list[list[int]], selectors: list[int]):
         """``read`` masks a type's pattern, numbered by ``patterns`` in the
         order of its first valid type.  ``rows[p][q]`` is the mask of the
         2-tables across a pair of types with patterns p and q, p's type on
         the x side: where that instance of the matrix holds, ``own[p][q]``,
         and the swapped instance ``own[q][p]`` holds too.  ``selectors[o]``
         masks the 2-tables whose x->y bits spell out-mask o."""
-        self.signature = signature
+        self.signature, self.matrix = signature, matrix
         self.u_slots = u_slots
         self.b_slots = b_slots
         self.valid = valid
@@ -226,7 +226,7 @@ def build_cells(signature: Signature, matrix: Iterable[Formula]) -> CellStructur
     the diagonal, then once over every (x pattern, y pattern, 2-table) of
     the valid types' read patterns, reading each 2-table as is and once
     swapped."""
-    matrix = list(matrix)
+    matrix = tuple(matrix)
     u_slots = one_type_slots(signature)
     b_slots = two_table_slots(signature)
     u, b = len(u_slots), len(b_slots)
@@ -270,7 +270,7 @@ def build_cells(signature: Signature, matrix: Iterable[Formula]) -> CellStructur
         [full_u, full_u, *u_masks, *u_masks,
          *(u_masks[u_index[(p, "reflexive")]] for p, _ in b_slots)])))
     if not valid:
-        return CellStructure(signature, u_slots, b_slots, valid, 0, {}, [], [], [])
+        return CellStructure(signature, matrix, u_slots, b_slots, valid, 0, {}, [], [], [])
 
     # number the valid types' patterns, and the parts each side reads
     read = read_x | read_y
@@ -318,7 +318,7 @@ def build_cells(signature: Signature, matrix: Iterable[Formula]) -> CellStructur
     selectors = [full_v]
     for s in range(0, b, 2):
         selectors = [sel & m for sel in selectors for m in (full_v ^ v_masks[s], v_masks[s])]
-    return CellStructure(signature, u_slots, b_slots, valid, read, patterns,
+    return CellStructure(signature, matrix, u_slots, b_slots, valid, read, patterns,
                          rows, own, selectors)
 
 

@@ -443,10 +443,10 @@ def successor_encoding(norm: NormalizedProblem, cells: CellStructure | None = No
     table bits.  A pinned block whose span holds 0 has A forced true by the
     matrix: A serves as I_1, G <-> f_1 | ... | f_hi holds for every x, and
     its occurrences read true (a conjunct this makes true is dropped).
-    Cells of another normal form are refused, and an encoded ``norm`` is
-    its own encoding.  Oversize encodings are refused before any axiom is
-    built: each f_j adds a type slot, two table slots and an existence sign."""
-    if cells is not None and cells.signature is not norm.signature:
+    Cells of another signature or matrix are refused; an encoded ``norm``
+    is its own encoding.  Oversize encodings are refused before any axiom
+    is built: each f_j adds a type slot, two table slots and an existence sign."""
+    if cells is not None and (cells.signature, cells.matrix) != (norm.signature, norm.matrix):
         raise SemanticError("cells built for another normal form")
     if norm.successors:
         return norm

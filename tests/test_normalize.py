@@ -10,8 +10,8 @@ from fo2mc.errors import SemanticError, UnsupportedFeatureError
 from fo2mc.logic import (And, Atom, CardCompare, Counting, Exists, Forall, Formula, Iff,
                          Implies, LinearExpr, Not, Or, Signature, is_quantifier_free,
                          other_variable, subformulas)
-from fo2mc.normalize import (NameAllocator, NormalizedProblem, dump_normalized,
-                             normalize, successor_encoding, to_scott)
+from fo2mc.normalize import (NameAllocator, NormalizedProblem, block_pinned,
+                             dump_normalized, normalize, successor_encoding, to_scott)
 from fo2mc.oracle import oracle_count
 from fo2mc.parser import Problem, parse_formula, parse_problem
 
@@ -134,7 +134,8 @@ def test_every_route_to_an_unpinned_encoding_counts_exactly():
     route to its successor encoding signs the block and counts like the
     oracle.  Encoding an encoding returns it (a second chain counted 2, 32,
     9216), and cells of another normalization, which would decide the
-    signs from another signature, are refused."""
+    signs from another signature, are refused, as are cells of a stronger
+    matrix, which would pin the block and leave it unsigned."""
     p = parse_problem(f"{SYMMETRIC} & forall x (A(x) <-> exists{{=1}} y R(x,y))")
     norm = normalize(p)
     routes = [successor_encoding(norm),
@@ -147,6 +148,10 @@ def test_every_route_to_an_unpinned_encoding_counts_exactly():
     other = normalize(p)
     with pytest.raises(SemanticError, match="another normal form"):
         successor_encoding(norm, build_cells(other.signature, other.matrix))
+    stronger = build_cells(norm.signature, (*norm.matrix, Atom(norm.blocks[0].a_pred, ("x",))))
+    assert block_pinned(stronger, norm.blocks[0])
+    with pytest.raises(SemanticError, match="another normal form"):
+        successor_encoding(norm, stronger)
 
 
 #: the positions of the counting quantifier in the differential

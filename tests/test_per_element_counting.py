@@ -400,31 +400,34 @@ def decision_problems():
 def test_block_free_build_decides_like_the_successor_encoding():
     """The block axioms change neither directedness nor pinnedness, so the
     build without them decides the path and the signs of the fallback.  An
-    exactly-m block keeps its A in the encoding; any other, whose span
-    holds 0, is pinned when no valid type lies outside its A (every block is
-    signed here, so that no A is read as the chain's first indicator)."""
+    exactly-m block keeps its A in the encoding signed from the per-element
+    cells, as ``Solver`` builds it (a pinned one unsigned); any other, whose
+    span holds 0, is pinned when no valid type lies outside its A in an
+    encoding that signs it, so that its A is not read as the chain's first
+    indicator."""
     checked = 0
     for problem in decision_problems():
         bare = normalize(problem)
         if not bare.blocks:
             continue
-        try:
-            encoded = successor_encoding(bare)
-        except UnsupportedFeatureError:  # past the table-bit limit
-            continue
         cells = build_cells(bare.signature, bare.matrix)
-        full = build_cells(encoded.signature, encoded.matrix)
-        assert cells.directed == full.directed
-        for b in bare.blocks:
-            [part] = [e for e in encoded.blocks if e.index == b.index]
-            if b.cmp == "=":
-                assert block_pinned(cells, b) == block_pinned(full, part)
-            else:
-                slot = full.u_slot_index(part.a_pred, "unary")
-                outside = [i for i in full.valid if not full.type_bit(i, slot)]
-                assert block_pinned(cells, b) == (not outside)
-        checked += 1
-    assert checked > 100
+        for evidence in (cells, None):
+            try:
+                encoded = successor_encoding(bare, evidence)
+            except UnsupportedFeatureError:  # past the table-bit limit
+                continue
+            full = build_cells(encoded.signature, encoded.matrix)
+            assert cells.directed == full.directed
+            for b in bare.blocks:
+                [part] = [e for e in encoded.blocks if e.index == b.index]
+                if b.cmp == "=" and evidence is cells:
+                    assert block_pinned(cells, b) == block_pinned(full, part)
+                elif b.cmp != "=" and part.sign:
+                    slot = full.u_slot_index(part.a_pred, "unary")
+                    outside = [i for i in full.valid if not full.type_bit(i, slot)]
+                    assert block_pinned(cells, b) == (not outside)
+            checked += 1
+    assert checked > 200
 
 
 def test_predicted_size_is_the_built_encodings(monkeypatch):
